@@ -11,9 +11,10 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 
-from .linalg import (LabeledSpace, Matrix, as_q, q_str, random_vector,
-                     zero_vector)
+from .linalg import (LabeledSpace, Matrix, as_q, dense_vector, q_str, random_vector,
+                     unit_vector, zero_vector)
 from .report import Report
 
 # exhaustive polarized identity costs dim^4; beyond this, sample
@@ -47,10 +48,6 @@ class JordanAlgebra:
     @property
     def degrees(self):
         return self.space.degrees
-
-    def product_pair(self, i, j):
-        """Sparse product of basis vectors e_i * e_j."""
-        return self.table[i][j]
 
     def __repr__(self):
         return f"JordanAlgebra({self.name}, dim={self.dim})"
@@ -89,7 +86,7 @@ def jpower(J, a, k):
 
 def L_op(J, a):
     """Matrix of the multiplication operator b -> a*b."""
-    cols = [jmul(J, a, _basis_vec(J.dim, j)) for j in range(J.dim)]
+    cols = [jmul(J, a, unit_vector(J.dim, j)) for j in range(J.dim)]
     return Matrix(J.dim, J.dim, [[cols[j][i] for j in range(J.dim)] for i in range(J.dim)])
 
 
@@ -111,12 +108,6 @@ def derivation_column(J, i, j, k):
     return {t: c for t, c in out.items() if c}
 
 
-def _basis_vec(n, i):
-    v = zero_vector(n)
-    v[i] = Fraction(1)
-    return v
-
-
 def validate(J, seed=0):
     """Axiom report: commutativity, unit, degree additivity, Jordan identity.
 
@@ -128,92 +119,58 @@ def validate(J, seed=0):
     d = J.dim
     labels = J.space.labels
 
-    ok = True
-    witness = ""
-    for i in range(d):
-        for j in range(d):
-            if J.table[i][j] != J.table[j][i]:
-                ok, witness = False, f"e{i}*e{j} != e{j}*e{i} ({labels[i]},{labels[j]})"
-                break
-        if not ok:
-            break
-    rep.add("commutativity", ok, witness)
+    def noncommuting(ij):
+        i, j = ij
+        if J.table[i][j] != J.table[j][i]:
+            return f"e{i}*e{j} != e{j}*e{i} ({labels[i]},{labels[j]})"
 
-    ok = True
-    witness = ""
-    for i in range(d):
-        if jmul(J, J.unit, _basis_vec(d, i)) != _basis_vec(d, i):
-            ok, witness = False, f"1*{labels[i]} != {labels[i]}"
-            break
-    rep.add("unit axiom", ok, witness)
+    rep.check("commutativity", product(range(d), repeat=2), noncommuting)
+    rep.check("unit axiom", range(d),
+              lambda i: jmul(J, J.unit, unit_vector(d, i)) != unit_vector(d, i)
+              and f"1*{labels[i]} != {labels[i]}")
 
     degs = J.space.degrees
-    ok = True
-    witness = ""
-    for i in range(d):
-        for j in range(d):
-            for k, c in J.table[i][j].items():
-                if c and degs[k] != degs[i] + degs[j]:
-                    ok = False
-                    witness = f"deg({labels[i]}*{labels[j]}) hits degree {degs[k]} != {degs[i] + degs[j]}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("degree additivity", ok, witness)
 
-    ok = True
-    witness = ""
+    def off_degree(ij):
+        i, j = ij
+        for k, c in J.table[i][j].items():
+            if c and degs[k] != degs[i] + degs[j]:
+                return f"deg({labels[i]}*{labels[j]}) hits degree {degs[k]} != {degs[i] + degs[j]}"
+
+    rep.check("degree additivity", product(range(d), repeat=2), off_degree)
+
     if d <= _EXHAUSTIVE_DIM_LIMIT:
-        basis = [_basis_vec(d, i) for i in range(d)]
-        prods = [[J.table[i][j] for j in range(d)] for i in range(d)]
+        basis = [unit_vector(d, i) for i in range(d)]
+        prods = [[dense_vector(d, J.table[i][j]) for j in range(d)] for i in range(d)]
 
-        def dense(sparse):
-            v = zero_vector(d)
-            for k, c in sparse.items():
-                v[k] = c
-            return v
+        def polarized(xyz):
+            x, y, z = xyz
+            terms = ((prods[x][y], z), (prods[x][z], y), (prods[y][z], x))
+            for b in range(d):
+                bv = basis[b]
+                lhs = rhs = [0] * d
+                for u, w in terms:
+                    t = jmul(J, jmul(J, u, bv), basis[w])
+                    lhs = [p + q for p, q in zip(lhs, t)]
+                    t = jmul(J, u, jmul(J, bv, basis[w]))
+                    rhs = [p + q for p, q in zip(rhs, t)]
+                if lhs != rhs:
+                    return f"polarized identity fails at (x,y,z,b)=({x},{y},{z},{b})"
 
-        for x in range(d):
-            for y in range(x, d):
-                xy = dense(prods[x][y])
-                for z in range(y, d):
-                    xz = dense(prods[x][z])
-                    yz = dense(prods[y][z])
-                    for b in range(d):
-                        bv = basis[b]
-                        lhs = jmul(J, jmul(J, xy, bv), basis[z])
-                        for u, w in ((xz, y), (yz, x)):
-                            t = jmul(J, jmul(J, u, bv), basis[w])
-                            lhs = [p + q for p, q in zip(lhs, t)]
-                        rhs = jmul(J, xy, jmul(J, bv, basis[z]))
-                        for u, w in ((xz, y), (yz, x)):
-                            t = jmul(J, u, jmul(J, bv, basis[w]))
-                            rhs = [p + q for p, q in zip(rhs, t)]
-                        if lhs != rhs:
-                            ok = False
-                            witness = f"polarized identity fails at (x,y,z,b)=({x},{y},{z},{b})"
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        rep.add("jordan identity (polarized, all basis 4-tuples)", ok, witness)
+        rep.check("jordan identity (polarized, all basis 4-tuples)",
+                  combinations_with_replacement(range(d), 3), polarized)
     else:
         rng = random.Random(seed)
-        for t in range(_SAMPLE_COUNT):
+
+        def sample(t):
             a = random_vector(rng, d)
             b = random_vector(rng, d)
             a2 = jmul(J, a, a)
-            lhs = jmul(J, jmul(J, a2, b), a)
-            rhs = jmul(J, a2, jmul(J, b, a))
-            if lhs != rhs:
-                ok, witness = False, f"(a^2 b)a != a^2(ba) at sample {t}"
-                break
-        rep.add(f"jordan identity ({_SAMPLE_COUNT} random samples)", ok, witness)
+            if jmul(J, jmul(J, a2, b), a) != jmul(J, a2, jmul(J, b, a)):
+                return f"(a^2 b)a != a^2(ba) at sample {t}"
+
+        rep.check(f"jordan identity ({_SAMPLE_COUNT} random samples)",
+                  range(_SAMPLE_COUNT), sample)
 
     if J._validated is None:
         J._validated = rep.ok
@@ -244,7 +201,7 @@ def truncated_poly(D, name=None, graded=True):
     space = LabeledSpace(labels, degrees)
     table = [[({i + j: Fraction(1)} if i + j <= D else {}) for j in range(D + 1)]
              for i in range(D + 1)]
-    unit = _basis_vec(D + 1, 0)
+    unit = unit_vector(D + 1, 0)
     return JordanAlgebra(space, unit, table, name or f"truncated-poly({D})")
 
 
@@ -264,8 +221,8 @@ def special_from_associative(labels, unit, assoc_table, name=None, check=True):
                     if lhs != rhs:
                         raise InputError(f"input table not associative at ({i},{j},{k})")
         for i in range(d):
-            got = _assoc_apply(assoc_table, unit, _basis_vec(d, i), d)
-            if got != _basis_vec(d, i):
+            got = _assoc_apply(assoc_table, unit, unit_vector(d, i), d)
+            if got != unit_vector(d, i):
                 raise InputError("input unit is not a left unit")
     table = []
     for i in range(d):
@@ -355,7 +312,7 @@ def spin_factor(gram, name=None):
         for j in range(k):
             table[i + 1][j + 1] = {0: g[i][j]} if g[i][j] else {}
     space = LabeledSpace(labels, (0,) * d)
-    return JordanAlgebra(space, _basis_vec(d, 0), table, name or f"spin-factor({k})")
+    return JordanAlgebra(space, unit_vector(d, 0), table, name or f"spin-factor({k})")
 
 
 def builtin(family, **params):
@@ -380,9 +337,7 @@ def algebra_to_dict(J):
     for i in range(J.dim):
         for j in range(i, J.dim):
             if J.table[i][j]:
-                coords = zero_vector(J.dim)
-                for k, c in J.table[i][j].items():
-                    coords[k] = c
+                coords = dense_vector(J.dim, J.table[i][j])
                 mult.append({"i": i, "j": j, "coords": [q_str(x) for x in coords]})
     return {
         "labels": list(J.space.labels),
@@ -398,10 +353,10 @@ def algebra_from_dict(data, name=""):
         degrees = tuple(int(x) for x in data["degrees"])
         unit = [as_q(x) for x in data["unit"]]
         entries = data["mult"]
+        space = LabeledSpace(labels, degrees)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad algebra data: {exc}") from exc
     d = len(labels)
-    space = LabeledSpace(labels, degrees)
     table = [[None] * d for _ in range(d)]
     for ent in entries:
         try:

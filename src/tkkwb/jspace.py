@@ -11,12 +11,13 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 from .jordan import (InputError, builtin, derivation_column, jmul, jpower,
                      load_algebra, truncated_poly)
-from .linalg import (LabeledSpace, Matrix, as_q, kron, q_str, random_vector,
-                     scalar_value, zero_vector)
+from .linalg import (LabeledSpace, Matrix, as_q, combination, dense_vector, kron,
+                     q_str, random_vector, scalar_value, unit_vector)
 from .multipoly import Poly
 from .report import Report
 from .symfun import SymPoly, dominance_coeffs, newton, partitions
@@ -60,19 +61,9 @@ class JSpaceRep:
         return self.module.dim
 
     def rho_of(self, a):
-        """rho extended linearly to a coordinate vector (entries may be polynomials)."""
-        m = self.mdim
-        out = [[0] * m for _ in range(m)]
-        for i, c in enumerate(a):
-            if not c:
-                continue
-            ri = self.rho[i]
-            for r in range(m):
-                row = ri.data[r]
-                for s in range(m):
-                    if row[s]:
-                        out[r][s] = out[r][s] + c * row[s]
-        return Matrix(m, m, out)
+        """rho extended linearly to a coordinate vector, dense or a sparse
+        {index: coeff} dict (entries may be polynomials)."""
+        return combination(self.mdim, self.rho, a)
 
     def __repr__(self):
         return f"JSpaceRep({self.name})"
@@ -101,83 +92,66 @@ def check_jspace(rep, mode="exhaustive", samples=8, seed=0):
     J = rep.jordan
     rep_report = Report(f"j-space axioms for {rep.name}")
     d, m = J.dim, rep.mdim
+    sig = rep.rho
 
-    ok, witness = True, ""
     degs_J = J.space.degrees
     degs_M = rep.module.degrees
-    for i in range(d):
-        ri = rep.rho[i]
-        for r in range(m):
-            for s in range(m):
-                if ri.data[r][s] and degs_M[r] != degs_M[s] + degs_J[i]:
-                    ok = False
-                    witness = f"rho({J.space.labels[i]}) entry ({r},{s}) breaks the grading"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep_report.add("rho respects the grading", ok, witness)
 
-    def rho_sparse(sparse):
-        out = Matrix.zeros(m, m)
-        for k, c in sparse.items():
-            out = out + rep.rho[k].scale(c)
-        return out
+    def grading(irs):
+        i, r, s = irs
+        if sig[i].data[r][s] and degs_M[r] != degs_M[s] + degs_J[i]:
+            return f"rho({J.space.labels[i]}) entry ({r},{s}) breaks the grading"
+
+    rep_report.check("rho respects the grading",
+                     product(range(d), range(m), range(m)), grading)
 
     if mode == "exhaustive":
-        ok, witness = True, ""
-        for i in range(d):
-            for j in range(d):
-                comm = rep.rho[i].commutator(rep.rho[j])
-                for k in range(d):
-                    lhs = comm.commutator(rep.rho[k])
-                    rhs = rho_sparse(derivation_column(J, i, j, k)).scale(4)
-                    if lhs != rhs:
-                        ok = False
-                        witness = f"derivation identity fails at basis triple ({i},{j},{k})"
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        rep_report.add("derivation identity (all basis triples)", ok, witness)
+        def derivation(ij):
+            i, j = ij
+            comm = sig[i].commutator(sig[j])
+            for k in range(d):
+                rhs = rep.rho_of(derivation_column(J, i, j, k)).scale(4)
+                if comm.commutator(sig[k]) != rhs:
+                    return f"derivation identity fails at basis triple ({i},{j},{k})"
 
-        ok, witness = True, ""
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    acc = rep.rho[i].commutator(rho_sparse(J.table[j][k]))
-                    acc = acc + rep.rho[j].commutator(rho_sparse(J.table[i][k]))
-                    acc = acc + rep.rho[k].commutator(rho_sparse(J.table[i][j]))
-                    if not acc.is_zero():
-                        ok = False
-                        witness = f"polarized square-commutation fails at ({i},{j},{k})"
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        rep_report.add("square commutation, polarized (all basis triples)", ok, witness)
+        rep_report.check("derivation identity (all basis triples)",
+                         product(range(d), repeat=2), derivation)
+        t = _square_commutation_failure(rep)
+        rep_report.add("square commutation, polarized (all basis triples)", t is None,
+                       "" if t is None else
+                       "polarized square-commutation fails at (%d,%d,%d)" % t)
     else:
         rng = random.Random(seed)
-        ok, witness = True, ""
-        for t in range(samples):
+
+        def sample(t):
             a = random_vector(rng, d)
             ra = rep.rho_of(a)
-            ra2 = rep.rho_of(jmul(J, a, a))
-            if not ra.commutator(ra2).is_zero():
-                ok, witness = False, f"[rho(a),rho(a^2)] != 0 at sample {t}"
-                break
+            if not ra.commutator(rep.rho_of(jmul(J, a, a))).is_zero():
+                return f"[rho(a),rho(a^2)] != 0 at sample {t}"
             b = random_vector(rng, d)
             c = random_vector(rng, d)
             lhs = ra.commutator(rep.rho_of(b)).commutator(rep.rho_of(c))
-            der = _apply_derivation(J, a, b, c)
-            if lhs != rep.rho_of(der).scale(4):
-                ok, witness = False, f"derivation identity fails at sample {t}"
-                break
-        rep_report.add(f"axioms at {samples} random points (seed {seed})", ok, witness)
+            if lhs != rep.rho_of(_apply_derivation(J, a, b, c)).scale(4):
+                return f"derivation identity fails at sample {t}"
+
+        rep_report.check(f"axioms at {samples} random points (seed {seed})",
+                         range(samples), sample)
     return rep_report
+
+
+def _square_commutation_failure(rep):
+    """The first basis triple (i, j, k) at which the polarized
+    square-commutation identity
+        [rho(e_i), rho(e_j e_k)] + [rho(e_j), rho(e_i e_k)] + [rho(e_k), rho(e_i e_j)] = 0
+    fails, or None when it holds on all basis triples."""
+    J, sig = rep.jordan, rep.rho
+    for i, j, k in product(range(J.dim), repeat=3):
+        acc = sig[i].commutator(rep.rho_of(J.table[j][k])) + \
+            sig[j].commutator(rep.rho_of(J.table[i][k])) + \
+            sig[k].commutator(rep.rho_of(J.table[i][j]))
+        if not acc.is_zero():
+            return (i, j, k)
+    return None
 
 
 def _apply_derivation(J, a, b, c):
@@ -203,13 +177,7 @@ class G0Rep:
         return self.ext.brace
 
     def brace_matrix(self, coords):
-        m = self.rep.mdim
-        out = Matrix.zeros(m, m)
-        items = coords.items() if isinstance(coords, dict) else enumerate(coords)
-        for k, c in items:
-            if c:
-                out = out + self.dmats[k].scale(c)
-        return out
+        return combination(self.rep.mdim, self.dmats, coords)
 
 
 def extend_to_g0(rep, ext=None):
@@ -222,21 +190,10 @@ def extend_to_g0(rep, ext=None):
     m = rep.mdim
 
     quarter = Fraction(1, 4)
-    comm_pair = {}
-    for t, (i, j) in enumerate(bs.pairs):
-        comm_pair[t] = rep.rho[i].commutator(rep.rho[j]).scale(quarter)
-
-    ok, witness = True, ""
-    for r in range(bs.s_rows.rows):
-        acc = Matrix.zeros(m, m)
-        for t in range(len(bs.pairs)):
-            c = bs.s_rows.data[r][t]
-            if c:
-                acc = acc + comm_pair[t].scale(c)
-        if not acc.is_zero():
-            ok, witness = False, f"defining-span generator {r} acts nonzero"
-            break
-    report.add("well-defined on the brace quotient", ok, witness)
+    comm_pair = [rep.rho[i].commutator(rep.rho[j]).scale(quarter) for i, j in bs.pairs]
+    report.check("well-defined on the brace quotient", range(bs.s_rows.rows),
+                 lambda r: not combination(m, comm_pair, bs.s_rows.data[r]).is_zero()
+                 and f"defining-span generator {r} acts nonzero")
 
     dmats = []
     for a, b in bs.rep_pairs:
@@ -250,21 +207,19 @@ def extend_to_g0(rep, ext=None):
             return dmats[i]
         raise ValueError("weight-zero indices only")
 
+    def mismatch(pq):
+        p, q = pq
+        lhs = phi(p).commutator(phi(q))
+        rhs = Matrix.zeros(m, m)
+        for t, c in ext.bracket_basis(p, q).items():
+            rhs = rhs + phi(t).scale(c)
+        if lhs != rhs:
+            return f"bracket mismatch at ({ext.labels[p]},{ext.labels[q]})"
+
     zero_indices = [ext.h_index(i) for i in range(J.dim)] + \
                    [ext.tail_index(k) for k in range(bs.dim)]
-    ok, witness = True, ""
-    for p in zero_indices:
-        for q in zero_indices:
-            lhs = phi(p).commutator(phi(q))
-            rhs = Matrix.zeros(m, m)
-            for t, c in ext.bracket_basis(p, q).items():
-                rhs = rhs + phi(t).scale(c)
-            if lhs != rhs:
-                ok, witness = False, f"bracket mismatch at ({ext.labels[p]},{ext.labels[q]})"
-                break
-        if not ok:
-            break
-    report.add("homomorphism on the weight-zero bracket table", ok, witness)
+    report.check("homomorphism on the weight-zero bracket table",
+                 product(zero_indices, repeat=2), mismatch)
     return G0Rep(rep, ext, dmats, report)
 
 
@@ -323,15 +278,14 @@ def dominance_check(rep, mode="symbolic", samples=8, seed=0):
         report.add("dominance sum vanishes", ok, detail)
     elif mode == "random":
         rng = random.Random(seed)
-        ok, witness = True, ""
-        for t in range(samples):
+
+        def witness(_):
             a = random_vector(rng, rep.jordan.dim)
             if not dominance_operator(rep, a).is_zero():
-                ok = False
-                witness = "witness a = " + _format_element(rep.jordan, a)
-                break
-        report.add("dominance sum vanishes", ok,
-                   witness or f"mode=random samples={samples} seed={seed}")
+                return "witness a = " + _format_element(rep.jordan, a)
+
+        report.check("dominance sum vanishes", range(samples), witness,
+                     f"mode=random samples={samples} seed={seed}")
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return report
@@ -358,47 +312,22 @@ def check_bimodule(rep):
     d, m = J.dim, rep.mdim
     sig = rep.rho
 
-    def sig_sparse(sparse):
-        out = Matrix.zeros(m, m)
-        for k, c in sparse.items():
-            out = out + sig[k].scale(c)
-        return out
+    t = _square_commutation_failure(rep)
+    report.add("square commutation, polarized", t is None,
+               "" if t is None else "square commutation fails at (%d,%d,%d)" % t)
 
-    ok, witness = True, ""
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                acc = sig[i].commutator(sig_sparse(J.table[j][k]))
-                acc = acc + sig[j].commutator(sig_sparse(J.table[i][k]))
-                acc = acc + sig[k].commutator(sig_sparse(J.table[i][j]))
-                if not acc.is_zero():
-                    ok, witness = False, f"square commutation fails at ({i},{j},{k})"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report.add("square commutation, polarized", ok, witness)
+    def quadratic(case):
+        x, y, b = case
+        sx, sy, sb = sig[x], sig[y], sig[b]
+        xyb = jmul(J, dense_vector(d, J.table[x][y]), unit_vector(d, b))
+        lhs = rep.rho_of(xyb) + sx @ sb @ sy + sy @ sb @ sx
+        rhs = rep.rho_of(J.table[x][b]) @ sy + rep.rho_of(J.table[y][b]) @ sx \
+            + rep.rho_of(J.table[x][y]) @ sb
+        if lhs != rhs:
+            return f"quadratic identity fails at (x,y,b)=({x},{y},{b})"
 
-    ok, witness = True, ""
-    for x in range(d):
-        for y in range(d):
-            sx, sy = sig[x], sig[y]
-            sxy = sig_sparse(J.table[x][y])
-            for b in range(d):
-                sb = sig[b]
-                xyb = jmul(J, _dense(J, J.table[x][y]), _basis(d, b))
-                lhs = rep.rho_of(xyb) + sx @ sb @ sy + sy @ sb @ sx
-                rhs = sig_sparse(J.table[x][b]) @ sy + sig_sparse(J.table[y][b]) @ sx \
-                    + sxy @ sb
-                if lhs != rhs:
-                    ok, witness = False, f"quadratic identity fails at (x,y,b)=({x},{y},{b})"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report.add("quadratic identity, polarized (all basis tuples)", ok, witness)
+    report.check("quadratic identity, polarized (all basis tuples)",
+                 product(range(d), repeat=3), quadratic)
 
     s1 = rep.rho_of(J.unit)
     ident = Matrix.identity(m)
@@ -406,19 +335,6 @@ def check_bimodule(rep):
     report.add("sigma(1) annihilated by x(x-1/2)(x-1)", spectral.is_zero(),
                "" if spectral.is_zero() else "spectral constraint violated")
     return report
-
-
-def _dense(J, sparse):
-    v = zero_vector(J.dim)
-    for k, c in sparse.items():
-        v[k] = c
-    return v
-
-
-def _basis(n, i):
-    v = zero_vector(n)
-    v[i] = Fraction(1)
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +348,6 @@ def check_envelope_relations(rep, mode="symbolic", samples=8, seed=0):
     partition-coefficient sum."""
     J = rep.jordan
     report = Report(f"envelope relations for {rep.name}")
-    m = rep.mdim
 
     try:
         n = level(rep)
@@ -444,51 +359,26 @@ def check_envelope_relations(rep, mode="symbolic", samples=8, seed=0):
     d = J.dim
     sig = rep.rho
 
-    def rho_sparse(sparse):
-        out = Matrix.zeros(m, m)
-        for k, c in sparse.items():
-            out = out + sig[k].scale(c)
-        return out
-
-    ok, witness = True, ""
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                acc = sig[i].commutator(rho_sparse(J.table[j][k]))
-                acc = acc + sig[j].commutator(rho_sparse(J.table[i][k]))
-                acc = acc + sig[k].commutator(rho_sparse(J.table[i][j]))
-                if not acc.is_zero():
-                    ok, witness = False, f"fails at ({i},{j},{k})"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report.add("square commutation, polarized", ok, witness)
+    t = _square_commutation_failure(rep)
+    report.add("square commutation, polarized", t is None,
+               "" if t is None else "fails at (%d,%d,%d)" % t)
 
     # the cubic rearrangement relation of the envelope:
     # r(a)r(b)r(c) + r(c)r(b)r(a) - r(b)r(a)r(c) - r(c)r(a)r(b)
     #   + r(b(ac)) - r(a(bc)) = 0
-    ok, witness = True, ""
-    for a in range(d):
-        for b in range(d):
-            for c in range(d):
-                ra, rb, rc = sig[a], sig[b], sig[c]
-                b_ac = jmul(J, _basis(d, b), _dense(J, J.table[a][c]))
-                a_bc = jmul(J, _basis(d, a), _dense(J, J.table[b][c]))
-                acc = ra @ rb @ rc + rc @ rb @ ra - rb @ ra @ rc - rc @ ra @ rb
-                acc = acc + rep.rho_of(b_ac) - rep.rho_of(a_bc)
-                if not acc.is_zero():
-                    ok, witness = False, f"fails at ({a},{b},{c})"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report.add("cubic rearrangement relation", ok, witness)
+    def cubic(abc):
+        a, b, c = abc
+        ra, rb, rc = sig[a], sig[b], sig[c]
+        b_ac = jmul(J, unit_vector(d, b), dense_vector(d, J.table[a][c]))
+        a_bc = jmul(J, unit_vector(d, a), dense_vector(d, J.table[b][c]))
+        acc = ra @ rb @ rc + rc @ rb @ ra - rb @ ra @ rc - rc @ ra @ rb
+        acc = acc + rep.rho_of(b_ac) - rep.rho_of(a_bc)
+        if not acc.is_zero():
+            return f"fails at ({a},{b},{c})"
 
-    dom = dominance_check(rep, mode=mode, samples=samples, seed=seed)
-    report.merge(dom, prefix="envelope: ")
+    report.check("cubic rearrangement relation", product(range(d), repeat=3), cubic)
+
+    report.merge(dominance_check(rep, mode=mode, samples=samples, seed=seed))
     return report
 
 
@@ -551,7 +441,7 @@ def regular_rep(J):
     operators do not), so this is a J-space for commutative associative J.
     """
     from .jordan import L_op
-    rho = [L_op(J, _basis(J.dim, i)) for i in range(J.dim)]
+    rho = [L_op(J, unit_vector(J.dim, i)) for i in range(J.dim)]
     return JSpaceRep(J, J.space, rho, name=f"regular rep of {J.name}")
 
 
@@ -561,7 +451,7 @@ def doubled_regular_rep(J):
     and the operator consequence of the Jordan identity
     2 L_a^3 - 3 L_{a^2} L_a + L_{a^3} = 0 makes it dominant."""
     from .jordan import L_op
-    rho = [L_op(J, _basis(J.dim, i)).scale(Fraction(2)) for i in range(J.dim)]
+    rho = [L_op(J, unit_vector(J.dim, i)).scale(Fraction(2)) for i in range(J.dim)]
     return JSpaceRep(J, J.space, rho, name=f"doubled regular rep of {J.name}")
 
 

@@ -9,7 +9,6 @@ polynomials); the elimination routines require genuine fractions.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,7 +22,10 @@ def as_q(x):
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"zero denominator in {x!r}") from exc
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 
@@ -171,15 +173,8 @@ class Matrix:
     def __hash__(self):
         return hash((self.rows, self.cols, tuple(tuple(r) for r in self.data)))
 
-    def copy_rows(self):
-        return [list(r) for r in self.data]
-
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
-
-    def pretty(self):
-        return "\n".join("[" + "  ".join(q_str(x) if isinstance(x, (int, Fraction)) else str(x)
-                                         for x in row) + "]" for row in self.data)
 
 
 def scalar_value(m):
@@ -348,9 +343,6 @@ class LabeledSpace:
     def index(self, label):
         return self.labels.index(label)
 
-    def degrees_present(self):
-        return sorted(set(self.degrees))
-
     def dim_at_degree(self, d):
         return sum(1 for x in self.degrees if x == d)
 
@@ -359,18 +351,38 @@ def zero_vector(n):
     return [Q(0)] * n
 
 
-def add_scaled(acc, c, vec):
-    """acc += c * vec, in place; acc is a plain list."""
-    if not c:
-        return acc
-    for i, v in enumerate(vec):
-        if v:
-            acc[i] = acc[i] + c * v
-    return acc
+def unit_vector(n, i):
+    v = zero_vector(n)
+    v[i] = Q(1)
+    return v
 
 
-def vec_is_zero(vec):
-    return all(not x for x in vec)
+def dense_vector(n, sparse):
+    """The length-n list with the entries of a {index: value} dict."""
+    v = zero_vector(n)
+    for k, c in sparse.items():
+        v[k] = c
+    return v
+
+
+def combination(n, mats, coords):
+    """The n x n matrix sum_k c_k mats[k].
+
+    coords is a dense list or a sparse {k: c_k} dict; the coefficients may be
+    any ring elements (polynomials for symbolic coordinates).
+    """
+    out = [[0] * n for _ in range(n)]
+    items = coords.items() if isinstance(coords, dict) else enumerate(coords)
+    for k, c in items:
+        if not c:
+            continue
+        data = mats[k].data
+        for r in range(n):
+            row = data[r]
+            for s in range(n):
+                if row[s]:
+                    out[r][s] = out[r][s] + c * row[s]
+    return Matrix(n, n, out)
 
 
 def kron(a, b):
@@ -399,13 +411,3 @@ def random_fraction(rng, num_bound=12, den_bound=6):
 def random_vector(rng, n, num_bound=12, den_bound=6):
     return [random_fraction(rng, num_bound, den_bound) for _ in range(n)]
 
-
-def thread_count():
-    """Worker cap for parallel verification, from TKKWB_THREADS (default 1)."""
-    raw = os.environ.get("TKKWB_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1

@@ -21,6 +21,17 @@ class Report:
         self.items.append(CheckItem(name, bool(ok), detail))
         return ok
 
+    def check(self, name, cases, failure, detail=""):
+        """Run failure(case) over cases in order; the first non-empty string
+        it returns is recorded as the witness of a failed item, and the
+        remaining cases are not visited.  Otherwise the item passes with
+        detail."""
+        for case in cases:
+            witness = failure(case)
+            if witness:
+                return self.add(name, False, witness)
+        return self.add(name, True, detail)
+
     @property
     def ok(self):
         return all(it.ok for it in self.items)

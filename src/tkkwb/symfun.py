@@ -240,9 +240,6 @@ class SymPoly:
     def coefficient_vector(self, keys):
         return [self.terms.get(k, 0) for k in keys]
 
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
-
     def __repr__(self):
         return f"SymPoly({self.nvars} vars, {len(self.terms)} orbits)"
 
@@ -401,12 +398,6 @@ def mn_character(lam, sigma):
     if not is_partition(lam) or not is_partition(sigma):
         raise ValueError("arguments must be partitions")
     return _mn(tuple(lam), tuple(sigma))
-
-
-def character_table(m):
-    """dict (lam, sigma) -> character value, for all lam, sigma of size m."""
-    ps = partitions(m)
-    return {(lam, sig): mn_character(lam, sig) for lam in ps for sig in ps}
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,10 @@ the Jacobi identity are checked on all pairs/triples.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from .jordan import InputError, ensure_valid, inner_derivation
-from .linalg import Matrix, RowSpan, q_str, quotient, rref, zero_vector
+from .linalg import Matrix, RowSpan, q_str, quotient, rref, unit_vector, zero_vector
 from .report import Report
 
 _SL2_BASIS = ("e", "f", "h")
@@ -266,7 +267,7 @@ def build_sl2(J):
     g = TKKAlgebra(J, "sl2", bs.dim, tail_labels, tail_degrees, kappa)
     g.brace = bs
 
-    ders = [inner_derivation(J, _unit_vec(J.dim, a), _unit_vec(J.dim, b))
+    ders = [inner_derivation(J, unit_vector(J.dim, a), unit_vector(J.dim, b))
             for a, b in bs.rep_pairs]
 
     def tail_pair_coords(i, j):
@@ -305,7 +306,7 @@ def build_tkk(J):
     span_rows = []
     for a in range(d):
         for b in range(a + 1, d):
-            m = inner_derivation(J, _unit_vec(d, a), _unit_vec(d, b))
+            m = inner_derivation(J, unit_vector(d, a), unit_vector(d, b))
             ders[(a, b)] = m
             span_rows.append([m.data[r][c] for r in range(d) for c in range(d)])
     if span_rows:
@@ -370,33 +371,20 @@ def build_tkk(J):
     return g
 
 
-def _unit_vec(n, i):
-    v = zero_vector(n)
-    v[i] = Fraction(1)
-    return v
-
-
 def validate_lie(g, jacobi="full", seed=0, samples=200):
     """Antisymmetry on all pairs, Jacobi on basis triples, grading compatibility."""
     rep = Report(f"lie axioms for {g.kind}({g.jordan.name})")
     n = g.dim
 
-    ok, witness = True, ""
-    for p in range(n):
-        for q in range(n):
-            fw = g.bracket_basis(p, q)
-            bw = g.bracket_basis(q, p)
-            neg = {k: -c for k, c in bw.items()}
-            if fw != neg:
-                ok, witness = False, f"[{g.labels[p]},{g.labels[q]}] != -[{g.labels[q]},{g.labels[p]}]"
-                break
-        if not ok:
-            break
-    rep.add("antisymmetry (all pairs)", ok, witness)
+    def asymmetric(pq):
+        p, q = pq
+        if g.bracket_basis(p, q) != {k: -c for k, c in g.bracket_basis(q, p).items()}:
+            return f"[{g.labels[p]},{g.labels[q]}] != -[{g.labels[q]},{g.labels[p]}]"
 
-    ok, witness = True, ""
+    rep.check("antisymmetry (all pairs)", product(range(n), repeat=2), asymmetric)
+
     if jacobi == "full":
-        triples = ((p, q, r) for p in range(n) for q in range(n) for r in range(n))
+        triples = product(range(n), repeat=3)
         label = "jacobi identity (all basis triples)"
     else:
         import random
@@ -404,7 +392,9 @@ def validate_lie(g, jacobi="full", seed=0, samples=200):
         triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
                    for _ in range(samples))
         label = f"jacobi identity ({samples} sampled triples)"
-    for (p, q, r) in triples:
+
+    def jacobiator(pqr):
+        p, q, r = pqr
         acc = {}
         for (a, b, c) in ((p, q, r), (q, r, p), (r, p, q)):
             inner = g.bracket_basis(b, c)
@@ -416,24 +406,18 @@ def validate_lie(g, jacobi="full", seed=0, samples=200):
                     elif t in acc:
                         del acc[t]
         if acc:
-            ok = False
-            witness = f"triple ({g.labels[p]},{g.labels[q]},{g.labels[r]})"
-            break
-    rep.add(label, ok, witness)
+            return f"triple ({g.labels[p]},{g.labels[q]},{g.labels[r]})"
 
-    ok, witness = True, ""
-    for (p, q), out in g.table.items():
+    rep.check(label, triples, jacobiator)
+
+    def off_grade(item):
+        (p, q), out = item
         for t, c in out.items():
-            if not c:
-                continue
-            if g.weights[t] != g.weights[p] + g.weights[q] or \
-               g.degrees[t] != g.degrees[p] + g.degrees[q]:
-                ok = False
-                witness = f"[{g.labels[p]},{g.labels[q]}] leaves the graded component"
-                break
-        if not ok:
-            break
-    rep.add("bracket adds weights and degrees", ok, witness)
+            if c and (g.weights[t] != g.weights[p] + g.weights[q] or
+                      g.degrees[t] != g.degrees[p] + g.degrees[q]):
+                return f"[{g.labels[p]},{g.labels[q]}] leaves the graded component"
+
+    rep.check("bracket adds weights and degrees", g.table.items(), off_grade)
     return rep
 
 
@@ -446,37 +430,29 @@ def short_grading(g):
         if c:
             h1[g.h_index(i)] = c
 
-    ok, witness = True, ""
-    for q in range(g.dim):
+    def off_diagonal(q):
         basis_q = [0] * g.dim
         basis_q[q] = 1
-        got = g.bracket(h1, basis_q)
-        want = [g.weights[q] * x for x in basis_q]
-        if got != want:
-            ok, witness = False, f"ad h(1) not diagonal at {g.labels[q]}"
-            break
-    rep.add("ad(h(1)) acts by the weight on every basis vector", ok, witness)
+        if g.bracket(h1, basis_q) != [g.weights[q] * x for x in basis_q]:
+            return f"ad h(1) not diagonal at {g.labels[q]}"
+
+    rep.check("ad(h(1)) acts by the weight on every basis vector", range(g.dim), off_diagonal)
 
     dims = {w // 2: len(g.weight_block(w)) for w in (-2, 0, 2)}
     rep.add("blocks are f(J) / h(J)+tail / e(J)",
             dims[-1] == d and dims[1] == d and dims[0] == d + g.tail_dim,
             f"dims {dims[-1]}/{dims[0]}/{dims[1]}")
 
-    ok, witness = True, ""
-    for (p, q), out in g.table.items():
+    def misplaced(item):
+        (p, q), out = item
         i, j = g.weights[p] // 2, g.weights[q] // 2
         if abs(i + j) > 1:
             if out:
-                ok, witness = False, f"[{g.labels[p]},{g.labels[q]}] nonzero outside the grading"
-                break
-        else:
-            for t, c in out.items():
-                if c and g.weights[t] // 2 != i + j:
-                    ok, witness = False, f"[{g.labels[p]},{g.labels[q]}] misplaces weight"
-                    break
-            if not ok:
-                break
-    rep.add("[G_i, G_j] inside G_{i+j}", ok, witness)
+                return f"[{g.labels[p]},{g.labels[q]}] nonzero outside the grading"
+        elif any(c and g.weights[t] // 2 != i + j for t, c in out.items()):
+            return f"[{g.labels[p]},{g.labels[q]}] misplaces weight"
+
+    rep.check("[G_i, G_j] inside G_{i+j}", g.table.items(), misplaced)
     return rep
 
 
@@ -504,28 +480,25 @@ def center_map(g_ext, g_tkk):
             img[g_tkk.h_index(i)] = Fraction(1)
         else:
             a, b = g_ext.brace.rep_pairs[i]
-            der = inner_derivation(g_ext.jordan, _unit_vec(d, a), _unit_vec(d, b))
+            der = inner_derivation(g_ext.jordan, unit_vector(d, a), unit_vector(d, b))
             for k, c in enumerate(g_tkk.inn_coords(der)):
                 img[g_tkk.tail_index(k)] = c
         cols.append(img)
     phi = Matrix(g_tkk.dim, g_ext.dim,
                  [[cols[p][r] for p in range(g_ext.dim)] for r in range(g_tkk.dim)])
 
-    ok, witness = True, ""
-    for p in range(g_ext.dim):
-        for q in range(g_ext.dim):
-            lhs = zero_vector(g_tkk.dim)
-            for t, c in g_ext.bracket_basis(p, q).items():
-                for r in range(g_tkk.dim):
-                    if cols[t][r]:
-                        lhs[r] += c * cols[t][r]
-            rhs = g_tkk.bracket(cols[p], cols[q])
-            if lhs != rhs:
-                ok, witness = False, f"not a homomorphism at ({g_ext.labels[p]},{g_ext.labels[q]})"
-                break
-        if not ok:
-            break
-    rep.add("lie algebra homomorphism (all pairs)", ok, witness)
+    def nonhomomorphic(pq):
+        p, q = pq
+        lhs = zero_vector(g_tkk.dim)
+        for t, c in g_ext.bracket_basis(p, q).items():
+            for r in range(g_tkk.dim):
+                if cols[t][r]:
+                    lhs[r] += c * cols[t][r]
+        if lhs != g_tkk.bracket(cols[p], cols[q]):
+            return f"not a homomorphism at ({g_ext.labels[p]},{g_ext.labels[q]})"
+
+    rep.check("lie algebra homomorphism (all pairs)",
+              product(range(g_ext.dim), repeat=2), nonhomomorphic)
 
     rank, _, _ = rref(phi)
     rep.add("surjective", rank == g_tkk.dim, f"rank {rank} vs dim {g_tkk.dim}")
@@ -536,18 +509,14 @@ def center_map(g_ext, g_tkk):
             ker.rows == g_ext.tail_dim - g_tkk.tail_dim,
             f"kernel dim {ker.rows}")
 
-    ok, witness = True, ""
-    for r in range(ker.rows):
-        v = ker.row(r)
-        for q in range(g_ext.dim):
-            basis_q = [0] * g_ext.dim
-            basis_q[q] = 1
-            if any(g_ext.bracket(v, basis_q)):
-                ok, witness = False, f"kernel vector {r} not central against {g_ext.labels[q]}"
-                break
-        if not ok:
-            break
-    rep.add("kernel is central", ok, witness)
+    def noncentral(rq):
+        r, q = rq
+        basis_q = [0] * g_ext.dim
+        basis_q[q] = 1
+        if any(g_ext.bracket(ker.row(r), basis_q)):
+            return f"kernel vector {r} not central against {g_ext.labels[q]}"
+
+    rep.check("kernel is central", product(range(ker.rows), range(g_ext.dim)), noncentral)
     return phi, ker, rep
 
 

@@ -20,17 +20,16 @@ symmetric power of the natural current module.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import factorial
 
-from .jordan import InputError, derivation_column, jpower
-from .linalg import Matrix, RowSpan, random_vector, thread_count, zero_vector
+from .jordan import InputError, derivation_column, inner_derivation, jpower
+from .linalg import Matrix, RowSpan, random_vector, unit_vector
 from .multipoly import Poly
 from .report import Report
-from .symfun import dominance_coeffs
-from .jspace import G0Rep, JSpaceRep, dominance_check, extend_to_g0, level
+from .jspace import (G0Rep, JSpaceRep, dominance_check, dominance_operator,
+                     extend_to_g0, level)
 
 
 class WindowError(Exception):
@@ -59,7 +58,7 @@ class _StraightData:
         self.g0mat = [[None] * d for _ in range(d)]
         for x in range(d):
             for b in range(d):
-                m = rep.rho_of(_dense(d, J.table[x][b]))
+                m = rep.rho_of(J.table[x][b])
                 m = m + g0.brace_matrix(bs.brace_pair(x, b)).scale(2)
                 self.g0mat[x][b] = m
         # [h(e_x e_b) + 2{e_x,e_b}, f(e_c)] = f(-2 (e_x e_b) e_c + 2 da_{x,b} e_c)
@@ -80,13 +79,6 @@ class _StraightData:
         return self._repl[key]
 
 
-def _dense(n, sparse):
-    v = zero_vector(n)
-    for k, c in sparse.items():
-        v[k] = c
-    return v
-
-
 # ---------------------------------------------------------------------------
 # window-free engine: formal lowering polynomials with operator coefficients
 #
@@ -101,10 +93,9 @@ def _fkey_counts(fkey):
     return counts
 
 
-def _fkey_remove(fkey, value, times=1):
+def _fkey_remove(fkey, value):
     out = list(fkey)
-    for _ in range(times):
-        out.remove(value)
+    out.remove(value)
     return tuple(out)
 
 
@@ -216,18 +207,7 @@ def efr_power(g0, a, rr):
 
 def dominance_sum_at(rep, a):
     """(n+1)! times the signed-class-size operator sum at the element a."""
-    n = level(rep)
-    coeffs = dominance_coeffs(n)
-    m = rep.mdim
-    acc = Matrix.zeros(m, m)
-    powers = {k: jpower(rep.jordan, a, k) for k in range(1, n + 2)}
-    rhos = {k: rep.rho_of(powers[k]) for k in powers}
-    for sigma, c in coeffs.items():
-        prod = rhos[sigma[0]]
-        for part in sigma[1:]:
-            prod = prod @ rhos[part]
-        acc = acc + prod.scale(c)
-    return acc.scale(factorial(n + 1))
+    return dominance_operator(rep, a).scale(factorial(level(rep) + 1))
 
 
 def efr_vanishes(rep_or_g0, mode="symbolic", samples=8, seed=0):
@@ -358,6 +338,8 @@ class TruncatedVerma:
     def __init__(self, g0, D_max, W):
         if W < 1:
             raise WindowError("window depth must be >= 1")
+        if D_max < 0:
+            raise InputError("max degree must be >= 0")
         if isinstance(g0, JSpaceRep):
             g0 = extend_to_g0(g0)
         self.g0 = g0
@@ -443,11 +425,6 @@ class TruncatedVerma:
         out.sort(key=lambda i: self._okey[i])
         return tuple(out)
 
-    def _remove_one(self, fkey, value):
-        out = list(fkey)
-        out.remove(value)
-        return tuple(out)
-
     def action_matrix(self, gen, cell):
         """Matrix of the generator from cell to its target cell."""
         key = (gen, cell)
@@ -490,7 +467,7 @@ class TruncatedVerma:
         elif kind == "h":
             counts = _fkey_counts(fkey)
             for b, mult in counts.items():
-                nu = self._remove_one(fkey, b)
+                nu = _fkey_remove(fkey, b)
                 for k, c in J.table[i][b].items():
                     add(self._insert_sorted(nu, k), mi, -2 * mult * c)
             col = rep.rho[i].col(mi)
@@ -500,7 +477,7 @@ class TruncatedVerma:
             counts = _fkey_counts(fkey)
             der = self._tail_der(i)
             for b, mult in counts.items():
-                nu = self._remove_one(fkey, b)
+                nu = _fkey_remove(fkey, b)
                 for r in range(J.dim):
                     c = der.data[r][b]
                     if c:
@@ -513,7 +490,7 @@ class TruncatedVerma:
             values = sorted(counts)
             for b in values:
                 mult = counts[b]
-                nu = self._remove_one(fkey, b)
+                nu = _fkey_remove(fkey, b)
                 col = self.data.g0mat[i][b].col(mi)
                 for r, c in enumerate(col):
                     add(nu, r, mult * c)
@@ -523,7 +500,7 @@ class TruncatedVerma:
                     count = mult * (mult - 1) // 2 if c2 == b else mult * counts[c2]
                     if not count:
                         continue
-                    nu2 = self._remove_one(nu, c2)
+                    nu2 = _fkey_remove(nu, c2)
                     for k, ck in self.data.repl(i, b, c2).items():
                         add(self._insert_sorted(nu2, k), mi, count * ck)
         else:
@@ -534,15 +511,9 @@ class TruncatedVerma:
 
     def _tail_der(self, k):
         if self._tail_ders is None:
-            from .jordan import inner_derivation
-            bs = self.g0.brace
             d = self.J.dim
-            self._tail_ders = []
-            for a, b in bs.rep_pairs:
-                va, vb = zero_vector(d), zero_vector(d)
-                va[a] = Fraction(1)
-                vb[b] = Fraction(1)
-                self._tail_ders.append(inner_derivation(self.J, va, vb))
+            self._tail_ders = [inner_derivation(self.J, unit_vector(d, a), unit_vector(d, b))
+                               for a, b in self.g0.brace.rep_pairs]
         return self._tail_ders[k]
 
 
@@ -627,14 +598,30 @@ class WeylTable:
         return f"WeylTable(level={self.n}, D={self.D_max}, cells={len(self.dims)})"
 
 
+def _leaves(verma, X, gen, cell):
+    """Whether gen maps some row of the killed part X[cell] outside X."""
+    status, tgt = verma.target_of(gen, cell)
+    if status != "ok":
+        return False
+    mat = verma.action_matrix(gen, cell)
+    for row in X[cell].rows:
+        img = mat.apply(row)
+        if any(img) and (tgt not in X or not X[tgt].contains(img)):
+            return True
+    return False
+
+
 def weyl_dimensions(rep_or_g0, D_max, W=None, check_dominance=True, seed=0):
     """Graded dimensions of the universal bounded quotient, windowed.
 
     The killed part is the raising-closure of the full below-band cells
     (lowering and weight-zero generators keep those cells below the band,
     so the closure under raising generators alone spans the submodule).
-    Sweeps collect images from a frontier snapshot and merge them in a fixed
-    order, so results do not depend on the worker count.
+    Each sweep applies the raising generators to the rows the previous sweep
+    added, in a fixed cell order.  Once a sweep adds nothing, one closing
+    pass applies every generator to the whole killed part: a raising image
+    outside it marks the table unstable, any other image outside it fails
+    the submodule certificate.
     """
     g0 = rep_or_g0 if isinstance(rep_or_g0, G0Rep) else extend_to_g0(rep_or_g0)
     rep = g0.rep
@@ -648,7 +635,6 @@ def weyl_dimensions(rep_or_g0, D_max, W=None, check_dominance=True, seed=0):
         dominant = dominance_check(rep, mode="random", samples=4, seed=seed).ok
 
     raise_gens = [g for g in verma.generators if g[0] == "e"]
-    other_gens = [g for g in verma.generators if g[0] in ("f", "h", "d")]
 
     X = {}
     frontier = {}
@@ -657,97 +643,50 @@ def weyl_dimensions(rep_or_g0, D_max, W=None, check_dominance=True, seed=0):
             span = RowSpan(len(basis))
             rows = []
             for t in range(len(basis)):
-                v = zero_vector(len(basis))
-                v[t] = Fraction(1)
+                v = unit_vector(len(basis), t)
                 span.insert(v)
                 rows.append(v)
             X[cell] = span
             frontier[cell] = rows
 
-    workers = thread_count()
     sweeps = 0
     stable = False
+    certificate_ok = True
     max_sweeps = verma.ell_max + 3
-
-    def cell_images(args):
-        cell, rows = args
-        got = []
-        for gen in raise_gens:
-            status, tgt = verma.target_of(gen, cell)
-            if status != "ok":
-                continue
-            mat = verma.action_matrix(gen, cell)
-            if mat.rows == 0:
-                continue
-            for v in rows:
-                img = mat.apply(v)
-                if any(img):
-                    got.append((tgt, img))
-        return got
 
     while sweeps < max_sweeps:
         sweeps += 1
-        tasks = [(cell, rows) for cell, rows in sorted(frontier.items()) if rows]
-        if workers > 1 and len(tasks) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                collected = list(pool.map(cell_images, tasks))
-        else:
-            collected = [cell_images(t) for t in tasks]
         added = 0
         new_frontier = {}
-        for got in collected:
-            for tgt, img in got:
-                if tgt not in X:
-                    X[tgt] = RowSpan(verma.cell_dim(tgt))
-                if X[tgt].insert(img):
-                    new_frontier.setdefault(tgt, []).append(img)
-                    added += 1
-        frontier = new_frontier
-        if added == 0:
-            # confirmation sweep: every raising image of the whole killed
-            # part must already be inside it
-            confirmed = True
-            for cell in sorted(X):
-                span = X[cell]
-                for gen in raise_gens:
-                    status, tgt = verma.target_of(gen, cell)
-                    if status != "ok":
-                        continue
-                    mat = verma.action_matrix(gen, cell)
-                    for row in span.rows:
-                        img = mat.apply(row)
-                        if any(img) and (tgt not in X or not X[tgt].contains(img)):
-                            confirmed = False
-                            break
-                    if not confirmed:
-                        break
-                if not confirmed:
-                    break
-            stable = confirmed
-            break
-
-    certificate_ok = True
-    if stable:
-        for cell in sorted(X):
-            span = X[cell]
-            if not span.rows:
-                continue
-            for gen in other_gens:
+        for cell, rows in sorted(frontier.items()):
+            for gen in raise_gens:
                 status, tgt = verma.target_of(gen, cell)
                 if status != "ok":
                     continue
                 mat = verma.action_matrix(gen, cell)
-                for row in span.rows:
-                    img = mat.apply(row)
-                    if any(img):
-                        target_span = X.get(tgt)
-                        if target_span is None or not target_span.contains(img):
-                            certificate_ok = False
-                            break
-                if not certificate_ok:
-                    break
-            if not certificate_ok:
-                break
+                if mat.rows == 0:
+                    continue
+                for v in rows:
+                    img = mat.apply(v)
+                    if not any(img):
+                        continue
+                    if tgt not in X:
+                        X[tgt] = RowSpan(verma.cell_dim(tgt))
+                    if X[tgt].insert(img):
+                        new_frontier.setdefault(tgt, []).append(img)
+                        added += 1
+        frontier = new_frontier
+        if added == 0:
+            # the closing pass; the certificate is only read on stable tables
+            stable = True
+            for cell, gen in product(sorted(X), verma.generators):
+                raising = gen[0] == "e"
+                if (raising or certificate_ok) and _leaves(verma, X, gen, cell):
+                    if raising:
+                        stable = False
+                        break
+                    certificate_ok = False
+            break
 
     dims = {}
     top_preserved = True

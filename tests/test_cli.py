@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from tkkwb.cli import main
 from tkkwb.jordan import algebra_to_dict, truncated_poly
 
@@ -43,6 +45,40 @@ def test_malformed_input_exit3(capsys, tmp_path):
     assert "input error" in err
 
 
+def _algebra_data(**changes):
+    data = algebra_to_dict(truncated_poly(2))
+    data.update(changes)
+    return data
+
+
+_ZERO_DENOMINATOR_MULT = [{"i": 1, "j": 1, "coords": ["0", "0", "1/0"]}]
+_ZERO_DENOMINATOR_REP = {"algebra": "truncated-poly:1",
+                         "module": {"labels": ["v"], "degrees": [0]},
+                         "rho": [[["1/0"]], [["0"]]]}
+_WEYL_NEGATIVE_DEGREE = ("weyl", "dims", "--builtin-rep", "newton", "--n", "1",
+                         "--cutoff", "2", "--max-degree", "-1")
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (("jordan", "check", "--algebra"), _algebra_data(labels=["1", "t", "t"])),
+    (("jordan", "check", "--algebra"), _algebra_data(degrees=[0, 1])),
+    (("jordan", "check", "--algebra"), _algebra_data(mult=_ZERO_DENOMINATOR_MULT)),
+    (("jspace", "check", "--rep"), _ZERO_DENOMINATOR_REP),
+    (_WEYL_NEGATIVE_DEGREE, None),
+    (_WEYL_NEGATIVE_DEGREE + ("--oracle", "snlt"), None),
+], ids=["duplicate-labels", "short-degrees", "zero-denominator-algebra",
+        "zero-denominator-rep", "negative-max-degree", "negative-max-degree-oracle"])
+def test_malformed_input_exits_3_without_traceback(capsys, tmp_path, argv, payload):
+    if payload is not None:
+        p = tmp_path / "input.json"
+        p.write_text(json.dumps(payload))
+        argv = argv + (str(p),)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("input error: ")
+
+
 def test_tkk_check(capsys):
     code, out, _ = run(capsys, "tkk", "check", "--builtin", "truncated-poly",
                        "--degree", "2")
@@ -69,6 +105,14 @@ def test_jspace_check_newton(capsys):
     assert code == 0
     assert "level: 2" in out
     assert "dominant (symbolic)" in out
+
+
+def test_jspace_check_envelope_items_prefixed_once(capsys):
+    code, out, _ = run(capsys, "jspace", "check", "--builtin-rep", "newton",
+                       "--n", "1", "--cutoff", "2")
+    assert code == 0
+    assert "  ok   envelope: dominance sum vanishes  [mode=symbolic]" in out.splitlines()
+    assert "envelope: envelope:" not in out
 
 
 def test_jspace_check_zero_rep(capsys):

@@ -7,7 +7,7 @@ from conftest import one_gen_rep, projection_matrix
 from tkkwb.jordan import truncated_poly
 from tkkwb.jspace import (JSpaceRep, extend_to_g0, level, matrix_defining_rep,
                           newton_rep, regular_rep, zero_rep)
-from tkkwb.linalg import LabeledSpace, Matrix, random_vector, zero_vector
+from tkkwb.linalg import LabeledSpace, Matrix, RowSpan, random_vector, zero_vector
 from tkkwb.weyl import (NoncommutingPowersError, TruncatedVerma,
                         WindowError, apply_generator, bracket_fidelity,
                         dominance_sum_at, efr_power, efr_vanishes,
@@ -358,6 +358,30 @@ def test_weyl_deterministic_across_workers(monkeypatch):
     assert t1.dims == t4.dims == t2.dims
     assert t1.meta == t4.meta == t2.meta
     assert t1.to_csv_lines() == t4.to_csv_lines()
+
+
+def test_weyl_closing_pass_confirms_the_closure(monkeypatch):
+    # a killed part that claims to contain nothing fails the confirmation
+    monkeypatch.setattr(RowSpan, "contains", lambda self, vec: False)
+    table = weyl_dimensions(newton_rep(2, 2), 2)
+    assert table.meta["stable"] is False
+
+
+def test_weyl_closing_pass_checks_the_certificate(monkeypatch):
+    # a corrupted weight-zero action leaves the raising closure stable but
+    # moves killed vectors out of the killed part
+    original = TruncatedVerma.action_matrix
+
+    def corrupted(self, gen, cell):
+        mat = original(self, gen, cell)
+        if gen != ("h", 0):
+            return mat
+        return Matrix(mat.rows, mat.cols, [[Q(1)] * mat.cols for _ in range(mat.rows)])
+
+    monkeypatch.setattr(TruncatedVerma, "action_matrix", corrupted)
+    table = weyl_dimensions(newton_rep(2, 2), 2)
+    assert table.meta["stable"] is True
+    assert table.meta["certificate_ok"] is False
 
 
 def test_weyl_insensitive_to_window_depth():
