@@ -27,6 +27,26 @@ EXIT_RESOURCE = 2
 EXIT_INPUT = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are malformed input: main reports them with exit code 3."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
+def _int_at_least(low):
+    """argparse type for an integer flag with a lower bound."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
 def _add_algebra_args(p):
     p.add_argument("--algebra", help="path to an algebra JSON file")
     p.add_argument("--builtin", choices=["truncated-poly", "matrix", "spin-factor"],
@@ -70,11 +90,8 @@ def _resolve_rep(args):
     return jspace_mod.regular_rep(J)
 
 
-def _add_common(p):
-    p.add_argument("--format", choices=["table", "json", "csv"], default="table")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=["symbolic", "random"], default="symbolic")
-    p.add_argument("--samples", type=int, default=8)
+def _add_format(p, *extra):
+    p.add_argument("--format", choices=["table", "json", *extra], default="table")
 
 
 def _emit_report(report, fmt, extra=None):
@@ -257,7 +274,7 @@ def cmd_symfun(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tkkwb",
         description="exact workbench for TKK algebras, J-spaces and Weyl modules")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -266,25 +283,33 @@ def build_parser():
     psub = p.add_subparsers(dest="action", required=True)
     pc = psub.add_parser("check", help="validate the axioms")
     _add_algebra_args(pc)
-    _add_common(pc)
+    _add_format(pc)
+    pc.add_argument("--seed", type=int, default=0)
     pc.set_defaults(func=cmd_jordan_check)
 
     p = sub.add_parser("tkk", help="build and validate the lie algebras")
     psub = p.add_subparsers(dest="action", required=True)
-    for action in ("build", "check"):
-        pa = psub.add_parser(action)
-        _add_algebra_args(pa)
-        _add_common(pa)
-        pa.add_argument("--jacobi", choices=["full", "spot"], default="full",
-                        help="all-triple or sampled jacobi verification")
-        pa.set_defaults(func=cmd_tkk, action=action)
+    pb = psub.add_parser("build")
+    _add_algebra_args(pb)
+    _add_format(pb)
+    pb.set_defaults(func=cmd_tkk)
+    pc = psub.add_parser("check")
+    _add_algebra_args(pc)
+    _add_format(pc)
+    pc.add_argument("--seed", type=int, default=0)
+    pc.add_argument("--jacobi", choices=["full", "spot"], default="full",
+                    help="all-triple or sampled jacobi verification")
+    pc.set_defaults(func=cmd_tkk)
 
     p = sub.add_parser("jspace", help="representation checks")
     psub = p.add_subparsers(dest="action", required=True)
     pc = psub.add_parser("check")
     _add_algebra_args(pc)
     _add_rep_args(pc)
-    _add_common(pc)
+    _add_format(pc)
+    pc.add_argument("--seed", type=int, default=0)
+    pc.add_argument("--mode", choices=["symbolic", "random"], default="symbolic")
+    pc.add_argument("--samples", type=_int_at_least(1), default=8)
     pc.set_defaults(func=cmd_jspace_check)
 
     p = sub.add_parser("weyl", help="graded dimension tables")
@@ -292,7 +317,8 @@ def build_parser():
     pd = psub.add_parser("dims")
     _add_algebra_args(pd)
     _add_rep_args(pd)
-    _add_common(pd)
+    _add_format(pd, "csv")
+    pd.add_argument("--seed", type=int, default=0)
     pd.add_argument("--max-degree", type=int, required=True)
     pd.add_argument("--window", type=int, default=None)
     pd.add_argument("--oracle", choices=["snlt"], default=None,
@@ -304,24 +330,26 @@ def build_parser():
     pv = psub.add_parser("verify")
     _add_algebra_args(pv)
     _add_rep_args(pv)
-    _add_common(pv)
+    pv.add_argument("--seed", type=int, default=0)
+    pv.add_argument("--samples", type=_int_at_least(1), default=8)
     pv.set_defaults(func=cmd_garland_verify)
 
     p = sub.add_parser("symfun", help="symmetric function identities")
     psub = p.add_subparsers(dest="action", required=True)
-    for action in ("relation", "frobenius", "coeffs", "classes"):
+    # coeffs --n 0 is the relation in degree 1; the others need n >= 1
+    for action, low in (("relation", 1), ("frobenius", 1), ("coeffs", 0), ("classes", 1)):
         pa = psub.add_parser(action)
-        pa.add_argument("--n", type=int, required=True)
-        pa.add_argument("--format", choices=["table", "json"], default="table")
+        pa.add_argument("--n", type=_int_at_least(low), required=True)
+        if action in ("relation", "frobenius"):
+            _add_format(pa)
         pa.set_defaults(func=cmd_symfun, action=action)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (InputError, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -13,8 +13,8 @@ import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
-from .linalg import (LabeledSpace, Matrix, as_q, dense_vector, q_str, random_vector,
-                     unit_vector, zero_vector)
+from .linalg import (LabeledSpace, Matrix, add_into, as_q, dense_vector, q_str,
+                     random_vector, unit_vector, zero_vector)
 from .report import Report
 
 # exhaustive polarized identity costs dim^4; beyond this, sample
@@ -100,12 +100,10 @@ def derivation_column(J, i, j, k):
     via table lookups only: e_i (e_k e_j) - (e_i e_k) e_j."""
     out = {}
     for m, c in J.table[k][j].items():
-        for t, c2 in J.table[i][m].items():
-            out[t] = out.get(t, 0) + c * c2
+        add_into(out, J.table[i][m], c)
     for m, c in J.table[i][k].items():
-        for t, c2 in J.table[m][j].items():
-            out[t] = out.get(t, 0) - c * c2
-    return {t: c for t, c in out.items() if c}
+        add_into(out, J.table[m][j], -c)
+    return out
 
 
 def validate(J, seed=0):
@@ -205,63 +203,39 @@ def truncated_poly(D, name=None, graded=True):
     return JordanAlgebra(space, unit, table, name or f"truncated-poly({D})")
 
 
-def special_from_associative(labels, unit, assoc_table, name=None, check=True):
+def special_from_associative(labels, unit, assoc_table, name=None):
     """Jordan algebra a o b = (ab + ba)/2 from an associative table.
 
     assoc_table[i][j] is a dict {k: coeff} for the associative product; it is
     verified to be associative and unital before symmetrizing.
     """
     d = len(labels)
-    if check:
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    lhs = _assoc_mul(assoc_table, _sparse_basis(i), assoc_table[j][k], d)
-                    rhs = _assoc_mul(assoc_table, assoc_table[i][j], _sparse_basis(k), d)
-                    if lhs != rhs:
-                        raise InputError(f"input table not associative at ({i},{j},{k})")
-        for i in range(d):
-            got = _assoc_apply(assoc_table, unit, unit_vector(d, i), d)
-            if got != unit_vector(d, i):
-                raise InputError("input unit is not a left unit")
-    table = []
     for i in range(d):
-        row = []
         for j in range(d):
-            half = {}
-            for k, c in assoc_table[i][j].items():
-                half[k] = half.get(k, Fraction(0)) + Fraction(c, 2)
-            for k, c in assoc_table[j][i].items():
-                half[k] = half.get(k, Fraction(0)) + Fraction(c, 2)
-            row.append({k: c for k, c in half.items() if c})
-        table.append(row)
+            for k in range(d):
+                lhs = _assoc_mul(assoc_table, {i: 1}, assoc_table[j][k])
+                rhs = _assoc_mul(assoc_table, assoc_table[i][j], {k: 1})
+                if lhs != rhs:
+                    raise InputError(f"input table not associative at ({i},{j},{k})")
+    unit_sparse = {i: c for i, c in enumerate(unit) if c}
+    for i in range(d):
+        if _assoc_mul(assoc_table, unit_sparse, {i: 1}) != {i: 1}:
+            raise InputError("input unit is not a left unit")
+    half = Fraction(1, 2)
+    table = [[{} for _ in range(d)] for _ in range(d)]
+    for i, j in product(range(d), repeat=2):
+        add_into(table[i][j], assoc_table[i][j], half)
+        add_into(table[i][j], assoc_table[j][i], half)
     space = LabeledSpace(tuple(labels), (0,) * d)
     return JordanAlgebra(space, unit, table, name or "special jordan algebra")
 
 
-def _sparse_basis(i):
-    return {i: Fraction(1)}
-
-
-def _assoc_mul(table, u_sparse, v_sparse, d):
+def _assoc_mul(table, u, v):
+    """The associative product of two sparse {index: coeff} vectors."""
     out = {}
-    for i, ui in u_sparse.items():
-        for j, vj in v_sparse.items():
-            for k, c in table[i][j].items():
-                out[k] = out.get(k, Fraction(0)) + ui * vj * c
-    return {k: c for k, c in out.items() if c}
-
-
-def _assoc_apply(table, u, v, d):
-    out = zero_vector(d)
-    for i, ui in enumerate(u):
-        if not ui:
-            continue
-        for j, vj in enumerate(v):
-            if not vj:
-                continue
-            for k, c in table[i][j].items():
-                out[k] += ui * vj * c
+    for i, ui in u.items():
+        for j, vj in v.items():
+            add_into(out, table[i][j], ui * vj)
     return out
 
 
@@ -323,6 +297,8 @@ def builtin(family, **params):
         return matrix_jordan(int(params.get("size", 2)))
     if family in ("spin-factor", "spin_factor"):
         k = int(params.get("dim", 2))
+        if k < 0:
+            raise InputError("spin-factor dimension must be >= 0")
         gram = [[Fraction(1) if i == j else Fraction(0) for j in range(k)] for i in range(k)]
         return spin_factor(gram)
     raise InputError(f"unknown builtin family {family!r}")

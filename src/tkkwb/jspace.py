@@ -248,11 +248,6 @@ def dominance_operator(rep, a):
     return acc
 
 
-def symbolic_coordinates(J):
-    """A generic element of J with polynomial coordinates."""
-    return Poly.variables(J.dim)
-
-
 def dominance_check(rep, mode="symbolic", samples=8, seed=0):
     """Decide the partition-coefficient criterion.
 
@@ -271,8 +266,7 @@ def dominance_check(rep, mode="symbolic", samples=8, seed=0):
             raise ResourceError(
                 f"symbolic dominance guarded to dim J <= {_SYMBOLIC_DIM_J} and "
                 f"level <= {_SYMBOLIC_LEVEL}; use random mode")
-        a = symbolic_coordinates(rep.jordan)
-        op = dominance_operator(rep, a)
+        op = dominance_operator(rep, Poly.variables(rep.jordan.dim))
         ok = op.is_zero()
         detail = "mode=symbolic" if ok else "nonzero symbolic coefficient found"
         report.add("dominance sum vanishes", ok, detail)

@@ -76,23 +76,11 @@ class Matrix:
         n = len(values)
         return cls(n, n, [[values[i] if i == j else Q(0) for j in range(n)] for i in range(n)])
 
-    def entry(self, i, j):
-        return self.data[i][j]
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.data[i][j]
-
     def row(self, i):
         return list(self.data[i])
 
     def col(self, j):
         return [self.data[i][j] for i in range(self.rows)]
-
-    @property
-    def entries(self):
-        """Row-major flat list of entries."""
-        return [x for row in self.data for x in row]
 
     def transpose(self):
         return Matrix(self.cols, self.rows,
@@ -340,11 +328,26 @@ class LabeledSpace:
     def dim(self):
         return len(self.labels)
 
-    def index(self, label):
-        return self.labels.index(label)
-
     def dim_at_degree(self, d):
         return sum(1 for x in self.degrees if x == d)
+
+
+def add_into(acc, sparse, scale=None):
+    """acc += scale * sparse (acc += sparse without a scale) for {key: coeff}
+    dicts, keeping no zero term.
+
+    The one place where sparse sums are accumulated: structure constants,
+    bracket tables, brace coordinates, polynomial terms and series
+    coefficients all go through it.  Leaving out the scale saves a
+    multiplication per term, which polynomial addition feels.  Returns acc.
+    """
+    for k, c in sparse.items():
+        v = acc.get(k, 0) + (c if scale is None else scale * c)
+        if v:
+            acc[k] = v
+        elif k in acc:
+            del acc[k]
+    return acc
 
 
 def zero_vector(n):

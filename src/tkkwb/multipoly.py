@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .linalg import add_into
+
 
 class Poly:
     __slots__ = ("nvars", "terms")
@@ -61,14 +63,7 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in o.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        return Poly(self.nvars, out)
+        return Poly(self.nvars, add_into(dict(self.terms), o.terms))
 
     __radd__ = __add__
 
@@ -94,13 +89,8 @@ class Poly:
             return NotImplemented
         out = {}
         for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
+            add_into(out, {tuple(a + b for a, b in zip(e1, e2)): c1 * c2
+                           for e2, c2 in o.terms.items()})
         return Poly(self.nvars, out)
 
     __rmul__ = __mul__

@@ -12,12 +12,13 @@ empty partition is ().
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import factorial
 
-from .linalg import Matrix, rref, random_fraction
+from .linalg import Matrix, add_into, rref, random_fraction
 from .multipoly import Poly
 from .report import Report
 
@@ -60,10 +61,7 @@ def class_size(sigma):
     denom = 1
     for p in sigma:
         denom *= p
-    mult = {}
-    for p in sigma:
-        mult[p] = mult.get(p, 0) + 1
-    for m in mult.values():
+    for m in Counter(sigma).values():
         denom *= factorial(m)
     return factorial(n) // denom
 
@@ -185,14 +183,7 @@ class SymPoly:
     def __add__(self, other):
         if self.nvars != other.nvars:
             raise ValueError("variable count mismatch")
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        return SymPoly(self.nvars, out)
+        return SymPoly(self.nvars, add_into(dict(self.terms), other.terms))
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -205,22 +196,8 @@ class SymPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        if self.nvars != other.nvars:
-            raise ValueError("variable count mismatch")
-        # product of symmetric polynomials is symmetric; accumulate the full
-        # expansion and keep the canonical representatives
-        full = {}
-        other_full = other.to_poly().terms
-        for k1, c1 in self.terms.items():
-            for e1 in _orbit(k1):
-                for e2, c2 in other_full.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    s = full.get(e, 0) + c1 * c2
-                    if s:
-                        full[e] = s
-                    elif e in full:
-                        del full[e]
-        return SymPoly(self.nvars, {e: c for e, c in full.items() if e == _canonical(e)})
+        # a product of symmetric polynomials is symmetric
+        return SymPoly.from_poly(self.to_poly() * other.to_poly(), check=False)
 
     __rmul__ = scale
 
@@ -317,9 +294,7 @@ def schur(lam, nvars):
         return SymPoly.const(nvars, 1)
     contents = []
     _ssyt_fill(tuple(lam), 0, None, nvars, [0] * nvars, contents)
-    full = {}
-    for e in contents:
-        full[e] = full.get(e, 0) + 1
+    full = Counter(contents)
     return SymPoly(nvars, {e: c for e, c in full.items() if e == _canonical(e)})
 
 
@@ -419,11 +394,8 @@ def relation_string(n):
     """Human-readable form of the dependence relation in degree n+1."""
     parts = []
     for sigma, c in dominance_coeffs(n).items():
-        groups = {}
-        for p in sigma:
-            groups[p] = groups.get(p, 0) + 1
         mono = "".join(f"N{p}^{m}" if m > 1 else f"N{p}"
-                       for p, m in sorted(groups.items(), reverse=True))
+                       for p, m in sorted(Counter(sigma).items(), reverse=True))
         if not parts:
             lead = "" if c == 1 else ("-" if c == -1 else str(c))
             parts.append(f"{lead}{mono}")

@@ -14,7 +14,8 @@ from fractions import Fraction
 from itertools import product
 
 from .jordan import InputError, ensure_valid, inner_derivation
-from .linalg import Matrix, RowSpan, q_str, quotient, rref, unit_vector, zero_vector
+from .linalg import (Matrix, RowSpan, add_into, q_str, quotient, rref, unit_vector,
+                     zero_vector)
 from .report import Report
 
 _SL2_BASIS = ("e", "f", "h")
@@ -157,7 +158,6 @@ class TKKAlgebra:
         self.degrees = tuple(degrees)
         self.table = {}
         self.brace = None       # set for the central extension
-        self.inn_basis = None   # set for the classical TKK algebra
 
     def e_index(self, i):
         return i
@@ -205,15 +205,6 @@ class TKKAlgebra:
         return f"TKKAlgebra({self.kind} of {self.jordan.name}, dim={self.dim})"
 
 
-def _scaled_into(acc, sparse, scale):
-    for k, c in sparse.items():
-        v = acc.get(k, 0) + scale * c
-        if v:
-            acc[k] = v
-        elif k in acc:
-            del acc[k]
-
-
 def _fill_sl2_blocks(g, tail_pair_coords):
     d = g.jdim
     idxmap = {"e": g.e_index, "f": g.f_index, "h": g.h_index}
@@ -226,12 +217,10 @@ def _fill_sl2_blocks(g, tail_pair_coords):
                     out = {}
                     prod = g.jordan.table[i][j]
                     for z, cz in sc.items():
-                        zidx = idxmap[z]
-                        for k, c in prod.items():
-                            _scaled_into(out, {zidx(k): c}, cz)
+                        add_into(out, {idxmap[z](k): c for k, c in prod.items()}, cz)
                     if kap:
-                        for k, c in tail_pair_coords(i, j).items():
-                            _scaled_into(out, {g.tail_index(k): c}, kap)
+                        add_into(out, {g.tail_index(k): c
+                                       for k, c in tail_pair_coords(i, j).items()}, kap)
                     g.table[(idxmap[xt](i), idxmap[yt](j))] = out
 
 
@@ -253,7 +242,7 @@ def _fill_tail_action(g, tail_derivation_matrix, tail_on_tail):
                 g.table[(g.tail_index(k), idxmap[xt](j))] = out
                 g.table[(idxmap[xt](j), g.tail_index(k))] = {p: -c for p, c in out.items()}
         for l in range(g.tail_dim):
-            out = {g.tail_index(r): c for r, c in tail_on_tail(k, l).items() if c}
+            out = {g.tail_index(r): c for r, c in tail_on_tail(k, l).items()}
             g.table[(g.tail_index(k), g.tail_index(l))] = out
 
 
@@ -279,18 +268,13 @@ def build_sl2(J):
     def tail_on_tail(k, l):
         # [{a,b},{c,d}] = {da_{a,b} c, d} + {c, da_{a,b} d}
         a_l, b_l = bs.rep_pairs[l]
-        der = ders[k]
+        der = ders[k].data
         out = {}
-        dc = [der.data[r][a_l] for r in range(J.dim)]
-        dd = [der.data[r][b_l] for r in range(J.dim)]
-        for r, c in enumerate(dc):
-            if c:
-                for t, p in bs.brace_pair(r, b_l).items():
-                    out[t] = out.get(t, 0) + c * p
-        for r, c in enumerate(dd):
-            if c:
-                for t, p in bs.brace_pair(a_l, r).items():
-                    out[t] = out.get(t, 0) + c * p
+        for r in range(J.dim):
+            if der[r][a_l]:
+                add_into(out, bs.brace_pair(r, b_l), der[r][a_l])
+            if der[r][b_l]:
+                add_into(out, bs.brace_pair(a_l, r), der[r][b_l])
         return out
 
     _fill_sl2_blocks(g, tail_pair_coords)
@@ -333,9 +317,6 @@ def build_tkk(J):
         degrees.append(shift or 0)
 
     g = TKKAlgebra(J, "tkk", rank, [f"inn{k}" for k in range(rank)], degrees, kappa)
-    g.inn_basis = basis_mats
-    g._inn_rows = basis_rows
-    g._inn_pivots = pivots
 
     def inn_coords(mat):
         flat = [mat.data[r][c] for r in range(d) for c in range(d)]
@@ -397,14 +378,8 @@ def validate_lie(g, jacobi="full", seed=0, samples=200):
         p, q, r = pqr
         acc = {}
         for (a, b, c) in ((p, q, r), (q, r, p), (r, p, q)):
-            inner = g.bracket_basis(b, c)
-            for s, cs in inner.items():
-                for t, ct in g.bracket_basis(a, s).items():
-                    v = acc.get(t, 0) + cs * ct
-                    if v:
-                        acc[t] = v
-                    elif t in acc:
-                        del acc[t]
+            for s, cs in g.bracket_basis(b, c).items():
+                add_into(acc, g.bracket_basis(a, s), cs)
         if acc:
             return f"triple ({g.labels[p]},{g.labels[q]},{g.labels[r]})"
 

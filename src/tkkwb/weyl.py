@@ -20,12 +20,13 @@ symmetric power of the natural current module.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import factorial
 
-from .jordan import InputError, derivation_column, inner_derivation, jpower
-from .linalg import Matrix, RowSpan, random_vector, unit_vector
+from .jordan import InputError, L_op, derivation_column, inner_derivation, jpower
+from .linalg import Matrix, RowSpan, add_into, random_vector, unit_vector
 from .multipoly import Poly
 from .report import Report
 from .jspace import (G0Rep, JSpaceRep, dominance_check, dominance_operator,
@@ -69,13 +70,9 @@ class _StraightData:
         if key not in self._repl:
             J = self.J
             out = {}
-            u = J.table[x][b]
-            for m, cm in u.items():
-                for k, ck in J.table[m][c].items():
-                    out[k] = out.get(k, 0) - 2 * cm * ck
-            for k, ck in derivation_column(J, x, b, c).items():
-                out[k] = out.get(k, 0) + 2 * ck
-            self._repl[key] = {k: v for k, v in out.items() if v}
+            for m, cm in J.table[x][b].items():
+                add_into(out, J.table[m][c], -2 * cm)
+            self._repl[key] = add_into(out, derivation_column(J, x, b, c), 2)
         return self._repl[key]
 
 
@@ -84,13 +81,6 @@ class _StraightData:
 #
 # An element sum_mu f(mu) X_mu, with mu a multiset of algebra basis indices
 # and X_mu a matrix on the module, represents m -> sum f(mu) (X_mu m).
-
-
-def _fkey_counts(fkey):
-    counts = {}
-    for i in fkey:
-        counts[i] = counts.get(i, 0) + 1
-    return counts
 
 
 def _fkey_remove(fkey, value):
@@ -125,7 +115,7 @@ def apply_raise_basis(data, x, fp):
     """Straighten e(e_x) through every lowering monomial of fp."""
     out = {}
     for fkey, X in fp.items():
-        counts = _fkey_counts(fkey)
+        counts = Counter(fkey)
         values = sorted(counts)
         for b in values:
             mult = counts[b]
@@ -167,7 +157,7 @@ def lowering_power(g0, a, k):
     support = [i for i, c in enumerate(a) if c]
     fp = {}
     for combo in combinations_with_replacement(support, k):
-        counts = _fkey_counts(combo)
+        counts = Counter(combo)
         coeff = factorial(k)
         for c in counts.values():
             coeff //= factorial(c)
@@ -281,16 +271,8 @@ def garland_coefficient(g0, a, rr):
         expo = [e + t for e, t in zip(expo, term)]
 
     # (sum_s f(a^s) u^s)^(n+1-rr): per u-power, multiset -> scalar
-    lower = [{} for _ in range(order + 1)]
-    for s in range(1, order + 1):
-        for i, c in enumerate(powers[s]):
-            if c:
-                cur = lower[s].get((i,), 0)
-                cur = cur + c
-                if cur:
-                    lower[s][(i,)] = cur
-                elif (i,) in lower[s]:
-                    del lower[s][(i,)]
+    # lower[s]: index i -> coordinate i of a^s
+    lower = [{}] + [{i: c for i, c in enumerate(powers[s]) if c} for s in range(1, order + 1)]
     apow = [dict() for _ in range(order + 1)]
     apow[0][()] = 1
     for _ in range(n + 1 - rr):
@@ -298,14 +280,8 @@ def garland_coefficient(g0, a, rr):
         for p in range(order + 1):
             for key, c in apow[p].items():
                 for q in range(1, order + 1 - p):
-                    for key2, c2 in lower[q].items():
-                        merged = _fkey_insert(key, key2[0])
-                        prev = nxt[p + q].get(merged, 0)
-                        prev = prev + c * c2
-                        if prev:
-                            nxt[p + q][merged] = prev
-                        elif merged in nxt[p + q]:
-                            del nxt[p + q][merged]
+                    add_into(nxt[p + q],
+                             {_fkey_insert(key, i): c2 for i, c2 in lower[q].items()}, c)
         apow = nxt
 
     prefactor = Fraction((-1) ** rr * factorial(rr) * factorial(n + 1),
@@ -379,6 +355,7 @@ class TruncatedVerma:
             basis.sort(key=lambda bm: (tuple(self._okey[i] for i in bm[0]), bm[1]))
             self.cell_pos[key] = {bm: t for t, bm in enumerate(basis)}
         self._matrices = {}
+        self._weight_zero = {}
 
         d = J.dim
         self.generators = [("e", i) for i in range(d)] + \
@@ -452,48 +429,26 @@ class TruncatedVerma:
         return mat
 
     def _apply_basis(self, kind, i, fkey, mi):
-        J = self.J
-        rep = self.rep
         out = {}
-
-        def add(nkey, nmi, c):
-            if not c:
-                return
-            k = (nkey, nmi)
-            out[k] = out.get(k, 0) + c
-
         if kind == "f":
-            add(self._insert_sorted(fkey, i), mi, Fraction(1))
-        elif kind == "h":
-            counts = _fkey_counts(fkey)
-            for b, mult in counts.items():
+            out[(self._insert_sorted(fkey, i), mi)] = Fraction(1)
+        elif kind in ("h", "d"):
+            # a weight-zero generator acts on each lowering factor through its
+            # operator on J, then on the module vector
+            on_J, on_module = self._weight_zero_action(kind, i)
+            for b, mult in Counter(fkey).items():
                 nu = _fkey_remove(fkey, b)
-                for k, c in J.table[i][b].items():
-                    add(self._insert_sorted(nu, k), mi, -2 * mult * c)
-            col = rep.rho[i].col(mi)
-            for r, c in enumerate(col):
-                add(fkey, r, c)
-        elif kind == "d":
-            counts = _fkey_counts(fkey)
-            der = self._tail_der(i)
-            for b, mult in counts.items():
-                nu = _fkey_remove(fkey, b)
-                for r in range(J.dim):
-                    c = der.data[r][b]
-                    if c:
-                        add(self._insert_sorted(nu, r), mi, mult * c)
-            col = self.g0.dmats[i].col(mi)
-            for r, c in enumerate(col):
-                add(fkey, r, c)
+                add_into(out, {(self._insert_sorted(nu, r), mi): c
+                               for r, c in on_J[b].items()}, mult)
+            add_into(out, {(fkey, r): c for r, c in enumerate(on_module.col(mi)) if c})
         elif kind == "e":
-            counts = _fkey_counts(fkey)
+            counts = Counter(fkey)
             values = sorted(counts)
             for b in values:
                 mult = counts[b]
                 nu = _fkey_remove(fkey, b)
                 col = self.data.g0mat[i][b].col(mi)
-                for r, c in enumerate(col):
-                    add(nu, r, mult * c)
+                add_into(out, {(nu, r): c for r, c in enumerate(col) if c}, mult)
                 for c2 in values:
                     if c2 < b:
                         continue
@@ -501,20 +456,33 @@ class TruncatedVerma:
                     if not count:
                         continue
                     nu2 = _fkey_remove(nu, c2)
-                    for k, ck in self.data.repl(i, b, c2).items():
-                        add(self._insert_sorted(nu2, k), mi, count * ck)
+                    add_into(out, {(self._insert_sorted(nu2, k), mi): ck
+                                   for k, ck in self.data.repl(i, b, c2).items()}, count)
         else:
             raise ValueError(f"unknown generator kind {kind}")
         return out
 
-    _tail_ders = None
+    def _weight_zero_action(self, kind, i):
+        """(on_J, on_module) of h(e_i) or of the brace basis element i.
 
-    def _tail_der(self, k):
-        if self._tail_ders is None:
-            d = self.J.dim
-            self._tail_ders = [inner_derivation(self.J, unit_vector(d, a), unit_vector(d, b))
-                               for a, b in self.g0.brace.rep_pairs]
-        return self._tail_ders[k]
+        on_J[b] is the sparse image of e_b under the operator on J: -2 L_{e_i}
+        for h(e_i), the inner derivation for a brace.  Both come from J.table,
+        never from the extension's bracket table, which bracket_fidelity checks
+        this action against.  on_module is rho[i] or the brace's matrix.
+        """
+        key = (kind, i)
+        if key not in self._weight_zero:
+            J = self.J
+            d = J.dim
+            if kind == "h":
+                op, on_module = L_op(J, unit_vector(d, i)).scale(-2), self.rep.rho[i]
+            else:
+                a, b = self.g0.brace.rep_pairs[i]
+                op = inner_derivation(J, unit_vector(d, a), unit_vector(d, b))
+                on_module = self.g0.dmats[i]
+            on_J = [{r: c for r, c in enumerate(op.col(b)) if c} for b in range(d)]
+            self._weight_zero[key] = (on_J, on_module)
+        return self._weight_zero[key]
 
 
 def apply_generator(verma, vec_by_cell, gen):
@@ -611,7 +579,7 @@ def _leaves(verma, X, gen, cell):
     return False
 
 
-def weyl_dimensions(rep_or_g0, D_max, W=None, check_dominance=True, seed=0):
+def weyl_dimensions(rep_or_g0, D_max, W=None, seed=0):
     """Graded dimensions of the universal bounded quotient, windowed.
 
     The killed part is the raising-closure of the full below-band cells
@@ -630,9 +598,7 @@ def weyl_dimensions(rep_or_g0, D_max, W=None, check_dominance=True, seed=0):
         W = n + 2
     verma = TruncatedVerma(g0, D_max, W)
 
-    dominant = None
-    if check_dominance:
-        dominant = dominance_check(rep, mode="random", samples=4, seed=seed).ok
+    dominant = dominance_check(rep, mode="random", samples=4, seed=seed).ok
 
     raise_gens = [g for g in verma.generators if g[0] == "e"]
 
@@ -718,7 +684,7 @@ def snlt_oracle(n, D_max):
     if n < 1:
         raise ValueError("n must be >= 1")
     symbols = [(1, i) for i in range(D_max + 1)] + [(-1, i) for i in range(D_max + 1)]
-    dims = {}
+    dims = Counter()
     for combo in combinations_with_replacement(range(len(symbols)), n):
         w = 0
         d = 0
@@ -727,12 +693,12 @@ def snlt_oracle(n, D_max):
             w += sgn
             d += deg
         if d <= D_max:
-            dims[(w, d)] = dims.get((w, d), 0) + 1
+            dims[(w, d)] += 1
     meta = {"oracle": "symmetric-power enumeration"}
     return WeylTable(n, D_max, None, dims, meta)
 
 
-def bracket_fidelity(verma, max_cells=None):
+def bracket_fidelity(verma):
     """Check action(g1)action(g2) - action(g2)action(g1) = action([g1, g2])
     on window-interior cells, against the bracket table of the extension.
 
@@ -750,61 +716,37 @@ def bracket_fidelity(verma, max_cells=None):
         kind, i = ext.basis_kind(p)
         return (("d", i) if kind == "tail" else (kind, i))
 
-    cells = sorted(verma.cells)
-    if max_cells is not None:
-        cells = cells[:max_cells]
-    ok, witness = True, ""
-    checked = 0
-    for g1 in verma.generators:
-        for g2 in verma.generators:
-            bkt = ext.bracket_basis(ext_index(g1), ext_index(g2))
-            for cell in cells:
-                # both composition orders and the bracket must stay inside
-                path = []
-                good = True
-                for first, second in ((g2, g1), (g1, g2)):
-                    s1, t1 = verma.target_of(first, cell)
-                    if s1 != "ok":
-                        good = False
-                        break
-                    s2, t2 = verma.target_of(second, t1)
-                    if s2 != "ok":
-                        good = False
-                        break
-                    path.append((first, second, t1, t2))
-                if not good:
-                    continue
-                for p, c in bkt.items():
-                    gb = gen_of_index(p)
-                    sb, _ = verma.target_of(gb, cell)
-                    if sb == "out":
-                        good = False
-                        break
-                if not good:
-                    continue
-                first, second, t1, t2 = path[0]
-                g1_after_g2 = verma.action_matrix(second, t1) @ verma.action_matrix(first, cell)
-                first, second, t1b, t2b = path[1]
-                g2_after_g1 = verma.action_matrix(second, t1b) @ verma.action_matrix(first, cell)
-                if t2 != t2b:
-                    continue
-                lhs = g1_after_g2 - g2_after_g1
-                rhs = Matrix.zeros(lhs.rows, lhs.cols)
-                for p, c in bkt.items():
-                    gb = gen_of_index(p)
-                    sb, tb = verma.target_of(gb, cell)
-                    if sb == "zero":
-                        continue
-                    if tb == t2:
-                        rhs = rhs + verma.action_matrix(gb, cell).scale(c)
-                if lhs != rhs:
-                    ok = False
-                    witness = f"generators {g1},{g2} on cell {cell}"
-                    break
-                checked += 1
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add(f"commutators match the bracket table ({checked} cases)", ok, witness)
+    def path(first, second, cell):
+        """(middle cell, target cell) of second after first, or None when
+        either step leaves the window."""
+        s1, t1 = verma.target_of(first, cell)
+        if s1 == "ok":
+            s2, t2 = verma.target_of(second, t1)
+            if s2 == "ok":
+                return t1, t2
+        return None
+
+    # both composition orders and every bracket term must stay inside
+    cases = []
+    for g1, g2 in product(verma.generators, repeat=2):
+        bkt = ext.bracket_basis(ext_index(g1), ext_index(g2))
+        for cell in sorted(verma.cells):
+            p21, p12 = path(g2, g1, cell), path(g1, g2, cell)
+            if p21 and p12 and p21[1] == p12[1] and \
+                    all(verma.target_of(gen_of_index(p), cell)[0] != "out" for p in bkt):
+                cases.append((g1, g2, bkt, cell, p21[0], p12[0], p21[1]))
+
+    def mismatch(case):
+        g1, g2, bkt, cell, t21, t12, tgt = case
+        lhs = verma.action_matrix(g1, t21) @ verma.action_matrix(g2, cell) - \
+            verma.action_matrix(g2, t12) @ verma.action_matrix(g1, cell)
+        rhs = Matrix.zeros(lhs.rows, lhs.cols)
+        for p, c in bkt.items():
+            gb = gen_of_index(p)
+            if verma.target_of(gb, cell)[1] == tgt:
+                rhs = rhs + verma.action_matrix(gb, cell).scale(c)
+        if lhs != rhs:
+            return f"generators {g1},{g2} on cell {cell}"
+
+    rep.check(f"commutators match the bracket table ({len(cases)} cases)", cases, mismatch)
     return rep

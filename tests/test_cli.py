@@ -55,6 +55,7 @@ _ZERO_DENOMINATOR_MULT = [{"i": 1, "j": 1, "coords": ["0", "0", "1/0"]}]
 _ZERO_DENOMINATOR_REP = {"algebra": "truncated-poly:1",
                          "module": {"labels": ["v"], "degrees": [0]},
                          "rho": [[["1/0"]], [["0"]]]}
+_NEWTON_1 = ("jspace", "check", "--builtin-rep", "newton", "--n", "1", "--cutoff", "1")
 _WEYL_NEGATIVE_DEGREE = ("weyl", "dims", "--builtin-rep", "newton", "--n", "1",
                          "--cutoff", "2", "--max-degree", "-1")
 
@@ -66,8 +67,24 @@ _WEYL_NEGATIVE_DEGREE = ("weyl", "dims", "--builtin-rep", "newton", "--n", "1",
     (("jspace", "check", "--rep"), _ZERO_DENOMINATOR_REP),
     (_WEYL_NEGATIVE_DEGREE, None),
     (_WEYL_NEGATIVE_DEGREE + ("--oracle", "snlt"), None),
+    (("symfun", "relation", "--n", "0"), None),
+    (("symfun", "frobenius", "--n", "0"), None),
+    (("symfun", "coeffs", "--n", "-1"), None),
+    (("symfun", "classes", "--n", "-1"), None),
+    (("symfun", "classes", "--n", "0"), None),
+    (_NEWTON_1 + ("--mode", "random", "--samples", "-1"), None),
+    (("garland", "verify") + _NEWTON_1[2:] + ("--samples", "-1"), None),
+    (("garland", "verify") + _NEWTON_1[2:] + ("--samples", "0"), None),
+    (("weyl", "dims") + _NEWTON_1[2:], None),
+    (("tkk", "check", "--builtin", "matrix", "--size", "x"), None),
+    (("tkk", "check", "--jacobi", "spot", "--samples", "50"), None),
+    (("jordan", "check", "--builtin", "spin-factor", "--dim", "-1"), None),
 ], ids=["duplicate-labels", "short-degrees", "zero-denominator-algebra",
-        "zero-denominator-rep", "negative-max-degree", "negative-max-degree-oracle"])
+        "zero-denominator-rep", "negative-max-degree", "negative-max-degree-oracle",
+        "symfun-relation-n0", "symfun-frobenius-n0", "symfun-coeffs-negative-n",
+        "symfun-classes-negative-n", "symfun-classes-n0", "jspace-negative-samples",
+        "garland-negative-samples", "garland-zero-samples", "weyl-missing-max-degree",
+        "non-integer-size", "tkk-check-unread-samples", "negative-spin-factor-dim"])
 def test_malformed_input_exits_3_without_traceback(capsys, tmp_path, argv, payload):
     if payload is not None:
         p = tmp_path / "input.json"
