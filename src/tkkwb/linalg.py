@@ -1,16 +1,20 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
-Everything here runs on `fractions.Fraction`; there are no floats anywhere,
-so ranks, kernels and quotient coordinates are exact, and equality tests
-mean actual equality.  Matrices are small and dense (desk scale), entries
-may also be any ring element supporting +, -, * (used for matrices of
-polynomials); the elimination routines require genuine fractions.
+There are no floats anywhere, so ranks, kernels and quotient coordinates are
+exact, and equality tests mean actual equality.  Matrices, `rref`, `kernel`
+and `quotient` are dense on `fractions.Fraction`: they serve small dense
+users (desk scale), entries may also be any ring element supporting +, -, *
+(used for matrices of polynomials), and the elimination routines require
+genuine fractions.  `RowSpan`, which the Weyl closure drives with thousands
+of mostly-zero vectors, is sparse and fraction-free: it keeps primitive
+integer rows and reduces by integer row operations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 Q = Fraction
 
@@ -256,9 +260,29 @@ def quotient(ambient_dim, subspace_rows):
     return reps, Matrix(len(reps), ambient_dim, proj)
 
 
-class RowSpan:
-    """Incrementally maintained row space in reduced echelon form.
+def _integer_row(vec):
+    """The nonzero entries of a dense list or {column: value} dict of ints or
+    Fractions, as a {column: int} dict scaled by the lcm of the denominators."""
+    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+    row = {j: x for j, x in items if x}
+    den = lcm(*(x.denominator for x in row.values()))
+    return {j: x.numerator * (den // x.denominator) for j, x in row.items()}
 
+
+def _primitive(row):
+    """row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return row if g == 1 else {j: x // g for j, x in row.items()}
+
+
+class RowSpan:
+    """Incrementally maintained row space, sparse and fraction-free.
+
+    Rows are primitive {column: int} dicts (content 1, positive pivot) keyed
+    by pivot column, in echelon form without back-elimination: a row has no
+    entry left of its pivot.  Inputs are dense lists or sparse dicts of ints
+    or Fractions; only the span matters, so each is scaled to integers and
+    reduced by integer row operations, dividing out the gcd as it goes.
     insert() returns True when the vector enlarged the span.  Used heavily
     by closure sweeps, where thousands of candidate vectors are reduced
     against the current span.
@@ -266,49 +290,56 @@ class RowSpan:
 
     def __init__(self, ambient_dim):
         self.ambient = ambient_dim
-        self.rows = []      # reduced rows, pivot columns strictly increasing
-        self.pivots = []    # pivot column per row
+        self.rows = {}      # pivot column -> primitive row
 
     @property
     def dim(self):
         return len(self.rows)
 
     def _reduce(self, vec):
-        v = list(vec)
-        for row, pc in zip(self.rows, self.pivots):
-            c = v[pc]
-            if c:
-                v = [x - c * y for x, y in zip(v, row)]
-        return v
+        """(v, pivot): v is vec minus a combination of rows, up to a nonzero
+        scale, whose leading column pivot is no row's pivot; ({}, None) when
+        vec lies in the span."""
+        v = _integer_row(vec)
+        rows = self.rows
+        while v:
+            p = min(v)
+            row = rows.get(p)
+            if row is None:
+                return v, p
+            a, b = row[p], v[p]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if a != 1:
+                v = {j: a * x for j, x in v.items()}
+            for j, y in row.items():
+                x = v.get(j, 0) - b * y
+                if x:
+                    v[j] = x
+                else:
+                    del v[j]
+            if v:
+                v = _primitive(v)
+        return v, None
 
     def contains(self, vec):
-        return not any(self._reduce(vec))
+        return not self._reduce(vec)[0]
 
     def insert(self, vec):
-        v = self._reduce(vec)
-        pc = None
-        for j, x in enumerate(v):
-            if x:
-                pc = j
-                break
-        if pc is None:
+        v, p = self._reduce(vec)
+        if not v:
             return False
-        inv = 1 / Fraction(v[pc]) if not isinstance(v[pc], Fraction) else 1 / v[pc]
-        v = [x * inv for x in v]
-        # back-eliminate to keep the basis canonical
-        for i, row in enumerate(self.rows):
-            c = row[pc]
-            if c:
-                self.rows[i] = [x - c * y for x, y in zip(row, v)]
-        at = 0
-        while at < len(self.pivots) and self.pivots[at] < pc:
-            at += 1
-        self.rows.insert(at, v)
-        self.pivots.insert(at, pc)
+        g = gcd(*v.values())
+        if v[p] < 0:
+            g = -g
+        self.rows[p] = {j: x // g for j, x in v.items()}
         return True
 
     def basis_matrix(self):
-        return Matrix(len(self.rows), self.ambient, [list(r) for r in self.rows])
+        """The canonical reduced row echelon basis, one row per dimension."""
+        rows = [dense_vector(self.ambient, self.rows[p]) for p in sorted(self.rows)]
+        rank, red, _ = rref(Matrix(len(rows), self.ambient, rows))
+        return Matrix(rank, self.ambient, red.data[:rank])
 
 
 @dataclass(frozen=True)

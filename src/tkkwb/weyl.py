@@ -23,7 +23,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from math import factorial
+from math import factorial, lcm
 
 from .jordan import InputError, L_op, derivation_column, inner_derivation, jpower
 from .linalg import Matrix, RowSpan, add_into, random_vector, unit_vector
@@ -303,8 +303,23 @@ def garland_coefficient(g0, a, rr):
 # windowed cells
 
 
+def _multisets(order, degs, size, bound):
+    """The size-`size` multisets over `order`, which is sorted by degree,
+    whose degrees sum to at most bound, in combinations_with_replacement
+    order.  Degrees are nonnegative, so a branch stops at the first element
+    that overshoots."""
+    if size == 0:
+        yield ()
+        return
+    for p, i in enumerate(order):
+        if degs[i] * size > bound:
+            break
+        for rest in _multisets(order[p:], degs, size - 1, bound - degs[i]):
+            yield (i,) + rest
+
+
 class TruncatedVerma:
-    """Degree/depth window of the induced module, with generator matrices.
+    """Degree/depth window of the induced module, with generator actions.
 
     Cells are indexed by (depth l, total degree d); the weight is n - 2l.
     Cell bases are pairs (multiset of algebra indices, module index), the
@@ -340,11 +355,10 @@ class TruncatedVerma:
         mdegs = rep.module.degrees
         self.cells = {}
         self.cell_pos = {}
+        bound = D_max - min(mdegs, default=0)
         for ell in range(self.ell_max + 1):
-            for combo in combinations_with_replacement(self._order, ell):
+            for combo in _multisets(self._order, degs, ell, bound):
                 fdeg = sum(degs[i] for i in combo)
-                if fdeg > D_max - min(mdegs, default=0):
-                    continue
                 for mi in range(rep.mdim):
                     d = fdeg + mdegs[mi]
                     if d > D_max:
@@ -354,7 +368,7 @@ class TruncatedVerma:
         for key, basis in self.cells.items():
             basis.sort(key=lambda bm: (tuple(self._okey[i] for i in bm[0]), bm[1]))
             self.cell_pos[key] = {bm: t for t, bm in enumerate(basis)}
-        self._matrices = {}
+        self._columns = {}
         self._weight_zero = {}
 
         d = J.dim
@@ -402,31 +416,50 @@ class TruncatedVerma:
         out.sort(key=lambda i: self._okey[i])
         return tuple(out)
 
-    def action_matrix(self, gen, cell):
-        """Matrix of the generator from cell to its target cell."""
-        key = (gen, cell)
-        if key in self._matrices:
-            return self._matrices[key]
+    def _images(self, gen, cell):
+        """(target dim, images): images[j] is the sparse image
+        {target position: coeff} of basis vector j of cell."""
         status, tgt = self.target_of(gen, cell)
         if status != "ok":
             raise WindowError(f"generator {gen} leaves the window from cell {cell}")
-        src_basis = self.cells.get(cell, [])
         tgt_pos = self.cell_pos.get(tgt, {})
-        tdim = len(self.cells.get(tgt, []))
-        cols = len(src_basis)
-        rows = [[Fraction(0)] * cols for _ in range(tdim)]
         kind, i = gen
-        for col, (fkey, mi) in enumerate(src_basis):
-            for (nkey, nmi), c in self._apply_basis(kind, i, fkey, mi).items():
-                pos = tgt_pos.get((nkey, nmi))
+        images = []
+        for fkey, mi in self.cells.get(cell, []):
+            img = {}
+            for bm, c in self._apply_basis(kind, i, fkey, mi).items():
+                pos = tgt_pos.get(bm)
                 if pos is None:
                     # complete cells: a missing target means it fell outside
                     # the window, which target_of already excluded
                     raise AssertionError("image outside computed cell basis")
-                rows[pos][col] += c
-        mat = Matrix(tdim, cols, rows)
-        self._matrices[key] = mat
-        return mat
+                img[pos] = c
+            images.append(img)
+        return len(tgt_pos), images
+
+    def action_columns(self, gen, cell):
+        """Integer columns of the generator from cell to its target cell.
+
+        Column j is the image {target position: int} of basis vector j, all
+        columns scaled by the one positive lcm of their denominators: the
+        closure only builds spans from them, which the scale leaves alone.
+        """
+        key = (gen, cell)
+        if key not in self._columns:
+            _, images = self._images(gen, cell)
+            den = lcm(*(c.denominator for img in images for c in img.values()))
+            self._columns[key] = [{t: c.numerator * (den // c.denominator)
+                                   for t, c in img.items()} for img in images]
+        return self._columns[key]
+
+    def action_matrix(self, gen, cell):
+        """Dense Fraction matrix of the generator from cell to its target cell."""
+        tdim, images = self._images(gen, cell)
+        rows = [[Fraction(0)] * len(images) for _ in range(tdim)]
+        for col, img in enumerate(images):
+            for pos, c in img.items():
+                rows[pos][col] = c
+        return Matrix(tdim, len(images), rows)
 
     def _apply_basis(self, kind, i, fkey, mi):
         out = {}
@@ -566,15 +599,25 @@ class WeylTable:
         return f"WeylTable(level={self.n}, D={self.D_max}, cells={len(self.dims)})"
 
 
+def _image(cols, vec):
+    """sum_j vec[j] cols[j] for a sparse integer vector and integer columns."""
+    out = {}
+    for j, c in vec.items():
+        add_into(out, cols[j], c)
+    return out
+
+
 def _leaves(verma, X, gen, cell):
     """Whether gen maps some row of the killed part X[cell] outside X."""
     status, tgt = verma.target_of(gen, cell)
     if status != "ok":
         return False
-    mat = verma.action_matrix(gen, cell)
-    for row in X[cell].rows:
-        img = mat.apply(row)
-        if any(img) and (tgt not in X or not X[tgt].contains(img)):
+    if tgt in X and X[tgt].dim == verma.cell_dim(tgt):
+        return False    # the killed part fills the target cell
+    cols = verma.action_columns(gen, cell)
+    for row in X[cell].rows.values():
+        img = _image(cols, row)
+        if img and (tgt not in X or not X[tgt].contains(img)):
             return True
     return False
 
@@ -602,16 +645,15 @@ def weyl_dimensions(rep_or_g0, D_max, W=None, seed=0):
 
     raise_gens = [g for g in verma.generators if g[0] == "e"]
 
+    # frontier rows and the rows of the killed parts are sparse {position: int}
     X = {}
     frontier = {}
     for cell, basis in verma.cells.items():
         if cell[0] > n:
             span = RowSpan(len(basis))
-            rows = []
-            for t in range(len(basis)):
-                v = unit_vector(len(basis), t)
+            rows = [{t: 1} for t in range(len(basis))]
+            for v in rows:
                 span.insert(v)
-                rows.append(v)
             X[cell] = span
             frontier[cell] = rows
 
@@ -629,12 +671,10 @@ def weyl_dimensions(rep_or_g0, D_max, W=None, seed=0):
                 status, tgt = verma.target_of(gen, cell)
                 if status != "ok":
                     continue
-                mat = verma.action_matrix(gen, cell)
-                if mat.rows == 0:
-                    continue
+                cols = verma.action_columns(gen, cell)
                 for v in rows:
-                    img = mat.apply(v)
-                    if not any(img):
+                    img = _image(cols, v)
+                    if not img:
                         continue
                     if tgt not in X:
                         X[tgt] = RowSpan(verma.cell_dim(tgt))
@@ -680,9 +720,10 @@ def snlt_oracle(n, D_max):
 
     Basis: size-n multisets over signed degrees (+,i)/(-,i), 0 <= i <= D_max;
     a multiset contributes to weight (#plus - #minus) and degree sum(i).
+    Level 0 has the one empty multiset: the trivial table.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if n < 0:
+        raise InputError("level must be >= 0")
     symbols = [(1, i) for i in range(D_max + 1)] + [(-1, i) for i in range(D_max + 1)]
     dims = Counter()
     for combo in combinations_with_replacement(range(len(symbols)), n):

@@ -163,6 +163,15 @@ def test_weyl_dims_oracle_n2(capsys):
     assert code == 0
 
 
+def test_weyl_dims_oracle_level0(capsys):
+    # the zero rep has level 0; its table is the trivial one-dimensional one
+    code, out, err = run(capsys, "weyl", "dims", "--builtin-rep", "zero",
+                         "--builtin", "truncated-poly", "--degree", "1",
+                         "--max-degree", "1", "--oracle", "snlt")
+    assert code == 0, err
+    assert "oracle: symmetric-power enumeration matches" in out.splitlines()
+
+
 def test_jspace_nondominant_rep_witness(capsys, tmp_path):
     # level-1 action by a non-nilpotent projection: fails the dominance sum
     rep_data = {

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tkkwb.linalg import (LabeledSpace, Matrix, RowSpan, kernel, kron,
                           quotient, rref, scalar_value)
@@ -118,6 +120,32 @@ def test_rowspan_insert_and_contains():
     assert span.dim == 2
     assert span.contains([Q(3), Q(3), Q(-1)])
     assert not span.contains([Q(1), Q(0), Q(0)])
+
+
+_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def _rows_and_vector(draw):
+    cols = draw(st.integers(1, 5))
+    row = st.lists(st.one_of(st.just(Q(0)), _fractions), min_size=cols, max_size=cols)
+    return draw(st.lists(row, max_size=5)), draw(row)
+
+
+@settings(deadline=None)
+@given(_rows_and_vector())
+def test_rowspan_agrees_with_rref(rows_and_vector):
+    rows, v = rows_and_vector
+    cols = len(v)
+    dense, sparse = RowSpan(cols), RowSpan(cols)
+    for r in rows:
+        dense.insert(r)
+        sparse.insert({j: x for j, x in enumerate(r) if x})
+    rank, red, _ = rref(Matrix(len(rows), cols, rows))
+    assert dense.dim == sparse.dim == rank
+    assert dense.basis_matrix() == sparse.basis_matrix() == Matrix(rank, cols, red.data[:rank])
+    grown, _, _ = rref(Matrix(len(rows) + 1, cols, rows + [v]))
+    assert dense.contains(v) == sparse.contains(v) == (grown == rank)
 
 
 def test_matrix_ops():

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction as Q
+from math import lcm
 
 import pytest
 
 from conftest import one_gen_rep, projection_matrix
-from tkkwb.jordan import truncated_poly
+from tkkwb.jordan import InputError, truncated_poly
 from tkkwb.jspace import (JSpaceRep, extend_to_g0, level, matrix_defining_rep,
                           newton_rep, regular_rep, zero_rep)
 from tkkwb.linalg import LabeledSpace, Matrix, RowSpan, random_vector, zero_vector
@@ -315,6 +316,14 @@ def test_snlt_oracle_values():
         assert t1.dim(1, d) == 1 and t1.dim(-1, d) == 1
 
 
+def test_snlt_oracle_level0():
+    # one empty multiset: the trivial table, which is the zero rep's
+    assert snlt_oracle(0, 2).dims == {(0, 0): 1}
+    assert snlt_oracle(0, 2).dims == weyl_dimensions(zero_rep(truncated_poly(2)), 2).dims
+    with pytest.raises(InputError):
+        snlt_oracle(-1, 2)
+
+
 def test_weyl_zero_rep_is_module():
     r = zero_rep(truncated_poly(0))
     table = weyl_dimensions(r, 0)
@@ -347,17 +356,14 @@ def test_weyl_nondominant_flagged():
     assert table.meta["stable"]
 
 
-def test_weyl_deterministic_across_workers(monkeypatch):
+def test_weyl_deterministic_across_runs():
     r = newton_rep(2, 2)
-    monkeypatch.delenv("TKKWB_THREADS", raising=False)
     t1 = weyl_dimensions(r, 2)
-    monkeypatch.setenv("TKKWB_THREADS", "4")
-    t4 = weyl_dimensions(r, 2)
-    monkeypatch.setenv("TKKWB_THREADS", "2")
     t2 = weyl_dimensions(r, 2)
-    assert t1.dims == t4.dims == t2.dims
-    assert t1.meta == t4.meta == t2.meta
-    assert t1.to_csv_lines() == t4.to_csv_lines()
+    t3 = weyl_dimensions(r, 2)
+    assert t1.dims == t2.dims == t3.dims
+    assert t1.meta == t2.meta == t3.meta
+    assert t1.to_csv_lines() == t2.to_csv_lines()
 
 
 def test_weyl_closing_pass_confirms_the_closure(monkeypatch):
@@ -370,18 +376,48 @@ def test_weyl_closing_pass_confirms_the_closure(monkeypatch):
 def test_weyl_closing_pass_checks_the_certificate(monkeypatch):
     # a corrupted weight-zero action leaves the raising closure stable but
     # moves killed vectors out of the killed part
-    original = TruncatedVerma.action_matrix
+    original = TruncatedVerma.action_columns
 
     def corrupted(self, gen, cell):
-        mat = original(self, gen, cell)
+        cols = original(self, gen, cell)
         if gen != ("h", 0):
-            return mat
-        return Matrix(mat.rows, mat.cols, [[Q(1)] * mat.cols for _ in range(mat.rows)])
+            return cols
+        tdim = self.cell_dim(self.target_of(gen, cell)[1])
+        return [{t: 1 for t in range(tdim)} for _ in cols]
 
-    monkeypatch.setattr(TruncatedVerma, "action_matrix", corrupted)
+    monkeypatch.setattr(TruncatedVerma, "action_columns", corrupted)
     table = weyl_dimensions(newton_rep(2, 2), 2)
     assert table.meta["stable"] is True
     assert table.meta["certificate_ok"] is False
+
+
+def test_weyl_defining_rep_of_3x3_matrices():
+    # an algebra all in degree 0: the degree bound prunes nothing, and one
+    # cell holds 1485 vectors; the quotient is the 6-dim natural module
+    table = weyl_dimensions(matrix_defining_rep(3), 1)
+    assert table.dims == {(1, 0): 3, (-1, 0): 3}
+    assert table.meta["stable"] and table.meta["certificate_ok"]
+
+
+@pytest.mark.parametrize("make_rep,D", [
+    (lambda: newton_rep(2, 3), 3),
+    (lambda: matrix_defining_rep(2), 0),
+])
+def test_action_columns_are_scaled_action_matrices(make_rep, D):
+    # the closure reads action_columns; bracket_fidelity checks action_matrix
+    v = TruncatedVerma(extend_to_g0(make_rep()), D, 2)
+    checked = 0
+    for gen in v.generators:
+        for cell in sorted(v.cells):
+            if v.target_of(gen, cell)[0] != "ok":
+                continue
+            mat = v.action_matrix(gen, cell)
+            den = lcm(*(x.denominator for r in mat.data for x in r))
+            want = [{t: int(x * den) for t, x in enumerate(mat.col(j)) if x}
+                    for j in range(mat.cols)]
+            assert v.action_columns(gen, cell) == want, (gen, cell)
+            checked += 1
+    assert checked
 
 
 def test_weyl_insensitive_to_window_depth():
