@@ -186,9 +186,22 @@ def cmd_jspace_check(args):
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
+def _extension(rep):
+    """The weight-zero extension of rep; None when its report fails, after
+    printing the first failed item and its witness on stderr."""
+    g0 = jspace_mod.extend_to_g0(rep)
+    fail = g0.report.first_failure()
+    if fail:
+        print(f"{g0.report.title}: FAIL {fail.name}  [{fail.detail}]", file=sys.stderr)
+        return None
+    return g0
+
+
 def cmd_weyl_dims(args):
-    rep = _resolve_rep(args)
-    table = weyl_mod.weyl_dimensions(rep, args.max_degree, W=args.window,
+    g0 = _extension(_resolve_rep(args))
+    if g0 is None:
+        return EXIT_FAIL
+    table = weyl_mod.weyl_dimensions(g0, args.max_degree, W=args.window,
                                      seed=args.seed)
     if not table.meta.get("stable"):
         print("unstable, rerun with --window", file=sys.stderr)
@@ -221,7 +234,9 @@ def cmd_weyl_dims(args):
 
 def cmd_garland_verify(args):
     rep = _resolve_rep(args)
-    g0 = jspace_mod.extend_to_g0(rep)
+    g0 = _extension(rep)
+    if g0 is None:
+        return EXIT_FAIL
     n = jspace_mod.level(rep)
     rng = random.Random(args.seed)
     rrs = sorted({0, 1, n, n + 1})

@@ -195,9 +195,7 @@ def extend_to_g0(rep, ext=None):
                  lambda r: not combination(m, comm_pair, bs.s_rows.data[r]).is_zero()
                  and f"defining-span generator {r} acts nonzero")
 
-    dmats = []
-    for a, b in bs.rep_pairs:
-        dmats.append(rep.rho[a].commutator(rep.rho[b]).scale(quarter))
+    dmats = [comm_pair[t] for t in bs.reps]
 
     def phi(p):
         kind, i = ext.basis_kind(p)

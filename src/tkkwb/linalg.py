@@ -221,18 +221,9 @@ def rref(m):
 
 
 def kernel(m):
-    """Basis of the right null space, one vector per row of the result."""
-    rank, red, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
-    rows = []
-    for j in free:
-        v = [Q(0)] * m.cols
-        v[j] = Q(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red.data[r][j]
-        rows.append(v)
-    return Matrix(len(rows), m.cols, rows)
+    """Basis of the right null space, one vector per row of the result: the
+    rows of the quotient projection, which annihilate the rows of m."""
+    return quotient(m.cols, m)[1]
 
 
 def quotient(ambient_dim, subspace_rows):

@@ -416,50 +416,43 @@ class TruncatedVerma:
         out.sort(key=lambda i: self._okey[i])
         return tuple(out)
 
-    def _images(self, gen, cell):
-        """(target dim, images): images[j] is the sparse image
-        {target position: coeff} of basis vector j of cell."""
-        status, tgt = self.target_of(gen, cell)
-        if status != "ok":
-            raise WindowError(f"generator {gen} leaves the window from cell {cell}")
-        tgt_pos = self.cell_pos.get(tgt, {})
-        kind, i = gen
-        images = []
-        for fkey, mi in self.cells.get(cell, []):
-            img = {}
-            for bm, c in self._apply_basis(kind, i, fkey, mi).items():
-                pos = tgt_pos.get(bm)
-                if pos is None:
-                    # complete cells: a missing target means it fell outside
-                    # the window, which target_of already excluded
-                    raise AssertionError("image outside computed cell basis")
-                img[pos] = c
-            images.append(img)
-        return len(tgt_pos), images
-
     def action_columns(self, gen, cell):
-        """Integer columns of the generator from cell to its target cell.
+        """(den, columns) of the generator from cell to its target cell, cached.
 
-        Column j is the image {target position: int} of basis vector j, all
-        columns scaled by the one positive lcm of their denominators: the
-        closure only builds spans from them, which the scale leaves alone.
+        Column j is den times the image of basis vector j, a sparse {target
+        position: int}: the action is columns / den, with the same spans.
         """
         key = (gen, cell)
         if key not in self._columns:
-            _, images = self._images(gen, cell)
+            status, tgt = self.target_of(gen, cell)
+            if status != "ok":
+                raise WindowError(f"generator {gen} leaves the window from cell {cell}")
+            tgt_pos = self.cell_pos.get(tgt, {})
+            images = []
+            for fkey, mi in self.cells.get(cell, []):
+                img = {}
+                for bm, c in self._apply_basis(*gen, fkey, mi).items():
+                    pos = tgt_pos.get(bm)
+                    if pos is None:
+                        # complete cells: a missing target means it fell outside
+                        # the window, which target_of already excluded
+                        raise AssertionError("image outside computed cell basis")
+                    img[pos] = c
+                images.append(img)
             den = lcm(*(c.denominator for img in images for c in img.values()))
-            self._columns[key] = [{t: c.numerator * (den // c.denominator)
-                                   for t, c in img.items()} for img in images]
+            self._columns[key] = den, [{t: c.numerator * (den // c.denominator)
+                                        for t, c in img.items()} for img in images]
         return self._columns[key]
 
     def action_matrix(self, gen, cell):
-        """Dense Fraction matrix of the generator from cell to its target cell."""
-        tdim, images = self._images(gen, cell)
-        rows = [[Fraction(0)] * len(images) for _ in range(tdim)]
-        for col, img in enumerate(images):
-            for pos, c in img.items():
-                rows[pos][col] = c
-        return Matrix(tdim, len(images), rows)
+        """The action_columns of the generator as a dense Fraction matrix."""
+        den, cols = self.action_columns(gen, cell)
+        tdim = self.cell_dim(self.target_of(gen, cell)[1])
+        rows = [[Fraction(0)] * len(cols) for _ in range(tdim)]
+        for j, col in enumerate(cols):
+            for t, c in col.items():
+                rows[t][j] = Fraction(c, den)
+        return Matrix(tdim, len(cols), rows)
 
     def _apply_basis(self, kind, i, fkey, mi):
         out = {}
@@ -600,7 +593,7 @@ class WeylTable:
 
 
 def _image(cols, vec):
-    """sum_j vec[j] cols[j] for a sparse integer vector and integer columns."""
+    """sum_j vec[j] cols[j] for a sparse vector and columns, {index: coeff}."""
     out = {}
     for j, c in vec.items():
         add_into(out, cols[j], c)
@@ -614,7 +607,7 @@ def _leaves(verma, X, gen, cell):
         return False
     if tgt in X and X[tgt].dim == verma.cell_dim(tgt):
         return False    # the killed part fills the target cell
-    cols = verma.action_columns(gen, cell)
+    _, cols = verma.action_columns(gen, cell)
     for row in X[cell].rows.values():
         img = _image(cols, row)
         if img and (tgt not in X or not X[tgt].contains(img)):
@@ -671,7 +664,7 @@ def weyl_dimensions(rep_or_g0, D_max, W=None, seed=0):
                 status, tgt = verma.target_of(gen, cell)
                 if status != "ok":
                     continue
-                cols = verma.action_columns(gen, cell)
+                _, cols = verma.action_columns(gen, cell)
                 for v in rows:
                     img = _image(cols, v)
                     if not img:
@@ -743,7 +736,8 @@ def bracket_fidelity(verma):
     """Check action(g1)action(g2) - action(g2)action(g1) = action([g1, g2])
     on window-interior cells, against the bracket table of the extension.
 
-    This exercises the straightening engine against the structure constants.
+    It checks the cached action_columns, which the closure runs on, against
+    the structure constants.
     """
     ext = verma.g0.ext
     rep = Report(f"bracket fidelity for {verma.rep.name}")
@@ -779,15 +773,20 @@ def bracket_fidelity(verma):
 
     def mismatch(case):
         g1, g2, bkt, cell, t21, t12, tgt = case
-        lhs = verma.action_matrix(g1, t21) @ verma.action_matrix(g2, cell) - \
-            verma.action_matrix(g2, t12) @ verma.action_matrix(g1, cell)
-        rhs = Matrix.zeros(lhs.rows, lhs.cols)
-        for p, c in bkt.items():
-            gb = gen_of_index(p)
-            if verma.target_of(gb, cell)[1] == tgt:
-                rhs = rhs + verma.action_matrix(gb, cell).scale(c)
-        if lhs != rhs:
-            return f"generators {g1},{g2} on cell {cell}"
+        # lhs - rhs on each basis vector of the cell: (scale, outer, inner)
+        products = [(1, verma.action_columns(g1, t21), verma.action_columns(g2, cell)),
+                    (-1, verma.action_columns(g2, t12), verma.action_columns(g1, cell))]
+        for j in range(verma.cell_dim(cell)):
+            diff = {}
+            for s, (den1, cols1), (den2, cols2) in products:
+                add_into(diff, _image(cols1, cols2[j]), Fraction(s, den1 * den2))
+            for p, c in bkt.items():
+                gb = gen_of_index(p)
+                if verma.target_of(gb, cell)[1] == tgt:
+                    den, cols = verma.action_columns(gb, cell)
+                    add_into(diff, cols[j], Fraction(-c, den))
+            if diff:
+                return f"generators {g1},{g2} on cell {cell}"
 
     rep.check(f"commutators match the bracket table ({len(cases)} cases)", cases, mismatch)
     return rep

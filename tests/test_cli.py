@@ -1,9 +1,12 @@
 import json
+from fractions import Fraction as Q
 
 import pytest
 
 from tkkwb.cli import main
 from tkkwb.jordan import algebra_to_dict, truncated_poly
+from tkkwb.jspace import JSpaceRep, rep_to_dict
+from tkkwb.linalg import LabeledSpace, Matrix
 
 
 def run(capsys, *argv):
@@ -229,6 +232,26 @@ def test_garland_verify(capsys):
     assert code == 0
     assert "PASS" in out and "FAIL" not in out
     assert "seed: 0" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("weyl", "dims", "--max-degree", "1"),
+    ("garland", "verify", "--samples", "1"),
+], ids=["weyl-dims", "garland-verify"])
+def test_ill_defined_braces_exit1_with_witness(capsys, tmp_path, argv):
+    # noncommuting images over an algebra whose brace space is zero: rho has
+    # no weight-zero extension, so there is no table and no contraction
+    J = truncated_poly(2, graded=False)
+    A = Matrix.from_rows([[Q(0), Q(1)], [Q(0), Q(0)]])
+    B = Matrix.from_rows([[Q(0), Q(0)], [Q(1), Q(0)]])
+    r = JSpaceRep(J, LabeledSpace(("a", "b"), (0, 0)), [Matrix.identity(2), A, B],
+                  name="noncommuting")
+    p = tmp_path / "rep.json"
+    p.write_text(json.dumps(rep_to_dict(r, algebra_to_dict(J))))
+    code, out, err = run(capsys, *argv, "--rep", str(p))
+    assert code == 1
+    assert out == ""
+    assert "FAIL well-defined on the brace quotient  [defining-span generator" in err
 
 
 def test_symfun_relation(capsys):
