@@ -13,8 +13,8 @@ from .jspace import (G0Rep, JSpaceRep, LevelError, ResourceError,
                      dominance_check, dominance_operator, doubled_regular_rep,
                      extend_to_g0, level, load_rep, matrix_defining_rep,
                      newton_rep, regular_rep, tensor_rep, zero_rep)
-from .weyl import (NoncommutingPowersError, TruncatedVerma, WeylTable,
-                   WindowError, apply_generator, bracket_fidelity,
+from .weyl import (ExtensionError, NoncommutingPowersError, TruncatedVerma,
+                   WeylTable, WindowError, apply_generator, bracket_fidelity,
                    dominance_sum_at, efr_power, efr_vanishes,
                    garland_coefficient, snlt_oracle, weyl_dimensions)
 from .symfun import (SymPoly, class_size, dominance_coeffs, mn_character,

@@ -19,7 +19,7 @@ from . import weyl as weyl_mod
 from .jordan import InputError
 from .jspace import LevelError, ResourceError
 from .linalg import random_vector
-from .weyl import WindowError
+from .weyl import ExtensionError, WindowError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -186,23 +186,8 @@ def cmd_jspace_check(args):
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
-def _extension(rep):
-    """The weight-zero extension of rep; None when its report fails, after
-    printing the first failed item and its witness on stderr."""
-    g0 = jspace_mod.extend_to_g0(rep)
-    fail = g0.report.first_failure()
-    if fail:
-        print(f"{g0.report.title}: FAIL {fail.name}  [{fail.detail}]", file=sys.stderr)
-        return None
-    return g0
-
-
 def cmd_weyl_dims(args):
-    g0 = _extension(_resolve_rep(args))
-    if g0 is None:
-        return EXIT_FAIL
-    table = weyl_mod.weyl_dimensions(g0, args.max_degree, W=args.window,
-                                     seed=args.seed)
+    table = weyl_mod.weyl_dimensions(_resolve_rep(args), args.max_degree, W=args.window)
     if not table.meta.get("stable"):
         print("unstable, rerun with --window", file=sys.stderr)
         return EXIT_RESOURCE
@@ -233,16 +218,12 @@ def cmd_weyl_dims(args):
 
 
 def cmd_garland_verify(args):
-    rep = _resolve_rep(args)
-    g0 = _extension(rep)
-    if g0 is None:
-        return EXIT_FAIL
-    n = jspace_mod.level(rep)
+    g0, n = weyl_mod.checked_extension(_resolve_rep(args))
     rng = random.Random(args.seed)
     rrs = sorted({0, 1, n, n + 1})
     ok = True
     for t in range(args.samples):
-        a = random_vector(rng, rep.jordan.dim)
+        a = random_vector(rng, g0.rep.jordan.dim)
         for rr in rrs:
             direct = weyl_mod.efr_power(g0, a, rr)
             series = weyl_mod.garland_coefficient(g0, a, rr)
@@ -333,7 +314,8 @@ def build_parser():
     _add_algebra_args(pd)
     _add_rep_args(pd)
     _add_format(pd, "csv")
-    pd.add_argument("--seed", type=int, default=0)
+    pd.add_argument("--seed", type=int, default=0,
+                    help="has no effect: the tables depend on no seed")
     pd.add_argument("--max-degree", type=int, required=True)
     pd.add_argument("--window", type=int, default=None)
     pd.add_argument("--oracle", choices=["snlt"], default=None,
@@ -374,6 +356,9 @@ def main(argv=None):
         return EXIT_RESOURCE
     except LevelError as exc:
         print(f"level error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    except ExtensionError as exc:
+        print(exc, file=sys.stderr)
         return EXIT_FAIL
 
 

@@ -25,7 +25,7 @@ from .tkk import build_sl2
 
 
 class LevelError(Exception):
-    """rho(1) is not an integer scalar."""
+    """rho(1) is not an integer scalar, or is negative where a level must be >= 0."""
 
 
 class ResourceError(Exception):

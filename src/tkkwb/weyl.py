@@ -29,8 +29,7 @@ from .jordan import InputError, L_op, derivation_column, inner_derivation, jpowe
 from .linalg import Matrix, RowSpan, add_into, random_vector, unit_vector
 from .multipoly import Poly
 from .report import Report
-from .jspace import (G0Rep, JSpaceRep, dominance_check, dominance_operator,
-                     extend_to_g0, level)
+from .jspace import G0Rep, LevelError, dominance_operator, extend_to_g0, level
 
 
 class WindowError(Exception):
@@ -40,6 +39,28 @@ class WindowError(Exception):
 class NoncommutingPowersError(Exception):
     """The rho images of the powers of one element fail to commute, so the
     exponential generating function is meaningless for this input."""
+
+
+class ExtensionError(Exception):
+    """The weight-zero extension fails its checks, so no computation here is
+    defined; item is the first failed CheckItem of the extension report."""
+
+    def __init__(self, report):
+        self.item = report.first_failure()
+        super().__init__(f"{report.title}: FAIL {self.item.name}  [{self.item.detail}]")
+
+
+def checked_extension(rep_or_g0):
+    """(g0, n): the checked weight-zero extension of a J-space or G0Rep and
+    its level, the entry of every computation here.  Raises ExtensionError,
+    or LevelError unless the level is a nonnegative integer."""
+    g0 = rep_or_g0 if isinstance(rep_or_g0, G0Rep) else extend_to_g0(rep_or_g0)
+    if not g0.report.ok:
+        raise ExtensionError(g0.report)
+    n = level(g0.rep)
+    if n < 0:
+        raise LevelError(f"level {n} is negative")
+    return g0, n
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +198,7 @@ def efr_power(g0, a, rr):
     lowering factors left) and a formal lowering polynomial with matrix
     coefficients for rr <= n.
     """
-    if isinstance(g0, JSpaceRep):
-        g0 = extend_to_g0(g0)
-    n = level(g0.rep)
+    g0, n = checked_extension(g0)
     if not 0 <= rr <= n + 1:
         raise ValueError(f"need 0 <= rr <= {n + 1}")
     data = _StraightData(g0)
@@ -206,10 +225,8 @@ def efr_vanishes(rep_or_g0, mode="symbolic", samples=8, seed=0):
     Symbolic mode uses polynomial coordinates for a; random mode samples.
     Returns (verdict, witness-or-None).
     """
-    g0 = rep_or_g0 if isinstance(rep_or_g0, G0Rep) else extend_to_g0(rep_or_g0)
-    rep = g0.rep
-    n = level(rep)
-    d = rep.jordan.dim
+    g0, n = checked_extension(rep_or_g0)
+    d = g0.rep.jordan.dim
     if mode == "symbolic":
         a = Poly.variables(d)
         op = efr_power(g0, a, n + 1)
@@ -235,10 +252,8 @@ def garland_coefficient(g0, a, rr):
     (-1)^rr rr! (n+1)!/(n+1-rr)!.  The rho images of the powers of a must
     commute, which is validated first.
     """
-    if isinstance(g0, JSpaceRep):
-        g0 = extend_to_g0(g0)
+    g0, n = checked_extension(g0)
     rep = g0.rep
-    n = level(rep)
     if not 0 <= rr <= n + 1:
         raise ValueError(f"need 0 <= rr <= {n + 1}")
     J = rep.jordan
@@ -331,8 +346,7 @@ class TruncatedVerma:
             raise WindowError("window depth must be >= 1")
         if D_max < 0:
             raise InputError("max degree must be >= 0")
-        if isinstance(g0, JSpaceRep):
-            g0 = extend_to_g0(g0)
+        g0, self.n = checked_extension(g0)
         self.g0 = g0
         rep = g0.rep
         self.rep = rep
@@ -340,9 +354,6 @@ class TruncatedVerma:
         self.J = J
         if any(x < 0 for x in J.space.degrees):
             raise InputError("algebra degrees must be nonnegative")
-        self.n = level(rep)
-        if self.n < 0:
-            raise InputError("level must be nonnegative")
         self.D_max = D_max
         self.W = W
         self.ell_max = self.n + W
@@ -615,7 +626,7 @@ def _leaves(verma, X, gen, cell):
     return False
 
 
-def weyl_dimensions(rep_or_g0, D_max, W=None, seed=0):
+def weyl_dimensions(rep_or_g0, D_max, W=None):
     """Graded dimensions of the universal bounded quotient, windowed.
 
     The killed part is the raising-closure of the full below-band cells
@@ -626,15 +637,13 @@ def weyl_dimensions(rep_or_g0, D_max, W=None, seed=0):
     pass applies every generator to the whole killed part: a raising image
     outside it marks the table unstable, any other image outside it fails
     the submodule certificate.
+    meta also says whether the top cells survive (top_weight_preserved, the
+    exact closure-side reading of dominance); nothing depends on a seed.
     """
-    g0 = rep_or_g0 if isinstance(rep_or_g0, G0Rep) else extend_to_g0(rep_or_g0)
-    rep = g0.rep
-    n = level(rep)
+    g0, n = checked_extension(rep_or_g0)
     if W is None:
         W = n + 2
     verma = TruncatedVerma(g0, D_max, W)
-
-    dominant = dominance_check(rep, mode="random", samples=4, seed=seed).ok
 
     raise_gens = [g for g in verma.generators if g[0] == "e"]
 
@@ -703,7 +712,6 @@ def weyl_dimensions(rep_or_g0, D_max, W=None, seed=0):
         "stable": stable,
         "certificate_ok": certificate_ok,
         "top_weight_preserved": top_preserved,
-        "dominant_checked": dominant,
     }
     return WeylTable(n, D_max, W, dims, meta)
 

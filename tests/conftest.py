@@ -28,6 +28,17 @@ def one_gen_rep(n, T, name):
     return JSpaceRep(J, module, [Matrix.identity(m).scale(Q(n)), T], name=name)
 
 
+def noncommuting_rep():
+    """Noncommuting images over an algebra whose brace space is zero: the
+    quarter-commutators cannot descend to the quotient, so the weight-zero
+    extension fails its well-definedness item."""
+    J = truncated_poly(2, graded=False)
+    A = Matrix.from_rows([[Q(0), Q(1)], [Q(0), Q(0)]])
+    B = Matrix.from_rows([[Q(0), Q(0)], [Q(1), Q(0)]])
+    return JSpaceRep(J, LabeledSpace(("a", "b"), (0, 0)), [Matrix.identity(2), A, B],
+                     name="noncommuting")
+
+
 def projection_matrix():
     return Matrix.from_rows([[Q(1), Q(0)], [Q(0), Q(0)]])
 

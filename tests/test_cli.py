@@ -1,12 +1,12 @@
 import json
-from fractions import Fraction as Q
 
 import pytest
 
+from conftest import noncommuting_rep, one_gen_rep
 from tkkwb.cli import main
 from tkkwb.jordan import algebra_to_dict, truncated_poly
-from tkkwb.jspace import JSpaceRep, rep_to_dict
-from tkkwb.linalg import LabeledSpace, Matrix
+from tkkwb.jspace import rep_to_dict
+from tkkwb.linalg import Matrix
 
 
 def run(capsys, *argv):
@@ -239,19 +239,28 @@ def test_garland_verify(capsys):
     ("garland", "verify", "--samples", "1"),
 ], ids=["weyl-dims", "garland-verify"])
 def test_ill_defined_braces_exit1_with_witness(capsys, tmp_path, argv):
-    # noncommuting images over an algebra whose brace space is zero: rho has
-    # no weight-zero extension, so there is no table and no contraction
-    J = truncated_poly(2, graded=False)
-    A = Matrix.from_rows([[Q(0), Q(1)], [Q(0), Q(0)]])
-    B = Matrix.from_rows([[Q(0), Q(0)], [Q(1), Q(0)]])
-    r = JSpaceRep(J, LabeledSpace(("a", "b"), (0, 0)), [Matrix.identity(2), A, B],
-                  name="noncommuting")
+    # rho has no weight-zero extension, so there is no table and no contraction
+    r = noncommuting_rep()
     p = tmp_path / "rep.json"
-    p.write_text(json.dumps(rep_to_dict(r, algebra_to_dict(J))))
+    p.write_text(json.dumps(rep_to_dict(r, algebra_to_dict(r.jordan))))
     code, out, err = run(capsys, *argv, "--rep", str(p))
     assert code == 1
     assert out == ""
     assert "FAIL well-defined on the brace quotient  [defining-span generator" in err
+
+
+@pytest.mark.parametrize("n", [-1, -3])
+@pytest.mark.parametrize("argv", [
+    ("weyl", "dims", "--max-degree", "1"),
+    ("garland", "verify", "--samples", "1"),
+], ids=["weyl-dims", "garland-verify"])
+def test_negative_level_exit1(capsys, tmp_path, argv, n):
+    # rho(1) = n on a one-dimensional module: a J-space without a level
+    r = one_gen_rep(n, Matrix.zeros(1, 1), "negative level")
+    p = tmp_path / "rep.json"
+    p.write_text(json.dumps(rep_to_dict(r, algebra_to_dict(r.jordan))))
+    code, out, err = run(capsys, *argv, "--rep", str(p))
+    assert (code, out, err) == (1, "", f"level error: level {n} is negative\n")
 
 
 def test_symfun_relation(capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from conftest import nilpotent_matrix, one_gen_rep, projection_matrix
+from conftest import nilpotent_matrix, noncommuting_rep, one_gen_rep, projection_matrix
 from tkkwb.jordan import InputError, jmul, matrix_jordan, truncated_poly
 from tkkwb.jspace import (JSpaceRep, LevelError, ResourceError,
                           check_bimodule, check_envelope_relations,
@@ -135,14 +135,7 @@ def test_extension_zero_rep():
 
 
 def test_extension_detects_ill_defined_braces():
-    # noncommuting images over an algebra whose brace space is zero: the
-    # quarter-commutators cannot descend to the quotient
-    J = truncated_poly(2, graded=False)
-    module = LabeledSpace(("a", "b"), (0, 0))
-    A = Matrix.from_rows([[Q(0), Q(1)], [Q(0), Q(0)]])
-    B = Matrix.from_rows([[Q(0), Q(0)], [Q(1), Q(0)]])
-    r = JSpaceRep(J, module, [Matrix.identity(2), A, B], name="noncommuting")
-    g0 = extend_to_g0(r)
+    g0 = extend_to_g0(noncommuting_rep())
     assert not g0.report.ok
     assert "well-defined" in g0.report.first_failure().name
 

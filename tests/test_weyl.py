@@ -3,12 +3,14 @@ from fractions import Fraction as Q
 
 import pytest
 
-from conftest import one_gen_rep, projection_matrix
-from tkkwb.jordan import InputError, truncated_poly
-from tkkwb.jspace import (JSpaceRep, extend_to_g0, level, matrix_defining_rep,
-                          newton_rep, regular_rep, zero_rep)
-from tkkwb.linalg import LabeledSpace, Matrix, RowSpan, random_vector, zero_vector
-from tkkwb.weyl import (NoncommutingPowersError, TruncatedVerma,
+from conftest import (jordan_block_3, nilpotent_matrix, noncommuting_rep,
+                      one_gen_rep, projection_matrix)
+from tkkwb.jordan import InputError, matrix_jordan, truncated_poly
+from tkkwb.jspace import (LevelError, dominance_check, doubled_regular_rep,
+                          extend_to_g0, level, matrix_defining_rep, newton_rep,
+                          regular_rep, zero_rep)
+from tkkwb.linalg import Matrix, RowSpan, random_vector, zero_vector
+from tkkwb.weyl import (ExtensionError, NoncommutingPowersError, TruncatedVerma,
                         WindowError, apply_generator, bracket_fidelity,
                         dominance_sum_at, efr_power, efr_vanishes,
                         fpoly_equal, garland_coefficient, lowering_power,
@@ -259,12 +261,7 @@ def test_windowed_chain_matches_windowfree_contraction():
 
 
 def test_noncommuting_powers_diagnostic():
-    J = truncated_poly(2, graded=False)
-    module = LabeledSpace(("a", "b"), (0, 0))
-    A = Matrix.from_rows([[Q(0), Q(1)], [Q(0), Q(0)]])
-    B = Matrix.from_rows([[Q(0), Q(0)], [Q(1), Q(0)]])
-    r = JSpaceRep(J, module, [Matrix.identity(2), A, B], name="noncommuting")
-    g0 = G0_no_checks(r)
+    g0 = G0_no_checks(noncommuting_rep())
     with pytest.raises(NoncommutingPowersError):
         garland_coefficient(g0, basis(3, 1), 2)
 
@@ -350,9 +347,55 @@ def test_weyl_top_row_is_module_dims():
 def test_weyl_nondominant_flagged():
     bad = one_gen_rep(1, projection_matrix(), "ctl")
     table = weyl_dimensions(bad, 0)
-    assert table.meta["dominant_checked"] is False
+    assert table.meta["top_weight_preserved"] is False
     # the quotient collapses the module where the control fails
     assert table.meta["stable"]
+
+
+@pytest.mark.parametrize("make_rep,D", [
+    (lambda: zero_rep(truncated_poly(2)), 2),
+    (lambda: one_gen_rep(0, projection_matrix(), "level-0 control"), 0),
+    (lambda: one_gen_rep(1, projection_matrix(), "level-1 control"), 0),
+    (lambda: one_gen_rep(2, projection_matrix(), "level-2 control"), 0),
+    (lambda: one_gen_rep(1, nilpotent_matrix(), "level-1 nilpotent"), 0),
+    (lambda: one_gen_rep(2, jordan_block_3(), "level-2 jordan block"), 0),
+    (lambda: regular_rep(truncated_poly(3)), 2),
+    (lambda: matrix_defining_rep(2), 0),
+    (lambda: newton_rep(2, 3), 2),
+    (lambda: doubled_regular_rep(matrix_jordan(2)), 0),
+    (lambda: doubled_regular_rep(truncated_poly(2)), 2),
+], ids=["zero", "control-0", "control-1", "control-2", "nilpotent-1", "jordan-block-2",
+        "regular", "defining-M2", "newton-2-3", "doubled-M2", "doubled-poly2"])
+def test_top_weight_preserved_agrees_with_dominance(make_rep, D):
+    rep = make_rep()
+    table = weyl_dimensions(rep, D)
+    assert table.meta["stable"] and table.meta["certificate_ok"]
+    assert table.meta["top_weight_preserved"] == dominance_check(rep).ok
+
+
+ENTRY_POINTS = {
+    "weyl_dimensions": lambda r, a: weyl_dimensions(r, 1),
+    "TruncatedVerma": lambda r, a: TruncatedVerma(r, 1, 1),
+    "efr_power": lambda r, a: efr_power(r, a, 0),
+    "efr_vanishes": lambda r, a: efr_vanishes(r),
+    "garland_coefficient": lambda r, a: garland_coefficient(r, a, 0),
+}
+
+
+@pytest.mark.parametrize("as_g0", [False, True], ids=["jspace", "g0"])
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_entry_points_raise_extension_error(entry, as_g0):
+    r = noncommuting_rep()
+    with pytest.raises(ExtensionError) as info:
+        ENTRY_POINTS[entry](extend_to_g0(r) if as_g0 else r, basis(3, 1))
+    assert info.value.item.name == "well-defined on the brace quotient"
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_entry_points_reject_a_negative_level(entry):
+    r = one_gen_rep(-1, Matrix.zeros(1, 1), "negative level")
+    with pytest.raises(LevelError, match="^level -1 is negative$"):
+        ENTRY_POINTS[entry](r, basis(2, 1))
 
 
 def test_weyl_deterministic_across_runs():
