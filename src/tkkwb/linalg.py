@@ -5,9 +5,13 @@ exact, and equality tests mean actual equality.  Matrices, `rref`, `kernel`
 and `quotient` are dense on `fractions.Fraction`: they serve small dense
 users (desk scale), entries may also be any ring element supporting +, -, *
 (used for matrices of polynomials), and the elimination routines require
-genuine fractions.  `RowSpan`, which the Weyl closure drives with thousands
-of mostly-zero vectors, is sparse and fraction-free: it keeps primitive
-integer rows and reduces by integer row operations.
+genuine fractions.  The product `@` skips zero products: it reads each
+row of the right factor as its nonzero entries and multiplies them only by
+nonzero entries of the left, so a product of sparse operators (the
+power-sum representations) costs its number of nonzero products.  `RowSpan`,
+which the Weyl closure drives with thousands of mostly-zero vectors, is
+sparse and fraction-free: it keeps primitive integer rows and reduces by
+integer row operations.
 """
 
 from __future__ import annotations
@@ -116,17 +120,17 @@ class Matrix:
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError("shape mismatch in @")
-        ot = other.transpose().data
+        # each (i, j) entry sums a * b over k in increasing order, as the
+        # textbook triple loop does, but only over the nonzero a and b
+        brows = [[(j, b) for j, b in enumerate(row) if b] for row in other.data]
         out = []
         for ra in self.data:
-            out_row = []
-            for cb in ot:
-                acc = 0
-                for a, b in zip(ra, cb):
-                    if a and b:
-                        acc = acc + a * b
-                out_row.append(acc)
-            out.append(out_row)
+            acc = [0] * other.cols
+            for a, brow in zip(ra, brows):
+                if a:
+                    for j, b in brow:
+                        acc[j] = acc[j] + a * b
+            out.append(acc)
         return Matrix(self.rows, other.cols, out)
 
     def apply(self, vec):

@@ -298,6 +298,26 @@ def test_cubic_rearrangement_on_commutative_rep():
     assert rep.ok
 
 
+def test_envelope_relations_agree_with_dominance(instances):
+    # the cubic relation [[r(a),r(b)],r(c)] = 4 r(a(bc) - b(ac)) carries the
+    # factor 4 of the derivation identity: the J-spaces over non-associative
+    # algebras (defining reps of M2 and M3 and their tensor powers, doubled
+    # regular reps of M2 and of a spin factor) satisfy it
+    for name, rep, dominant in instances:
+        report = check_envelope_relations(rep)
+        assert report.ok == dominant, (name, report.first_failure())
+
+
+def test_cubic_relation_fails_off_a_jspace():
+    # multiplication operators of M2+ fail the derivation identity at (0,1,0)
+    r = regular_rep(matrix_jordan(2))
+    assert check_jspace(r).first_failure().detail == \
+        "derivation identity fails at basis triple (0,1,0)"
+    cubic = check_envelope_relations(r).items[2]
+    assert cubic.name == "cubic rearrangement relation"
+    assert (cubic.ok, cubic.detail) == (False, "fails at (0,1,0)")
+
+
 # ---------------------------------------------------------------------------
 # JSON round trip
 

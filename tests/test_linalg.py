@@ -148,6 +148,59 @@ def test_rowspan_agrees_with_rref(rows_and_vector):
     assert dense.contains(v) == sparse.contains(v) == (grown == rank)
 
 
+def _naive_matmul(a, b):
+    """The textbook triple loop: sum over k of the nonzero products, in
+    increasing k, starting from the int 0."""
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc = 0
+            for k in range(a.cols):
+                if a.data[i][k] and b.data[k][j]:
+                    acc = acc + a.data[i][k] * b.data[k][j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+@st.composite
+def _sparse_factors(draw):
+    m, k, n = draw(st.integers(0, 5)), draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    entry = st.one_of(st.just(Q(0)), st.just(Q(0)), st.just(Q(0)), _fractions)
+    a = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=m, max_size=m))
+    b = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    return Matrix(m, k, a), Matrix(k, n, b)
+
+
+@settings(deadline=None)
+@given(_sparse_factors())
+def test_matmul_agrees_with_triple_loop(factors):
+    a, b = factors
+    prod, ref = a @ b, _naive_matmul(a, b)
+    assert (prod.rows, prod.cols) == (a.rows, b.cols)
+    assert prod == Matrix(a.rows, b.cols, ref)
+    # an entry with no nonzero product stays the int 0, as in the triple loop
+    assert [[type(x) for x in row] for row in prod.data] == \
+        [[type(x) for x in row] for row in ref]
+
+
+def test_matmul_zero_rows_columns_and_polys():
+    a = M([[0, 0, 0], [1, 0, 2]])
+    b = M([[0, 3], [5, 0], [0, 0]])
+    prod = a @ b
+    assert prod == M([[0, 0], [0, 3]])
+    assert prod.data[0] == [0, 0] and all(type(x) is int for x in prod.data[0])
+    assert type(prod.data[1][0]) is int and type(prod.data[1][1]) is Q
+    x, y = Poly.variables(2)
+    p = Matrix(2, 2, [[x, 0], [y, x + y]])
+    q = Matrix(2, 3, [[1, y, 0], [0, x, Q(1, 2)]])
+    poly_prod = p @ q
+    assert poly_prod == Matrix(2, 3, _naive_matmul(p, q))
+    assert poly_prod == Matrix(2, 3, [[x, x * y, 0], [y, y * y + x * (x + y), (x + y) * Q(1, 2)]])
+    assert type(poly_prod.data[0][2]) is int
+
+
 def test_matrix_ops():
     a = M([[1, 2], [3, 4]])
     b = M([[0, 1], [1, 0]])

@@ -1,0 +1,270 @@
+"""The exhaustive identity checks against full product sweeps.
+
+`validate_lie`, `check_jspace`, `check_envelope_relations` and
+`extend_to_g0` decide an identity on one case per symmetry orbit when the
+identity that guards the symmetry holds.  The references below sweep every
+ordered tuple instead; the library's reports must match them line for line,
+witnesses included, on intact and corrupted bracket tables and
+representations, and on a noncommutative table where no reduction applies.
+"""
+
+import random
+from fractions import Fraction as Q
+from itertools import product
+
+import pytest
+
+from tkkwb.jordan import algebra_from_dict, algebra_to_dict, builtin, derivation_column, jmul
+from tkkwb.jspace import (JSpaceRep, LevelError, check_envelope_relations, check_jspace,
+                          dominance_check, doubled_regular_rep, extend_to_g0, level,
+                          matrix_defining_rep, newton_rep)
+from tkkwb.linalg import LabeledSpace, Matrix, add_into, combination, dense_vector, unit_vector
+from tkkwb.report import Report
+from tkkwb.tkk import build_sl2, validate_lie
+
+# -- references: every identity over the full product sweep -------------------
+
+
+def ref_validate_lie(g):
+    rep = Report(f"lie axioms for {g.kind}({g.jordan.name})")
+    n, lab = g.dim, g.labels
+
+    def asymmetric(pq):
+        p, q = pq
+        if g.bracket_basis(p, q) != {k: -c for k, c in g.bracket_basis(q, p).items()}:
+            return f"[{lab[p]},{lab[q]}] != -[{lab[q]},{lab[p]}]"
+
+    def jacobiator(pqr):
+        p, q, r = pqr
+        acc = {}
+        for a, b, c in ((p, q, r), (q, r, p), (r, p, q)):
+            for s, cs in g.bracket_basis(b, c).items():
+                add_into(acc, g.bracket_basis(a, s), cs)
+        if acc:
+            return f"triple ({lab[p]},{lab[q]},{lab[r]})"
+
+    def off_grade(item):
+        (p, q), out = item
+        for t, c in out.items():
+            if c and (g.weights[t] != g.weights[p] + g.weights[q] or
+                      g.degrees[t] != g.degrees[p] + g.degrees[q]):
+                return f"[{lab[p]},{lab[q]}] leaves the graded component"
+
+    rep.check("antisymmetry (all pairs)", product(range(n), repeat=2), asymmetric)
+    rep.check("jacobi identity (all basis triples)", product(range(n), repeat=3), jacobiator)
+    rep.check("bracket adds weights and degrees", g.table.items(), off_grade)
+    return rep
+
+
+def ref_square_failure(rep):
+    J, sig = rep.jordan, rep.rho
+    for i, j, k in product(range(J.dim), repeat=3):
+        acc = sig[i].commutator(rep.rho_of(J.table[j][k])) + \
+            sig[j].commutator(rep.rho_of(J.table[i][k])) + \
+            sig[k].commutator(rep.rho_of(J.table[i][j]))
+        if not acc.is_zero():
+            return (i, j, k)
+    return None
+
+
+def ref_check_jspace(rep):
+    J, sig = rep.jordan, rep.rho
+    d, m = J.dim, rep.mdim
+    report = Report(f"j-space axioms for {rep.name}")
+
+    def grading(irs):
+        i, r, s = irs
+        if sig[i].data[r][s] and rep.module.degrees[r] != \
+                rep.module.degrees[s] + J.space.degrees[i]:
+            return f"rho({J.space.labels[i]}) entry ({r},{s}) breaks the grading"
+
+    def derivation(ijk):
+        i, j, k = ijk
+        lhs = sig[i].commutator(sig[j]).commutator(sig[k])
+        if lhs != rep.rho_of(derivation_column(J, i, j, k)).scale(4):
+            return f"derivation identity fails at basis triple ({i},{j},{k})"
+
+    report.check("rho respects the grading", product(range(d), range(m), range(m)), grading)
+    report.check("derivation identity (all basis triples)",
+                 product(range(d), repeat=3), derivation)
+    t = ref_square_failure(rep)
+    report.add("square commutation, polarized (all basis triples)", t is None,
+               "" if t is None else "polarized square-commutation fails at (%d,%d,%d)" % t)
+    return report
+
+
+def ref_check_envelope_relations(rep):
+    J, sig = rep.jordan, rep.rho
+    d = J.dim
+    report = Report(f"envelope relations for {rep.name}")
+    try:
+        n = level(rep)
+    except LevelError as exc:
+        report.add("rho(1) is an integer scalar", False, str(exc))
+        return report
+    report.add("rho(1) is an integer scalar", True, f"level {n}")
+    t = ref_square_failure(rep)
+    report.add("square commutation, polarized", t is None,
+               "" if t is None else "fails at (%d,%d,%d)" % t)
+
+    def cubic(abc):
+        a, b, c = abc
+        lhs = sig[a].commutator(sig[b]).commutator(sig[c])
+        a_bc = jmul(J, unit_vector(d, a), dense_vector(d, J.table[b][c]))
+        b_ac = jmul(J, unit_vector(d, b), dense_vector(d, J.table[a][c]))
+        if lhs != rep.rho_of([x - y for x, y in zip(a_bc, b_ac)]).scale(4):
+            return f"fails at ({a},{b},{c})"
+
+    report.check("cubic rearrangement relation", product(range(d), repeat=3), cubic)
+    report.merge(dominance_check(rep))
+    return report
+
+
+def ref_homomorphism(rep, ext):
+    """The lines of extend_to_g0's report, with the homomorphism item swept
+    over every ordered pair of weight-zero basis elements."""
+    J, m = rep.jordan, rep.mdim
+    lib = extend_to_g0(rep, ext).report
+    report = Report(lib.title, lib.items[:1])
+    dmats = [rep.rho[i].commutator(rep.rho[j]).scale(Q(1, 4))
+             for i, j in (ext.brace.pairs[t] for t in ext.brace.reps)]
+    zero = [ext.h_index(i) for i in range(J.dim)] + \
+        [ext.tail_index(k) for k in range(ext.brace.dim)]
+    phi = dict(zip(zero, list(rep.rho) + dmats))
+
+    def mismatch(pq):
+        p, q = pq
+        rhs = combination(m, [phi[t] for t in zero],
+                          [ext.bracket_basis(p, q).get(t, 0) for t in zero])
+        if phi[p].commutator(phi[q]) != rhs:
+            return f"bracket mismatch at ({ext.labels[p]},{ext.labels[q]})"
+
+    report.check("homomorphism on the weight-zero bracket table",
+                 product(zero, repeat=2), mismatch)
+    return report
+
+
+# -- corruptions ---------------------------------------------------------------
+
+
+def corrupt_table(g, rng, keep_antisymmetry):
+    """Add a random term to one off-diagonal bracket [p, q]; with
+    keep_antisymmetry also subtract it from [q, p]."""
+    p, q = rng.sample(range(g.dim), 2)
+    t, c = rng.randrange(g.dim), rng.choice([1, -1, 2, Q(1, 2)])
+    g.table[(p, q)] = add_into(dict(g.bracket_basis(p, q)), {t: c})
+    if keep_antisymmetry:
+        g.table[(q, p)] = add_into(dict(g.bracket_basis(q, p)), {t: -c})
+    return g
+
+
+def corrupt_rep(rep, rng):
+    """The same representation with one random rho entry changed."""
+    i, r, s = rng.randrange(rep.jordan.dim), rng.randrange(rep.mdim), rng.randrange(rep.mdim)
+    data = [list(row) for row in rep.rho[i].data]
+    data[r][s] += rng.choice([1, -1, 2, Q(1, 2)])
+    rho = list(rep.rho)
+    rho[i] = Matrix(rep.mdim, rep.mdim, data)
+    return JSpaceRep(rep.jordan, rep.module, rho,
+                     name=f"{rep.name} with rho({i})[{r},{s}] changed")
+
+
+def noncommutative_reps():
+    """Representations over tables with e_i e_j != e_j e_i, where no
+    reduction may assume commutativity."""
+    base = newton_rep(2, 2)
+    data = algebra_to_dict(base.jordan)
+    data["mult"] += [{"i": 1, "j": 2, "coords": ["0", "1", "1"]},
+                     {"i": 2, "j": 1, "coords": ["0", "0", "2"]}]
+    J = algebra_from_dict(data, name="noncommutative truncated-poly(2)")
+    newton = JSpaceRep(J, base.module, base.rho, name="newton rho over a noncommutative table")
+    # unit 1 and ab = 0, ba = b: the polarized square commutation vanishes on
+    # every sorted triple and fails first at (1,2,1), by [rho(a), rho(b)]
+    J = algebra_from_dict({
+        "labels": ["1", "a", "b"], "degrees": [0, 0, 0], "unit": ["1", "0", "0"],
+        "mult": [{"i": 0, "j": 0, "coords": ["1", "0", "0"]},
+                 {"i": 0, "j": 1, "coords": ["0", "1", "0"]},
+                 {"i": 0, "j": 2, "coords": ["0", "0", "1"]},
+                 {"i": 2, "j": 1, "coords": ["0", "0", "1"]},
+                 {"i": 1, "j": 2, "coords": ["0", "0", "0"]}],
+    }, name="ab = 0, ba = b")
+    module = LabeledSpace(("u", "v"), (0, 0))
+    shear = JSpaceRep(J, module, [Matrix.identity(2),
+                                  Matrix.from_rows([[Q(0), Q(1)], [Q(0), Q(0)]]),
+                                  Matrix.from_rows([[Q(0), Q(0)], [Q(1), Q(0)]])],
+                      name="shears over ab = 0, ba = b")
+    return [newton, shear]
+
+
+# -- the tests -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("family, params", [
+    ("truncated-poly", {"degree": 2}),
+    ("matrix", {"size": 2}),
+    ("spin-factor", {"dim": 3}),
+])
+def test_validate_lie_matches_full_sweep(family, params):
+    J = builtin(family, **params)
+    assert validate_lie(build_sl2(J)).lines() == ref_validate_lie(build_sl2(J)).lines()
+    failing = 0
+    for seed in range(8):
+        for keep in (True, False):
+            g = corrupt_table(build_sl2(J), random.Random(seed), keep)
+            lib = validate_lie(g)
+            assert lib.lines() == ref_validate_lie(g).lines(), (seed, keep)
+            assert lib.items[0].ok is keep
+            failing += not lib.ok
+    assert failing >= 14
+
+
+_REPS = {
+    "newton-2-3": lambda: newton_rep(2, 3),
+    "newton-3-2": lambda: newton_rep(3, 2),
+    "defining-M2": lambda: matrix_defining_rep(2),
+    "doubled-spin2": lambda: doubled_regular_rep(builtin("spin-factor", dim=2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REPS))
+def test_jspace_checks_match_full_sweep(name):
+    base = _REPS[name]()
+    ext = build_sl2(base.jordan)
+    failing = 0
+    for seed in range(-1, 6):
+        rep = base if seed < 0 else corrupt_rep(base, random.Random(seed))
+        lib = check_jspace(rep)
+        assert lib.lines() == ref_check_jspace(rep).lines(), seed
+        assert check_envelope_relations(rep).lines() == \
+            ref_check_envelope_relations(rep).lines(), seed
+        assert extend_to_g0(rep, ext).report.lines() == ref_homomorphism(rep, ext).lines(), seed
+        failing += not lib.ok
+    assert failing >= 5
+
+
+def test_extension_falls_back_on_a_non_antisymmetric_block():
+    rep = matrix_defining_rep(2)
+    ext = build_sl2(rep.jordan)
+    # only the pair that a sweep over p < q skips is wrong
+    h0, h1 = ext.h_index(0), ext.h_index(1)
+    ext.table[(h1, h0)] = add_into(dict(ext.bracket_basis(h1, h0)), {ext.tail_index(0): 1})
+    lib = extend_to_g0(rep, ext).report
+    assert not lib.ok
+    assert lib.lines() == ref_homomorphism(rep, ext).lines()
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_noncommutative_table_matches_full_sweep(index):
+    base = noncommutative_reps()[index]
+    assert any(base.jordan.table[i][j] != base.jordan.table[j][i]
+               for i in range(base.jordan.dim) for j in range(i))
+    for seed in range(-1, 6):
+        rep = base if seed < 0 else corrupt_rep(base, random.Random(seed))
+        assert check_jspace(rep).lines() == ref_check_jspace(rep).lines(), seed
+        assert check_envelope_relations(rep).lines() == \
+            ref_check_envelope_relations(rep).lines(), seed
+
+
+def test_square_commutation_first_fails_off_the_sorted_triples():
+    rep = noncommutative_reps()[1]
+    assert check_jspace(rep).items[2].detail == "polarized square-commutation fails at (1,2,1)"
