@@ -138,20 +138,16 @@ def validate(J, seed=0):
     rep.check("degree additivity", product(range(d), repeat=2), off_degree)
 
     if d <= _EXHAUSTIVE_DIM_LIMIT:
-        basis = [unit_vector(d, i) for i in range(d)]
-        prods = [[dense_vector(d, J.table[i][j]) for j in range(d)] for i in range(d)]
+        T = J.table
 
         def polarized(xyz):
             x, y, z = xyz
-            terms = ((prods[x][y], z), (prods[x][z], y), (prods[y][z], x))
+            terms = ((T[x][y], z), (T[x][z], y), (T[y][z], x))
             for b in range(d):
-                bv = basis[b]
-                lhs = rhs = [0] * d
+                lhs, rhs = {}, {}
                 for u, w in terms:
-                    t = jmul(J, jmul(J, u, bv), basis[w])
-                    lhs = [p + q for p, q in zip(lhs, t)]
-                    t = jmul(J, u, jmul(J, bv, basis[w]))
-                    rhs = [p + q for p, q in zip(rhs, t)]
+                    add_into(lhs, table_product(T, table_product(T, u, {b: 1}), {w: 1}))
+                    add_into(rhs, table_product(T, u, T[b][w]))
                 if lhs != rhs:
                     return f"polarized identity fails at (x,y,z,b)=({x},{y},{z},{b})"
 
@@ -213,13 +209,13 @@ def special_from_associative(labels, unit, assoc_table, name=None):
     for i in range(d):
         for j in range(d):
             for k in range(d):
-                lhs = _assoc_mul(assoc_table, {i: 1}, assoc_table[j][k])
-                rhs = _assoc_mul(assoc_table, assoc_table[i][j], {k: 1})
+                lhs = table_product(assoc_table, {i: 1}, assoc_table[j][k])
+                rhs = table_product(assoc_table, assoc_table[i][j], {k: 1})
                 if lhs != rhs:
                     raise InputError(f"input table not associative at ({i},{j},{k})")
     unit_sparse = {i: c for i, c in enumerate(unit) if c}
     for i in range(d):
-        if _assoc_mul(assoc_table, unit_sparse, {i: 1}) != {i: 1}:
+        if table_product(assoc_table, unit_sparse, {i: 1}) != {i: 1}:
             raise InputError("input unit is not a left unit")
     half = Fraction(1, 2)
     table = [[{} for _ in range(d)] for _ in range(d)]
@@ -230,8 +226,10 @@ def special_from_associative(labels, unit, assoc_table, name=None):
     return JordanAlgebra(space, unit, table, name or "special jordan algebra")
 
 
-def _assoc_mul(table, u, v):
-    """The associative product of two sparse {index: coeff} vectors."""
+def table_product(table, u, v):
+    """The bilinear product of two sparse {index: coeff} vectors under a
+    structure table, where table[i][j] is the sparse product of basis
+    elements i and j (any table: commutative, associative or neither)."""
     out = {}
     for i, ui in u.items():
         for j, vj in v.items():

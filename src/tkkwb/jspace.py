@@ -15,8 +15,8 @@ from itertools import combinations, combinations_with_replacement, product
 from pathlib import Path
 
 from .jordan import (InputError, builtin, derivation_column, jmul, jpower,
-                     load_algebra, truncated_poly)
-from .linalg import (LabeledSpace, Matrix, as_q, combination, dense_vector, kron,
+                     load_algebra, table_product, truncated_poly)
+from .linalg import (LabeledSpace, Matrix, as_q, combination, kron,
                      q_str, random_vector, scalar_value, unit_vector)
 from .multipoly import Poly
 from .report import Report
@@ -239,10 +239,8 @@ def extend_to_g0(rep, ext=None):
     # on an antisymmetric block both sides of the homomorphism are
     # antisymmetric in (p, q) and vanish at p = q, so pairs p < q decide it
     # and the first failing pair in product order is one of them
-    antisymmetric = all(ext.bracket_basis(p, q) ==
-                        {t: -c for t, c in ext.bracket_basis(q, p).items()}
-                        for p, q in combinations_with_replacement(zero_indices, 2))
-    pairs = combinations(zero_indices, 2) if antisymmetric else product(zero_indices, repeat=2)
+    pairs = combinations(zero_indices, 2) if ext.antisymmetric_on(zero_indices) \
+        else product(zero_indices, repeat=2)
     report.check("homomorphism on the weight-zero bracket table", pairs, mismatch)
     return G0Rep(rep, ext, dmats, report)
 
@@ -337,7 +335,7 @@ def check_bimodule(rep):
     def quadratic(case):
         x, y, b = case
         sx, sy, sb = sig[x], sig[y], sig[b]
-        xyb = jmul(J, dense_vector(d, J.table[x][y]), unit_vector(d, b))
+        xyb = table_product(J.table, J.table[x][y], {b: 1})
         lhs = rep.rho_of(xyb) + sx @ sb @ sy + sy @ sb @ sx
         rhs = rep.rho_of(J.table[x][b]) @ sy + rep.rho_of(J.table[y][b]) @ sx \
             + rep.rho_of(J.table[x][y]) @ sb
@@ -395,8 +393,8 @@ def check_envelope_relations(rep, mode="symbolic", samples=8, seed=0):
     def cubic(abc):
         a, b, c = abc
         ra, rb, rc = sig[a], sig[b], sig[c]
-        b_ac = jmul(J, unit_vector(d, b), dense_vector(d, J.table[a][c]))
-        a_bc = jmul(J, unit_vector(d, a), dense_vector(d, J.table[b][c]))
+        b_ac = table_product(J.table, {b: 1}, J.table[a][c])
+        a_bc = table_product(J.table, {a: 1}, J.table[b][c])
         acc = ra @ rb @ rc + rc @ rb @ ra - rb @ ra @ rc - rc @ ra @ rb
         acc = acc + (rep.rho_of(b_ac) - rep.rho_of(a_bc)).scale(4)
         if not acc.is_zero():

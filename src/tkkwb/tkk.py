@@ -3,16 +3,21 @@
 Both algebras live on sl2(k) tensor J plus a weight-zero tail: the span of
 inner derivations for the classical construction, and the quotient
 wedge^2(J) / span{a ^ a^2} (the "brace space") for the central extension.
-Structure constants are built from the bracket rules, stored densely per
-ordered basis pair, and re-verified rather than trusted: antisymmetry is
-checked on all ordered pairs, and the Jacobi identity on all basis triples,
-decided on the sorted triples of distinct indices once antisymmetry holds.
+Each construction computes its tail data once, as plain data (the tail
+coordinates `pair_coords` of every pair of Jordan basis elements, the
+derivation matrix of every tail element, the brackets among tail elements)
+and hands it to one table filler.  The central epimorphism reads the
+classical pair coordinates.  Structure constants are built from the bracket
+rules, stored densely per ordered basis pair, and re-verified rather than
+trusted: antisymmetry is checked on all ordered pairs, and the Jacobi
+identity on all basis triples, decided on the sorted triples of distinct
+indices once antisymmetry holds.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 from .jordan import InputError, ensure_valid, inner_derivation
 from .linalg import (Matrix, RowSpan, add_into, kernel, q_str, quotient, rref,
@@ -76,13 +81,13 @@ class BraceSpace:
         self.s_rows = span.basis_matrix()
         self.reps, self.projection = quotient(len(self.pairs), self.s_rows)
         self.rep_pairs = [self.pairs[t] for t in self.reps]
-        # sparse brace coordinates of every ordered basis pair
-        self._pair_coords = {}
+        # sparse brace coordinates of every ordered pair of distinct basis elements
+        self.pair_coords = {}
         for t, (i, j) in enumerate(self.pairs):
             col = {k: self.projection.data[k][t] for k in range(self.dim)
                    if self.projection.data[k][t]}
-            self._pair_coords[(i, j)] = col
-            self._pair_coords[(j, i)] = {k: -c for k, c in col.items()}
+            self.pair_coords[(i, j)] = col
+            self.pair_coords[(j, i)] = {k: -c for k, c in col.items()}
 
     @property
     def dim(self):
@@ -108,7 +113,7 @@ class BraceSpace:
         """Sparse quotient coordinates of the class of e_i ^ e_j."""
         if i == j:
             return {}
-        return self._pair_coords[(i, j)]
+        return self.pair_coords[(i, j)]
 
     def brace_coords(self, u, v):
         """Quotient coordinates of the class of u ^ v."""
@@ -132,7 +137,10 @@ class TKKAlgebra:
 
     Basis indices: e(i) = i, f(i) = dim+i, h(i) = 2*dim+i, tail(k) = 3*dim+k.
     `table[(p, q)]` is the sparse coordinate dict of the bracket of basis
-    elements p and q.
+    elements p and q.  `pair_coords[(i, j)]`, for i != j, holds the sparse
+    tail coordinates of the pair of Jordan basis elements i, j: its brace
+    for the central extension, its inner derivation for the classical
+    algebra.
     """
 
     def __init__(self, jordan, kind, tail_dim, tail_labels, tail_degrees, kappa):
@@ -158,6 +166,7 @@ class TKKAlgebra:
         self.weights = tuple(weights)
         self.degrees = tuple(degrees)
         self.table = {}
+        self.pair_coords = {}
         self.brace = None       # set for the central extension
 
     def e_index(self, i):
@@ -185,6 +194,12 @@ class TKKAlgebra:
     def bracket_basis(self, p, q):
         return self.table.get((p, q), {})
 
+    def antisymmetric_on(self, indices):
+        """Whether [p, q] = -[q, p] exactly, as sparse dicts, for all p, q in indices."""
+        return all(self.bracket_basis(p, q) ==
+                   {t: -c for t, c in self.bracket_basis(q, p).items()}
+                   for p, q in combinations_with_replacement(indices, 2))
+
     def bracket(self, u, v):
         """Bracket of two dense coordinate vectors."""
         out = [0] * self.dim
@@ -206,7 +221,15 @@ class TKKAlgebra:
         return f"TKKAlgebra({self.kind} of {self.jordan.name}, dim={self.dim})"
 
 
-def _fill_sl2_blocks(g, tail_pair_coords):
+def _fill_table(g, pair_coords, tail_mats, tail_brackets):
+    """Record the tail data on g and write its bracket table.
+
+    [x(a), y(b)] = [x, y](ab) + kappa(x, y) pair_coords[(a, b)] on e/f/h;
+    tail element k acts on e/f/h by tail_mats[k] and brackets with tail
+    element l to tail_brackets[(k, l)].  The reversed order against e/f/h is
+    filled by antisymmetry, which validate_lie re-checks rather than trusts.
+    """
+    g.pair_coords = pair_coords
     d = g.jdim
     idxmap = {"e": g.e_index, "f": g.f_index, "h": g.h_index}
     for xt in _SL2_BASIS:
@@ -219,20 +242,11 @@ def _fill_sl2_blocks(g, tail_pair_coords):
                     prod = g.jordan.table[i][j]
                     for z, cz in sc.items():
                         add_into(out, {idxmap[z](k): c for k, c in prod.items()}, cz)
-                    if kap:
+                    if kap and i != j:
                         add_into(out, {g.tail_index(k): c
-                                       for k, c in tail_pair_coords(i, j).items()}, kap)
+                                       for k, c in pair_coords[(i, j)].items()}, kap)
                     g.table[(idxmap[xt](i), idxmap[yt](j))] = out
-
-
-def _fill_tail_action(g, tail_derivation_matrix, tail_on_tail):
-    """Tail elements act on e/f/h by their derivation and bracket among
-    themselves; the reversed order against e/f/h is filled by antisymmetry,
-    which validate_lie re-checks rather than trusts."""
-    d = g.jdim
-    idxmap = {"e": g.e_index, "f": g.f_index, "h": g.h_index}
-    for k in range(g.tail_dim):
-        der = tail_derivation_matrix(k)
+    for k, der in enumerate(tail_mats):
         for xt in _SL2_BASIS:
             for j in range(d):
                 out = {}
@@ -243,8 +257,8 @@ def _fill_tail_action(g, tail_derivation_matrix, tail_on_tail):
                 g.table[(g.tail_index(k), idxmap[xt](j))] = out
                 g.table[(idxmap[xt](j), g.tail_index(k))] = {p: -c for p, c in out.items()}
         for l in range(g.tail_dim):
-            out = {g.tail_index(r): c for r, c in tail_on_tail(k, l).items()}
-            g.table[(g.tail_index(k), g.tail_index(l))] = out
+            g.table[(g.tail_index(k), g.tail_index(l))] = \
+                {g.tail_index(r): c for r, c in tail_brackets[(k, l)].items()}
 
 
 def build_sl2(J):
@@ -259,27 +273,19 @@ def build_sl2(J):
 
     ders = [inner_derivation(J, unit_vector(J.dim, a), unit_vector(J.dim, b))
             for a, b in bs.rep_pairs]
+    # [{a,b},{c,d}] = {da_{a,b} c, d} + {c, da_{a,b} d}
+    tail_brackets = {}
+    for k, der in enumerate(ders):
+        for l, (a_l, b_l) in enumerate(bs.rep_pairs):
+            out = {}
+            for r in range(J.dim):
+                if der.data[r][a_l]:
+                    add_into(out, bs.brace_pair(r, b_l), der.data[r][a_l])
+                if der.data[r][b_l]:
+                    add_into(out, bs.brace_pair(a_l, r), der.data[r][b_l])
+            tail_brackets[(k, l)] = out
 
-    def tail_pair_coords(i, j):
-        return bs.brace_pair(i, j)
-
-    def tail_derivation_matrix(k):
-        return ders[k]
-
-    def tail_on_tail(k, l):
-        # [{a,b},{c,d}] = {da_{a,b} c, d} + {c, da_{a,b} d}
-        a_l, b_l = bs.rep_pairs[l]
-        der = ders[k].data
-        out = {}
-        for r in range(J.dim):
-            if der[r][a_l]:
-                add_into(out, bs.brace_pair(r, b_l), der[r][a_l])
-            if der[r][b_l]:
-                add_into(out, bs.brace_pair(a_l, r), der[r][b_l])
-        return out
-
-    _fill_sl2_blocks(g, tail_pair_coords)
-    _fill_tail_action(g, tail_derivation_matrix, tail_on_tail)
+    _fill_table(g, bs.pair_coords, ders, tail_brackets)
     return g
 
 
@@ -287,15 +293,14 @@ def build_tkk(J):
     """Classical construction: tail = the span of inner derivations."""
     ensure_valid(J)
     d = J.dim
-    ders = {}
-    span_rows = []
-    for a in range(d):
-        for b in range(a + 1, d):
-            m = inner_derivation(J, unit_vector(d, a), unit_vector(d, b))
-            ders[(a, b)] = m
-            span_rows.append([m.data[r][c] for r in range(d) for c in range(d)])
-    if span_rows:
-        rank, red, pivots = rref(Matrix.from_rows(span_rows))
+
+    def flat(mat):
+        return [mat.data[r][c] for r in range(d) for c in range(d)]
+
+    ders = {(a, b): inner_derivation(J, unit_vector(d, a), unit_vector(d, b))
+            for a in range(d) for b in range(a + 1, d)}
+    if ders:
+        rank, red, pivots = rref(Matrix.from_rows([flat(m) for m in ders.values()]))
     else:
         rank, red, pivots = 0, Matrix.zeros(0, d * d), []
     basis_rows = [red.row(r) for r in range(rank)]
@@ -320,44 +325,30 @@ def build_tkk(J):
     g = TKKAlgebra(J, "tkk", rank, [f"inn{k}" for k in range(rank)], degrees, kappa)
 
     def inn_coords(mat):
-        flat = [mat.data[r][c] for r in range(d) for c in range(d)]
-        coords = [flat[p] for p in pivots]
-        resid = list(flat)
+        """Sparse coordinates of mat over the inner-derivation basis."""
+        resid = flat(mat)
+        coords = [resid[p] for p in pivots]
         for c, row in zip(coords, basis_rows):
             if c:
                 resid = [x - c * y for x, y in zip(resid, row)]
         if any(resid):
             raise InputError("matrix outside the inner-derivation span")
-        return coords
-
-    g.inn_coords = inn_coords
-
-    def tail_pair_coords(i, j):
-        if i == j:
-            return {}
-        m = ders[(i, j)] if i < j else ders[(j, i)]
-        coords = inn_coords(m)
-        if i > j:
-            coords = [-x for x in coords]
         return {k: c for k, c in enumerate(coords) if c}
 
-    def tail_derivation_matrix(k):
-        return basis_mats[k]
-
-    # [D_k, D_l] = -[D_l, D_k] exactly, so each unordered pair is computed once
+    # D_{b,a} = -D_{a,b} and [D_k, D_l] = -[D_l, D_k] exactly, so each
+    # unordered pair is computed once
+    pair_coords = {}
+    for (a, b), m in ders.items():
+        pair_coords[(a, b)] = col = inn_coords(m)
+        pair_coords[(b, a)] = {k: -c for k, c in col.items()}
     tail_brackets = {}
     for k in range(rank):
         for l in range(k, rank):
-            comm = basis_mats[k].commutator(basis_mats[l])
-            out = {t: c for t, c in enumerate(inn_coords(comm)) if c}
+            out = inn_coords(basis_mats[k].commutator(basis_mats[l]))
             tail_brackets[(k, l)] = out
             tail_brackets[(l, k)] = {t: -c for t, c in out.items()}
 
-    def tail_on_tail(k, l):
-        return tail_brackets[(k, l)]
-
-    _fill_sl2_blocks(g, tail_pair_coords)
-    _fill_tail_action(g, tail_derivation_matrix, tail_on_tail)
+    _fill_table(g, pair_coords, basis_mats, tail_brackets)
     return g
 
 
@@ -451,15 +442,20 @@ def short_grading(g):
 def center_map(g_ext, g_tkk):
     """The epimorphism from the central extension onto the classical algebra.
 
-    Identity on e/f/h, braces map to the inner derivations they name.
+    Identity on e/f/h; the brace of a representative pair (a, b) maps to the
+    inner derivation D_{a,b}, read from the classical algebra's pair_coords.
     Returns (matrix, kernel_basis, report); the kernel is checked central.
+
+    When both bracket tables are exactly antisymmetric, both sides of the
+    homomorphism identity are antisymmetric in (p, q) and vanish at p = q,
+    so pairs p < q decide it and the first failing pair in product order is
+    one of them; otherwise every ordered pair is swept.
     """
     if g_ext.kind != "sl2" or g_tkk.kind != "tkk":
         raise InputError("center_map expects (central extension, classical TKK)")
     if g_ext.jordan is not g_tkk.jordan:
         raise InputError("the two algebras must come from the same Jordan algebra")
     rep = Report(f"central epimorphism for {g_ext.jordan.name}")
-    d = g_ext.jdim
     cols = []
     for p in range(g_ext.dim):
         kind, i = g_ext.basis_kind(p)
@@ -471,9 +467,7 @@ def center_map(g_ext, g_tkk):
         elif kind == "h":
             img[g_tkk.h_index(i)] = Fraction(1)
         else:
-            a, b = g_ext.brace.rep_pairs[i]
-            der = inner_derivation(g_ext.jordan, unit_vector(d, a), unit_vector(d, b))
-            for k, c in enumerate(g_tkk.inn_coords(der)):
+            for k, c in g_tkk.pair_coords[g_ext.brace.rep_pairs[i]].items():
                 img[g_tkk.tail_index(k)] = c
         cols.append(img)
     phi = Matrix(g_tkk.dim, g_ext.dim,
@@ -489,8 +483,10 @@ def center_map(g_ext, g_tkk):
         if lhs != g_tkk.bracket(cols[p], cols[q]):
             return f"not a homomorphism at ({g_ext.labels[p]},{g_ext.labels[q]})"
 
-    rep.check("lie algebra homomorphism (all pairs)",
-              product(range(g_ext.dim), repeat=2), nonhomomorphic)
+    n = g_ext.dim
+    antisymmetric = g_ext.antisymmetric_on(range(n)) and g_tkk.antisymmetric_on(range(g_tkk.dim))
+    pairs = combinations(range(n), 2) if antisymmetric else product(range(n), repeat=2)
+    rep.check("lie algebra homomorphism (all pairs)", pairs, nonhomomorphic)
 
     ker = kernel(phi)
     rank = phi.cols - ker.rows

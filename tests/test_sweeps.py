@@ -1,26 +1,29 @@
 """The exhaustive identity checks against full product sweeps.
 
-`validate_lie`, `check_jspace`, `check_envelope_relations` and
-`extend_to_g0` decide an identity on one case per symmetry orbit when the
+`validate_lie`, `check_jspace`, `check_envelope_relations`, `extend_to_g0`
+and `center_map` decide an identity on one case per symmetry orbit when the
 identity that guards the symmetry holds.  The references below sweep every
 ordered tuple instead; the library's reports must match them line for line,
 witnesses included, on intact and corrupted bracket tables and
 representations, and on a noncommutative table where no reduction applies.
+`jordan.validate` multiplies sparse table rows; its reference multiplies
+dense vectors through `jmul`.
 """
 
 import random
 from fractions import Fraction as Q
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
-from tkkwb.jordan import algebra_from_dict, algebra_to_dict, builtin, derivation_column, jmul
+from tkkwb.jordan import (algebra_from_dict, algebra_to_dict, builtin, derivation_column, jmul,
+                          validate)
 from tkkwb.jspace import (JSpaceRep, LevelError, check_envelope_relations, check_jspace,
                           dominance_check, doubled_regular_rep, extend_to_g0, level,
                           matrix_defining_rep, newton_rep)
 from tkkwb.linalg import LabeledSpace, Matrix, add_into, combination, dense_vector, unit_vector
 from tkkwb.report import Report
-from tkkwb.tkk import build_sl2, validate_lie
+from tkkwb.tkk import build_sl2, build_tkk, center_map, validate_lie
 
 # -- references: every identity over the full product sweep -------------------
 
@@ -144,6 +147,52 @@ def ref_homomorphism(rep, ext):
     return report
 
 
+def ref_center_map(ext, classical):
+    """The lines of center_map's report, with the homomorphism item swept
+    over every ordered pair of basis elements."""
+    phi, _, lib = center_map(ext, classical)
+    cols = [phi.col(p) for p in range(ext.dim)]
+
+    def nonhomomorphic(pq):
+        p, q = pq
+        lhs = phi.apply(dense_vector(ext.dim, ext.bracket_basis(p, q)))
+        if lhs != classical.bracket(cols[p], cols[q]):
+            return f"not a homomorphism at ({ext.labels[p]},{ext.labels[q]})"
+
+    report = Report(lib.title)
+    report.check("lie algebra homomorphism (all pairs)",
+                 product(range(ext.dim), repeat=2), nonhomomorphic)
+    report.items += lib.items[1:]
+    return report
+
+
+def ref_validate(J):
+    """The lines of jordan.validate's report, with the polarized Jordan
+    identity computed on dense vectors through jmul."""
+    lib = validate(J)
+    d = J.dim
+    report = Report(lib.title, lib.items[:3])
+    basis = [unit_vector(d, i) for i in range(d)]
+    prods = [[dense_vector(d, J.table[i][j]) for j in range(d)] for i in range(d)]
+
+    def polarized(xyz):
+        x, y, z = xyz
+        terms = ((prods[x][y], z), (prods[x][z], y), (prods[y][z], x))
+        for b in range(d):
+            lhs = rhs = [0] * d
+            for u, w in terms:
+                t = jmul(J, jmul(J, u, basis[b]), basis[w])
+                lhs = [p + q for p, q in zip(lhs, t)]
+                t = jmul(J, u, jmul(J, basis[b], basis[w]))
+                rhs = [p + q for p, q in zip(rhs, t)]
+            if lhs != rhs:
+                return f"polarized identity fails at (x,y,z,b)=({x},{y},{z},{b})"
+
+    report.check("jordan identity (polarized, all basis 4-tuples)",
+                 combinations_with_replacement(range(d), 3), polarized)
+    return report
+
+
 # -- corruptions ---------------------------------------------------------------
 
 
@@ -156,6 +205,18 @@ def corrupt_table(g, rng, keep_antisymmetry):
     if keep_antisymmetry:
         g.table[(q, p)] = add_into(dict(g.bracket_basis(q, p)), {t: -c})
     return g
+
+
+def corrupt_jordan(J, rng, keep_commutativity):
+    """Add a random term to one product e_i e_j with i != j; with
+    keep_commutativity also to e_j e_i."""
+    i, j = rng.sample(range(J.dim), 2)
+    k, c = rng.randrange(J.dim), rng.choice([1, -1, 2, Q(1, 2)])
+    J.table = [[dict(entry) for entry in row] for row in J.table]
+    add_into(J.table[i][j], {k: c})
+    if keep_commutativity:
+        add_into(J.table[j][i], {k: c})
+    return J
 
 
 def corrupt_rep(rep, rng):
@@ -216,6 +277,44 @@ def test_validate_lie_matches_full_sweep(family, params):
             assert lib.items[0].ok is keep
             failing += not lib.ok
     assert failing >= 14
+
+
+@pytest.mark.parametrize("family, params", [
+    ("truncated-poly", {"degree": 2}),
+    ("matrix", {"size": 2}),
+    ("spin-factor", {"dim": 3}),
+])
+def test_center_map_matches_full_sweep(family, params):
+    J = builtin(family, **params)
+    assert center_map(build_sl2(J), build_tkk(J))[2].lines() == \
+        ref_center_map(build_sl2(J), build_tkk(J)).lines()
+    failing = 0
+    for seed, keep, target in product(range(8), (True, False), (0, 1)):
+        ext, classical = build_sl2(J), build_tkk(J)
+        corrupt_table((ext, classical)[target], random.Random(seed), keep)
+        lib = center_map(ext, classical)[2]
+        assert lib.lines() == ref_center_map(ext, classical).lines(), (seed, keep, target)
+        failing += not lib.items[0].ok
+    assert failing >= 28
+
+
+@pytest.mark.parametrize("family, params", [
+    ("truncated-poly", {"degree": 3}),
+    ("matrix", {"size": 2}),
+    ("spin-factor", {"dim": 3}),
+])
+def test_jordan_identity_matches_dense_reference(family, params):
+    assert validate(builtin(family, **params)).lines() == \
+        ref_validate(builtin(family, **params)).lines()
+    failing = 0
+    for seed in range(8):
+        for keep in (True, False):
+            J = corrupt_jordan(builtin(family, **params), random.Random(seed), keep)
+            lib = validate(J)
+            assert lib.lines() == ref_validate(J).lines(), (seed, keep)
+            assert lib.items[0].ok is keep
+            failing += not lib.items[3].ok
+    assert failing >= 12
 
 
 _REPS = {

@@ -1,10 +1,12 @@
+import hashlib
+import json
 import random
 from fractions import Fraction as Q
 
 import pytest
 
-from tkkwb.jordan import jmul, matrix_jordan, spin_factor, truncated_poly
-from tkkwb.linalg import Matrix, random_vector, zero_vector
+from tkkwb.jordan import builtin, jmul, matrix_jordan, spin_factor, truncated_poly
+from tkkwb.linalg import Matrix, q_str, random_vector, zero_vector
 from tkkwb.tkk import (BraceSpace, algebra_to_dict, build_sl2, build_tkk,
                        center_map, half_killing_sl2, short_grading,
                        validate_lie)
@@ -235,3 +237,35 @@ def test_json_export():
         assert as_q(c) == g.table[(p, q)][t]
     # spot check one known entry: [h(1), e(1)] = 2 e(1)
     assert g.table[(g.h_index(0), g.e_index(0))] == {g.e_index(0): 2}
+
+
+# sha256 over both bracket tables and every output of center_map
+_PINNED_TABLES = {
+    "truncated-poly(0)": (lambda: truncated_poly(0),
+                          "d34edd0684d1579d6eb9cca6139500cb2fb7cbc221a46acdd518fc6981febe84"),
+    "truncated-poly(3)": (lambda: truncated_poly(3),
+                          "eec11950fe26bdc6fbe8727efcbf2b8722ab0676e9441f365ffb9dd59b56ae5d"),
+    "M2+": (lambda: matrix_jordan(2),
+            "68ce6cb64f23abf9aa87ba9b5b659fb8e4598109bd2edddc1797bdf19d22737c"),
+    "M3+": (lambda: matrix_jordan(3),
+            "c9e15c2a20348210bfecb2b03d4a6b3a3e73a171d9cf4d331d8f15781ddf1e7e"),
+    "spin-factor(3)": (lambda: builtin("spin-factor", dim=3),
+                       "70b2b8835ae1151b97dbcbe3478be9231306d19889a8b286e529a227d7557b01"),
+    "spin-factor(8)": (lambda: builtin("spin-factor", dim=8),
+                       "56fecacf9d243159758868d70dbd885d6a63961d55ccbdbe3368afdb62549580"),
+    "ungraded truncated-poly(4)": (lambda: truncated_poly(4, graded=False),
+                                   "7531271623a8c0471e1fe002c437f5ee7562bc1c183d6fb142875f4c3df785a7"),
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED_TABLES))
+def test_tables_and_center_map_pinned(name):
+    make, pinned = _PINNED_TABLES[name]
+    J = make()
+    ext, classical = build_sl2(J), build_tkk(J)
+    phi, ker, rep = center_map(ext, classical)
+    blob = json.dumps([algebra_to_dict(ext), algebra_to_dict(classical),
+                       [[q_str(x) for x in row] for row in phi.data],
+                       [[q_str(x) for x in row] for row in ker.data],
+                       rep.lines()])
+    assert hashlib.sha256(blob.encode()).hexdigest() == pinned
