@@ -326,7 +326,7 @@ def algebra_from_dict(data, name=""):
         labels = tuple(data["labels"])
         degrees = tuple(int(x) for x in data["degrees"])
         unit = [as_q(x) for x in data["unit"]]
-        entries = data["mult"]
+        entries = list(data["mult"])
         space = LabeledSpace(labels, degrees)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad algebra data: {exc}") from exc

@@ -7,9 +7,12 @@ straightening: each commutator past a lowering factor produces a
 weight-zero element, which is pushed to the right and applied through the
 weight-zero extension.
 
-Two independent computations of the depth-(n+1) contraction are provided:
-direct straightening of e(1)^r f(a)^(n+1), and the coefficient extraction
-from the classical generating function of Garland; they must agree exactly.
+One rule, _StraightData.raise_basis, does all straightening: efr_power
+uses it for e(1)^r f(a)^(n+1), and TruncatedVerma for the windowed action
+of the raising generators.  Two routes check it independently: the
+coefficient extraction from the classical generating function of Garland
+must equal efr_power exactly at every depth r, and bracket_fidelity checks
+the windowed action against the bracket table of the extension.
 
 Weyl dimension tables come from a raising-closure of the below-band cells
 of a degree-and-depth window, with a submodule certificate checked after
@@ -64,16 +67,30 @@ def checked_extension(rep_or_g0):
 
 
 # ---------------------------------------------------------------------------
-# straightening data shared by the window-free and windowed engines
+# straightening data shared by the window-free and windowed engines:
+# raise_basis is the one straightening rule.  Garland's generating function
+# checks it through efr_power, bracket_fidelity through the windowed action.
+# Multisets of algebra basis indices are index-sorted tuples.
+
+
+def _fkey_remove(fkey, value):
+    out = list(fkey)
+    out.remove(value)
+    return tuple(out)
+
+
+def _fkey_insert(fkey, value):
+    out = list(fkey)
+    out.append(value)
+    out.sort()
+    return tuple(out)
 
 
 class _StraightData:
     def __init__(self, g0):
-        self.g0 = g0
         rep = g0.rep
         J = rep.jordan
         self.J = J
-        self.rep = rep
         d = J.dim
         bs = g0.brace
         # [e(e_x), f(e_b)] = h(e_x e_b) + 2 {e_x, e_b}, applied on the module
@@ -96,25 +113,40 @@ class _StraightData:
             self._repl[key] = add_into(out, derivation_column(J, x, b, c), 2)
         return self._repl[key]
 
+    def raise_basis(self, x, fkey, mi):
+        """e(e_x) f(fkey) m_mi straightened, as {(multiset, module index): coeff}.
+
+        Passing one lowering factor f(e_b) leaves the weight-zero element
+        g0mat[x][b], which acts on m_mi; passing a second factor f(e_c) first
+        turns it into the lowering element repl(x, b, c).
+        """
+        out = {}
+        counts = Counter(fkey)
+        values = sorted(counts)
+        for b in values:
+            mult = counts[b]
+            nu = _fkey_remove(fkey, b)
+            col = self.g0mat[x][b].col(mi)
+            add_into(out, {(nu, r): c for r, c in enumerate(col) if c}, mult)
+            # pair terms: the weight-zero element continues rightward and
+            # commutes with one more lowering factor
+            for c2 in values:
+                if c2 < b:
+                    continue
+                count = mult * (mult - 1) // 2 if c2 == b else mult * counts[c2]
+                if not count:
+                    continue
+                nu2 = _fkey_remove(nu, c2)
+                add_into(out, {(_fkey_insert(nu2, k), mi): ck
+                               for k, ck in self.repl(x, b, c2).items()}, count)
+        return out
+
 
 # ---------------------------------------------------------------------------
 # window-free engine: formal lowering polynomials with operator coefficients
 #
 # An element sum_mu f(mu) X_mu, with mu a multiset of algebra basis indices
 # and X_mu a matrix on the module, represents m -> sum f(mu) (X_mu m).
-
-
-def _fkey_remove(fkey, value):
-    out = list(fkey)
-    out.remove(value)
-    return tuple(out)
-
-
-def _fkey_insert(fkey, value):
-    out = list(fkey)
-    out.append(value)
-    out.sort()
-    return tuple(out)
 
 
 def _fpoly_add(acc, key, mat):
@@ -132,49 +164,8 @@ def fpoly_equal(fp1, fp2):
     return fpoly_normalize(fp1) == fpoly_normalize(fp2)
 
 
-def apply_raise_basis(data, x, fp):
-    """Straighten e(e_x) through every lowering monomial of fp."""
-    out = {}
-    for fkey, X in fp.items():
-        counts = Counter(fkey)
-        values = sorted(counts)
-        for b in values:
-            mult = counts[b]
-            nu = _fkey_remove(fkey, b)
-            _fpoly_add(out, nu, (data.g0mat[x][b] @ X).scale(mult))
-            # pair terms: the weight-zero element continues rightward and
-            # commutes with one more lowering factor
-            for c in values:
-                if c < b:
-                    continue
-                if c == b:
-                    count = mult * (mult - 1) // 2
-                else:
-                    count = mult * counts[c]
-                if not count:
-                    continue
-                nu2 = _fkey_remove(nu, c)
-                for k, ck in data.repl(x, b, c).items():
-                    _fpoly_add(out, _fkey_insert(nu2, k), X.scale(count * ck))
-    return fpoly_normalize(out)
-
-
-def apply_raise(data, xvec, fp):
-    out = {}
-    for i, c in enumerate(xvec):
-        if not c:
-            continue
-        part = apply_raise_basis(data, i, fp)
-        for k, m in part.items():
-            _fpoly_add(out, k, m.scale(c))
-    return fpoly_normalize(out)
-
-
-def lowering_power(g0, a, k):
-    """f(a)^k expanded over basis multisets, with identity coefficients."""
-    d = g0.rep.jordan.dim
-    m = g0.rep.mdim
-    ident = Matrix.identity(m)
+def lowering_power(a, k):
+    """f(a)^k expanded over basis multisets: {multiset: scalar}."""
     support = [i for i, c in enumerate(a) if c]
     fp = {}
     for combo in combinations_with_replacement(support, k):
@@ -187,7 +178,7 @@ def lowering_power(g0, a, k):
             for _ in range(c):
                 scalar = scalar * a[i]
         if scalar:
-            fp[tuple(combo)] = ident.scale(scalar)
+            fp[combo] = scalar
     return fp
 
 
@@ -196,21 +187,41 @@ def efr_power(g0, a, rr):
 
     Returns the operator on the module for rr = n+1 (the result has no
     lowering factors left) and a formal lowering polynomial with matrix
-    coefficients for rr <= n.
+    coefficients for rr <= n.  Column mi of each matrix comes from raising
+    the sparse vector f(a)^(n+1) m_mi rr times.
     """
     g0, n = checked_extension(g0)
     if not 0 <= rr <= n + 1:
         raise ValueError(f"need 0 <= rr <= {n + 1}")
     data = _StraightData(g0)
-    fp = lowering_power(g0, a, n + 1)
-    unit = g0.rep.jordan.unit
-    for _ in range(rr):
-        fp = apply_raise(data, unit, fp)
+    unit = {x: c for x, c in enumerate(g0.rep.jordan.unit) if c}
+    raised = {}     # e(1) of each basis vector (multiset, module index) reached
+
+    def raise_unit(bm):
+        if bm not in raised:
+            raised[bm] = {}
+            for x, c in unit.items():
+                add_into(raised[bm], data.raise_basis(x, *bm), c)
+        return raised[bm]
+
+    m = g0.rep.mdim
+    power = lowering_power(a, n + 1)
+    fp = {}
+    for mi in range(m):
+        vec = {(fkey, mi): c for fkey, c in power.items()}
+        for _ in range(rr):
+            nxt = {}
+            for bm, c in vec.items():
+                add_into(nxt, raise_unit(bm), c)
+            vec = nxt
+        for (fkey, r), c in vec.items():
+            if fkey not in fp:
+                fp[fkey] = Matrix.zeros(m, m)
+            fp[fkey].data[r][mi] = c
     if rr == n + 1:
-        for key in fp:
-            if key != ():
-                raise AssertionError("depth-0 result kept lowering factors")
-        return fp.get((), Matrix.zeros(g0.rep.mdim, g0.rep.mdim))
+        if any(key != () for key in fp):
+            raise AssertionError("depth-0 result kept lowering factors")
+        return fp.get((), Matrix.zeros(m, m))
     return fp
 
 
@@ -337,8 +348,9 @@ class TruncatedVerma:
     """Degree/depth window of the induced module, with generator actions.
 
     Cells are indexed by (depth l, total degree d); the weight is n - 2l.
-    Cell bases are pairs (multiset of algebra indices, module index), the
-    multiset sorted by (degree, index).
+    Cell bases are pairs (index-sorted multiset of algebra indices, module
+    index), ordered as _multisets enumerates them over the basis sorted by
+    (degree, index), then by module index.
     """
 
     def __init__(self, g0, D_max, W):
@@ -360,24 +372,23 @@ class TruncatedVerma:
         self.data = _StraightData(g0)
 
         degs = J.space.degrees
-        self._order = sorted(range(J.dim), key=lambda i: (degs[i], i))
-        self._okey = {i: (degs[i], i) for i in range(J.dim)}
+        order = sorted(range(J.dim), key=lambda i: (degs[i], i))
 
         mdegs = rep.module.degrees
         self.cells = {}
         self.cell_pos = {}
         bound = D_max - min(mdegs, default=0)
         for ell in range(self.ell_max + 1):
-            for combo in _multisets(self._order, degs, ell, bound):
+            for combo in _multisets(order, degs, ell, bound):
                 fdeg = sum(degs[i] for i in combo)
+                fkey = tuple(sorted(combo))
                 for mi in range(rep.mdim):
                     d = fdeg + mdegs[mi]
                     if d > D_max:
                         continue
                     key = (ell, d)
-                    self.cells.setdefault(key, []).append((combo, mi))
+                    self.cells.setdefault(key, []).append((fkey, mi))
         for key, basis in self.cells.items():
-            basis.sort(key=lambda bm: (tuple(self._okey[i] for i in bm[0]), bm[1]))
             self.cell_pos[key] = {bm: t for t, bm in enumerate(basis)}
         self._columns = {}
         self._weight_zero = {}
@@ -421,12 +432,6 @@ class TruncatedVerma:
             return ("out", None)
         return ("ok", tgt)
 
-    def _insert_sorted(self, fkey, value):
-        out = list(fkey)
-        out.append(value)
-        out.sort(key=lambda i: self._okey[i])
-        return tuple(out)
-
     def action_columns(self, gen, cell):
         """(den, columns) of the generator from cell to its target cell, cached.
 
@@ -468,33 +473,18 @@ class TruncatedVerma:
     def _apply_basis(self, kind, i, fkey, mi):
         out = {}
         if kind == "f":
-            out[(self._insert_sorted(fkey, i), mi)] = Fraction(1)
+            out[(_fkey_insert(fkey, i), mi)] = Fraction(1)
         elif kind in ("h", "d"):
             # a weight-zero generator acts on each lowering factor through its
             # operator on J, then on the module vector
             on_J, on_module = self._weight_zero_action(kind, i)
             for b, mult in Counter(fkey).items():
                 nu = _fkey_remove(fkey, b)
-                add_into(out, {(self._insert_sorted(nu, r), mi): c
+                add_into(out, {(_fkey_insert(nu, r), mi): c
                                for r, c in on_J[b].items()}, mult)
             add_into(out, {(fkey, r): c for r, c in enumerate(on_module.col(mi)) if c})
         elif kind == "e":
-            counts = Counter(fkey)
-            values = sorted(counts)
-            for b in values:
-                mult = counts[b]
-                nu = _fkey_remove(fkey, b)
-                col = self.data.g0mat[i][b].col(mi)
-                add_into(out, {(nu, r): c for r, c in enumerate(col) if c}, mult)
-                for c2 in values:
-                    if c2 < b:
-                        continue
-                    count = mult * (mult - 1) // 2 if c2 == b else mult * counts[c2]
-                    if not count:
-                        continue
-                    nu2 = _fkey_remove(nu, c2)
-                    add_into(out, {(self._insert_sorted(nu2, k), mi): ck
-                                   for k, ck in self.data.repl(i, b, c2).items()}, count)
+            out = self.data.raise_basis(i, fkey, mi)
         else:
             raise ValueError(f"unknown generator kind {kind}")
         return out

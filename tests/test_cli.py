@@ -67,6 +67,7 @@ _WEYL_NEGATIVE_DEGREE = ("weyl", "dims", "--builtin-rep", "newton", "--n", "1",
     (("jordan", "check", "--algebra"), _algebra_data(labels=["1", "t", "t"])),
     (("jordan", "check", "--algebra"), _algebra_data(degrees=[0, 1])),
     (("jordan", "check", "--algebra"), _algebra_data(mult=_ZERO_DENOMINATOR_MULT)),
+    (("jordan", "check", "--algebra"), _algebra_data(mult=5)),
     (("jspace", "check", "--rep"), _ZERO_DENOMINATOR_REP),
     (_WEYL_NEGATIVE_DEGREE, None),
     (_WEYL_NEGATIVE_DEGREE + ("--oracle", "snlt"), None),
@@ -83,7 +84,7 @@ _WEYL_NEGATIVE_DEGREE = ("weyl", "dims", "--builtin-rep", "newton", "--n", "1",
     (("tkk", "check", "--jacobi", "spot", "--samples", "50"), None),
     (("jordan", "check", "--builtin", "spin-factor", "--dim", "-1"), None),
 ], ids=["duplicate-labels", "short-degrees", "zero-denominator-algebra",
-        "zero-denominator-rep", "negative-max-degree", "negative-max-degree-oracle",
+        "non-list-mult", "zero-denominator-rep", "negative-max-degree", "negative-max-degree-oracle",
         "symfun-relation-n0", "symfun-frobenius-n0", "symfun-coeffs-negative-n",
         "symfun-classes-negative-n", "symfun-classes-n0", "jspace-negative-samples",
         "garland-negative-samples", "garland-zero-samples", "weyl-missing-max-degree",
