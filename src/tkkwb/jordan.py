@@ -338,8 +338,10 @@ def algebra_from_dict(data, name=""):
             coords = [as_q(x) for x in ent["coords"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad mult entry: {exc}") from exc
-        if not (0 <= i < d and 0 <= j < d) or len(coords) != d:
+        if not (0 <= i < d and 0 <= j < d):
             raise InputError(f"mult entry out of range: i={i}, j={j}")
+        if len(coords) != d:
+            raise InputError(f"mult entry i={i}, j={j} has {len(coords)} coords, expected {d}")
         sparse = {k: c for k, c in enumerate(coords) if c}
         table[i][j] = sparse
         if table[j][i] is None:

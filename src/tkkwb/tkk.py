@@ -11,16 +11,20 @@ classical pair coordinates.  Structure constants are built from the bracket
 rules, stored densely per ordered basis pair, and re-verified rather than
 trusted: antisymmetry is checked on all ordered pairs, and the Jacobi
 identity on all basis triples, decided on the sorted triples of distinct
-indices once antisymmetry holds.
+indices once antisymmetry holds.  Jacobi runs on a copy of the table scaled
+to integers.  Inner-derivation coordinates come from reducing sparse
+{flat index: entry} residuals against sparse RREF rows, and the central
+epimorphism checks the homomorphism identity on sparse columns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
+from math import lcm
 
 from .jordan import InputError, ensure_valid, inner_derivation
-from .linalg import (Matrix, RowSpan, add_into, kernel, q_str, quotient, rref,
+from .linalg import (Matrix, RowSpan, add_into, dense_vector, kernel, q_str, quotient, rref,
                      unit_vector, zero_vector)
 from .report import Report
 
@@ -295,56 +299,66 @@ def build_tkk(J):
     d = J.dim
 
     def flat(mat):
-        return [mat.data[r][c] for r in range(d) for c in range(d)]
+        """The nonzero entries of a d x d matrix, as {r * d + c: entry}."""
+        return {r * d + c: x for r, row in enumerate(mat.data) for c, x in enumerate(row) if x}
 
     ders = {(a, b): inner_derivation(J, unit_vector(d, a), unit_vector(d, b))
             for a in range(d) for b in range(a + 1, d)}
     if ders:
-        rank, red, pivots = rref(Matrix.from_rows([flat(m) for m in ders.values()]))
+        rank, red, pivots = rref(Matrix.from_rows([[x for row in m.data for x in row]
+                                                   for m in ders.values()]))
     else:
         rank, red, pivots = 0, Matrix.zeros(0, d * d), []
-    basis_rows = [red.row(r) for r in range(rank)]
-    basis_mats = [Matrix(d, d, [row[r * d:(r + 1) * d] for r in range(d)])
-                  for row in basis_rows]
+    basis_mats = [Matrix(d, d, [red.data[k][r * d:(r + 1) * d] for r in range(d)])
+                  for k in range(rank)]
+    basis_rows = [flat(m) for m in basis_mats]
     kappa = half_killing_sl2()
 
     degrees = []
     degs = J.space.degrees
-    for m in basis_mats:
-        shift = None
-        for r in range(d):
-            for c in range(d):
-                if m.data[r][c]:
-                    s = degs[r] - degs[c]
-                    if shift is None:
-                        shift = s
-                    elif shift != s:
-                        raise InputError("inner derivation basis is not degree-homogeneous")
-        degrees.append(shift or 0)
+    for row in basis_rows:
+        shifts = {degs[t // d] - degs[t % d] for t in row}
+        if len(shifts) > 1:
+            raise InputError("inner derivation basis is not degree-homogeneous")
+        degrees.append(shifts.pop() if shifts else 0)
 
     g = TKKAlgebra(J, "tkk", rank, [f"inn{k}" for k in range(rank)], degrees, kappa)
 
-    def inn_coords(mat):
-        """Sparse coordinates of mat over the inner-derivation basis."""
-        resid = flat(mat)
-        coords = [resid[p] for p in pivots]
-        for c, row in zip(coords, basis_rows):
-            if c:
-                resid = [x - c * y for x, y in zip(resid, row)]
-        if any(resid):
+    def commutator(k, l):
+        """The flat entries of the commutator of basis elements k and l."""
+        out = {}
+        for u, v, sign in ((k, l, 1), (l, k, -1)):
+            rows = basis_mats[v].data
+            for t, a in basis_rows[u].items():
+                r, m = divmod(t, d)
+                add_into(out, {r * d + c: b for c, b in enumerate(rows[m]) if b}, sign * a)
+        return out
+
+    def inn_coords(resid):
+        """Sparse coordinates over the inner-derivation basis of the flat
+        matrix resid, which is reduced in place.
+
+        Basis row k is 1 at pivot k and 0 at every other pivot, so the
+        coordinates are the entries of resid at the pivots, and subtracting
+        the rows leaves it empty exactly when the matrix lies in the span.
+        """
+        coords = {k: resid[t] for k, t in enumerate(pivots) if t in resid}
+        for k, c in coords.items():
+            add_into(resid, basis_rows[k], -c)
+        if resid:
             raise InputError("matrix outside the inner-derivation span")
-        return {k: c for k, c in enumerate(coords) if c}
+        return coords
 
     # D_{b,a} = -D_{a,b} and [D_k, D_l] = -[D_l, D_k] exactly, so each
     # unordered pair is computed once
     pair_coords = {}
     for (a, b), m in ders.items():
-        pair_coords[(a, b)] = col = inn_coords(m)
+        pair_coords[(a, b)] = col = inn_coords(flat(m))
         pair_coords[(b, a)] = {k: -c for k, c in col.items()}
     tail_brackets = {}
     for k in range(rank):
         for l in range(k, rank):
-            out = inn_coords(basis_mats[k].commutator(basis_mats[l]))
+            out = inn_coords(commutator(k, l))
             tail_brackets[(k, l)] = out
             tail_brackets[(l, k)] = {t: -c for t, c in out.items()}
 
@@ -359,7 +373,10 @@ def validate_lie(g, jacobi="full", seed=0, samples=200):
     alternating: it vanishes on a repeated index and changes sign under a
     swap, so the sorted triples of distinct indices decide it, and the first
     failing triple in product order is sorted, giving the same witness.
-    Without antisymmetry every ordered triple is swept.
+    Without antisymmetry every ordered triple is swept.  Both Jacobi modes
+    run on an integer copy of g.table, scaled by the lcm of its denominators
+    and made at call time; the jacobiator is bilinear, so it vanishes exactly
+    when the scaled one does, with the same witness.
     """
     rep = Report(f"lie axioms for {g.kind}({g.jordan.name})")
     n = g.dim
@@ -382,12 +399,17 @@ def validate_lie(g, jacobi="full", seed=0, samples=200):
                    for _ in range(samples))
         label = f"jacobi identity ({samples} sampled triples)"
 
+    # the integer copy of the table as it stands now (see the docstring)
+    den = lcm(*(c.denominator for out in g.table.values() for c in out.values()))
+    itable = {pq: {t: c.numerator * (den // c.denominator) for t, c in out.items()}
+              for pq, out in g.table.items() if out}
+
     def jacobiator(pqr):
         p, q, r = pqr
         acc = {}
         for (a, b, c) in ((p, q, r), (q, r, p), (r, p, q)):
-            for s, cs in g.bracket_basis(b, c).items():
-                add_into(acc, g.bracket_basis(a, s), cs)
+            for s, cs in itable.get((b, c), {}).items():
+                add_into(acc, itable.get((a, s), {}), cs)
         if acc:
             return f"triple ({g.labels[p]},{g.labels[q]},{g.labels[r]})"
 
@@ -449,38 +471,37 @@ def center_map(g_ext, g_tkk):
     When both bracket tables are exactly antisymmetric, both sides of the
     homomorphism identity are antisymmetric in (p, q) and vanish at p = q,
     so pairs p < q decide it and the first failing pair in product order is
-    one of them; otherwise every ordered pair is swept.
+    one of them; otherwise every ordered pair is swept.  The columns of the
+    map are sparse dicts, and both sides of the identity are summed from
+    them over the sparse bracket tables.
     """
     if g_ext.kind != "sl2" or g_tkk.kind != "tkk":
         raise InputError("center_map expects (central extension, classical TKK)")
     if g_ext.jordan is not g_tkk.jordan:
         raise InputError("the two algebras must come from the same Jordan algebra")
     rep = Report(f"central epimorphism for {g_ext.jordan.name}")
+    unit_index = {"e": g_tkk.e_index, "f": g_tkk.f_index, "h": g_tkk.h_index}
     cols = []
     for p in range(g_ext.dim):
         kind, i = g_ext.basis_kind(p)
-        img = zero_vector(g_tkk.dim)
-        if kind == "e":
-            img[g_tkk.e_index(i)] = Fraction(1)
-        elif kind == "f":
-            img[g_tkk.f_index(i)] = Fraction(1)
-        elif kind == "h":
-            img[g_tkk.h_index(i)] = Fraction(1)
+        if kind == "tail":
+            cols.append({g_tkk.tail_index(k): c for k, c in
+                         g_tkk.pair_coords[g_ext.brace.rep_pairs[i]].items()})
         else:
-            for k, c in g_tkk.pair_coords[g_ext.brace.rep_pairs[i]].items():
-                img[g_tkk.tail_index(k)] = c
-        cols.append(img)
-    phi = Matrix(g_tkk.dim, g_ext.dim,
-                 [[cols[p][r] for p in range(g_ext.dim)] for r in range(g_tkk.dim)])
+            cols.append({unit_index[kind](i): Fraction(1)})
+    phi = Matrix(g_ext.dim, g_tkk.dim,
+                 [dense_vector(g_tkk.dim, col) for col in cols]).transpose()
 
     def nonhomomorphic(pq):
         p, q = pq
-        lhs = zero_vector(g_tkk.dim)
+        lhs = {}
         for t, c in g_ext.bracket_basis(p, q).items():
-            for r in range(g_tkk.dim):
-                if cols[t][r]:
-                    lhs[r] += c * cols[t][r]
-        if lhs != g_tkk.bracket(cols[p], cols[q]):
+            add_into(lhs, cols[t], c)
+        rhs = {}
+        for s, cs in cols[p].items():
+            for t, ct in cols[q].items():
+                add_into(rhs, g_tkk.bracket_basis(s, t), cs * ct)
+        if lhs != rhs:
             return f"not a homomorphism at ({g_ext.labels[p]},{g_ext.labels[q]})"
 
     n = g_ext.dim

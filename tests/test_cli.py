@@ -55,6 +55,7 @@ def _algebra_data(**changes):
 
 
 _ZERO_DENOMINATOR_MULT = [{"i": 1, "j": 1, "coords": ["0", "0", "1/0"]}]
+_SHORT_COORDS_MULT = [{"i": 1, "j": 1, "coords": ["0", "0"]}]
 _ZERO_DENOMINATOR_REP = {"algebra": "truncated-poly:1",
                          "module": {"labels": ["v"], "degrees": [0]},
                          "rho": [[["1/0"]], [["0"]]]}
@@ -63,33 +64,36 @@ _WEYL_NEGATIVE_DEGREE = ("weyl", "dims", "--builtin-rep", "newton", "--n", "1",
                          "--cutoff", "2", "--max-degree", "-1")
 
 
-@pytest.mark.parametrize("argv, payload", [
-    (("jordan", "check", "--algebra"), _algebra_data(labels=["1", "t", "t"])),
-    (("jordan", "check", "--algebra"), _algebra_data(degrees=[0, 1])),
-    (("jordan", "check", "--algebra"), _algebra_data(mult=_ZERO_DENOMINATOR_MULT)),
-    (("jordan", "check", "--algebra"), _algebra_data(mult=5)),
-    (("jspace", "check", "--rep"), _ZERO_DENOMINATOR_REP),
-    (_WEYL_NEGATIVE_DEGREE, None),
-    (_WEYL_NEGATIVE_DEGREE + ("--oracle", "snlt"), None),
-    (("symfun", "relation", "--n", "0"), None),
-    (("symfun", "frobenius", "--n", "0"), None),
-    (("symfun", "coeffs", "--n", "-1"), None),
-    (("symfun", "classes", "--n", "-1"), None),
-    (("symfun", "classes", "--n", "0"), None),
-    (_NEWTON_1 + ("--mode", "random", "--samples", "-1"), None),
-    (("garland", "verify") + _NEWTON_1[2:] + ("--samples", "-1"), None),
-    (("garland", "verify") + _NEWTON_1[2:] + ("--samples", "0"), None),
-    (("weyl", "dims") + _NEWTON_1[2:], None),
-    (("tkk", "check", "--builtin", "matrix", "--size", "x"), None),
-    (("tkk", "check", "--jacobi", "spot", "--samples", "50"), None),
-    (("jordan", "check", "--builtin", "spin-factor", "--dim", "-1"), None),
+@pytest.mark.parametrize("argv, payload, message", [
+    (("jordan", "check", "--algebra"), _algebra_data(labels=["1", "t", "t"]), None),
+    (("jordan", "check", "--algebra"), _algebra_data(degrees=[0, 1]), None),
+    (("jordan", "check", "--algebra"), _algebra_data(mult=_ZERO_DENOMINATOR_MULT), None),
+    (("jordan", "check", "--algebra"), _algebra_data(mult=5), None),
+    (("jspace", "check", "--rep"), _ZERO_DENOMINATOR_REP, None),
+    (_WEYL_NEGATIVE_DEGREE, None, None),
+    (_WEYL_NEGATIVE_DEGREE + ("--oracle", "snlt"), None, None),
+    (("symfun", "relation", "--n", "0"), None, None),
+    (("symfun", "frobenius", "--n", "0"), None, None),
+    (("symfun", "coeffs", "--n", "-1"), None, None),
+    (("symfun", "classes", "--n", "-1"), None, None),
+    (("symfun", "classes", "--n", "0"), None, None),
+    (_NEWTON_1 + ("--mode", "random", "--samples", "-1"), None, None),
+    (("garland", "verify") + _NEWTON_1[2:] + ("--samples", "-1"), None, None),
+    (("garland", "verify") + _NEWTON_1[2:] + ("--samples", "0"), None, None),
+    (("weyl", "dims") + _NEWTON_1[2:], None, None),
+    (("tkk", "check", "--builtin", "matrix", "--size", "x"), None, None),
+    (("tkk", "check", "--jacobi", "spot", "--samples", "50"), None, None),
+    (("jordan", "check", "--builtin", "spin-factor", "--dim", "-1"), None, None),
+    (("jordan", "check", "--algebra"), _algebra_data(mult=_SHORT_COORDS_MULT),
+     "mult entry i=1, j=1 has 2 coords, expected 3"),
 ], ids=["duplicate-labels", "short-degrees", "zero-denominator-algebra",
         "non-list-mult", "zero-denominator-rep", "negative-max-degree", "negative-max-degree-oracle",
         "symfun-relation-n0", "symfun-frobenius-n0", "symfun-coeffs-negative-n",
         "symfun-classes-negative-n", "symfun-classes-n0", "jspace-negative-samples",
         "garland-negative-samples", "garland-zero-samples", "weyl-missing-max-degree",
-        "non-integer-size", "tkk-check-unread-samples", "negative-spin-factor-dim"])
-def test_malformed_input_exits_3_without_traceback(capsys, tmp_path, argv, payload):
+        "non-integer-size", "tkk-check-unread-samples", "negative-spin-factor-dim",
+        "short-coords"])
+def test_malformed_input_exits_3_without_traceback(capsys, tmp_path, argv, payload, message):
     if payload is not None:
         p = tmp_path / "input.json"
         p.write_text(json.dumps(payload))
@@ -98,6 +102,8 @@ def test_malformed_input_exits_3_without_traceback(capsys, tmp_path, argv, paylo
     assert code == 3
     assert out == ""
     assert err.startswith("input error: ")
+    if message is not None:
+        assert err == f"input error: {message}\n"
 
 
 def test_tkk_check(capsys):

@@ -28,7 +28,9 @@ from tkkwb.tkk import build_sl2, build_tkk, center_map, validate_lie
 # -- references: every identity over the full product sweep -------------------
 
 
-def ref_validate_lie(g):
+def ref_validate_lie(g, jacobi="full", seed=0, samples=200):
+    """validate_lie's lines, with full Jacobi swept over every ordered triple
+    and spot Jacobi over the same sampled triples, both on g.table as is."""
     rep = Report(f"lie axioms for {g.kind}({g.jordan.name})")
     n, lab = g.dim, g.labels
 
@@ -54,7 +56,12 @@ def ref_validate_lie(g):
                 return f"[{lab[p]},{lab[q]}] leaves the graded component"
 
     rep.check("antisymmetry (all pairs)", product(range(n), repeat=2), asymmetric)
-    rep.check("jacobi identity (all basis triples)", product(range(n), repeat=3), jacobiator)
+    if jacobi == "full":
+        rep.check("jacobi identity (all basis triples)", product(range(n), repeat=3), jacobiator)
+    else:
+        rng = random.Random(seed)
+        triples = [(rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(samples)]
+        rep.check(f"jacobi identity ({samples} sampled triples)", triples, jacobiator)
     rep.check("bracket adds weights and degrees", g.table.items(), off_grade)
     return rep
 
@@ -196,11 +203,12 @@ def ref_validate(J):
 # -- corruptions ---------------------------------------------------------------
 
 
-def corrupt_table(g, rng, keep_antisymmetry):
-    """Add a random term to one off-diagonal bracket [p, q]; with
-    keep_antisymmetry also subtract it from [q, p]."""
+def corrupt_table(g, rng, keep_antisymmetry, coeffs=(1, -1, 2, Q(1, 2))):
+    """Add a random term, with a coefficient drawn from coeffs, to one
+    off-diagonal bracket [p, q]; with keep_antisymmetry also subtract it
+    from [q, p]."""
     p, q = rng.sample(range(g.dim), 2)
-    t, c = rng.randrange(g.dim), rng.choice([1, -1, 2, Q(1, 2)])
+    t, c = rng.randrange(g.dim), rng.choice(coeffs)
     g.table[(p, q)] = add_into(dict(g.bracket_basis(p, q)), {t: c})
     if keep_antisymmetry:
         g.table[(q, p)] = add_into(dict(g.bracket_basis(q, p)), {t: -c})
@@ -277,6 +285,22 @@ def test_validate_lie_matches_full_sweep(family, params):
             assert lib.items[0].ok is keep
             failing += not lib.ok
     assert failing >= 14
+
+
+@pytest.mark.parametrize("jacobi", ["full", "spot"])
+def test_validate_lie_reads_a_new_denominator(jacobi):
+    # Jacobi runs on a copy of the table scaled to integers; a 1/3 in an
+    # integral table must raise its scale, or the term would be lost
+    J = builtin("spin-factor", dim=3)
+    assert all(c.denominator == 1 for out in build_sl2(J).table.values() for c in out.values())
+    failing = 0
+    for seed in range(8):
+        for keep in (True, False):
+            g = corrupt_table(build_sl2(J), random.Random(seed), keep, coeffs=(Q(1, 3),))
+            lib = validate_lie(g, jacobi=jacobi, seed=seed)
+            assert lib.lines() == ref_validate_lie(g, jacobi, seed).lines(), (seed, keep)
+            failing += not lib.items[1].ok
+    assert failing >= 12
 
 
 @pytest.mark.parametrize("family, params", [

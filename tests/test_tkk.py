@@ -5,7 +5,9 @@ from fractions import Fraction as Q
 
 import pytest
 
-from tkkwb.jordan import builtin, jmul, matrix_jordan, spin_factor, truncated_poly
+from tkkwb import tkk
+from tkkwb.jordan import (InputError, algebra_from_dict, builtin, jmul, matrix_jordan,
+                          spin_factor, truncated_poly, validate)
 from tkkwb.linalg import Matrix, q_str, random_vector, zero_vector
 from tkkwb.tkk import (BraceSpace, algebra_to_dict, build_sl2, build_tkk,
                        center_map, half_killing_sl2, short_grading,
@@ -269,3 +271,19 @@ def test_tables_and_center_map_pinned(name):
                        [[q_str(x) for x in row] for row in ker.data],
                        rep.lines()])
     assert hashlib.sha256(blob.encode()).hexdigest() == pinned
+
+
+def test_build_tkk_rejects_a_tail_bracket_outside_the_derivation_span(monkeypatch):
+    # unital and commutative, but not Jordan: the commutator of two inner
+    # derivations is no inner derivation
+    unit = [{"i": 0, "j": j, "coords": [str(int(k == j)) for k in range(4)]} for j in range(4)]
+    rest = [(1, 1, "0 0 -1 0"), (1, 2, "1 0 0 0"), (1, 3, "0 0 1 -1"),
+            (2, 2, "1 -1 0 -1"), (2, 3, "-1 1 0 1"), (3, 3, "1 1 -1 0")]
+    J = algebra_from_dict({
+        "labels": ["1", "a", "b", "c"], "degrees": [0] * 4, "unit": ["1", "0", "0", "0"],
+        "mult": unit + [{"i": i, "j": j, "coords": c.split()} for i, j, c in rest],
+    }, name="non-Jordan")
+    assert not validate(J).ok
+    monkeypatch.setattr(tkk, "ensure_valid", lambda J: None)
+    with pytest.raises(InputError, match="^matrix outside the inner-derivation span$"):
+        build_tkk(J)
