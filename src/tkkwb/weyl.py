@@ -28,8 +28,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import factorial, lcm
 
-from .jordan import InputError, L_op, derivation_column, inner_derivation, jpower
-from .linalg import Matrix, RowSpan, add_into, random_vector, unit_vector
+from .jordan import InputError, derivation_column, jpower
+from .linalg import Matrix, RowSpan, add_into, random_vector
 from .multipoly import Poly
 from .report import Report
 from .jspace import G0Rep, LevelError, dominance_operator, extend_to_g0, level
@@ -337,11 +337,25 @@ def _multisets(order, degs, size, bound):
     if size == 0:
         yield ()
         return
-    for p, i in enumerate(order):
-        if degs[i] * size > bound:
-            break
-        for rest in _multisets(order[p:], degs, size - 1, bound - degs[i]):
-            yield (i,) + rest
+    # a depth-first walk without recursion, since the depth is the size:
+    # pos[k] is the position in order of element k, left[k] the degree left
+    # for the elements k, ..., size - 1
+    pos = [0] * size
+    left = [bound] * (size + 1)
+    k = 0
+    while k >= 0:
+        p = pos[k]
+        if p < len(order) and degs[order[p]] * (size - k) <= left[k]:
+            left[k + 1] = left[k] - degs[order[p]]
+            if k + 1 < size:
+                k += 1
+                pos[k] = p
+                continue
+            yield tuple(order[q] for q in pos)
+        else:
+            k -= 1
+        if k >= 0:
+            pos[k] += 1
 
 
 class TruncatedVerma:
@@ -492,22 +506,23 @@ class TruncatedVerma:
     def _weight_zero_action(self, kind, i):
         """(on_J, on_module) of h(e_i) or of the brace basis element i.
 
-        on_J[b] is the sparse image of e_b under the operator on J: -2 L_{e_i}
-        for h(e_i), the inner derivation for a brace.  Both come from J.table,
-        never from the extension's bracket table, which bracket_fidelity checks
-        this action against.  on_module is rho[i] or the brace's matrix.
+        on_J[b] is the sparse image of e_b under the operator on J: -2 e_i e_b
+        for h(e_i), the inner derivation [L_{e_a}, L_{e_a'}] e_b for a brace
+        with representative pair (a, a').  Both are lookups in J.table (J is
+        validated, so commutative), never in the extension's bracket table,
+        which bracket_fidelity checks this action against.  on_module is
+        rho[i] or the brace's matrix.
         """
         key = (kind, i)
         if key not in self._weight_zero:
             J = self.J
-            d = J.dim
             if kind == "h":
-                op, on_module = L_op(J, unit_vector(d, i)).scale(-2), self.rep.rho[i]
+                on_J = [{r: -2 * c for r, c in J.table[i][b].items()} for b in range(J.dim)]
+                on_module = self.rep.rho[i]
             else:
-                a, b = self.g0.brace.rep_pairs[i]
-                op = inner_derivation(J, unit_vector(d, a), unit_vector(d, b))
+                a, a2 = self.g0.brace.rep_pairs[i]
+                on_J = [derivation_column(J, a, a2, b) for b in range(J.dim)]
                 on_module = self.g0.dmats[i]
-            on_J = [{r: c for r, c in enumerate(op.col(b)) if c} for b in range(d)]
             self._weight_zero[key] = (on_J, on_module)
         return self._weight_zero[key]
 
@@ -601,13 +616,21 @@ def _image(cols, vec):
     return out
 
 
+def _open_target(verma, X, gen, cell):
+    """The target cell of gen from cell, or None when the action is zero,
+    leaves the window, or lands in a cell that the killed part X fills,
+    where every image is already killed."""
+    status, tgt = verma.target_of(gen, cell)
+    if status != "ok" or (tgt in X and X[tgt].dim == verma.cell_dim(tgt)):
+        return None
+    return tgt
+
+
 def _leaves(verma, X, gen, cell):
     """Whether gen maps some row of the killed part X[cell] outside X."""
-    status, tgt = verma.target_of(gen, cell)
-    if status != "ok":
+    tgt = _open_target(verma, X, gen, cell)
+    if tgt is None:
         return False
-    if tgt in X and X[tgt].dim == verma.cell_dim(tgt):
-        return False    # the killed part fills the target cell
     _, cols = verma.action_columns(gen, cell)
     for row in X[cell].rows.values():
         img = _image(cols, row)
@@ -623,10 +646,12 @@ def weyl_dimensions(rep_or_g0, D_max, W=None):
     (lowering and weight-zero generators keep those cells below the band,
     so the closure under raising generators alone spans the submodule).
     Each sweep applies the raising generators to the rows the previous sweep
-    added, in a fixed cell order.  Once a sweep adds nothing, one closing
-    pass applies every generator to the whole killed part: a raising image
-    outside it marks the table unstable, any other image outside it fails
-    the submodule certificate.
+    added, in a fixed cell order, and skips a generator whose target cell the
+    killed part already fills: every insert there would be rejected, so the
+    raising columns of cells deeper than n + 1 are never built.  Once a sweep
+    adds nothing, one closing pass applies every generator to the whole
+    killed part: a raising image outside it marks the table unstable, any
+    other image outside it fails the submodule certificate.
     meta also says whether the top cells survive (top_weight_preserved, the
     exact closure-side reading of dominance); nothing depends on a seed.
     """
@@ -660,8 +685,8 @@ def weyl_dimensions(rep_or_g0, D_max, W=None):
         new_frontier = {}
         for cell, rows in sorted(frontier.items()):
             for gen in raise_gens:
-                status, tgt = verma.target_of(gen, cell)
-                if status != "ok":
+                tgt = _open_target(verma, X, gen, cell)
+                if tgt is None:
                     continue
                 _, cols = verma.action_columns(gen, cell)
                 for v in rows:

@@ -225,6 +225,15 @@ def test_weyl_window_too_small_exit2(capsys):
     assert "window" in err
 
 
+def test_weyl_window_deeper_than_the_recursion_limit(capsys):
+    # the unit has degree 0, so the cells reach the window depth
+    argv = ("weyl", "dims", "--builtin-rep", "newton", "--n", "1", "--cutoff", "1",
+            "--max-degree", "1")
+    code, out, err = run(capsys, *argv, "--window", "1100")
+    assert code == 0, err
+    assert (code, out, err) == run(capsys, *argv)
+
+
 def test_weyl_csv_format(capsys):
     code, out, _ = run(capsys, "weyl", "dims", "--builtin-rep", "newton",
                        "--n", "1", "--cutoff", "2", "--max-degree", "2",

@@ -6,8 +6,8 @@ identity that guards the symmetry holds.  The references below sweep every
 ordered tuple instead; the library's reports must match them line for line,
 witnesses included, on intact and corrupted bracket tables and
 representations, and on a noncommutative table where no reduction applies.
-`jordan.validate` multiplies sparse table rows; its reference multiplies
-dense vectors through `jmul`.
+`jordan.validate` multiplies sparse rows of an integer-scaled copy of the
+table; its reference multiplies dense vectors through `jmul`.
 """
 
 import random
@@ -215,11 +215,11 @@ def corrupt_table(g, rng, keep_antisymmetry, coeffs=(1, -1, 2, Q(1, 2))):
     return g
 
 
-def corrupt_jordan(J, rng, keep_commutativity):
-    """Add a random term to one product e_i e_j with i != j; with
-    keep_commutativity also to e_j e_i."""
+def corrupt_jordan(J, rng, keep_commutativity, coeffs=(1, -1, 2, Q(1, 2))):
+    """Add a random term, with a coefficient drawn from coeffs, to one
+    product e_i e_j with i != j; with keep_commutativity also to e_j e_i."""
     i, j = rng.sample(range(J.dim), 2)
-    k, c = rng.randrange(J.dim), rng.choice([1, -1, 2, Q(1, 2)])
+    k, c = rng.randrange(J.dim), rng.choice(coeffs)
     J.table = [[dict(entry) for entry in row] for row in J.table]
     add_into(J.table[i][j], {k: c})
     if keep_commutativity:
@@ -337,6 +337,22 @@ def test_jordan_identity_matches_dense_reference(family, params):
             lib = validate(J)
             assert lib.lines() == ref_validate(J).lines(), (seed, keep)
             assert lib.items[0].ok is keep
+            failing += not lib.items[3].ok
+    assert failing >= 12
+
+
+def test_jordan_identity_reads_a_new_denominator():
+    # the identity runs on a copy of the table scaled to integers; a 1/3 in
+    # an integral table must raise its scale, or the term would be lost
+    J = builtin("truncated-poly", degree=3)
+    assert all(c.denominator == 1 for row in J.table for out in row for c in out.values())
+    failing = 0
+    for seed in range(8):
+        for keep in (True, False):
+            J = corrupt_jordan(builtin("truncated-poly", degree=3), random.Random(seed), keep,
+                               coeffs=(Q(1, 3),))
+            lib = validate(J)
+            assert lib.lines() == ref_validate(J).lines(), (seed, keep)
             failing += not lib.items[3].ok
     assert failing >= 12
 

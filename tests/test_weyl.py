@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Q
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -9,14 +10,14 @@ from tkkwb.jordan import (InputError, JordanAlgebra, matrix_jordan, spin_factor,
                           truncated_poly)
 from tkkwb.jspace import (JSpaceRep, LevelError, dominance_check, doubled_regular_rep,
                           extend_to_g0, level, matrix_defining_rep, newton_rep,
-                          regular_rep, zero_rep)
+                          regular_rep, tensor_rep, zero_rep)
 from tkkwb.linalg import LabeledSpace, Matrix, RowSpan, random_vector, zero_vector
 from tkkwb.multipoly import Poly
 from tkkwb.weyl import (ExtensionError, NoncommutingPowersError, TruncatedVerma,
                         WindowError, apply_generator, bracket_fidelity,
                         dominance_sum_at, efr_power, efr_vanishes,
                         fpoly_equal, garland_coefficient, lowering_power,
-                        snlt_oracle, weyl_dimensions)
+                        snlt_oracle, weyl_dimensions, _multisets)
 
 
 def basis(n, i):
@@ -60,6 +61,22 @@ def test_window_rejects_depth_zero():
     r = newton_rep(1, 2)
     with pytest.raises(WindowError):
         TruncatedVerma(extend_to_g0(r), 2, 0)
+
+
+@pytest.mark.parametrize("degs", [(0, 1, 2, 3), (0, 0, 1, 1, 2), (2, 0, 3, 1), (1, 1)])
+def test_multisets_match_filtered_combinations(degs):
+    order = sorted(range(len(degs)), key=lambda i: (degs[i], i))
+    for size in range(5):
+        for bound in range(8):
+            expected = [c for c in combinations_with_replacement(order, size)
+                        if sum(degs[i] for i in c) <= bound]
+            assert list(_multisets(order, degs, size, bound)) == expected, (size, bound)
+
+
+def test_multisets_deeper_than_the_recursion_limit():
+    # with a degree-0 unit the cells reach the window depth
+    deep = list(_multisets([0, 1], (0, 1), 1500, 1))
+    assert deep == [(0,) * 1500, (0,) * 1499 + (1,)]
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +464,48 @@ def test_weyl_closing_pass_checks_the_certificate(monkeypatch):
     table = weyl_dimensions(newton_rep(2, 2), 2)
     assert table.meta["stable"] is True
     assert table.meta["certificate_ok"] is False
+
+
+@pytest.mark.parametrize("make_rep, D", [
+    (lambda: newton_rep(2, 3), 3),
+    (lambda: _local_rep(truncated_poly(4), 3), 4),
+], ids=["newton-2-3", "local-3-4"])
+def test_closure_builds_no_raising_column_below_depth_n_plus_1(monkeypatch, make_rep, D):
+    # the killed part fills every cell deeper than n, so the raising
+    # generators of a cell deeper than n + 1 only land in full cells
+    built = []
+    original = TruncatedVerma.action_columns
+
+    def recording(self, gen, cell):
+        built.append((gen, cell))
+        return original(self, gen, cell)
+
+    monkeypatch.setattr(TruncatedVerma, "action_columns", recording)
+    rep = make_rep()
+    n = level(rep)
+    table = weyl_dimensions(rep, D)
+    assert table.meta["stable"] and table.meta["certificate_ok"]
+    assert any(gen[0] == "e" and cell[0] == n + 1 for gen, cell in built)
+    assert [(gen, cell) for gen, cell in built if gen[0] == "e" and cell[0] > n + 1] == []
+
+
+@pytest.mark.parametrize("m, k, dims", [
+    (3, 2, (9, 18, 9)),
+    (2, 4, (16, 52, 74, 52, 16)),
+], ids=["defining-M3-squared", "defining-M2-fourth-power"])
+def test_weyl_tensor_powers_of_defining_reps(m, k, dims):
+    # TKK of M_m+ in degree 0 is sl_2m; the quotient of the k-th tensor power
+    # of the defining rep is the sum of f^lambda copies of L(lambda) over the
+    # partitions lambda of k with at most m rows, so its dimension is (2m)^k
+    # less the parts with more rows (none for m = 3, k = 2; 3 * 15 + 1 for
+    # m = 2, k = 4)
+    base = matrix_defining_rep(m)
+    rep = base
+    for _ in range(k - 1):
+        rep = tensor_rep(rep, base)
+    table = weyl_dimensions(rep, 0)
+    assert table.dims == {(k - 2 * j, 0): dim for j, dim in enumerate(dims)}
+    assert table.meta["stable"] and table.meta["certificate_ok"]
 
 
 def test_weyl_defining_rep_of_3x3_matrices():
