@@ -153,6 +153,8 @@ def cmd_tkk(args):
 
 def cmd_jspace_check(args):
     rep = _resolve_rep(args)
+    # check_jspace takes J as valid; an invalid one is malformed input here
+    jordan_mod.ensure_valid(rep.jordan)
     report = jspace_mod.check_jspace(rep, mode="exhaustive")
     try:
         n = jspace_mod.level(rep)
@@ -189,7 +191,8 @@ def cmd_jspace_check(args):
 def cmd_weyl_dims(args):
     table = weyl_mod.weyl_dimensions(_resolve_rep(args), args.max_degree, W=args.window)
     if not table.meta.get("stable"):
-        print("unstable, rerun with --window", file=sys.stderr)
+        print("unstable: the closing pass found a raising image outside the killed part",
+              file=sys.stderr)
         return EXIT_RESOURCE
     lines_out = []
     if args.format == "csv":
@@ -317,7 +320,9 @@ def build_parser():
     pd.add_argument("--seed", type=int, default=0,
                     help="has no effect: the tables depend on no seed")
     pd.add_argument("--max-degree", type=int, required=True)
-    pd.add_argument("--window", type=int, default=None)
+    pd.add_argument("--window", type=int, default=None,
+                    help="checked (>= 1) and echoed as the JSON window key; "
+                         "has no effect on the table")
     pd.add_argument("--oracle", choices=["snlt"], default=None,
                     help="diff the table against the enumeration oracle")
     pd.set_defaults(func=cmd_weyl_dims)

@@ -619,9 +619,11 @@ def _image(cols, vec):
 def _open_target(verma, X, gen, cell):
     """The target cell of gen from cell, or None when the action is zero,
     leaves the window, or lands in a cell that the killed part X fills,
-    where every image is already killed."""
+    where every image is already killed.  Cells deeper than n are killed
+    whole and are not stored in X."""
     status, tgt = verma.target_of(gen, cell)
-    if status != "ok" or (tgt in X and X[tgt].dim == verma.cell_dim(tgt)):
+    if status != "ok" or tgt[0] > verma.n or \
+            (tgt in X and X[tgt].dim == verma.cell_dim(tgt)):
         return None
     return tgt
 
@@ -645,10 +647,14 @@ def weyl_dimensions(rep_or_g0, D_max, W=None):
     The killed part is the raising-closure of the full below-band cells
     (lowering and weight-zero generators keep those cells below the band,
     so the closure under raising generators alone spans the submodule).
-    Each sweep applies the raising generators to the rows the previous sweep
-    added, in a fixed cell order, and skips a generator whose target cell the
-    killed part already fills: every insert there would be rejected, so the
-    raising columns of cells deeper than n + 1 are never built.  Once a sweep
+    Raising lowers the depth by one, so only the depth-(n+1) cells feed rows
+    into the cells of depth <= n: the closure runs on depths 0..n+1, the
+    cells deeper than n count as full and are never stored, and the table
+    does not depend on the window depth W >= 1, which is only checked and
+    recorded.  Each sweep applies the raising generators to the rows the
+    previous sweep added, in a fixed cell order, and skips a generator whose
+    target cell is full: every insert there would be rejected.  Each sweep
+    reaches one depth higher, so at most n + 2 sweeps run.  Once a sweep
     adds nothing, one closing pass applies every generator to the whole
     killed part: a raising image outside it marks the table unstable, any
     other image outside it fails the submodule certificate.
@@ -658,28 +664,20 @@ def weyl_dimensions(rep_or_g0, D_max, W=None):
     g0, n = checked_extension(rep_or_g0)
     if W is None:
         W = n + 2
-    verma = TruncatedVerma(g0, D_max, W)
+    elif W < 1:
+        raise WindowError("window depth must be >= 1")
+    verma = TruncatedVerma(g0, D_max, 1)
 
     raise_gens = [g for g in verma.generators if g[0] == "e"]
 
     # frontier rows and the rows of the killed parts are sparse {position: int}
     X = {}
-    frontier = {}
-    for cell, basis in verma.cells.items():
-        if cell[0] > n:
-            span = RowSpan(len(basis))
-            rows = [{t: 1} for t in range(len(basis))]
-            for v in rows:
-                span.insert(v)
-            X[cell] = span
-            frontier[cell] = rows
+    frontier = {cell: [{t: 1} for t in range(len(basis))]
+                for cell, basis in verma.cells.items() if cell[0] == n + 1}
 
     sweeps = 0
-    stable = False
-    certificate_ok = True
-    max_sweeps = verma.ell_max + 3
-
-    while sweeps < max_sweeps:
+    added = 1
+    while added:
         sweeps += 1
         added = 0
         new_frontier = {}
@@ -699,17 +697,17 @@ def weyl_dimensions(rep_or_g0, D_max, W=None):
                         new_frontier.setdefault(tgt, []).append(img)
                         added += 1
         frontier = new_frontier
-        if added == 0:
-            # the closing pass; the certificate is only read on stable tables
-            stable = True
-            for cell, gen in product(sorted(X), verma.generators):
-                raising = gen[0] == "e"
-                if (raising or certificate_ok) and _leaves(verma, X, gen, cell):
-                    if raising:
-                        stable = False
-                        break
-                    certificate_ok = False
-            break
+
+    # the closing pass; the certificate is only read on stable tables
+    stable = True
+    certificate_ok = True
+    for cell, gen in product(sorted(X), verma.generators):
+        raising = gen[0] == "e"
+        if (raising or certificate_ok) and _leaves(verma, X, gen, cell):
+            if raising:
+                stable = False
+                break
+            certificate_ok = False
 
     dims = {}
     top_preserved = True

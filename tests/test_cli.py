@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -6,7 +7,7 @@ from conftest import noncommuting_rep, one_gen_rep
 from tkkwb.cli import main
 from tkkwb.jordan import algebra_to_dict, truncated_poly
 from tkkwb.jspace import rep_to_dict
-from tkkwb.linalg import Matrix
+from tkkwb.linalg import Matrix, RowSpan
 
 
 def run(capsys, *argv):
@@ -226,12 +227,55 @@ def test_weyl_window_too_small_exit2(capsys):
 
 
 def test_weyl_window_deeper_than_the_recursion_limit(capsys):
-    # the unit has degree 0, so the cells reach the window depth
+    # the window depth is only checked and echoed: the closure never builds a
+    # cell deeper than n + 1, so a depth past the recursion limit changes nothing
     argv = ("weyl", "dims", "--builtin-rep", "newton", "--n", "1", "--cutoff", "1",
             "--max-degree", "1")
     code, out, err = run(capsys, *argv, "--window", "1100")
     assert code == 0, err
     assert (code, out, err) == run(capsys, *argv)
+
+
+def test_weyl_unstable_closure_exit2(capsys, monkeypatch):
+    # a killed part that claims to contain nothing fails the closing pass
+    monkeypatch.setattr(RowSpan, "contains", lambda self, vec: False)
+    code, out, err = run(capsys, "weyl", "dims", "--builtin-rep", "newton",
+                         "--n", "2", "--cutoff", "2", "--max-degree", "2")
+    assert (code, out) == (2, "")
+    assert err == "unstable: the closing pass found a raising image outside the killed part\n"
+
+
+def test_jspace_check_rejects_a_non_jordan_algebra(capsys, tmp_path):
+    # degree additivity fails (deg t^2 != 2 deg t), so J is not a Jordan algebra
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(_algebra_data(degrees=[0, -1, 2])))
+    for argv in (("jspace", "check", "--builtin-rep", "zero"),
+                 ("tkk", "check"),
+                 ("weyl", "dims", "--builtin-rep", "zero", "--max-degree", "1")):
+        code, out, err = run(capsys, *argv, "--algebra", str(p))
+        assert (code, out) == (3, ""), argv
+        assert err == f"input error: {p} fails the Jordan axioms\n", argv
+
+
+def _readme_examples():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## Command line\n", 1)[1].split("```\n", 2)[1]
+    examples = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        if command.startswith("tkkwb ") and "my_" not in command:
+            examples.append((command.split()[1:], comment.strip()))
+    return examples
+
+
+def test_readme_command_line_examples(capsys):
+    examples = _readme_examples()
+    assert len(examples) >= 10
+    assert sum(bool(comment) for _, comment in examples) >= 2
+    for argv, comment in examples:
+        code, out, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+        assert comment in out, argv
 
 
 def test_weyl_csv_format(capsys):

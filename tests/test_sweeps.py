@@ -7,7 +7,8 @@ ordered tuple instead; the library's reports must match them line for line,
 witnesses included, on intact and corrupted bracket tables and
 representations, and on a noncommutative table where no reduction applies.
 `jordan.validate` multiplies sparse rows of an integer-scaled copy of the
-table; its reference multiplies dense vectors through `jmul`.
+table, exhaustively or on sampled vectors; its reference multiplies dense
+vectors through `jmul`.
 """
 
 import random
@@ -16,12 +17,13 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from tkkwb.jordan import (algebra_from_dict, algebra_to_dict, builtin, derivation_column, jmul,
-                          validate)
+from tkkwb.jordan import (_EXHAUSTIVE_DIM_LIMIT, _SAMPLE_COUNT, algebra_from_dict,
+                          algebra_to_dict, builtin, derivation_column, jmul, validate)
 from tkkwb.jspace import (JSpaceRep, LevelError, check_envelope_relations, check_jspace,
                           dominance_check, doubled_regular_rep, extend_to_g0, level,
                           matrix_defining_rep, newton_rep)
-from tkkwb.linalg import LabeledSpace, Matrix, add_into, combination, dense_vector, unit_vector
+from tkkwb.linalg import (LabeledSpace, Matrix, add_into, combination, dense_vector,
+                          random_vector, unit_vector)
 from tkkwb.report import Report
 from tkkwb.tkk import build_sl2, build_tkk, center_map, validate_lie
 
@@ -173,12 +175,25 @@ def ref_center_map(ext, classical):
     return report
 
 
-def ref_validate(J):
-    """The lines of jordan.validate's report, with the polarized Jordan
-    identity computed on dense vectors through jmul."""
-    lib = validate(J)
+def ref_validate(J, seed=0):
+    """The lines of jordan.validate's report, with the Jordan identity
+    computed on dense vectors through jmul: polarized on all basis 4-tuples,
+    or beyond _EXHAUSTIVE_DIM_LIMIT sampled on the same draws."""
+    lib = validate(J, seed)
     d = J.dim
     report = Report(lib.title, lib.items[:3])
+    if d > _EXHAUSTIVE_DIM_LIMIT:
+        rng = random.Random(seed)
+
+        def sample(t):
+            a, b = random_vector(rng, d), random_vector(rng, d)
+            a2 = jmul(J, a, a)
+            if jmul(J, jmul(J, a2, b), a) != jmul(J, a2, jmul(J, b, a)):
+                return f"(a^2 b)a != a^2(ba) at sample {t}"
+
+        report.check(f"jordan identity ({_SAMPLE_COUNT} random samples)",
+                     range(_SAMPLE_COUNT), sample)
+        return report
     basis = [unit_vector(d, i) for i in range(d)]
     prods = [[dense_vector(d, J.table[i][j]) for j in range(d)] for i in range(d)]
 
@@ -355,6 +370,28 @@ def test_jordan_identity_reads_a_new_denominator():
             assert lib.lines() == ref_validate(J).lines(), (seed, keep)
             failing += not lib.items[3].ok
     assert failing >= 12
+
+
+@pytest.mark.parametrize("family, params", [
+    ("matrix", {"size": 4}),
+    ("spin-factor", {"dim": 13}),
+])
+def test_sampled_jordan_identity_matches_dense_reference(family, params):
+    # above the exhaustive limit the identity is sampled on integer-scaled
+    # vectors and table; the dense reference draws the same Fraction samples
+    assert builtin(family, **params).dim > _EXHAUSTIVE_DIM_LIMIT
+    assert validate(builtin(family, **params)).lines() == \
+        ref_validate(builtin(family, **params)).lines()
+    failing = 0
+    for seed in range(8):
+        for keep in (True, False):
+            J = corrupt_jordan(builtin(family, **params), random.Random(seed), keep,
+                               coeffs=(1, -1, 2, Q(1, 2), Q(1, 3)))
+            lib = validate(J, seed)
+            assert lib.lines() == ref_validate(J, seed).lines(), (seed, keep)
+            assert lib.items[0].ok is keep
+            failing += not lib.items[3].ok
+    assert failing >= 14
 
 
 _REPS = {

@@ -519,10 +519,35 @@ def test_weyl_defining_rep_of_3x3_matrices():
 def test_weyl_insensitive_to_window_depth():
     r = newton_rep(2, 3)
     base = weyl_dimensions(r, 3)  # default depth
-    for W in (1, 2, 6):
+    assert base.to_json_dict()["window"] == level(r) + 2
+    for W in (1, 2, 6, 40):
         other = weyl_dimensions(r, 3, W=W)
         assert other.dims == base.dims
+        assert other.meta == base.meta
         assert other.meta["stable"] and other.meta["certificate_ok"]
+        assert other.to_json_dict()["window"] == W
+
+
+def test_weyl_rejects_window_depth_zero():
+    with pytest.raises(WindowError, match="^window depth must be >= 1$"):
+        weyl_dimensions(newton_rep(1, 2), 2, W=0)
+
+
+def test_weyl_closure_builds_no_cell_below_depth_n_plus_1(monkeypatch):
+    # raising lowers the depth by one, so only the depth-(n+1) cells feed the
+    # cells of depth <= n, whatever the window depth
+    deepest = []
+    original = TruncatedVerma.__init__
+
+    def recording(self, *args):
+        original(self, *args)
+        deepest.append(max(ell for ell, _ in self.cells))
+
+    monkeypatch.setattr(TruncatedVerma, "__init__", recording)
+    r = newton_rep(2, 3)
+    table = weyl_dimensions(r, 3, W=6)
+    assert table.meta["stable"] and table.meta["certificate_ok"]
+    assert deepest == [level(r) + 1]
 
 
 def test_weyl_table_export():
