@@ -2,10 +2,9 @@
 their universal central extensions, and bounded weight modules."""
 
 from .linalg import LabeledSpace, Matrix, RowSpan, kernel, quotient, rref
-from .jordan import (JordanAlgebra, InputError, builtin, inner_derivation,
-                     jmul, jpower, L_op, load_algebra, matrix_jordan,
-                     spin_factor, special_from_associative, truncated_poly,
-                     validate)
+from .jordan import (JordanAlgebra, InputError, builtin, jmul, jpower, L_op,
+                     load_algebra, matrix_jordan, spin_factor,
+                     special_from_associative, truncated_poly, validate)
 from .tkk import (BraceSpace, TKKAlgebra, build_sl2, build_tkk, center_map,
                   half_killing_sl2, short_grading, validate_lie)
 from .jspace import (G0Rep, JSpaceRep, LevelError, ResourceError,

@@ -91,11 +91,6 @@ def L_op(J, a):
     return Matrix(J.dim, J.dim, [[cols[j][i] for j in range(J.dim)] for i in range(J.dim)])
 
 
-def inner_derivation(J, a, b):
-    """The commutator [L_a, L_b], a derivation of J."""
-    return L_op(J, a).commutator(L_op(J, b))
-
-
 def derivation_column(J, i, j, k):
     """Sparse coordinates of [L_{e_i}, L_{e_j}] applied to e_k,
     via table lookups only: e_i (e_k e_j) - (e_i e_k) e_j."""

@@ -80,6 +80,19 @@ def level(rep):
     return int(c)
 
 
+def grading_breach(rep):
+    """The first nonzero entry (r, s) of some rho(e_i), in (i, r, s) order,
+    whose module degrees differ by other than deg e_i, as a message; None
+    when rho respects the grading."""
+    J, degs = rep.jordan, rep.module.degrees
+    for i, sig in enumerate(rep.rho):
+        for r, row in enumerate(sig.data):
+            for s, x in enumerate(row):
+                if x and degs[r] != degs[s] + J.space.degrees[i]:
+                    return f"rho({J.space.labels[i]}) entry ({r},{s}) breaks the grading"
+    return None
+
+
 def check_jspace(rep, mode="exhaustive", samples=8, seed=0):
     """The two defining identities of a J-space.
 
@@ -97,19 +110,11 @@ def check_jspace(rep, mode="exhaustive", samples=8, seed=0):
     """
     J = rep.jordan
     rep_report = Report(f"j-space axioms for {rep.name}")
-    d, m = J.dim, rep.mdim
+    d = J.dim
     sig = rep.rho
 
-    degs_J = J.space.degrees
-    degs_M = rep.module.degrees
-
-    def grading(irs):
-        i, r, s = irs
-        if sig[i].data[r][s] and degs_M[r] != degs_M[s] + degs_J[i]:
-            return f"rho({J.space.labels[i]}) entry ({r},{s}) breaks the grading"
-
-    rep_report.check("rho respects the grading",
-                     product(range(d), range(m), range(m)), grading)
+    breach = grading_breach(rep)
+    rep_report.add("rho respects the grading", breach is None, breach or "")
 
     if mode == "exhaustive":
         pairs = combinations(range(d), 2) if _commutative(J) else product(range(d), repeat=2)

@@ -331,7 +331,10 @@ class RowSpan:
         return True
 
     def basis_matrix(self):
-        """The canonical reduced row echelon basis, one row per dimension."""
+        """The canonical reduced row echelon basis, one row per dimension,
+        from a dense rref of the rank rows only.  Both TKK tails read their
+        canonical basis here: the brace space's defining span and the span
+        of inner derivations."""
         rows = [dense_vector(self.ambient, self.rows[p]) for p in sorted(self.rows)]
         rank, red, _ = rref(Matrix(len(rows), self.ambient, rows))
         return Matrix(rank, self.ambient, red.data[:rank])

@@ -5,16 +5,18 @@ inner derivations for the classical construction, and the quotient
 wedge^2(J) / span{a ^ a^2} (the "brace space") for the central extension.
 Each construction computes its tail data once, as plain data (the tail
 coordinates `pair_coords` of every pair of Jordan basis elements, the
-derivation matrix of every tail element, the brackets among tail elements)
-and hands it to one table filler.  The central epimorphism reads the
-classical pair coordinates.  Structure constants are built from the bracket
-rules, stored densely per ordered basis pair, and re-verified rather than
-trusted: antisymmetry is checked on all ordered pairs, and the Jacobi
-identity on all basis triples, decided on the sorted triples of distinct
-indices once antisymmetry holds.  Jacobi runs on a copy of the table scaled
-to integers.  Inner-derivation coordinates come from reducing sparse
-{flat index: entry} residuals against sparse RREF rows, and the central
-epimorphism checks the homomorphism identity on sparse columns.
+sparse columns of the derivation of every tail element, the brackets among
+tail elements) and hands it to one table filler.  Inner derivations are
+only ever sparse columns read from the Jordan table (`derivation_column`).
+The central epimorphism reads the classical pair coordinates.  Structure
+constants are built from the bracket rules, stored densely per ordered
+basis pair, and re-verified rather than trusted: antisymmetry is checked on
+all ordered pairs, and the Jacobi identity on all basis triples, decided on
+the sorted triples of distinct indices once antisymmetry holds.  Jacobi
+runs on a copy of the table scaled to integers.  Inner-derivation
+coordinates come from reducing sparse {flat index: entry} residuals against
+the canonical basis of their span, read from one sparse RowSpan, and the
+central epimorphism checks the homomorphism identity on sparse columns.
 """
 
 from __future__ import annotations
@@ -23,9 +25,8 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from math import lcm
 
-from .jordan import InputError, ensure_valid, inner_derivation
-from .linalg import (Matrix, RowSpan, add_into, dense_vector, kernel, q_str, quotient, rref,
-                     unit_vector, zero_vector)
+from .jordan import InputError, derivation_column, ensure_valid
+from .linalg import Matrix, RowSpan, add_into, dense_vector, kernel, q_str, quotient
 from .report import Report
 
 _SL2_BASIS = ("e", "f", "h")
@@ -72,15 +73,19 @@ class BraceSpace:
         d = J.dim
         self.pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
         self.pair_index = {p: t for t, p in enumerate(self.pairs)}
+
+        def wedge(i, sparse):
+            """Sparse wedge coordinates of e_i ^ sum_m c_m e_m."""
+            return {self.pair_index[(min(i, m), max(i, m))]: c if i < m else -c
+                    for m, c in sparse.items() if m != i}
+
         span = RowSpan(len(self.pairs))
         for i in range(d):
             for j in range(i, d):
                 for k in range(j, d):
-                    row = zero_vector(len(self.pairs))
-                    self._add_wedge_basis_sparse(row, i, J.table[j][k], 1)
-                    self._add_wedge_basis_sparse(row, j, J.table[i][k], 1)
-                    self._add_wedge_basis_sparse(row, k, J.table[i][j], 1)
-                    if any(row):
+                    row = add_into(add_into(wedge(i, J.table[j][k]), wedge(j, J.table[i][k])),
+                                   wedge(k, J.table[i][j]))
+                    if row:
                         span.insert(row)
         self.s_rows = span.basis_matrix()
         self.reps, self.projection = quotient(len(self.pairs), self.s_rows)
@@ -97,43 +102,11 @@ class BraceSpace:
     def dim(self):
         return len(self.reps)
 
-    def _add_wedge_basis_sparse(self, row, i, sparse, scale):
-        for m, c in sparse.items():
-            if m == i or not c:
-                continue
-            if i < m:
-                row[self.pair_index[(i, m)]] += scale * c
-            else:
-                row[self.pair_index[(m, i)]] -= scale * c
-
-    def wedge_coords(self, u, v):
-        """Coordinates of u ^ v over the wedge basis e_i ^ e_j, i < j."""
-        out = [0] * len(self.pairs)
-        for t, (i, j) in enumerate(self.pairs):
-            out[t] = u[i] * v[j] - u[j] * v[i]
-        return out
-
     def brace_pair(self, i, j):
         """Sparse quotient coordinates of the class of e_i ^ e_j."""
         if i == j:
             return {}
         return self.pair_coords[(i, j)]
-
-    def brace_coords(self, u, v):
-        """Quotient coordinates of the class of u ^ v."""
-        out = [0] * self.dim
-        for t, c in enumerate(self.wedge_coords(u, v)):
-            if c:
-                for r in range(self.dim):
-                    p = self.projection.data[r][t]
-                    if p:
-                        out[r] = out[r] + c * p
-        return out
-
-    def contains_in_span(self, wedge_vec):
-        """Whether a wedge vector lies in the defining span."""
-        out = self.projection.apply(wedge_vec)
-        return all(not x for x in out)
 
 
 class TKKAlgebra:
@@ -225,12 +198,13 @@ class TKKAlgebra:
         return f"TKKAlgebra({self.kind} of {self.jordan.name}, dim={self.dim})"
 
 
-def _fill_table(g, pair_coords, tail_mats, tail_brackets):
+def _fill_table(g, pair_coords, tail_cols, tail_brackets):
     """Record the tail data on g and write its bracket table.
 
     [x(a), y(b)] = [x, y](ab) + kappa(x, y) pair_coords[(a, b)] on e/f/h;
-    tail element k acts on e/f/h by tail_mats[k] and brackets with tail
-    element l to tail_brackets[(k, l)].  The reversed order against e/f/h is
+    tail element k acts on e/f/h by the derivation whose sparse column j,
+    {row: entry}, is tail_cols[k][j], and brackets with tail element l to
+    tail_brackets[(k, l)].  The reversed order against e/f/h is
     filled by antisymmetry, which validate_lie re-checks rather than trusts.
     """
     g.pair_coords = pair_coords
@@ -250,14 +224,10 @@ def _fill_table(g, pair_coords, tail_mats, tail_brackets):
                         add_into(out, {g.tail_index(k): c
                                        for k, c in pair_coords[(i, j)].items()}, kap)
                     g.table[(idxmap[xt](i), idxmap[yt](j))] = out
-    for k, der in enumerate(tail_mats):
+    for k, cols in enumerate(tail_cols):
         for xt in _SL2_BASIS:
             for j in range(d):
-                out = {}
-                for r in range(d):
-                    c = der.data[r][j]
-                    if c:
-                        out[idxmap[xt](r)] = c
+                out = {idxmap[xt](r): c for r, c in cols[j].items()}
                 g.table[(g.tail_index(k), idxmap[xt](j))] = out
                 g.table[(idxmap[xt](j), g.tail_index(k))] = {p: -c for p, c in out.items()}
         for l in range(g.tail_dim):
@@ -275,18 +245,17 @@ def build_sl2(J):
     g = TKKAlgebra(J, "sl2", bs.dim, tail_labels, tail_degrees, kappa)
     g.brace = bs
 
-    ders = [inner_derivation(J, unit_vector(J.dim, a), unit_vector(J.dim, b))
-            for a, b in bs.rep_pairs]
-    # [{a,b},{c,d}] = {da_{a,b} c, d} + {c, da_{a,b} d}
+    # the sparse columns of D_{a,b} = [L_a, L_b] for each representative pair
+    ders = [[derivation_column(J, a, b, c) for c in range(J.dim)] for a, b in bs.rep_pairs]
+    # [{a,b},{c,d}] = {D_{a,b} c, d} + {c, D_{a,b} d}
     tail_brackets = {}
     for k, der in enumerate(ders):
         for l, (a_l, b_l) in enumerate(bs.rep_pairs):
             out = {}
-            for r in range(J.dim):
-                if der.data[r][a_l]:
-                    add_into(out, bs.brace_pair(r, b_l), der.data[r][a_l])
-                if der.data[r][b_l]:
-                    add_into(out, bs.brace_pair(a_l, r), der.data[r][b_l])
+            for r, c in der[a_l].items():
+                add_into(out, bs.brace_pair(r, b_l), c)
+            for r, c in der[b_l].items():
+                add_into(out, bs.brace_pair(a_l, r), c)
             tail_brackets[(k, l)] = out
 
     _fill_table(g, bs.pair_coords, ders, tail_brackets)
@@ -298,20 +267,24 @@ def build_tkk(J):
     ensure_valid(J)
     d = J.dim
 
-    def flat(mat):
-        """The nonzero entries of a d x d matrix, as {r * d + c: entry}."""
-        return {r * d + c: x for r, row in enumerate(mat.data) for c, x in enumerate(row) if x}
-
-    ders = {(a, b): inner_derivation(J, unit_vector(d, a), unit_vector(d, b))
-            for a in range(d) for b in range(a + 1, d)}
-    if ders:
-        rank, red, pivots = rref(Matrix.from_rows([[x for row in m.data for x in row]
-                                                   for m in ders.values()]))
-    else:
-        rank, red, pivots = 0, Matrix.zeros(0, d * d), []
-    basis_mats = [Matrix(d, d, [red.data[k][r * d:(r + 1) * d] for r in range(d)])
-                  for k in range(rank)]
-    basis_rows = [flat(m) for m in basis_mats]
+    # D_{a,b} = [L_a, L_b] for a < b as flat {r * d + c: entry} dicts; their
+    # span's canonical RREF basis is the tail
+    ders = {}
+    span = RowSpan(d * d)
+    for a, b in combinations(range(d), 2):
+        ders[(a, b)] = flat = {r * d + c: x for c in range(d)
+                               for r, x in derivation_column(J, a, b, c).items()}
+        if flat:
+            span.insert(flat)
+    basis_rows = [{t: x for t, x in enumerate(row) if x} for row in span.basis_matrix().data]
+    rank = len(basis_rows)
+    pivots = [min(row) for row in basis_rows]
+    # tail_cols[k][c] is column c of basis element k, as {row: entry}
+    tail_cols = [[{} for _ in range(d)] for _ in range(rank)]
+    for k, row in enumerate(basis_rows):
+        for t, x in row.items():
+            r, c = divmod(t, d)
+            tail_cols[k][c][r] = x
     kappa = half_killing_sl2()
 
     degrees = []
@@ -325,13 +298,14 @@ def build_tkk(J):
     g = TKKAlgebra(J, "tkk", rank, [f"inn{k}" for k in range(rank)], degrees, kappa)
 
     def commutator(k, l):
-        """The flat entries of the commutator of basis elements k and l."""
+        """The flat entries of the commutator of basis elements k and l:
+        column c of D_u D_v sums the columns m of D_u, each scaled by
+        entry (m, c) of D_v."""
         out = {}
         for u, v, sign in ((k, l, 1), (l, k, -1)):
-            rows = basis_mats[v].data
-            for t, a in basis_rows[u].items():
-                r, m = divmod(t, d)
-                add_into(out, {r * d + c: b for c, b in enumerate(rows[m]) if b}, sign * a)
+            for t, b in basis_rows[v].items():
+                m, c = divmod(t, d)
+                add_into(out, {r * d + c: a for r, a in tail_cols[u][m].items()}, sign * b)
         return out
 
     def inn_coords(resid):
@@ -352,8 +326,8 @@ def build_tkk(J):
     # D_{b,a} = -D_{a,b} and [D_k, D_l] = -[D_l, D_k] exactly, so each
     # unordered pair is computed once
     pair_coords = {}
-    for (a, b), m in ders.items():
-        pair_coords[(a, b)] = col = inn_coords(flat(m))
+    for (a, b), flat in ders.items():
+        pair_coords[(a, b)] = col = inn_coords(flat)
         pair_coords[(b, a)] = {k: -c for k, c in col.items()}
     tail_brackets = {}
     for k in range(rank):
@@ -362,7 +336,7 @@ def build_tkk(J):
             tail_brackets[(k, l)] = out
             tail_brackets[(l, k)] = {t: -c for t, c in out.items()}
 
-    _fill_table(g, pair_coords, basis_mats, tail_brackets)
+    _fill_table(g, pair_coords, tail_cols, tail_brackets)
     return g
 
 

@@ -32,7 +32,8 @@ from .jordan import InputError, derivation_column, jpower
 from .linalg import Matrix, RowSpan, add_into, random_vector
 from .multipoly import Poly
 from .report import Report
-from .jspace import G0Rep, LevelError, dominance_operator, extend_to_g0, level
+from .jspace import (G0Rep, LevelError, dominance_operator, extend_to_g0,
+                     grading_breach, level)
 
 
 class WindowError(Exception):
@@ -380,6 +381,9 @@ class TruncatedVerma:
         self.J = J
         if any(x < 0 for x in J.space.degrees):
             raise InputError("algebra degrees must be nonnegative")
+        breach = grading_breach(rep)
+        if breach:
+            raise InputError(breach)
         self.D_max = D_max
         self.W = W
         self.ell_max = self.n + W

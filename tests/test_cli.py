@@ -60,6 +60,11 @@ _SHORT_COORDS_MULT = [{"i": 1, "j": 1, "coords": ["0", "0"]}]
 _ZERO_DENOMINATOR_REP = {"algebra": "truncated-poly:1",
                          "module": {"labels": ["v"], "degrees": [0]},
                          "rho": [[["1/0"]], [["0"]]]}
+# rho(t) maps the degree-1 module vector to itself
+_GRADING_BREAKING_REP = {"algebra": "truncated-poly:2",
+                         "module": {"labels": ["m0", "m1"], "degrees": [0, 1]},
+                         "rho": [[["1", "0"], ["0", "1"]], [["0", "0"], ["0", "1"]],
+                                 [["0", "0"], ["0", "0"]]]}
 _NEWTON_1 = ("jspace", "check", "--builtin-rep", "newton", "--n", "1", "--cutoff", "1")
 _WEYL_NEGATIVE_DEGREE = ("weyl", "dims", "--builtin-rep", "newton", "--n", "1",
                          "--cutoff", "2", "--max-degree", "-1")
@@ -87,13 +92,15 @@ _WEYL_NEGATIVE_DEGREE = ("weyl", "dims", "--builtin-rep", "newton", "--n", "1",
     (("jordan", "check", "--builtin", "spin-factor", "--dim", "-1"), None, None),
     (("jordan", "check", "--algebra"), _algebra_data(mult=_SHORT_COORDS_MULT),
      "mult entry i=1, j=1 has 2 coords, expected 3"),
+    (("weyl", "dims", "--max-degree", "2", "--rep"), _GRADING_BREAKING_REP,
+     "rho(t) entry (1,1) breaks the grading"),
 ], ids=["duplicate-labels", "short-degrees", "zero-denominator-algebra",
         "non-list-mult", "zero-denominator-rep", "negative-max-degree", "negative-max-degree-oracle",
         "symfun-relation-n0", "symfun-frobenius-n0", "symfun-coeffs-negative-n",
         "symfun-classes-negative-n", "symfun-classes-n0", "jspace-negative-samples",
         "garland-negative-samples", "garland-zero-samples", "weyl-missing-max-degree",
         "non-integer-size", "tkk-check-unread-samples", "negative-spin-factor-dim",
-        "short-coords"])
+        "short-coords", "weyl-rep-breaks-grading"])
 def test_malformed_input_exits_3_without_traceback(capsys, tmp_path, argv, payload, message):
     if payload is not None:
         p = tmp_path / "input.json"

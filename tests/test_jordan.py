@@ -5,10 +5,10 @@ from fractions import Fraction as Q
 import pytest
 
 from tkkwb.jordan import (InputError, JordanAlgebra, algebra_from_dict,
-                          algebra_to_dict, builtin, inner_derivation, jmul,
+                          algebra_to_dict, builtin, derivation_column, jmul,
                           jpower, L_op, matrix_jordan, spin_factor,
                           special_from_associative, truncated_poly, validate)
-from tkkwb.linalg import Matrix, random_vector, zero_vector
+from tkkwb.linalg import Matrix, add_into, dense_vector, random_vector, zero_vector
 
 
 def basis(n, i):
@@ -90,17 +90,36 @@ def test_L_op_examples():
     assert L_op(J, [Q(0), Q(2), Q(0)]) == lt.scale(Q(2))
 
 
+def dense_inner_derivation(J, a, b):
+    """The reference [L_a, L_b] as a dense matrix product."""
+    return L_op(J, a).commutator(L_op(J, b))
+
+
 def test_inner_derivation_basic():
     J = matrix_jordan(2)
     a = random_vector(random.Random(0), 4)
-    assert inner_derivation(J, a, a).is_zero()
+    assert dense_inner_derivation(J, a, a).is_zero()
     b = random_vector(random.Random(1), 4)
-    assert inner_derivation(J, list(J.unit), b).is_zero()
+    assert dense_inner_derivation(J, list(J.unit), b).is_zero()
     # commutative associative: all derivations vanish
     Jt = truncated_poly(4)
     x = random_vector(random.Random(2), 5)
     y = random_vector(random.Random(3), 5)
-    assert inner_derivation(Jt, x, y).is_zero()
+    assert dense_inner_derivation(Jt, x, y).is_zero()
+
+
+@pytest.mark.parametrize("J", [truncated_poly(3), truncated_poly(4, graded=False),
+                               matrix_jordan(1), matrix_jordan(2), matrix_jordan(3),
+                               builtin("spin-factor", dim=0), builtin("spin-factor", dim=3),
+                               spin_factor([[Q(1), Q(2)], [Q(2), Q(4)]])],
+                         ids=lambda J: J.name)
+def test_derivation_column_is_a_column_of_the_dense_commutator(J):
+    d = J.dim
+    for i in range(d):
+        for j in range(d):
+            der = dense_inner_derivation(J, basis(d, i), basis(d, j))
+            for k in range(d):
+                assert dense_vector(d, derivation_column(J, i, j, k)) == der.col(k)
 
 
 def test_inner_derivation_leibniz():
@@ -108,14 +127,20 @@ def test_inner_derivation_leibniz():
         d = J.dim
         for i in range(d):
             for j in range(d):
-                der = inner_derivation(J, basis(d, i), basis(d, j))
+                def der(v):
+                    out = {}
+                    for k, c in enumerate(v):
+                        if c:
+                            add_into(out, derivation_column(J, i, j, k), c)
+                    return dense_vector(d, out)
+
                 for u in range(d):
                     for v in range(d):
                         uv = jmul(J, basis(d, u), basis(d, v))
-                        lhs = der.apply(uv)
+                        lhs = der(uv)
                         rhs = [x + y for x, y in zip(
-                            jmul(J, der.apply(basis(d, u)), basis(d, v)),
-                            jmul(J, basis(d, u), der.apply(basis(d, v))))]
+                            jmul(J, der(basis(d, u)), basis(d, v)),
+                            jmul(J, basis(d, u), der(basis(d, v))))]
                         assert lhs == rhs
 
 

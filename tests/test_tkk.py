@@ -4,11 +4,13 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from tkkwb import tkk
-from tkkwb.jordan import (InputError, algebra_from_dict, builtin, jmul, matrix_jordan,
+from tkkwb import linalg, tkk
+from tkkwb.jordan import (InputError, L_op, algebra_from_dict, builtin, jmul, matrix_jordan,
                           spin_factor, truncated_poly, validate)
-from tkkwb.linalg import Matrix, q_str, random_vector, zero_vector
+from tkkwb.linalg import Matrix, RowSpan, add_into, q_str, random_vector, rref, zero_vector
 from tkkwb.tkk import (BraceSpace, algebra_to_dict, build_sl2, build_tkk,
                        center_map, half_killing_sl2, short_grading,
                        validate_lie)
@@ -18,6 +20,21 @@ def basis(n, i):
     v = zero_vector(n)
     v[i] = Q(1)
     return v
+
+
+def wedge(bs, u, v):
+    """Sparse coordinates of u ^ v over the wedge basis e_i ^ e_j, i < j,
+    whether they lie in the defining span of the brace space, and the
+    class of u ^ v in the quotient, summed from the brace pair coordinates."""
+    w = {t: u[i] * v[j] - u[j] * v[i] for t, (i, j) in enumerate(bs.pairs)
+         if u[i] * v[j] != u[j] * v[i]}
+    span = RowSpan(len(bs.pairs))
+    for r in range(bs.s_rows.rows):
+        span.insert(bs.s_rows.row(r))
+    brace = {}
+    for t, c in w.items():
+        add_into(brace, bs.brace_pair(*bs.pairs[t]), c)
+    return w, span.contains(w), brace
 
 
 def test_half_killing_values():
@@ -48,9 +65,9 @@ def test_brace_space_kills_squares_of_basis_and_pair_sums():
         elems += [[x + y for x, y in zip(basis(d, i), basis(d, j))]
                   for i in range(d) for j in range(i + 1, d)]
         for a in elems:
-            a2 = jmul(J, a, a)
-            assert bs.contains_in_span(bs.wedge_coords(a, a2))
-            assert all(not c for c in bs.brace_coords(a, a2))
+            _, inside, brace = wedge(bs, a, jmul(J, a, a))
+            assert inside
+            assert brace == {}
 
 
 def test_brace_space_containment_both_ways():
@@ -60,17 +77,20 @@ def test_brace_space_containment_both_ways():
         # random a: a ^ a^2 lies in the defining span
         for _ in range(20):
             a = random_vector(rng, J.dim)
-            a2 = jmul(J, a, a)
-            assert bs.contains_in_span(bs.wedge_coords(a, a2))
+            assert wedge(bs, a, jmul(J, a, a))[1]
         # and the span of sampled a ^ a^2 on a rational grid recovers
         # every polarized generator
-        from tkkwb.linalg import RowSpan
         sampled = RowSpan(len(bs.pairs))
         for _ in range(8 * max(1, bs.s_rows.rows)):
             a = random_vector(rng, J.dim)
-            sampled.insert(bs.wedge_coords(a, jmul(J, a, a)))
+            sampled.insert(wedge(bs, a, jmul(J, a, a))[0])
         for r in range(bs.s_rows.rows):
             assert sampled.contains(bs.s_rows.row(r))
+        # a representative pair is outside the span, and its class is its brace
+        for k, (i, j) in enumerate(bs.rep_pairs):
+            _, inside, brace = wedge(bs, basis(J.dim, i), basis(J.dim, j))
+            assert not inside
+            assert brace == {k: 1}
 
 
 def test_bracket_spot_identities():
@@ -287,3 +307,60 @@ def test_build_tkk_rejects_a_tail_bracket_outside_the_derivation_span(monkeypatc
     monkeypatch.setattr(tkk, "ensure_valid", lambda J: None)
     with pytest.raises(InputError, match="^matrix outside the inner-derivation span$"):
         build_tkk(J)
+
+
+def test_build_tkk_runs_rref_on_the_tail_basis_only(monkeypatch):
+    # Inn M3+ = sl3 has dimension 8; its basis must not come from a dense
+    # rref over all 36 pair derivations
+    seen = []
+
+    def recording_rref(m):
+        seen.append(m.rows)
+        return rref(m)
+
+    for module in (tkk, linalg):
+        if hasattr(module, "rref"):
+            monkeypatch.setattr(module, "rref", recording_rref)
+    g = build_tkk(matrix_jordan(3))
+    assert g.tail_dim == 8
+    assert seen and max(seen) <= 8
+
+
+def dense_inner_derivation_rank(J):
+    """Rank of the span of the dense matrices [L_a, L_b], a < b."""
+    d = J.dim
+    rows = []
+    for a in range(d):
+        for b in range(a + 1, d):
+            m = L_op(J, basis(d, a)).commutator(L_op(J, basis(d, b)))
+            rows.append([x for row in m.data for x in row])
+    return rref(Matrix.from_rows(rows))[0] if rows else 0
+
+
+@st.composite
+def _gram_matrices(draw):
+    """Symmetric k x k rational matrices, k <= 4, degenerate ones included."""
+    k = draw(st.integers(0, 4))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    g = [[Q(0)] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            g[i][j] = g[j][i] = draw(entry)
+    return g
+
+
+@settings(deadline=None, max_examples=30)
+@given(_gram_matrices())
+@example([[Q(0)] * 3 for _ in range(3)])
+@example([[Q(1), Q(1), Q(0)], [Q(1), Q(1), Q(0)], [Q(0), Q(0), Q(0)]])
+@example([[Q(1), Q(2), Q(0), Q(0)], [Q(2), Q(4), Q(0), Q(0)],
+          [Q(0), Q(0), Q(-1), Q(1, 2)], [Q(0), Q(0), Q(1, 2), Q(-1, 4)]])
+def test_spin_factor_tails_are_lie_and_central(gram):
+    J = spin_factor(gram)
+    ext, classical = build_sl2(J), build_tkk(J)
+    for g in (ext, classical):
+        rep = validate_lie(g)
+        assert rep.ok, rep.first_failure()
+    rep = center_map(ext, classical)[2]
+    assert rep.ok, rep.first_failure()
+    assert classical.tail_dim == dense_inner_derivation_rank(J)

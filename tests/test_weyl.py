@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as Q
 from itertools import combinations_with_replacement
 
@@ -8,9 +9,9 @@ from conftest import (jordan_block_3, nilpotent_matrix, noncommuting_rep,
                       one_gen_rep, projection_matrix)
 from tkkwb.jordan import (InputError, JordanAlgebra, matrix_jordan, spin_factor,
                           truncated_poly)
-from tkkwb.jspace import (JSpaceRep, LevelError, dominance_check, doubled_regular_rep,
-                          extend_to_g0, level, matrix_defining_rep, newton_rep,
-                          regular_rep, tensor_rep, zero_rep)
+from tkkwb.jspace import (JSpaceRep, LevelError, check_jspace, dominance_check,
+                          doubled_regular_rep, extend_to_g0, level, matrix_defining_rep,
+                          newton_rep, regular_rep, tensor_rep, zero_rep)
 from tkkwb.linalg import LabeledSpace, Matrix, RowSpan, random_vector, zero_vector
 from tkkwb.multipoly import Poly
 from tkkwb.weyl import (ExtensionError, NoncommutingPowersError, TruncatedVerma,
@@ -351,6 +352,22 @@ def test_snlt_oracle_level0():
     assert snlt_oracle(0, 2).dims == weyl_dimensions(zero_rep(truncated_poly(2)), 2).dims
     with pytest.raises(InputError):
         snlt_oracle(-1, 2)
+
+
+def test_weyl_dims_rejects_a_rep_that_breaks_the_grading():
+    # rho(t) maps the degree-1 module vector to itself: a J-space (all images
+    # commute and Inn J = 0) whose extension passes, but no graded module
+    J = truncated_poly(2)
+    module = LabeledSpace(("m0", "m1"), (0, 1))
+    t = Matrix.zeros(2, 2)
+    t.data[1][1] = Q(1)
+    r = JSpaceRep(J, module, [Matrix.identity(2), t, Matrix.zeros(2, 2)], name="off grade")
+    message = "rho(t) entry (1,1) breaks the grading"
+    item = check_jspace(r).items[0]
+    assert (item.name, item.ok, item.detail) == ("rho respects the grading", False, message)
+    assert extend_to_g0(r).report.ok
+    with pytest.raises(InputError, match=rf"^{re.escape(message)}$"):
+        weyl_dimensions(r, 2)
 
 
 def test_weyl_zero_rep_is_module():
