@@ -483,7 +483,15 @@ def center_map(g_ext, g_tkk):
     pairs = combinations(range(n), 2) if antisymmetric else product(range(n), repeat=2)
     rep.check("lie algebra homomorphism (all pairs)", pairs, nonhomomorphic)
 
-    ker = kernel(phi)
+    # phi is the identity on e/f/h and maps the tail into the tail, so its
+    # kernel is that of the tail block, padded with zeros on e/f/h; the
+    # padded rows are the canonical kernel basis of the whole of phi
+    t0 = g_ext.tail_index(0)
+    tail_ker = kernel(Matrix(g_tkk.tail_dim, g_ext.tail_dim,
+                             [phi.data[g_tkk.tail_index(k)][t0:]
+                              for k in range(g_tkk.tail_dim)]))
+    pad = [Fraction(0)] * t0
+    ker = Matrix(tail_ker.rows, g_ext.dim, [pad + row for row in tail_ker.data])
     rank = phi.cols - ker.rows
     rep.add("surjective", rank == g_tkk.dim, f"rank {rank} vs dim {g_tkk.dim}")
 

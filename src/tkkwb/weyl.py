@@ -7,12 +7,15 @@ straightening: each commutator past a lowering factor produces a
 weight-zero element, which is pushed to the right and applied through the
 weight-zero extension.
 
-One rule, _StraightData.raise_basis, does all straightening: efr_power
-uses it for e(1)^r f(a)^(n+1), and TruncatedVerma for the windowed action
-of the raising generators.  Two routes check it independently: the
-coefficient extraction from the classical generating function of Garland
-must equal efr_power exactly at every depth r, and bracket_fidelity checks
-the windowed action against the bracket table of the extension.
+One rule, _StraightData.raise_basis, does all straightening: efr_powers
+uses it for e(1)^r f(a)^(n+1) at several depths r from one raising pass,
+and TruncatedVerma for the windowed action of the raising generators.  Two
+routes check it independently: the coefficient extraction from the
+classical generating function of Garland (garland_coefficients, one
+expansion per element a for all depths) must equal efr_powers exactly at
+every depth r, and bracket_fidelity checks the windowed action against the
+bracket table of the extension.  efr_power and garland_coefficient are the
+single-depth forms.
 
 Weyl dimension tables come from a raising-closure of the below-band cells
 of a degree-and-depth window, with a submodule certificate checked after
@@ -70,7 +73,7 @@ def checked_extension(rep_or_g0):
 # ---------------------------------------------------------------------------
 # straightening data shared by the window-free and windowed engines:
 # raise_basis is the one straightening rule.  Garland's generating function
-# checks it through efr_power, bracket_fidelity through the windowed action.
+# checks it through efr_powers, bracket_fidelity through the windowed action.
 # Multisets of algebra basis indices are index-sorted tuples.
 
 
@@ -103,6 +106,8 @@ class _StraightData:
                 self.g0mat[x][b] = m
         # [h(e_x e_b) + 2{e_x,e_b}, f(e_c)] = f(-2 (e_x e_b) e_c + 2 da_{x,b} e_c)
         self._repl = {}
+        self._unit = {x: c for x, c in enumerate(J.unit) if c}
+        self._raised = {}
 
     def repl(self, x, b, c):
         key = (x, b, c)
@@ -141,6 +146,16 @@ class _StraightData:
                 add_into(out, {(_fkey_insert(nu2, k), mi): ck
                                for k, ck in self.repl(x, b, c2).items()}, count)
         return out
+
+    def raise_unit(self, fkey, mi):
+        """e(1) f(fkey) m_mi straightened, kept for the life of this object."""
+        key = (fkey, mi)
+        if key not in self._raised:
+            out = {}
+            for x, c in self._unit.items():
+                add_into(out, self.raise_basis(x, fkey, mi), c)
+            self._raised[key] = out
+        return self._raised[key]
 
 
 # ---------------------------------------------------------------------------
@@ -183,47 +198,52 @@ def lowering_power(a, k):
     return fp
 
 
-def efr_power(g0, a, rr):
-    """The straightened action of e(1)^rr f(a)^(n+1) on the module.
+def _check_depths(rrs, n):
+    """The depths rrs sorted without repeats; each must lie in 0..n+1."""
+    rrs = sorted(set(rrs))
+    if rrs and not 0 <= rrs[0] <= rrs[-1] <= n + 1:
+        raise ValueError(f"need 0 <= rr <= {n + 1}")
+    return rrs
 
-    Returns the operator on the module for rr = n+1 (the result has no
+
+def efr_powers(g0, a, rrs):
+    """{rr: the straightened action of e(1)^rr f(a)^(n+1)} for each rr in rrs.
+
+    Each value is the operator on the module for rr = n+1 (the result has no
     lowering factors left) and a formal lowering polynomial with matrix
-    coefficients for rr <= n.  Column mi of each matrix comes from raising
-    the sparse vector f(a)^(n+1) m_mi rr times.
+    coefficients for rr <= n.  Column mi of each comes from one pass that
+    raises the sparse vector f(a)^(n+1) m_mi up to the deepest rr, keeping
+    it at every requested depth.
     """
     g0, n = checked_extension(g0)
-    if not 0 <= rr <= n + 1:
-        raise ValueError(f"need 0 <= rr <= {n + 1}")
+    rrs = _check_depths(rrs, n)
     data = _StraightData(g0)
-    unit = {x: c for x, c in enumerate(g0.rep.jordan.unit) if c}
-    raised = {}     # e(1) of each basis vector (multiset, module index) reached
-
-    def raise_unit(bm):
-        if bm not in raised:
-            raised[bm] = {}
-            for x, c in unit.items():
-                add_into(raised[bm], data.raise_basis(x, *bm), c)
-        return raised[bm]
-
     m = g0.rep.mdim
     power = lowering_power(a, n + 1)
-    fp = {}
+    fps = {rr: {} for rr in rrs}
     for mi in range(m):
-        vec = {(fkey, mi): c for fkey, c in power.items()}
-        for _ in range(rr):
+        vecs = [{(fkey, mi): c for fkey, c in power.items()}]
+        for _ in range(max(rrs, default=0)):
             nxt = {}
-            for bm, c in vec.items():
-                add_into(nxt, raise_unit(bm), c)
-            vec = nxt
-        for (fkey, r), c in vec.items():
-            if fkey not in fp:
-                fp[fkey] = Matrix.zeros(m, m)
-            fp[fkey].data[r][mi] = c
-    if rr == n + 1:
-        if any(key != () for key in fp):
+            for bm, c in vecs[-1].items():
+                add_into(nxt, data.raise_unit(*bm), c)
+            vecs.append(nxt)
+        for rr, fp in fps.items():
+            for (fkey, r), c in vecs[rr].items():
+                if fkey not in fp:
+                    fp[fkey] = Matrix.zeros(m, m)
+                fp[fkey].data[r][mi] = c
+    if n + 1 in fps:
+        top = fps[n + 1]
+        if any(key != () for key in top):
             raise AssertionError("depth-0 result kept lowering factors")
-        return fp.get((), Matrix.zeros(m, m))
-    return fp
+        fps[n + 1] = top.get((), Matrix.zeros(m, m))
+    return fps
+
+
+def efr_power(g0, a, rr):
+    """efr_powers at the single depth rr."""
+    return efr_powers(g0, a, [rr])[rr]
 
 
 def dominance_sum_at(rep, a):
@@ -255,19 +275,21 @@ def efr_vanishes(rep_or_g0, mode="symbolic", samples=8, seed=0):
 # the generating-function route
 
 
-def garland_coefficient(g0, a, rr):
-    """Coefficient extraction from the classical generating function.
+def garland_coefficients(g0, a, rrs):
+    """{rr: coefficient extraction from the classical generating function}
+    for each rr in rrs.
 
     Expands (sum_s f(a^s) u^s)^(n+1-rr) * exp(-sum_t rho(a^t)/t u^t) to
     order u^(n+1), keeping lowering symbols formal on the left and letting
     the weight-zero symbols act on the module, then scales by
     (-1)^rr rr! (n+1)!/(n+1-rr)!.  The rho images of the powers of a must
-    commute, which is validated first.
+    commute, which is validated first.  The exponential series depends on
+    a alone and the lowering sum is raised to successive powers once, so
+    every depth reads both from one expansion.
     """
     g0, n = checked_extension(g0)
     rep = g0.rep
-    if not 0 <= rr <= n + 1:
-        raise ValueError(f"need 0 <= rr <= {n + 1}")
+    rrs = _check_depths(rrs, n)
     J = rep.jordan
     m = rep.mdim
     order = n + 1
@@ -297,33 +319,38 @@ def garland_coefficient(g0, a, rr):
         term = [mm.scale(Fraction(-1, j)) for mm in nxt]
         expo = [e + t for e, t in zip(expo, term)]
 
-    # (sum_s f(a^s) u^s)^(n+1-rr): per u-power, multiset -> scalar
-    # lower[s]: index i -> coordinate i of a^s
+    # apows[k] = (sum_s f(a^s) u^s)^k, k up to n+1-rr for the least rr:
+    # per u-power, multiset -> scalar; lower[s]: index i -> coordinate i of a^s
     lower = [{}] + [{i: c for i, c in enumerate(powers[s]) if c} for s in range(1, order + 1)]
-    apow = [dict() for _ in range(order + 1)]
-    apow[0][()] = 1
-    for _ in range(n + 1 - rr):
+    apows = [[{(): 1}] + [dict() for _ in range(order)]]
+    for _ in range(n + 1 - min(rrs, default=n + 1)):
         nxt = [dict() for _ in range(order + 1)]
         for p in range(order + 1):
-            for key, c in apow[p].items():
+            for key, c in apows[-1][p].items():
                 for q in range(1, order + 1 - p):
                     add_into(nxt[p + q],
                              {_fkey_insert(key, i): c2 for i, c2 in lower[q].items()}, c)
-        apow = nxt
+        apows.append(nxt)
 
-    prefactor = Fraction((-1) ** rr * factorial(rr) * factorial(n + 1),
-                         factorial(n + 1 - rr))
-    out = {}
-    for k in range(order + 1):
-        bmat = expo[order - k]
-        if bmat.is_zero():
-            continue
-        for key, c in apow[k].items():
-            _fpoly_add(out, key, bmat.scale(c * prefactor))
-    out = fpoly_normalize(out)
-    if rr == n + 1:
-        return out.get((), Matrix.zeros(m, m))
-    return out
+    results = {}
+    for rr in rrs:
+        prefactor = Fraction((-1) ** rr * factorial(rr) * factorial(n + 1),
+                             factorial(n + 1 - rr))
+        out = {}
+        for k, terms in enumerate(apows[n + 1 - rr]):
+            bmat = expo[order - k]
+            if bmat.is_zero():
+                continue
+            for key, c in terms.items():
+                _fpoly_add(out, key, bmat.scale(c * prefactor))
+        out = fpoly_normalize(out)
+        results[rr] = out.get((), Matrix.zeros(m, m)) if rr == n + 1 else out
+    return results
+
+
+def garland_coefficient(g0, a, rr):
+    """garland_coefficients at the single depth rr."""
+    return garland_coefficients(g0, a, [rr])[rr]
 
 
 # ---------------------------------------------------------------------------

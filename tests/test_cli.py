@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from conftest import noncommuting_rep, one_gen_rep
+from tkkwb import cli, weyl
 from tkkwb.cli import main
 from tkkwb.jordan import algebra_to_dict, truncated_poly
 from tkkwb.jspace import rep_to_dict
@@ -299,6 +300,37 @@ def test_garland_verify(capsys):
     assert code == 0
     assert "PASS" in out and "FAIL" not in out
     assert "seed: 0" in out
+
+
+def test_garland_verify_straightens_each_argument_once_per_sample(capsys, monkeypatch):
+    # the benchmark job: every depth of a sample shares one raising pass and
+    # one generating series, so no straightening repeats within a sample and
+    # the powers a^1..a^(n+1) are taken once per sample
+    samples, jpowers = [], []
+    draw, raise_basis, jpower = cli.random_vector, weyl._StraightData.raise_basis, weyl.jpower
+
+    def new_sample(*args, **kwargs):
+        samples.append([])
+        return draw(*args, **kwargs)
+
+    def counted_raise(self, x, fkey, mi):
+        samples[-1].append((x, fkey, mi))
+        return raise_basis(self, x, fkey, mi)
+
+    def counted_jpower(*args):
+        jpowers.append(len(samples))
+        return jpower(*args)
+
+    monkeypatch.setattr(cli, "random_vector", new_sample)
+    monkeypatch.setattr(weyl._StraightData, "raise_basis", counted_raise)
+    monkeypatch.setattr(weyl, "jpower", counted_jpower)
+    code, out, _ = run(capsys, "garland", "verify", "--builtin-rep", "newton", "--n", "4",
+                       "--cutoff", "3", "--samples", "2", "--seed", "0")
+    assert code == 0 and "FAIL" not in out
+    assert len(samples) == 2
+    assert all(len(calls) == len(set(calls)) for calls in samples)
+    assert sum(map(len, samples)) == 1035
+    assert jpowers == [1] * 5 + [2] * 5
 
 
 @pytest.mark.parametrize("argv", [

@@ -16,9 +16,9 @@ from tkkwb.linalg import LabeledSpace, Matrix, RowSpan, random_vector, zero_vect
 from tkkwb.multipoly import Poly
 from tkkwb.weyl import (ExtensionError, NoncommutingPowersError, TruncatedVerma,
                         WindowError, apply_generator, bracket_fidelity,
-                        dominance_sum_at, efr_power, efr_vanishes,
-                        fpoly_equal, garland_coefficient, lowering_power,
-                        snlt_oracle, weyl_dimensions, _multisets)
+                        dominance_sum_at, efr_power, efr_powers, efr_vanishes,
+                        fpoly_equal, garland_coefficient, garland_coefficients,
+                        lowering_power, snlt_oracle, weyl_dimensions, _multisets)
 
 
 def basis(n, i):
@@ -211,12 +211,15 @@ def test_lowering_power_multinomial():
     assert lowering_power([Q(2), Q(3)], 2) == {(0, 0): 4, (0, 1): 12, (1, 1): 9}
 
 
-@pytest.mark.parametrize("make_rep,n", [
+GARLAND_CASES = [
     (lambda: regular_rep(truncated_poly(2)), 1),
     (lambda: matrix_defining_rep(2), 1),
     (lambda: newton_rep(2, 2), 2),
     (lambda: newton_rep(3, 2), 3),
-])
+]
+
+
+@pytest.mark.parametrize("make_rep,n", GARLAND_CASES)
 def test_garland_matches_straightening(make_rep, n):
     r = make_rep()
     g0 = extend_to_g0(r)
@@ -230,6 +233,26 @@ def test_garland_matches_straightening(make_rep, n):
                 assert direct == series
             else:
                 assert fpoly_equal(direct, series)
+
+
+@pytest.mark.parametrize("symbolic", [False, True], ids=["numeric", "symbolic"])
+@pytest.mark.parametrize("make_rep,n", GARLAND_CASES,
+                         ids=["regular-poly2", "defining-M2", "newton-2-2", "newton-3-2"])
+def test_all_depth_routes_match_single_depth(make_rep, n, symbolic):
+    g0 = extend_to_g0(make_rep())
+    assert level(g0.rep) == n
+    d = g0.rep.jordan.dim
+    a = Poly.variables(d) if symbolic else \
+        random_vector(random.Random(29), d, num_bound=5, den_bound=3)
+    rrs = [n + 1, 0, n, 1, 0] + list(range(n + 2))
+    for plural, single in ((efr_powers, efr_power), (garland_coefficients, garland_coefficient)):
+        got = plural(g0, a, rrs)
+        assert sorted(got) == list(range(n + 2))
+        for rr in range(n + 2):
+            assert got[rr] == single(g0, a, rr), (plural.__name__, rr)
+        for bad in ([n + 2], [0, -1]):
+            with pytest.raises(ValueError, match=rf"^need 0 <= rr <= {n + 1}$"):
+                plural(g0, a, bad)
 
 
 @pytest.mark.parametrize("make_rep", [
