@@ -1,7 +1,7 @@
 """Exact-arithmetic workbench for TKK Lie algebras of graded Jordan algebras,
 their universal central extensions, and bounded weight modules."""
 
-from .linalg import LabeledSpace, Matrix, RowSpan, kernel, quotient, rref
+from .linalg import LabeledSpace, Matrix, RowSpan, quotient, rref
 from .jordan import (JordanAlgebra, InputError, builtin, jmul, jpower, L_op,
                      load_algebra, matrix_jordan, spin_factor,
                      special_from_associative, truncated_poly, validate)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import lcm
 
-from .linalg import (LabeledSpace, Matrix, add_into, as_q, dense_vector, q_str,
+from .linalg import (LabeledSpace, Matrix, add_into, as_int, as_q, dense_vector, q_str,
                      random_vector, unit_vector, zero_vector)
 from .report import Report
 
@@ -333,7 +333,7 @@ def algebra_to_dict(J):
 def algebra_from_dict(data, name=""):
     try:
         labels = tuple(data["labels"])
-        degrees = tuple(int(x) for x in data["degrees"])
+        degrees = tuple(as_int(x) for x in data["degrees"])
         unit = [as_q(x) for x in data["unit"]]
         entries = list(data["mult"])
         space = LabeledSpace(labels, degrees)
@@ -343,7 +343,7 @@ def algebra_from_dict(data, name=""):
     table = [[None] * d for _ in range(d)]
     for ent in entries:
         try:
-            i, j = int(ent["i"]), int(ent["j"])
+            i, j = as_int(ent["i"]), as_int(ent["j"])
             coords = [as_q(x) for x in ent["coords"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad mult entry: {exc}") from exc

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .jordan import (InputError, builtin, derivation_column, jmul, jpower,
                      load_algebra, table_product, truncated_poly)
-from .linalg import (LabeledSpace, Matrix, as_q, combination, kron,
+from .linalg import (LabeledSpace, Matrix, as_int, as_q, combination, kron,
                      q_str, random_vector, scalar_value, unit_vector)
 from .multipoly import Poly
 from .report import Report
@@ -216,8 +216,8 @@ def extend_to_g0(rep, ext=None):
 
     quarter = Fraction(1, 4)
     comm_pair = [rep.rho[i].commutator(rep.rho[j]).scale(quarter) for i, j in bs.pairs]
-    report.check("well-defined on the brace quotient", range(bs.s_rows.rows),
-                 lambda r: not combination(m, comm_pair, bs.s_rows.data[r]).is_zero()
+    report.check("well-defined on the brace quotient", range(len(bs.s_rows)),
+                 lambda r: not combination(m, comm_pair, bs.s_rows[r]).is_zero()
                  and f"defining-span generator {r} acts nonzero")
 
     dmats = [comm_pair[t] for t in bs.reps]
@@ -556,7 +556,7 @@ def rep_from_dict(data, base_dir=None, name=""):
     try:
         J = _algebra_from_ref(data["algebra"], base_dir)
         mod = data["module"]
-        module = LabeledSpace(tuple(mod["labels"]), tuple(int(x) for x in mod["degrees"]))
+        module = LabeledSpace(tuple(mod["labels"]), tuple(as_int(x) for x in mod["degrees"]))
         mats = []
         for rows in data["rho"]:
             mats.append(Matrix(module.dim, module.dim,

@@ -1,17 +1,14 @@
 """Exact linear algebra over the rationals.
 
 There are no floats anywhere, so ranks, kernels and quotient coordinates are
-exact, and equality tests mean actual equality.  Matrices, `rref`, `kernel`
-and `quotient` are dense on `fractions.Fraction`: they serve small dense
-users (desk scale), entries may also be any ring element supporting +, -, *
-(used for matrices of polynomials), and the elimination routines require
-genuine fractions.  The product `@` skips zero products: it reads each
-row of the right factor as its nonzero entries and multiplies them only by
-nonzero entries of the left, so a product of sparse operators (the
-power-sum representations) costs its number of nonzero products.  `RowSpan`,
-which the Weyl closure drives with thousands of mostly-zero vectors, is
-sparse and fraction-free: it keeps primitive integer rows and reduces by
-integer row operations.
+exact, and equality tests mean actual equality.  Matrices are dense; entries
+may be any ring element supporting +, -, * (matrices of polynomials too).
+The product `@` skips zero products: it reads each row of the right factor
+as its nonzero entries and multiplies them only by nonzero entries of the
+left, so a product of sparse operators costs its number of nonzero products.
+Every echelon form comes from `RowSpan`, sparse and fraction-free (primitive
+integer rows), whose canonical RREF `quotient` reads.  The dense `rref` is
+only the independent reference for tests.
 """
 
 from __future__ import annotations
@@ -24,10 +21,10 @@ Q = Fraction
 
 
 def as_q(x):
-    """Coerce ints, 'p/q' strings and Fractions to Fraction."""
+    """Coerce ints (not bools), 'p/q' strings and Fractions to Fraction."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if type(x) is int:
         return Fraction(x)
     if isinstance(x, str):
         try:
@@ -35,6 +32,13 @@ def as_q(x):
         except ZeroDivisionError as exc:
             raise ValueError(f"zero denominator in {x!r}") from exc
     raise TypeError(f"cannot interpret {x!r} as a rational number")
+
+
+def as_int(x):
+    """Read an int or an integer string, refusing (not truncating) floats and bools."""
+    if type(x) is int or isinstance(x, str):
+        return int(x)
+    raise TypeError(f"cannot interpret {x!r} as an integer")
 
 
 def q_str(x):
@@ -224,37 +228,6 @@ def rref(m):
     return prow, Matrix(nrows, ncols, a), pivots
 
 
-def kernel(m):
-    """Basis of the right null space, one vector per row of the result: the
-    rows of the quotient projection, which annihilate the rows of m."""
-    return quotient(m.cols, m)[1]
-
-
-def quotient(ambient_dim, subspace_rows):
-    """Quotient of k^ambient_dim by the row space of subspace_rows.
-
-    Returns (coset_reps, projection): coset_reps are the non-pivot standard
-    coordinates of the RREF of the subspace, and projection maps ambient
-    coordinates to quotient coordinates.  projection composed with the
-    inclusion of the representatives is the identity, and projection
-
-    annihilates every subspace row.
-    """
-    if subspace_rows.cols != ambient_dim:
-        raise ValueError("subspace rows must have ambient_dim columns")
-    rank, red, pivots = rref(subspace_rows)
-    pivot_set = set(pivots)
-    reps = tuple(j for j in range(ambient_dim) if j not in pivot_set)
-    proj = []
-    for j in reps:
-        row = [Q(0)] * ambient_dim
-        row[j] = Q(1)
-        for r, pc in enumerate(pivots):
-            row[pc] = -red.data[r][j]
-        proj.append(row)
-    return reps, Matrix(len(reps), ambient_dim, proj)
-
-
 def _integer_row(vec):
     """The nonzero entries of a dense list or {column: value} dict of ints or
     Fractions, as a {column: int} dict scaled by the lcm of the denominators."""
@@ -330,14 +303,32 @@ class RowSpan:
         self.rows[p] = {j: x // g for j, x in v.items()}
         return True
 
-    def basis_matrix(self):
-        """The canonical reduced row echelon basis, one row per dimension,
-        from a dense rref of the rank rows only.  Both TKK tails read their
-        canonical basis here: the brace space's defining span and the span
-        of inner derivations."""
-        rows = [dense_vector(self.ambient, self.rows[p]) for p in sorted(self.rows)]
-        rank, red, _ = rref(Matrix(len(rows), self.ambient, rows))
-        return Matrix(rank, self.ambient, red.data[:rank])
+    def reduced(self):
+        """The canonical RREF, {pivot: {column: Fraction}} in pivot order:
+        the echelon rows back-eliminated sparsely from the last pivot."""
+        red = {}
+        for p, row in sorted(self.rows.items(), reverse=True):
+            r = {j: Fraction(x, row[p]) for j, x in row.items()}
+            for q in [q for q in r if q != p and q in red]:
+                add_into(r, red[q], -r[q])
+            red[p] = r
+        return dict(reversed(red.items()))
+
+
+def quotient(span):
+    """Quotient of k^ambient by a RowSpan, read from its canonical RREF.
+
+    Returns (reps, coords): reps are the non-pivot columns and coords[j] is
+    the class of e_j as a sparse {k: c} dict over the classes of
+    e_{reps[k]}.  Transposed, {j: coords[j][k]} for each k, they are the
+    canonical kernel basis of a matrix whose rows span the RowSpan.
+    """
+    red = span.reduced()
+    reps = tuple(j for j in range(span.ambient) if j not in red)
+    pos = {j: k for k, j in enumerate(reps)}
+    coords = [{pos[t]: -c for t, c in red[j].items() if t != j} if j in red
+              else {pos[j]: Fraction(1)} for j in range(span.ambient)]
+    return reps, coords
 
 
 @dataclass(frozen=True)

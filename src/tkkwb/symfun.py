@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import permutations
 from math import factorial
 
-from .linalg import Matrix, add_into, rref, random_fraction
+from .linalg import Matrix, RowSpan, add_into, random_fraction
 from .multipoly import Poly
 from .report import Report
 
@@ -422,8 +422,10 @@ def verify_newton_dependence(n):
     rep.add("signed combination vanishes", acc.is_zero(),
             relation_string(n) if acc.is_zero() else f"residual orbits: {len(acc.terms)}")
     keys = sorted({k for p in polys.values() for k in p.terms}, reverse=True)
-    rows = [polys[s].coefficient_vector(keys) for s in sigmas]
-    rank, _, _ = rref(Matrix.from_rows(rows)) if rows else (0, None, None)
+    span = RowSpan(len(keys))
+    for s in sigmas:
+        span.insert(polys[s].coefficient_vector(keys))
+    rank = span.dim
     expected = len(sigmas) - 1
     rep.add("rank is p(n+1)-1", rank == expected, f"rank {rank}, expected {expected}")
     return rep

@@ -13,10 +13,9 @@ constants are built from the bracket rules, stored densely per ordered
 basis pair, and re-verified rather than trusted: antisymmetry is checked on
 all ordered pairs, and the Jacobi identity on all basis triples, decided on
 the sorted triples of distinct indices once antisymmetry holds.  Jacobi
-runs on a copy of the table scaled to integers.  Inner-derivation
-coordinates come from reducing sparse {flat index: entry} residuals against
-the canonical basis of their span, read from one sparse RowSpan, and the
-central epimorphism checks the homomorphism identity on sparse columns.
+runs on a copy of the table scaled to integers.  Both tails and the kernel
+of the central epimorphism come from the canonical RREF of a sparse RowSpan,
+and the epimorphism checks the homomorphism identity on sparse columns.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from itertools import combinations, combinations_with_replacement, product
 from math import lcm
 
 from .jordan import InputError, derivation_column, ensure_valid
-from .linalg import Matrix, RowSpan, add_into, dense_vector, kernel, q_str, quotient
+from .linalg import Matrix, RowSpan, add_into, dense_vector, q_str, quotient
 from .report import Report
 
 _SL2_BASIS = ("e", "f", "h")
@@ -64,7 +63,8 @@ class BraceSpace:
 
     The defining span is generated, over a field of characteristic zero, by
     the trilinear polarization x^(yz) + y^(xz) + z^(xy) on basis triples;
-    quotient coordinates are the non-pivot wedge coordinates of its RREF.
+    `quotient` of its RowSpan gives the representatives (non-pivot pairs)
+    and the sparse classes `pair_coords`, and `s_rows` are its RREF rows.
     """
 
     def __init__(self, J):
@@ -87,14 +87,15 @@ class BraceSpace:
                                    wedge(k, J.table[i][j]))
                     if row:
                         span.insert(row)
-        self.s_rows = span.basis_matrix()
-        self.reps, self.projection = quotient(len(self.pairs), self.s_rows)
+        self.reps, coords = quotient(span)
         self.rep_pairs = [self.pairs[t] for t in self.reps]
+        # the RREF row of pivot t is e_t minus the class of e_t
+        rep_set = set(self.reps)
+        self.s_rows = [{t: Fraction(1), **{self.reps[k]: -c for k, c in col.items()}}
+                       for t, col in enumerate(coords) if t not in rep_set]
         # sparse brace coordinates of every ordered pair of distinct basis elements
         self.pair_coords = {}
-        for t, (i, j) in enumerate(self.pairs):
-            col = {k: self.projection.data[k][t] for k in range(self.dim)
-                   if self.projection.data[k][t]}
+        for col, (i, j) in zip(coords, self.pairs):
             self.pair_coords[(i, j)] = col
             self.pair_coords[(j, i)] = {k: -c for k, c in col.items()}
 
@@ -276,9 +277,9 @@ def build_tkk(J):
                                for r, x in derivation_column(J, a, b, c).items()}
         if flat:
             span.insert(flat)
-    basis_rows = [{t: x for t, x in enumerate(row) if x} for row in span.basis_matrix().data]
+    red = span.reduced()
+    pivots, basis_rows = list(red), list(red.values())
     rank = len(basis_rows)
-    pivots = [min(row) for row in basis_rows]
     # tail_cols[k][c] is column c of basis element k, as {row: entry}
     tail_cols = [[{} for _ in range(d)] for _ in range(rank)]
     for k, row in enumerate(basis_rows):
@@ -487,11 +488,13 @@ def center_map(g_ext, g_tkk):
     # kernel is that of the tail block, padded with zeros on e/f/h; the
     # padded rows are the canonical kernel basis of the whole of phi
     t0 = g_ext.tail_index(0)
-    tail_ker = kernel(Matrix(g_tkk.tail_dim, g_ext.tail_dim,
-                             [phi.data[g_tkk.tail_index(k)][t0:]
-                              for k in range(g_tkk.tail_dim)]))
+    span = RowSpan(g_ext.tail_dim)
+    for k in range(g_tkk.tail_dim):
+        span.insert(phi.data[g_tkk.tail_index(k)][t0:])
+    reps, coords = quotient(span)
     pad = [Fraction(0)] * t0
-    ker = Matrix(tail_ker.rows, g_ext.dim, [pad + row for row in tail_ker.data])
+    ker = Matrix(len(reps), g_ext.dim,
+                 [pad + [col.get(k, Fraction(0)) for col in coords] for k in range(len(reps))])
     rank = phi.cols - ker.rows
     rep.add("surjective", rank == g_tkk.dim, f"rank {rank} vs dim {g_tkk.dim}")
 

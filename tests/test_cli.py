@@ -66,6 +66,15 @@ _GRADING_BREAKING_REP = {"algebra": "truncated-poly:2",
                          "module": {"labels": ["m0", "m1"], "degrees": [0, 1]},
                          "rho": [[["1", "0"], ["0", "1"]], [["0", "0"], ["0", "1"]],
                                  [["0", "0"], ["0", "0"]]]}
+# JSON numbers that are not integers, and bools, where integers are read
+_FLOAT_I_MULT = [dict(ent, i=0.9) if (ent["i"], ent["j"]) == (0, 1) else ent
+                 for ent in _algebra_data()["mult"]]
+_FLOAT_DEGREE_REP = {"algebra": "truncated-poly:1",
+                     "module": {"labels": ["v"], "degrees": [0.5]},
+                     "rho": [[["1"]], [["0"]]]}
+_BOOL_ENTRY_REP = {"algebra": "truncated-poly:1",
+                   "module": {"labels": ["v"], "degrees": [0]},
+                   "rho": [[[True]], [["0"]]]}
 _NEWTON_1 = ("jspace", "check", "--builtin-rep", "newton", "--n", "1", "--cutoff", "1")
 _WEYL_NEGATIVE_DEGREE = ("weyl", "dims", "--builtin-rep", "newton", "--n", "1",
                          "--cutoff", "2", "--max-degree", "-1")
@@ -95,13 +104,27 @@ _WEYL_NEGATIVE_DEGREE = ("weyl", "dims", "--builtin-rep", "newton", "--n", "1",
      "mult entry i=1, j=1 has 2 coords, expected 3"),
     (("weyl", "dims", "--max-degree", "2", "--rep"), _GRADING_BREAKING_REP,
      "rho(t) entry (1,1) breaks the grading"),
+    (("jordan", "check", "--algebra"), _algebra_data(degrees=[0, 1.5, 2]),
+     "bad algebra data: cannot interpret 1.5 as an integer"),
+    (("tkk", "build", "--algebra"), _algebra_data(degrees=[0, 1.5, 2]), None),
+    (("jordan", "check", "--algebra"), _algebra_data(degrees=[0, True, 2]),
+     "bad algebra data: cannot interpret True as an integer"),
+    (("jordan", "check", "--algebra"), _algebra_data(mult=_FLOAT_I_MULT),
+     "bad mult entry: cannot interpret 0.9 as an integer"),
+    (("tkk", "check", "--algebra"), _algebra_data(mult=_FLOAT_I_MULT), None),
+    (("jspace", "check", "--rep"), _FLOAT_DEGREE_REP,
+     "bad representation data: cannot interpret 0.5 as an integer"),
+    (("jspace", "check", "--rep"), _BOOL_ENTRY_REP,
+     "bad representation data: cannot interpret True as a rational number"),
 ], ids=["duplicate-labels", "short-degrees", "zero-denominator-algebra",
         "non-list-mult", "zero-denominator-rep", "negative-max-degree", "negative-max-degree-oracle",
         "symfun-relation-n0", "symfun-frobenius-n0", "symfun-coeffs-negative-n",
         "symfun-classes-negative-n", "symfun-classes-n0", "jspace-negative-samples",
         "garland-negative-samples", "garland-zero-samples", "weyl-missing-max-degree",
         "non-integer-size", "tkk-check-unread-samples", "negative-spin-factor-dim",
-        "short-coords", "weyl-rep-breaks-grading"])
+        "short-coords", "weyl-rep-breaks-grading", "float-degree", "float-degree-tkk-build",
+        "bool-degree", "float-mult-index", "float-mult-index-tkk-check", "float-module-degree",
+        "bool-rho-entry"])
 def test_malformed_input_exits_3_without_traceback(capsys, tmp_path, argv, payload, message):
     if payload is not None:
         p = tmp_path / "input.json"
@@ -113,6 +136,15 @@ def test_malformed_input_exits_3_without_traceback(capsys, tmp_path, argv, paylo
     assert err.startswith("input error: ")
     if message is not None:
         assert err == f"input error: {message}\n"
+
+
+def test_integer_strings_still_read_as_integers(capsys, tmp_path):
+    p = tmp_path / "input.json"
+    data = _algebra_data(degrees=["0", "1", "2"])
+    data["mult"] = [dict(ent, i=str(ent["i"])) for ent in data["mult"]]
+    p.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "jordan", "check", "--algebra", str(p))
+    assert code == 0 and "PASS" in out
 
 
 def test_tkk_check(capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tkkwb.linalg import (LabeledSpace, Matrix, RowSpan, kernel, kron,
+from tkkwb.linalg import (LabeledSpace, Matrix, RowSpan, add_into, kron,
                           quotient, rref, scalar_value)
 from tkkwb.multipoly import Poly
 
@@ -45,19 +45,41 @@ def test_rref_idempotent_random():
         assert red2 == red and rank2 == rank and piv2 == piv
 
 
+def span_of(m):
+    span = RowSpan(m.cols)
+    for r in range(m.rows):
+        span.insert(m.row(r))
+    return span
+
+
+def kernel(m):
+    """Basis of the right null space of m, one dense vector per row: the
+    transposed quotient coordinates of the row span of m."""
+    reps, coords = quotient(span_of(m))
+    return [[col.get(k, 0) for col in coords] for k in range(len(reps))]
+
+
+def quotient_class(coords, vec):
+    """The sparse quotient class of a dense vector."""
+    out = {}
+    for j, x in enumerate(vec):
+        add_into(out, coords[j], x)
+    return out
+
+
 def test_kernel_identity_empty():
-    assert kernel(Matrix.identity(3)).rows == 0
+    assert kernel(Matrix.identity(3)) == []
 
 
 def test_kernel_difference():
     k = kernel(M([[1, -1]]))
-    assert k.rows == 1
-    v = k.row(0)
+    assert len(k) == 1
+    v = k[0]
     assert v[0] == v[1] != 0
 
 
 def test_kernel_zero_matrix():
-    assert kernel(Matrix.zeros(2, 3)).rows == 3
+    assert len(kernel(Matrix.zeros(2, 3))) == 3
 
 
 def test_rank_nullity_random():
@@ -67,31 +89,32 @@ def test_rank_nullity_random():
         cols = rng.randint(1, 6)
         m = M([[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)])
         rank, _, _ = rref(m)
-        assert rank + kernel(m).rows == cols
+        ker = kernel(m)
+        assert rank + len(ker) == cols
         # kernel rows really are killed
-        for r in range(kernel(m).rows):
-            assert all(not x for x in m.apply(kernel(m).row(r)))
+        for v in ker:
+            assert all(not x for x in m.apply(v))
 
 
 def test_quotient_axis():
-    reps, proj = quotient(3, M([[1, 0, 0]]))
+    reps, coords = quotient(span_of(M([[1, 0, 0]])))
     assert reps == (1, 2)
-    assert proj.rows == 2
+    assert coords == [{}, {0: 1}, {1: 1}]
 
 
 def test_quotient_full_space():
-    reps, proj = quotient(2, Matrix.identity(2))
+    reps, coords = quotient(span_of(Matrix.identity(2)))
     assert reps == ()
-    assert proj.rows == 0
+    assert coords == [{}, {}]
 
 
 def test_quotient_diagonal_line():
     # derived by hand: subspace (1,1) in k^2, canonical coordinates send
     # (x, y) to y - x
-    reps, proj = quotient(2, M([[1, 1]]))
+    reps, coords = quotient(span_of(M([[1, 1]])))
     assert reps == (1,)
-    assert proj.apply([Q(3), Q(5)]) == [Q(2)]
-    assert proj.apply([Q(1), Q(1)]) == [Q(0)]
+    assert quotient_class(coords, [Q(3), Q(5)]) == {0: 2}
+    assert quotient_class(coords, [Q(1), Q(1)]) == {}
 
 
 def test_quotient_section_identity():
@@ -100,16 +123,13 @@ def test_quotient_section_identity():
         amb = rng.randint(1, 6)
         k = rng.randint(0, amb)
         sub = M([[rng.randint(-3, 3) for _ in range(amb)] for _ in range(max(k, 1))])
-        reps, proj = quotient(amb, sub)
-        # projection of a representative is the corresponding unit vector
+        reps, coords = quotient(span_of(sub))
+        # the class of a representative is the corresponding unit vector
         for pos, j in enumerate(reps):
-            e = [Q(0)] * amb
-            e[j] = Q(1)
-            out = proj.apply(e)
-            assert out[pos] == 1 and sum(1 for x in out if x) == 1
-        # projection annihilates every subspace row
+            assert coords[j] == {pos: 1}
+        # every subspace row has the zero class
         for r in range(sub.rows):
-            assert all(not x for x in proj.apply(sub.row(r)))
+            assert quotient_class(coords, sub.row(r)) == {}
 
 
 def test_rowspan_insert_and_contains():
@@ -141,9 +161,13 @@ def test_rowspan_agrees_with_rref(rows_and_vector):
     for r in rows:
         dense.insert(r)
         sparse.insert({j: x for j, x in enumerate(r) if x})
-    rank, red, _ = rref(Matrix(len(rows), cols, rows))
+    rank, red, pivots = rref(Matrix(len(rows), cols, rows))
     assert dense.dim == sparse.dim == rank
-    assert dense.basis_matrix() == sparse.basis_matrix() == Matrix(rank, cols, red.data[:rank])
+    # the canonical RREF, densified in pivot order, is the dense one
+    for span in (dense, sparse):
+        assert list(span.reduced()) == pivots
+        rows_out = [[row.get(j, 0) for j in range(cols)] for row in span.reduced().values()]
+        assert Matrix(rank, cols, rows_out) == Matrix(rank, cols, red.data[:rank])
     grown, _, _ = rref(Matrix(len(rows) + 1, cols, rows + [v]))
     assert dense.contains(v) == sparse.contains(v) == (grown == rank)
 

@@ -1,5 +1,7 @@
 import hashlib
+import importlib
 import json
+import pkgutil
 import random
 from fractions import Fraction as Q
 
@@ -7,10 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tkkwb
 from tkkwb import linalg, tkk
 from tkkwb.jordan import (InputError, L_op, algebra_from_dict, builtin, jmul, matrix_jordan,
                           spin_factor, truncated_poly, validate)
+from tkkwb.jspace import doubled_regular_rep, extend_to_g0
 from tkkwb.linalg import Matrix, RowSpan, add_into, q_str, random_vector, rref, zero_vector
+from tkkwb.symfun import verify_newton_dependence
 from tkkwb.tkk import (BraceSpace, algebra_to_dict, build_sl2, build_tkk,
                        center_map, half_killing_sl2, short_grading,
                        validate_lie)
@@ -29,8 +34,8 @@ def wedge(bs, u, v):
     w = {t: u[i] * v[j] - u[j] * v[i] for t, (i, j) in enumerate(bs.pairs)
          if u[i] * v[j] != u[j] * v[i]}
     span = RowSpan(len(bs.pairs))
-    for r in range(bs.s_rows.rows):
-        span.insert(bs.s_rows.row(r))
+    for row in bs.s_rows:
+        span.insert(row)
     brace = {}
     for t, c in w.items():
         add_into(brace, bs.brace_pair(*bs.pairs[t]), c)
@@ -81,11 +86,11 @@ def test_brace_space_containment_both_ways():
         # and the span of sampled a ^ a^2 on a rational grid recovers
         # every polarized generator
         sampled = RowSpan(len(bs.pairs))
-        for _ in range(8 * max(1, bs.s_rows.rows)):
+        for _ in range(8 * max(1, len(bs.s_rows))):
             a = random_vector(rng, J.dim)
             sampled.insert(wedge(bs, a, jmul(J, a, a))[0])
-        for r in range(bs.s_rows.rows):
-            assert sampled.contains(bs.s_rows.row(r))
+        for row in bs.s_rows:
+            assert sampled.contains(row)
         # a representative pair is outside the span, and its class is its brace
         for k, (i, j) in enumerate(bs.rep_pairs):
             _, inside, brace = wedge(bs, basis(J.dim, i), basis(J.dim, j))
@@ -277,6 +282,9 @@ _PINNED_TABLES = {
                        "56fecacf9d243159758868d70dbd885d6a63961d55ccbdbe3368afdb62549580"),
     "ungraded truncated-poly(4)": (lambda: truncated_poly(4, graded=False),
                                    "7531271623a8c0471e1fe002c437f5ee7562bc1c183d6fb142875f4c3df785a7"),
+    # 120 wedge pairs, the most of any pinned algebra
+    "M4+": (lambda: matrix_jordan(4),
+            "89d5823d5369fd02ea47524bc4d186975ab4a822e990df4cd0216202392d111c"),
 }
 
 
@@ -309,21 +317,26 @@ def test_build_tkk_rejects_a_tail_bracket_outside_the_derivation_span(monkeypatc
         build_tkk(J)
 
 
-def test_build_tkk_runs_rref_on_the_tail_basis_only(monkeypatch):
-    # Inn M3+ = sl3 has dimension 8; its basis must not come from a dense
-    # rref over all 36 pair derivations
+def test_no_dense_rref_behind_the_tails_kernel_or_rank(monkeypatch):
+    # every echelon form of the package is a sparse RowSpan's: no module but
+    # linalg binds the dense rref, and none of the constructions calls it
+    modules = [importlib.import_module(f"tkkwb.{m.name}")
+               for m in pkgutil.iter_modules(tkkwb.__path__)]
+    assert [m.__name__ for m in modules if m is not linalg and hasattr(m, "rref")] == []
     seen = []
 
     def recording_rref(m):
         seen.append(m.rows)
         return rref(m)
 
-    for module in (tkk, linalg):
-        if hasattr(module, "rref"):
-            monkeypatch.setattr(module, "rref", recording_rref)
-    g = build_tkk(matrix_jordan(3))
-    assert g.tail_dim == 8
-    assert seen and max(seen) <= 8
+    monkeypatch.setattr(linalg, "rref", recording_rref)
+    J = matrix_jordan(3)
+    ext, classical = build_sl2(J), build_tkk(J)
+    assert classical.tail_dim == 8
+    assert center_map(ext, classical)[2].ok
+    assert extend_to_g0(doubled_regular_rep(J), ext).report.ok
+    assert verify_newton_dependence(3).ok
+    assert seen == []
 
 
 def dense_inner_derivation_rank(J):
