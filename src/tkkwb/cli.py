@@ -155,7 +155,7 @@ def cmd_jspace_check(args):
     rep = _resolve_rep(args)
     # check_jspace takes J as valid; an invalid one is malformed input here
     jordan_mod.ensure_valid(rep.jordan)
-    report = jspace_mod.check_jspace(rep, mode="exhaustive")
+    report = jspace_mod.check_jspace(rep)
     try:
         n = jspace_mod.level(rep)
         level_line = f"level {n}"
@@ -164,19 +164,19 @@ def cmd_jspace_check(args):
         report.add("level", False, str(exc))
         _emit_report(report, args.format, extra={"level": level_line})
         return EXIT_FAIL
-    dom = jspace_mod.dominance_check(rep, mode=args.mode,
-                                     samples=args.samples, seed=args.seed)
+    env = jspace_mod.check_envelope_relations(rep, mode=args.mode,
+                                              samples=args.samples, seed=args.seed)
+    # the envelope decides dominance too; its item is the envelope's last
+    dom = env.items[-1]
     verdict = "dominant" if dom.ok else "not dominant"
     detail = f"({args.mode}" + \
         (f", samples={args.samples}, seed={args.seed})" if args.mode == "random" else ")")
-    report.merge(dom, prefix="dominance: ")
-    env = jspace_mod.check_envelope_relations(rep, mode=args.mode,
-                                              samples=args.samples, seed=args.seed)
+    report.add(f"dominance: {dom.name}", dom.ok, dom.detail)
     report.merge(env, prefix="envelope: ")
     extra = {"level": n, "dominance": f"{verdict} {detail}"}
     if not dom.ok:
-        fail = dom.first_failure()
-        if not (fail and fail.detail.startswith("witness")):
+        fail = dom
+        if not fail.detail.startswith("witness"):
             # the symbolic verdict carries no point; sample one to show
             probe = jspace_mod.dominance_check(rep, mode="random",
                                                samples=max(args.samples, 8),

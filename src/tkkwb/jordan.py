@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import lcm
 
-from .linalg import (LabeledSpace, Matrix, add_into, as_int, as_q, dense_vector, q_str,
+from .linalg import (LabeledSpace, Matrix, add_into, as_int, as_list, as_q, dense_vector, q_str,
                      random_vector, unit_vector, zero_vector)
 from .report import Report
 
@@ -332,10 +332,10 @@ def algebra_to_dict(J):
 
 def algebra_from_dict(data, name=""):
     try:
-        labels = tuple(data["labels"])
-        degrees = tuple(as_int(x) for x in data["degrees"])
-        unit = [as_q(x) for x in data["unit"]]
-        entries = list(data["mult"])
+        labels = tuple(as_list(data["labels"], "labels"))
+        degrees = tuple(as_int(x) for x in as_list(data["degrees"], "degrees"))
+        unit = [as_q(x) for x in as_list(data["unit"], "unit")]
+        entries = as_list(data["mult"], "mult")
         space = LabeledSpace(labels, degrees)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad algebra data: {exc}") from exc
@@ -344,7 +344,7 @@ def algebra_from_dict(data, name=""):
     for ent in entries:
         try:
             i, j = as_int(ent["i"]), as_int(ent["j"])
-            coords = [as_q(x) for x in ent["coords"]]
+            coords = [as_q(x) for x in as_list(ent["coords"], "coords")]
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad mult entry: {exc}") from exc
         if not (0 <= i < d and 0 <= j < d):

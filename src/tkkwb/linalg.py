@@ -41,6 +41,14 @@ def as_int(x):
     raise TypeError(f"cannot interpret {x!r} as an integer")
 
 
+def as_list(x, what):
+    """Read a JSON array, refusing strings, objects and scalars, which would
+    otherwise be read character by character or key by key."""
+    if isinstance(x, list):
+        return x
+    raise TypeError(f"{what} must be a list, not {type(x).__name__}")
+
+
 def q_str(x):
     """Serialize a rational as 'p' or 'p/q'."""
     x = Fraction(x)
@@ -68,12 +76,6 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self.data = data
-
-    @classmethod
-    def from_rows(cls, rows_list):
-        rows_list = [list(r) for r in rows_list]
-        cols = len(rows_list[0]) if rows_list else 0
-        return cls(len(rows_list), cols, rows_list)
 
     @classmethod
     def zeros(cls, rows, cols):
@@ -347,9 +349,6 @@ class LabeledSpace:
     @property
     def dim(self):
         return len(self.labels)
-
-    def dim_at_degree(self, d):
-        return sum(1 for x in self.degrees if x == d)
 
 
 def add_into(acc, sparse, scale=None):

@@ -33,24 +33,24 @@ def noncommuting_rep():
     quarter-commutators cannot descend to the quotient, so the weight-zero
     extension fails its well-definedness item."""
     J = truncated_poly(2, graded=False)
-    A = Matrix.from_rows([[Q(0), Q(1)], [Q(0), Q(0)]])
-    B = Matrix.from_rows([[Q(0), Q(0)], [Q(1), Q(0)]])
+    A = Matrix(2, 2, [[Q(0), Q(1)], [Q(0), Q(0)]])
+    B = Matrix(2, 2, [[Q(0), Q(0)], [Q(1), Q(0)]])
     return JSpaceRep(J, LabeledSpace(("a", "b"), (0, 0)), [Matrix.identity(2), A, B],
                      name="noncommuting")
 
 
 def projection_matrix():
-    return Matrix.from_rows([[Q(1), Q(0)], [Q(0), Q(0)]])
+    return Matrix(2, 2, [[Q(1), Q(0)], [Q(0), Q(0)]])
 
 
 def nilpotent_matrix():
-    return Matrix.from_rows([[Q(0), Q(1)], [Q(0), Q(0)]])
+    return Matrix(2, 2, [[Q(0), Q(1)], [Q(0), Q(0)]])
 
 
 def jordan_block_3():
-    return Matrix.from_rows([[Q(0), Q(1), Q(0)],
-                             [Q(0), Q(0), Q(1)],
-                             [Q(0), Q(0), Q(0)]])
+    return Matrix(3, 3, [[Q(0), Q(1), Q(0)],
+                         [Q(0), Q(0), Q(1)],
+                         [Q(0), Q(0), Q(0)]])
 
 
 def equivalence_instances():

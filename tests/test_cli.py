@@ -1,10 +1,11 @@
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 from conftest import noncommuting_rep, one_gen_rep
-from tkkwb import cli, weyl
+from tkkwb import cli, jspace, weyl
 from tkkwb.cli import main
 from tkkwb.jordan import algebra_to_dict, truncated_poly
 from tkkwb.jspace import rep_to_dict
@@ -75,6 +76,14 @@ _FLOAT_DEGREE_REP = {"algebra": "truncated-poly:1",
 _BOOL_ENTRY_REP = {"algebra": "truncated-poly:1",
                    "module": {"labels": ["v"], "degrees": [0]},
                    "rho": [[[True]], [["0"]]]}
+# strings where lists belong, which a loop would read character by character
+_STRING_UNIT_ALGEBRA = {"labels": ["1", "t"], "degrees": [0, 1], "unit": "10",
+                        "mult": [{"i": 0, "j": 0, "coords": "10"},
+                                 {"i": 0, "j": 1, "coords": "01"}]}
+_STRING_COORDS_MULT = [{"i": 0, "j": 0, "coords": "100"}]
+_SCALAR_REP = {"algebra": "truncated-poly:1",
+               "module": {"labels": ["a", "b"], "degrees": [0, 0]},
+               "rho": [[["1", "0"], ["0", "1"]], [["0", "0"], ["0", "0"]]]}
 _NEWTON_1 = ("jspace", "check", "--builtin-rep", "newton", "--n", "1", "--cutoff", "1")
 _WEYL_NEGATIVE_DEGREE = ("weyl", "dims", "--builtin-rep", "newton", "--n", "1",
                          "--cutoff", "2", "--max-degree", "-1")
@@ -116,6 +125,29 @@ _WEYL_NEGATIVE_DEGREE = ("weyl", "dims", "--builtin-rep", "newton", "--n", "1",
      "bad representation data: cannot interpret 0.5 as an integer"),
     (("jspace", "check", "--rep"), _BOOL_ENTRY_REP,
      "bad representation data: cannot interpret True as a rational number"),
+    (("jordan", "check", "--algebra"), _STRING_UNIT_ALGEBRA,
+     "bad algebra data: unit must be a list, not str"),
+    (("tkk", "build", "--algebra"), _STRING_UNIT_ALGEBRA, None),
+    (("jordan", "check", "--algebra"), _algebra_data(labels="1tu"),
+     "bad algebra data: labels must be a list, not str"),
+    (("jordan", "check", "--algebra"), _algebra_data(degrees="012"),
+     "bad algebra data: degrees must be a list, not str"),
+    (("jordan", "check", "--algebra"), _algebra_data(mult=""),
+     "bad algebra data: mult must be a list, not str"),
+    (("jordan", "check", "--algebra"), _algebra_data(mult=_STRING_COORDS_MULT),
+     "bad mult entry: coords must be a list, not str"),
+    (("jspace", "check", "--rep"), dict(_SCALAR_REP, module={"labels": "ab", "degrees": [0, 0]}),
+     "bad representation data: module labels must be a list, not str"),
+    (("jspace", "check", "--rep"),
+     dict(_SCALAR_REP, module={"labels": ["a", "b"], "degrees": "00"}),
+     "bad representation data: module degrees must be a list, not str"),
+    (("jspace", "check", "--rep"), dict(_SCALAR_REP, rho={"0": [["1", "0"], ["0", "1"]]}),
+     "bad representation data: rho must be a list, not dict"),
+    (("jspace", "check", "--rep"), dict(_SCALAR_REP, rho=["1001", [["0", "0"], ["0", "0"]]]),
+     "bad representation data: rho matrix must be a list, not str"),
+    (("jspace", "check", "--rep"),
+     dict(_SCALAR_REP, rho=[["10", "01"], [["0", "0"], ["0", "0"]]]),
+     "bad representation data: rho row must be a list, not str"),
 ], ids=["duplicate-labels", "short-degrees", "zero-denominator-algebra",
         "non-list-mult", "zero-denominator-rep", "negative-max-degree", "negative-max-degree-oracle",
         "symfun-relation-n0", "symfun-frobenius-n0", "symfun-coeffs-negative-n",
@@ -124,7 +156,9 @@ _WEYL_NEGATIVE_DEGREE = ("weyl", "dims", "--builtin-rep", "newton", "--n", "1",
         "non-integer-size", "tkk-check-unread-samples", "negative-spin-factor-dim",
         "short-coords", "weyl-rep-breaks-grading", "float-degree", "float-degree-tkk-build",
         "bool-degree", "float-mult-index", "float-mult-index-tkk-check", "float-module-degree",
-        "bool-rho-entry"])
+        "bool-rho-entry", "string-unit-and-coords", "string-unit-tkk-build", "string-labels",
+        "string-degrees", "empty-string-mult", "string-coords", "string-module-labels",
+        "string-module-degrees", "dict-rho", "string-rho-matrix", "string-rho-rows"])
 def test_malformed_input_exits_3_without_traceback(capsys, tmp_path, argv, payload, message):
     if payload is not None:
         p = tmp_path / "input.json"
@@ -223,27 +257,80 @@ def test_weyl_dims_oracle_level0(capsys):
     assert "oracle: symmetric-power enumeration matches" in out.splitlines()
 
 
+# level-1 action by a non-nilpotent projection: fails the dominance sum
+_NONDOMINANT_REP = {
+    "algebra": {
+        "labels": ["1", "t"],
+        "degrees": [0, 0],
+        "unit": ["1", "0"],
+        "mult": [{"i": 0, "j": 0, "coords": ["1", "0"]},
+                 {"i": 0, "j": 1, "coords": ["0", "1"]},
+                 {"i": 1, "j": 1, "coords": ["0", "0"]}],
+    },
+    "module": {"labels": ["a", "b"], "degrees": [0, 0]},
+    "rho": [[["1", "0"], ["0", "1"]],
+            [["1", "0"], ["0", "0"]]],
+}
+
+
 def test_jspace_nondominant_rep_witness(capsys, tmp_path):
-    # level-1 action by a non-nilpotent projection: fails the dominance sum
-    rep_data = {
-        "algebra": {
-            "labels": ["1", "t"],
-            "degrees": [0, 0],
-            "unit": ["1", "0"],
-            "mult": [{"i": 0, "j": 0, "coords": ["1", "0"]},
-                     {"i": 0, "j": 1, "coords": ["0", "1"]},
-                     {"i": 1, "j": 1, "coords": ["0", "0"]}],
-        },
-        "module": {"labels": ["a", "b"], "degrees": [0, 0]},
-        "rho": [[["1", "0"], ["0", "1"]],
-                [["1", "0"], ["0", "0"]]],
-    }
     p = tmp_path / "rep.json"
-    p.write_text(json.dumps(rep_data))
+    p.write_text(json.dumps(_NONDOMINANT_REP))
     code, out, _ = run(capsys, "jspace", "check", "--rep", str(p))
     assert code == 1
     assert "not dominant" in out
     assert "witness: " in out and "*t" in out
+
+
+_NEWTON_2_3 = ("--builtin-rep", "newton", "--n", "2", "--cutoff", "3")
+
+
+# sha256 of json.dumps([exit code, stdout, stderr]) of `jspace check`, with
+# the path of the rep file written as <rep>; recorded while the CLI still
+# ran dominance_check itself as well as inside the envelope
+@pytest.mark.parametrize("argv, digest", [
+    (("--builtin-rep", "newton", "--n", "3", "--cutoff", "4"),
+     "d339d2d06fb16bc356e55e55e47d40c268261cd9aa61986e75a6f873de204e37"),
+    (_NEWTON_2_3 + ("--mode", "random", "--samples", "3", "--seed", "1"),
+     "6b5ecd03b457c76ec368337452bb14e4eed5c6078a96aa9516479ca34ec06b42"),
+    (_NEWTON_2_3 + ("--format", "json"),
+     "8fdc25576c2357fd2adb71d1d26ec7d94c311492f5da34b9e4c674c347c3a7fe"),
+    (("--builtin-rep", "doubled-regular", "--builtin", "spin-factor", "--dim", "4"),
+     "08b4b1eef400d653f4acbe36f8f084d0ea11499e21e45911e68dc47a7b294213"),
+    (("--builtin-rep", "doubled-regular", "--builtin", "matrix", "--size", "2"),
+     "e176de158232c8137b0af78c7a5958625a3026fe777ee6cdf036bba3c5849b75"),
+    (("--builtin-rep", "regular", "--builtin", "matrix", "--size", "2"),
+     "854dc9d0045fe880d6bdc127ad50b65fac965f3c57ef1594ad2ba625ce9da4e4"),
+    (("--rep", "<rep>"),
+     "cd318fc56bf9fd74e4f3cb3f0e9fe914f2faecf0a5372b011ef76d5d2c1914a2"),
+    (("--builtin-rep", "doubled-regular", "--builtin", "spin-factor", "--dim", "10"),
+     "e34e4175df1a023d51a13e88e905944d5084fd78cf726230054ad38f771745d7"),
+], ids=["newton-3-4", "newton-2-3-random", "newton-2-3-json", "doubled-spin4",
+        "doubled-matrix2", "regular-matrix2-exit1", "nondominant-exit1", "doubled-spin10-exit2"])
+def test_jspace_check_bytes_pinned(capsys, tmp_path, argv, digest):
+    p = tmp_path / "rep.json"
+    p.write_text(json.dumps(_NONDOMINANT_REP))
+    code, out, err = run(capsys, "jspace", "check",
+                         *(str(p) if a == "<rep>" else a for a in argv))
+    blob = json.dumps([code, out.replace(str(p), "<rep>"), err.replace(str(p), "<rep>")])
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "random"])
+def test_jspace_check_decides_dominance_once(capsys, monkeypatch, mode):
+    # the dominance line is read from the envelope, which decides it
+    modes = []
+    dominance_check = jspace.dominance_check
+
+    def counted(*args, **kwargs):
+        modes.append(kwargs.get("mode"))
+        return dominance_check(*args, **kwargs)
+
+    monkeypatch.setattr(jspace, "dominance_check", counted)
+    code, _, _ = run(capsys, "jspace", "check", "--builtin-rep", "newton", "--n", "3",
+                     "--cutoff", "4", "--mode", mode)
+    assert code == 0
+    assert modes == [mode]
 
 
 def test_symbolic_guard_exit2(capsys):

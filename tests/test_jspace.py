@@ -5,13 +5,13 @@ from fractions import Fraction as Q
 import pytest
 
 from conftest import nilpotent_matrix, noncommuting_rep, one_gen_rep, projection_matrix
-from tkkwb.jordan import InputError, jmul, matrix_jordan, truncated_poly
+from tkkwb.jordan import InputError, builtin, jmul, matrix_jordan, truncated_poly
 from tkkwb.jspace import (JSpaceRep, LevelError, ResourceError,
                           check_bimodule, check_envelope_relations,
                           check_jspace, dominance_check, dominance_operator,
-                          extend_to_g0, level, load_rep, matrix_defining_rep,
-                          newton_rep, regular_rep, rep_to_dict, tensor_rep,
-                          zero_rep)
+                          doubled_regular_rep, extend_to_g0, level, load_rep,
+                          matrix_defining_rep, newton_rep, regular_rep,
+                          rep_to_dict, tensor_rep, zero_rep)
 from tkkwb.linalg import LabeledSpace, Matrix, random_vector, zero_vector
 from tkkwb.jordan import algebra_to_dict
 
@@ -70,16 +70,11 @@ def test_defining_rep_passes():
 def test_non_jordan_assignment_fails():
     rng = random.Random(0)
     J = matrix_jordan(2)
-    mats = [Matrix.from_rows([[Q(rng.randint(-3, 3)) for _ in range(3)]
-                              for _ in range(3)]) for _ in range(4)]
+    mats = [Matrix(3, 3, [[Q(rng.randint(-3, 3)) for _ in range(3)]
+                          for _ in range(3)]) for _ in range(4)]
     module = LabeledSpace(("a", "b", "c"), (0, 0, 0))
     r = JSpaceRep(J, module, mats, name="random assignment")
     assert not check_jspace(r).ok
-
-
-def test_random_mode_check():
-    r = newton_rep(2, 3)
-    assert check_jspace(r, mode="random", samples=5, seed=2).ok
 
 
 def test_level_not_scalar():
@@ -306,6 +301,23 @@ def test_envelope_relations_agree_with_dominance(instances):
     for name, rep, dominant in instances:
         report = check_envelope_relations(rep)
         assert report.ok == dominant, (name, report.first_failure())
+
+
+def test_envelope_guards_symbolic_dominance_before_any_sweep(monkeypatch):
+    # dim J = 11 is past the symbolic guard: the envelope raises before it
+    # forms a single commutator of its square-commutation or cubic sweeps
+    commutators = []
+    commutator = Matrix.commutator
+
+    def counted(self, other):
+        commutators.append(1)
+        return commutator(self, other)
+
+    rep = doubled_regular_rep(builtin("spin-factor", dim=10))
+    monkeypatch.setattr(Matrix, "commutator", counted)
+    with pytest.raises(ResourceError):
+        check_envelope_relations(rep, mode="symbolic")
+    assert commutators == []
 
 
 def test_cubic_relation_fails_off_a_jspace():

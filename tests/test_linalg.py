@@ -11,7 +11,7 @@ from tkkwb.multipoly import Poly
 
 
 def M(rows):
-    return Matrix.from_rows([[Q(x) for x in r] for r in rows])
+    return Matrix(len(rows), len(rows[0]), [[Q(x) for x in r] for r in rows])
 
 
 def test_rref_identity():
@@ -244,7 +244,7 @@ def test_labeled_space_validation():
     with pytest.raises(ValueError):
         LabeledSpace(("a", "b"), (0,))
     s = LabeledSpace(("a", "b"), (0, 1))
-    assert s.dim == 2 and s.dim_at_degree(1) == 1
+    assert s.dim == 2 and s.degrees.count(1) == 1
 
 
 def test_poly_arithmetic():

@@ -274,8 +274,8 @@ def noncommutative_reps():
     }, name="ab = 0, ba = b")
     module = LabeledSpace(("u", "v"), (0, 0))
     shear = JSpaceRep(J, module, [Matrix.identity(2),
-                                  Matrix.from_rows([[Q(0), Q(1)], [Q(0), Q(0)]]),
-                                  Matrix.from_rows([[Q(0), Q(0)], [Q(1), Q(0)]])],
+                                  Matrix(2, 2, [[Q(0), Q(1)], [Q(0), Q(0)]]),
+                                  Matrix(2, 2, [[Q(0), Q(0)], [Q(1), Q(0)]])],
                       name="shears over ab = 0, ba = b")
     return [newton, shear]
 

@@ -347,7 +347,7 @@ def dense_inner_derivation_rank(J):
         for b in range(a + 1, d):
             m = L_op(J, basis(d, a)).commutator(L_op(J, basis(d, b)))
             rows.append([x for row in m.data for x in row])
-    return rref(Matrix.from_rows(rows))[0] if rows else 0
+    return rref(Matrix(len(rows), d * d, rows))[0] if rows else 0
 
 
 @st.composite

@@ -55,7 +55,7 @@ def test_top_cells_match_module():
     r = newton_rep(2, 3)
     v = TruncatedVerma(extend_to_g0(r), 3, 2)
     for d in range(4):
-        assert v.cell_dim((0, d)) == r.module.dim_at_degree(d)
+        assert v.cell_dim((0, d)) == r.module.degrees.count(d)
 
 
 def test_window_rejects_depth_zero():
@@ -414,7 +414,7 @@ def test_weyl_top_row_is_module_dims():
     r = newton_rep(2, 3)
     table = weyl_dimensions(r, 3)
     for d in range(4):
-        assert table.dim(2, d) == r.module.dim_at_degree(d)
+        assert table.dim(2, d) == r.module.degrees.count(d)
 
 
 def test_weyl_nondominant_flagged():
