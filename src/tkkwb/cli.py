@@ -155,7 +155,10 @@ def cmd_jspace_check(args):
     rep = _resolve_rep(args)
     # check_jspace takes J as valid; an invalid one is malformed input here
     jordan_mod.ensure_valid(rep.jordan)
-    report = jspace_mod.check_jspace(rep)
+    # both reports read one sparse copy of rho, which decides the polarized
+    # square commutation once
+    copy = jspace_mod.SparseRho(rep)
+    report = jspace_mod.check_jspace(copy)
     try:
         n = jspace_mod.level(rep)
         level_line = f"level {n}"
@@ -164,7 +167,7 @@ def cmd_jspace_check(args):
         report.add("level", False, str(exc))
         _emit_report(report, args.format, extra={"level": level_line})
         return EXIT_FAIL
-    env = jspace_mod.check_envelope_relations(rep, mode=args.mode,
+    env = jspace_mod.check_envelope_relations(copy, mode=args.mode,
                                               samples=args.samples, seed=args.seed)
     # the envelope decides dominance too; its item is the envelope's last
     dom = env.items[-1]

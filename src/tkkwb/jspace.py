@@ -10,6 +10,13 @@ dominance sum has a random mode.  The derivation identity and the
 envelope's cubic relation are one double-commutator loop,
 `_double_commutator_failure`, with different right-hand sides, and the
 polarized square commutation is `_square_commutation_failure`.
+
+These sweeps and the extension's checks run on a `SparseRho`: rho as sparse
+operators {row: {col: int}}, scaled to integers by the lcm of its
+denominators, made once per check from rho as it stands.  The extension
+keeps its operators in that form (`G0Rep`), and the straightening data of
+`weyl` reads sparse module columns from them.  The dominance operator,
+tensor products and the JSON format keep dense `Matrix` images.
 """
 
 from __future__ import annotations
@@ -22,8 +29,9 @@ from pathlib import Path
 
 from .jordan import (InputError, builtin, derivation_column, jpower, load_algebra,
                      table_product, truncated_poly)
-from .linalg import (LabeledSpace, Matrix, add_into, as_int, as_list, as_q, combination,
-                     kron, q_str, random_vector, scalar_value, unit_vector)
+from .linalg import (LabeledSpace, Matrix, add_into, add_operator, as_int, as_list, as_q,
+                     combination, combine, commutator, integer_operators, kron, q_str,
+                     random_vector, scalar_value, unit_vector)
 from .multipoly import Poly
 from .report import Report
 from .symfun import SymPoly, dominance_coeffs, newton, partitions
@@ -99,14 +107,43 @@ def grading_breach(rep):
     return None
 
 
-def check_jspace(rep):
+class SparseRho:
+    """The sparse, integer-scaled copy of rho that one whole check runs on.
+
+    ops[i] is den * rho(e_i) as a sparse operator {row: {col: int}}, den the
+    lcm of the denominators of rho as it stands when the copy is made (once
+    per check, never per product).  Every identity checked here is
+    homogeneous in rho, so it holds for rho exactly when it holds for the
+    copy with its right-hand side scaled to match, and fails first at the
+    same triple.  The polarized square commutation is decided on a copy at
+    most once, however many reports read it.
+    """
+
+    def __init__(self, rep):
+        self.rep = rep
+        self.den, self.ops = integer_operators(rep.rho)
+        self._square = None     # (first failing triple or None,) once decided
+
+    def square_failure(self):
+        """`_square_commutation_failure` on this copy, decided once."""
+        if self._square is None:
+            self._square = (_square_commutation_failure(self),)
+        return self._square[0]
+
+
+def _sparse(rep_or_copy):
+    return rep_or_copy if isinstance(rep_or_copy, SparseRho) else SparseRho(rep_or_copy)
+
+
+def check_jspace(rep_or_copy):
     """The two defining identities of a J-space, on all basis triples.
 
     The derivation identity [[rho(x), rho(y)], rho(z)] = 4 rho([L_x, L_y] z)
     is trilinear and is decided by `_double_commutator_failure`.  The
     square-commutation identity is nonlinear, so its trilinear polarization
         [rho(x), rho(yz)] + [rho(y), rho(xz)] + [rho(z), rho(xy)] = 0
-    is checked instead.
+    is checked instead.  Both run on a `SparseRho`, made here from a
+    JSpaceRep or passed in to be shared with `check_envelope_relations`.
 
     J is not validated here.  When its table is commutative, the derivation
     identity is antisymmetric in (i, j) and holds for i = j, so it is decided
@@ -114,6 +151,8 @@ def check_jspace(rep):
     ordered pair is swept.  Either way the first failing triple in product
     order is the one reported.
     """
+    copy = _sparse(rep_or_copy)
+    rep = copy.rep
     J = rep.jordan
     rep_report = Report(f"j-space axioms for {rep.name}")
     d = J.dim
@@ -122,54 +161,65 @@ def check_jspace(rep):
     rep_report.add("rho respects the grading", breach is None, breach or "")
 
     pairs = combinations(range(d), 2) if _commutative(J) else product(range(d), repeat=2)
-    t = _double_commutator_failure(rep, pairs, lambda i, j, k: derivation_column(J, i, j, k))
+    t = _double_commutator_failure(copy, pairs, lambda i, j, k: derivation_column(J, i, j, k))
     rep_report.add("derivation identity (all basis triples)", t is None,
                    "" if t is None else
                    "derivation identity fails at basis triple (%d,%d,%d)" % t)
-    t = _square_commutation_failure(rep)
+    t = copy.square_failure()
     rep_report.add("square commutation, polarized (all basis triples)", t is None,
                    "" if t is None else
                    "polarized square-commutation fails at (%d,%d,%d)" % t)
     return rep_report
 
 
-def _double_commutator_failure(rep, pairs, rhs):
+def _double_commutator_failure(copy, pairs, rhs):
     """The first triple (a, b, c) at which
         [[rho(e_a), rho(e_b)], rho(e_c)] = 4 rho(rhs(a, b, c))
     fails, or None when it holds for every (a, b) in pairs and every c.
 
-    rhs returns sparse coordinates.  [rho(e_a), rho(e_b)] is formed once per
-    pair, and c runs over the basis for each pair in turn, so triples are
-    visited in the order of pairs, then of c.
+    rhs returns sparse coordinates.  On the copy the left side is den^3
+    times the true one, so the right side is scaled by 4 den^2.
+    [rho(e_a), rho(e_b)] is formed once per pair, and c runs over the basis
+    for each pair in turn, so triples are visited in the order of pairs,
+    then of c.
     """
-    sig = rep.rho
+    ops = copy.ops
+    four = 4 * copy.den ** 2
     for a, b in pairs:
-        comm = sig[a].commutator(sig[b])
-        for c in range(rep.jordan.dim):
-            if comm.commutator(sig[c]) != rep.rho_of(rhs(a, b, c)).scale(4):
+        comm = commutator(ops[a], ops[b])
+        for c in range(copy.rep.jordan.dim):
+            if commutator(comm, ops[c]) != combine(ops, rhs(a, b, c), four):
                 return (a, b, c)
     return None
 
 
-def _square_commutation_failure(rep):
+def _square_commutation_failure(copy):
     """The first basis triple (i, j, k) at which the polarized
     square-commutation identity
         [rho(e_i), rho(e_j e_k)] + [rho(e_j), rho(e_i e_k)] + [rho(e_k), rho(e_i e_j)] = 0
-    fails, or None when it holds on all basis triples.
+    fails on the copy, or None when it holds on all basis triples.
 
     With a commutative table the polarization is symmetric in (i, j, k), so
     the sorted triples decide it, and the first failing triple in product
     order is sorted; a noncommutative table has every ordered triple swept.
+    The image of each product e_j e_k is formed once.
     """
-    J, sig = rep.jordan, rep.rho
+    J, ops = copy.rep.jordan, copy.ops
     d = J.dim
     triples = combinations_with_replacement(range(d), 3) if _commutative(J) \
         else product(range(d), repeat=3)
+    images = {}
+
+    def image(j, k):
+        if (j, k) not in images:
+            images[(j, k)] = combine(ops, J.table[j][k])
+        return images[(j, k)]
+
     for i, j, k in triples:
-        acc = sig[i].commutator(rep.rho_of(J.table[j][k])) + \
-            sig[j].commutator(rep.rho_of(J.table[i][k])) + \
-            sig[k].commutator(rep.rho_of(J.table[i][j]))
-        if not acc.is_zero():
+        acc = commutator(ops[i], image(j, k))
+        add_operator(acc, commutator(ops[j], image(i, k)))
+        add_operator(acc, commutator(ops[k], image(i, j)))
+        if acc:
             return (i, j, k)
     return None
 
@@ -180,70 +230,72 @@ def _commutative(J):
 
 
 class G0Rep:
-    """A J-space extended to the weight-zero subalgebra.
+    """A J-space extended to the weight-zero subalgebra, with the sparse
+    operators its extension checked.
 
-    Braces act by quarter commutators of the rho images, pushed through the
-    brace-space projection; well-definedness on the defining span and the
-    homomorphism property against the bracket table are verified.
+    Every weight-zero operator is a sparse integer operator over the one
+    denominator den: h(e_i) acts by rho[i] / den and the brace basis element
+    k by braces[k] / den.
     """
 
-    def __init__(self, rep, ext, dmats, report):
+    def __init__(self, rep, ext, den, rho, braces, report):
         self.rep = rep
         self.ext = ext          # the central extension, for its bracket table
-        self.dmats = dmats      # one matrix per brace basis element
+        self.den = den
+        self.rho = rho
+        self.braces = braces
         self.report = report
 
     @property
     def brace(self):
         return self.ext.brace
 
-    def brace_matrix(self, coords):
-        return combination(self.rep.mdim, self.dmats, coords)
-
 
 def extend_to_g0(rep, ext=None):
-    """Extend rho to the weight-zero subalgebra; braces act by (1/4)[rho, rho]."""
+    """Extend rho to the weight-zero subalgebra; braces act by (1/4)[rho, rho].
+
+    The checks run on a `SparseRho` made here.  With ops = den rho, the
+    commutator [ops_i, ops_j] is 4 den^2 times the quarter commutator of the
+    pair, so every weight-zero operator is kept over the denominator 4 den^2:
+    the brace operators as these commutators, rho as ops scaled by 4 den.
+    Well-definedness asks each defining-span row of the brace space to
+    combine the pair commutators to zero; the homomorphism item compares
+    [phi(p), phi(q)] with 4 den^2 times the bracket combination of the phi(t).
+    """
     J = rep.jordan
     if ext is None:
         ext = build_sl2(J)
     bs = ext.brace
     report = Report(f"weight-zero extension of {rep.name}")
-    m = rep.mdim
+    copy = SparseRho(rep)
+    den = 4 * copy.den ** 2
 
-    quarter = Fraction(1, 4)
-    comm_pair = [rep.rho[i].commutator(rep.rho[j]).scale(quarter) for i, j in bs.pairs]
+    comm_pair = [commutator(copy.ops[i], copy.ops[j]) for i, j in bs.pairs]
     report.check("well-defined on the brace quotient", range(len(bs.s_rows)),
-                 lambda r: not combination(m, comm_pair, bs.s_rows[r]).is_zero()
+                 lambda r: combine(comm_pair, bs.s_rows[r])
                  and f"defining-span generator {r} acts nonzero")
 
-    dmats = [comm_pair[t] for t in bs.reps]
-
-    def phi(p):
-        kind, i = ext.basis_kind(p)
-        if kind == "h":
-            return rep.rho[i]
-        if kind == "tail":
-            return dmats[i]
-        raise ValueError("weight-zero indices only")
+    rho = [combine(copy.ops, {i: 4 * copy.den}) for i in range(J.dim)]
+    braces = [comm_pair[t] for t in bs.reps]
+    zero_indices = [ext.h_index(i) for i in range(J.dim)] + \
+                   [ext.tail_index(k) for k in range(bs.dim)]
+    phi = dict(zip(zero_indices, rho + braces))
 
     def mismatch(pq):
         p, q = pq
-        lhs = phi(p).commutator(phi(q))
-        rhs = Matrix.zeros(m, m)
-        for t, c in ext.bracket_basis(p, q).items():
-            rhs = rhs + phi(t).scale(c)
-        if lhs != rhs:
+        bracket = ext.bracket_basis(p, q)
+        if not phi.keys() >= bracket.keys():
+            raise ValueError("weight-zero indices only")
+        if commutator(phi[p], phi[q]) != combine(phi, bracket, den):
             return f"bracket mismatch at ({ext.labels[p]},{ext.labels[q]})"
 
-    zero_indices = [ext.h_index(i) for i in range(J.dim)] + \
-                   [ext.tail_index(k) for k in range(bs.dim)]
     # on an antisymmetric block both sides of the homomorphism are
     # antisymmetric in (p, q) and vanish at p = q, so pairs p < q decide it
     # and the first failing pair in product order is one of them
     pairs = combinations(zero_indices, 2) if ext.antisymmetric_on(zero_indices) \
         else product(zero_indices, repeat=2)
     report.check("homomorphism on the weight-zero bracket table", pairs, mismatch)
-    return G0Rep(rep, ext, dmats, report)
+    return G0Rep(rep, ext, den, rho, braces, report)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +381,7 @@ def check_bimodule(rep):
     d, m = J.dim, rep.mdim
     sig = rep.rho
 
-    t = _square_commutation_failure(rep)
+    t = SparseRho(rep).square_failure()
     report.add("square commutation, polarized", t is None,
                "" if t is None else "square commutation fails at (%d,%d,%d)" % t)
 
@@ -358,7 +410,7 @@ def check_bimodule(rep):
 # universal envelope relations
 
 
-def check_envelope_relations(rep, mode="symbolic", samples=8, seed=0):
+def check_envelope_relations(rep_or_copy, mode="symbolic", samples=8, seed=0):
     """The defining relations of the level-n universal envelope, as operator
     identities on the module: the scalar unit relation, polarized square
     commutation, the cubic rearrangement relation, and the
@@ -373,8 +425,12 @@ def check_envelope_relations(rep, mode="symbolic", samples=8, seed=0):
 
     The partition-coefficient sum is decided right after the level, before
     either sweep, so a guarded symbolic sum raises ResourceError at once;
-    its item still comes last.
+    its item still comes last.  Both sweeps run on a `SparseRho`, made here
+    from a JSpaceRep or passed in: one shared with `check_jspace` decides
+    the polarized square commutation once for both reports.
     """
+    copy = _sparse(rep_or_copy)
+    rep = copy.rep
     J = rep.jordan
     report = Report(f"envelope relations for {rep.name}")
 
@@ -386,7 +442,7 @@ def check_envelope_relations(rep, mode="symbolic", samples=8, seed=0):
         return report
     dominance = dominance_check(rep, mode=mode, samples=samples, seed=seed)
 
-    t = _square_commutation_failure(rep)
+    t = copy.square_failure()
     report.add("square commutation, polarized", t is None,
                "" if t is None else "fails at (%d,%d,%d)" % t)
 
@@ -394,7 +450,7 @@ def check_envelope_relations(rep, mode="symbolic", samples=8, seed=0):
         return add_into(table_product(J.table, {a: 1}, J.table[b][c]),
                         table_product(J.table, {b: 1}, J.table[a][c]), -1)
 
-    t = _double_commutator_failure(rep, combinations(range(J.dim), 2), a_bc_minus_b_ac)
+    t = _double_commutator_failure(copy, combinations(range(J.dim), 2), a_bc_minus_b_ac)
     report.add("cubic rearrangement relation", t is None,
                "" if t is None else "fails at (%d,%d,%d)" % t)
 

@@ -1,14 +1,18 @@
 """Exact linear algebra over the rationals.
 
 There are no floats anywhere, so ranks, kernels and quotient coordinates are
-exact, and equality tests mean actual equality.  Matrices are dense; entries
-may be any ring element supporting +, -, * (matrices of polynomials too).
-The product `@` skips zero products: it reads each row of the right factor
-as its nonzero entries and multiplies them only by nonzero entries of the
-left, so a product of sparse operators costs its number of nonzero products.
-Every echelon form comes from `RowSpan`, sparse and fraction-free (primitive
-integer rows), whose canonical RREF `quotient` reads.  The dense `rref` is
-only the independent reference for tests.
+exact, and equality tests mean actual equality.  A `Matrix` is dense; its
+entries may be any ring element supporting +, -, * (matrices of polynomials
+too).  The product `@` skips zero products: it reads each row of the right
+factor as its nonzero entries and multiplies them only by nonzero entries of
+the left, so a product of sparse operators costs its number of nonzero
+products.  The operator identities of a representation run instead on sparse
+operators, {row: {column: coeff}} dicts with no zero entry and no empty row:
+`integer_operators` scales a list of matrices to integers by one common
+denominator, and `operator_product`, `commutator` and `combine` sum through
+`add_into`.  Every echelon form comes from `RowSpan`, sparse and
+fraction-free (primitive integer rows), whose canonical RREF `quotient`
+reads.  The dense `rref` is only the independent reference for tests.
 """
 
 from __future__ import annotations
@@ -93,9 +97,6 @@ class Matrix:
     def row(self, i):
         return list(self.data[i])
 
-    def col(self, j):
-        return [self.data[i][j] for i in range(self.rows)]
-
     def transpose(self):
         return Matrix(self.cols, self.rows,
                       [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
@@ -151,9 +152,6 @@ class Matrix:
                     acc = acc + a * v
             out.append(acc)
         return out
-
-    def commutator(self, other):
-        return self @ other - other @ self
 
     def trace(self):
         if self.rows != self.cols:
@@ -367,6 +365,62 @@ def add_into(acc, sparse, scale=None):
         elif k in acc:
             del acc[k]
     return acc
+
+
+def integer_operators(mats):
+    """(den, ops): ops[k] is den * mats[k] as a sparse operator {row: {col:
+    int}}, den the lcm of the denominators of every entry of every matrix."""
+    den = lcm(*(x.denominator for m in mats for row in m.data for x in row if x))
+    return den, [{r: {s: x.numerator * (den // x.denominator) for s, x in enumerate(row) if x}
+                  for r, row in enumerate(m.data) if any(row)} for m in mats]
+
+
+def add_operator(acc, op, scale=None):
+    """acc += scale * op for sparse operators, keeping no empty row; returns acc."""
+    for r, row in op.items():
+        out = add_into(acc.get(r, {}), row, scale)
+        if out:
+            acc[r] = out
+        elif r in acc:
+            del acc[r]
+    return acc
+
+
+def operator_product(a, b):
+    """The sparse operator a b."""
+    out = {}
+    for r, row in a.items():
+        acc = {}
+        for k, x in row.items():
+            if k in b:
+                add_into(acc, b[k], x)
+        if acc:
+            out[r] = acc
+    return out
+
+
+def commutator(a, b):
+    """The sparse operator a b - b a."""
+    return add_operator(operator_product(a, b), operator_product(b, a), -1)
+
+
+def combine(ops, coords, scale=1):
+    """The sparse operator sum_k scale c_k ops[k] over a sparse {k: c_k} dict
+    of rationals; an integral coefficient is applied as an int."""
+    out = {}
+    for k, c in coords.items():
+        c = scale * c
+        add_operator(out, ops[k], c.numerator if c.denominator == 1 else c)
+    return out
+
+
+def columns(op, den):
+    """The columns of the sparse operator op / den, as {col: {row: Fraction}}."""
+    out = {}
+    for r, row in op.items():
+        for s, x in row.items():
+            out.setdefault(s, {})[r] = Fraction(x, den)
+    return out
 
 
 def zero_vector(n):

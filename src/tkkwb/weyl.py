@@ -32,7 +32,8 @@ from itertools import combinations_with_replacement, product
 from math import factorial, lcm
 
 from .jordan import InputError, derivation_column, jpower
-from .linalg import Matrix, RowSpan, add_into, random_vector
+from .linalg import (Matrix, RowSpan, add_into, add_operator, columns, combine,
+                     random_vector)
 from .multipoly import Poly
 from .report import Report
 from .jspace import (G0Rep, LevelError, dominance_operator, extend_to_g0,
@@ -97,13 +98,14 @@ class _StraightData:
         self.J = J
         d = J.dim
         bs = g0.brace
-        # [e(e_x), f(e_b)] = h(e_x e_b) + 2 {e_x, e_b}, applied on the module
+        # [e(e_x), f(e_b)] = h(e_x e_b) + 2 {e_x, e_b}, applied on the module:
+        # g0mat[x][b] holds its sparse columns, read from g0's integer operators
         self.g0mat = [[None] * d for _ in range(d)]
         for x in range(d):
             for b in range(d):
-                m = rep.rho_of(J.table[x][b])
-                m = m + g0.brace_matrix(bs.brace_pair(x, b)).scale(2)
-                self.g0mat[x][b] = m
+                op = add_operator(combine(g0.rho, J.table[x][b]),
+                                  combine(g0.braces, bs.brace_pair(x, b), 2))
+                self.g0mat[x][b] = columns(op, g0.den)
         # [h(e_x e_b) + 2{e_x,e_b}, f(e_c)] = f(-2 (e_x e_b) e_c + 2 da_{x,b} e_c)
         self._repl = {}
         self._unit = {x: c for x, c in enumerate(J.unit) if c}
@@ -132,8 +134,8 @@ class _StraightData:
         for b in values:
             mult = counts[b]
             nu = _fkey_remove(fkey, b)
-            col = self.g0mat[x][b].col(mi)
-            add_into(out, {(nu, r): c for r, c in enumerate(col) if c}, mult)
+            col = self.g0mat[x][b].get(mi, {})
+            add_into(out, {(nu, r): c for r, c in col.items()}, mult)
             # pair terms: the weight-zero element continues rightward and
             # commutes with one more lowering factor
             for c2 in values:
@@ -298,7 +300,7 @@ def garland_coefficients(g0, a, rrs):
     rho_pows = {s: rep.rho_of(powers[s]) for s in powers}
     for s in range(1, order + 1):
         for t in range(s + 1, order + 1):
-            if not rho_pows[s].commutator(rho_pows[t]).is_zero():
+            if rho_pows[s] @ rho_pows[t] != rho_pows[t] @ rho_pows[s]:
                 raise NoncommutingPowersError(
                     f"[rho(a^{s}), rho(a^{t})] != 0; the exponential series "
                     "is undefined for this element")
@@ -442,7 +444,7 @@ class TruncatedVerma:
         self.generators = [("e", i) for i in range(d)] + \
                           [("f", i) for i in range(d)] + \
                           [("h", i) for i in range(d)] + \
-                          [("d", k) for k in range(len(g0.dmats))]
+                          [("d", k) for k in range(len(g0.braces))]
 
     def cell_dim(self, key):
         return len(self.cells.get(key, []))
@@ -527,7 +529,7 @@ class TruncatedVerma:
                 nu = _fkey_remove(fkey, b)
                 add_into(out, {(_fkey_insert(nu, r), mi): c
                                for r, c in on_J[b].items()}, mult)
-            add_into(out, {(fkey, r): c for r, c in enumerate(on_module.col(mi)) if c})
+            add_into(out, {(fkey, r): c for r, c in on_module.get(mi, {}).items()})
         elif kind == "e":
             out = self.data.raise_basis(i, fkey, mi)
         else:
@@ -541,19 +543,19 @@ class TruncatedVerma:
         for h(e_i), the inner derivation [L_{e_a}, L_{e_a'}] e_b for a brace
         with representative pair (a, a').  Both are lookups in J.table (J is
         validated, so commutative), never in the extension's bracket table,
-        which bracket_fidelity checks this action against.  on_module is
-        rho[i] or the brace's matrix.
+        which bracket_fidelity checks this action against.  on_module holds
+        the sparse columns of rho[i] or of the brace's operator.
         """
         key = (kind, i)
         if key not in self._weight_zero:
-            J = self.J
+            J, g0 = self.J, self.g0
             if kind == "h":
                 on_J = [{r: -2 * c for r, c in J.table[i][b].items()} for b in range(J.dim)]
-                on_module = self.rep.rho[i]
+                on_module = columns(g0.rho[i], g0.den)
             else:
-                a, a2 = self.g0.brace.rep_pairs[i]
+                a, a2 = g0.brace.rep_pairs[i]
                 on_J = [derivation_column(J, a, a2, b) for b in range(J.dim)]
-                on_module = self.g0.dmats[i]
+                on_module = columns(g0.braces[i], g0.den)
             self._weight_zero[key] = (on_J, on_module)
         return self._weight_zero[key]
 

@@ -16,6 +16,16 @@ from tkkwb.jspace import doubled_regular_rep, matrix_defining_rep, tensor_rep
 from tkkwb.linalg import LabeledSpace, Matrix
 
 
+def column(m, j):
+    """Column j of a dense matrix, as a list."""
+    return [row[j] for row in m.data]
+
+
+def dense_commutator(a, b):
+    """The reference commutator a b - b a of two dense matrices."""
+    return a @ b - b @ a
+
+
 def one_gen_rep(n, T, name):
     """rho(1) = n id, rho(t) = T over the trivially graded dual numbers.
 

@@ -333,6 +333,53 @@ def test_jspace_check_decides_dominance_once(capsys, monkeypatch, mode):
     assert modes == [mode]
 
 
+@pytest.mark.parametrize("argv", [
+    ("--builtin-rep", "newton", "--n", "3", "--cutoff", "4"),
+    ("--builtin-rep", "doubled-regular", "--builtin", "matrix", "--size", "2"),
+    ("--builtin-rep", "regular", "--builtin", "matrix", "--size", "2"),
+], ids=["newton-3-4", "doubled-matrix2", "regular-matrix2-exit1"])
+def test_jspace_check_sweeps_square_commutation_once(capsys, monkeypatch, argv):
+    # check_jspace and the envelope read one sparse copy of rho, which
+    # decides the polarized square commutation for both
+    calls = []
+    sweep = jspace._square_commutation_failure
+
+    def counted(copy):
+        calls.append(copy)
+        return sweep(copy)
+
+    monkeypatch.setattr(jspace, "_square_commutation_failure", counted)
+    code, out, _ = run(capsys, "jspace", "check", *argv)
+    assert "envelope: square commutation, polarized" in out
+    assert len(calls) == 1
+
+
+_DOUBLED_SPIN2 = ("--builtin-rep", "doubled-regular", "--builtin", "spin-factor", "--dim", "2")
+_DOUBLED_M2 = ("--builtin-rep", "doubled-regular", "--builtin", "matrix", "--size", "2")
+
+
+# sha256 of json.dumps([exit code, stdout, stderr]) of outputs read from the
+# weight-zero extension, recorded before it ran on sparse integer operators
+@pytest.mark.parametrize("argv, digest", [
+    (("weyl", "dims") + _DOUBLED_SPIN2 + ("--max-degree", "0", "--format", "json"),
+     "db7d2539231fdd5c7760f5399d58b6f2242f86237f24eaf9384138de13cfb9ba"),
+    (("weyl", "dims") + _DOUBLED_M2 + ("--max-degree", "0", "--format", "json"),
+     "49e3b057a2b4b372be286e0597e313643b06baa79472ce5f899d030d81ebd38e"),
+    (("garland", "verify") + _DOUBLED_SPIN2,
+     "8b383189e77f39fa4219562273fbef6ce79461eb803c70abaa27872fb6b30b6b"),
+    (("garland", "verify") + _DOUBLED_M2,
+     "8b383189e77f39fa4219562273fbef6ce79461eb803c70abaa27872fb6b30b6b"),
+    (("weyl", "dims", "--builtin-rep", "regular", "--builtin", "matrix", "--size", "2",
+      "--max-degree", "0"),
+     "92bf84eefac3f9b292df61281d332a3c3fba113a6d0eaaa0f06b615d8fc81e94"),
+], ids=["weyl-doubled-spin2", "weyl-doubled-matrix2", "garland-doubled-spin2",
+        "garland-doubled-matrix2", "weyl-regular-matrix2-exit1"])
+def test_extension_outputs_bytes_pinned(capsys, argv, digest):
+    code, out, err = run(capsys, *argv)
+    blob = json.dumps([code, out, err])
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
 def test_symbolic_guard_exit2(capsys):
     # symbolic dominance refuses oversized algebras; random mode is the out
     code, _, err = run(capsys, "jspace", "check", "--builtin-rep", "zero",

@@ -6,6 +6,8 @@ identity that guards the symmetry holds.  The references below sweep every
 ordered tuple instead; the library's reports must match them line for line,
 witnesses included, on intact and corrupted bracket tables and
 representations, and on a noncommutative table where no reduction applies.
+The J-space checks and the weight-zero extension run on a sparse copy of rho
+scaled to integers; their references take dense Fraction matrices.
 `jordan.validate` multiplies sparse rows of an integer-scaled copy of the
 table, exhaustively or on sampled vectors; its reference multiplies dense
 vectors through `jmul`.
@@ -17,6 +19,7 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
+from conftest import column, dense_commutator, noncommuting_rep
 from tkkwb.jordan import (_EXHAUSTIVE_DIM_LIMIT, _SAMPLE_COUNT, algebra_from_dict,
                           algebra_to_dict, builtin, derivation_column, jmul, validate)
 from tkkwb.jspace import (JSpaceRep, LevelError, check_envelope_relations, check_jspace,
@@ -71,9 +74,9 @@ def ref_validate_lie(g, jacobi="full", seed=0, samples=200):
 def ref_square_failure(rep):
     J, sig = rep.jordan, rep.rho
     for i, j, k in product(range(J.dim), repeat=3):
-        acc = sig[i].commutator(rep.rho_of(J.table[j][k])) + \
-            sig[j].commutator(rep.rho_of(J.table[i][k])) + \
-            sig[k].commutator(rep.rho_of(J.table[i][j]))
+        acc = dense_commutator(sig[i], rep.rho_of(J.table[j][k])) + \
+            dense_commutator(sig[j], rep.rho_of(J.table[i][k])) + \
+            dense_commutator(sig[k], rep.rho_of(J.table[i][j]))
         if not acc.is_zero():
             return (i, j, k)
     return None
@@ -92,7 +95,7 @@ def ref_check_jspace(rep):
 
     def derivation(ijk):
         i, j, k = ijk
-        lhs = sig[i].commutator(sig[j]).commutator(sig[k])
+        lhs = dense_commutator(dense_commutator(sig[i], sig[j]), sig[k])
         if lhs != rep.rho_of(derivation_column(J, i, j, k)).scale(4):
             return f"derivation identity fails at basis triple ({i},{j},{k})"
 
@@ -121,7 +124,7 @@ def ref_check_envelope_relations(rep):
 
     def cubic(abc):
         a, b, c = abc
-        lhs = sig[a].commutator(sig[b]).commutator(sig[c])
+        lhs = dense_commutator(dense_commutator(sig[a], sig[b]), sig[c])
         a_bc = jmul(J, unit_vector(d, a), dense_vector(d, J.table[b][c]))
         b_ac = jmul(J, unit_vector(d, b), dense_vector(d, J.table[a][c]))
         if lhs != rep.rho_of([x - y for x, y in zip(a_bc, b_ac)]).scale(4):
@@ -132,23 +135,25 @@ def ref_check_envelope_relations(rep):
     return report
 
 
-def ref_homomorphism(rep, ext):
-    """The lines of extend_to_g0's report, with the homomorphism item swept
-    over every ordered pair of weight-zero basis elements."""
-    J, m = rep.jordan, rep.mdim
-    lib = extend_to_g0(rep, ext).report
-    report = Report(lib.title, lib.items[:1])
-    dmats = [rep.rho[i].commutator(rep.rho[j]).scale(Q(1, 4))
-             for i, j in (ext.brace.pairs[t] for t in ext.brace.reps)]
+def ref_extension(rep, ext):
+    """The lines of extend_to_g0's report on dense Fraction matrices, with
+    the homomorphism item swept over every ordered pair of weight-zero basis
+    elements."""
+    J, m, bs = rep.jordan, rep.mdim, ext.brace
+    report = Report(f"weight-zero extension of {rep.name}")
+    quarter = [dense_commutator(rep.rho[i], rep.rho[j]).scale(Q(1, 4)) for i, j in bs.pairs]
+    report.check("well-defined on the brace quotient", range(len(bs.s_rows)),
+                 lambda r: not combination(m, quarter, bs.s_rows[r]).is_zero()
+                 and f"defining-span generator {r} acts nonzero")
     zero = [ext.h_index(i) for i in range(J.dim)] + \
-        [ext.tail_index(k) for k in range(ext.brace.dim)]
-    phi = dict(zip(zero, list(rep.rho) + dmats))
+        [ext.tail_index(k) for k in range(bs.dim)]
+    phi = dict(zip(zero, list(rep.rho) + [quarter[t] for t in bs.reps]))
 
     def mismatch(pq):
         p, q = pq
         rhs = combination(m, [phi[t] for t in zero],
                           [ext.bracket_basis(p, q).get(t, 0) for t in zero])
-        if phi[p].commutator(phi[q]) != rhs:
+        if dense_commutator(phi[p], phi[q]) != rhs:
             return f"bracket mismatch at ({ext.labels[p]},{ext.labels[q]})"
 
     report.check("homomorphism on the weight-zero bracket table",
@@ -160,7 +165,7 @@ def ref_center_map(ext, classical):
     """The lines of center_map's report, with the homomorphism item swept
     over every ordered pair of basis elements."""
     phi, _, lib = center_map(ext, classical)
-    cols = [phi.col(p) for p in range(ext.dim)]
+    cols = [column(phi, p) for p in range(ext.dim)]
 
     def nonhomomorphic(pq):
         p, q = pq
@@ -242,11 +247,12 @@ def corrupt_jordan(J, rng, keep_commutativity, coeffs=(1, -1, 2, Q(1, 2))):
     return J
 
 
-def corrupt_rep(rep, rng):
-    """The same representation with one random rho entry changed."""
+def corrupt_rep(rep, rng, coeffs=(1, -1, 2, Q(1, 2))):
+    """The same representation with a coefficient drawn from coeffs added
+    to one random rho entry."""
     i, r, s = rng.randrange(rep.jordan.dim), rng.randrange(rep.mdim), rng.randrange(rep.mdim)
     data = [list(row) for row in rep.rho[i].data]
-    data[r][s] += rng.choice([1, -1, 2, Q(1, 2)])
+    data[r][s] += rng.choice(coeffs)
     rho = list(rep.rho)
     rho[i] = Matrix(rep.mdim, rep.mdim, data)
     return JSpaceRep(rep.jordan, rep.module, rho,
@@ -413,9 +419,36 @@ def test_jspace_checks_match_full_sweep(name):
         assert lib.lines() == ref_check_jspace(rep).lines(), seed
         assert check_envelope_relations(rep).lines() == \
             ref_check_envelope_relations(rep).lines(), seed
-        assert extend_to_g0(rep, ext).report.lines() == ref_homomorphism(rep, ext).lines(), seed
+        assert extend_to_g0(rep, ext).report.lines() == ref_extension(rep, ext).lines(), seed
         failing += not lib.ok
     assert failing >= 5
+
+
+@pytest.mark.parametrize("name", sorted(_REPS))
+def test_jspace_checks_read_a_new_denominator(name):
+    # the checks run on a copy of rho scaled to integers; a 1/3 in an
+    # integral rho must raise its scale, or the term would be lost
+    base = _REPS[name]()
+    assert all(x.denominator == 1 for m in base.rho for row in m.data for x in row)
+    ext = build_sl2(base.jordan)
+    failing = 0
+    for seed in range(6):
+        rep = corrupt_rep(base, random.Random(seed), coeffs=(Q(1, 3),))
+        lib = check_jspace(rep)
+        assert lib.lines() == ref_check_jspace(rep).lines(), seed
+        assert check_envelope_relations(rep).lines() == \
+            ref_check_envelope_relations(rep).lines(), seed
+        assert extend_to_g0(rep, ext).report.lines() == ref_extension(rep, ext).lines(), seed
+        failing += not lib.ok
+    assert failing >= 5
+
+
+def test_extension_fails_well_definedness_like_its_reference():
+    rep = noncommuting_rep()
+    ext = build_sl2(rep.jordan)
+    lib = extend_to_g0(rep, ext).report
+    assert lib.lines() == ref_extension(rep, ext).lines()
+    assert lib.items[0].name == "well-defined on the brace quotient" and not lib.items[0].ok
 
 
 def test_extension_falls_back_on_a_non_antisymmetric_block():
@@ -426,7 +459,7 @@ def test_extension_falls_back_on_a_non_antisymmetric_block():
     ext.table[(h1, h0)] = add_into(dict(ext.bracket_basis(h1, h0)), {ext.tail_index(0): 1})
     lib = extend_to_g0(rep, ext).report
     assert not lib.ok
-    assert lib.lines() == ref_homomorphism(rep, ext).lines()
+    assert lib.lines() == ref_extension(rep, ext).lines()
 
 
 @pytest.mark.parametrize("index", [0, 1])

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tkkwb
+from conftest import dense_commutator
 from tkkwb import linalg, tkk
 from tkkwb.jordan import (InputError, L_op, algebra_from_dict, builtin, jmul, matrix_jordan,
                           spin_factor, truncated_poly, validate)
@@ -345,7 +346,7 @@ def dense_inner_derivation_rank(J):
     rows = []
     for a in range(d):
         for b in range(a + 1, d):
-            m = L_op(J, basis(d, a)).commutator(L_op(J, basis(d, b)))
+            m = dense_commutator(L_op(J, basis(d, a)), L_op(J, basis(d, b)))
             rows.append([x for row in m.data for x in row])
     return rref(Matrix(len(rows), d * d, rows))[0] if rows else 0
 

@@ -5,7 +5,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from conftest import (jordan_block_3, nilpotent_matrix, noncommuting_rep,
+from conftest import (column, jordan_block_3, nilpotent_matrix, noncommuting_rep,
                       one_gen_rep, projection_matrix)
 from tkkwb.jordan import (InputError, JordanAlgebra, matrix_jordan, spin_factor,
                           truncated_poly)
@@ -109,7 +109,7 @@ def test_raise_of_single_lowering_is_rho():
             vec = {src: basis(v.cell_dim(src), v.cell_pos[src][((), mi)])}
             one_f = apply_generator(v, vec, ("f", i))
             back = apply_generator(v, one_f, ("e", 0))
-            want_col = r.rho[i].col(mi)
+            want_col = column(r.rho[i], mi)
             got = zero_vector(r.mdim)
             for cell, cv in back.items():
                 ell, dd = cell
@@ -314,7 +314,7 @@ def test_windowed_chain_matches_windowfree_contraction():
                     got[mj] += cv[pos]
         a = zero_vector(r.jordan.dim)
         a[1] = Q(1)
-        assert got == efr_power(g0, a, n + 1).col(mi)
+        assert got == column(efr_power(g0, a, n + 1), mi)
 
 
 def test_noncommuting_powers_diagnostic():
@@ -328,9 +328,8 @@ def G0_no_checks(rep):
     from tkkwb.jspace import G0Rep
     from tkkwb.tkk import build_sl2
     ext = build_sl2(rep.jordan)
-    mats = [Matrix.zeros(rep.mdim, rep.mdim) for _ in range(ext.tail_dim)]
     from tkkwb.report import Report
-    return G0Rep(rep, ext, mats, Report("unchecked"))
+    return G0Rep(rep, ext, 1, [{}] * rep.jordan.dim, [{}] * ext.tail_dim, Report("unchecked"))
 
 
 def test_level_four_instance():
