@@ -91,15 +91,26 @@ def L_op(J, a):
     return Matrix(J.dim, J.dim, [[cols[j][i] for j in range(J.dim)] for i in range(J.dim)])
 
 
-def derivation_column(J, i, j, k):
-    """Sparse coordinates of [L_{e_i}, L_{e_j}] applied to e_k,
-    via table lookups only: e_i (e_k e_j) - (e_i e_k) e_j."""
+def derivation_column(table, i, j, k):
+    """Sparse coordinates of [L_{e_i}, L_{e_j}] applied to e_k under a
+    structure table, via table lookups only: e_i (e_k e_j) - (e_i e_k) e_j.
+    It is quadratic in the table, so on an integer_table copy over den it
+    is den^2 times the true column."""
     out = {}
-    for m, c in J.table[k][j].items():
-        add_into(out, J.table[i][m], c)
-    for m, c in J.table[i][k].items():
-        add_into(out, J.table[m][j], -c)
+    for m, c in table[k][j].items():
+        add_into(out, table[i][m], c)
+    for m, c in table[i][k].items():
+        add_into(out, table[m][j], -c)
     return out
+
+
+def integer_table(J):
+    """(den, T): T is den * J.table with int entries, den the lcm of the
+    denominators of the table as it stands when called.  Never stored on J,
+    so a table edited after a check is read afresh by the next one."""
+    den = lcm(*(c.denominator for row in J.table for out in row for c in out.values()))
+    return den, [[{k: c.numerator * (den // c.denominator) for k, c in out.items()}
+                  for out in row] for row in J.table]
 
 
 def validate(J, seed=0):
@@ -107,10 +118,10 @@ def validate(J, seed=0):
 
     The Jordan identity is checked through its full polarization
     ((xy)b)z + ((xz)b)y + ((yz)b)x = (xy)(bz) + (xz)(by) + (yz)(bx)
-    on all basis 4-tuples (equivalent over the rationals).  It runs on an
-    integer copy of J.table, scaled by the lcm of its denominators and made
-    at call time; both sides are cubic in the table, so they agree exactly
-    when the scaled sides agree, with the same witness.  Beyond
+    on all basis 4-tuples (equivalent over the rationals).  It runs on the
+    integer_table copy of J.table, made at call time; both sides are cubic
+    in the table, so they agree exactly when the scaled sides agree, with
+    the same witness.  Beyond
     _EXHAUSTIVE_DIM_LIMIT the identity (a^2 b)a = a^2(ba) is sampled on the
     same copy, each sampled vector scaled to integers by the lcm of its
     denominators: both sides have degree 3 in a, 1 in b and 3 in the table.
@@ -139,10 +150,7 @@ def validate(J, seed=0):
 
     rep.check("degree additivity", product(range(d), repeat=2), off_degree)
 
-    # the integer copy of the table as it stands now (see the docstring)
-    den = lcm(*(c.denominator for row in J.table for out in row for c in out.values()))
-    T = [[{k: c.numerator * (den // c.denominator) for k, c in out.items()} for out in row]
-         for row in J.table]
+    _, T = integer_table(J)
     if d <= _EXHAUSTIVE_DIM_LIMIT:
         def polarized(xyz):
             x, y, z = xyz

@@ -161,7 +161,8 @@ def check_jspace(rep_or_copy):
     rep_report.add("rho respects the grading", breach is None, breach or "")
 
     pairs = combinations(range(d), 2) if _commutative(J) else product(range(d), repeat=2)
-    t = _double_commutator_failure(copy, pairs, lambda i, j, k: derivation_column(J, i, j, k))
+    t = _double_commutator_failure(copy, pairs,
+                                   lambda i, j, k: derivation_column(J.table, i, j, k))
     rep_report.add("derivation identity (all basis triples)", t is None,
                    "" if t is None else
                    "derivation identity fails at basis triple (%d,%d,%d)" % t)

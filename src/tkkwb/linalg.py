@@ -9,10 +9,12 @@ the left, so a product of sparse operators costs its number of nonzero
 products.  The operator identities of a representation run instead on sparse
 operators, {row: {column: coeff}} dicts with no zero entry and no empty row:
 `integer_operators` scales a list of matrices to integers by one common
-denominator, and `operator_product`, `commutator` and `combine` sum through
-`add_into`.  Every echelon form comes from `RowSpan`, sparse and
-fraction-free (primitive integer rows), whose canonical RREF `quotient`
-reads.  The dense `rref` is only the independent reference for tests.
+denominator, `operator_product`, `commutator` and `combine` sum through
+`add_into`, and `columns` turns an integer operator into integer columns
+at a new scale, for the straightening in `weyl`.  Every echelon form comes
+from `RowSpan`, sparse and fraction-free (primitive integer rows), whose
+canonical RREF `quotient` reads.  The dense `rref` is only the independent
+reference for tests.
 """
 
 from __future__ import annotations
@@ -414,12 +416,18 @@ def combine(ops, coords, scale=1):
     return out
 
 
-def columns(op, den):
-    """The columns of the sparse operator op / den, as {col: {row: Fraction}}."""
+def columns(op, scale):
+    """The columns of scale * op as integer columns {col: {row: int}}, for an
+    integer operator op and an int scale, or a Fraction scale p/q such that
+    q divides every p x; ArithmeticError when it does not."""
+    p, q = scale.numerator, scale.denominator
     out = {}
     for r, row in op.items():
         for s, x in row.items():
-            out.setdefault(s, {})[r] = Fraction(x, den)
+            v, rem = divmod(x * p, q)
+            if rem:
+                raise ArithmeticError("scale leaves a fraction in an integer column")
+            out.setdefault(s, {})[r] = v
     return out
 
 

@@ -247,7 +247,7 @@ def build_sl2(J):
     g.brace = bs
 
     # the sparse columns of D_{a,b} = [L_a, L_b] for each representative pair
-    ders = [[derivation_column(J, a, b, c) for c in range(J.dim)] for a, b in bs.rep_pairs]
+    ders = [[derivation_column(J.table, a, b, c) for c in range(J.dim)] for a, b in bs.rep_pairs]
     # [{a,b},{c,d}] = {D_{a,b} c, d} + {c, D_{a,b} d}
     tail_brackets = {}
     for k, der in enumerate(ders):
@@ -274,7 +274,7 @@ def build_tkk(J):
     span = RowSpan(d * d)
     for a, b in combinations(range(d), 2):
         ders[(a, b)] = flat = {r * d + c: x for c in range(d)
-                               for r, x in derivation_column(J, a, b, c).items()}
+                               for r, x in derivation_column(J.table, a, b, c).items()}
         if flat:
             span.insert(flat)
     red = span.reduced()

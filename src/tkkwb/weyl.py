@@ -17,6 +17,14 @@ every depth r, and bracket_fidelity checks the windowed action against the
 bracket table of the extension.  efr_power and garland_coefficient are the
 single-depth forms.
 
+Straightening runs in integers: every coefficient that raise_basis and the
+windowed action produce is an int, den times the true rational, over the
+one denominator den of _StraightData, the lcm of the extension's
+denominator and of the square of the algebra table's.  action_columns
+reduces each column block by its gcd with den, and efr_powers divides by
+den (and the unit's denominator) once per depth, where it writes its
+Matrix results.
+
 Weyl dimension tables come from a raising-closure of the below-band cells
 of a degree-and-depth window, with a submodule certificate checked after
 the fact, and are cross-checked against a pure enumeration oracle for the
@@ -29,9 +37,9 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
-from .jordan import InputError, derivation_column, jpower
+from .jordan import InputError, derivation_column, integer_table, jpower
 from .linalg import (Matrix, RowSpan, add_into, add_operator, columns, combine,
                      random_vector)
 from .multipoly import Poly
@@ -92,33 +100,57 @@ def _fkey_insert(fkey, value):
 
 
 class _StraightData:
+    """The straightening rule of the extension g0, in integers.
+
+    Every coefficient handed out here is an int, den times the true
+    rational: the weight-zero columns g0mat, the lowering elements repl and
+    raise_basis.  raise_unit is over den * uden, uden the lcm of the
+    denominators of the unit.  den is the lcm of
+      - g0.den = 4 rden^2, rden the lcm of the denominators of rho, over
+        which the h and brace operators of the extension are integers;
+      - tden^2, tden the denominator of the integer copy T of J.table:
+        repl and the brace action on J are quadratic in the table.
+    The weight-zero columns need no more.  On a checked extension the brace
+    {e_x, e_b} acts by (1/4)[rho(e_x), rho(e_b)], so [e(e_x), f(e_b)] acts
+    by rho(e_x e_b) + (1/2)[rho(e_x), rho(e_b)], whose denominators divide
+    rden tden and 2 rden^2, hence den; `columns` raises ArithmeticError
+    should an entry ever be left fractional.
+    """
+
     def __init__(self, g0):
-        rep = g0.rep
-        J = rep.jordan
-        self.J = J
+        J = g0.rep.jordan
         d = J.dim
         bs = g0.brace
-        # [e(e_x), f(e_b)] = h(e_x e_b) + 2 {e_x, e_b}, applied on the module:
-        # g0mat[x][b] holds its sparse columns, read from g0's integer operators
-        self.g0mat = [[None] * d for _ in range(d)]
-        for x in range(d):
-            for b in range(d):
-                op = add_operator(combine(g0.rho, J.table[x][b]),
-                                  combine(g0.braces, bs.brace_pair(x, b), 2))
-                self.g0mat[x][b] = columns(op, g0.den)
+        tden, T = integer_table(J)
+        self.tden, self.T = tden, T
+        self.den = lcm(g0.den, tden * tden)
+        # the scale of the terms quadratic in the table
+        self.tscale = self.den // (tden * tden)
+        # [e(e_x), f(e_b)] = h(e_x e_b) + 2 {e_x, e_b}, applied on the module,
+        # is 1/base times an integer operator read from g0's; g0mat[x][b]
+        # holds its sparse columns over den
+        cden = lcm(*(c.denominator for col in bs.pair_coords.values() for c in col.values()))
+        base = g0.den * tden * cden
+        scale = Fraction(self.den, base)
+        self.g0mat = [[columns(add_operator(combine(g0.rho, T[x][b], cden),
+                                            combine(g0.braces, bs.brace_pair(x, b),
+                                                    2 * tden * cden)), scale)
+                       for b in range(d)] for x in range(d)]
         # [h(e_x e_b) + 2{e_x,e_b}, f(e_c)] = f(-2 (e_x e_b) e_c + 2 da_{x,b} e_c)
         self._repl = {}
-        self._unit = {x: c for x, c in enumerate(J.unit) if c}
+        self.uden = lcm(*(c.denominator for c in J.unit))
+        self._unit = {x: c.numerator * (self.uden // c.denominator)
+                      for x, c in enumerate(J.unit) if c}
         self._raised = {}
 
     def repl(self, x, b, c):
         key = (x, b, c)
         if key not in self._repl:
-            J = self.J
+            T, s = self.T, self.tscale
             out = {}
-            for m, cm in J.table[x][b].items():
-                add_into(out, J.table[m][c], -2 * cm)
-            self._repl[key] = add_into(out, derivation_column(J, x, b, c), 2)
+            for m, cm in T[x][b].items():
+                add_into(out, T[m][c], -2 * s * cm)
+            self._repl[key] = add_into(out, derivation_column(T, x, b, c), 2 * s)
         return self._repl[key]
 
     def raise_basis(self, x, fkey, mi):
@@ -150,7 +182,8 @@ class _StraightData:
         return out
 
     def raise_unit(self, fkey, mi):
-        """e(1) f(fkey) m_mi straightened, kept for the life of this object."""
+        """e(1) f(fkey) m_mi straightened, over den * uden, kept for the life
+        of this object."""
         key = (fkey, mi)
         if key not in self._raised:
             out = {}
@@ -222,6 +255,8 @@ def efr_powers(g0, a, rrs):
     data = _StraightData(g0)
     m = g0.rep.mdim
     power = lowering_power(a, n + 1)
+    # vecs[rr] is (den uden)^rr times the true vector: scaled back on writing
+    scale = Fraction(1, data.den * data.uden)
     fps = {rr: {} for rr in rrs}
     for mi in range(m):
         vecs = [{(fkey, mi): c for fkey, c in power.items()}]
@@ -231,10 +266,12 @@ def efr_powers(g0, a, rrs):
                 add_into(nxt, data.raise_unit(*bm), c)
             vecs.append(nxt)
         for rr, fp in fps.items():
+            s = scale ** rr
             for (fkey, r), c in vecs[rr].items():
                 if fkey not in fp:
                     fp[fkey] = Matrix.zeros(m, m)
-                fp[fkey].data[r][mi] = c
+                # c may be a Poly, so multiply rather than divide
+                fp[fkey].data[r][mi] = c * s
     if n + 1 in fps:
         top = fps[n + 1]
         if any(key != () for key in top):
@@ -484,6 +521,9 @@ class TruncatedVerma:
 
         Column j is den times the image of basis vector j, a sparse {target
         position: int}: the action is columns / den, with the same spans.
+        The straightened images are ints over the denominator of the
+        straightening data, so den is it divided by its gcd with every
+        entry: the least common denominator of the block.
         """
         key = (gen, cell)
         if key not in self._columns:
@@ -502,9 +542,10 @@ class TruncatedVerma:
                         raise AssertionError("image outside computed cell basis")
                     img[pos] = c
                 images.append(img)
-            den = lcm(*(c.denominator for img in images for c in img.values()))
-            self._columns[key] = den, [{t: c.numerator * (den // c.denominator)
-                                        for t, c in img.items()} for img in images]
+            den = self.data.den
+            g = gcd(den, *(c for img in images for c in img.values()))
+            self._columns[key] = den // g, [{t: c // g for t, c in img.items()}
+                                            for img in images]
         return self._columns[key]
 
     def action_matrix(self, gen, cell):
@@ -518,9 +559,11 @@ class TruncatedVerma:
         return Matrix(tdim, len(cols), rows)
 
     def _apply_basis(self, kind, i, fkey, mi):
+        """The generator on one basis vector, as {(multiset, module index):
+        int} over the denominator of the straightening data."""
         out = {}
         if kind == "f":
-            out[(_fkey_insert(fkey, i), mi)] = Fraction(1)
+            out[(_fkey_insert(fkey, i), mi)] = self.data.den
         elif kind in ("h", "d"):
             # a weight-zero generator acts on each lowering factor through its
             # operator on J, then on the module vector
@@ -541,21 +584,26 @@ class TruncatedVerma:
 
         on_J[b] is the sparse image of e_b under the operator on J: -2 e_i e_b
         for h(e_i), the inner derivation [L_{e_a}, L_{e_a'}] e_b for a brace
-        with representative pair (a, a').  Both are lookups in J.table (J is
-        validated, so commutative), never in the extension's bracket table,
-        which bracket_fidelity checks this action against.  on_module holds
-        the sparse columns of rho[i] or of the brace's operator.
+        with representative pair (a, a').  Both are lookups in the integer
+        copy of J.table (J is validated, so commutative), never in the
+        extension's bracket table, which bracket_fidelity checks this action
+        against.  on_module holds the sparse columns of rho[i] or of the
+        brace's operator.  All are ints over the denominator of the
+        straightening data.
         """
         key = (kind, i)
         if key not in self._weight_zero:
-            J, g0 = self.J, self.g0
+            data, g0, d = self.data, self.g0, self.J.dim
+            T = data.T
             if kind == "h":
-                on_J = [{r: -2 * c for r, c in J.table[i][b].items()} for b in range(J.dim)]
-                on_module = columns(g0.rho[i], g0.den)
+                s = -2 * data.tscale * data.tden
+                on_J = [{r: s * c for r, c in T[i][b].items()} for b in range(d)]
+                on_module = columns(g0.rho[i], data.den // g0.den)
             else:
                 a, a2 = g0.brace.rep_pairs[i]
-                on_J = [derivation_column(J, a, a2, b) for b in range(J.dim)]
-                on_module = columns(g0.braces[i], g0.den)
+                on_J = [{r: data.tscale * c for r, c in derivation_column(T, a, a2, b).items()}
+                        for b in range(d)]
+                on_module = columns(g0.braces[i], data.den // g0.den)
             self._weight_zero[key] = (on_J, on_module)
         return self._weight_zero[key]
 

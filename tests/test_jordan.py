@@ -120,7 +120,7 @@ def test_derivation_column_is_a_column_of_the_dense_commutator(J):
         for j in range(d):
             der = dense_inner_derivation(J, basis(d, i), basis(d, j))
             for k in range(d):
-                assert dense_vector(d, derivation_column(J, i, j, k)) == column(der, k)
+                assert dense_vector(d, derivation_column(J.table, i, j, k)) == column(der, k)
 
 
 def test_inner_derivation_leibniz():
@@ -132,7 +132,7 @@ def test_inner_derivation_leibniz():
                     out = {}
                     for k, c in enumerate(v):
                         if c:
-                            add_into(out, derivation_column(J, i, j, k), c)
+                            add_into(out, derivation_column(J.table, i, j, k), c)
                     return dense_vector(d, out)
 
                 for u in range(d):

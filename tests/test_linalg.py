@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tkkwb.linalg import (LabeledSpace, Matrix, RowSpan, add_into, kron,
+from tkkwb.linalg import (LabeledSpace, Matrix, RowSpan, add_into, columns, kron,
                           quotient, rref, scalar_value)
 from tkkwb.multipoly import Poly
 
@@ -256,3 +256,13 @@ def test_poly_arithmetic():
     assert (x + y) ** 3 == x**3 + 3 * x * x * y + 3 * x * y * y + y**3
     assert not (p - p)
     assert p.degree() == 2
+
+
+def test_columns_rescale_an_integer_operator_exactly():
+    op = {0: {1: 6, 2: -3}, 2: {1: 9}}
+    assert columns(op, 2) == {1: {0: 12, 2: 18}, 2: {0: -6}}
+    got = columns(op, Q(2, 3))
+    assert got == {1: {0: 4, 2: 6}, 2: {0: -2}}
+    assert all(type(x) is int for col in got.values() for x in col.values())
+    with pytest.raises(ArithmeticError):
+        columns(op, Q(1, 2))

@@ -10,25 +10,31 @@ The J-space checks and the weight-zero extension run on a sparse copy of rho
 scaled to integers; their references take dense Fraction matrices.
 `jordan.validate` multiplies sparse rows of an integer-scaled copy of the
 table, exhaustively or on sampled vectors; its reference multiplies dense
-vectors through `jmul`.
+vectors through `jmul`.  The Weyl straightening runs in integers over one
+denominator; its reference straightens in Fractions on dense rho, and the
+windowed action's (den, columns) must match it exactly.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction as Q
 from itertools import combinations_with_replacement, product
+from math import lcm
 
 import pytest
 
 from conftest import column, dense_commutator, noncommuting_rep
 from tkkwb.jordan import (_EXHAUSTIVE_DIM_LIMIT, _SAMPLE_COUNT, algebra_from_dict,
-                          algebra_to_dict, builtin, derivation_column, jmul, validate)
+                          algebra_to_dict, builtin, derivation_column, jmul, matrix_jordan,
+                          spin_factor, validate)
 from tkkwb.jspace import (JSpaceRep, LevelError, check_envelope_relations, check_jspace,
                           dominance_check, doubled_regular_rep, extend_to_g0, level,
-                          matrix_defining_rep, newton_rep)
+                          matrix_defining_rep, newton_rep, rep_from_dict, tensor_rep)
 from tkkwb.linalg import (LabeledSpace, Matrix, add_into, combination, dense_vector,
                           random_vector, unit_vector)
 from tkkwb.report import Report
 from tkkwb.tkk import build_sl2, build_tkk, center_map, validate_lie
+from tkkwb.weyl import TruncatedVerma, efr_powers, fpoly_equal, garland_coefficients
 
 # -- references: every identity over the full product sweep -------------------
 
@@ -96,7 +102,7 @@ def ref_check_jspace(rep):
     def derivation(ijk):
         i, j, k = ijk
         lhs = dense_commutator(dense_commutator(sig[i], sig[j]), sig[k])
-        if lhs != rep.rho_of(derivation_column(J, i, j, k)).scale(4):
+        if lhs != rep.rho_of(derivation_column(J.table, i, j, k)).scale(4):
             return f"derivation identity fails at basis triple ({i},{j},{k})"
 
     report.check("rho respects the grading", product(range(d), range(m), range(m)), grading)
@@ -477,3 +483,175 @@ def test_noncommutative_table_matches_full_sweep(index):
 def test_square_commutation_first_fails_off_the_sorted_triples():
     rep = noncommutative_reps()[1]
     assert check_jspace(rep).items[2].detail == "polarized square-commutation fails at (1,2,1)"
+
+
+# -- straightening: the Fraction reference of the integer path ----------------
+
+
+def dense_columns(m):
+    """The nonzero columns of a dense matrix, {col: {row: entry}}."""
+    out = {}
+    for r, row in enumerate(m.data):
+        for s, x in enumerate(row):
+            if x:
+                out.setdefault(s, {})[r] = x
+    return out
+
+
+class RefStraight:
+    """Straightening in Fraction arithmetic on dense rho: the weight-zero
+    columns [e(e_x), f(e_b)] = h(e_x e_b) + 2 {e_x, e_b} on the module, with
+    each brace acting by a quarter commutator of rho, and the lowering
+    elements -2 (e_x e_b) e_c + 2 [L_x, L_b] e_c, read from J.table."""
+
+    def __init__(self, g0):
+        rep = g0.rep
+        self.J = J = rep.jordan
+        self.rep_pairs = g0.brace.rep_pairs
+        self.braces = [dense_commutator(rep.rho[a], rep.rho[b]).scale(Q(1, 4))
+                       for a, b in self.rep_pairs]
+        self.rho = rep.rho
+        self.g0mat = []
+        for x in range(J.dim):
+            row = []
+            for b in range(J.dim):
+                mat = rep.rho_of(dense_vector(J.dim, J.table[x][b]))
+                for k, c in g0.brace.brace_pair(x, b).items():
+                    mat = mat + self.braces[k].scale(2 * c)
+                row.append(dense_columns(mat))
+            self.g0mat.append(row)
+
+    def repl(self, x, b, c):
+        J = self.J
+        out = {}
+        for m, cm in J.table[x][b].items():
+            add_into(out, J.table[m][c], -2 * cm)
+        return add_into(out, derivation_column(J.table, x, b, c), 2)
+
+    def raise_basis(self, x, fkey, mi):
+        out = {}
+        counts = Counter(fkey)
+        values = sorted(counts)
+        for b in values:
+            mult = counts[b]
+            nu = list(fkey)
+            nu.remove(b)
+            for r, c in self.g0mat[x][b].get(mi, {}).items():
+                add_into(out, {(tuple(nu), r): c}, mult)
+            for c2 in values:
+                if c2 < b:
+                    continue
+                count = mult * (mult - 1) // 2 if c2 == b else mult * counts[c2]
+                if not count:
+                    continue
+                nu2 = list(nu)
+                nu2.remove(c2)
+                for k, ck in self.repl(x, b, c2).items():
+                    add_into(out, {(tuple(sorted(nu2 + [k])), mi): ck}, count)
+        return out
+
+    def apply_basis(self, kind, i, fkey, mi):
+        J = self.J
+        if kind == "e":
+            return self.raise_basis(i, fkey, mi)
+        if kind == "f":
+            return {(tuple(sorted(fkey + (i,))), mi): Q(1)}
+        if kind == "h":
+            on_J = [{r: -2 * c for r, c in J.table[i][b].items()} for b in range(J.dim)]
+            on_module = dense_columns(self.rho[i])
+        else:
+            a, a2 = self.rep_pairs[i]
+            on_J = [derivation_column(J.table, a, a2, b) for b in range(J.dim)]
+            on_module = dense_columns(self.braces[i])
+        out = {}
+        for b, mult in Counter(fkey).items():
+            nu = list(fkey)
+            nu.remove(b)
+            for r, c in on_J[b].items():
+                add_into(out, {(tuple(sorted(nu + [r])), mi): c}, mult)
+        for r, c in on_module.get(mi, {}).items():
+            add_into(out, {(fkey, r): c})
+        return out
+
+
+def ref_action_columns(verma, ref, gen, cell):
+    """(den, columns) of the generator from cell, from Fraction images: den
+    the lcm of their denominators, each column den times an image."""
+    tgt_pos = verma.cell_pos.get(verma.target_of(gen, cell)[1], {})
+    images = [{tgt_pos[bm]: c for bm, c in ref.apply_basis(*gen, fkey, mi).items()}
+              for fkey, mi in verma.cells[cell]]
+    den = lcm(*(c.denominator for img in images for c in img.values()))
+    return den, [{t: c.numerator * (den // c.denominator) for t, c in img.items()}
+                 for img in images]
+
+
+def _half_unit_rep():
+    """x x = 2x, so the unit is x/2; rho(x) = 2 on a 1-dim module, level 1."""
+    return rep_from_dict({"algebra": {"labels": ["x"], "degrees": [0], "unit": ["1/2"],
+                                      "mult": [{"i": 0, "j": 0, "coords": ["2"]}]},
+                          "module": {"labels": ["v"], "degrees": [0]}, "rho": [[["2"]]]})
+
+
+def _scaled_basis_local_rep():
+    """truncated-poly(3) on the basis 2, t, 3t^2, 9t^3, where the unit is
+    e0/2, e1 e1 = e2/3 and (e1 e1) e1 = e3/9, with rho(1) = 2 and rho = 0 in
+    positive degree: the straightening needs the square of the table's
+    denominator, and e(1) the unit's."""
+    mult = [{"i": 0, "j": j, "coords": ["2" if k == j else "0" for k in range(4)]}
+            for j in range(4)]
+    mult += [{"i": 1, "j": 1, "coords": ["0", "0", "1/3", "0"]},
+             {"i": 1, "j": 2, "coords": ["0", "0", "0", "1/3"]}]
+    return rep_from_dict({"algebra": {"labels": ["2", "t", "3t^2", "9t^3"],
+                                      "degrees": [0, 1, 2, 3], "unit": ["1/2", "0", "0", "0"],
+                                      "mult": mult},
+                          "module": {"labels": ["v"], "degrees": [0]},
+                          "rho": [[["4"]], [["0"]], [["0"]], [["0"]]]})
+
+
+def _tensor_square_of_defining():
+    dr = matrix_defining_rep(2)
+    return tensor_rep(dr, dr)
+
+
+# (rep, max degree, window depth)
+_STRAIGHTENING_REPS = {
+    "newton-3-4": (lambda: newton_rep(3, 4), 3, 1),
+    "doubled-M2": (lambda: doubled_regular_rep(matrix_jordan(2)), 0, 1),
+    "defining-M2-squared": (_tensor_square_of_defining, 0, 1),
+    "doubled-spin-1-2": (lambda: doubled_regular_rep(spin_factor([[Q(1), Q(0)], [Q(0), Q(2)]])),
+                         0, 2),
+    "half-unit": (_half_unit_rep, 0, 2),
+    "scaled-basis-local": (_scaled_basis_local_rep, 3, 1),
+    "zero-dim-module": (lambda: rep_from_dict({"algebra": "truncated-poly:2",
+                                               "module": {"labels": [], "degrees": []},
+                                               "rho": [[], [], []]}), 2, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STRAIGHTENING_REPS))
+def test_integer_straightening_matches_fraction_reference(name):
+    make_rep, D, W = _STRAIGHTENING_REPS[name]
+    g0 = extend_to_g0(make_rep())
+    verma = TruncatedVerma(g0, D, W)
+    ref = RefStraight(g0)
+    cases = 0
+    for gen in verma.generators:
+        for cell in sorted(verma.cells):
+            if verma.target_of(gen, cell)[0] == "ok":
+                assert verma.action_columns(gen, cell) == \
+                    ref_action_columns(verma, ref, gen, cell), (gen, cell)
+                cases += 1
+    assert cases or g0.rep.mdim == 0
+
+
+@pytest.mark.parametrize("name", sorted(_STRAIGHTENING_REPS))
+def test_straightening_matches_generating_function_at_every_depth(name):
+    g0 = extend_to_g0(_STRAIGHTENING_REPS[name][0]())
+    n, d = level(g0.rep), g0.rep.jordan.dim
+    rng = random.Random(41)
+    for a in (list(g0.rep.jordan.unit), random_vector(rng, d, num_bound=5, den_bound=3)):
+        direct = efr_powers(g0, a, range(n + 2))
+        series = garland_coefficients(g0, a, range(n + 2))
+        assert direct[n + 1] == series[n + 1]
+        for rr in range(n + 1):
+            assert fpoly_equal(direct[rr], series[rr]), rr

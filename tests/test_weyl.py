@@ -18,7 +18,8 @@ from tkkwb.weyl import (ExtensionError, NoncommutingPowersError, TruncatedVerma,
                         WindowError, apply_generator, bracket_fidelity,
                         dominance_sum_at, efr_power, efr_powers, efr_vanishes,
                         fpoly_equal, garland_coefficient, garland_coefficients,
-                        lowering_power, snlt_oracle, weyl_dimensions, _multisets)
+                        lowering_power, snlt_oracle, weyl_dimensions, _multisets,
+                        _StraightData)
 
 
 def basis(n, i):
@@ -655,3 +656,20 @@ def test_bracket_fidelity_checks_the_cached_columns(monkeypatch):
     rep = bracket_fidelity(v)
     assert not rep.ok
     assert rep.first_failure().detail == "generators ('e', 0),('f', 1) on cell (1, 0)"
+
+
+def test_straightening_coefficients_are_ints(monkeypatch):
+    # the closure's straightening runs in integers over one denominator
+    seen = []
+
+    def recording(original):
+        def wrapper(*args):
+            out = original(*args)
+            seen.extend(type(c) for c in out.values())
+            return out
+        return wrapper
+
+    monkeypatch.setattr(_StraightData, "raise_basis", recording(_StraightData.raise_basis))
+    monkeypatch.setattr(TruncatedVerma, "_apply_basis", recording(TruncatedVerma._apply_basis))
+    weyl_dimensions(newton_rep(3, 5), 5)
+    assert seen and set(seen) == {int}
