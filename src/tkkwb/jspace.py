@@ -11,12 +11,13 @@ envelope's cubic relation are one double-commutator loop,
 `_double_commutator_failure`, with different right-hand sides, and the
 polarized square commutation is `_square_commutation_failure`.
 
-These sweeps and the extension's checks run on a `SparseRho`: rho as sparse
-operators {row: {col: int}}, scaled to integers by the lcm of its
-denominators, made once per check from rho as it stands.  The extension
-keeps its operators in that form (`G0Rep`), and the straightening data of
-`weyl` reads sparse module columns from them.  The dominance operator,
-tensor products and the JSON format keep dense `Matrix` images.
+These sweeps, the extension's checks, the dominance sum and the bimodule
+identities run on a `SparseRho`: rho as sparse operators {row: {col: int}},
+scaled to integers by the lcm of its denominators, made once per check from
+rho as it stands; every operator they compute is sparse, compared with ==.
+The extension keeps its operators in that form (`G0Rep`), and `weyl`'s
+straightening reads sparse module columns from them.  rho itself is stored,
+built and serialized as dense `Matrix` images.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ from pathlib import Path
 from .jordan import (InputError, builtin, derivation_column, jpower, load_algebra,
                      table_product, truncated_poly)
 from .linalg import (LabeledSpace, Matrix, add_into, add_operator, as_int, as_list, as_q,
-                     combination, combine, commutator, integer_operators, kron, q_str,
-                     random_vector, scalar_value, unit_vector)
+                     combination, combine, commutator, integer_operators, kron,
+                     operator_product, q_str, random_vector, scalar_operator, scalar_value,
+                     unit_vector)
 from .multipoly import Poly
 from .report import Report
 from .symfun import SymPoly, dominance_coeffs, newton, partitions
@@ -303,36 +305,37 @@ def extend_to_g0(rep, ext=None):
 # dominance
 
 
-def dominance_operator(rep, a):
+def dominance_operator(rep_or_copy, a):
     """Sum over partitions of level+1 of sign * class size * products of
-    rho at the powers of a.  Vanishes identically exactly when the module
-    is the top weight space of a bounded module."""
-    n = level(rep)
-    coeffs = dominance_coeffs(n)
-    J = rep.jordan
-    powers = {}
-    for k in range(1, n + 2):
-        powers[k] = jpower(J, a, k)
-    rhos = {k: rep.rho_of(powers[k]) for k in powers}
-    m = rep.mdim
-    acc = Matrix.zeros(m, m)
-    for sigma, c in coeffs.items():
+    rho at the powers of a, as a sparse operator.  Vanishes identically
+    exactly when the module is the top weight space of a bounded module.
+    On a `SparseRho` (made here or passed in) the product over sigma is
+    den^len(sigma) times the true one, and is scaled back."""
+    copy = _sparse(rep_or_copy)
+    n = level(copy.rep)
+    J = copy.rep.jordan
+    rhos = {k: combine(copy.ops, {i: c for i, c in enumerate(jpower(J, a, k)) if c})
+            for k in range(1, n + 2)}
+    acc = {}
+    for sigma, c in dominance_coeffs(n).items():
         prod = rhos[sigma[0]]
         for part in sigma[1:]:
-            prod = prod @ rhos[part]
-        acc = acc + prod.scale(c)
+            prod = operator_product(prod, rhos[part])
+        add_operator(acc, prod, Fraction(c, copy.den ** len(sigma)))
     return acc
 
 
-def dominance_check(rep, mode="symbolic", samples=8, seed=0):
+def dominance_check(rep_or_copy, mode="symbolic", samples=8, seed=0):
     """Decide the partition-coefficient criterion.
 
     Symbolic mode expands the operator sum with polynomial coordinates for
     the generic element (guarded, since entries reach degree level+1 in
     dim J indeterminates); random mode evaluates at sampled rational points,
     where a nonzero polynomial of bounded degree vanishes with negligible
-    probability.
+    probability.  Every sample reads one `SparseRho`, made here or passed in.
     """
+    copy = _sparse(rep_or_copy)
+    rep = copy.rep
     n = level(rep)
     if n < 0:
         raise LevelError(f"level {n} is negative")
@@ -342,8 +345,7 @@ def dominance_check(rep, mode="symbolic", samples=8, seed=0):
             raise ResourceError(
                 f"symbolic dominance guarded to dim J <= {_SYMBOLIC_DIM_J} and "
                 f"level <= {_SYMBOLIC_LEVEL}; use random mode")
-        op = dominance_operator(rep, Poly.variables(rep.jordan.dim))
-        ok = op.is_zero()
+        ok = not dominance_operator(copy, Poly.variables(rep.jordan.dim))
         detail = "mode=symbolic" if ok else "nonzero symbolic coefficient found"
         report.add("dominance sum vanishes", ok, detail)
     elif mode == "random":
@@ -351,7 +353,7 @@ def dominance_check(rep, mode="symbolic", samples=8, seed=0):
 
         def witness(_):
             a = random_vector(rng, rep.jordan.dim)
-            if not dominance_operator(rep, a).is_zero():
+            if dominance_operator(copy, a):
                 return "witness a = " + _format_element(rep.jordan, a)
 
         report.check("dominance sum vanishes", range(samples), witness,
@@ -375,35 +377,40 @@ def check_bimodule(rep):
 
     Checks the square-commutation identity and the defining quadratic
     identity through their polarizations on basis tuples, then the spectral
-    constraint that sigma(1) is killed by x(x-1/2)(x-1).
+    constraint that sigma(1) is killed by x(x-1/2)(x-1), all on one
+    `SparseRho` ops = den sigma: the identity at den^3 times its true size.
     """
     J = rep.jordan
     report = Report(f"jordan bimodule axioms for {rep.name}")
-    d, m = J.dim, rep.mdim
-    sig = rep.rho
+    copy = SparseRho(rep)
+    ops, den = copy.ops, copy.den
 
-    t = SparseRho(rep).square_failure()
+    t = copy.square_failure()
     report.add("square commutation, polarized", t is None,
                "" if t is None else "square commutation fails at (%d,%d,%d)" % t)
 
     def quadratic(case):
         x, y, b = case
-        sx, sy, sb = sig[x], sig[y], sig[b]
-        xyb = table_product(J.table, J.table[x][y], {b: 1})
-        lhs = rep.rho_of(xyb) + sx @ sb @ sy + sy @ sb @ sx
-        rhs = rep.rho_of(J.table[x][b]) @ sy + rep.rho_of(J.table[y][b]) @ sx \
-            + rep.rho_of(J.table[x][y]) @ sb
+        lhs = combine(ops, table_product(J.table, J.table[x][y], {b: 1}), den * den)
+        for p, q in ((x, y), (y, x)):
+            add_operator(lhs, operator_product(operator_product(ops[p], ops[b]), ops[q]))
+        rhs = {}
+        for p, q, r in ((x, b, y), (y, b, x), (x, y, b)):
+            add_operator(rhs, operator_product(combine(ops, J.table[p][q], den), ops[r]))
         if lhs != rhs:
             return f"quadratic identity fails at (x,y,b)=({x},{y},{b})"
 
     report.check("quadratic identity, polarized (all basis tuples)",
-                 product(range(d), repeat=3), quadratic)
+                 product(range(J.dim), repeat=3), quadratic)
 
-    s1 = rep.rho_of(J.unit)
-    ident = Matrix.identity(m)
-    spectral = s1 @ (s1 - ident.scale(Fraction(1, 2))) @ (s1 - ident)
-    report.add("sigma(1) annihilated by x(x-1/2)(x-1)", spectral.is_zero(),
-               "" if spectral.is_zero() else "spectral constraint violated")
+    # s1 (2 s1 - den)(s1 - den), with s1 = den sigma(1)
+    s1 = combine(ops, {i: c for i, c in enumerate(J.unit) if c})
+    spectral = s1
+    for k in (2, 1):
+        shifted = add_operator(add_operator({}, s1, k), scalar_operator(rep.mdim, -den))
+        spectral = operator_product(spectral, shifted)
+    report.add("sigma(1) annihilated by x(x-1/2)(x-1)", not spectral,
+               "spectral constraint violated" if spectral else "")
     return report
 
 
@@ -441,7 +448,7 @@ def check_envelope_relations(rep_or_copy, mode="symbolic", samples=8, seed=0):
     except LevelError as exc:
         report.add("rho(1) is an integer scalar", False, str(exc))
         return report
-    dominance = dominance_check(rep, mode=mode, samples=samples, seed=seed)
+    dominance = dominance_check(copy, mode=mode, samples=samples, seed=seed)
 
     t = copy.square_failure()
     report.add("square commutation, polarized", t is None,
@@ -487,13 +494,14 @@ def newton_rep(n, cutoff):
     def pad(lam):
         return tuple(lam) + (0,) * (n - len(lam))
 
+    # SymPoly's product, with each factor expanded once rather than per product
+    msyms = [SymPoly(n, {pad(lam): 1}).to_poly() for lam in lams]
     rho = []
     for ell in range(cutoff + 1):
-        N = newton(ell, n)
+        N = newton(ell, n).to_poly()
         mat = [[0] * m for _ in range(m)]
-        for lam in lams:
-            msym = SymPoly(n, {pad(lam): 1})
-            prod = N * msym
+        for lam, msym in zip(lams, msyms):
+            prod = SymPoly.from_poly(N * msym, check=False)
             for mu, c in prod.terms.items():
                 mu_trim = tuple(p for p in mu if p)
                 if sum(mu_trim) <= cutoff:

@@ -1,20 +1,23 @@
 """Exact linear algebra over the rationals.
 
 There are no floats anywhere, so ranks, kernels and quotient coordinates are
-exact, and equality tests mean actual equality.  A `Matrix` is dense; its
-entries may be any ring element supporting +, -, * (matrices of polynomials
-too).  The product `@` skips zero products: it reads each row of the right
-factor as its nonzero entries and multiplies them only by nonzero entries of
-the left, so a product of sparse operators costs its number of nonzero
-products.  The operator identities of a representation run instead on sparse
-operators, {row: {column: coeff}} dicts with no zero entry and no empty row:
-`integer_operators` scales a list of matrices to integers by one common
-denominator, `operator_product`, `commutator` and `combine` sum through
-`add_into`, and `columns` turns an integer operator into integer columns
-at a new scale, for the straightening in `weyl`.  Every echelon form comes
-from `RowSpan`, sparse and fraction-free (primitive integer rows), whose
-canonical RREF `quotient` reads.  The dense `rref` is only the independent
-reference for tests.
+exact, and equality tests mean actual equality.  A `Matrix` is dense and is
+how rho is stored, built and serialized; its entries may be any ring element
+supporting +, -, * (matrices of polynomials too).  The product `@` skips
+zero products: it reads each row of the right factor as its nonzero entries
+and multiplies them only by nonzero entries of the left.
+
+Every operator a check computes is a sparse operator instead: a {row:
+{column: coeff}} dict with no zero entry and no empty row, so that two
+operators are equal exactly when they are == and one vanishes exactly when
+it is empty.  `integer_operators` scales a list of matrices to integers by
+one common denominator, `operator_product`, `commutator`, `combine` and
+`add_operator` sum through `add_into`, `scalar_operator` makes c times the
+identity, and `columns` turns an integer operator into integer columns at a
+new scale, for the straightening in `weyl`.  Coefficients may be ints,
+Fractions or polynomials.  Every echelon form comes from `RowSpan`, sparse
+and fraction-free (primitive integer rows), whose canonical RREF `quotient`
+reads.  The dense `rref` is only the independent reference for tests.
 """
 
 from __future__ import annotations
@@ -91,11 +94,6 @@ class Matrix:
     def identity(cls, n):
         return cls(n, n, [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def diagonal(cls, values):
-        n = len(values)
-        return cls(n, n, [[values[i] if i == j else Q(0) for j in range(n)] for i in range(n)])
-
     def row(self, i):
         return list(self.data[i])
 
@@ -109,22 +107,8 @@ class Matrix:
         return Matrix(self.rows, self.cols,
                       [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)])
 
-    def __sub__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in -")
-        return Matrix(self.rows, self.cols,
-                      [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)])
-
-    def __neg__(self):
-        return Matrix(self.rows, self.cols, [[-a for a in r] for r in self.data])
-
     def scale(self, c):
         return Matrix(self.rows, self.cols, [[c * a for a in r] for r in self.data])
-
-    def __mul__(self, c):
-        return self.scale(c)
-
-    __rmul__ = __mul__
 
     def __matmul__(self, other):
         if self.cols != other.rows:
@@ -163,17 +147,11 @@ class Matrix:
             acc = acc + self.data[i][i]
         return acc
 
-    def is_zero(self):
-        return all(not x for row in self.data for x in row)
-
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         return (self.rows, self.cols) == (other.rows, other.cols) and \
             all(a == b for ra, rb in zip(self.data, other.data) for a, b in zip(ra, rb))
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(tuple(r) for r in self.data)))
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
@@ -408,12 +386,19 @@ def commutator(a, b):
 
 def combine(ops, coords, scale=1):
     """The sparse operator sum_k scale c_k ops[k] over a sparse {k: c_k} dict
-    of rationals; an integral coefficient is applied as an int."""
+    of rationals or polynomials; an integral coefficient is applied as an int."""
     out = {}
     for k, c in coords.items():
         c = scale * c
-        add_operator(out, ops[k], c.numerator if c.denominator == 1 else c)
+        if isinstance(c, Fraction) and c.denominator == 1:
+            c = c.numerator
+        add_operator(out, ops[k], c)
     return out
+
+
+def scalar_operator(n, c=1):
+    """c times the identity on k^n, as a sparse operator."""
+    return {r: {r: c} for r in range(n)} if c else {}
 
 
 def columns(op, scale):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations
 from math import factorial
 
 from .linalg import Matrix, RowSpan, add_into, random_fraction
@@ -109,8 +109,23 @@ def _canonical(expo):
 
 
 def _orbit(expo):
-    """Distinct permutations of an exponent vector."""
-    return set(permutations(expo))
+    """Distinct permutations of an exponent vector: each distinct order of the
+    entries other than the most common value v (found the same way) goes on
+    each choice of their slots, and v fills the rest.  The work grows with
+    the orbit, not with len(expo)!."""
+    values = set(expo)
+    if len(values) <= 1:
+        return {tuple(expo)}
+    v = max(values, key=expo.count)
+    rest = [x for x in expo if x != v]
+    out = set()
+    for order in _orbit(rest):
+        for pos in combinations(range(len(expo)), len(rest)):
+            slots = [v] * len(expo)
+            for i, x in zip(pos, order):
+                slots[i] = x
+            out.add(tuple(slots))
+    return out
 
 
 class SymPoly:

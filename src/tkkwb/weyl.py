@@ -23,7 +23,9 @@ one denominator den of _StraightData, the lcm of the extension's
 denominator and of the square of the algebra table's.  action_columns
 reduces each column block by its gcd with den, and efr_powers divides by
 den (and the unit's denominator) once per depth, where it writes its
-Matrix results.
+results.  These, and the generating function's, are sparse operators of
+`linalg`, or lowering polynomials {multiset: operator} with no empty
+operator: canonical, so results agree exactly when they are ==.
 
 Weyl dimension tables come from a raising-closure of the below-band cells
 of a degree-and-depth window, with a submodule certificate checked after
@@ -41,10 +43,10 @@ from math import factorial, gcd, lcm
 
 from .jordan import InputError, derivation_column, integer_table, jpower
 from .linalg import (Matrix, RowSpan, add_into, add_operator, columns, combine,
-                     random_vector)
+                     commutator, operator_product, random_vector, scalar_operator)
 from .multipoly import Poly
 from .report import Report
-from .jspace import (G0Rep, LevelError, dominance_operator, extend_to_g0,
+from .jspace import (G0Rep, LevelError, SparseRho, dominance_operator, extend_to_g0,
                      grading_breach, level)
 
 
@@ -197,22 +199,8 @@ class _StraightData:
 # window-free engine: formal lowering polynomials with operator coefficients
 #
 # An element sum_mu f(mu) X_mu, with mu a multiset of algebra basis indices
-# and X_mu a matrix on the module, represents m -> sum f(mu) (X_mu m).
-
-
-def _fpoly_add(acc, key, mat):
-    if key in acc:
-        acc[key] = acc[key] + mat
-    else:
-        acc[key] = mat
-
-
-def fpoly_normalize(fp):
-    return {k: m for k, m in fp.items() if not m.is_zero()}
-
-
-def fpoly_equal(fp1, fp2):
-    return fpoly_normalize(fp1) == fpoly_normalize(fp2)
+# and X_mu a sparse operator on the module, represents m -> sum f(mu) (X_mu m);
+# it is stored as {mu: X_mu} without empty operators.
 
 
 def lowering_power(a, k):
@@ -244,11 +232,11 @@ def _check_depths(rrs, n):
 def efr_powers(g0, a, rrs):
     """{rr: the straightened action of e(1)^rr f(a)^(n+1)} for each rr in rrs.
 
-    Each value is the operator on the module for rr = n+1 (the result has no
-    lowering factors left) and a formal lowering polynomial with matrix
-    coefficients for rr <= n.  Column mi of each comes from one pass that
-    raises the sparse vector f(a)^(n+1) m_mi up to the deepest rr, keeping
-    it at every requested depth.
+    Each value is the sparse operator on the module for rr = n+1 (the
+    result has no lowering factors left) and a formal lowering polynomial
+    with sparse operator coefficients for rr <= n.  Column mi of each comes
+    from one pass that raises the sparse vector f(a)^(n+1) m_mi up to the
+    deepest rr, keeping it at every requested depth.
     """
     g0, n = checked_extension(g0)
     rrs = _check_depths(rrs, n)
@@ -268,15 +256,13 @@ def efr_powers(g0, a, rrs):
         for rr, fp in fps.items():
             s = scale ** rr
             for (fkey, r), c in vecs[rr].items():
-                if fkey not in fp:
-                    fp[fkey] = Matrix.zeros(m, m)
                 # c may be a Poly, so multiply rather than divide
-                fp[fkey].data[r][mi] = c * s
+                fp.setdefault(fkey, {}).setdefault(r, {})[mi] = c * s
     if n + 1 in fps:
         top = fps[n + 1]
         if any(key != () for key in top):
             raise AssertionError("depth-0 result kept lowering factors")
-        fps[n + 1] = top.get((), Matrix.zeros(m, m))
+        fps[n + 1] = top.get((), {})
     return fps
 
 
@@ -287,7 +273,7 @@ def efr_power(g0, a, rr):
 
 def dominance_sum_at(rep, a):
     """(n+1)! times the signed-class-size operator sum at the element a."""
-    return dominance_operator(rep, a).scale(factorial(level(rep) + 1))
+    return add_operator({}, dominance_operator(rep, a), factorial(level(rep) + 1))
 
 
 def efr_vanishes(rep_or_g0, mode="symbolic", samples=8, seed=0):
@@ -301,11 +287,11 @@ def efr_vanishes(rep_or_g0, mode="symbolic", samples=8, seed=0):
     if mode == "symbolic":
         a = Poly.variables(d)
         op = efr_power(g0, a, n + 1)
-        return (op.is_zero(), None if op.is_zero() else "symbolic")
+        return (not op, "symbolic" if op else None)
     rng = random.Random(seed)
     for _ in range(samples):
         a = random_vector(rng, d)
-        if not efr_power(g0, a, n + 1).is_zero():
+        if efr_power(g0, a, n + 1):
             return (False, a)
     return (True, None)
 
@@ -324,7 +310,8 @@ def garland_coefficients(g0, a, rrs):
     (-1)^rr rr! (n+1)!/(n+1-rr)!.  The rho images of the powers of a must
     commute, which is validated first.  The exponential series depends on
     a alone and the lowering sum is raised to successive powers once, so
-    every depth reads both from one expansion.
+    every depth reads both from one expansion.  The rho images are read
+    from a `SparseRho` of the module, not from the straightening data.
     """
     g0, n = checked_extension(g0)
     rep = g0.rep
@@ -333,34 +320,35 @@ def garland_coefficients(g0, a, rrs):
     m = rep.mdim
     order = n + 1
 
-    powers = {s: jpower(J, a, s) for s in range(1, order + 1)}
-    rho_pows = {s: rep.rho_of(powers[s]) for s in powers}
+    # lower[s]: index i -> coordinate i of a^s
+    lower = [{}] + [{i: c for i, c in enumerate(jpower(J, a, s)) if c}
+                    for s in range(1, order + 1)]
+    # H[t] = rho(a^t) / t; the rho(a^t) commute exactly when these do
+    copy = SparseRho(rep)
+    H = [{}] + [combine(copy.ops, lower[t], Fraction(1, copy.den * t))
+                for t in range(1, order + 1)]
     for s in range(1, order + 1):
         for t in range(s + 1, order + 1):
-            if rho_pows[s] @ rho_pows[t] != rho_pows[t] @ rho_pows[s]:
+            if commutator(H[s], H[t]):
                 raise NoncommutingPowersError(
                     f"[rho(a^{s}), rho(a^{t})] != 0; the exponential series "
                     "is undefined for this element")
 
-    # exp(-sum_t rho(a^t)/t u^t), truncated: list of matrices per u-power
-    zero = Matrix.zeros(m, m)
-    H = [zero] + [rho_pows[t].scale(Fraction(1, t)) for t in range(1, order + 1)]
-    expo = [Matrix.identity(m)] + [zero] * order
-    term = [Matrix.identity(m)] + [zero] * order
+    # exp(-sum_t H[t] u^t), truncated: one operator per u-power; term[p] is
+    # the u^p part of (-sum_t H[t] u^t)^j / j!
+    expo = [scalar_operator(m)] + [{} for _ in range(order)]
+    term = [scalar_operator(m)] + [{} for _ in range(order)]
     for j in range(1, order + 1):
-        nxt = [zero] * (order + 1)
+        nxt = [{} for _ in range(order + 1)]
         for p in range(order + 1):
-            if term[p].is_zero():
-                continue
             for q in range(1, order + 1 - p):
-                if not H[q].is_zero():
-                    nxt[p + q] = nxt[p + q] + term[p] @ H[q]
-        term = [mm.scale(Fraction(-1, j)) for mm in nxt]
-        expo = [e + t for e, t in zip(expo, term)]
+                add_operator(nxt[p + q], operator_product(term[p], H[q]), Fraction(-1, j))
+        term = nxt
+        for e, t in zip(expo, term):
+            add_operator(e, t)
 
     # apows[k] = (sum_s f(a^s) u^s)^k, k up to n+1-rr for the least rr:
-    # per u-power, multiset -> scalar; lower[s]: index i -> coordinate i of a^s
-    lower = [{}] + [{i: c for i, c in enumerate(powers[s]) if c} for s in range(1, order + 1)]
+    # per u-power, multiset -> scalar
     apows = [[{(): 1}] + [dict() for _ in range(order)]]
     for _ in range(n + 1 - min(rrs, default=n + 1)):
         nxt = [dict() for _ in range(order + 1)]
@@ -378,12 +366,12 @@ def garland_coefficients(g0, a, rrs):
         out = {}
         for k, terms in enumerate(apows[n + 1 - rr]):
             bmat = expo[order - k]
-            if bmat.is_zero():
+            if not bmat:
                 continue
             for key, c in terms.items():
-                _fpoly_add(out, key, bmat.scale(c * prefactor))
-        out = fpoly_normalize(out)
-        results[rr] = out.get((), Matrix.zeros(m, m)) if rr == n + 1 else out
+                add_operator(out.setdefault(key, {}), bmat, c * prefactor)
+        out = {key: op for key, op in out.items() if op}
+        results[rr] = out.get((), {}) if rr == n + 1 else out
     return results
 
 

@@ -23,7 +23,21 @@ def column(m, j):
 
 def dense_commutator(a, b):
     """The reference commutator a b - b a of two dense matrices."""
-    return a @ b - b @ a
+    return a @ b + (b @ a).scale(-1)
+
+
+def canonical(op):
+    """Whether a sparse operator has no empty row and no zero entry, the form
+    in which == decides equality."""
+    return all(row and all(row.values()) for row in op.values())
+
+
+def sparse(m):
+    """A dense matrix as a sparse operator {row: {col: entry}} with no zero
+    entry and no empty row: the canonical form of every computed operator,
+    so that == compares it with one."""
+    return {r: {s: x for s, x in enumerate(row) if x}
+            for r, row in enumerate(m.data) if any(row)}
 
 
 def one_gen_rep(n, T, name):

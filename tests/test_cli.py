@@ -9,7 +9,7 @@ from tkkwb import cli, jspace, weyl
 from tkkwb.cli import main
 from tkkwb.jordan import algebra_to_dict, truncated_poly
 from tkkwb.jspace import rep_to_dict
-from tkkwb.linalg import Matrix, RowSpan
+from tkkwb.linalg import Matrix, RowSpan, add_operator
 
 
 def run(capsys, *argv):
@@ -354,6 +354,29 @@ def test_jspace_check_sweeps_square_commutation_once(capsys, monkeypatch, argv):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("mode", ["symbolic", "random"])
+def test_jspace_check_converts_rho_once(capsys, monkeypatch, mode):
+    # check_jspace, the envelope and every dominance sum share one SparseRho
+    made, summed = [], []
+    init, dominance_operator = jspace.SparseRho.__init__, jspace.dominance_operator
+
+    def counted_init(self, rep):
+        made.append(self)
+        init(self, rep)
+
+    def counted_sum(copy, a):
+        summed.append(copy)
+        return dominance_operator(copy, a)
+
+    monkeypatch.setattr(jspace.SparseRho, "__init__", counted_init)
+    monkeypatch.setattr(jspace, "dominance_operator", counted_sum)
+    code, _, _ = run(capsys, "jspace", "check", "--builtin-rep", "newton", "--n", "3",
+                     "--cutoff", "4", "--mode", mode)
+    assert code == 0
+    assert len(made) == 1
+    assert summed and all(copy is made[0] for copy in summed)
+
+
 _DOUBLED_SPIN2 = ("--builtin-rep", "doubled-regular", "--builtin", "spin-factor", "--dim", "2")
 _DOUBLED_M2 = ("--builtin-rep", "doubled-regular", "--builtin", "matrix", "--size", "2")
 
@@ -466,6 +489,43 @@ def test_garland_verify(capsys):
     assert code == 0
     assert "PASS" in out and "FAIL" not in out
     assert "seed: 0" in out
+
+
+@pytest.mark.parametrize("route", ["efr_powers", "garland_coefficients"])
+@pytest.mark.parametrize("where", ["lowering", "top"])
+def test_garland_verify_fails_on_one_changed_entry(capsys, monkeypatch, route, where):
+    # newton (2, 2) has level 2, so the depths are 0, 1, 2 and 3 = n + 1:
+    # raise entry (0, 0) of one operator of one route by 1, in the lowering
+    # polynomial at rr = n or in the operator at rr = n + 1
+    computed = getattr(weyl, route)
+
+    def changed(g0, a, rrs):
+        out = computed(g0, a, rrs)
+        if where == "top":
+            add_operator(out[3], {0: {0: 1}})
+        else:
+            assert out[2]
+            add_operator(out[2][min(out[2])], {0: {0: 1}})
+        return out
+
+    monkeypatch.setattr(weyl, route, changed)
+    code, out, _ = run(capsys, "garland", "verify", "--builtin-rep", "newton", "--n", "2",
+                       "--cutoff", "2", "--samples", "2")
+    rr = 3 if where == "top" else 2
+    failed = [f"sample {t} r={rr}: straightening vs generating function FAIL" for t in range(2)]
+    assert [ln for ln in out.splitlines() if ln.endswith("FAIL")] == failed
+    assert out.count(" PASS\n") == 6
+    assert code == 1
+
+
+def test_newton_rep_in_many_variables_meets_the_symbolic_guard(capsys):
+    # level 12 on a 2-dim module: building the rep is quick, and symbolic
+    # dominance refuses the level
+    code, out, err = run(capsys, "jspace", "check", "--builtin-rep", "newton", "--n", "12",
+                         "--cutoff", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("resource error: symbolic dominance guarded")
 
 
 def test_garland_verify_straightens_each_argument_once_per_sample(capsys, monkeypatch):

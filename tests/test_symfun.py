@@ -203,3 +203,20 @@ def test_sympoly_evaluate_matches_full_expansion():
         pt = [random_fraction(rng) for _ in range(3)]
         full = p.to_poly().evaluate(pt)
         assert p.evaluate(pt) == full
+
+
+def test_orbit_is_the_set_of_distinct_permutations():
+    from tkkwb.symfun import _orbit
+    rng = random.Random(19)
+    for _ in range(300):
+        expo = tuple(rng.randint(0, 3) for _ in range(rng.randint(0, 7)))
+        assert _orbit(expo) == set(permutations(expo)), expo
+
+
+def test_orbit_grows_with_its_size_not_with_the_factorial():
+    # n! is 2.4e18 at n = 20: only the distinct placements can be listed
+    from tkkwb.symfun import _orbit
+    assert len(_orbit((2, 1) + (0,) * 18)) == 20 * 19
+    assert len(_orbit((0,) * 20)) == 1
+    assert newton(1, 20) * newton(1, 20) == SymPoly(20, {(2,) + (0,) * 19: 1,
+                                                          (1, 1) + (0,) * 18: 2})
