@@ -155,10 +155,8 @@ def cmd_jspace_check(args):
     rep = _resolve_rep(args)
     # check_jspace takes J as valid; an invalid one is malformed input here
     jordan_mod.ensure_valid(rep.jordan)
-    # both reports and the dominance sum read one sparse copy of rho, which
-    # decides the polarized square commutation once
-    copy = jspace_mod.SparseRho(rep)
-    report = jspace_mod.check_jspace(copy)
+    # both reports read the rep's one verdict on the square commutation
+    report = jspace_mod.check_jspace(rep)
     try:
         n = jspace_mod.level(rep)
         level_line = f"level {n}"
@@ -167,7 +165,7 @@ def cmd_jspace_check(args):
         report.add("level", False, str(exc))
         _emit_report(report, args.format, extra={"level": level_line})
         return EXIT_FAIL
-    env = jspace_mod.check_envelope_relations(copy, mode=args.mode,
+    env = jspace_mod.check_envelope_relations(rep, mode=args.mode,
                                               samples=args.samples, seed=args.seed)
     # the envelope decides dominance too; its item is the envelope's last
     dom = env.items[-1]
@@ -181,7 +179,7 @@ def cmd_jspace_check(args):
         fail = dom
         if not fail.detail.startswith("witness"):
             # the symbolic verdict carries no point; sample one to show
-            probe = jspace_mod.dominance_check(copy, mode="random",
+            probe = jspace_mod.dominance_check(rep, mode="random",
                                                samples=max(args.samples, 8),
                                                seed=args.seed)
             fail = probe.first_failure()

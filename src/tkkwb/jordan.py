@@ -304,19 +304,31 @@ def spin_factor(gram, name=None):
     return JordanAlgebra(space, unit_vector(d, 0), table, name or f"spin-factor({k})")
 
 
+def _identity_spin_factor(k):
+    if k < 0:
+        raise InputError("spin-factor dimension must be >= 0")
+    return spin_factor([[Fraction(int(i == j)) for j in range(k)] for i in range(k)])
+
+
+# builtin family -> (its one parameter, the default, the constructor); the
+# underscore spellings are aliases.  `builtin` reads it, and so do the JSON
+# algebra references "family:value" of `jspace`
+BUILTIN_FAMILIES = {
+    "truncated-poly": ("degree", 3, truncated_poly),
+    "truncated_poly": ("degree", 3, truncated_poly),
+    "matrix": ("size", 2, matrix_jordan),
+    "spin-factor": ("dim", 2, _identity_spin_factor),
+    "spin_factor": ("dim", 2, _identity_spin_factor),
+}
+
+
 def builtin(family, **params):
-    """Builtin algebra lookup used by the CLI and the JSON loader."""
-    if family in ("truncated-poly", "truncated_poly"):
-        return truncated_poly(int(params.get("degree", 3)))
-    if family == "matrix":
-        return matrix_jordan(int(params.get("size", 2)))
-    if family in ("spin-factor", "spin_factor"):
-        k = int(params.get("dim", 2))
-        if k < 0:
-            raise InputError("spin-factor dimension must be >= 0")
-        gram = [[Fraction(1) if i == j else Fraction(0) for j in range(k)] for i in range(k)]
-        return spin_factor(gram)
-    raise InputError(f"unknown builtin family {family!r}")
+    """Builtin algebra lookup used by the CLI and the JSON loader; reads
+    only the family's own parameter from params."""
+    if family not in BUILTIN_FAMILIES:
+        raise InputError(f"unknown builtin family {family!r}")
+    param, default, make = BUILTIN_FAMILIES[family]
+    return make(int(params.get(param, default)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,15 +9,18 @@ Every identity is decided exhaustively on basis triples; only the
 dominance sum has a random mode.  The derivation identity and the
 envelope's cubic relation are one double-commutator loop,
 `_double_commutator_failure`, with different right-hand sides, and the
-polarized square commutation is `_square_commutation_failure`.
+polarized square commutation is `_square_commutation_failure`, decided at
+most once per rep.
 
-These sweeps, the extension's checks, the dominance sum and the bimodule
-identities run on a `SparseRho`: rho as sparse operators {row: {col: int}},
-scaled to integers by the lcm of its denominators, made once per check from
-rho as it stands; every operator they compute is sparse, compared with ==.
-The extension keeps its operators in that form (`G0Rep`), and `weyl`'s
-straightening reads sparse module columns from them.  rho itself is stored,
-built and serialized as dense `Matrix` images.
+rho has one form, from construction through every check to JSON: a
+`JSpaceRep` keeps it as sparse integer operators {row: {col: int}} over one
+denominator den, the lcm of the denominators it was given, so that
+rho(e_i) = rho[i] / den.  The sweeps, the extension's checks, the dominance
+sum and the bimodule identities all read that form, and every operator
+they compute is sparse, compared with ==.  The extension keeps its
+operators the same way (`G0Rep`), and `weyl`'s straightening reads sparse
+module columns from them.  The builtins build the sparse operators
+directly, and `rep_to_dict` writes them out as dense "p/q" rows.
 """
 
 from __future__ import annotations
@@ -28,12 +31,11 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from pathlib import Path
 
-from .jordan import (InputError, builtin, derivation_column, jpower, load_algebra,
-                     table_product, truncated_poly)
-from .linalg import (LabeledSpace, Matrix, add_into, add_operator, as_int, as_list, as_q,
-                     combination, combine, commutator, integer_operators, kron,
-                     operator_product, q_str, random_vector, scalar_operator, scalar_value,
-                     unit_vector)
+from .jordan import (BUILTIN_FAMILIES, InputError, builtin, derivation_column, jpower,
+                     load_algebra, table_product, truncated_poly)
+from .linalg import (LabeledSpace, add_into, add_operator, as_int, as_list, as_q, combine,
+                     commutator, integer_operators, operator_product, q_str, random_vector,
+                     scalar_operator)
 from .multipoly import Poly
 from .report import Report
 from .symfun import SymPoly, dominance_coeffs, newton, partitions
@@ -56,21 +58,33 @@ _SYMBOLIC_LEVEL = 4
 class JSpaceRep:
     """A linear map from a Jordan algebra into endomorphisms of a module.
 
-    rho is one matrix per algebra basis vector, acting on column vectors
-    indexed by the module basis.
+    Built from one sparse rational operator {row: {col: c}} per algebra
+    basis vector, acting on column vectors indexed by the module basis;
+    every index must be a module index.  It keeps them over one
+    denominator, as `G0Rep` does: rho(e_i) is rho[i] / den, with den the
+    lcm of the denominators given and rho[i] an integer operator with no
+    zero entry and no empty row, its rows and columns in increasing order.
+    Every identity checked here is homogeneous in rho, so it holds for rho
+    exactly when it holds for the integer operators with its right-hand
+    side scaled to match, and fails first at the same triple.
+
+    The polarized square commutation is decided at most once per rep, as
+    `jordan.validate` records its verdict on the algebra, however many
+    reports read it.
     """
 
     def __init__(self, jordan, module, rho, name=""):
         if len(rho) != jordan.dim:
             raise InputError("need one matrix per algebra basis vector")
         m = module.dim
-        for r in rho:
-            if (r.rows, r.cols) != (m, m):
-                raise InputError("representation matrices must be square of module size")
+        if not all(0 <= r < m and all(0 <= s < m for s in row)
+                   for op in rho for r, row in op.items()):
+            raise InputError("representation operator index outside the module")
         self.jordan = jordan
         self.module = module
-        self.rho = list(rho)
+        self.den, self.rho = integer_operators(rho)
         self.name = name or f"rep on {m}-dim module over {jordan.name}"
+        self._square = None     # (first failing triple or None,) once decided
 
     @property
     def mdim(self):
@@ -78,8 +92,16 @@ class JSpaceRep:
 
     def rho_of(self, a):
         """rho extended linearly to a coordinate vector, dense or a sparse
-        {index: coeff} dict (entries may be polynomials)."""
-        return combination(self.mdim, self.rho, a)
+        {index: coeff} dict, as a sparse operator (entries may be
+        polynomials)."""
+        items = a.items() if isinstance(a, dict) else enumerate(a)
+        return combine(self.rho, {k: c for k, c in items if c}, Fraction(1, self.den))
+
+    def square_failure(self):
+        """`_square_commutation_failure` on this rep, decided once."""
+        if self._square is None:
+            self._square = (_square_commutation_failure(self),)
+        return self._square[0]
 
     def __repr__(self):
         return f"JSpaceRep({self.name})"
@@ -87,8 +109,9 @@ class JSpaceRep:
 
 def level(rep):
     """The scalar n with rho(1) = n * id; raises LevelError otherwise."""
-    c = scalar_value(rep.rho_of(rep.jordan.unit))
-    if c is None:
+    one = rep.rho_of(rep.jordan.unit)
+    c = one.get(0, {}).get(0, 0)
+    if one != scalar_operator(rep.mdim, c):
         raise LevelError("rho(1) is not scalar")
     c = Fraction(c)
     if c.denominator != 1:
@@ -101,51 +124,23 @@ def grading_breach(rep):
     whose module degrees differ by other than deg e_i, as a message; None
     when rho respects the grading."""
     J, degs = rep.jordan, rep.module.degrees
-    for i, sig in enumerate(rep.rho):
-        for r, row in enumerate(sig.data):
-            for s, x in enumerate(row):
-                if x and degs[r] != degs[s] + J.space.degrees[i]:
+    for i, op in enumerate(rep.rho):
+        for r, row in op.items():
+            for s in row:
+                if degs[r] != degs[s] + J.space.degrees[i]:
                     return f"rho({J.space.labels[i]}) entry ({r},{s}) breaks the grading"
     return None
 
 
-class SparseRho:
-    """The sparse, integer-scaled copy of rho that one whole check runs on.
-
-    ops[i] is den * rho(e_i) as a sparse operator {row: {col: int}}, den the
-    lcm of the denominators of rho as it stands when the copy is made (once
-    per check, never per product).  Every identity checked here is
-    homogeneous in rho, so it holds for rho exactly when it holds for the
-    copy with its right-hand side scaled to match, and fails first at the
-    same triple.  The polarized square commutation is decided on a copy at
-    most once, however many reports read it.
-    """
-
-    def __init__(self, rep):
-        self.rep = rep
-        self.den, self.ops = integer_operators(rep.rho)
-        self._square = None     # (first failing triple or None,) once decided
-
-    def square_failure(self):
-        """`_square_commutation_failure` on this copy, decided once."""
-        if self._square is None:
-            self._square = (_square_commutation_failure(self),)
-        return self._square[0]
-
-
-def _sparse(rep_or_copy):
-    return rep_or_copy if isinstance(rep_or_copy, SparseRho) else SparseRho(rep_or_copy)
-
-
-def check_jspace(rep_or_copy):
+def check_jspace(rep):
     """The two defining identities of a J-space, on all basis triples.
 
     The derivation identity [[rho(x), rho(y)], rho(z)] = 4 rho([L_x, L_y] z)
     is trilinear and is decided by `_double_commutator_failure`.  The
     square-commutation identity is nonlinear, so its trilinear polarization
         [rho(x), rho(yz)] + [rho(y), rho(xz)] + [rho(z), rho(xy)] = 0
-    is checked instead.  Both run on a `SparseRho`, made here from a
-    JSpaceRep or passed in to be shared with `check_envelope_relations`.
+    is checked instead; its verdict is the rep's, shared with
+    `check_envelope_relations`.
 
     J is not validated here.  When its table is commutative, the derivation
     identity is antisymmetric in (i, j) and holds for i = j, so it is decided
@@ -153,8 +148,6 @@ def check_jspace(rep_or_copy):
     ordered pair is swept.  Either way the first failing triple in product
     order is the one reported.
     """
-    copy = _sparse(rep_or_copy)
-    rep = copy.rep
     J = rep.jordan
     rep_report = Report(f"j-space axioms for {rep.name}")
     d = J.dim
@@ -163,51 +156,51 @@ def check_jspace(rep_or_copy):
     rep_report.add("rho respects the grading", breach is None, breach or "")
 
     pairs = combinations(range(d), 2) if _commutative(J) else product(range(d), repeat=2)
-    t = _double_commutator_failure(copy, pairs,
+    t = _double_commutator_failure(rep, pairs,
                                    lambda i, j, k: derivation_column(J.table, i, j, k))
     rep_report.add("derivation identity (all basis triples)", t is None,
                    "" if t is None else
                    "derivation identity fails at basis triple (%d,%d,%d)" % t)
-    t = copy.square_failure()
+    t = rep.square_failure()
     rep_report.add("square commutation, polarized (all basis triples)", t is None,
                    "" if t is None else
                    "polarized square-commutation fails at (%d,%d,%d)" % t)
     return rep_report
 
 
-def _double_commutator_failure(copy, pairs, rhs):
+def _double_commutator_failure(rep, pairs, rhs):
     """The first triple (a, b, c) at which
         [[rho(e_a), rho(e_b)], rho(e_c)] = 4 rho(rhs(a, b, c))
     fails, or None when it holds for every (a, b) in pairs and every c.
 
-    rhs returns sparse coordinates.  On the copy the left side is den^3
-    times the true one, so the right side is scaled by 4 den^2.
+    rhs returns sparse coordinates.  On the integer operators the left side
+    is den^3 times the true one, so the right side is scaled by 4 den^2.
     [rho(e_a), rho(e_b)] is formed once per pair, and c runs over the basis
     for each pair in turn, so triples are visited in the order of pairs,
     then of c.
     """
-    ops = copy.ops
-    four = 4 * copy.den ** 2
+    ops = rep.rho
+    four = 4 * rep.den ** 2
     for a, b in pairs:
         comm = commutator(ops[a], ops[b])
-        for c in range(copy.rep.jordan.dim):
+        for c in range(rep.jordan.dim):
             if commutator(comm, ops[c]) != combine(ops, rhs(a, b, c), four):
                 return (a, b, c)
     return None
 
 
-def _square_commutation_failure(copy):
+def _square_commutation_failure(rep):
     """The first basis triple (i, j, k) at which the polarized
     square-commutation identity
         [rho(e_i), rho(e_j e_k)] + [rho(e_j), rho(e_i e_k)] + [rho(e_k), rho(e_i e_j)] = 0
-    fails on the copy, or None when it holds on all basis triples.
+    fails, or None when it holds on all basis triples.
 
     With a commutative table the polarization is symmetric in (i, j, k), so
     the sorted triples decide it, and the first failing triple in product
     order is sorted; a noncommutative table has every ordered triple swept.
     The image of each product e_j e_k is formed once.
     """
-    J, ops = copy.rep.jordan, copy.ops
+    J, ops = rep.jordan, rep.rho
     d = J.dim
     triples = combinations_with_replacement(range(d), 3) if _commutative(J) \
         else product(range(d), repeat=3)
@@ -257,10 +250,10 @@ class G0Rep:
 def extend_to_g0(rep, ext=None):
     """Extend rho to the weight-zero subalgebra; braces act by (1/4)[rho, rho].
 
-    The checks run on a `SparseRho` made here.  With ops = den rho, the
-    commutator [ops_i, ops_j] is 4 den^2 times the quarter commutator of the
-    pair, so every weight-zero operator is kept over the denominator 4 den^2:
-    the brace operators as these commutators, rho as ops scaled by 4 den.
+    With rep.rho = den rho, the commutator [rep.rho[i], rep.rho[j]] is
+    4 den^2 times the quarter commutator of the pair, so every weight-zero
+    operator is kept over the denominator 4 den^2: the brace operators as
+    these commutators, rho as rep.rho scaled by 4 den.
     Well-definedness asks each defining-span row of the brace space to
     combine the pair commutators to zero; the homomorphism item compares
     [phi(p), phi(q)] with 4 den^2 times the bracket combination of the phi(t).
@@ -270,15 +263,14 @@ def extend_to_g0(rep, ext=None):
         ext = build_sl2(J)
     bs = ext.brace
     report = Report(f"weight-zero extension of {rep.name}")
-    copy = SparseRho(rep)
-    den = 4 * copy.den ** 2
+    den = 4 * rep.den ** 2
 
-    comm_pair = [commutator(copy.ops[i], copy.ops[j]) for i, j in bs.pairs]
+    comm_pair = [commutator(rep.rho[i], rep.rho[j]) for i, j in bs.pairs]
     report.check("well-defined on the brace quotient", range(len(bs.s_rows)),
                  lambda r: combine(comm_pair, bs.s_rows[r])
                  and f"defining-span generator {r} acts nonzero")
 
-    rho = [combine(copy.ops, {i: 4 * copy.den}) for i in range(J.dim)]
+    rho = [combine(rep.rho, {i: 4 * rep.den}) for i in range(J.dim)]
     braces = [comm_pair[t] for t in bs.reps]
     zero_indices = [ext.h_index(i) for i in range(J.dim)] + \
                    [ext.tail_index(k) for k in range(bs.dim)]
@@ -305,37 +297,34 @@ def extend_to_g0(rep, ext=None):
 # dominance
 
 
-def dominance_operator(rep_or_copy, a):
+def dominance_operator(rep, a):
     """Sum over partitions of level+1 of sign * class size * products of
     rho at the powers of a, as a sparse operator.  Vanishes identically
     exactly when the module is the top weight space of a bounded module.
-    On a `SparseRho` (made here or passed in) the product over sigma is
-    den^len(sigma) times the true one, and is scaled back."""
-    copy = _sparse(rep_or_copy)
-    n = level(copy.rep)
-    J = copy.rep.jordan
-    rhos = {k: combine(copy.ops, {i: c for i, c in enumerate(jpower(J, a, k)) if c})
+    On the integer operators the product over sigma is den^len(sigma)
+    times the true one, and is scaled back."""
+    n = level(rep)
+    J = rep.jordan
+    rhos = {k: combine(rep.rho, {i: c for i, c in enumerate(jpower(J, a, k)) if c})
             for k in range(1, n + 2)}
     acc = {}
     for sigma, c in dominance_coeffs(n).items():
         prod = rhos[sigma[0]]
         for part in sigma[1:]:
             prod = operator_product(prod, rhos[part])
-        add_operator(acc, prod, Fraction(c, copy.den ** len(sigma)))
+        add_operator(acc, prod, Fraction(c, rep.den ** len(sigma)))
     return acc
 
 
-def dominance_check(rep_or_copy, mode="symbolic", samples=8, seed=0):
+def dominance_check(rep, mode="symbolic", samples=8, seed=0):
     """Decide the partition-coefficient criterion.
 
     Symbolic mode expands the operator sum with polynomial coordinates for
     the generic element (guarded, since entries reach degree level+1 in
     dim J indeterminates); random mode evaluates at sampled rational points,
     where a nonzero polynomial of bounded degree vanishes with negligible
-    probability.  Every sample reads one `SparseRho`, made here or passed in.
+    probability.
     """
-    copy = _sparse(rep_or_copy)
-    rep = copy.rep
     n = level(rep)
     if n < 0:
         raise LevelError(f"level {n} is negative")
@@ -345,7 +334,7 @@ def dominance_check(rep_or_copy, mode="symbolic", samples=8, seed=0):
             raise ResourceError(
                 f"symbolic dominance guarded to dim J <= {_SYMBOLIC_DIM_J} and "
                 f"level <= {_SYMBOLIC_LEVEL}; use random mode")
-        ok = not dominance_operator(copy, Poly.variables(rep.jordan.dim))
+        ok = not dominance_operator(rep, Poly.variables(rep.jordan.dim))
         detail = "mode=symbolic" if ok else "nonzero symbolic coefficient found"
         report.add("dominance sum vanishes", ok, detail)
     elif mode == "random":
@@ -353,7 +342,7 @@ def dominance_check(rep_or_copy, mode="symbolic", samples=8, seed=0):
 
         def witness(_):
             a = random_vector(rng, rep.jordan.dim)
-            if dominance_operator(copy, a):
+            if dominance_operator(rep, a):
                 return "witness a = " + _format_element(rep.jordan, a)
 
         report.check("dominance sum vanishes", range(samples), witness,
@@ -377,15 +366,14 @@ def check_bimodule(rep):
 
     Checks the square-commutation identity and the defining quadratic
     identity through their polarizations on basis tuples, then the spectral
-    constraint that sigma(1) is killed by x(x-1/2)(x-1), all on one
-    `SparseRho` ops = den sigma: the identity at den^3 times its true size.
+    constraint that sigma(1) is killed by x(x-1/2)(x-1), all on the integer
+    operators ops = den sigma: the identity at den^3 times its true size.
     """
     J = rep.jordan
     report = Report(f"jordan bimodule axioms for {rep.name}")
-    copy = SparseRho(rep)
-    ops, den = copy.ops, copy.den
+    ops, den = rep.rho, rep.den
 
-    t = copy.square_failure()
+    t = rep.square_failure()
     report.add("square commutation, polarized", t is None,
                "" if t is None else "square commutation fails at (%d,%d,%d)" % t)
 
@@ -418,7 +406,7 @@ def check_bimodule(rep):
 # universal envelope relations
 
 
-def check_envelope_relations(rep_or_copy, mode="symbolic", samples=8, seed=0):
+def check_envelope_relations(rep, mode="symbolic", samples=8, seed=0):
     """The defining relations of the level-n universal envelope, as operator
     identities on the module: the scalar unit relation, polarized square
     commutation, the cubic rearrangement relation, and the
@@ -433,12 +421,9 @@ def check_envelope_relations(rep_or_copy, mode="symbolic", samples=8, seed=0):
 
     The partition-coefficient sum is decided right after the level, before
     either sweep, so a guarded symbolic sum raises ResourceError at once;
-    its item still comes last.  Both sweeps run on a `SparseRho`, made here
-    from a JSpaceRep or passed in: one shared with `check_jspace` decides
-    the polarized square commutation once for both reports.
+    its item still comes last.  The polarized square commutation is the
+    rep's verdict, decided once for this report and `check_jspace`'s.
     """
-    copy = _sparse(rep_or_copy)
-    rep = copy.rep
     J = rep.jordan
     report = Report(f"envelope relations for {rep.name}")
 
@@ -448,9 +433,9 @@ def check_envelope_relations(rep_or_copy, mode="symbolic", samples=8, seed=0):
     except LevelError as exc:
         report.add("rho(1) is an integer scalar", False, str(exc))
         return report
-    dominance = dominance_check(copy, mode=mode, samples=samples, seed=seed)
+    dominance = dominance_check(rep, mode=mode, samples=samples, seed=seed)
 
-    t = copy.square_failure()
+    t = rep.square_failure()
     report.add("square commutation, polarized", t is None,
                "" if t is None else "fails at (%d,%d,%d)" % t)
 
@@ -458,7 +443,7 @@ def check_envelope_relations(rep_or_copy, mode="symbolic", samples=8, seed=0):
         return add_into(table_product(J.table, {a: 1}, J.table[b][c]),
                         table_product(J.table, {b: 1}, J.table[a][c]), -1)
 
-    t = _double_commutator_failure(copy, combinations(range(J.dim), 2), a_bc_minus_b_ac)
+    t = _double_commutator_failure(rep, combinations(range(J.dim), 2), a_bc_minus_b_ac)
     report.add("cubic rearrangement relation", t is None,
                "" if t is None else "fails at (%d,%d,%d)" % t)
 
@@ -489,7 +474,6 @@ def newton_rep(n, cutoff):
     labels = tuple("m[" + ",".join(map(str, lam)) + "]" for lam in lams)
     degrees = tuple(sum(lam) for lam in lams)
     module = LabeledSpace(labels, degrees)
-    m = len(lams)
 
     def pad(lam):
         return tuple(lam) + (0,) * (n - len(lam))
@@ -499,14 +483,14 @@ def newton_rep(n, cutoff):
     rho = []
     for ell in range(cutoff + 1):
         N = newton(ell, n).to_poly()
-        mat = [[0] * m for _ in range(m)]
-        for lam, msym in zip(lams, msyms):
+        op = {}
+        for j, msym in enumerate(msyms):
             prod = SymPoly.from_poly(N * msym, check=False)
             for mu, c in prod.terms.items():
                 mu_trim = tuple(p for p in mu if p)
-                if sum(mu_trim) <= cutoff:
-                    mat[index[mu_trim]][index[lam]] = c
-        rho.append(Matrix(m, m, [[Fraction(x) for x in row] for row in mat]))
+                if c and sum(mu_trim) <= cutoff:
+                    op.setdefault(index[mu_trim], {})[j] = c
+        rho.append(op)
     return JSpaceRep(J, module, rho, name=f"newton-rep(n={n}, cutoff={cutoff})")
 
 
@@ -514,8 +498,19 @@ def zero_rep(J, module_dim=1):
     """The zero map on a trivial module; the unique dominant level-0 shape."""
     labels = tuple(f"m{i}" for i in range(module_dim))
     module = LabeledSpace(labels, (0,) * module_dim)
-    z = Matrix.zeros(module_dim, module_dim)
-    return JSpaceRep(J, module, [z] * J.dim, name=f"zero rep over {J.name}")
+    return JSpaceRep(J, module, [{}] * J.dim, name=f"zero rep over {J.name}")
+
+
+def _multiplication_operators(J, scale):
+    """scale L_{e_i} for each basis vector e_i, as sparse operators read
+    from the table: column j of L_{e_i} is e_i e_j."""
+    ops = [{} for _ in range(J.dim)]
+    for i, op in enumerate(ops):
+        for j in range(J.dim):
+            for k, c in J.table[i][j].items():
+                if c:
+                    op.setdefault(k, {})[j] = scale * c
+    return ops
 
 
 def regular_rep(J):
@@ -525,9 +520,8 @@ def regular_rep(J):
     (the derivation identity carries a factor 4 that the multiplication
     operators do not), so this is a J-space for commutative associative J.
     """
-    from .jordan import L_op
-    rho = [L_op(J, unit_vector(J.dim, i)) for i in range(J.dim)]
-    return JSpaceRep(J, J.space, rho, name=f"regular rep of {J.name}")
+    return JSpaceRep(J, J.space, _multiplication_operators(J, 1),
+                     name=f"regular rep of {J.name}")
 
 
 def doubled_regular_rep(J):
@@ -535,9 +529,8 @@ def doubled_regular_rep(J):
     algebra.  The derivation identity picks up exactly the needed factor,
     and the operator consequence of the Jordan identity
     2 L_a^3 - 3 L_{a^2} L_a + L_{a^3} = 0 makes it dominant."""
-    from .jordan import L_op
-    rho = [L_op(J, unit_vector(J.dim, i)).scale(Fraction(2)) for i in range(J.dim)]
-    return JSpaceRep(J, J.space, rho, name=f"doubled regular rep of {J.name}")
+    return JSpaceRep(J, J.space, _multiplication_operators(J, 2),
+                     name=f"doubled regular rep of {J.name}")
 
 
 def matrix_defining_rep(m):
@@ -546,27 +539,30 @@ def matrix_defining_rep(m):
     J = matrix_jordan(m)
     labels = tuple(f"c{i + 1}" for i in range(m))
     module = LabeledSpace(labels, (0,) * m)
-    rho = []
-    for p in range(m):
-        for q in range(m):
-            mat = Matrix.zeros(m, m)
-            mat.data[p][q] = Fraction(1)
-            rho.append(mat)
+    rho = [{p: {q: 1}} for p in range(m) for q in range(m)]
     return JSpaceRep(J, module, rho, name=f"defining rep of M{m}(k)+")
 
 
 def tensor_rep(r1, r2, name=""):
     """Tensor product of two representations over the same algebra;
-    the action is rho1 x 1 + 1 x rho2, and levels add."""
+    the action is rho1 x 1 + 1 x rho2, and levels add.  Module basis vector
+    (x, y) has index x m2 + y, m2 the dimension of the second module."""
     if r1.jordan is not r2.jordan:
         raise InputError("tensor factors must share the algebra")
     m1, m2 = r1.mdim, r2.mdim
     labels = tuple(f"{a}*{b}" for a in r1.module.labels for b in r2.module.labels)
     degrees = tuple(da + db for da in r1.module.degrees for db in r2.module.degrees)
     module = LabeledSpace(labels, degrees)
-    i1 = Matrix.identity(m1)
-    i2 = Matrix.identity(m2)
-    rho = [kron(a, i2) + kron(i1, b) for a, b in zip(r1.rho, r2.rho)]
+    rho = []
+    for a, b in zip(r1.rho, r2.rho):
+        op = {}
+        for y in range(m2):
+            add_operator(op, {r * m2 + y: {s * m2 + y: c for s, c in row.items()}
+                              for r, row in a.items()}, Fraction(1, r1.den))
+        for x in range(m1):
+            add_operator(op, {x * m2 + r: {x * m2 + s: c for s, c in row.items()}
+                              for r, row in b.items()}, Fraction(1, r2.den))
+        rho.append(op)
     return JSpaceRep(r1.jordan, module, rho, name or f"({r1.name}) tensor ({r2.name})")
 
 
@@ -575,11 +571,18 @@ def tensor_rep(r1, r2, name=""):
 
 
 def rep_to_dict(rep, algebra_ref=None):
+    """rho as one dense matrix of "p/q" strings per algebra basis vector."""
+    m = rep.mdim
+
+    def entry(row, s):
+        return q_str(Fraction(row[s], rep.den)) if s in row else "0"
+
     return {
         "algebra": algebra_ref or "inline",
         "module": {"labels": list(rep.module.labels),
                    "degrees": list(rep.module.degrees)},
-        "rho": [[[q_str(x) for x in row] for row in mat.data] for mat in rep.rho],
+        "rho": [[[entry(op.get(r, {}), s) for s in range(m)] for r in range(m)]
+                for op in rep.rho],
     }
 
 
@@ -591,16 +594,9 @@ def _algebra_from_ref(ref, base_dir=None):
         raise InputError("algebra reference must be a string or object")
     if ":" in ref and not Path(ref).exists():
         family, _, arg = ref.partition(":")
-        params = {}
-        if family in ("truncated-poly", "truncated_poly"):
-            params["degree"] = arg
-        elif family == "matrix":
-            params["size"] = arg
-        elif family in ("spin-factor", "spin_factor"):
-            params["dim"] = arg
-        else:
+        if family not in BUILTIN_FAMILIES:
             raise InputError(f"unknown builtin algebra {ref!r}")
-        return builtin(family, **params)
+        return builtin(family, **{BUILTIN_FAMILIES[family][0]: arg})
     path = Path(ref)
     if base_dir is not None and not path.is_absolute():
         path = Path(base_dir) / path
@@ -608,19 +604,27 @@ def _algebra_from_ref(ref, base_dir=None):
 
 
 def rep_from_dict(data, base_dir=None, name=""):
+    """The rep of a rep_to_dict dict; each rho matrix must be square of the
+    module's size, with rational entries, and is kept as a sparse operator."""
     try:
         J = _algebra_from_ref(data["algebra"], base_dir)
         mod = data["module"]
         module = LabeledSpace(tuple(as_list(mod["labels"], "module labels")),
                               tuple(as_int(x) for x in as_list(mod["degrees"], "module degrees")))
-        mats = []
-        for rows in as_list(data["rho"], "rho"):
-            mats.append(Matrix(module.dim, module.dim,
-                               [[as_q(x) for x in as_list(row, "rho row")]
-                                for row in as_list(rows, "rho matrix")]))
+        m = module.dim
+        rho = []
+        for mat in as_list(data["rho"], "rho"):
+            rows = [[as_q(x) for x in as_list(row, "rho row")]
+                    for row in as_list(mat, "rho matrix")]
+            if len(rows) != m:
+                raise ValueError("row count mismatch")
+            if any(len(row) != m for row in rows):
+                raise ValueError("column count mismatch")
+            rho.append({r: {s: x for s, x in enumerate(row) if x}
+                        for r, row in enumerate(rows)})
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad representation data: {exc}") from exc
-    return JSpaceRep(J, module, mats, name=name or "loaded rep")
+    return JSpaceRep(J, module, rho, name=name or "loaded rep")
 
 
 def load_rep(path):

@@ -1,17 +1,21 @@
 """Exact linear algebra over the rationals.
 
 There are no floats anywhere, so ranks, kernels and quotient coordinates are
-exact, and equality tests mean actual equality.  A `Matrix` is dense and is
-how rho is stored, built and serialized; its entries may be any ring element
-supporting +, -, * (matrices of polynomials too).  The product `@` skips
-zero products: it reads each row of the right factor as its nonzero entries
-and multiplies them only by nonzero entries of the left.
+exact, and equality tests mean actual equality.  A `Matrix` is dense; it
+holds what is read as a whole matrix (the center map and its kernel, the
+adjoint matrices behind the half Killing form, the trace oracle's operator,
+`L_op` and `action_matrix`) and the dense references of the tests; rho is
+never one.  Its entries may be any ring element supporting +,
+-, * (matrices of polynomials too).  The product `@` skips zero products:
+it reads each row of the right factor as its nonzero entries and multiplies
+them only by nonzero entries of the left.
 
-Every operator a check computes is a sparse operator instead: a {row:
-{column: coeff}} dict with no zero entry and no empty row, so that two
+Every operator a check computes or keeps is a sparse operator instead: a
+{row: {column: coeff}} dict with no zero entry and no empty row, so that two
 operators are equal exactly when they are == and one vanishes exactly when
-it is empty.  `integer_operators` scales a list of matrices to integers by
-one common denominator, `operator_product`, `commutator`, `combine` and
+it is empty.  rho itself is one: `integer_operators` scales a list of
+rational operators to integers by one common denominator, the form a
+J-space keeps.  `operator_product`, `commutator`, `combine` and
 `add_operator` sum through `add_into`, `scalar_operator` makes c times the
 identity, and `columns` turns an integer operator into integer columns at a
 new scale, for the straightening in `weyl`.  Coefficients may be ints,
@@ -155,21 +159,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
-
-
-def scalar_value(m):
-    """Return c if m == c * identity, else None."""
-    if m.rows != m.cols:
-        return None
-    if m.rows == 0:
-        return Q(0)
-    c = m.data[0][0]
-    for i in range(m.rows):
-        for j in range(m.cols):
-            want = c if i == j else 0
-            if m.data[i][j] != want:
-                return None
-    return c
 
 
 def rref(m):
@@ -347,12 +336,23 @@ def add_into(acc, sparse, scale=None):
     return acc
 
 
-def integer_operators(mats):
-    """(den, ops): ops[k] is den * mats[k] as a sparse operator {row: {col:
-    int}}, den the lcm of the denominators of every entry of every matrix."""
-    den = lcm(*(x.denominator for m in mats for row in m.data for x in row if x))
-    return den, [{r: {s: x.numerator * (den // x.denominator) for s, x in enumerate(row) if x}
-                  for r, row in enumerate(m.data) if any(row)} for m in mats]
+def integer_operators(ops):
+    """(den, out): out[k] is den * ops[k] for sparse operators {row: {col:
+    c}} of ints or Fractions, den the lcm of the denominators of every
+    entry; each out[k] is an int operator with no zero entry and no empty
+    row, its rows and each row's columns in increasing order."""
+    den = lcm(*(x.denominator for op in ops for row in op.values() for x in row.values()))
+    out = []
+    for op in ops:
+        scaled = {}
+        for r in sorted(op):
+            row = op[r]
+            irow = {s: row[s].numerator * (den // row[s].denominator)
+                    for s in sorted(row) if row[s]}
+            if irow:
+                scaled[r] = irow
+        out.append(scaled)
+    return den, out
 
 
 def add_operator(acc, op, scale=None):
@@ -432,44 +432,6 @@ def dense_vector(n, sparse):
     for k, c in sparse.items():
         v[k] = c
     return v
-
-
-def combination(n, mats, coords):
-    """The n x n matrix sum_k c_k mats[k].
-
-    coords is a dense list or a sparse {k: c_k} dict; the coefficients may be
-    any ring elements (polynomials for symbolic coordinates).
-    """
-    out = [[0] * n for _ in range(n)]
-    items = coords.items() if isinstance(coords, dict) else enumerate(coords)
-    for k, c in items:
-        if not c:
-            continue
-        data = mats[k].data
-        for r in range(n):
-            row = data[r]
-            for s in range(n):
-                if row[s]:
-                    out[r][s] = out[r][s] + c * row[s]
-    return Matrix(n, n, out)
-
-
-def kron(a, b):
-    """Kronecker product of two matrices."""
-    rows = a.rows * b.rows
-    cols = a.cols * b.cols
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(a.rows):
-        for j in range(a.cols):
-            c = a.data[i][j]
-            if not c:
-                continue
-            for p in range(b.rows):
-                for q in range(b.cols):
-                    d = b.data[p][q]
-                    if d:
-                        out[i * b.rows + p][j * b.cols + q] = c * d
-    return Matrix(rows, cols, out)
 
 
 def random_fraction(rng, num_bound=12, den_bound=6):

@@ -207,6 +207,7 @@ def _fill_table(g, pair_coords, tail_cols, tail_brackets):
     {row: entry}, is tail_cols[k][j], and brackets with tail element l to
     tail_brackets[(k, l)].  The reversed order against e/f/h is
     filled by antisymmetry, which validate_lie re-checks rather than trusts.
+    A zero bracket is not stored: bracket_basis reads an absent pair as zero.
     """
     g.pair_coords = pair_coords
     d = g.jdim
@@ -224,16 +225,19 @@ def _fill_table(g, pair_coords, tail_cols, tail_brackets):
                     if kap and i != j:
                         add_into(out, {g.tail_index(k): c
                                        for k, c in pair_coords[(i, j)].items()}, kap)
-                    g.table[(idxmap[xt](i), idxmap[yt](j))] = out
+                    if out:
+                        g.table[(idxmap[xt](i), idxmap[yt](j))] = out
     for k, cols in enumerate(tail_cols):
         for xt in _SL2_BASIS:
             for j in range(d):
                 out = {idxmap[xt](r): c for r, c in cols[j].items()}
-                g.table[(g.tail_index(k), idxmap[xt](j))] = out
-                g.table[(idxmap[xt](j), g.tail_index(k))] = {p: -c for p, c in out.items()}
+                if out:
+                    g.table[(g.tail_index(k), idxmap[xt](j))] = out
+                    g.table[(idxmap[xt](j), g.tail_index(k))] = {p: -c for p, c in out.items()}
         for l in range(g.tail_dim):
-            g.table[(g.tail_index(k), g.tail_index(l))] = \
-                {g.tail_index(r): c for r, c in tail_brackets[(k, l)].items()}
+            if tail_brackets[(k, l)]:
+                g.table[(g.tail_index(k), g.tail_index(l))] = \
+                    {g.tail_index(r): c for r, c in tail_brackets[(k, l)].items()}
 
 
 def build_sl2(J):

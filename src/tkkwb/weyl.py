@@ -46,8 +46,8 @@ from .linalg import (Matrix, RowSpan, add_into, add_operator, columns, combine,
                      commutator, operator_product, random_vector, scalar_operator)
 from .multipoly import Poly
 from .report import Report
-from .jspace import (G0Rep, LevelError, SparseRho, dominance_operator, extend_to_g0,
-                     grading_breach, level)
+from .jspace import (G0Rep, LevelError, dominance_operator, extend_to_g0, grading_breach,
+                     level)
 
 
 class WindowError(Exception):
@@ -311,7 +311,8 @@ def garland_coefficients(g0, a, rrs):
     commute, which is validated first.  The exponential series depends on
     a alone and the lowering sum is raised to successive powers once, so
     every depth reads both from one expansion.  The rho images are read
-    from a `SparseRho` of the module, not from the straightening data.
+    from the rep's own integer operators rho / den, not from the
+    straightening data or the weight-zero extension.
     """
     g0, n = checked_extension(g0)
     rep = g0.rep
@@ -324,8 +325,7 @@ def garland_coefficients(g0, a, rrs):
     lower = [{}] + [{i: c for i, c in enumerate(jpower(J, a, s)) if c}
                     for s in range(1, order + 1)]
     # H[t] = rho(a^t) / t; the rho(a^t) commute exactly when these do
-    copy = SparseRho(rep)
-    H = [{}] + [combine(copy.ops, lower[t], Fraction(1, copy.den * t))
+    H = [{}] + [combine(rep.rho, lower[t], Fraction(1, rep.den * t))
                 for t in range(1, order + 1)]
     for s in range(1, order + 1):
         for t in range(s + 1, order + 1):

@@ -40,6 +40,27 @@ def sparse(m):
             for r, row in enumerate(m.data) if any(row)}
 
 
+def dense(op, m):
+    """A sparse operator as an m x m dense matrix (zeros as Fraction 0)."""
+    return Matrix(m, m, [[op.get(r, {}).get(s, Q(0)) for s in range(m)] for r in range(m)])
+
+
+def dense_rho(rep):
+    """rho of a rep as one dense matrix per algebra basis vector, each
+    rep.rho[i] / rep.den: the reference form of the tests."""
+    return [dense(op, rep.mdim).scale(Q(1, rep.den)) for op in rep.rho]
+
+
+def dense_rho_of(rep, a):
+    """rep.rho_of(a) as a dense matrix."""
+    return dense(rep.rho_of(a), rep.mdim)
+
+
+def matrix_rep(J, module, mats, name=""):
+    """The JSpaceRep with rho(e_i) = mats[i], for dense matrices."""
+    return JSpaceRep(J, module, [sparse(m) for m in mats], name=name)
+
+
 def one_gen_rep(n, T, name):
     """rho(1) = n id, rho(t) = T over the trivially graded dual numbers.
 
@@ -49,7 +70,7 @@ def one_gen_rep(n, T, name):
     J = truncated_poly(1, graded=False)
     m = T.rows
     module = LabeledSpace(tuple(f"v{i}" for i in range(m)), (0,) * m)
-    return JSpaceRep(J, module, [Matrix.identity(m).scale(Q(n)), T], name=name)
+    return matrix_rep(J, module, [Matrix.identity(m).scale(Q(n)), T], name=name)
 
 
 def noncommuting_rep():
@@ -59,8 +80,8 @@ def noncommuting_rep():
     J = truncated_poly(2, graded=False)
     A = Matrix(2, 2, [[Q(0), Q(1)], [Q(0), Q(0)]])
     B = Matrix(2, 2, [[Q(0), Q(0)], [Q(1), Q(0)]])
-    return JSpaceRep(J, LabeledSpace(("a", "b"), (0, 0)), [Matrix.identity(2), A, B],
-                     name="noncommuting")
+    return matrix_rep(J, LabeledSpace(("a", "b"), (0, 0)), [Matrix.identity(2), A, B],
+                      name="noncommuting")
 
 
 def projection_matrix():

@@ -9,9 +9,10 @@ import random
 from fractions import Fraction as Q
 import pytest
 
-from conftest import equivalence_instances, one_gen_rep, projection_matrix, sparse
+from conftest import (dense_rho, dense_rho_of, equivalence_instances, matrix_rep,
+                      one_gen_rep, projection_matrix, sparse)
 from tkkwb.jordan import matrix_jordan, spin_factor, truncated_poly
-from tkkwb.jspace import (JSpaceRep, check_bimodule, check_jspace,
+from tkkwb.jspace import (check_bimodule, check_jspace,
                           dominance_check, extend_to_g0, level,
                           matrix_defining_rep, newton_rep, regular_rep,
                           zero_rep)
@@ -137,14 +138,14 @@ def test_08_low_level_specializations():
     # level 1: dominant reps halve products of operators
     for rep in (regular_rep(truncated_poly(3)), matrix_defining_rep(2)):
         assert dominance_check(rep).ok
-        J = rep.jordan
+        J, sig = rep.jordan, dense_rho(rep)
         for i in range(J.dim):
             for j in range(J.dim):
                 prod = [Q(0)] * J.dim
                 for k, c in J.table[i][j].items():
                     prod[k] = c
-                lhs = rep.rho_of(prod)
-                rhs = (rep.rho[i] @ rep.rho[j] + rep.rho[j] @ rep.rho[i])
+                lhs = dense_rho_of(rep, prod)
+                rhs = (sig[i] @ sig[j] + sig[j] @ sig[i])
                 ok = ok and lhs == rhs.scale(Q(1, 2))
     report(8, "level-0 dominance is triviality; level-1 dominance halves "
               "operator products", ok)
@@ -158,21 +159,21 @@ def test_09_bimodule_spectral_constraint():
     # matrix algebra (point 1); the zero action sits at 0
     for J in (truncated_poly(2), truncated_poly(4)):
         r = regular_rep(J)
-        half = JSpaceRep(J, r.module, [m.scale(Q(1, 2)) for m in r.rho],
-                         name=f"half regular over {J.name}")
+        half = matrix_rep(J, r.module, [m.scale(Q(1, 2)) for m in dense_rho(r)],
+                          name=f"half regular over {J.name}")
         passing.append(half)
     passing.append(regular_rep(matrix_jordan(2)))
     passing.append(zero_rep(truncated_poly(1)))
     for sigma in passing:
         rep = check_bimodule(sigma)
         ok = ok and rep.ok
-        s1 = sigma.rho_of(sigma.jordan.unit)
+        s1 = dense_rho_of(sigma, sigma.jordan.unit)
         ident = Matrix.identity(sigma.mdim)
         spectral = s1 @ (s1 + ident.scale(Q(-1, 2))) @ (s1 + ident.scale(-1))
         ok = ok and not sparse(spectral)
     n3 = newton_rep(3, 2)
-    halved = JSpaceRep(n3.jordan, n3.module,
-                       [m.scale(Q(1, 2)) for m in n3.rho], name="half newton-3")
+    halved = matrix_rep(n3.jordan, n3.module,
+                        [m.scale(Q(1, 2)) for m in dense_rho(n3)], name="half newton-3")
     rep = check_bimodule(halved)
     ok = ok and not rep.ok
     report(9, "bimodule spectral constraint holds; level-3 half-action fails", ok)

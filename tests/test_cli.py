@@ -339,14 +339,14 @@ def test_jspace_check_decides_dominance_once(capsys, monkeypatch, mode):
     ("--builtin-rep", "regular", "--builtin", "matrix", "--size", "2"),
 ], ids=["newton-3-4", "doubled-matrix2", "regular-matrix2-exit1"])
 def test_jspace_check_sweeps_square_commutation_once(capsys, monkeypatch, argv):
-    # check_jspace and the envelope read one sparse copy of rho, which
-    # decides the polarized square commutation for both
+    # check_jspace and the envelope read the rep's one verdict on the
+    # polarized square commutation
     calls = []
     sweep = jspace._square_commutation_failure
 
-    def counted(copy):
-        calls.append(copy)
-        return sweep(copy)
+    def counted(rep):
+        calls.append(rep)
+        return sweep(rep)
 
     monkeypatch.setattr(jspace, "_square_commutation_failure", counted)
     code, out, _ = run(capsys, "jspace", "check", *argv)
@@ -356,25 +356,39 @@ def test_jspace_check_sweeps_square_commutation_once(capsys, monkeypatch, argv):
 
 @pytest.mark.parametrize("mode", ["symbolic", "random"])
 def test_jspace_check_converts_rho_once(capsys, monkeypatch, mode):
-    # check_jspace, the envelope and every dominance sum share one SparseRho
-    made, summed = [], []
-    init, dominance_operator = jspace.SparseRho.__init__, jspace.dominance_operator
+    # rho is scaled to integers once, when the rep is made; check_jspace, the
+    # envelope and every dominance sum read that rep, and its square
+    # commutation is swept once
+    reps, scaled, summed, swept = [], [], [], []
+    newton_rep, integer_operators = jspace.newton_rep, jspace.integer_operators
+    dominance_operator, sweep = jspace.dominance_operator, jspace._square_commutation_failure
 
-    def counted_init(self, rep):
-        made.append(self)
-        init(self, rep)
+    def made(*args):
+        reps.append(newton_rep(*args))
+        return reps[-1]
 
-    def counted_sum(copy, a):
-        summed.append(copy)
-        return dominance_operator(copy, a)
+    def counted_scale(ops):
+        scaled.append(ops)
+        return integer_operators(ops)
 
-    monkeypatch.setattr(jspace.SparseRho, "__init__", counted_init)
+    def counted_sum(rep, a):
+        summed.append(rep)
+        return dominance_operator(rep, a)
+
+    def counted_sweep(rep):
+        swept.append(rep)
+        return sweep(rep)
+
+    monkeypatch.setattr(jspace, "newton_rep", made)
+    monkeypatch.setattr(jspace, "integer_operators", counted_scale)
     monkeypatch.setattr(jspace, "dominance_operator", counted_sum)
+    monkeypatch.setattr(jspace, "_square_commutation_failure", counted_sweep)
     code, _, _ = run(capsys, "jspace", "check", "--builtin-rep", "newton", "--n", "3",
                      "--cutoff", "4", "--mode", mode)
     assert code == 0
-    assert len(made) == 1
-    assert summed and all(copy is made[0] for copy in summed)
+    assert len(reps) == 1 and len(scaled) == 1
+    assert summed and all(rep is reps[0] for rep in summed)
+    assert swept == reps
 
 
 _DOUBLED_SPIN2 = ("--builtin-rep", "doubled-regular", "--builtin", "spin-factor", "--dim", "2")

@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 import pytest
 
 from conftest import column, dense_commutator
-from tkkwb.jordan import (InputError, JordanAlgebra, algebra_from_dict,
+from tkkwb.jordan import (BUILTIN_FAMILIES, InputError, JordanAlgebra, algebra_from_dict,
                           algebra_to_dict, builtin, derivation_column, jmul,
                           jpower, L_op, matrix_jordan, spin_factor,
                           special_from_associative, truncated_poly, validate)
@@ -181,8 +181,20 @@ def test_builtin_lookup():
     assert builtin("truncated-poly", degree=2).dim == 3
     assert builtin("matrix", size=2).dim == 4
     assert builtin("spin-factor", dim=3).dim == 4
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^unknown builtin family 'nonesuch'$"):
         builtin("nonesuch")
+
+
+def test_builtin_aliases_share_one_table_entry():
+    # each family reads its own parameter only, with its default; the
+    # underscore spellings are the same families
+    for dash, under in (("truncated-poly", "truncated_poly"), ("spin-factor", "spin_factor")):
+        assert BUILTIN_FAMILIES[dash] == BUILTIN_FAMILIES[under]
+    assert builtin("truncated_poly", degree=2, size=5, dim=7).dim == 3
+    assert builtin("spin_factor", dim=3).name == "spin-factor(3)"
+    assert [builtin(f).dim for f in ("truncated-poly", "matrix", "spin-factor")] == [4, 4, 3]
+    with pytest.raises(InputError, match="^spin-factor dimension must be >= 0$"):
+        builtin("spin-factor", dim=-1)
 
 
 def test_json_roundtrip(tmp_path):

@@ -3,8 +3,11 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import (column, nilpotent_matrix, noncommuting_rep, one_gen_rep,
+from conftest import (column, dense, dense_rho, dense_rho_of, jordan_block_3, matrix_rep,
+                      nilpotent_matrix, noncommuting_rep, one_gen_rep,
                       projection_matrix, sparse)
 from tkkwb import jspace
 from tkkwb.jordan import InputError, builtin, jmul, matrix_jordan, truncated_poly
@@ -13,8 +16,8 @@ from tkkwb.jspace import (JSpaceRep, LevelError, ResourceError,
                           check_jspace, dominance_check, dominance_operator,
                           doubled_regular_rep, extend_to_g0, level, load_rep,
                           matrix_defining_rep, newton_rep, regular_rep,
-                          rep_to_dict, tensor_rep, zero_rep)
-from tkkwb.linalg import LabeledSpace, Matrix, random_vector, zero_vector
+                          rep_from_dict, rep_to_dict, tensor_rep, zero_rep)
+from tkkwb.linalg import LabeledSpace, Matrix, q_str, random_vector, zero_vector
 from tkkwb.jordan import algebra_to_dict
 
 
@@ -47,7 +50,7 @@ def test_newton_rep_module_shape():
     assert r.mdim == 4
     assert r.module.labels[0] == "m[]"
     # rho(t) applied to the constant gives the degree-one monomial basis vector
-    img = column(r.rho[1], 0)
+    img = column(dense_rho(r)[1], 0)
     one_pos = r.module.labels.index("m[1]")
     assert img[one_pos] == 1 and sum(1 for x in img if x) == 1
 
@@ -57,7 +60,7 @@ def test_newton_rep_in_twelve_variables():
     r = newton_rep(12, 1)
     assert r.module.labels == ("m[]", "m[1]")
     assert level(r) == 12
-    assert r.rho[1] == Matrix(2, 2, [[Q(0), Q(0)], [Q(1), Q(0)]])
+    assert dense_rho(r)[1] == Matrix(2, 2, [[Q(0), Q(0)], [Q(1), Q(0)]])
 
 
 def test_one_variable_newton_rep_is_polynomial_multiplication():
@@ -66,7 +69,7 @@ def test_one_variable_newton_rep_is_polynomial_multiplication():
     assert r.mdim == 5
     for ell in range(5):
         for j in range(5):
-            col = column(r.rho[ell], j)
+            col = column(dense_rho(r)[ell], j)
             expect = basis(5, ell + j) if ell + j <= 4 else zero_vector(5)
             assert col == expect
 
@@ -83,7 +86,7 @@ def test_non_jordan_assignment_fails():
     mats = [Matrix(3, 3, [[Q(rng.randint(-3, 3)) for _ in range(3)]
                           for _ in range(3)]) for _ in range(4)]
     module = LabeledSpace(("a", "b", "c"), (0, 0, 0))
-    r = JSpaceRep(J, module, mats, name="random assignment")
+    r = matrix_rep(J, module, mats, name="random assignment")
     assert not check_jspace(r).ok
 
 
@@ -91,7 +94,7 @@ def test_level_not_scalar():
     J = truncated_poly(1, graded=False)
     module = LabeledSpace(("a", "b"), (0, 0))
     rho1 = Matrix(2, 2, [[Q(1), Q(0)], [Q(0), Q(2)]])
-    r = JSpaceRep(J, module, [rho1, Matrix.zeros(2, 2)])
+    r = matrix_rep(J, module, [rho1, Matrix.zeros(2, 2)])
     with pytest.raises(LevelError):
         level(r)
 
@@ -99,8 +102,8 @@ def test_level_not_scalar():
 def test_level_non_integer():
     J = truncated_poly(1, graded=False)
     module = LabeledSpace(("a",), (0,))
-    r = JSpaceRep(J, module, [Matrix.identity(1).scale(Q(1, 2)),
-                              Matrix.zeros(1, 1)])
+    r = matrix_rep(J, module, [Matrix.identity(1).scale(Q(1, 2)),
+                               Matrix.zeros(1, 1)])
     with pytest.raises(LevelError):
         level(r)
 
@@ -128,8 +131,9 @@ def test_extension_round_trip():
     r = matrix_defining_rep(2)
     g0 = extend_to_g0(r)
     # restriction back to the h-part is the original rho
+    assert g0.rep is r
     for i in range(r.jordan.dim):
-        assert g0.rep.rho[i] == r.rho[i]
+        assert dense(g0.rho[i], r.mdim).scale(Q(1, g0.den)) == dense_rho(r)[i]
 
 
 def test_extension_zero_rep():
@@ -182,8 +186,8 @@ def test_dominance_operator_level1_shape():
     rng = random.Random(5)
     a = random_vector(rng, 3)
     op = dominance_operator(r, a)
-    ra = r.rho_of(a)
-    ra2 = r.rho_of(jmul(r.jordan, a, a))
+    ra = dense_rho_of(r, a)
+    ra2 = dense_rho_of(r, jmul(r.jordan, a, a))
     assert op == sparse(ra @ ra + ra2.scale(-1))
 
 
@@ -192,14 +196,14 @@ def test_level1_dominant_is_associative_specialization():
     for r in (regular_rep(truncated_poly(3)), matrix_defining_rep(2),
               one_gen_rep(1, nilpotent_matrix(), "lvl1 nilpotent")):
         assert dominance_check(r).ok
-        J = r.jordan
+        J, sig = r.jordan, dense_rho(r)
         for i in range(J.dim):
             for j in range(J.dim):
                 prod = zero_vector(J.dim)
                 for k, c in J.table[i][j].items():
                     prod[k] = c
-                lhs = r.rho_of(prod)
-                rhs = (r.rho[i] @ r.rho[j] + r.rho[j] @ r.rho[i]).scale(Q(1, 2))
+                lhs = dense_rho_of(r, prod)
+                rhs = (sig[i] @ sig[j] + sig[j] @ sig[i]).scale(Q(1, 2))
                 assert lhs == rhs
 
 
@@ -237,12 +241,12 @@ def test_tensor_rep_levels_add():
 
 def test_half_regular_is_bimodule():
     r = regular_rep(truncated_poly(3))
-    half = JSpaceRep(r.jordan, r.module, [m.scale(Q(1, 2)) for m in r.rho],
-                     name="half regular")
+    half = matrix_rep(r.jordan, r.module, [m.scale(Q(1, 2)) for m in dense_rho(r)],
+                      name="half regular")
     rep = check_bimodule(half)
     assert rep.ok
     # sigma(1) = id/2 sits on the middle spectral point
-    s1 = half.rho_of(half.jordan.unit)
+    s1 = dense_rho_of(half, half.jordan.unit)
     assert s1 == Matrix.identity(half.mdim).scale(Q(1, 2))
 
 
@@ -252,8 +256,8 @@ def test_zero_bimodule():
 
 def test_half_newton3_fails_quadratic_identity():
     n3 = newton_rep(3, 2)
-    half = JSpaceRep(n3.jordan, n3.module, [m.scale(Q(1, 2)) for m in n3.rho],
-                     name="half newton-3")
+    half = matrix_rep(n3.jordan, n3.module, [m.scale(Q(1, 2)) for m in dense_rho(n3)],
+                      name="half newton-3")
     rep = check_bimodule(half)
     assert not rep.ok
     names = [it.name for it in rep.items if not it.ok]
@@ -264,10 +268,10 @@ def test_half_newton3_fails_quadratic_identity():
 def test_bimodule_gives_jspace_at_doubled_action():
     # sigma passing the bimodule identities makes rho = 2 sigma a J-space
     r = regular_rep(truncated_poly(4))
-    half = JSpaceRep(r.jordan, r.module, [m.scale(Q(1, 2)) for m in r.rho])
+    half = matrix_rep(r.jordan, r.module, [m.scale(Q(1, 2)) for m in dense_rho(r)])
     assert check_bimodule(half).ok
-    doubled = JSpaceRep(r.jordan, r.module,
-                        [m.scale(Q(2)) for m in half.rho])
+    doubled = matrix_rep(r.jordan, r.module,
+                         [m.scale(Q(2)) for m in dense_rho(half)])
     assert check_jspace(doubled).ok
 
 
@@ -288,8 +292,8 @@ def test_envelope_zero():
 def test_envelope_rejects_nonscalar():
     J = truncated_poly(1, graded=False)
     module = LabeledSpace(("a", "b"), (0, 0))
-    r = JSpaceRep(J, module, [Matrix(2, 2, [[Q(0), Q(0)], [Q(0), Q(1)]]),
-                              Matrix.zeros(2, 2)])
+    r = matrix_rep(J, module, [Matrix(2, 2, [[Q(0), Q(0)], [Q(0), Q(1)]]),
+                               Matrix.zeros(2, 2)])
     rep = check_envelope_relations(r)
     assert not rep.ok
 
@@ -352,8 +356,7 @@ def test_rep_json_roundtrip(tmp_path):
     back = load_rep(rep_path)
     assert back.mdim == r.mdim
     assert back.module.labels == r.module.labels
-    for a, b in zip(back.rho, r.rho):
-        assert a == b
+    assert (back.den, back.rho) == (r.den, r.rho)
     assert check_jspace(back).ok
 
 
@@ -374,3 +377,112 @@ def test_rep_json_bad(tmp_path):
     p.write_text(json.dumps({"algebra": "truncated-poly:1", "module": {}}))
     with pytest.raises(InputError):
         load_rep(p)
+
+
+def test_rep_json_unknown_builtin_algebra():
+    data = rep_to_dict(newton_rep(1, 2), algebra_ref="nonesuch:2")
+    with pytest.raises(InputError, match="^unknown builtin algebra 'nonesuch:2'$"):
+        rep_from_dict(data)
+    for ref in ("truncated_poly:2", "truncated-poly:2"):
+        assert rep_from_dict(dict(data, algebra=ref)).jordan.name == "truncated-poly(2)"
+
+
+# ---------------------------------------------------------------------------
+# rho at rest: sparse integer operators over one denominator
+
+
+def test_rep_keeps_integer_operators_over_one_denominator():
+    J = truncated_poly(1, graded=False)
+    module = LabeledSpace(("a", "b"), (0, 0))
+    r = JSpaceRep(J, module, [{1: {1: Q(1, 2), 0: Q(0)}, 0: {}}, {0: {1: Q(-2, 3)}}])
+    assert r.den == 6
+    assert r.rho == [{1: {1: 3}}, {0: {1: -4}}]
+    assert r.rho_of({1: Q(3)}) == {0: {1: -2}}
+    assert r.rho_of([Q(2), Q(0)]) == {1: {1: 1}}
+    with pytest.raises(InputError, match="^representation operator index outside the module$"):
+        JSpaceRep(J, module, [{2: {0: Q(1)}}, {}])
+    with pytest.raises(InputError, match="^representation operator index outside the module$"):
+        JSpaceRep(J, module, [{}, {0: {-1: Q(1)}}])
+    with pytest.raises(InputError, match="^need one matrix per algebra basis vector$"):
+        JSpaceRep(J, module, [{}])
+
+
+def _builtin_reps():
+    dr = matrix_defining_rep(2)
+    J = truncated_poly(2)
+    return [newton_rep(2, 3), newton_rep(3, 2), zero_rep(matrix_jordan(2), 2), regular_rep(J),
+            doubled_regular_rep(J), doubled_regular_rep(builtin("spin-factor", dim=2)), dr,
+            tensor_rep(dr, dr), tensor_rep(regular_rep(J), doubled_regular_rep(J))]
+
+
+@pytest.mark.parametrize("index", range(len(_builtin_reps())))
+def test_rep_dict_round_trip_on_builtins(index):
+    rep = _builtin_reps()[index]
+    data = rep_to_dict(rep, algebra_to_dict(rep.jordan))
+    back = rep_from_dict(data)
+    assert rep_to_dict(back, data["algebra"]) == data
+    assert (back.den, back.rho) == (rep.den, rep.rho)
+
+
+_ENTRIES = [Q(1), Q(-1), Q(2), Q(1, 2), Q(-1, 2), Q(1, 3), Q(-2, 3), Q(5, 6)]
+
+
+@st.composite
+def _sparse_rhos(draw):
+    """(module dim, rho) over the dual numbers: sparse rational operators
+    with entries of denominators 1, 2, 3 and 6, and with empty rows."""
+    m = draw(st.integers(1, 4))
+    index = st.integers(0, m - 1)
+    op = st.dictionaries(index, st.dictionaries(index, st.sampled_from(_ENTRIES), max_size=m),
+                         max_size=m)
+    return m, [draw(op), draw(op)]
+
+
+@settings(deadline=None, max_examples=60)
+@given(_sparse_rhos())
+def test_rep_dict_round_trip_on_drawn_sparse_rho(drawn):
+    m, rho = drawn
+    J = truncated_poly(1, graded=False)
+    module = LabeledSpace(tuple(f"v{i}" for i in range(m)), (0,) * m)
+    rep = JSpaceRep(J, module, rho)
+    # the rep keeps exactly the nonzero entries it was given
+    for i, op in enumerate(rho):
+        assert rep.rho_of({i: 1}) == {r: row for r, row in op.items() if row}
+    data = rep_to_dict(rep, "truncated-poly:1")
+    assert data["rho"] == [[[q_str(op.get(r, {}).get(s, 0)) for s in range(m)]
+                            for r in range(m)] for op in rho]
+    assert rep_to_dict(rep_from_dict(data), "truncated-poly:1") == data
+
+
+def _kron(a, b):
+    """The dense Kronecker product a x b, entry (i p, j q) = a_ij b_pq."""
+    rows = [[x * y for x in ra for y in rb] for ra in a.data for rb in b.data]
+    return Matrix(a.rows * b.rows, a.cols * b.cols, rows)
+
+
+def _tensor_pairs():
+    J = truncated_poly(1, graded=False)
+    a = matrix_rep(J, LabeledSpace(("a0", "a1"), (0, 0)),
+                   [Matrix.identity(2), Matrix(2, 2, [[Q(0), Q(1, 2)], [Q(0), Q(0)]])])
+    b = matrix_rep(J, LabeledSpace(("b0", "b1", "b2"), (0, 0, 0)),
+                   [Matrix.identity(3).scale(Q(2)), jordan_block_3().scale(Q(1, 3))])
+    dr = matrix_defining_rep(2)
+    K = truncated_poly(2)
+    return [(a, b), (b, a), (dr, dr), (tensor_rep(dr, dr), dr),
+            (regular_rep(K), doubled_regular_rep(K)), (newton_rep(2, 2), zero_rep(truncated_poly(2)))]
+
+
+@pytest.mark.parametrize("index", range(len(_tensor_pairs())))
+def test_tensor_rep_is_the_kronecker_sum(index):
+    a, b = _tensor_pairs()[index]
+    if a.jordan is not b.jordan:
+        with pytest.raises(InputError, match="^tensor factors must share the algebra$"):
+            tensor_rep(a, b)
+        return
+    t = tensor_rep(a, b)
+    assert level(t) == level(a) + level(b)
+    ia, ib = Matrix.identity(a.mdim), Matrix.identity(b.mdim)
+    assert dense_rho(t) == [_kron(x, ib) + _kron(ia, y)
+                            for x, y in zip(dense_rho(a), dense_rho(b))]
+    assert t.module.degrees == tuple(da + db for da in a.module.degrees
+                                     for db in b.module.degrees)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tkkwb.linalg import (LabeledSpace, Matrix, RowSpan, add_into, columns, kron,
-                          quotient, rref, scalar_value)
+from tkkwb.linalg import (LabeledSpace, Matrix, RowSpan, add_into, columns,
+                          integer_operators, quotient, rref)
 from tkkwb.multipoly import Poly
 
 
@@ -233,9 +233,17 @@ def test_matrix_ops():
     assert a.scale(Q(2)) == M([[2, 4], [6, 8]])
     assert a.transpose().transpose() == a
     assert a.trace() == 5
-    assert scalar_value(Matrix.identity(3).scale(Q(7))) == 7
-    assert scalar_value(a) is None
-    assert kron(Matrix.identity(2), b).rows == 4
+
+
+def test_integer_operators_share_one_denominator():
+    # zero entries and empty rows go; rows and columns come out sorted
+    ops = [{1: {1: Q(1, 2), 0: Q(0)}, 0: {}}, {2: {0: Q(2, 3)}}, {}]
+    den, out = integer_operators(ops)
+    assert den == 6
+    assert out == [{1: {1: 3}}, {2: {0: 4}}, {}]
+    assert all(type(c) is int for op in out for row in op.values() for c in row.values())
+    den, out = integer_operators([{3: {2: 5, 0: -1}, 1: {0: 2}}])
+    assert den == 1 and [list(out[0]), list(out[0][3])] == [[1, 3], [0, 2]]
 
 
 def test_labeled_space_validation():

@@ -6,8 +6,9 @@ identity that guards the symmetry holds.  The references below sweep every
 ordered tuple instead; the library's reports must match them line for line,
 witnesses included, on intact and corrupted bracket tables and
 representations, and on a noncommutative table where no reduction applies.
-The J-space checks and the weight-zero extension run on a sparse copy of rho
-scaled to integers; their references take dense Fraction matrices.
+The J-space checks and the weight-zero extension run on the rep's sparse
+integer operators over one denominator; their references take dense Fraction
+matrices (`conftest.dense_rho`).
 `jordan.validate` multiplies sparse rows of an integer-scaled copy of the
 table, exhaustively or on sampled vectors; its reference multiplies dense
 vectors through `jmul`.  The Weyl straightening runs in integers over one
@@ -23,15 +24,16 @@ from math import lcm
 
 import pytest
 
-from conftest import column, dense_commutator, noncommuting_rep
+from conftest import (column, dense_commutator, dense_rho, dense_rho_of, matrix_rep,
+                      noncommuting_rep)
 from tkkwb.jordan import (_EXHAUSTIVE_DIM_LIMIT, _SAMPLE_COUNT, algebra_from_dict,
                           algebra_to_dict, builtin, derivation_column, jmul, matrix_jordan,
                           spin_factor, validate)
-from tkkwb.jspace import (JSpaceRep, LevelError, check_envelope_relations, check_jspace,
+from tkkwb.jspace import (LevelError, check_envelope_relations, check_jspace,
                           dominance_check, doubled_regular_rep, extend_to_g0, level,
                           matrix_defining_rep, newton_rep, rep_from_dict, tensor_rep)
-from tkkwb.linalg import (LabeledSpace, Matrix, add_into, combination, dense_vector,
-                          random_vector, unit_vector)
+from tkkwb.linalg import (LabeledSpace, Matrix, add_into, dense_vector, random_vector,
+                          unit_vector)
 from tkkwb.report import Report
 from tkkwb.tkk import build_sl2, build_tkk, center_map, validate_lie
 from tkkwb.weyl import TruncatedVerma, efr_powers, garland_coefficients
@@ -77,19 +79,28 @@ def ref_validate_lie(g, jacobi="full", seed=0, samples=200):
     return rep
 
 
+def combination(n, mats, coords):
+    """The dense n x n matrix sum_k c_k mats[k], for a dense list of c_k."""
+    out = Matrix.zeros(n, n)
+    for c, mat in zip(coords, mats):
+        if c:
+            out = out + mat.scale(c)
+    return out
+
+
 def ref_square_failure(rep):
-    J, sig = rep.jordan, rep.rho
+    J, sig = rep.jordan, dense_rho(rep)
     for i, j, k in product(range(J.dim), repeat=3):
-        acc = dense_commutator(sig[i], rep.rho_of(J.table[j][k])) + \
-            dense_commutator(sig[j], rep.rho_of(J.table[i][k])) + \
-            dense_commutator(sig[k], rep.rho_of(J.table[i][j]))
+        acc = dense_commutator(sig[i], dense_rho_of(rep, J.table[j][k])) + \
+            dense_commutator(sig[j], dense_rho_of(rep, J.table[i][k])) + \
+            dense_commutator(sig[k], dense_rho_of(rep, J.table[i][j]))
         if acc != Matrix.zeros(rep.mdim, rep.mdim):
             return (i, j, k)
     return None
 
 
 def ref_check_jspace(rep):
-    J, sig = rep.jordan, rep.rho
+    J, sig = rep.jordan, dense_rho(rep)
     d, m = J.dim, rep.mdim
     report = Report(f"j-space axioms for {rep.name}")
 
@@ -102,7 +113,7 @@ def ref_check_jspace(rep):
     def derivation(ijk):
         i, j, k = ijk
         lhs = dense_commutator(dense_commutator(sig[i], sig[j]), sig[k])
-        if lhs != rep.rho_of(derivation_column(J.table, i, j, k)).scale(4):
+        if lhs != dense_rho_of(rep, derivation_column(J.table, i, j, k)).scale(4):
             return f"derivation identity fails at basis triple ({i},{j},{k})"
 
     report.check("rho respects the grading", product(range(d), range(m), range(m)), grading)
@@ -115,7 +126,7 @@ def ref_check_jspace(rep):
 
 
 def ref_check_envelope_relations(rep):
-    J, sig = rep.jordan, rep.rho
+    J, sig = rep.jordan, dense_rho(rep)
     d = J.dim
     report = Report(f"envelope relations for {rep.name}")
     try:
@@ -133,7 +144,7 @@ def ref_check_envelope_relations(rep):
         lhs = dense_commutator(dense_commutator(sig[a], sig[b]), sig[c])
         a_bc = jmul(J, unit_vector(d, a), dense_vector(d, J.table[b][c]))
         b_ac = jmul(J, unit_vector(d, b), dense_vector(d, J.table[a][c]))
-        if lhs != rep.rho_of([x - y for x, y in zip(a_bc, b_ac)]).scale(4):
+        if lhs != dense_rho_of(rep, [x - y for x, y in zip(a_bc, b_ac)]).scale(4):
             return f"fails at ({a},{b},{c})"
 
     report.check("cubic rearrangement relation", product(range(d), repeat=3), cubic)
@@ -145,15 +156,16 @@ def ref_extension(rep, ext):
     """The lines of extend_to_g0's report on dense Fraction matrices, with
     the homomorphism item swept over every ordered pair of weight-zero basis
     elements."""
-    J, m, bs = rep.jordan, rep.mdim, ext.brace
+    J, m, bs, sig = rep.jordan, rep.mdim, ext.brace, dense_rho(rep)
     report = Report(f"weight-zero extension of {rep.name}")
-    quarter = [dense_commutator(rep.rho[i], rep.rho[j]).scale(Q(1, 4)) for i, j in bs.pairs]
+    quarter = [dense_commutator(sig[i], sig[j]).scale(Q(1, 4)) for i, j in bs.pairs]
     report.check("well-defined on the brace quotient", range(len(bs.s_rows)),
-                 lambda r: combination(m, quarter, bs.s_rows[r]) != Matrix.zeros(m, m)
+                 lambda r: combination(m, quarter, dense_vector(len(quarter), bs.s_rows[r]))
+                 != Matrix.zeros(m, m)
                  and f"defining-span generator {r} acts nonzero")
     zero = [ext.h_index(i) for i in range(J.dim)] + \
         [ext.tail_index(k) for k in range(bs.dim)]
-    phi = dict(zip(zero, list(rep.rho) + [quarter[t] for t in bs.reps]))
+    phi = dict(zip(zero, sig + [quarter[t] for t in bs.reps]))
 
     def mismatch(pq):
         p, q = pq
@@ -257,12 +269,12 @@ def corrupt_rep(rep, rng, coeffs=(1, -1, 2, Q(1, 2))):
     """The same representation with a coefficient drawn from coeffs added
     to one random rho entry."""
     i, r, s = rng.randrange(rep.jordan.dim), rng.randrange(rep.mdim), rng.randrange(rep.mdim)
-    data = [list(row) for row in rep.rho[i].data]
+    rho = dense_rho(rep)
+    data = [list(row) for row in rho[i].data]
     data[r][s] += rng.choice(coeffs)
-    rho = list(rep.rho)
     rho[i] = Matrix(rep.mdim, rep.mdim, data)
-    return JSpaceRep(rep.jordan, rep.module, rho,
-                     name=f"{rep.name} with rho({i})[{r},{s}] changed")
+    return matrix_rep(rep.jordan, rep.module, rho,
+                      name=f"{rep.name} with rho({i})[{r},{s}] changed")
 
 
 def noncommutative_reps():
@@ -273,7 +285,8 @@ def noncommutative_reps():
     data["mult"] += [{"i": 1, "j": 2, "coords": ["0", "1", "1"]},
                      {"i": 2, "j": 1, "coords": ["0", "0", "2"]}]
     J = algebra_from_dict(data, name="noncommutative truncated-poly(2)")
-    newton = JSpaceRep(J, base.module, base.rho, name="newton rho over a noncommutative table")
+    newton = matrix_rep(J, base.module, dense_rho(base),
+                        name="newton rho over a noncommutative table")
     # unit 1 and ab = 0, ba = b: the polarized square commutation vanishes on
     # every sorted triple and fails first at (1,2,1), by [rho(a), rho(b)]
     J = algebra_from_dict({
@@ -285,10 +298,10 @@ def noncommutative_reps():
                  {"i": 1, "j": 2, "coords": ["0", "0", "0"]}],
     }, name="ab = 0, ba = b")
     module = LabeledSpace(("u", "v"), (0, 0))
-    shear = JSpaceRep(J, module, [Matrix.identity(2),
-                                  Matrix(2, 2, [[Q(0), Q(1)], [Q(0), Q(0)]]),
-                                  Matrix(2, 2, [[Q(0), Q(0)], [Q(1), Q(0)]])],
-                      name="shears over ab = 0, ba = b")
+    shear = matrix_rep(J, module, [Matrix.identity(2),
+                                   Matrix(2, 2, [[Q(0), Q(1)], [Q(0), Q(0)]]),
+                                   Matrix(2, 2, [[Q(0), Q(0)], [Q(1), Q(0)]])],
+                       name="shears over ab = 0, ba = b")
     return [newton, shear]
 
 
@@ -432,10 +445,10 @@ def test_jspace_checks_match_full_sweep(name):
 
 @pytest.mark.parametrize("name", sorted(_REPS))
 def test_jspace_checks_read_a_new_denominator(name):
-    # the checks run on a copy of rho scaled to integers; a 1/3 in an
-    # integral rho must raise its scale, or the term would be lost
+    # the checks run on rho scaled to integers; a 1/3 in an integral rho
+    # must raise its scale, or the term would be lost
     base = _REPS[name]()
-    assert all(x.denominator == 1 for m in base.rho for row in m.data for x in row)
+    assert base.den == 1
     ext = build_sl2(base.jordan)
     failing = 0
     for seed in range(6):
@@ -508,14 +521,14 @@ class RefStraight:
         rep = g0.rep
         self.J = J = rep.jordan
         self.rep_pairs = g0.brace.rep_pairs
-        self.braces = [dense_commutator(rep.rho[a], rep.rho[b]).scale(Q(1, 4))
+        self.rho = sig = dense_rho(rep)
+        self.braces = [dense_commutator(sig[a], sig[b]).scale(Q(1, 4))
                        for a, b in self.rep_pairs]
-        self.rho = rep.rho
         self.g0mat = []
         for x in range(J.dim):
             row = []
             for b in range(J.dim):
-                mat = rep.rho_of(dense_vector(J.dim, J.table[x][b]))
+                mat = dense_rho_of(rep, dense_vector(J.dim, J.table[x][b]))
                 for k, c in g0.brace.brace_pair(x, b).items():
                     mat = mat + self.braces[k].scale(2 * c)
                 row.append(dense_columns(mat))

@@ -302,6 +302,14 @@ def test_tables_and_center_map_pinned(name):
     assert hashlib.sha256(blob.encode()).hexdigest() == pinned
 
 
+@pytest.mark.parametrize("name", list(_PINNED_TABLES))
+def test_bracket_tables_store_no_zero_bracket(name):
+    # an absent pair is a zero bracket: bracket_basis reads it as {}
+    J = _PINNED_TABLES[name][0]()
+    for g in (build_sl2(J), build_tkk(J)):
+        assert all(g.table.values())
+
+
 def test_build_tkk_rejects_a_tail_bracket_outside_the_derivation_span(monkeypatch):
     # unital and commutative, but not Jordan: the commutator of two inner
     # derivations is no inner derivation
