@@ -121,10 +121,16 @@ def validate(J, seed=0):
     on all basis 4-tuples (equivalent over the rationals).  It runs on the
     integer_table copy of J.table, made at call time; both sides are cubic
     in the table, so they agree exactly when the scaled sides agree, with
-    the same witness.  Beyond
-    _EXHAUSTIVE_DIM_LIMIT the identity (a^2 b)a = a^2(ba) is sampled on the
-    same copy, each sampled vector scaled to integers by the lcm of its
-    denominators: both sides have degree 3 in a, 1 in b and 3 in the table.
+    the same witness.  Each sorted triple (x, y, z) is one case that decides
+    every b at once: the products (e_i e_j) e_b are made once per call, so
+    ((e_x e_y) e_b) e_z sums them times a table row, and
+    (e_x e_y)(e_b e_z) sums them over the entries of e_b e_z.  Both sides go
+    into one difference keyed by (b, coordinate), and the least b with a
+    nonzero entry is the witness, the first failing b of a sweep over b.
+    Beyond _EXHAUSTIVE_DIM_LIMIT the identity (a^2 b)a = a^2(ba) is sampled
+    on the same copy, each sampled vector scaled to integers by the lcm of
+    its denominators: both sides have degree 3 in a, 1 in b and 3 in the
+    table.
     """
     rep = Report(f"jordan axioms for {J.name}")
     d = J.dim
@@ -152,16 +158,29 @@ def validate(J, seed=0):
 
     _, T = integer_table(J)
     if d <= _EXHAUSTIVE_DIM_LIMIT:
+        # prods[i, j][b] = (e_i e_j) e_b, for the pairs i <= j a sorted triple uses
+        prods = {(i, j): [table_product(T, T[i][j], {b: 1}) for b in range(d)]
+                 for i, j in combinations_with_replacement(range(d), 2)}
+
         def polarized(xyz):
             x, y, z = xyz
-            terms = ((T[x][y], z), (T[x][z], y), (T[y][z], x))
-            for b in range(d):
-                lhs, rhs = {}, {}
-                for u, w in terms:
-                    add_into(lhs, table_product(T, table_product(T, u, {b: 1}), {w: 1}))
-                    add_into(rhs, table_product(T, u, T[b][w]))
-                if lhs != rhs:
-                    return f"polarized identity fails at (x,y,z,b)=({x},{y},{z},{b})"
+            # diff[b * d + t]: the e_t coefficient of lhs - rhs at b; for
+            # u = e_x e_y and w = z (and the two other terms) lhs has
+            # (u e_b) e_w = sum_k (u e_b)_k e_k e_w and rhs has
+            # u (e_b e_w) = sum_j (e_b e_w)_j u e_j
+            diff = {}
+            for u, w in ((prods[x, y], z), (prods[x, z], y), (prods[y, z], x)):
+                for b in range(d):
+                    base = b * d
+                    for k, c in u[b].items():
+                        for t, e in T[k][w].items():
+                            diff[base + t] = diff.get(base + t, 0) + c * e
+                    for j, c in T[b][w].items():
+                        for t, e in u[j].items():
+                            diff[base + t] = diff.get(base + t, 0) - c * e
+            failing = [key for key, c in diff.items() if c]
+            if failing:
+                return f"polarized identity fails at (x,y,z,b)=({x},{y},{z},{min(failing) // d})"
 
         rep.check("jordan identity (polarized, all basis 4-tuples)",
                   combinations_with_replacement(range(d), 3), polarized)

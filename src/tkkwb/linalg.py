@@ -199,9 +199,15 @@ def rref(m):
 
 def _integer_row(vec):
     """The nonzero entries of a dense list or {column: value} dict of ints or
-    Fractions, as a {column: int} dict scaled by the lcm of the denominators."""
-    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-    row = {j: x for j, x in items if x}
+    Fractions, as a new {column: int} dict scaled by the lcm of the
+    denominators.  A dict of ints only is copied without its zeros, unscaled:
+    its lcm is 1."""
+    if isinstance(vec, dict):
+        row = {j: x for j, x in vec.items() if x}
+        if set(map(type, row.values())) <= {int}:
+            return row
+    else:
+        row = {j: x for j, x in enumerate(vec) if x}
     den = lcm(*(x.denominator for x in row.values()))
     return {j: x.numerator * (den // x.denominator) for j, x in row.items()}
 

@@ -172,6 +172,30 @@ def test_rowspan_agrees_with_rref(rows_and_vector):
     assert dense.contains(v) == sparse.contains(v) == (grown == rank)
 
 
+_ints = st.integers(-6, 6)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda cols: st.lists(st.lists(_ints, min_size=cols, max_size=cols), max_size=6)))
+def test_rowspan_rows_do_not_depend_on_the_input_form(rows):
+    # int dicts (zeros kept in, to be dropped) are taken unscaled, Fraction
+    # dicts and dense lists are scaled; all three must store the same rows,
+    # and an int dict must not be changed by the reduction that reads it
+    cols = len(rows[0]) if rows else 1
+    spans = [RowSpan(cols) for _ in range(3)]
+    for r in rows:
+        as_ints = dict(enumerate(r))
+        kept = dict(as_ints)
+        accepted = {spans[0].insert(as_ints),
+                    spans[1].insert({j: Q(x) for j, x in enumerate(r) if x}),
+                    spans[2].insert([Q(x) for x in r])}
+        assert len(accepted) == 1
+        assert as_ints == kept
+    assert spans[0].rows == spans[1].rows == spans[2].rows
+    assert all(type(x) is int for row in spans[0].rows.values() for x in row.values())
+
+
 def _naive_matmul(a, b):
     """The textbook triple loop: sum over k of the nonzero products, in
     increasing k, starting from the int 0."""

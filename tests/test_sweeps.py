@@ -2,18 +2,23 @@
 
 `validate_lie`, `check_jspace`, `check_envelope_relations`, `extend_to_g0`
 and `center_map` decide an identity on one case per symmetry orbit when the
-identity that guards the symmetry holds.  The references below sweep every
-ordered tuple instead; the library's reports must match them line for line,
-witnesses included, on intact and corrupted bracket tables and
-representations, and on a noncommutative table where no reduction applies.
+identity that guards the symmetry holds.  `validate_lie` and
+`antisymmetric_on` also skip the pairs with no bracket stored in either
+order, and Jacobi the triples with none of their three inner brackets
+stored.  The references below sweep every ordered tuple instead; the
+library's reports must match them line for line, witnesses included, on
+intact and corrupted bracket tables and representations (also corrupted on
+a pair that nothing was stored on), and on a noncommutative table where no
+reduction applies.
 The J-space checks and the weight-zero extension run on the rep's sparse
 integer operators over one denominator; their references take dense Fraction
 matrices (`conftest.dense_rho`).
 `jordan.validate` multiplies sparse rows of an integer-scaled copy of the
-table, exhaustively or on sampled vectors; its reference multiplies dense
-vectors through `jmul`.  The Weyl straightening runs in integers over one
-denominator; its reference straightens in Fractions on dense rho, and the
-windowed action's (den, columns) must match it exactly.
+table, exhaustively (every b of a triple at once) or on sampled vectors; its
+reference multiplies dense vectors through `jmul`, one b at a time.  The
+Weyl straightening runs in integers over one denominator; its reference
+straightens in Fractions on dense rho, and the windowed action's
+(den, columns) must match it exactly.
 """
 
 import random
@@ -77,6 +82,12 @@ def ref_validate_lie(g, jacobi="full", seed=0, samples=200):
         rep.check(f"jacobi identity ({samples} sampled triples)", triples, jacobiator)
     rep.check("bracket adds weights and degrees", g.table.items(), off_grade)
     return rep
+
+
+def ref_antisymmetric_on(g, indices):
+    """Whether [p, q] = -[q, p] for every ordered pair of indices."""
+    return all(g.bracket_basis(p, q) == {t: -c for t, c in g.bracket_basis(q, p).items()}
+               for p, q in product(indices, repeat=2))
 
 
 def combination(n, mats, coords):
@@ -277,6 +288,35 @@ def corrupt_rep(rep, rng, coeffs=(1, -1, 2, Q(1, 2))):
                       name=f"{rep.name} with rho({i})[{r},{s}] changed")
 
 
+def corrupt_unstored_bracket(g, form, target):
+    """Put target on the pair e(1), e(2), which is stored in neither order in
+    sl2(J): [e(1), e(2)] = target and [e(2), e(1)] = -target in the
+    "symmetric" form, only [e(1), e(2)] = target in the "one-sided" form,
+    and only [e(2), e(1)] = target in the "reversed" one."""
+    p, q = g.e_index(1), g.e_index(2)
+    assert (p, q) not in g.table and (q, p) not in g.table
+    if form == "reversed":
+        p, q = q, p
+    g.table[(p, q)] = {target: Q(1)}
+    if form == "symmetric":
+        g.table[(q, p)] = {target: Q(-1)}
+    return g
+
+
+def corrupt_unstored_product(J, form, k):
+    """Put e_k on the product of e_1 and e_2, distinct non-unit basis
+    elements of a spin factor, stored in neither order: e_1 e_2 = e_2 e_1 =
+    e_k in the "symmetric" form, only e_1 e_2 = e_k in the "one-sided" form,
+    and only e_2 e_1 = e_k in the "reversed" one."""
+    assert not J.table[1][2] and not J.table[2][1]
+    J.table = [[dict(entry) for entry in row] for row in J.table]
+    i, j = (2, 1) if form == "reversed" else (1, 2)
+    J.table[i][j] = {k: Q(1)}
+    if form == "symmetric":
+        J.table[j][i] = {k: Q(1)}
+    return J
+
+
 def noncommutative_reps():
     """Representations over tables with e_i e_j != e_j e_i, where no
     reduction may assume commutativity."""
@@ -341,6 +381,57 @@ def test_validate_lie_reads_a_new_denominator(jacobi):
             assert lib.lines() == ref_validate_lie(g, jacobi, seed).lines(), (seed, keep)
             failing += not lib.items[1].ok
     assert failing >= 12
+
+
+_FORMS = ("symmetric", "one-sided", "reversed")
+
+
+@pytest.mark.parametrize("family, params", [
+    ("matrix", {"size": 2}),
+    ("spin-factor", {"dim": 3}),
+])
+@pytest.mark.parametrize("form", _FORMS)
+def test_validate_lie_finds_a_bracket_on_an_unstored_pair(family, params, form):
+    # the corrupted pair has no bracket stored in the intact table, so only
+    # the adjacency of the table's copy made at call time can reach it
+    J = builtin(family, **params)
+    symmetric = form == "symmetric"
+    for target in ("h", "tail"):
+        g = build_sl2(J)
+        index = g.h_index(0) if target == "h" else g.tail_index(0)
+        g = corrupt_unstored_bracket(g, form, index)
+        lib = validate_lie(g)
+        assert lib.lines() == ref_validate_lie(g).lines(), target
+        assert lib.items[0].ok is symmetric and not lib.items[1].ok
+        for seed in range(3):
+            assert validate_lie(g, "spot", seed, 400).lines() == \
+                ref_validate_lie(g, "spot", seed, 400).lines(), (target, seed)
+        weight_zero = g.weight_block(0)
+        for indices in (range(g.dim), weight_zero, [g.e_index(1), g.e_index(2)] + weight_zero):
+            assert g.antisymmetric_on(indices) == ref_antisymmetric_on(g, indices)
+        assert g.antisymmetric_on(range(g.dim)) is symmetric
+
+
+@pytest.mark.parametrize("form", _FORMS)
+def test_jordan_identity_finds_a_product_on_an_unstored_pair(form):
+    # symmetric e_1 e_2 = 1 is the spin factor of another Gram matrix, which
+    # is Jordan; every other corruption breaks the identity
+    symmetric = form == "symmetric"
+    for k in range(4):
+        J = corrupt_unstored_product(builtin("spin-factor", dim=3), form, k)
+        lib = validate(J)
+        assert lib.lines() == ref_validate(J).lines(), k
+        assert lib.items[0].ok is symmetric
+        assert lib.items[3].ok is (symmetric and k == 0), k
+
+
+def test_larger_algebra_matches_full_sweep():
+    J = builtin("spin-factor", dim=6)
+    g = build_sl2(J)
+    assert validate_lie(g).lines() == ref_validate_lie(g).lines()
+    assert validate_lie(g, "spot", 3).lines() == ref_validate_lie(g, "spot", 3).lines()
+    assert g.antisymmetric_on(range(g.dim)) and ref_antisymmetric_on(g, range(g.dim))
+    assert validate(J).lines() == ref_validate(J).lines()
 
 
 @pytest.mark.parametrize("family, params", [
