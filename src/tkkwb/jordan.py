@@ -289,7 +289,7 @@ def matrix_jordan(m, name=None):
             for r in range(m):
                 for s in range(m):
                     if q == r:
-                        assoc[idx(p, q)][idx(r, s)] = {idx(p, s): Fraction(1)}
+                        assoc[idx(p, q)][idx(r, s)] = {idx(p, s): 1}
     unit = zero_vector(d)
     for p in range(m):
         unit[idx(p, p)] = Fraction(1)

@@ -478,13 +478,17 @@ def newton_rep(n, cutoff):
     def pad(lam):
         return tuple(lam) + (0,) * (n - len(lam))
 
-    # SymPoly's product, with each factor expanded once rather than per product
+    # SymPoly's product, with each factor expanded once rather than per product;
+    # p_ell m_lam is homogeneous of degree ell + |lam|, so a product above the
+    # cutoff is not formed
     msyms = [SymPoly(n, {pad(lam): 1}).to_poly() for lam in lams]
     rho = []
     for ell in range(cutoff + 1):
         N = newton(ell, n).to_poly()
         op = {}
         for j, msym in enumerate(msyms):
+            if ell + degrees[j] > cutoff:
+                continue
             prod = SymPoly.from_poly(N * msym, check=False)
             for mu, c in prod.terms.items():
                 mu_trim = tuple(p for p in mu if p)

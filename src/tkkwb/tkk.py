@@ -6,20 +6,27 @@ wedge^2(J) / span{a ^ a^2} (the "brace space") for the central extension.
 Each construction computes its tail data once, as plain data (the tail
 coordinates `pair_coords` of every pair of Jordan basis elements, the
 sparse columns of the derivation of every tail element, the brackets among
-tail elements) and hands it to one table filler.  Inner derivations are
-only ever sparse columns read from the Jordan table (`derivation_column`).
-The central epimorphism reads the classical pair coordinates.  Structure
-constants are built from the bracket rules, stored sparsely per ordered
-basis pair (a zero bracket is not stored), and re-verified rather than
-trusted: antisymmetry is checked on all ordered pairs, and the Jacobi
+tail elements) and hands it to one table filler, which writes each entry
+straight at its block offset.  Inner derivations are only ever sparse
+columns read from the Jordan table (`derivation_column`).  The tails are
+summed in integers: the derivations from the `integer_table` copy of
+J.table, the brace coordinates and the inner-derivation basis each scaled
+once to ints over one denominator, so a tail coordinate or bracket becomes
+a Fraction once, where it is stored; `table` and `pair_coords` hold
+Fractions.  The central epimorphism reads the classical pair coordinates.
+Structure constants are built from the bracket rules, stored sparsely per
+ordered basis pair (a zero bracket is not stored), and re-verified rather
+than trusted: antisymmetry is checked on all ordered pairs, and the Jacobi
 identity on all basis triples, decided on the sorted triples of distinct
 indices once antisymmetry holds.  Both sweeps skip only what is zero by
 construction: a pair with neither order stored is antisymmetric (0 = -0),
 and a triple (p, q, r) with none of [q, r], [r, p], [p, q] stored has
-jacobiator 0.  Jacobi runs on a copy of the table scaled to integers, one
-case per pair (p, q) with every r summed at once.  Both tails and the kernel
-of the central epimorphism come from the canonical RREF of a sparse RowSpan,
-and the epimorphism checks the homomorphism identity on sparse columns.
+jacobiator 0.  Jacobi takes one case per pair (p, q) with every r summed at
+once.  Both sweeps, and the antisymmetry test and homomorphism sweep of the
+central epimorphism, run on integer copies of the bracket tables
+(`_integer_brackets`), made at call time and never stored, so a table
+edited after construction is read afresh.  Both tails and the kernel of the
+central epimorphism come from the canonical RREF of a sparse RowSpan.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
 
-from .jordan import InputError, derivation_column, ensure_valid
+from .jordan import InputError, derivation_column, ensure_valid, integer_table
 from .linalg import Matrix, RowSpan, add_into, dense_vector, q_str, quotient
 from .report import Report
 
@@ -178,10 +185,7 @@ class TKKAlgebra:
         stored satisfies 0 = -0, and the condition is the same in both
         orders, so one stored order decides its pair.
         """
-        inside = set(indices)
-        return all(out == {t: -c for t, c in self.bracket_basis(q, p).items()}
-                   for (p, q), out in self.table.items()
-                   if p in inside and q in inside and (p <= q or (q, p) not in self.table))
+        return _antisymmetric(self.table, set(indices))
 
     def bracket(self, u, v):
         """Bracket of two dense coordinate vectors."""
@@ -204,6 +208,30 @@ class TKKAlgebra:
         return f"TKKAlgebra({self.kind} of {self.jordan.name}, dim={self.dim})"
 
 
+def _integer_brackets(g):
+    """(den, ib): ib[(p, q)] is den * [p, q] with int entries for every
+    nonempty stored bracket, den the lcm of the denominators of g.table as it
+    stands when called.  Never stored on g, so a table edited after a check
+    is read afresh by the next one."""
+    den = lcm(*(c.denominator for out in g.table.values() for c in out.values()))
+    return den, {pq: {t: c.numerator * (den // c.denominator) for t, c in out.items()}
+                 for pq, out in g.table.items() if out}
+
+
+def _asymmetric(table, p, q):
+    """Whether [p, q] != -[q, p] in a sparse table keyed by ordered pairs."""
+    return table.get((p, q), {}) != {t: -c for t, c in table.get((q, p), {}).items()}
+
+
+def _antisymmetric(table, inside):
+    """Whether [p, q] = -[q, p] in a sparse table keyed by ordered pairs, for
+    all p, q in inside.  Only stored pairs are visited, each once: a pair
+    with neither order stored satisfies 0 = -0, and the condition is the
+    same in both orders, so one stored order decides its pair."""
+    return not any(_asymmetric(table, p, q) for p, q in table
+                   if p in inside and q in inside and (p <= q or (q, p) not in table))
+
+
 def _fill_table(g, pair_coords, tail_cols, tail_brackets):
     """Record the tail data on g and write its bracket table.
 
@@ -213,36 +241,46 @@ def _fill_table(g, pair_coords, tail_cols, tail_brackets):
     tail_brackets[(k, l)].  The reversed order against e/f/h is
     filled by antisymmetry, which validate_lie re-checks rather than trusts.
     A zero bracket is not stored: bracket_basis reads an absent pair as zero.
+    Each entry is written straight at its block offset (e at 0, f at d, h at
+    2d, the tail at 3d).  [x, y] is one basis element times c in {1, -1, 2,
+    -2} and kappa is 0, 2 or 4, so per Jordan pair (a, b) each scaled copy
+    c (ab) and kappa pair_coords[(a, b)] is made once, and the blocks of one
+    bracket never overlap, so nothing is summed.
     """
     g.pair_coords = pair_coords
     d = g.jdim
-    idxmap = {"e": g.e_index, "f": g.f_index, "h": g.h_index}
-    for xt in _SL2_BASIS:
-        for yt in _SL2_BASIS:
-            sc = _SL2_SC[(xt, yt)]
-            kap = g.kappa[(xt, yt)]
-            for i in range(d):
-                for j in range(d):
-                    out = {}
-                    prod = g.jordan.table[i][j]
-                    for z, cz in sc.items():
-                        add_into(out, {idxmap[z](k): c for k, c in prod.items()}, cz)
-                    if kap and i != j:
-                        add_into(out, {g.tail_index(k): c
-                                       for k, c in pair_coords[(i, j)].items()}, kap)
-                    if out:
-                        g.table[(idxmap[xt](i), idxmap[yt](j))] = out
-    for k, cols in enumerate(tail_cols):
-        for xt in _SL2_BASIS:
+    table = g.table
+    offset = {"e": 0, "f": d, "h": 2 * d}
+    t0 = 3 * d
+    rules = [(offset[x], offset[y], [(offset[z], c) for z, c in _SL2_SC[(x, y)].items()],
+              g.kappa[(x, y)]) for x in _SL2_BASIS for y in _SL2_BASIS]
+    scales = {c for _, _, terms, _ in rules for _, c in terms}
+    kappas = {kap for *_, kap in rules if kap}
+    # copies[i][j][c] is c (e_i e_j) and tails[i][j][kap] kap pair_coords[(i, j)],
+    # at their block offsets (a product's at 0)
+    copies = [[{c: [(k, x if c == 1 else c * x) for k, x in prod.items() if x] for c in scales}
+               for prod in row] for row in g.jordan.table]
+    tails = [[{kap: [(t0 + k, kap * x) for k, x in pair_coords[(i, j)].items()] for kap in kappas}
+              if i != j else {} for j in range(d)] for i in range(d)]
+    for ox, oy, terms, kap in rules:
+        for i in range(d):
             for j in range(d):
-                out = {idxmap[xt](r): c for r, c in cols[j].items()}
+                out = {oz + k: x for oz, c in terms for k, x in copies[i][j][c]}
+                if kap and i != j:
+                    out.update(tails[i][j][kap])
                 if out:
-                    g.table[(g.tail_index(k), idxmap[xt](j))] = out
-                    g.table[(idxmap[xt](j), g.tail_index(k))] = {p: -c for p, c in out.items()}
+                    table[(ox + i, oy + j)] = out
+    for k, cols in enumerate(tail_cols):
+        tk = t0 + k
+        for ox in offset.values():
+            for j in range(d):
+                out = {ox + r: c for r, c in cols[j].items()}
+                if out:
+                    table[(tk, ox + j)] = out
+                    table[(ox + j, tk)] = {p: -c for p, c in out.items()}
         for l in range(g.tail_dim):
             if tail_brackets[(k, l)]:
-                g.table[(g.tail_index(k), g.tail_index(l))] = \
-                    {g.tail_index(r): c for r, c in tail_brackets[(k, l)].items()}
+                table[(tk, t0 + l)] = {t0 + r: c for r, c in tail_brackets[(k, l)].items()}
 
 
 def build_sl2(J):
@@ -255,46 +293,71 @@ def build_sl2(J):
     g = TKKAlgebra(J, "sl2", bs.dim, tail_labels, tail_degrees, kappa)
     g.brace = bs
 
-    # the sparse columns of D_{a,b} = [L_a, L_b] for each representative pair
-    ders = [[derivation_column(J.table, a, b, c) for c in range(J.dim)] for a, b in bs.rep_pairs]
-    # [{a,b},{c,d}] = {D_{a,b} c, d} + {c, D_{a,b} d}
+    # integer copies: tden^2 times the sparse columns of D_{a,b} = [L_a, L_b]
+    # for each representative pair, and bden times the brace coordinates
+    tden, T = integer_table(J)
+    ders = [[derivation_column(T, a, b, c) for c in range(J.dim)] for a, b in bs.rep_pairs]
+    bden = lcm(*(c.denominator for col in bs.pair_coords.values() for c in col.values()))
+    braces = {pair: {k: c.numerator * (bden // c.denominator) for k, c in col.items()}
+              for pair, col in bs.pair_coords.items()}
+    # [{a,b},{c,d}] = {D_{a,b} c, d} + {c, D_{a,b} d}, summed in ints
+    scale = tden * tden * bden
     tail_brackets = {}
     for k, der in enumerate(ders):
         for l, (a_l, b_l) in enumerate(bs.rep_pairs):
             out = {}
             for r, c in der[a_l].items():
-                add_into(out, bs.brace_pair(r, b_l), c)
+                for t, x in braces.get((r, b_l), {}).items():
+                    out[t] = out.get(t, 0) + c * x
             for r, c in der[b_l].items():
-                add_into(out, bs.brace_pair(a_l, r), c)
-            tail_brackets[(k, l)] = out
+                for t, x in braces.get((a_l, r), {}).items():
+                    out[t] = out.get(t, 0) + c * x
+            tail_brackets[(k, l)] = {t: Fraction(x, scale) for t, x in out.items() if x}
 
-    _fill_table(g, bs.pair_coords, ders, tail_brackets)
+    tail_cols = [[{r: Fraction(x, tden * tden) for r, x in col.items()} for col in der]
+                 for der in ders]
+    _fill_table(g, bs.pair_coords, tail_cols, tail_brackets)
     return g
 
 
 def build_tkk(J):
-    """Classical construction: tail = the span of inner derivations."""
+    """Classical construction: tail = the span of inner derivations.
+
+    Computed on integer copies: the derivations are read from the
+    integer_table copy (tden, T) of J.table, so each is tden^2 times over,
+    and the canonical RREF basis rows of their span are scaled once to ints
+    over the lcm s of their denominators.  Commutators of basis elements are
+    then s^2 times over, and a coordinate becomes a Fraction once, where it
+    is stored in pair_coords or a tail bracket.
+    """
     ensure_valid(J)
     d = J.dim
+    tden, T = integer_table(J)
 
-    # D_{a,b} = [L_a, L_b] for a < b as flat {r * d + c: entry} dicts; their
-    # span's canonical RREF basis is the tail
+    # tden^2 D_{a,b} = tden^2 [L_a, L_b] for a < b as flat {r * d + c: int}
+    # dicts; their span's canonical RREF basis is the tail
     ders = {}
     span = RowSpan(d * d)
     for a, b in combinations(range(d), 2):
         ders[(a, b)] = flat = {r * d + c: x for c in range(d)
-                               for r, x in derivation_column(J.table, a, b, c).items()}
+                               for r, x in derivation_column(T, a, b, c).items()}
         if flat:
             span.insert(flat)
     red = span.reduced()
     pivots, basis_rows = list(red), list(red.values())
     rank = len(basis_rows)
-    # tail_cols[k][c] is column c of basis element k, as {row: entry}
+    s = lcm(*(x.denominator for row in basis_rows for x in row.values()))
+    int_rows = [{t: x.numerator * (s // x.denominator) for t, x in row.items()}
+                for row in basis_rows]
+    # tail_cols[k][c] is column c of basis element k, as {row: entry}, and
+    # int_cols[k][c] is s times it
     tail_cols = [[{} for _ in range(d)] for _ in range(rank)]
+    int_cols = [[{} for _ in range(d)] for _ in range(rank)]
     for k, row in enumerate(basis_rows):
         for t, x in row.items():
             r, c = divmod(t, d)
             tail_cols[k][c][r] = x
+            int_cols[k][c][r] = int_rows[k][t]
     kappa = half_killing_sl2()
 
     degrees = []
@@ -308,41 +371,47 @@ def build_tkk(J):
     g = TKKAlgebra(J, "tkk", rank, [f"inn{k}" for k in range(rank)], degrees, kappa)
 
     def commutator(k, l):
-        """The flat entries of the commutator of basis elements k and l:
-        column c of D_u D_v sums the columns m of D_u, each scaled by
-        entry (m, c) of D_v."""
+        """s^2 times the flat commutator of basis elements k and l: column c
+        of D_u D_v sums the columns m of D_u, each scaled by entry (m, c) of
+        D_v."""
         out = {}
         for u, v, sign in ((k, l, 1), (l, k, -1)):
-            for t, b in basis_rows[v].items():
+            cols = int_cols[u]
+            for t, b in int_rows[v].items():
                 m, c = divmod(t, d)
-                add_into(out, {r * d + c: a for r, a in tail_cols[u][m].items()}, sign * b)
+                b *= sign
+                for r, a in cols[m].items():
+                    out[r * d + c] = out.get(r * d + c, 0) + b * a
         return out
 
-    def inn_coords(resid):
+    def inn_coords(resid, scale):
         """Sparse coordinates over the inner-derivation basis of the flat
-        matrix resid, which is reduced in place.
+        matrix resid / scale, for a flat {t: int} dict resid.
 
         Basis row k is 1 at pivot k and 0 at every other pivot, so the
-        coordinates are the entries of resid at the pivots, and subtracting
-        the rows leaves it empty exactly when the matrix lies in the span.
+        coordinates are the entries of the matrix at the pivots, and the
+        matrix lies in the span exactly when
+        s resid - sum_k resid[pivot_k] int_rows[k] vanishes.
         """
-        coords = {k: resid[t] for k, t in enumerate(pivots) if t in resid}
+        coords = {k: resid[t] for k, t in enumerate(pivots) if resid.get(t)}
+        acc = {t: s * x for t, x in resid.items()}
         for k, c in coords.items():
-            add_into(resid, basis_rows[k], -c)
-        if resid:
+            for t, x in int_rows[k].items():
+                acc[t] = acc.get(t, 0) - c * x
+        if any(acc.values()):
             raise InputError("matrix outside the inner-derivation span")
-        return coords
+        return {k: Fraction(c, scale) for k, c in coords.items()}
 
     # D_{b,a} = -D_{a,b} and [D_k, D_l] = -[D_l, D_k] exactly, so each
     # unordered pair is computed once
     pair_coords = {}
     for (a, b), flat in ders.items():
-        pair_coords[(a, b)] = col = inn_coords(flat)
+        pair_coords[(a, b)] = col = inn_coords(flat, tden * tden)
         pair_coords[(b, a)] = {k: -c for k, c in col.items()}
     tail_brackets = {}
     for k in range(rank):
         for l in range(k, rank):
-            out = inn_coords(commutator(k, l))
+            out = inn_coords(commutator(k, l), s * s)
             tail_brackets[(k, l)] = out
             tail_brackets[(l, k)] = {t: -c for t, c in out.items()}
 
@@ -369,31 +438,30 @@ def validate_lie(g, jacobi="full", seed=0, samples=200):
     distinct indices decide it (pairs p < q, then r > q), and the first
     failing triple in product order is sorted, giving the same witness.
     Without antisymmetry every ordered pair, and every r, is swept.  Spot
-    Jacobi sums the same terms at each sampled triple.  Both Jacobi modes
-    run on an integer copy of g.table, scaled by the lcm of its denominators
-    and made at call time; the jacobiator is bilinear, so it vanishes
-    exactly when the scaled one does, with the same witness.
+    Jacobi sums the same terms at each sampled triple.  Every sweep runs on
+    the _integer_brackets copy of g.table, scaled by the lcm of its
+    denominators and made at call time: antisymmetry and the jacobiator are
+    linear and bilinear in the table, so they hold exactly when they hold on
+    the scaled copy, with the same witness.  The grading item reads g.table.
     """
     rep = Report(f"lie axioms for {g.kind}({g.jordan.name})")
     n = g.dim
+    # the integer copy of the table as it stands now, also as adjacency:
+    # ib[p][r] is [p, r] and left[p] the r with [r, p] stored
+    _, itable = _integer_brackets(g)
+    ib = [{} for _ in range(n)]
+    left = [set() for _ in range(n)]
+    for (p, q), out in itable.items():
+        ib[p][q] = out
+        left[q].add(p)
 
     def asymmetric(pq):
         p, q = pq
-        if g.bracket_basis(p, q) != {k: -c for k, c in g.bracket_basis(q, p).items()}:
+        if _asymmetric(itable, p, q):
             return f"[{g.labels[p]},{g.labels[q]}] != -[{g.labels[q]},{g.labels[p]}]"
 
-    stored_pairs = sorted({(min(p, q), max(p, q)) for p, q in g.table})
+    stored_pairs = sorted({(min(p, q), max(p, q)) for p, q in itable})
     antisymmetric = rep.check("antisymmetry (all pairs)", stored_pairs, asymmetric)
-
-    # the integer copy of the table as it stands now (see the docstring), as
-    # adjacency: ib[p][r] is [p, r] and left[p] the r with [r, p] stored
-    den = lcm(*(c.denominator for out in g.table.values() for c in out.values()))
-    ib = [{} for _ in range(n)]
-    left = [set() for _ in range(n)]
-    for (p, q), out in g.table.items():
-        if out:
-            ib[p][q] = {t: c.numerator * (den // c.denominator) for t, c in out.items()}
-            left[q].add(p)
 
     def jacobi_fails(p, q, lo, hi):
         """The witness of the least r in lo..hi-1 where the jacobiator of
@@ -492,9 +560,13 @@ def center_map(g_ext, g_tkk):
     When both bracket tables are exactly antisymmetric, both sides of the
     homomorphism identity are antisymmetric in (p, q) and vanish at p = q,
     so pairs p < q decide it and the first failing pair in product order is
-    one of them; otherwise every ordered pair is swept.  The columns of the
-    map are sparse dicts, and both sides of the identity are summed from
-    them over the sparse bracket tables.
+    one of them; otherwise every ordered pair is swept.  Antisymmetry and
+    the sweep read integer copies made at call time: the _integer_brackets
+    copies of both tables, d1 and d2 times over, and cden times the sparse
+    columns of the map.  The left side phi [p, q] is then d1 cden times the
+    true one and the right side [phi p, phi q] cden^2 d2 times, so the
+    identity holds exactly when lhs (cden d2) - rhs d1 vanishes.  phi and
+    its kernel stay dense Fraction matrices.
     """
     if g_ext.kind != "sl2" or g_tkk.kind != "tkk":
         raise InputError("center_map expects (central extension, classical TKK)")
@@ -513,20 +585,32 @@ def center_map(g_ext, g_tkk):
     phi = Matrix(g_ext.dim, g_tkk.dim,
                  [dense_vector(g_tkk.dim, col) for col in cols]).transpose()
 
+    d1, ext_table = _integer_brackets(g_ext)
+    d2, tkk_table = _integer_brackets(g_tkk)
+    cden = lcm(*(c.denominator for col in cols for c in col.values()))
+    icols = [{t: c.numerator * (cden // c.denominator) for t, c in col.items()} for col in cols]
+    lscale = cden * d2
+
     def nonhomomorphic(pq):
         p, q = pq
-        lhs = {}
-        for t, c in g_ext.bracket_basis(p, q).items():
-            add_into(lhs, cols[t], c)
-        rhs = {}
-        for s, cs in cols[p].items():
-            for t, ct in cols[q].items():
-                add_into(rhs, g_tkk.bracket_basis(s, t), cs * ct)
-        if lhs != rhs:
+        acc = {}    # lhs (cden d2) - rhs d1
+        for t, c in ext_table.get(pq, {}).items():
+            c *= lscale
+            for r, x in icols[t].items():
+                acc[r] = acc.get(r, 0) + c * x
+        for s, cs in icols[p].items():
+            for t, ct in icols[q].items():
+                out = tkk_table.get((s, t))
+                if out:
+                    c = cs * ct * d1
+                    for r, x in out.items():
+                        acc[r] = acc.get(r, 0) - c * x
+        if any(acc.values()):
             return f"not a homomorphism at ({g_ext.labels[p]},{g_ext.labels[q]})"
 
     n = g_ext.dim
-    antisymmetric = g_ext.antisymmetric_on(range(n)) and g_tkk.antisymmetric_on(range(g_tkk.dim))
+    antisymmetric = _antisymmetric(ext_table, range(n)) and \
+        _antisymmetric(tkk_table, range(g_tkk.dim))
     pairs = combinations(range(n), 2) if antisymmetric else product(range(n), repeat=2)
     rep.check("lie algebra homomorphism (all pairs)", pairs, nonhomomorphic)
 

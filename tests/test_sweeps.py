@@ -19,28 +19,37 @@ reference multiplies dense vectors through `jmul`, one b at a time.  The
 Weyl straightening runs in integers over one denominator; its reference
 straightens in Fractions on dense rho, and the windowed action's
 (den, columns) must match it exactly.
+`build_sl2` and `build_tkk` sum their tails in integers and `validate_lie`
+and `center_map` read integer copies of the bracket tables; the reference
+constructions sum the tails in Fractions and fill the table through
+`add_into`, and `table` and `pair_coords` must match them, types included.
+`newton_rep` forms no product above the cutoff; its reference forms every
+one and drops the terms above the cutoff afterwards.
 """
 
 import random
 from collections import Counter
 from fractions import Fraction as Q
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 from math import lcm
 
 import pytest
 
 from conftest import (column, dense_commutator, dense_rho, dense_rho_of, matrix_rep,
                       noncommuting_rep)
+from test_tkk import _PINNED_TABLES
 from tkkwb.jordan import (_EXHAUSTIVE_DIM_LIMIT, _SAMPLE_COUNT, algebra_from_dict,
                           algebra_to_dict, builtin, derivation_column, jmul, matrix_jordan,
                           spin_factor, validate)
-from tkkwb.jspace import (LevelError, check_envelope_relations, check_jspace,
+from tkkwb.jspace import (JSpaceRep, LevelError, check_envelope_relations, check_jspace,
                           dominance_check, doubled_regular_rep, extend_to_g0, level,
                           matrix_defining_rep, newton_rep, rep_from_dict, tensor_rep)
-from tkkwb.linalg import (LabeledSpace, Matrix, add_into, dense_vector, random_vector,
-                          unit_vector)
+from tkkwb.linalg import (LabeledSpace, Matrix, RowSpan, add_into, dense_vector,
+                          random_vector, unit_vector)
 from tkkwb.report import Report
-from tkkwb.tkk import build_sl2, build_tkk, center_map, validate_lie
+from tkkwb.symfun import SymPoly, newton, partitions
+from tkkwb.tkk import (_SL2_BASIS, _SL2_SC, BraceSpace, TKKAlgebra, build_sl2, build_tkk,
+                       center_map, half_killing_sl2, validate_lie)
 from tkkwb.weyl import TruncatedVerma, efr_powers, garland_coefficients
 
 # -- references: every identity over the full product sweep -------------------
@@ -347,6 +356,11 @@ def noncommutative_reps():
 
 # -- the tests -----------------------------------------------------------------
 
+# corruption coefficients: the default ones, and a 1/3 that raises the scale
+# of an integral table's integer copy beside a 3 that is a plain int when it
+# lands on a pair with nothing stored
+_COEFFS = ((1, -1, 2, Q(1, 2)), (Q(1, 3), 3))
+
 
 @pytest.mark.parametrize("family, params", [
     ("truncated-poly", {"degree": 2}),
@@ -357,14 +371,14 @@ def test_validate_lie_matches_full_sweep(family, params):
     J = builtin(family, **params)
     assert validate_lie(build_sl2(J)).lines() == ref_validate_lie(build_sl2(J)).lines()
     failing = 0
-    for seed in range(8):
-        for keep in (True, False):
-            g = corrupt_table(build_sl2(J), random.Random(seed), keep)
-            lib = validate_lie(g)
-            assert lib.lines() == ref_validate_lie(g).lines(), (seed, keep)
-            assert lib.items[0].ok is keep
-            failing += not lib.ok
-    assert failing >= 14
+    for seed, keep, coeffs in product(range(8), (True, False), _COEFFS):
+        g = corrupt_table(build_sl2(J), random.Random(seed), keep, coeffs)
+        lib = validate_lie(g)
+        assert lib.lines() == ref_validate_lie(g).lines(), (seed, keep, coeffs)
+        assert lib.items[0].ok is keep
+        assert g.antisymmetric_on(range(g.dim)) is keep
+        failing += not lib.ok
+    assert failing >= 28
 
 
 @pytest.mark.parametrize("jacobi", ["full", "spot"])
@@ -444,13 +458,13 @@ def test_center_map_matches_full_sweep(family, params):
     assert center_map(build_sl2(J), build_tkk(J))[2].lines() == \
         ref_center_map(build_sl2(J), build_tkk(J)).lines()
     failing = 0
-    for seed, keep, target in product(range(8), (True, False), (0, 1)):
+    for seed, keep, target, coeffs in product(range(8), (True, False), (0, 1), _COEFFS):
         ext, classical = build_sl2(J), build_tkk(J)
-        corrupt_table((ext, classical)[target], random.Random(seed), keep)
+        corrupt_table((ext, classical)[target], random.Random(seed), keep, coeffs)
         lib = center_map(ext, classical)[2]
-        assert lib.lines() == ref_center_map(ext, classical).lines(), (seed, keep, target)
+        assert lib.lines() == ref_center_map(ext, classical).lines(), (seed, keep, target, coeffs)
         failing += not lib.items[0].ok
-    assert failing >= 28
+    assert failing >= 56
 
 
 @pytest.mark.parametrize("family, params", [
@@ -587,6 +601,188 @@ def test_noncommutative_table_matches_full_sweep(index):
 def test_square_commutation_first_fails_off_the_sorted_triples():
     rep = noncommutative_reps()[1]
     assert check_jspace(rep).items[2].detail == "polarized square-commutation fails at (1,2,1)"
+
+
+# -- the TKK constructions: the Fraction reference of the integer tails -------
+
+
+def ref_fill_table(g, pair_coords, tail_cols, tail_brackets):
+    """The table filler in Fraction arithmetic: every e/f/h bracket summed
+    through add_into from the sl2 structure constants and kappa."""
+    g.pair_coords = pair_coords
+    d = g.jdim
+    idxmap = {"e": g.e_index, "f": g.f_index, "h": g.h_index}
+    for xt in _SL2_BASIS:
+        for yt in _SL2_BASIS:
+            sc, kap = _SL2_SC[(xt, yt)], g.kappa[(xt, yt)]
+            for i in range(d):
+                for j in range(d):
+                    out = {}
+                    for z, cz in sc.items():
+                        add_into(out, {idxmap[z](k): c for k, c in g.jordan.table[i][j].items()},
+                                 cz)
+                    if kap and i != j:
+                        add_into(out, {g.tail_index(k): c
+                                       for k, c in pair_coords[(i, j)].items()}, kap)
+                    if out:
+                        g.table[(idxmap[xt](i), idxmap[yt](j))] = out
+    for k, cols in enumerate(tail_cols):
+        for xt in _SL2_BASIS:
+            for j in range(d):
+                out = {idxmap[xt](r): c for r, c in cols[j].items()}
+                if out:
+                    g.table[(g.tail_index(k), idxmap[xt](j))] = out
+                    g.table[(idxmap[xt](j), g.tail_index(k))] = {p: -c for p, c in out.items()}
+        for l in range(g.tail_dim):
+            if tail_brackets[(k, l)]:
+                g.table[(g.tail_index(k), g.tail_index(l))] = \
+                    {g.tail_index(r): c for r, c in tail_brackets[(k, l)].items()}
+    return g
+
+
+def ref_build_sl2(J):
+    """build_sl2 with its tail brackets summed in Fractions from the
+    derivation columns of J.table and the brace coordinates."""
+    bs = BraceSpace(J)
+    labels = [f"{{{J.space.labels[a]},{J.space.labels[b]}}}" for a, b in bs.rep_pairs]
+    degrees = [J.space.degrees[a] + J.space.degrees[b] for a, b in bs.rep_pairs]
+    g = TKKAlgebra(J, "sl2", bs.dim, labels, degrees, half_killing_sl2())
+    g.brace = bs
+    ders = [[derivation_column(J.table, a, b, c) for c in range(J.dim)] for a, b in bs.rep_pairs]
+    tail_brackets = {}
+    for k, der in enumerate(ders):
+        for l, (a_l, b_l) in enumerate(bs.rep_pairs):
+            out = {}
+            for r, c in der[a_l].items():
+                add_into(out, bs.brace_pair(r, b_l), c)
+            for r, c in der[b_l].items():
+                add_into(out, bs.brace_pair(a_l, r), c)
+            tail_brackets[(k, l)] = out
+    return ref_fill_table(g, bs.pair_coords, ders, tail_brackets)
+
+
+def ref_build_tkk(J):
+    """build_tkk with the inner derivations, their commutators and their
+    coordinates computed in Fractions, each residual reduced by subtracting
+    the RREF basis rows."""
+    d = J.dim
+    ders = {}
+    span = RowSpan(d * d)
+    for a, b in combinations(range(d), 2):
+        ders[(a, b)] = flat = {r * d + c: x for c in range(d)
+                               for r, x in derivation_column(J.table, a, b, c).items()}
+        if flat:
+            span.insert(flat)
+    red = span.reduced()
+    pivots, basis_rows = list(red), list(red.values())
+    rank = len(basis_rows)
+    tail_cols = [[{} for _ in range(d)] for _ in range(rank)]
+    for k, row in enumerate(basis_rows):
+        for t, x in row.items():
+            r, c = divmod(t, d)
+            tail_cols[k][c][r] = x
+    degs = J.space.degrees
+    degrees = [({degs[t // d] - degs[t % d] for t in row} or {0}).pop() for row in basis_rows]
+    g = TKKAlgebra(J, "tkk", rank, [f"inn{k}" for k in range(rank)], degrees, half_killing_sl2())
+
+    def commutator(k, l):
+        out = {}
+        for u, v, sign in ((k, l, 1), (l, k, -1)):
+            for t, b in basis_rows[v].items():
+                m, c = divmod(t, d)
+                add_into(out, {r * d + c: a for r, a in tail_cols[u][m].items()}, sign * b)
+        return out
+
+    def inn_coords(resid):
+        coords = {k: resid[t] for k, t in enumerate(pivots) if t in resid}
+        for k, c in coords.items():
+            add_into(resid, basis_rows[k], -c)
+        assert not resid
+        return coords
+
+    pair_coords = {}
+    for (a, b), flat in ders.items():
+        pair_coords[(a, b)] = col = inn_coords(flat)
+        pair_coords[(b, a)] = {k: -c for k, c in col.items()}
+    tail_brackets = {}
+    for k in range(rank):
+        for l in range(k, rank):
+            tail_brackets[(k, l)] = out = inn_coords(commutator(k, l))
+            tail_brackets[(l, k)] = {t: -c for t, c in out.items()}
+    return ref_fill_table(g, pair_coords, tail_cols, tail_brackets)
+
+
+def typed(sparse_by_key):
+    """{key: {index: (type, value)}}, so that == also compares the types."""
+    return {key: {t: (type(c), c) for t, c in out.items()} for key, out in sparse_by_key.items()}
+
+
+def _sheared_m2():
+    """M2+ on the basis E11, E12 + E21, E21, 2 E22, whose brace coordinates
+    have denominator 2 (those of every builtin are integers)."""
+    rows = [(0, 0, "1 0 0 0"), (0, 1, "0 1/2 0 0"), (0, 2, "0 0 1/2 0"), (1, 1, "1 0 0 1/2"),
+            (1, 2, "1/2 0 0 1/4"), (1, 3, "0 1 0 0"), (2, 3, "0 0 1 0"), (3, 3, "0 0 0 2")]
+    return algebra_from_dict({
+        "labels": ["E11", "E12+E21", "E21", "2E22"], "degrees": [0] * 4,
+        "unit": ["1", "0", "0", "1/2"],
+        "mult": [{"i": i, "j": j, "coords": c.split()} for i, j, c in rows],
+    }, name="sheared M2+")
+
+
+# tables, tails, pair coordinates and phi's columns that carry denominators:
+# spin factors of Gram matrices diag(1/3, 2/7, 5) and [[1/3, 1/5], [1/5, 2/7]]
+_DENOMINATOR_ALGEBRAS = {
+    "gram-diagonal": lambda: spin_factor([[Q(1, 3), 0, 0], [0, Q(2, 7), 0], [0, 0, 5]]),
+    "gram-2x2": lambda: spin_factor([[Q(1, 3), Q(1, 5)], [Q(1, 5), Q(2, 7)]]),
+    "sheared-M2+": _sheared_m2,
+}
+_CONSTRUCTED = {**{name: make for name, (make, _) in _PINNED_TABLES.items()},
+                **_DENOMINATOR_ALGEBRAS}
+
+
+@pytest.mark.parametrize("name", list(_CONSTRUCTED))
+def test_integer_tails_match_fraction_reference(name):
+    J = _CONSTRUCTED[name]()
+    for build, ref in ((build_sl2, ref_build_sl2), (build_tkk, ref_build_tkk)):
+        g, expected = build(J), ref(J)
+        assert list(g.table) == list(expected.table)
+        assert typed(g.table) == typed(expected.table)
+        assert typed(g.pair_coords) == typed(expected.pair_coords)
+        assert all(type(c) is Q for out in g.table.values() for c in out.values())
+
+
+@pytest.mark.parametrize("name", list(_DENOMINATOR_ALGEBRAS))
+def test_center_map_with_denominators_matches_full_sweep(name):
+    J = _DENOMINATOR_ALGEBRAS[name]()
+    lib = center_map(build_sl2(J), build_tkk(J))[2]
+    assert lib.ok and lib.lines() == ref_center_map(build_sl2(J), build_tkk(J)).lines()
+
+
+def ref_newton_rho(n, cutoff):
+    """newton_rep's operators with every product p_ell m_lam formed in full
+    and its terms above the cutoff dropped afterwards."""
+    lams = [lam for dtot in range(cutoff + 1) for lam in partitions(dtot) if len(lam) <= n]
+    index = {lam: i for i, lam in enumerate(lams)}
+    rho = []
+    for ell in range(cutoff + 1):
+        op = {}
+        for j, lam in enumerate(lams):
+            msym = SymPoly(n, {tuple(lam) + (0,) * (n - len(lam)): 1})
+            prod = SymPoly.from_poly(newton(ell, n).to_poly() * msym.to_poly(), check=False)
+            for mu, c in prod.terms.items():
+                mu_trim = tuple(p for p in mu if p)
+                if c and sum(mu_trim) <= cutoff:
+                    op.setdefault(index[mu_trim], {})[j] = c
+        rho.append(op)
+    return rho
+
+
+@pytest.mark.parametrize("n, cutoff", [(3, 5), (4, 4), (5, 6), (12, 1)])
+def test_newton_rep_matches_every_product(n, cutoff):
+    rep = newton_rep(n, cutoff)
+    ref = JSpaceRep(rep.jordan, rep.module, ref_newton_rho(n, cutoff))
+    assert (rep.den, rep.rho) == (ref.den, ref.rho)
+    assert any(rep.rho)
 
 
 # -- straightening: the Fraction reference of the integer path ----------------
