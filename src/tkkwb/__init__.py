@@ -2,7 +2,7 @@
 their universal central extensions, and bounded weight modules."""
 
 from .linalg import LabeledSpace, Matrix, RowSpan, quotient, rref
-from .jordan import (JordanAlgebra, InputError, builtin, jmul, jpower, L_op,
+from .jordan import (JordanAlgebra, InputError, builtin, jmul, jpower,
                      load_algebra, matrix_jordan, spin_factor,
                      special_from_associative, truncated_poly, validate)
 from .tkk import (BraceSpace, TKKAlgebra, build_sl2, build_tkk, center_map,

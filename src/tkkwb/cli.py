@@ -146,7 +146,7 @@ def cmd_tkk(args):
     report.merge(tkk_mod.short_grading(ext), prefix="grading: ")
     _, ker, cmrep = tkk_mod.center_map(ext, classical)
     report.merge(cmrep, prefix="center map: ")
-    header["dim center-map kernel"] = ker.rows
+    header["dim center-map kernel"] = len(ker)
     _emit_report(report, args.format, extra=header)
     return EXIT_OK if report.ok else EXIT_FAIL
 

@@ -12,10 +12,9 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from math import lcm
 
-from .linalg import (LabeledSpace, Matrix, add_into, as_int, as_list, as_q, dense_vector, q_str,
-                     random_vector, unit_vector, zero_vector)
+from .linalg import (LabeledSpace, add_into, as_int, as_list, as_q, dense_vector, integer_rows,
+                     q_str, random_vector, unit_vector, zero_vector)
 from .report import Report
 
 # exhaustive polarized identity costs dim^4; beyond this, sample
@@ -85,12 +84,6 @@ def jpower(J, a, k):
     return acc
 
 
-def L_op(J, a):
-    """Matrix of the multiplication operator b -> a*b."""
-    cols = [jmul(J, a, unit_vector(J.dim, j)) for j in range(J.dim)]
-    return Matrix(J.dim, J.dim, [[cols[j][i] for j in range(J.dim)] for i in range(J.dim)])
-
-
 def derivation_column(table, i, j, k):
     """Sparse coordinates of [L_{e_i}, L_{e_j}] applied to e_k under a
     structure table, via table lookups only: e_i (e_k e_j) - (e_i e_k) e_j.
@@ -105,12 +98,13 @@ def derivation_column(table, i, j, k):
 
 
 def integer_table(J):
-    """(den, T): T is den * J.table with int entries, den the lcm of the
-    denominators of the table as it stands when called.  Never stored on J,
-    so a table edited after a check is read afresh by the next one."""
-    den = lcm(*(c.denominator for row in J.table for out in row for c in out.values()))
-    return den, [[{k: c.numerator * (den // c.denominator) for k, c in out.items()}
-                  for out in row] for row in J.table]
+    """(den, T): T is den * J.table with int entries (`integer_rows`), den
+    the lcm of the denominators of the table as it stands when called.
+    Never stored on J, so a table edited after a check is read afresh by the
+    next one."""
+    den, rows = integer_rows(out for row in J.table for out in row)
+    d = len(J.table)
+    return den, [rows[i * d:(i + 1) * d] for i in range(d)]
 
 
 def validate(J, seed=0):
@@ -188,8 +182,7 @@ def validate(J, seed=0):
         rng = random.Random(seed)
 
         def integral(v):
-            s = lcm(*(c.denominator for c in v))
-            return {k: c.numerator * (s // c.denominator) for k, c in enumerate(v) if c}
+            return integer_rows((dict(enumerate(v)),))[1][0]
 
         def sample(t):
             a = integral(random_vector(rng, d))
@@ -239,12 +232,16 @@ def special_from_associative(labels, unit, assoc_table, name=None):
     """Jordan algebra a o b = (ab + ba)/2 from an associative table.
 
     assoc_table[i][j] is a dict {k: coeff} for the associative product; it is
-    verified to be associative and unital before symmetrizing.
+    verified to be associative and unital before symmetrizing.  The triple
+    (i, j, k) compares e_i (e_j e_k) with (e_i e_j) e_k, so where both e_i e_j
+    and e_j e_k are empty both sides are 0: the sweep visits, in product
+    order, only the triples where one of them is stored.
     """
     d = len(labels)
+    stored = [[k for k in range(d) if assoc_table[j][k]] for j in range(d)]
     for i in range(d):
         for j in range(d):
-            for k in range(d):
+            for k in range(d) if assoc_table[i][j] else stored[j]:
                 lhs = table_product(assoc_table, {i: 1}, assoc_table[j][k])
                 rhs = table_product(assoc_table, assoc_table[i][j], {k: 1})
                 if lhs != rhs:

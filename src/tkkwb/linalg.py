@@ -2,25 +2,26 @@
 
 There are no floats anywhere, so ranks, kernels and quotient coordinates are
 exact, and equality tests mean actual equality.  A `Matrix` is dense; it
-holds what is read as a whole matrix (the center map and its kernel, the
-adjoint matrices behind the half Killing form, the trace oracle's operator,
-`L_op` and `action_matrix`) and the dense references of the tests; rho is
-never one.  Its entries may be any ring element supporting +,
--, * (matrices of polynomials too).  The product `@` skips zero products:
-it reads each row of the right factor as its nonzero entries and multiplies
-them only by nonzero entries of the left.
+holds `action_matrix` and the dense references of the tests, and no check
+of the package computes with one.  Its entries may be any ring element
+supporting +, -, * (matrices of polynomials too).  The product `@` skips
+zero products: it reads each row of the right factor as its nonzero entries
+and multiplies them only by nonzero entries of the left.
 
 Every operator a check computes or keeps is a sparse operator instead: a
 {row: {column: coeff}} dict with no zero entry and no empty row, so that two
 operators are equal exactly when they are == and one vanishes exactly when
-it is empty.  rho itself is one: `integer_operators` scales a list of
-rational operators to integers by one common denominator, the form a
-J-space keeps.  `operator_product`, `commutator`, `combine` and
-`add_operator` sum through `add_into`, `scalar_operator` makes c times the
-identity, and `columns` turns an integer operator into integer columns at a
-new scale, for the straightening in `weyl`.  Coefficients may be ints,
-Fractions or polynomials.  Every echelon form comes from `RowSpan`, sparse
-and fraction-free (primitive integer rows), whose canonical RREF `quotient`
+it is empty.  Every integer copy of rational data is made by
+`integer_rows`, which scales sparse rows by the lcm of their denominators:
+rho itself is one (`integer_operators` scales a list of rational operators
+to integers by one common denominator, the form a J-space keeps), and so
+are the integer copies of the Jordan and bracket tables.
+`operator_product`, `commutator`, `combine` and `add_operator` sum through
+`add_into`, `scalar_operator` makes c times the identity, and `columns`
+turns an integer operator into integer columns at a new scale, for the
+straightening in `weyl`.  Coefficients may be ints, Fractions or
+polynomials.  Every echelon form comes from `RowSpan`, sparse and
+fraction-free (primitive integer rows), whose canonical RREF `quotient`
 reads.  The dense `rref` is only the independent reference for tests.
 """
 
@@ -197,19 +198,29 @@ def rref(m):
     return prow, Matrix(nrows, ncols, a), pivots
 
 
+def integer_rows(rows):
+    """(den, out): out[k] is den * rows[k] as a new {key: int} dict, for an
+    iterable of {key: value} dicts of ints or Fractions, den the lcm of the
+    denominators of every entry (1 when there is none).  Zero entries are
+    dropped and the other keys keep their order.  The one place where
+    rational data is scaled to integers."""
+    rows = list(rows)
+    den = lcm(*(x.denominator for row in rows for x in row.values()))
+    return den, [{k: x.numerator * (den // x.denominator) for k, x in row.items() if x}
+                 for row in rows]
+
+
 def _integer_row(vec):
     """The nonzero entries of a dense list or {column: value} dict of ints or
     Fractions, as a new {column: int} dict scaled by the lcm of the
     denominators.  A dict of ints only is copied without its zeros, unscaled:
     its lcm is 1."""
     if isinstance(vec, dict):
-        row = {j: x for j, x in vec.items() if x}
-        if set(map(type, row.values())) <= {int}:
-            return row
+        if set(map(type, vec.values())) <= {int}:
+            return {j: x for j, x in vec.items() if x}
     else:
-        row = {j: x for j, x in enumerate(vec) if x}
-    den = lcm(*(x.denominator for x in row.values()))
-    return {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+        vec = dict(enumerate(vec))
+    return integer_rows((vec,))[1][0]
 
 
 def _primitive(row):
@@ -347,17 +358,12 @@ def integer_operators(ops):
     c}} of ints or Fractions, den the lcm of the denominators of every
     entry; each out[k] is an int operator with no zero entry and no empty
     row, its rows and each row's columns in increasing order."""
-    den = lcm(*(x.denominator for op in ops for row in op.values() for x in row.values()))
-    out = []
-    for op in ops:
-        scaled = {}
-        for r in sorted(op):
-            row = op[r]
-            irow = {s: row[s].numerator * (den // row[s].denominator)
-                    for s in sorted(row) if row[s]}
-            if irow:
-                scaled[r] = irow
-        out.append(scaled)
+    keys = [(k, r) for k, op in enumerate(ops) for r in sorted(op)]
+    den, rows = integer_rows(dict(sorted(ops[k][r].items())) for k, r in keys)
+    out = [{} for _ in ops]
+    for (k, r), row in zip(keys, rows):
+        if row:
+            out[k][r] = row
     return den, out
 
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import factorial
 
-from .linalg import Matrix, RowSpan, add_into, random_fraction
+from .linalg import RowSpan, add_into, add_operator, random_fraction
 from .multipoly import Poly
 from .report import Report
 
@@ -471,8 +471,9 @@ def trace_oracle(sigma, point):
     """Trace of the explicit diagonal-then-permute operator on the (n+1)-fold
     tensor power of an n-dimensional space, with diagonal entries `point`.
 
-    Built entry by entry as an actual matrix, so it is an independent check
-    that the trace equals N_sigma evaluated at `point`.
+    Built entry by entry as an actual sparse operator, whose diagonal is
+    then summed, so it is an independent check that the trace equals
+    N_sigma evaluated at `point`.
     """
     n = len(point)
     if sum(sigma) != n + 1:
@@ -495,7 +496,7 @@ def trace_oracle(sigma, point):
             t = t * n + k
         return t
 
-    rows = [[Fraction(0)] * size for _ in range(size)]
+    op = {}
     for src in range(size):
         idx = unrank(src)
         # permute tensor positions, then scale by the diagonal
@@ -503,9 +504,8 @@ def trace_oracle(sigma, point):
         coeff = Fraction(1)
         for k in permuted:
             coeff *= Fraction(point[k])
-        rows[rank(permuted)][src] += coeff
-    op = Matrix(size, size, rows)
-    return op.trace()
+        add_operator(op, {rank(permuted): {src: coeff}})
+    return sum((row.get(r, 0) for r, row in op.items()), Fraction(0))
 
 
 def verify_trace_oracle(n, samples=5, seed=0):

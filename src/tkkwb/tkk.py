@@ -11,9 +11,11 @@ straight at its block offset.  Inner derivations are only ever sparse
 columns read from the Jordan table (`derivation_column`).  The tails are
 summed in integers: the derivations from the `integer_table` copy of
 J.table, the brace coordinates and the inner-derivation basis each scaled
-once to ints over one denominator, so a tail coordinate or bracket becomes
-a Fraction once, where it is stored; `table` and `pair_coords` hold
-Fractions.  The central epimorphism reads the classical pair coordinates.
+once to ints over one denominator (`linalg.integer_rows`, like every integer
+copy here), so a tail coordinate or bracket becomes a Fraction once, where
+it is stored; `table` and `pair_coords` hold Fractions.  The central
+epimorphism reads the classical pair coordinates and returns its map and
+kernel as sparse columns and rows; no dense matrix or vector is built here.
 Structure constants are built from the bracket rules, stored sparsely per
 ordered basis pair (a zero bracket is not stored), and re-verified rather
 than trusted: antisymmetry is checked on all ordered pairs, and the Jacobi
@@ -33,10 +35,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm
 
 from .jordan import InputError, derivation_column, ensure_valid, integer_table
-from .linalg import Matrix, RowSpan, add_into, dense_vector, q_str, quotient
+from .linalg import RowSpan, add_into, integer_rows, q_str, quotient
 from .report import Report
 
 _SL2_BASIS = ("e", "f", "h")
@@ -187,20 +188,6 @@ class TKKAlgebra:
         """
         return _antisymmetric(self.table, set(indices))
 
-    def bracket(self, u, v):
-        """Bracket of two dense coordinate vectors."""
-        out = [0] * self.dim
-        for p, up in enumerate(u):
-            if not up:
-                continue
-            for q, vq in enumerate(v):
-                if not vq:
-                    continue
-                c = up * vq
-                for r, cr in self.table.get((p, q), {}).items():
-                    out[r] = out[r] + c * cr
-        return out
-
     def weight_block(self, w):
         return [p for p in range(self.dim) if self.weights[p] == w]
 
@@ -210,12 +197,11 @@ class TKKAlgebra:
 
 def _integer_brackets(g):
     """(den, ib): ib[(p, q)] is den * [p, q] with int entries for every
-    nonempty stored bracket, den the lcm of the denominators of g.table as it
-    stands when called.  Never stored on g, so a table edited after a check
-    is read afresh by the next one."""
-    den = lcm(*(c.denominator for out in g.table.values() for c in out.values()))
-    return den, {pq: {t: c.numerator * (den // c.denominator) for t, c in out.items()}
-                 for pq, out in g.table.items() if out}
+    nonzero stored bracket, den the lcm of the denominators of g.table as it
+    stands when called (`integer_rows`).  Never stored on g, so a table
+    edited after a check is read afresh by the next one."""
+    den, rows = integer_rows(g.table.values())
+    return den, {pq: row for pq, row in zip(g.table, rows) if row}
 
 
 def _asymmetric(table, p, q):
@@ -297,9 +283,8 @@ def build_sl2(J):
     # for each representative pair, and bden times the brace coordinates
     tden, T = integer_table(J)
     ders = [[derivation_column(T, a, b, c) for c in range(J.dim)] for a, b in bs.rep_pairs]
-    bden = lcm(*(c.denominator for col in bs.pair_coords.values() for c in col.values()))
-    braces = {pair: {k: c.numerator * (bden // c.denominator) for k, c in col.items()}
-              for pair, col in bs.pair_coords.items()}
+    bden, rows = integer_rows(bs.pair_coords.values())
+    braces = dict(zip(bs.pair_coords, rows))
     # [{a,b},{c,d}] = {D_{a,b} c, d} + {c, D_{a,b} d}, summed in ints
     scale = tden * tden * bden
     tail_brackets = {}
@@ -346,9 +331,7 @@ def build_tkk(J):
     red = span.reduced()
     pivots, basis_rows = list(red), list(red.values())
     rank = len(basis_rows)
-    s = lcm(*(x.denominator for row in basis_rows for x in row.values()))
-    int_rows = [{t: x.numerator * (s // x.denominator) for t, x in row.items()}
-                for row in basis_rows]
+    s, int_rows = integer_rows(basis_rows)
     # tail_cols[k][c] is column c of basis element k, as {row: entry}, and
     # int_cols[k][c] is s times it
     tail_cols = [[{} for _ in range(d)] for _ in range(rank)]
@@ -519,15 +502,13 @@ def short_grading(g):
     """Eigenspace decomposition under ad of half h(1), with block dimensions."""
     rep = Report(f"short grading of {g.kind}({g.jordan.name})")
     d = g.jdim
-    h1 = [0] * g.dim
-    for i, c in enumerate(g.jordan.unit):
-        if c:
-            h1[g.h_index(i)] = c
+    h1 = {g.h_index(i): c for i, c in enumerate(g.jordan.unit) if c}
 
     def off_diagonal(q):
-        basis_q = [0] * g.dim
-        basis_q[q] = 1
-        if g.bracket(h1, basis_q) != [g.weights[q] * x for x in basis_q]:
+        acc = {}
+        for p, c in h1.items():
+            add_into(acc, g.bracket_basis(p, q), c)
+        if acc != ({q: g.weights[q]} if g.weights[q] else {}):
             return f"ad h(1) not diagonal at {g.labels[q]}"
 
     rep.check("ad(h(1)) acts by the weight on every basis vector", range(g.dim), off_diagonal)
@@ -555,7 +536,9 @@ def center_map(g_ext, g_tkk):
 
     Identity on e/f/h; the brace of a representative pair (a, b) maps to the
     inner derivation D_{a,b}, read from the classical algebra's pair_coords.
-    Returns (matrix, kernel_basis, report); the kernel is checked central.
+    Returns (phi, kernel, report): phi[p] is the image of basis element p as
+    a sparse {index: Fraction} column, and the kernel is its canonical basis
+    as sparse rows, checked central.
 
     When both bracket tables are exactly antisymmetric, both sides of the
     homomorphism identity are antisymmetric in (p, q) and vanish at p = q,
@@ -565,8 +548,7 @@ def center_map(g_ext, g_tkk):
     copies of both tables, d1 and d2 times over, and cden times the sparse
     columns of the map.  The left side phi [p, q] is then d1 cden times the
     true one and the right side [phi p, phi q] cden^2 d2 times, so the
-    identity holds exactly when lhs (cden d2) - rhs d1 vanishes.  phi and
-    its kernel stay dense Fraction matrices.
+    identity holds exactly when lhs (cden d2) - rhs d1 vanishes.
     """
     if g_ext.kind != "sl2" or g_tkk.kind != "tkk":
         raise InputError("center_map expects (central extension, classical TKK)")
@@ -582,13 +564,10 @@ def center_map(g_ext, g_tkk):
                          g_tkk.pair_coords[g_ext.brace.rep_pairs[i]].items()})
         else:
             cols.append({unit_index[kind](i): Fraction(1)})
-    phi = Matrix(g_ext.dim, g_tkk.dim,
-                 [dense_vector(g_tkk.dim, col) for col in cols]).transpose()
 
     d1, ext_table = _integer_brackets(g_ext)
     d2, tkk_table = _integer_brackets(g_tkk)
-    cden = lcm(*(c.denominator for col in cols for c in col.values()))
-    icols = [{t: c.numerator * (cden // c.denominator) for t, c in col.items()} for col in cols]
+    cden, icols = integer_rows(cols)
     lscale = cden * d2
 
     def nonhomomorphic(pq):
@@ -615,32 +594,36 @@ def center_map(g_ext, g_tkk):
     rep.check("lie algebra homomorphism (all pairs)", pairs, nonhomomorphic)
 
     # phi is the identity on e/f/h and maps the tail into the tail, so its
-    # kernel is that of the tail block, padded with zeros on e/f/h; the
-    # padded rows are the canonical kernel basis of the whole of phi
-    t0 = g_ext.tail_index(0)
+    # kernel is that of the tail block, shifted past e/f/h; the shifted rows
+    # are the canonical kernel basis of the whole of phi
+    t0, s0 = g_ext.tail_index(0), g_tkk.tail_index(0)
+    block = [{} for _ in range(g_tkk.tail_dim)]
+    for j in range(g_ext.tail_dim):
+        for t, c in cols[t0 + j].items():
+            block[t - s0][j] = c
     span = RowSpan(g_ext.tail_dim)
-    for k in range(g_tkk.tail_dim):
-        span.insert(phi.data[g_tkk.tail_index(k)][t0:])
+    for row in block:
+        span.insert(row)
     reps, coords = quotient(span)
-    pad = [Fraction(0)] * t0
-    ker = Matrix(len(reps), g_ext.dim,
-                 [pad + [col.get(k, Fraction(0)) for col in coords] for k in range(len(reps))])
-    rank = phi.cols - ker.rows
+    ker = [{t0 + j: col[k] for j, col in enumerate(coords) if k in col}
+           for k in range(len(reps))]
+    rank = g_ext.dim - len(ker)
     rep.add("surjective", rank == g_tkk.dim, f"rank {rank} vs dim {g_tkk.dim}")
 
     rep.add("kernel dimension = dim tail difference",
-            ker.rows == g_ext.tail_dim - g_tkk.tail_dim,
-            f"kernel dim {ker.rows}")
+            len(ker) == g_ext.tail_dim - g_tkk.tail_dim,
+            f"kernel dim {len(ker)}")
 
     def noncentral(rq):
         r, q = rq
-        basis_q = [0] * g_ext.dim
-        basis_q[q] = 1
-        if any(g_ext.bracket(ker.row(r), basis_q)):
+        acc = {}
+        for p, c in ker[r].items():
+            add_into(acc, g_ext.bracket_basis(p, q), c)
+        if acc:
             return f"kernel vector {r} not central against {g_ext.labels[q]}"
 
-    rep.check("kernel is central", product(range(ker.rows), range(g_ext.dim)), noncentral)
-    return phi, ker, rep
+    rep.check("kernel is central", product(range(len(ker)), range(g_ext.dim)), noncentral)
+    return cols, ker, rep
 
 
 def algebra_to_dict(g):

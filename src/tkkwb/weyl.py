@@ -43,7 +43,8 @@ from math import factorial, gcd, lcm
 
 from .jordan import InputError, derivation_column, integer_table, jpower
 from .linalg import (Matrix, RowSpan, add_into, add_operator, columns, combine,
-                     commutator, operator_product, random_vector, scalar_operator)
+                     commutator, integer_rows, operator_product, random_vector,
+                     scalar_operator)
 from .multipoly import Poly
 from .report import Report
 from .jspace import (G0Rep, LevelError, dominance_operator, extend_to_g0, grading_breach,
@@ -140,9 +141,7 @@ class _StraightData:
                        for b in range(d)] for x in range(d)]
         # [h(e_x e_b) + 2{e_x,e_b}, f(e_c)] = f(-2 (e_x e_b) e_c + 2 da_{x,b} e_c)
         self._repl = {}
-        self.uden = lcm(*(c.denominator for c in J.unit))
-        self._unit = {x: c.numerator * (self.uden // c.denominator)
-                      for x, c in enumerate(J.unit) if c}
+        self.uden, (self._unit,) = integer_rows((dict(enumerate(J.unit)),))
         self._raised = {}
 
     def repl(self, x, b, c):

@@ -12,8 +12,9 @@ import pytest
 
 from tkkwb import (JSpaceRep, matrix_jordan, newton_rep, regular_rep,
                    spin_factor, truncated_poly, zero_rep)
+from tkkwb.jordan import jmul
 from tkkwb.jspace import doubled_regular_rep, matrix_defining_rep, tensor_rep
-from tkkwb.linalg import LabeledSpace, Matrix
+from tkkwb.linalg import LabeledSpace, Matrix, unit_vector
 
 
 def column(m, j):
@@ -43,6 +44,36 @@ def sparse(m):
 def dense(op, m):
     """A sparse operator as an m x m dense matrix (zeros as Fraction 0)."""
     return Matrix(m, m, [[op.get(r, {}).get(s, Q(0)) for s in range(m)] for r in range(m)])
+
+
+def matrix_of_columns(cols, rows):
+    """Sparse columns {row: entry}, such as center_map's phi, as the dense
+    rows x len(cols) matrix (zeros as Fraction 0)."""
+    return Matrix(rows, len(cols), [[col.get(r, Q(0)) for col in cols] for r in range(rows)])
+
+
+def matrix_of_rows(rows, cols):
+    """Sparse rows {column: entry}, such as center_map's kernel, as the dense
+    len(rows) x cols matrix (zeros as Fraction 0)."""
+    return Matrix(len(rows), cols, [[row.get(c, Q(0)) for c in range(cols)] for row in rows])
+
+
+def L_op(J, a):
+    """The reference matrix of the multiplication operator b -> a b."""
+    cols = [jmul(J, a, unit_vector(J.dim, j)) for j in range(J.dim)]
+    return Matrix(J.dim, J.dim, [[cols[j][i] for j in range(J.dim)] for i in range(J.dim)])
+
+
+def dense_bracket(g, u, v):
+    """The reference bracket of two dense coordinate vectors of a TKK
+    algebra, summed over every pair of their nonzero entries."""
+    out = [0] * g.dim
+    for p, up in enumerate(u):
+        for q, vq in enumerate(v):
+            if up and vq:
+                for r, cr in g.bracket_basis(p, q).items():
+                    out[r] = out[r] + up * vq * cr
+    return out
 
 
 def dense_rho(rep):

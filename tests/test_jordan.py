@@ -1,14 +1,16 @@
 import json
 import random
 from fractions import Fraction as Q
+from itertools import product
 
 import pytest
 
-from conftest import column, dense_commutator
+from conftest import L_op, column, dense_commutator
 from tkkwb.jordan import (BUILTIN_FAMILIES, InputError, JordanAlgebra, algebra_from_dict,
                           algebra_to_dict, builtin, derivation_column, jmul,
-                          jpower, L_op, matrix_jordan, spin_factor,
-                          special_from_associative, truncated_poly, validate)
+                          jpower, matrix_jordan, spin_factor,
+                          special_from_associative, table_product, truncated_poly,
+                          validate)
 from tkkwb.linalg import Matrix, add_into, dense_vector, random_vector, zero_vector
 
 
@@ -175,6 +177,57 @@ def test_special_from_associative_rejects_nonassociative():
     table = [[{0: Q(1)}, {0: Q(1)}], [{1: Q(1)}, {0: Q(1)}]]
     with pytest.raises(InputError):
         special_from_associative(labels, unit, table)
+
+
+def ref_associativity_failure(table):
+    """The first triple (i, j, k) in product order where e_i (e_j e_k) !=
+    (e_i e_j) e_k, over all d^3 triples; None when there is none."""
+    d = len(table)
+    for i, j, k in product(range(d), repeat=3):
+        if table_product(table, {i: 1}, table[j][k]) != table_product(table, table[i][j], {k: 1}):
+            return (i, j, k)
+    return None
+
+
+def random_assoc_table(rng, d, empty):
+    """A d x d product table, each product empty with probability `empty`,
+    otherwise one or two basis terms with small int or Fraction coefficients."""
+    return [[{} if rng.random() < empty else
+             {rng.randrange(d): rng.choice((1, -1, 2, Q(1, 2))) for _ in range(rng.randint(1, 2))}
+             for _ in range(d)] for _ in range(d)]
+
+
+def matrix_unit_table(m):
+    """The associative table of the matrix units of M_m, E_pq E_rs = [q = r] E_ps."""
+    return [[{p * m + s: 1} if q == r else {} for r in range(m) for s in range(m)]
+            for p in range(m) for q in range(m)]
+
+
+def test_special_from_associative_finds_the_first_failure_of_a_full_sweep():
+    # the sweep skips the triples where e_i e_j and e_j e_k are both empty;
+    # the verdict and the failing triple must be those of the full sweep
+    rng = random.Random(5)
+    tables = [matrix_unit_table(m) for m in (1, 2, 3)]
+    tables += [random_assoc_table(rng, d, empty) for d in (2, 3, 4, 5) for empty in (0.5, 0.8, 0.9)
+               for _ in range(15)]
+    failures = set()
+    for table in tables:
+        d = len(table)
+        unit = [Q(1)] + [Q(0)] * (d - 1)
+        want = ref_associativity_failure(table)
+        try:
+            special_from_associative([f"e{i}" for i in range(d)], unit, table)
+            got = None
+        except InputError as exc:
+            got = str(exc)
+        if want is None:
+            assert got is None or got == "input unit is not a left unit"
+        else:
+            assert got == "input table not associative at ({},{},{})".format(*want)
+            failures.add(want)
+    assert ref_associativity_failure(matrix_unit_table(3)) is None
+    # failures are met both early and late in the product order
+    assert len(failures) >= 20 and any(i > 1 for i, _, _ in failures)
 
 
 def test_builtin_lookup():

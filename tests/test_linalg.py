@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tkkwb.linalg import (LabeledSpace, Matrix, RowSpan, add_into, columns,
-                          integer_operators, quotient, rref)
+from tkkwb.linalg import (LabeledSpace, Matrix, RowSpan, add_into, columns, integer_operators,
+                          integer_rows, quotient, rref)
 from tkkwb.multipoly import Poly
 
 
@@ -268,6 +268,32 @@ def test_integer_operators_share_one_denominator():
     assert all(type(c) is int for op in out for row in op.values() for c in row.values())
     den, out = integer_operators([{3: {2: 5, 0: -1}, 1: {0: 2}}])
     assert den == 1 and [list(out[0]), list(out[0][3])] == [[1, 3], [0, 2]]
+
+
+def test_integer_rows_scale_by_one_lcm():
+    # mixed ints and Fractions, zero entries of either type dropped, keys
+    # (any hashable) kept in their order, every entry an int
+    den, out = integer_rows([{"b": Q(1, 2), "a": 3, "z": 0}, {(1, 2): Q(-2, 3), 0: Q(0)}, {}])
+    assert den == 6
+    assert out == [{"b": 3, "a": 18}, {(1, 2): -4}, {}]
+    assert list(out[0]) == ["b", "a"]
+    assert all(type(c) is int for row in out for c in row.values())
+    # a generator is read once; ints only give den 1 and equal rows, and no
+    # entry at all gives den 1
+    den, out = integer_rows(row for row in ({5: 2, 1: -7},))
+    assert (den, out) == (1, [{5: 2, 1: -7}]) and list(out[0]) == [5, 1]
+    assert integer_rows([]) == (1, [])
+    assert integer_rows([{}, {3: 0}]) == (1, [{}, {}])
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.lists(st.dictionaries(st.integers(0, 6), st.fractions(max_denominator=9)), max_size=4))
+def test_integer_rows_are_the_least_integer_multiple(rows):
+    den, out = integer_rows(rows)
+    assert out == [{k: den * x for k, x in row.items() if x} for row in rows]
+    # no smaller positive multiple makes every entry an integer
+    assert all(any((d * x).denominator != 1 for row in rows for x in row.values())
+               for d in range(1, den))
 
 
 def test_labeled_space_validation():

@@ -35,8 +35,8 @@ from math import lcm
 
 import pytest
 
-from conftest import (column, dense_commutator, dense_rho, dense_rho_of, matrix_rep,
-                      noncommuting_rep)
+from conftest import (column, dense_bracket, dense_commutator, dense_rho, dense_rho_of,
+                      matrix_of_columns, matrix_rep, noncommuting_rep)
 from test_tkk import _PINNED_TABLES
 from tkkwb.jordan import (_EXHAUSTIVE_DIM_LIMIT, _SAMPLE_COUNT, algebra_from_dict,
                           algebra_to_dict, builtin, derivation_column, jmul, matrix_jordan,
@@ -202,13 +202,14 @@ def ref_extension(rep, ext):
 def ref_center_map(ext, classical):
     """The lines of center_map's report, with the homomorphism item swept
     over every ordered pair of basis elements."""
-    phi, _, lib = center_map(ext, classical)
+    sparse_phi, _, lib = center_map(ext, classical)
+    phi = matrix_of_columns(sparse_phi, classical.dim)
     cols = [column(phi, p) for p in range(ext.dim)]
 
     def nonhomomorphic(pq):
         p, q = pq
         lhs = phi.apply(dense_vector(ext.dim, ext.bracket_basis(p, q)))
-        if lhs != classical.bracket(cols[p], cols[q]):
+        if lhs != dense_bracket(classical, cols[p], cols[q]):
             return f"not a homomorphism at ({ext.labels[p]},{ext.labels[q]})"
 
     report = Report(lib.title)

@@ -10,9 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tkkwb
-from conftest import dense_commutator
+from conftest import (L_op, dense_bracket, dense_commutator, matrix_of_columns,
+                      matrix_of_rows)
 from tkkwb import linalg, tkk
-from tkkwb.jordan import (InputError, L_op, algebra_from_dict, builtin, jmul, matrix_jordan,
+from tkkwb.jordan import (InputError, algebra_from_dict, builtin, jmul, matrix_jordan,
                           spin_factor, truncated_poly, validate)
 from tkkwb.jspace import doubled_regular_rep, extend_to_g0
 from tkkwb.linalg import Matrix, RowSpan, add_into, q_str, random_vector, rref, zero_vector
@@ -194,8 +195,8 @@ def test_center_map_identity_for_one_dim():
     J = truncated_poly(0)
     phi, ker, rep = center_map(build_sl2(J), build_tkk(J))
     assert rep.ok
-    assert ker.rows == 0
-    assert phi == Matrix.identity(3)
+    assert ker == []
+    assert matrix_of_columns(phi, 3) == Matrix.identity(3)
 
 
 @pytest.mark.parametrize("make", [
@@ -209,14 +210,13 @@ def test_center_map(make):
     classical = build_tkk(J)
     phi, ker, rep = center_map(ext, classical)
     assert rep.ok, rep.first_failure()
-    assert ker.rows == ext.tail_dim - classical.tail_dim
+    assert len(ker) == ext.tail_dim - classical.tail_dim
     # kernel brackets to zero against everything
-    for r in range(ker.rows):
-        v = ker.row(r)
+    for v in matrix_of_rows(ker, ext.dim).data:
         for q in range(ext.dim):
             bq = [0] * ext.dim
             bq[q] = 1
-            assert all(not x for x in ext.bracket(v, bq))
+            assert all(not x for x in dense_bracket(ext, v, bq))
 
 
 def test_center_map_nontrivial_kernel():
@@ -229,7 +229,7 @@ def test_center_map_nontrivial_kernel():
     assert validate_lie(ext).ok
     phi, ker, rep = center_map(ext, classical)
     assert rep.ok
-    assert ker.rows == 1
+    assert len(ker) == 1
 
 
 def test_jacobi_random_vectors():
@@ -241,7 +241,7 @@ def test_jacobi_random_vectors():
         z = random_vector(rng, g.dim, num_bound=4, den_bound=2)
         acc = [0] * g.dim
         for (a, b, c) in ((x, y, z), (y, z, x), (z, x, y)):
-            term = g.bracket(a, g.bracket(b, c))
+            term = dense_bracket(g, a, dense_bracket(g, b, c))
             acc = [p + q for p, q in zip(acc, term)]
         assert all(not v for v in acc)
 
@@ -295,11 +295,64 @@ def test_tables_and_center_map_pinned(name):
     J = make()
     ext, classical = build_sl2(J), build_tkk(J)
     phi, ker, rep = center_map(ext, classical)
+    phi, ker = matrix_of_columns(phi, classical.dim), matrix_of_rows(ker, ext.dim)
     blob = json.dumps([algebra_to_dict(ext), algebra_to_dict(classical),
                        [[q_str(x) for x in row] for row in phi.data],
                        [[q_str(x) for x in row] for row in ker.data],
                        rep.lines()])
     assert hashlib.sha256(blob.encode()).hexdigest() == pinned
+
+
+def dense_center_map(ext, classical):
+    """The reference phi, dense, from the classical pair coordinates, and the
+    canonical basis of its kernel from the dense rref of the whole of phi."""
+    cols = []
+    for p in range(ext.dim):
+        kind, i = ext.basis_kind(p)
+        if kind == "tail":
+            coords = classical.pair_coords[ext.brace.rep_pairs[i]]
+            cols.append({classical.tail_index(k): c for k, c in coords.items()})
+        else:
+            cols.append({getattr(classical, f"{kind}_index")(i): Q(1)})
+    phi = Matrix(classical.dim, ext.dim,
+                 [[col.get(r, Q(0)) for col in cols] for r in range(classical.dim)])
+    _, red, pivots = rref(phi)
+    ker = [[Q(1) if j == f else -red.data[pivots.index(j)][f] if j in pivots else Q(0)
+            for j in range(ext.dim)] for f in range(ext.dim) if f not in pivots]
+    return phi, Matrix(len(ker), ext.dim, ker)
+
+
+# the pinned algebras, whose kernels are 0, and a degenerate spin factor
+# (Gram matrix all zeros), whose kernel is 1-dimensional
+_CENTER_MAP_ALGEBRAS = {**{name: make for name, (make, _) in _PINNED_TABLES.items()},
+                        "degenerate spin-factor(2)":
+                            lambda: spin_factor([[Q(0), Q(0)], [Q(0), Q(0)]])}
+
+
+@pytest.mark.parametrize("name", list(_CENTER_MAP_ALGEBRAS))
+def test_center_map_is_sparse_canonical_and_matches_the_dense_reference(name):
+    J = _CENTER_MAP_ALGEBRAS[name]()
+    ext, classical = build_sl2(J), build_tkk(J)
+    phi, ker, rep = center_map(ext, classical)
+    assert rep.ok
+    # phi: one sparse column per basis element (empty where it maps to 0),
+    # ker: nonempty sparse rows in index order; no zero entry anywhere, and
+    # every entry a Fraction
+    assert len(phi) == ext.dim and all(ker)
+    assert all(all(vec.values()) for vec in phi + ker)
+    assert all(list(row) == sorted(row) for row in ker)
+    assert all(type(c) is Q for vec in phi + ker for c in vec.values())
+    assert (matrix_of_columns(phi, classical.dim), matrix_of_rows(ker, ext.dim)) == \
+        dense_center_map(ext, classical)
+    assert len(ker) == int(name.startswith("degenerate"))
+
+
+def test_tkk_and_symfun_compute_with_no_dense_matrix():
+    from tkkwb import symfun
+    for module in (tkk, symfun):
+        assert not hasattr(module, "Matrix") and not hasattr(module, "dense_vector")
+    assert not hasattr(tkk.TKKAlgebra, "bracket")
+    assert not hasattr(tkkwb.jordan, "L_op") and not hasattr(tkkwb, "L_op")
 
 
 @pytest.mark.parametrize("name", list(_PINNED_TABLES))
