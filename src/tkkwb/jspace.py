@@ -34,8 +34,8 @@ from pathlib import Path
 from .jordan import (BUILTIN_FAMILIES, InputError, builtin, derivation_column, jpower,
                      load_algebra, table_product, truncated_poly)
 from .linalg import (LabeledSpace, add_into, add_operator, as_int, as_list, as_q, combine,
-                     commutator, integer_operators, operator_product, q_str, random_vector,
-                     scalar_operator)
+                     commutator, integer_operators, integer_vector, operator_product, q_str,
+                     random_vector, scalar_operator)
 from .multipoly import Poly
 from .report import Report
 from .symfun import SymPoly, dominance_coeffs, newton, partitions
@@ -301,18 +301,21 @@ def dominance_operator(rep, a):
     """Sum over partitions of level+1 of sign * class size * products of
     rho at the powers of a, as a sparse operator.  Vanishes identically
     exactly when the module is the top weight space of a bounded module.
-    On the integer operators the product over sigma is den^len(sigma)
+    Every product is homogeneous of degree level+1 in a, so the powers are
+    taken of the integer copy a_int = A a (`integer_vector`): on the
+    integer operators the product over sigma is den^len(sigma) A^(level+1)
     times the true one, and is scaled back."""
     n = level(rep)
     J = rep.jordan
-    rhos = {k: combine(rep.rho, {i: c for i, c in enumerate(jpower(J, a, k)) if c})
+    A, a_int = integer_vector(a)
+    rhos = {k: combine(rep.rho, {i: c for i, c in enumerate(jpower(J, a_int, k)) if c})
             for k in range(1, n + 2)}
     acc = {}
     for sigma, c in dominance_coeffs(n).items():
         prod = rhos[sigma[0]]
         for part in sigma[1:]:
             prod = operator_product(prod, rhos[part])
-        add_operator(acc, prod, Fraction(c, rep.den ** len(sigma)))
+        add_operator(acc, prod, Fraction(c, rep.den ** len(sigma) * A ** (n + 1)))
     return acc
 
 

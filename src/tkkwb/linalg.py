@@ -15,7 +15,9 @@ it is empty.  Every integer copy of rational data is made by
 `integer_rows`, which scales sparse rows by the lcm of their denominators:
 rho itself is one (`integer_operators` scales a list of rational operators
 to integers by one common denominator, the form a J-space keeps), and so
-are the integer copies of the Jordan and bracket tables.
+are the integer copies of the Jordan and bracket tables, and the copy
+A a of a point (`integer_vector`) on which the homogeneous routes of `weyl`
+and the dominance sum run.
 `operator_product`, `commutator`, `combine` and `add_operator` sum through
 `add_into`, `scalar_operator` makes c times the identity, and `columns`
 turns an integer operator into integer columns at a new scale, for the
@@ -210,6 +212,18 @@ def integer_rows(rows):
                  for row in rows]
 
 
+def integer_vector(vec):
+    """(A, ints): ints is A * vec as a new list of ints, for a list of ints
+    or Fractions, A the least positive int that clears every denominator (1
+    for an empty or all-zero list).  A list that holds anything else, such
+    as the polynomial coordinates of a generic element, comes back
+    unchanged over 1."""
+    if not all(isinstance(x, (int, Fraction)) for x in vec):
+        return 1, vec
+    den, (row,) = integer_rows((dict(enumerate(vec)),))
+    return den, [row.get(i, 0) for i in range(len(vec))]
+
+
 def _integer_row(vec):
     """The nonzero entries of a dense list or {column: value} dict of ints or
     Fractions, as a new {column: int} dict scaled by the lcm of the
@@ -401,11 +415,14 @@ def combine(ops, coords, scale=1):
     of rationals or polynomials; an integral coefficient is applied as an int."""
     out = {}
     for k, c in coords.items():
-        c = scale * c
-        if isinstance(c, Fraction) and c.denominator == 1:
-            c = c.numerator
-        add_operator(out, ops[k], c)
+        add_operator(out, ops[k], int_if_integral(scale * c))
     return out
+
+
+def int_if_integral(c):
+    """c as an int when it is a Fraction of denominator 1, else c unchanged:
+    the same value, which multiplies faster."""
+    return c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c
 
 
 def scalar_operator(n, c=1):

@@ -21,11 +21,15 @@ Straightening runs in integers: every coefficient that raise_basis and the
 windowed action produce is an int, den times the true rational, over the
 one denominator den of _StraightData, the lcm of the extension's
 denominator and of the square of the algebra table's.  action_columns
-reduces each column block by its gcd with den, and efr_powers divides by
-den (and the unit's denominator) once per depth, where it writes its
-results.  These, and the generating function's, are sparse operators of
-`linalg`, or lowering polynomials {multiset: operator} with no empty
-operator: canonical, so results agree exactly when they are ==.
+reduces each column block by its gcd with den.  Both routes of the element
+a are homogeneous of degree n+1 in it, so both run on its integer copy
+a_int = A a (`linalg.integer_vector`).  efr_powers raises f(a_int)^(n+1)
+and divides depth r once by (den uden)^r A^(n+1), uden the unit's
+denominator, where it writes its results; garland_coefficients sums its
+expansion in ints (in Fractions only where J's table has denominators) and
+divides each depth once.  The results are sparse operators of `linalg`, or
+lowering polynomials {multiset: operator} with no empty operator:
+canonical, so results agree exactly when they are ==.
 
 Weyl dimension tables come from a raising-closure of the below-band cells
 of a degree-and-depth window, with a submodule certificate checked after
@@ -43,8 +47,8 @@ from math import factorial, gcd, lcm
 
 from .jordan import InputError, derivation_column, integer_table, jpower
 from .linalg import (Matrix, RowSpan, add_into, add_operator, columns, combine,
-                     commutator, integer_rows, operator_product, random_vector,
-                     scalar_operator)
+                     commutator, int_if_integral, integer_rows, integer_vector,
+                     operator_product, random_vector, scalar_operator)
 from .multipoly import Poly
 from .report import Report
 from .jspace import (G0Rep, LevelError, dominance_operator, extend_to_g0, grading_breach,
@@ -203,15 +207,15 @@ class _StraightData:
 
 
 def lowering_power(a, k):
-    """f(a)^k expanded over basis multisets: {multiset: scalar}."""
+    """f(a)^k expanded over basis multisets: {multiset: scalar}, each scalar
+    an int multinomial times coordinates of a."""
     support = [i for i, c in enumerate(a) if c]
     fp = {}
     for combo in combinations_with_replacement(support, k):
         counts = Counter(combo)
-        coeff = factorial(k)
+        scalar = factorial(k)
         for c in counts.values():
-            coeff //= factorial(c)
-        scalar = Fraction(coeff)
+            scalar //= factorial(c)
         for i, c in counts.items():
             for _ in range(c):
                 scalar = scalar * a[i]
@@ -235,14 +239,18 @@ def efr_powers(g0, a, rrs):
     result has no lowering factors left) and a formal lowering polynomial
     with sparse operator coefficients for rr <= n.  Column mi of each comes
     from one pass that raises the sparse vector f(a)^(n+1) m_mi up to the
-    deepest rr, keeping it at every requested depth.
+    deepest rr, keeping it at every requested depth.  The pass starts from
+    f(a_int)^(n+1), a_int = A a the integer copy of a (`integer_vector`),
+    which is A^(n+1) f(a)^(n+1) since the power is homogeneous.
     """
     g0, n = checked_extension(g0)
     rrs = _check_depths(rrs, n)
     data = _StraightData(g0)
     m = g0.rep.mdim
-    power = lowering_power(a, n + 1)
-    # vecs[rr] is (den uden)^rr times the true vector: scaled back on writing
+    A, a_int = integer_vector(a)
+    power = lowering_power(a_int, n + 1)
+    # vecs[rr] is (den uden)^rr A^(n+1) times the true vector: scaled back
+    # on writing
     scale = Fraction(1, data.den * data.uden)
     fps = {rr: {} for rr in rrs}
     for mi in range(m):
@@ -253,7 +261,7 @@ def efr_powers(g0, a, rrs):
                 add_into(nxt, data.raise_unit(*bm), c)
             vecs.append(nxt)
         for rr, fp in fps.items():
-            s = scale ** rr
+            s = scale ** rr / A ** (n + 1)
             for (fkey, r), c in vecs[rr].items():
                 # c may be a Poly, so multiply rather than divide
                 fp.setdefault(fkey, {}).setdefault(r, {})[mi] = c * s
@@ -312,41 +320,50 @@ def garland_coefficients(g0, a, rrs):
     every depth reads both from one expansion.  The rho images are read
     from the rep's own integer operators rho / den, not from the
     straightening data or the weight-zero extension.
+
+    Both factors are homogeneous in a, so the expansion runs on the integer
+    copy a_int = A a (`integer_vector`): G_t = den rho(a_int^t) is
+    den A^t rho(a^t), an int operator when J's table is integral.  The
+    exponential E = sum_p e_p u^p satisfies E' = -S' E for its exponent S,
+    so E_p = p! den^p A^p e_p follows the integer recurrence
+        E_0 = 1,  E_p = -sum_{t=1..p} (p-1)!/(p-t)! den^(t-1) G_t E_{p-t}.
+    The u^p part of the lowering sum's powers is A^p times the true one, so
+    each depth sums its u^(n+1) coefficient over the common denominator
+    (n+1)! den^(n+1) A^(n+1), and each entry becomes a Fraction once,
+    together with the prefactor.
     """
     g0, n = checked_extension(g0)
     rep = g0.rep
     rrs = _check_depths(rrs, n)
     J = rep.jordan
     m = rep.mdim
+    den = rep.den
     order = n + 1
+    A, a_int = integer_vector(a)
 
-    # lower[s]: index i -> coordinate i of a^s
-    lower = [{}] + [{i: c for i, c in enumerate(jpower(J, a, s)) if c}
+    # lower[s]: index i -> coordinate i of a_int^s, an int where integral
+    lower = [{}] + [{i: int_if_integral(c) for i, c in enumerate(jpower(J, a_int, s)) if c}
                     for s in range(1, order + 1)]
-    # H[t] = rho(a^t) / t; the rho(a^t) commute exactly when these do
-    H = [{}] + [combine(rep.rho, lower[t], Fraction(1, rep.den * t))
-                for t in range(1, order + 1)]
+    # G[t] = den A^t rho(a^t); the rho(a^t) commute exactly when these do
+    G = [{}] + [combine(rep.rho, lower[t]) for t in range(1, order + 1)]
     for s in range(1, order + 1):
         for t in range(s + 1, order + 1):
-            if commutator(H[s], H[t]):
+            if commutator(G[s], G[t]):
                 raise NoncommutingPowersError(
                     f"[rho(a^{s}), rho(a^{t})] != 0; the exponential series "
                     "is undefined for this element")
 
-    # exp(-sum_t H[t] u^t), truncated: one operator per u-power; term[p] is
-    # the u^p part of (-sum_t H[t] u^t)^j / j!
-    expo = [scalar_operator(m)] + [{} for _ in range(order)]
-    term = [scalar_operator(m)] + [{} for _ in range(order)]
-    for j in range(1, order + 1):
-        nxt = [{} for _ in range(order + 1)]
-        for p in range(order + 1):
-            for q in range(1, order + 1 - p):
-                add_operator(nxt[p + q], operator_product(term[p], H[q]), Fraction(-1, j))
-        term = nxt
-        for e, t in zip(expo, term):
-            add_operator(e, t)
+    # expo[p] = p! den^p A^p times the u^p coefficient of
+    # exp(-sum_t rho(a^t)/t u^t)
+    expo = [scalar_operator(m)]
+    for p in range(1, order + 1):
+        acc = {}
+        for t in range(1, p + 1):
+            add_operator(acc, operator_product(G[t], expo[p - t]),
+                         -(factorial(p - 1) // factorial(p - t)) * den ** (t - 1))
+        expo.append(acc)
 
-    # apows[k] = (sum_s f(a^s) u^s)^k, k up to n+1-rr for the least rr:
+    # apows[k] = (sum_s f(a_int^s) u^s)^k, k up to n+1-rr for the least rr:
     # per u-power, multiset -> scalar
     apows = [[{(): 1}] + [dict() for _ in range(order)]]
     for _ in range(n + 1 - min(rrs, default=n + 1)):
@@ -360,16 +377,21 @@ def garland_coefficients(g0, a, rrs):
 
     results = {}
     for rr in rrs:
-        prefactor = Fraction((-1) ** rr * factorial(rr) * factorial(n + 1),
-                             factorial(n + 1 - rr))
+        # sum over the common denominator (n+1)! den^(n+1) A^(n+1); the
+        # prefactor's (n+1)! cancels against it
         out = {}
         for k, terms in enumerate(apows[n + 1 - rr]):
             bmat = expo[order - k]
             if not bmat:
                 continue
+            weight = factorial(order) // factorial(order - k) * den ** k
             for key, c in terms.items():
-                add_operator(out.setdefault(key, {}), bmat, c * prefactor)
-        out = {key: op for key, op in out.items() if op}
+                add_operator(out.setdefault(key, {}), bmat, c * weight)
+        scale = Fraction((-1) ** rr * factorial(rr),
+                         factorial(order - rr) * (den * A) ** order)
+        # x may be a Poly, so multiply rather than divide
+        out = {key: {r: {s: x * scale for s, x in row.items()} for r, row in op.items()}
+               for key, op in out.items() if op}
         results[rr] = out.get((), {}) if rr == n + 1 else out
     return results
 

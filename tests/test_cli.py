@@ -282,6 +282,21 @@ def test_jspace_nondominant_rep_witness(capsys, tmp_path):
     assert "witness: " in out and "*t" in out
 
 
+@pytest.mark.parametrize("seed, witness", [(0, "-11/3*t"), (3, "-1*1 + 5/2*t")])
+def test_jspace_random_witness_prints_the_drawn_element(capsys, tmp_path, seed, witness):
+    # the dominance sum runs on an integer copy of the drawn element; the
+    # witness is the drawn rational element itself
+    p = tmp_path / "rep.json"
+    p.write_text(json.dumps(_NONDOMINANT_REP))
+    code, out, _ = run(capsys, "jspace", "check", "--rep", str(p), "--mode", "random",
+                       "--seed", str(seed))
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[:3] == ["level: 1", f"dominance: not dominant (random, samples=8, seed={seed})",
+                         f"witness: {witness}"]
+    assert f"  FAIL dominance: dominance sum vanishes  [witness a = {witness}]" in lines
+
+
 _NEWTON_2_3 = ("--builtin-rep", "newton", "--n", "2", "--cutoff", "3")
 
 

@@ -4,6 +4,8 @@ from fractions import Fraction as Q
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import L_op, column, dense_commutator
 from tkkwb.jordan import (BUILTIN_FAMILIES, InputError, JordanAlgebra, algebra_from_dict,
@@ -11,7 +13,8 @@ from tkkwb.jordan import (BUILTIN_FAMILIES, InputError, JordanAlgebra, algebra_f
                           jpower, matrix_jordan, spin_factor,
                           special_from_associative, table_product, truncated_poly,
                           validate)
-from tkkwb.linalg import Matrix, add_into, dense_vector, random_vector, zero_vector
+from tkkwb.linalg import (LabeledSpace, Matrix, add_into, dense_vector, q_str, random_vector,
+                          zero_vector)
 
 
 def basis(n, i):
@@ -262,6 +265,41 @@ def test_json_roundtrip(tmp_path):
             for j in range(J.dim):
                 assert back.table[i][j] == J.table[i][j]
         assert validate(back).ok
+
+
+_ENTRIES = [Q(1), Q(-1), Q(2), Q(1, 2), Q(-1, 2), Q(1, 3), Q(-2, 3), Q(5, 6)]
+
+
+@st.composite
+def _sparse_algebras(draw):
+    """Commutative algebras of dimension 1 to 4 with sparse tables of
+    rational entries (denominators 1, 2, 3 and 6), empty products, drawn
+    degrees and a drawn unit; they need not satisfy any axiom."""
+    d = draw(st.integers(1, 4))
+    entry = st.sampled_from(_ENTRIES)
+    degrees = tuple(draw(st.lists(st.integers(0, 3), min_size=d, max_size=d)))
+    unit = draw(st.lists(st.just(Q(0)) | entry, min_size=d, max_size=d))
+    table = [[None] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            table[i][j] = draw(st.dictionaries(st.integers(0, d - 1), entry, max_size=d))
+            table[j][i] = dict(table[i][j])
+    return JordanAlgebra(LabeledSpace(tuple(f"e{i}" for i in range(d)), degrees), unit, table)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_sparse_algebras())
+def test_algebra_dict_round_trip_on_drawn_sparse_tables(J):
+    data = json.loads(json.dumps(algebra_to_dict(J)))
+    # one entry per stored product with i <= j, its coordinates dense "p/q"
+    assert [(e["i"], e["j"]) for e in data["mult"]] == \
+        [(i, j) for i in range(J.dim) for j in range(i, J.dim) if J.table[i][j]]
+    assert all(e["coords"] == [q_str(J.table[e["i"]][e["j"]].get(k, 0)) for k in range(J.dim)]
+               for e in data["mult"])
+    back = algebra_from_dict(data)
+    assert (back.space, back.unit, back.table) == (J.space, J.unit, J.table)
+    assert all(type(c) is Q for row in back.table for out in row for c in out.values())
+    assert algebra_to_dict(back) == data
 
 
 def test_json_asymmetric_entries_caught_by_validation():

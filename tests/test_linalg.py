@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tkkwb.linalg import (LabeledSpace, Matrix, RowSpan, add_into, columns, integer_operators,
-                          integer_rows, quotient, rref)
+from tkkwb.linalg import (LabeledSpace, Matrix, RowSpan, add_into, columns, int_if_integral,
+                          integer_operators, integer_rows, integer_vector, quotient, rref)
 from tkkwb.multipoly import Poly
 
 
@@ -294,6 +294,39 @@ def test_integer_rows_are_the_least_integer_multiple(rows):
     # no smaller positive multiple makes every entry an integer
     assert all(any((d * x).denominator != 1 for row in rows for x in row.values())
                for d in range(1, den))
+
+
+def test_integer_vector_clears_every_denominator():
+    # ints, Fractions and zeros of either type: a list of ints, zeros kept
+    A, ints = integer_vector([Q(1, 2), 3, 0, Q(-2, 3), Q(0)])
+    assert (A, ints) == (6, [3, 18, 0, -4, 0])
+    assert all(type(c) is int for c in ints)
+    assert integer_vector([Q(4, 2), -5]) == (1, [2, -5])
+    # the all-zero and the empty vector are their own copies over 1
+    assert integer_vector([Q(0), 0, Q(0)]) == (1, [0, 0, 0])
+    assert integer_vector([]) == (1, [])
+
+
+def test_integer_vector_passes_polynomials_through():
+    a = Poly.variables(3)
+    assert integer_vector(a) == (1, a) and integer_vector(a)[1] is a
+    mixed = [Q(1, 2), Poly.variable(2, 1)]
+    assert integer_vector(mixed)[1] is mixed
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.lists(st.fractions(max_denominator=12) | st.integers(-20, 20), max_size=6))
+def test_integer_vector_is_the_least_integer_multiple(a):
+    A, ints = integer_vector(a)
+    assert ints == [A * x for x in a] and all(type(c) is int for c in ints)
+    assert A >= 1 and all(any((d * x).denominator != 1 for x in a) for d in range(1, A))
+
+
+def test_int_if_integral():
+    assert [(type(c), c) for c in map(int_if_integral, [Q(4, 2), Q(1, 2), 3, Q(0)])] == \
+        [(int, 2), (Q, Q(1, 2)), (int, 3), (int, 0)]
+    x = Poly.variable(1, 0)
+    assert int_if_integral(x) is x
 
 
 def test_labeled_space_validation():

@@ -25,32 +25,42 @@ constructions sum the tails in Fractions and fill the table through
 `add_into`, and `table` and `pair_coords` must match them, types included.
 `newton_rep` forms no product above the cutoff; its reference forms every
 one and drops the terms above the cutoff afterwards.
+`efr_powers`, `garland_coefficients` and `dominance_operator` run on the
+integer copy of the element a and scale back once; their references work
+in Fractions at a itself, the generating function through its truncated
+power series of the exponent, and each route must match its own reference
+exactly, types included, so that a mis-scaled copy cannot pass by agreeing
+with the other route.
 """
 
 import random
 from collections import Counter
 from fractions import Fraction as Q
 from itertools import combinations, combinations_with_replacement, product
-from math import lcm
+from math import factorial, lcm
 
 import pytest
 
 from conftest import (column, dense_bracket, dense_commutator, dense_rho, dense_rho_of,
                       matrix_of_columns, matrix_rep, noncommuting_rep)
 from test_tkk import _PINNED_TABLES
+from test_weyl import GARLAND_CASES
 from tkkwb.jordan import (_EXHAUSTIVE_DIM_LIMIT, _SAMPLE_COUNT, algebra_from_dict,
-                          algebra_to_dict, builtin, derivation_column, jmul, matrix_jordan,
-                          spin_factor, validate)
+                          algebra_to_dict, builtin, derivation_column, jmul, jpower,
+                          matrix_jordan, spin_factor, validate)
 from tkkwb.jspace import (JSpaceRep, LevelError, check_envelope_relations, check_jspace,
-                          dominance_check, doubled_regular_rep, extend_to_g0, level,
-                          matrix_defining_rep, newton_rep, rep_from_dict, tensor_rep)
-from tkkwb.linalg import (LabeledSpace, Matrix, RowSpan, add_into, dense_vector,
-                          random_vector, unit_vector)
+                          dominance_check, dominance_operator, doubled_regular_rep,
+                          extend_to_g0, level, matrix_defining_rep, newton_rep, rep_from_dict,
+                          tensor_rep)
+from tkkwb.linalg import (LabeledSpace, Matrix, RowSpan, add_into, add_operator, combine,
+                          commutator, dense_vector, integer_vector, operator_product,
+                          random_vector, scalar_operator, unit_vector)
+from tkkwb.multipoly import Poly
 from tkkwb.report import Report
-from tkkwb.symfun import SymPoly, newton, partitions
+from tkkwb.symfun import SymPoly, dominance_coeffs, newton, partitions
 from tkkwb.tkk import (_SL2_BASIS, _SL2_SC, BraceSpace, TKKAlgebra, build_sl2, build_tkk,
                        center_map, half_killing_sl2, validate_lie)
-from tkkwb.weyl import TruncatedVerma, efr_powers, garland_coefficients
+from tkkwb.weyl import _StraightData, TruncatedVerma, efr_powers, garland_coefficients
 
 # -- references: every identity over the full product sweep -------------------
 
@@ -955,3 +965,152 @@ def test_straightening_matches_generating_function_at_every_depth(name):
         series = garland_coefficients(g0, a, range(n + 2))
         for rr in range(n + 2):
             assert direct[rr] == series[rr], rr
+
+
+# -- both garland routes and the dominance sum: Fraction references at a -----
+
+
+def ref_lowering_power(a, k):
+    """f(a)^k over basis multisets, each multinomial a Fraction times the
+    coordinates of a."""
+    fp = {}
+    for combo in combinations_with_replacement([i for i, c in enumerate(a) if c], k):
+        counts = Counter(combo)
+        coeff = factorial(k)
+        for c in counts.values():
+            coeff //= factorial(c)
+        scalar = Q(coeff)
+        for i, c in counts.items():
+            for _ in range(c):
+                scalar = scalar * a[i]
+        if scalar:
+            fp[combo] = scalar
+    return fp
+
+
+def ref_efr_powers(g0, a, rrs):
+    """efr_powers raising f(a)^(n+1) itself, with Fraction coefficients, and
+    scaling depth rr by (den uden)^-rr."""
+    n = level(g0.rep)
+    data = _StraightData(g0)
+    power = ref_lowering_power(a, n + 1)
+    scale = Q(1, data.den * data.uden)
+    fps = {rr: {} for rr in rrs}
+    for mi in range(g0.rep.mdim):
+        vecs = [{(fkey, mi): c for fkey, c in power.items()}]
+        for _ in range(max(rrs)):
+            nxt = {}
+            for bm, c in vecs[-1].items():
+                add_into(nxt, data.raise_unit(*bm), c)
+            vecs.append(nxt)
+        for rr, fp in fps.items():
+            for (fkey, r), c in vecs[rr].items():
+                fp.setdefault(fkey, {}).setdefault(r, {})[mi] = c * scale ** rr
+    if n + 1 in fps:
+        fps[n + 1] = fps[n + 1].get((), {})
+    return fps
+
+
+def ref_garland_coefficients(g0, a, rrs):
+    """The generating function at a itself, in Fractions: H[t] = rho(a^t)/t,
+    and exp(-sum_t H[t] u^t) summed from the powers (-sum_t H[t] u^t)^j / j!
+    of the exponent, truncated at u^(n+1)."""
+    rep = g0.rep
+    n, m = level(rep), rep.mdim
+    order = n + 1
+    lower = [{}] + [{i: c for i, c in enumerate(jpower(rep.jordan, a, s)) if c}
+                    for s in range(1, order + 1)]
+    H = [{}] + [combine(rep.rho, lower[t], Q(1, rep.den * t)) for t in range(1, order + 1)]
+    assert not any(commutator(H[s], H[t]) for s in range(1, order + 1)
+                   for t in range(s + 1, order + 1))
+    expo = [scalar_operator(m)] + [{} for _ in range(order)]
+    term = [scalar_operator(m)] + [{} for _ in range(order)]
+    for j in range(1, order + 1):
+        nxt = [{} for _ in range(order + 1)]
+        for p in range(order + 1):
+            for q in range(1, order + 1 - p):
+                add_operator(nxt[p + q], operator_product(term[p], H[q]), Q(-1, j))
+        term = nxt
+        for e, t in zip(expo, term):
+            add_operator(e, t)
+    apows = [[{(): 1}] + [{} for _ in range(order)]]
+    for _ in range(n + 1 - min(rrs)):
+        nxt = [{} for _ in range(order + 1)]
+        for p in range(order + 1):
+            for key, c in apows[-1][p].items():
+                for q in range(1, order + 1 - p):
+                    add_into(nxt[p + q], {tuple(sorted(key + (i,))): c2
+                                          for i, c2 in lower[q].items()}, c)
+        apows.append(nxt)
+    results = {}
+    for rr in rrs:
+        prefactor = Q((-1) ** rr * factorial(rr) * factorial(n + 1), factorial(n + 1 - rr))
+        out = {}
+        for k, terms in enumerate(apows[n + 1 - rr]):
+            if expo[order - k]:
+                for key, c in terms.items():
+                    add_operator(out.setdefault(key, {}), expo[order - k], c * prefactor)
+        out = {key: op for key, op in out.items() if op}
+        results[rr] = out.get((), {}) if rr == n + 1 else out
+    return results
+
+
+def ref_dominance_operator(rep, a):
+    """The dominance sum with the powers of a itself."""
+    n = level(rep)
+    rhos = {k: combine(rep.rho, {i: c for i, c in enumerate(jpower(rep.jordan, a, k)) if c})
+            for k in range(1, n + 2)}
+    acc = {}
+    for sigma, c in dominance_coeffs(n).items():
+        prod = rhos[sigma[0]]
+        for part in sigma[1:]:
+            prod = operator_product(prod, rhos[part])
+        add_operator(acc, prod, Q(c, rep.den ** len(sigma)))
+    return acc
+
+
+def _gram_diagonal_rep():
+    return doubled_regular_rep(_DENOMINATOR_ALGEBRAS["gram-diagonal"]())
+
+
+_GARLAND_REPS = {**{f"garland-case-{k}": make for k, (make, _) in enumerate(GARLAND_CASES)},
+                 "newton-4-3": lambda: newton_rep(4, 3),
+                 "doubled-gram-diagonal": _gram_diagonal_rep}
+
+
+def _point(kind, d):
+    """A rational element 3/2, -5/3, 7/4, ..., the same with every other
+    coordinate zero, or the generic element."""
+    if kind == "symbolic":
+        return Poly.variables(d)
+    a = [Q((-1) ** i * (2 * i + 3), i + 2) for i in range(d)]
+    if kind == "zeros":
+        a[::2] = [Q(0)] * len(a[::2])
+    return a
+
+
+@pytest.mark.parametrize("kind", ["rational", "zeros", "symbolic"])
+@pytest.mark.parametrize("name", sorted(_GARLAND_REPS))
+def test_integer_copy_routes_match_fraction_references(name, kind):
+    g0 = extend_to_g0(_GARLAND_REPS[name]())
+    n, d = level(g0.rep), g0.rep.jordan.dim
+    a = _point(kind, d)
+    A, a_int = integer_vector(a)
+    assert (A > 1) == (kind != "symbolic")
+    if name == "doubled-gram-diagonal" and kind != "symbolic":
+        # a rational table: the powers of the integer copy keep denominators
+        assert any(c.denominator != 1 for c in jpower(g0.rep.jordan, a_int, 2))
+    rrs = range(n + 2)
+    for route, ref in ((efr_powers, ref_efr_powers),
+                       (garland_coefficients, ref_garland_coefficients)):
+        got, want = route(g0, a, rrs), ref(g0, a, rrs)
+        assert got == want, route.__name__
+        if kind != "symbolic":
+            assert typed(got[n + 1]) == typed(want[n + 1])
+            for rr in range(n + 1):
+                assert {key: typed(op) for key, op in got[rr].items()} == \
+                    {key: typed(op) for key, op in want[rr].items()}
+    got, want = dominance_operator(g0.rep, a), ref_dominance_operator(g0.rep, a)
+    assert got == want
+    if kind != "symbolic":
+        assert typed(got) == typed(want)
