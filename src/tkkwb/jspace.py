@@ -241,6 +241,8 @@ class G0Rep:
         self.rho = rho
         self.braces = braces
         self.report = report
+        # the straightening data that `weyl.straightening` makes on first use
+        self.straightening = None
 
     @property
     def brace(self):

@@ -237,12 +237,6 @@ def _integer_row(vec):
     return integer_rows((vec,))[1][0]
 
 
-def _primitive(row):
-    """row divided by the gcd of its entries."""
-    g = gcd(*row.values())
-    return row if g == 1 else {j: x // g for j, x in row.items()}
-
-
 class RowSpan:
     """Incrementally maintained row space, sparse and fraction-free.
 
@@ -250,7 +244,8 @@ class RowSpan:
     by pivot column, in echelon form without back-elimination: a row has no
     entry left of its pivot.  Inputs are dense lists or sparse dicts of ints
     or Fractions; only the span matters, so each is scaled to integers and
-    reduced by integer row operations, dividing out the gcd as it goes.
+    reduced by integer row operations, and the gcd of a reduced vector is
+    divided out once, when it is stored.
     insert() returns True when the vector enlarged the span.  Used heavily
     by closure sweeps, where thousands of candidate vectors are reduced
     against the current span.
@@ -265,9 +260,11 @@ class RowSpan:
         return len(self.rows)
 
     def _reduce(self, vec):
-        """(v, pivot): v is vec minus a combination of rows, up to a nonzero
+        """(v, pivot): v is vec minus a combination of rows, up to a positive
         scale, whose leading column pivot is no row's pivot; ({}, None) when
-        vec lies in the span."""
+        vec lies in the span.  A step scales v by row[p] / gcd(row[p], v[p]),
+        so no gcd is taken when the pivot entry is 1, and none of v: the
+        result is fixed only up to scale, and insert divides it out once."""
         v = _integer_row(vec)
         rows = self.rows
         while v:
@@ -276,18 +273,17 @@ class RowSpan:
             if row is None:
                 return v, p
             a, b = row[p], v[p]
-            g = gcd(a, b)
-            a, b = a // g, b // g
             if a != 1:
-                v = {j: a * x for j, x in v.items()}
+                g = gcd(a, b)
+                a, b = a // g, b // g
+                if a != 1:
+                    v = {j: a * x for j, x in v.items()}
             for j, y in row.items():
                 x = v.get(j, 0) - b * y
                 if x:
                     v[j] = x
                 else:
                     del v[j]
-            if v:
-                v = _primitive(v)
         return v, None
 
     def contains(self, vec):

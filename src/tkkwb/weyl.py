@@ -17,6 +17,14 @@ every depth r, and bracket_fidelity checks the windowed action against the
 bracket table of the extension.  efr_power and garland_coefficient are the
 single-depth forms.
 
+What straightening needs of a multiset of lowering factors but not of the
+raising generator (its distinct factors, their multiplicities, the pair
+counts and the sorted insertions) is planned once per multiset, and the
+windowed lowering and weight-zero actions read the same plans, writing
+each image straight into the positions of its target cell.  `straightening`
+keeps one _StraightData per extension, so the samples of one check share
+its memos.
+
 Straightening runs in integers: every coefficient that raise_basis and the
 windowed action produce is an int, den times the true rational, over the
 one denominator den of _StraightData, the lcm of the extension's
@@ -106,6 +114,20 @@ def _fkey_insert(fkey, value):
     return tuple(out)
 
 
+class _Memo(dict):
+    """key -> make(key), made on the first lookup and kept."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 class _StraightData:
     """The straightening rule of the extension g0, in integers.
 
@@ -122,6 +144,11 @@ class _StraightData:
     by rho(e_x e_b) + (1/2)[rho(e_x), rho(e_b)], whose denominators divide
     rden tden and 2 rden^2, hence den; `columns` raises ArithmeticError
     should an entry ever be left fractional.
+
+    What does not depend on the raising generator is made once per
+    multiset and kept: plans[fkey] (see _plan), and insertions[nu][k], the
+    multiset nu with k inserted.  Everything here is kept for the life of
+    the object, which `straightening` makes once per extension.
     """
 
     def __init__(self, g0):
@@ -147,6 +174,31 @@ class _StraightData:
         self._repl = {}
         self.uden, (self._unit,) = integer_rows((dict(enumerate(J.unit)),))
         self._raised = {}
+        self.insertions = _Memo(lambda nu: _Memo(lambda k: _fkey_insert(nu, k)))
+        self.plans = _Memo(self._plan)
+
+    def _plan(self, fkey):
+        """One term (b, mult, nu, insertions[nu], pairs) per distinct factor
+        b of fkey, in increasing order, with multiplicity mult and
+        nu = fkey - b, and one pair (c, count, insertions[fkey - b - c]) per
+        factor c >= b that a weight-zero element left by passing b meets
+        next: count = mult (mult - 1) / 2 for c = b, else mult times the
+        multiplicity of c."""
+        counts = Counter(fkey)
+        values = sorted(counts)
+        terms = []
+        for b in values:
+            mult = counts[b]
+            nu = _fkey_remove(fkey, b)
+            pairs = []
+            for c in values:
+                if c < b:
+                    continue
+                count = mult * (mult - 1) // 2 if c == b else mult * counts[c]
+                if count:
+                    pairs.append((c, count, self.insertions[_fkey_remove(nu, c)]))
+            terms.append((b, mult, nu, self.insertions[nu], pairs))
+        return terms
 
     def repl(self, x, b, c):
         key = (x, b, c)
@@ -165,30 +217,34 @@ class _StraightData:
         g0mat[x][b], which acts on m_mi; passing a second factor f(e_c) first
         turns it into the lowering element repl(x, b, c).
         """
+        # summed term by term, not through add_into: the innermost loop of
+        # the closure, where a dict per term costs more than the sum
         out = {}
-        counts = Counter(fkey)
-        values = sorted(counts)
-        for b in values:
-            mult = counts[b]
-            nu = _fkey_remove(fkey, b)
-            col = self.g0mat[x][b].get(mi, {})
-            add_into(out, {(nu, r): c for r, c in col.items()}, mult)
+        g0x = self.g0mat[x]
+        for b, mult, nu, _, pairs in self.plans[fkey]:
+            col = g0x[b].get(mi)
+            if col:
+                for r, c in col.items():
+                    key = (nu, r)
+                    v = out.get(key, 0) + mult * c
+                    if v:
+                        out[key] = v
+                    elif key in out:
+                        del out[key]
             # pair terms: the weight-zero element continues rightward and
             # commutes with one more lowering factor
-            for c2 in values:
-                if c2 < b:
-                    continue
-                count = mult * (mult - 1) // 2 if c2 == b else mult * counts[c2]
-                if not count:
-                    continue
-                nu2 = _fkey_remove(nu, c2)
-                add_into(out, {(_fkey_insert(nu2, k), mi): ck
-                               for k, ck in self.repl(x, b, c2).items()}, count)
+            for c, count, ins in pairs:
+                for k, ck in self.repl(x, b, c).items():
+                    key = (ins[k], mi)
+                    v = out.get(key, 0) + count * ck
+                    if v:
+                        out[key] = v
+                    elif key in out:
+                        del out[key]
         return out
 
     def raise_unit(self, fkey, mi):
-        """e(1) f(fkey) m_mi straightened, over den * uden, kept for the life
-        of this object."""
+        """e(1) f(fkey) m_mi straightened, over den * uden."""
         key = (fkey, mi)
         if key not in self._raised:
             out = {}
@@ -196,6 +252,14 @@ class _StraightData:
                 add_into(out, self.raise_basis(x, fkey, mi), c)
             self._raised[key] = out
         return self._raised[key]
+
+
+def straightening(g0):
+    """The _StraightData of the extension g0, made on first use and kept on
+    g0, so that every computation on one extension shares its memos."""
+    if g0.straightening is None:
+        g0.straightening = _StraightData(g0)
+    return g0.straightening
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +309,7 @@ def efr_powers(g0, a, rrs):
     """
     g0, n = checked_extension(g0)
     rrs = _check_depths(rrs, n)
-    data = _StraightData(g0)
+    data = straightening(g0)
     m = g0.rep.mdim
     A, a_int = integer_vector(a)
     power = lowering_power(a_int, n + 1)
@@ -462,7 +526,7 @@ class TruncatedVerma:
         self.D_max = D_max
         self.W = W
         self.ell_max = self.n + W
-        self.data = _StraightData(g0)
+        self.data = straightening(g0)
 
         degs = J.space.degrees
         order = sorted(range(J.dim), key=lambda i: (degs[i], i))
@@ -539,18 +603,12 @@ class TruncatedVerma:
             status, tgt = self.target_of(gen, cell)
             if status != "ok":
                 raise WindowError(f"generator {gen} leaves the window from cell {cell}")
-            tgt_pos = self.cell_pos.get(tgt, {})
-            images = []
-            for fkey, mi in self.cells.get(cell, []):
-                img = {}
-                for bm, c in self._apply_basis(*gen, fkey, mi).items():
-                    pos = tgt_pos.get(bm)
-                    if pos is None:
-                        # complete cells: a missing target means it fell outside
-                        # the window, which target_of already excluded
-                        raise AssertionError("image outside computed cell basis")
-                    img[pos] = c
-                images.append(img)
+            try:
+                images = self._images(gen, self.cells.get(cell, []), self.cell_pos.get(tgt, {}))
+            except KeyError:
+                # complete cells: a missing target means it fell outside the
+                # window, which target_of already excluded
+                raise AssertionError("image outside computed cell basis") from None
             den = self.data.den
             g = gcd(den, *(c for img in images for c in img.values()))
             self._columns[key] = den // g, [{t: c // g for t, c in img.items()}
@@ -567,26 +625,41 @@ class TruncatedVerma:
                 rows[t][j] = Fraction(c, den)
         return Matrix(tdim, len(cols), rows)
 
-    def _apply_basis(self, kind, i, fkey, mi):
-        """The generator on one basis vector, as {(multiset, module index):
-        int} over the denominator of the straightening data."""
-        out = {}
+    def _images(self, gen, basis, tgt_pos):
+        """The generator on each (multiset, module index) of basis, as
+        {target position: int} over the denominator of the straightening
+        data; KeyError when an image leaves tgt_pos.  The f, h and d images
+        are written straight into positions from the insertions and the
+        multiset plans of the straightening data, the e images come from
+        raise_basis."""
+        kind, i = gen
+        data = self.data
+        if kind == "e":
+            return [{tgt_pos[bm]: c for bm, c in data.raise_basis(i, fkey, mi).items()}
+                    for fkey, mi in basis]
         if kind == "f":
-            out[(_fkey_insert(fkey, i), mi)] = self.data.den
-        elif kind in ("h", "d"):
-            # a weight-zero generator acts on each lowering factor through its
-            # operator on J, then on the module vector
-            on_J, on_module = self._weight_zero_action(kind, i)
-            for b, mult in Counter(fkey).items():
-                nu = _fkey_remove(fkey, b)
-                add_into(out, {(_fkey_insert(nu, r), mi): c
-                               for r, c in on_J[b].items()}, mult)
-            add_into(out, {(fkey, r): c for r, c in on_module.get(mi, {}).items()})
-        elif kind == "e":
-            out = self.data.raise_basis(i, fkey, mi)
-        else:
+            return [{tgt_pos[(data.insertions[fkey][i], mi)]: data.den} for fkey, mi in basis]
+        if kind not in ("h", "d"):
             raise ValueError(f"unknown generator kind {kind}")
-        return out
+        # a weight-zero generator acts on each lowering factor through its
+        # operator on J, then on the module vector
+        on_J, on_module = self._weight_zero_action(kind, i)
+        images = []
+        for fkey, mi in basis:
+            img = {}
+            for b, mult, _, ins, _ in data.plans[fkey]:
+                for r, c in on_J[b].items():
+                    t = tgt_pos[(ins[r], mi)]
+                    v = img.get(t, 0) + mult * c
+                    if v:
+                        img[t] = v
+                    elif t in img:
+                        del img[t]
+            col = on_module.get(mi)
+            if col:
+                add_into(img, {tgt_pos[(fkey, r)]: c for r, c in col.items()})
+            images.append(img)
+        return images
 
     def _weight_zero_action(self, kind, i):
         """(on_J, on_module) of h(e_i) or of the brace basis element i.

@@ -7,6 +7,7 @@ deliberately non-dominant controls.
 """
 
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 
@@ -14,7 +15,7 @@ from tkkwb import (JSpaceRep, matrix_jordan, newton_rep, regular_rep,
                    spin_factor, truncated_poly, zero_rep)
 from tkkwb.jordan import jmul
 from tkkwb.jspace import doubled_regular_rep, matrix_defining_rep, tensor_rep
-from tkkwb.linalg import LabeledSpace, Matrix, unit_vector
+from tkkwb.linalg import LabeledSpace, Matrix, RowSpan, _integer_row, unit_vector
 
 
 def column(m, j):
@@ -56,6 +57,38 @@ def matrix_of_rows(rows, cols):
     """Sparse rows {column: entry}, such as center_map's kernel, as the dense
     len(rows) x cols matrix (zeros as Fraction 0)."""
     return Matrix(len(rows), cols, [[row.get(c, Q(0)) for c in range(cols)] for row in rows])
+
+
+class ReferenceRowSpan(RowSpan):
+    """RowSpan whose reduction divides the working vector by the gcd of its
+    entries after every pivot step and always takes the gcd of the pivot
+    pair: the reference that RowSpan, which divides out the gcd once per
+    reduction, must match verdict for verdict and row for row."""
+
+    def _reduce(self, vec):
+        v = _integer_row(vec)
+        rows = self.rows
+        while v:
+            p = min(v)
+            row = rows.get(p)
+            if row is None:
+                return v, p
+            a, b = row[p], v[p]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if a != 1:
+                v = {j: a * x for j, x in v.items()}
+            for j, y in row.items():
+                x = v.get(j, 0) - b * y
+                if x:
+                    v[j] = x
+                else:
+                    del v[j]
+            if v:
+                g = gcd(*v.values())
+                if g != 1:
+                    v = {j: x // g for j, x in v.items()}
+        return v, None
 
 
 def L_op(J, a):

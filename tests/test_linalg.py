@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ReferenceRowSpan
 from tkkwb.linalg import (LabeledSpace, Matrix, RowSpan, add_into, columns, int_if_integral,
                           integer_operators, integer_rows, integer_vector, quotient, rref)
 from tkkwb.multipoly import Poly
@@ -194,6 +195,42 @@ def test_rowspan_rows_do_not_depend_on_the_input_form(rows):
         assert as_ints == kept
     assert spans[0].rows == spans[1].rows == spans[2].rows
     assert all(type(x) is int for row in spans[0].rows.values() for x in row.values())
+
+
+@st.composite
+def _scaled_rows(draw):
+    """(cols, rows, probes): dense Fraction lists and int dicts (zeros kept)
+    over cols columns, each a random integer row times a content of 2 to 6
+    over a denominator of 1 to 4, so that pivot entries other than 1 and
+    contents above 1 are common."""
+    cols = draw(st.integers(1, 6))
+
+    def row():
+        entries = draw(st.lists(st.integers(-9, 9), min_size=cols, max_size=cols))
+        content, den = draw(st.integers(2, 6)), draw(st.integers(1, 4))
+        if den == 1:
+            return {j: content * x for j, x in enumerate(entries)}
+        return [Q(content * x, den) for x in entries]
+
+    rows = [row() for _ in range(draw(st.integers(0, 7)))]
+    return cols, rows, [row() for _ in range(3)]
+
+
+@settings(deadline=None, max_examples=200)
+@given(_scaled_rows())
+def test_rowspan_matches_the_per_step_gcd_reference(case):
+    # the gcd is divided out once per reduction, not after every step: the
+    # reduction fixes its result only up to a positive scale, so every
+    # verdict and every stored row, in its key order, is the reference's
+    cols, rows, probes = case
+    span, ref = RowSpan(cols), ReferenceRowSpan(cols)
+    for r in rows:
+        assert span.insert(r) == ref.insert(r)
+    assert span.dim == ref.dim
+    assert [(p, list(row.items())) for p, row in span.rows.items()] == \
+        [(p, list(row.items())) for p, row in ref.rows.items()]
+    for v in probes + rows:
+        assert span.contains(v) == ref.contains(v)
 
 
 def _naive_matmul(a, b):

@@ -919,6 +919,14 @@ def _scaled_basis_local_rep():
                           "rho": [[["4"]], [["0"]], [["0"]], [["0"]]]})
 
 
+def _local_rep(n, D):
+    """rho(1) = n on a 1-dim module over truncated-poly:D, rho = 0 in
+    positive degree: the local Weyl module of level n."""
+    return rep_from_dict({"algebra": f"truncated-poly:{D}",
+                          "module": {"labels": ["v"], "degrees": [0]},
+                          "rho": [[[str(n)]]] + [[["0"]]] * D})
+
+
 def _tensor_square_of_defining():
     dr = matrix_defining_rep(2)
     return tensor_rep(dr, dr)
@@ -936,6 +944,9 @@ _STRAIGHTENING_REPS = {
     "zero-dim-module": (lambda: rep_from_dict({"algebra": "truncated-poly:2",
                                                "module": {"labels": [], "degrees": []},
                                                "rho": [[], [], []]}), 2, 2),
+    # the benchmark's shapes, where a factor repeats up to n + 1 times
+    "newton-3-5": (lambda: newton_rep(3, 5), 5, 1),
+    "local-7-6": (lambda: _local_rep(7, 6), 6, 1),
 }
 
 

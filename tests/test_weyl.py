@@ -658,14 +658,39 @@ def test_straightening_coefficients_are_ints(monkeypatch):
     # the closure's straightening runs in integers over one denominator
     seen = []
 
-    def recording(original):
+    def recording(original, images):
         def wrapper(*args):
             out = original(*args)
-            seen.extend(type(c) for c in out.values())
+            seen.extend(type(c) for img in (out if images else [out]) for c in img.values())
             return out
         return wrapper
 
-    monkeypatch.setattr(_StraightData, "raise_basis", recording(_StraightData.raise_basis))
-    monkeypatch.setattr(TruncatedVerma, "_apply_basis", recording(TruncatedVerma._apply_basis))
+    monkeypatch.setattr(_StraightData, "raise_basis",
+                        recording(_StraightData.raise_basis, False))
+    monkeypatch.setattr(TruncatedVerma, "_images", recording(TruncatedVerma._images, True))
     weyl_dimensions(newton_rep(3, 5), 5)
     assert seen and set(seen) == {int}
+
+
+def test_straightening_plans_each_multiset_once(monkeypatch):
+    # what straightening needs of a multiset does not depend on the
+    # generator or the module index, so the raising and weight-zero
+    # generators on every cell read one plan per multiset
+    planned = []
+    plan = _StraightData._plan
+
+    def recorded(self, fkey):
+        planned.append(fkey)
+        return plan(self, fkey)
+
+    monkeypatch.setattr(_StraightData, "_plan", recorded)
+    verma = TruncatedVerma(extend_to_g0(newton_rep(3, 3)), 3, 1)
+    assert verma.rep.mdim > 1
+    acted = set()
+    for gen in verma.generators:
+        for cell in sorted(verma.cells):
+            if verma.target_of(gen, cell)[0] == "ok":
+                verma.action_columns(gen, cell)
+                if gen[0] != "f":
+                    acted.update(fkey for fkey, _ in verma.cells[cell])
+    assert len(planned) == len(set(planned)) and set(planned) == acted
