@@ -191,10 +191,6 @@ def cmd_jspace_check(args):
 
 def cmd_weyl_dims(args):
     table = weyl_mod.weyl_dimensions(_resolve_rep(args), args.max_degree, W=args.window)
-    if not table.meta.get("stable"):
-        print("unstable: the closing pass found a raising image outside the killed part",
-              file=sys.stderr)
-        return EXIT_RESOURCE
     lines_out = []
     if args.format == "csv":
         lines_out = table.to_csv_lines()

@@ -211,7 +211,7 @@ def ensure_valid(J):
 # builtin families
 
 
-def truncated_poly(D, name=None, graded=True):
+def truncated_poly(D, graded=True):
     """k[t]/(t^(D+1)) with deg t^i = i; products past degree D are zero.
 
     graded=False keeps the same multiplication but concentrates everything
@@ -225,7 +225,7 @@ def truncated_poly(D, name=None, graded=True):
     table = [[({i + j: Fraction(1)} if i + j <= D else {}) for j in range(D + 1)]
              for i in range(D + 1)]
     unit = unit_vector(D + 1, 0)
-    return JordanAlgebra(space, unit, table, name or f"truncated-poly({D})")
+    return JordanAlgebra(space, unit, table, f"truncated-poly({D})")
 
 
 def special_from_associative(labels, unit, assoc_table, name=None):
@@ -270,7 +270,7 @@ def table_product(table, u, v):
     return out
 
 
-def matrix_jordan(m, name=None):
+def matrix_jordan(m):
     """The full matrix algebra M_m(k) symmetrized: a o b = (ab+ba)/2."""
     if m < 1:
         raise InputError("matrix size must be >= 1")
@@ -290,10 +290,10 @@ def matrix_jordan(m, name=None):
     unit = zero_vector(d)
     for p in range(m):
         unit[idx(p, p)] = Fraction(1)
-    return special_from_associative(labels, unit, assoc, name or f"M{m}(k)+")
+    return special_from_associative(labels, unit, assoc, f"M{m}(k)+")
 
 
-def spin_factor(gram, name=None):
+def spin_factor(gram):
     """k1 + V with (a1+v)(b1+w) = (ab + <v,w>)1 + aw + bv.
 
     gram is the symmetric matrix of the bilinear form on V.
@@ -317,7 +317,7 @@ def spin_factor(gram, name=None):
         for j in range(k):
             table[i + 1][j + 1] = {0: g[i][j]} if g[i][j] else {}
     space = LabeledSpace(labels, (0,) * d)
-    return JordanAlgebra(space, unit_vector(d, 0), table, name or f"spin-factor({k})")
+    return JordanAlgebra(space, unit_vector(d, 0), table, f"spin-factor({k})")
 
 
 def _identity_spin_factor(k):

@@ -22,8 +22,8 @@ raising generator (its distinct factors, their multiplicities, the pair
 counts and the sorted insertions) is planned once per multiset, and the
 windowed lowering and weight-zero actions read the same plans, writing
 each image straight into the positions of its target cell.  `straightening`
-keeps one _StraightData per extension, so the samples of one check share
-its memos.
+keeps one _StraightData per extension, so the samples of one check and
+every window share its memos, the h and brace actions among them.
 
 Straightening runs in integers: every coefficient that raise_basis and the
 windowed action produce is an int, den times the true rational, over the
@@ -40,8 +40,10 @@ lowering polynomials {multiset: operator} with no empty operator:
 canonical, so results agree exactly when they are ==.
 
 Weyl dimension tables come from a raising-closure of the below-band cells
-of a degree-and-depth window, with a submodule certificate checked after
-the fact, and are cross-checked against a pure enumeration oracle for the
+of a degree-and-depth window, closed under the raising generators by
+construction (so meta's stable always holds), with a submodule
+certificate for the lowering and weight-zero generators checked after the
+fact, and are cross-checked against a pure enumeration oracle for the
 symmetric power of the natural current module.
 """
 
@@ -132,9 +134,9 @@ class _StraightData:
     """The straightening rule of the extension g0, in integers.
 
     Every coefficient handed out here is an int, den times the true
-    rational: the weight-zero columns g0mat, the lowering elements repl and
-    raise_basis.  raise_unit is over den * uden, uden the lcm of the
-    denominators of the unit.  den is the lcm of
+    rational: the weight-zero columns g0mat, the lowering elements repl,
+    raise_basis and the h and brace actions weight_zero.  raised is over
+    den * uden, uden the lcm of the denominators of the unit.  den is the lcm of
       - g0.den = 4 rden^2, rden the lcm of the denominators of rho, over
         which the h and brace operators of the extension are integers;
       - tden^2, tden the denominator of the integer copy T of J.table:
@@ -147,11 +149,15 @@ class _StraightData:
 
     What does not depend on the raising generator is made once per
     multiset and kept: plans[fkey] (see _plan), and insertions[nu][k], the
-    multiset nu with k inserted.  Everything here is kept for the life of
-    the object, which `straightening` makes once per extension.
+    multiset nu with k inserted.  So are the lowering elements repl[x, b, c],
+    the raised units raised[fkey, mi] and the h and brace actions
+    weight_zero[kind, i] that every window reads (see _weight_zero_action).
+    Everything here is kept for the life of the object, which
+    `straightening` makes once per extension.
     """
 
     def __init__(self, g0):
+        self.g0 = g0
         J = g0.rep.jordan
         d = J.dim
         bs = g0.brace
@@ -170,10 +176,10 @@ class _StraightData:
                                             combine(g0.braces, bs.brace_pair(x, b),
                                                     2 * tden * cden)), scale)
                        for b in range(d)] for x in range(d)]
-        # [h(e_x e_b) + 2{e_x,e_b}, f(e_c)] = f(-2 (e_x e_b) e_c + 2 da_{x,b} e_c)
-        self._repl = {}
+        self.repl = _Memo(self._repl)
         self.uden, (self._unit,) = integer_rows((dict(enumerate(J.unit)),))
-        self._raised = {}
+        self.raised = _Memo(self._raise_unit)
+        self.weight_zero = _Memo(self._weight_zero_action)
         self.insertions = _Memo(lambda nu: _Memo(lambda k: _fkey_insert(nu, k)))
         self.plans = _Memo(self._plan)
 
@@ -200,27 +206,28 @@ class _StraightData:
             terms.append((b, mult, nu, self.insertions[nu], pairs))
         return terms
 
-    def repl(self, x, b, c):
-        key = (x, b, c)
-        if key not in self._repl:
-            T, s = self.T, self.tscale
-            out = {}
-            for m, cm in T[x][b].items():
-                add_into(out, T[m][c], -2 * s * cm)
-            self._repl[key] = add_into(out, derivation_column(T, x, b, c), 2 * s)
-        return self._repl[key]
+    def _repl(self, key):
+        """[h(e_x e_b) + 2{e_x,e_b}, f(e_c)] = f(-2 (e_x e_b) e_c + 2 da_{x,b} e_c)
+        for key = (x, b, c): the lowering element, as {index: int}."""
+        x, b, c = key
+        T, s = self.T, self.tscale
+        out = {}
+        for m, cm in T[x][b].items():
+            add_into(out, T[m][c], -2 * s * cm)
+        return add_into(out, derivation_column(T, x, b, c), 2 * s)
 
     def raise_basis(self, x, fkey, mi):
         """e(e_x) f(fkey) m_mi straightened, as {(multiset, module index): coeff}.
 
         Passing one lowering factor f(e_b) leaves the weight-zero element
         g0mat[x][b], which acts on m_mi; passing a second factor f(e_c) first
-        turns it into the lowering element repl(x, b, c).
+        turns it into the lowering element repl[x, b, c].
         """
         # summed term by term, not through add_into: the innermost loop of
         # the closure, where a dict per term costs more than the sum
         out = {}
         g0x = self.g0mat[x]
+        repl = self.repl
         for b, mult, nu, _, pairs in self.plans[fkey]:
             col = g0x[b].get(mi)
             if col:
@@ -234,7 +241,7 @@ class _StraightData:
             # pair terms: the weight-zero element continues rightward and
             # commutes with one more lowering factor
             for c, count, ins in pairs:
-                for k, ck in self.repl(x, b, c).items():
+                for k, ck in repl[x, b, c].items():
                     key = (ins[k], mi)
                     v = out.get(key, 0) + count * ck
                     if v:
@@ -243,15 +250,35 @@ class _StraightData:
                         del out[key]
         return out
 
-    def raise_unit(self, fkey, mi):
-        """e(1) f(fkey) m_mi straightened, over den * uden."""
-        key = (fkey, mi)
-        if key not in self._raised:
-            out = {}
-            for x, c in self._unit.items():
-                add_into(out, self.raise_basis(x, fkey, mi), c)
-            self._raised[key] = out
-        return self._raised[key]
+    def _raise_unit(self, key):
+        """e(1) f(fkey) m_mi straightened, over den * uden, for key = (fkey, mi)."""
+        out = {}
+        for x, c in self._unit.items():
+            add_into(out, self.raise_basis(x, *key), c)
+        return out
+
+    def _weight_zero_action(self, key):
+        """(on_J, on_module) of h(e_i) or of the brace basis element i, for
+        key = (kind, i) with kind "h" or "d".
+
+        on_J[b] is the sparse image of e_b under the operator on J: -2 e_i e_b
+        for h(e_i), the inner derivation [L_{e_a}, L_{e_a'}] e_b for a brace
+        with representative pair (a, a').  Both are lookups in the integer
+        copy T of J.table (J is validated, so commutative), never in the
+        extension's bracket table, which bracket_fidelity checks this action
+        against.  on_module holds the sparse columns of rho[i] or of the
+        brace's operator.  All are ints over den.
+        """
+        kind, i = key
+        g0, T = self.g0, self.T
+        if kind == "h":
+            s = -2 * self.tscale * self.tden
+            on_J = [{r: s * c for r, c in row.items()} for row in T[i]]
+            return on_J, columns(g0.rho[i], self.den // g0.den)
+        a, a2 = g0.brace.rep_pairs[i]
+        on_J = [{r: self.tscale * c for r, c in derivation_column(T, a, a2, b).items()}
+                for b in range(len(T))]
+        return on_J, columns(g0.braces[i], self.den // g0.den)
 
 
 def straightening(g0):
@@ -322,7 +349,7 @@ def efr_powers(g0, a, rrs):
         for _ in range(max(rrs, default=0)):
             nxt = {}
             for bm, c in vecs[-1].items():
-                add_into(nxt, data.raise_unit(*bm), c)
+                add_into(nxt, data.raised[bm], c)
             vecs.append(nxt)
         for rr, fp in fps.items():
             s = scale ** rr / A ** (n + 1)
@@ -547,8 +574,7 @@ class TruncatedVerma:
                     self.cells.setdefault(key, []).append((fkey, mi))
         for key, basis in self.cells.items():
             self.cell_pos[key] = {bm: t for t, bm in enumerate(basis)}
-        self._columns = {}
-        self._weight_zero = {}
+        self._columns = _Memo(self._block)
 
         d = J.dim
         self.generators = [("e", i) for i in range(d)] + \
@@ -598,22 +624,23 @@ class TruncatedVerma:
         straightening data, so den is it divided by its gcd with every
         entry: the least common denominator of the block.
         """
-        key = (gen, cell)
-        if key not in self._columns:
-            status, tgt = self.target_of(gen, cell)
-            if status != "ok":
-                raise WindowError(f"generator {gen} leaves the window from cell {cell}")
-            try:
-                images = self._images(gen, self.cells.get(cell, []), self.cell_pos.get(tgt, {}))
-            except KeyError:
-                # complete cells: a missing target means it fell outside the
-                # window, which target_of already excluded
-                raise AssertionError("image outside computed cell basis") from None
-            den = self.data.den
-            g = gcd(den, *(c for img in images for c in img.values()))
-            self._columns[key] = den // g, [{t: c // g for t, c in img.items()}
-                                            for img in images]
-        return self._columns[key]
+        return self._columns[gen, cell]
+
+    def _block(self, key):
+        """action_columns for key = (gen, cell), made afresh."""
+        gen, cell = key
+        status, tgt = self.target_of(gen, cell)
+        if status != "ok":
+            raise WindowError(f"generator {gen} leaves the window from cell {cell}")
+        try:
+            images = self._images(gen, self.cells.get(cell, []), self.cell_pos.get(tgt, {}))
+        except KeyError:
+            # complete cells: a missing target means it fell outside the
+            # window, which target_of already excluded
+            raise AssertionError("image outside computed cell basis") from None
+        den = self.data.den
+        g = gcd(den, *(c for img in images for c in img.values()))
+        return den // g, [{t: c // g for t, c in img.items()} for img in images]
 
     def action_matrix(self, gen, cell):
         """The action_columns of the generator as a dense Fraction matrix."""
@@ -630,8 +657,8 @@ class TruncatedVerma:
         {target position: int} over the denominator of the straightening
         data; KeyError when an image leaves tgt_pos.  The f, h and d images
         are written straight into positions from the insertions and the
-        multiset plans of the straightening data, the e images come from
-        raise_basis."""
+        multiset plans of the straightening data, the h and d images from
+        its weight_zero actions too, the e images come from raise_basis."""
         kind, i = gen
         data = self.data
         if kind == "e":
@@ -643,7 +670,7 @@ class TruncatedVerma:
             raise ValueError(f"unknown generator kind {kind}")
         # a weight-zero generator acts on each lowering factor through its
         # operator on J, then on the module vector
-        on_J, on_module = self._weight_zero_action(kind, i)
+        on_J, on_module = data.weight_zero[kind, i]
         images = []
         for fkey, mi in basis:
             img = {}
@@ -660,34 +687,6 @@ class TruncatedVerma:
                 add_into(img, {tgt_pos[(fkey, r)]: c for r, c in col.items()})
             images.append(img)
         return images
-
-    def _weight_zero_action(self, kind, i):
-        """(on_J, on_module) of h(e_i) or of the brace basis element i.
-
-        on_J[b] is the sparse image of e_b under the operator on J: -2 e_i e_b
-        for h(e_i), the inner derivation [L_{e_a}, L_{e_a'}] e_b for a brace
-        with representative pair (a, a').  Both are lookups in the integer
-        copy of J.table (J is validated, so commutative), never in the
-        extension's bracket table, which bracket_fidelity checks this action
-        against.  on_module holds the sparse columns of rho[i] or of the
-        brace's operator.  All are ints over the denominator of the
-        straightening data.
-        """
-        key = (kind, i)
-        if key not in self._weight_zero:
-            data, g0, d = self.data, self.g0, self.J.dim
-            T = data.T
-            if kind == "h":
-                s = -2 * data.tscale * data.tden
-                on_J = [{r: s * c for r, c in T[i][b].items()} for b in range(d)]
-                on_module = columns(g0.rho[i], data.den // g0.den)
-            else:
-                a, a2 = g0.brace.rep_pairs[i]
-                on_J = [{r: data.tscale * c for r, c in derivation_column(T, a, a2, b).items()}
-                        for b in range(d)]
-                on_module = columns(g0.braces[i], data.den // g0.den)
-            self._weight_zero[key] = (on_J, on_module)
-        return self._weight_zero[key]
 
 
 def apply_generator(verma, vec_by_cell, gen):
@@ -817,10 +816,16 @@ def weyl_dimensions(rep_or_g0, D_max, W=None):
     recorded.  Each sweep applies the raising generators to the rows the
     previous sweep added, in a fixed cell order, and skips a generator whose
     target cell is full: every insert there would be rejected.  Each sweep
-    reaches one depth higher, so at most n + 2 sweeps run.  Once a sweep
-    adds nothing, one closing pass applies every generator to the whole
-    killed part: a raising image outside it marks the table unstable, any
-    other image outside it fails the submodule certificate.
+    reaches one depth higher, so at most n + 2 sweeps run.
+
+    Once a sweep adds nothing, the killed part X, together with the full
+    cells deeper than n, is closed under the raising generators by
+    construction: every row inserted into X has had all its raising images
+    inserted, accepted or rejected as already inside, and X only grows, so
+    they stay inside; a target that a sweep skips is full, deeper than n, or
+    outside the window.  So meta's stable is always True.  One closing pass
+    then applies the lowering and weight-zero generators (f, h and d) to the
+    whole killed part: an image outside it fails the submodule certificate.
     meta also says whether the top cells survive (top_weight_preserved, the
     exact closure-side reading of dominance); nothing depends on a seed.
     """
@@ -861,16 +866,10 @@ def weyl_dimensions(rep_or_g0, D_max, W=None):
                         added += 1
         frontier = new_frontier
 
-    # the closing pass; the certificate is only read on stable tables
-    stable = True
-    certificate_ok = True
-    for cell, gen in product(sorted(X), verma.generators):
-        raising = gen[0] == "e"
-        if (raising or certificate_ok) and _leaves(verma, X, gen, cell):
-            if raising:
-                stable = False
-                break
-            certificate_ok = False
+    # the closing pass, for the generators the sweeps do not close X under
+    certificate_ok = not any(_leaves(verma, X, gen, cell)
+                             for cell, gen in product(sorted(X), verma.generators)
+                             if gen[0] != "e")
 
     dims = {}
     top_preserved = True
@@ -885,7 +884,7 @@ def weyl_dimensions(rep_or_g0, D_max, W=None):
 
     meta = {
         "sweeps": sweeps,
-        "stable": stable,
+        "stable": True,
         "certificate_ok": certificate_ok,
         "top_weight_preserved": top_preserved,
     }

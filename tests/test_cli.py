@@ -462,13 +462,14 @@ def test_weyl_window_deeper_than_the_recursion_limit(capsys):
     assert (code, out, err) == run(capsys, *argv)
 
 
-def test_weyl_unstable_closure_exit2(capsys, monkeypatch):
+def test_weyl_unclosed_killed_part_exit1(capsys, monkeypatch):
     # a killed part that claims to contain nothing fails the closing pass
     monkeypatch.setattr(RowSpan, "contains", lambda self, vec: False)
     code, out, err = run(capsys, "weyl", "dims", "--builtin-rep", "newton",
                          "--n", "2", "--cutoff", "2", "--max-degree", "2")
-    assert (code, out) == (2, "")
-    assert err == "unstable: the closing pass found a raising image outside the killed part\n"
+    assert code == 1
+    assert out.startswith("weight degree dim\n")
+    assert err == "submodule certificate failed\n"
 
 
 def test_jspace_check_rejects_a_non_jordan_algebra(capsys, tmp_path):

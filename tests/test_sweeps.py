@@ -1012,7 +1012,7 @@ def ref_efr_powers(g0, a, rrs):
         for _ in range(max(rrs)):
             nxt = {}
             for bm, c in vecs[-1].items():
-                add_into(nxt, data.raise_unit(*bm), c)
+                add_into(nxt, data.raised[bm], c)
             vecs.append(nxt)
         for rr, fp in fps.items():
             for (fkey, r), c in vecs[rr].items():

@@ -8,6 +8,7 @@ import pytest
 from conftest import (canonical, column, dense_rho, dense_rho_of, jordan_block_3,
                       matrix_rep, nilpotent_matrix, noncommuting_rep, one_gen_rep,
                       projection_matrix, sparse)
+from tkkwb import weyl
 from tkkwb.jordan import (InputError, JordanAlgebra, matrix_jordan, spin_factor,
                           truncated_poly)
 from tkkwb.jspace import (LevelError, check_jspace, dominance_check,
@@ -478,10 +479,58 @@ def test_weyl_deterministic_across_runs():
 
 
 def test_weyl_closing_pass_confirms_the_closure(monkeypatch):
-    # a killed part that claims to contain nothing fails the confirmation
+    # a killed part that claims to contain nothing fails the certificate
     monkeypatch.setattr(RowSpan, "contains", lambda self, vec: False)
     table = weyl_dimensions(newton_rep(2, 2), 2)
-    assert table.meta["stable"] is False
+    assert table.meta["stable"] is True
+    assert table.meta["certificate_ok"] is False
+
+
+def _tensor_power_of_defining(m, k):
+    base = matrix_defining_rep(m)
+    rep = base
+    for _ in range(k - 1):
+        rep = tensor_rep(rep, base)
+    return rep
+
+
+@pytest.mark.parametrize("make_rep, D", [
+    (lambda: newton_rep(3, 5), 5),
+    (lambda: newton_rep(2, 5), 5),
+    (lambda: newton_rep(4, 4), 4),
+    (lambda: _local_rep(truncated_poly(6), 7), 6),
+    (lambda: _local_rep(truncated_poly(7), 6), 7),
+    (lambda: _tensor_power_of_defining(2, 4), 0),
+], ids=["newton-3-5", "newton-2-5", "newton-4-4", "local-7-6", "local-6-7",
+        "defining-M2-fourth-power"])
+def test_weyl_sweeps_close_the_killed_part_under_raising(monkeypatch, make_rep, D):
+    # the closing pass applies no raising generator: every raising image of
+    # a killed row lies in the killed part once the sweeps stop
+    seen = []
+    original = weyl._leaves
+
+    def spy(verma, X, gen, cell):
+        seen.append((verma, X, gen))
+        return original(verma, X, gen, cell)
+
+    monkeypatch.setattr(weyl, "_leaves", spy)
+    table = weyl_dimensions(make_rep(), D)
+    assert table.meta["stable"] and table.meta["certificate_ok"]
+    assert seen and all(gen[0] != "e" for _, _, gen in seen)
+    verma, X, _ = seen[0]
+    images = 0
+    for cell, span in X.items():
+        for i in range(verma.J.dim):
+            status, tgt = verma.target_of(("e", i), cell)
+            if status != "ok":
+                continue
+            _, cols = verma.action_columns(("e", i), cell)
+            for row in span.rows.values():
+                img = weyl._image(cols, row)
+                if img:
+                    assert tgt in X and X[tgt].contains(img), (i, cell)
+                    images += 1
+    assert images
 
 
 def test_weyl_closing_pass_checks_the_certificate(monkeypatch):
@@ -535,11 +584,7 @@ def test_weyl_tensor_powers_of_defining_reps(m, k, dims):
     # partitions lambda of k with at most m rows, so its dimension is (2m)^k
     # less the parts with more rows (none for m = 3, k = 2; 3 * 15 + 1 for
     # m = 2, k = 4)
-    base = matrix_defining_rep(m)
-    rep = base
-    for _ in range(k - 1):
-        rep = tensor_rep(rep, base)
-    table = weyl_dimensions(rep, 0)
+    table = weyl_dimensions(_tensor_power_of_defining(m, k), 0)
     assert table.dims == {(k - 2 * j, 0): dim for j, dim in enumerate(dims)}
     assert table.meta["stable"] and table.meta["certificate_ok"]
 
