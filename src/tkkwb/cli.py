@@ -7,6 +7,7 @@ Exit codes: 0 everything verified, 1 a property failed (witness printed),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -345,9 +346,16 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """build_parser's parser, built on the first call and kept: parsing
+    leaves no state on it, so every later main call of the process reuses it."""
+    return build_parser()
+
+
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except (InputError, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

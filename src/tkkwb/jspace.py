@@ -21,6 +21,16 @@ they compute is sparse, compared with ==.  The extension keeps its
 operators the same way (`G0Rep`), and `weyl`'s straightening reads sparse
 module columns from them.  The builtins build the sparse operators
 directly, and `rep_to_dict` writes them out as dense "p/q" rows.
+
+The weight-zero extension builds only what it checks and hands on: the
+weight-zero block of the central extension (`build_sl2` with weight_zero),
+cut at a degree bound when one is given.  A cut at B is exact when the
+algebra's degrees are nonnegative, rho respects the grading and B is at
+least the module's spread s (largest module degree minus least): on a
+graded module every operator of degree above s is zero, so every
+defining-span row and weight-zero bracket above B has both sides zero, and
+skipping it moves no verdict.  `degree_cut` gives that cut, and the
+extension refuses any other.
 """
 
 from __future__ import annotations
@@ -231,7 +241,8 @@ class G0Rep:
 
     Every weight-zero operator is a sparse integer operator over the one
     denominator den: h(e_i) acts by rho[i] / den and the brace basis element
-    k by braces[k] / den.
+    k by braces[k] / den.  The extension is exact in the degrees <= bound,
+    the degree at which its algebra was cut (every degree when None).
     """
 
     def __init__(self, rep, ext, den, rho, braces, report):
@@ -248,8 +259,29 @@ class G0Rep:
     def brace(self):
         return self.ext.brace
 
+    @property
+    def bound(self):
+        return self.ext.bound
 
-def extend_to_g0(rep, ext=None):
+
+def degree_cut(rep, bound):
+    """The degree at which to cut the weight-zero extension of rep when a
+    caller reads it in degrees <= bound: max(bound, s), s the module's spread
+    (its largest degree minus its least), or None (no cut) when bound is
+    None, an algebra degree is negative or rho breaks the grading.
+
+    A cut at B >= s is exact.  With nonnegative degrees the part of the
+    algebra above B is an ideal, and on a graded module every operator of
+    degree above s is zero: so is every defining-span row and every weight-
+    zero bracket of degree above B, on both sides of the extension's checks.
+    """
+    if bound is None or any(x < 0 for x in rep.jordan.space.degrees) or grading_breach(rep):
+        return None
+    mdegs = rep.module.degrees
+    return max(bound, max(mdegs, default=0) - min(mdegs, default=0))
+
+
+def extend_to_g0(rep, ext=None, bound=None):
     """Extend rho to the weight-zero subalgebra; braces act by (1/4)[rho, rho].
 
     With rep.rho = den rho, the commutator [rep.rho[i], rep.rho[j]] is
@@ -259,10 +291,21 @@ def extend_to_g0(rep, ext=None):
     Well-definedness asks each defining-span row of the brace space to
     combine the pair commutators to zero; the homomorphism item compares
     [phi(p), phi(q)] with 4 den^2 times the bracket combination of the phi(t).
+
+    Without ext it builds only the block it checks and hands on: the
+    weight-zero block of the central extension (`build_sl2` with weight_zero),
+    cut at the degree bound.  A given ext brings its own cut (ext.bound).  A
+    cut must be the exact one `degree_cut` gives, else ValueError; the
+    rows and pairs above it, which have both sides zero, are not visited.
     """
     J = rep.jordan
     if ext is None:
-        ext = build_sl2(J)
+        ext = build_sl2(J, bound, weight_zero=True)
+    elif bound is not None:
+        raise ValueError("a given extension carries its own bound")
+    bound = ext.bound
+    if bound is not None and degree_cut(rep, bound) != bound:
+        raise ValueError(f"the extension of {rep.name} cannot be cut exactly at degree {bound}")
     bs = ext.brace
     report = Report(f"weight-zero extension of {rep.name}")
     den = 4 * rep.den ** 2
@@ -291,6 +334,9 @@ def extend_to_g0(rep, ext=None):
     # and the first failing pair in product order is one of them
     pairs = combinations(zero_indices, 2) if ext.antisymmetric_on(zero_indices) \
         else product(zero_indices, repeat=2)
+    if bound is not None:
+        degs = ext.degrees
+        pairs = ((p, q) for p, q in pairs if degs[p] + degs[q] <= bound)
     report.check("homomorphism on the weight-zero bracket table", pairs, mismatch)
     return G0Rep(rep, ext, den, rho, braces, report)
 

@@ -29,6 +29,19 @@ central epimorphism, run on integer copies of the bracket tables
 (`_integer_brackets`), made at call time and never stored, so a table
 edited after construction is read afresh.  Both tails and the kernel of the
 central epimorphism come from the canonical RREF of a sparse RowSpan.
+
+The central extension can be built in part, for consumers that read no
+more.  With a degree bound B (`build_sl2(J, bound=B)`) it is cut at B: the
+brace space enumerates only the pairs and defining triples of degree sum at
+most B, and only the brackets of degree sum at most B are written.  This is
+exact.  The defining rows are homogeneous, so the canonical RREF splits by
+degree, and the representatives, classes and `s_rows` in degrees <= B are
+the whole space's; every bracket kept is the whole algebra's, and when J's
+degrees are nonnegative the part above B is an ideal, so the cut algebra is
+the quotient by it (its elements above B bracket to zero).
+With weight_zero, `build_sl2` writes, from the same rules of the one
+filler, only the weight-zero block: h x h, tail x h, h x tail and tail x
+tail.  `tkk build` and `tkk check` build the whole algebra.
 """
 
 from __future__ import annotations
@@ -66,19 +79,32 @@ def half_killing_sl2():
 
 
 class BraceSpace:
-    """wedge^2(J) modulo the span of all a ^ a^2.
+    """wedge^2(J) modulo the span of all a ^ a^2, in the degrees <= bound.
 
     The defining span is generated, over a field of characteristic zero, by
     the trilinear polarization x^(yz) + y^(xz) + z^(xy) on basis triples;
     `quotient` of its RowSpan gives the representatives (non-pivot pairs)
     and the sparse classes `pair_coords`, and `s_rows` are its RREF rows.
+
+    With a degree bound B only the pairs and defining triples of degree sum
+    at most B are enumerated, the triples in (degree, index) order with
+    each loop stopped once the sum passes B.  The cut is exact: J is graded
+    (`ensure_valid` checks degree additivity), so the row of the triple
+    (i, j, k) is homogeneous of degree deg i + deg j + deg k, the span and
+    its canonical RREF split by degree, and the representatives, classes
+    and `s_rows` of degree <= B are exactly those of the whole space.  A
+    pair above B has class zero here (`brace_pair`).  Without a bound every
+    triple is enumerated; the row of a triple does not depend on its order,
+    since J is commutative, nor the canonical RREF on the order of insertion.
     """
 
-    def __init__(self, J):
+    def __init__(self, J, bound=None):
         ensure_valid(J)
         self.jordan = J
         d = J.dim
-        self.pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+        degs = J.space.degrees
+        self.pairs = [(i, j) for i in range(d) for j in range(i + 1, d)
+                      if bound is None or degs[i] + degs[j] <= bound]
         self.pair_index = {p: t for t, p in enumerate(self.pairs)}
 
         def wedge(i, sparse):
@@ -86,10 +112,21 @@ class BraceSpace:
             return {self.pair_index[(min(i, m), max(i, m))]: c if i < m else -c
                     for m, c in sparse.items() if m != i}
 
+        # no triple's degree sum passes 3 max deg, so without a bound no
+        # loop stops early
+        top = 3 * max(degs, default=0) if bound is None else bound
         span = RowSpan(len(self.pairs))
-        for i in range(d):
-            for j in range(i, d):
-                for k in range(j, d):
+        order = sorted(range(d), key=lambda i: (degs[i], i))
+        for p, i in enumerate(order):
+            if 3 * degs[i] > top:
+                break
+            for q in range(p, d):
+                j = order[q]
+                if degs[i] + 2 * degs[j] > top:
+                    break
+                for k in order[q:]:
+                    if degs[i] + degs[j] + degs[k] > top:
+                        break
                     row = add_into(add_into(wedge(i, J.table[j][k]), wedge(j, J.table[i][k])),
                                    wedge(k, J.table[i][j]))
                     if row:
@@ -111,10 +148,9 @@ class BraceSpace:
         return len(self.reps)
 
     def brace_pair(self, i, j):
-        """Sparse quotient coordinates of the class of e_i ^ e_j."""
-        if i == j:
-            return {}
-        return self.pair_coords[(i, j)]
+        """Sparse quotient coordinates of the class of e_i ^ e_j: zero for
+        i = j and for a pair above the bound."""
+        return self.pair_coords.get((i, j), {})
 
 
 class TKKAlgebra:
@@ -153,6 +189,10 @@ class TKKAlgebra:
         self.table = {}
         self.pair_coords = {}
         self.brace = None       # set for the central extension
+        # what _fill_table writes: the brackets of degree sum <= bound
+        # (every degree when None), only the weight-zero block when set
+        self.bound = None
+        self.weight_zero_only = False
 
     def e_index(self, i):
         return i
@@ -224,38 +264,48 @@ def _fill_table(g, pair_coords, tail_cols, tail_brackets):
     [x(a), y(b)] = [x, y](ab) + kappa(x, y) pair_coords[(a, b)] on e/f/h;
     tail element k acts on e/f/h by the derivation whose sparse column j,
     {row: entry}, is tail_cols[k][j], and brackets with tail element l to
-    tail_brackets[(k, l)].  The reversed order against e/f/h is
-    filled by antisymmetry, which validate_lie re-checks rather than trusts.
-    A zero bracket is not stored: bracket_basis reads an absent pair as zero.
-    Each entry is written straight at its block offset (e at 0, f at d, h at
-    2d, the tail at 3d).  [x, y] is one basis element times c in {1, -1, 2,
-    -2} and kappa is 0, 2 or 4, so per Jordan pair (a, b) each scaled copy
-    c (ab) and kappa pair_coords[(a, b)] is made once, and the blocks of one
-    bracket never overlap, so nothing is summed.
+    tail_brackets[(k, l)] (absent when zero).  The reversed order against
+    e/f/h is filled by antisymmetry, which validate_lie re-checks rather
+    than trusts.  A zero bracket is not stored: bracket_basis reads an
+    absent pair as zero.  Each entry is written straight at its block offset
+    (e at 0, f at d, h at 2d, the tail at 3d).  [x, y] is one basis element
+    times c in {1, -1, 2, -2} and kappa is 0, 2 or 4, so per Jordan pair
+    (a, b) each scaled copy c (ab) and kappa pair_coords[(a, b)] is made
+    once, and the blocks of one bracket never overlap, so nothing is summed.
+
+    With g.weight_zero_only only the weight-zero block is written: the rules
+    for x = y = h and the tail's brackets against h and itself.  With a
+    degree bound g.bound only the Jordan pairs of degree sum at most the
+    bound are written, and the builder hands over tail data only within it.
     """
     g.pair_coords = pair_coords
+    bound = g.bound
+    blocks = ("h",) if g.weight_zero_only else _SL2_BASIS
     d = g.jdim
+    degs = g.degrees
     table = g.table
-    offset = {"e": 0, "f": d, "h": 2 * d}
+    offset = {x: o for x, o in zip(_SL2_BASIS, (0, d, 2 * d)) if x in blocks}
     t0 = 3 * d
     rules = [(offset[x], offset[y], [(offset[z], c) for z, c in _SL2_SC[(x, y)].items()],
-              g.kappa[(x, y)]) for x in _SL2_BASIS for y in _SL2_BASIS]
+              g.kappa[(x, y)]) for x in blocks for y in blocks]
     scales = {c for _, _, terms, _ in rules for _, c in terms}
     kappas = {kap for *_, kap in rules if kap}
-    # copies[i][j][c] is c (e_i e_j) and tails[i][j][kap] kap pair_coords[(i, j)],
+    jpairs = [(i, j) for i in range(d) for j in range(d)
+              if bound is None or degs[i] + degs[j] <= bound]
+    # copies[i, j][c] is c (e_i e_j) and tails[i, j][kap] kap pair_coords[(i, j)],
     # at their block offsets (a product's at 0)
-    copies = [[{c: [(k, x if c == 1 else c * x) for k, x in prod.items() if x] for c in scales}
-               for prod in row] for row in g.jordan.table]
-    tails = [[{kap: [(t0 + k, kap * x) for k, x in pair_coords[(i, j)].items()] for kap in kappas}
-              if i != j else {} for j in range(d)] for i in range(d)]
+    jtable = g.jordan.table
+    copies = {(i, j): {c: [(k, x if c == 1 else c * x) for k, x in jtable[i][j].items() if x]
+                       for c in scales} for i, j in jpairs}
+    tails = {(i, j): {kap: [(t0 + k, kap * x) for k, x in pair_coords[(i, j)].items()]
+                      for kap in kappas} for i, j in jpairs if i != j}
     for ox, oy, terms, kap in rules:
-        for i in range(d):
-            for j in range(d):
-                out = {oz + k: x for oz, c in terms for k, x in copies[i][j][c]}
-                if kap and i != j:
-                    out.update(tails[i][j][kap])
-                if out:
-                    table[(ox + i, oy + j)] = out
+        for i, j in jpairs:
+            out = {oz + k: x for oz, c in terms for k, x in copies[i, j][c]}
+            if kap and i != j:
+                out.update(tails[i, j][kap])
+            if out:
+                table[(ox + i, oy + j)] = out
     for k, cols in enumerate(tail_cols):
         tk = t0 + k
         for ox in offset.values():
@@ -265,24 +315,42 @@ def _fill_table(g, pair_coords, tail_cols, tail_brackets):
                     table[(tk, ox + j)] = out
                     table[(ox + j, tk)] = {p: -c for p, c in out.items()}
         for l in range(g.tail_dim):
-            if tail_brackets[(k, l)]:
-                table[(tk, t0 + l)] = {t0 + r: c for r, c in tail_brackets[(k, l)].items()}
+            bracket = tail_brackets.get((k, l))
+            if bracket:
+                table[(tk, t0 + l)] = {t0 + r: c for r, c in bracket.items()}
 
 
-def build_sl2(J):
-    """Universal-central-extension presentation: tail = the brace space."""
+def build_sl2(J, bound=None, weight_zero=False):
+    """Universal-central-extension presentation: tail = the brace space.
+
+    With a degree bound B, the quotient by the part of degree > B, which is
+    an ideal when J's degrees are nonnegative: the brace space cut at B
+    (`BraceSpace`), and only the brackets of degree sum at most B.  The
+    basis stays that of the whole e/f/h part and of the tail's
+    representatives of degree <= B, and every bracket of degree <= B is the
+    whole algebra's.  With weight_zero only the weight-zero block is
+    written, from the same rules: the brackets among h(J) and the brace
+    space and nothing else, all that the weight-zero extension of a J-space
+    reads.
+    """
     ensure_valid(J)
-    bs = BraceSpace(J)
+    bs = BraceSpace(J, bound)
     kappa = half_killing_sl2()
+    degs = J.space.degrees
     tail_labels = [f"{{{J.space.labels[a]},{J.space.labels[b]}}}" for a, b in bs.rep_pairs]
-    tail_degrees = [J.space.degrees[a] + J.space.degrees[b] for a, b in bs.rep_pairs]
+    tail_degrees = [degs[a] + degs[b] for a, b in bs.rep_pairs]
     g = TKKAlgebra(J, "sl2", bs.dim, tail_labels, tail_degrees, kappa)
-    g.brace = bs
+    g.brace, g.bound, g.weight_zero_only = bs, bound, weight_zero
+
+    def within(*ds):
+        return bound is None or sum(ds) <= bound
 
     # integer copies: tden^2 times the sparse columns of D_{a,b} = [L_a, L_b]
-    # for each representative pair, and bden times the brace coordinates
+    # for each representative pair, within the bound, and bden times the
+    # brace coordinates
     tden, T = integer_table(J)
-    ders = [[derivation_column(T, a, b, c) for c in range(J.dim)] for a, b in bs.rep_pairs]
+    ders = [[derivation_column(T, a, b, c) if within(dk, degs[c]) else {} for c in range(J.dim)]
+            for (a, b), dk in zip(bs.rep_pairs, tail_degrees)]
     bden, rows = integer_rows(bs.pair_coords.values())
     braces = dict(zip(bs.pair_coords, rows))
     # [{a,b},{c,d}] = {D_{a,b} c, d} + {c, D_{a,b} d}, summed in ints
@@ -290,6 +358,8 @@ def build_sl2(J):
     tail_brackets = {}
     for k, der in enumerate(ders):
         for l, (a_l, b_l) in enumerate(bs.rep_pairs):
+            if not within(tail_degrees[k], tail_degrees[l]):
+                continue
             out = {}
             for r, c in der[a_l].items():
                 for t, x in braces.get((r, b_l), {}).items():

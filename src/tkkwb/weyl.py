@@ -45,6 +45,18 @@ construction (so meta's stable always holds), with a submodule
 certificate for the lowering and weight-zero generators checked after the
 fact, and are cross-checked against a pure enumeration oracle for the
 symmetric power of the natural current module.
+
+A window of degrees <= D_max reads the extension only in degrees
+<= D_max - m, m the least module degree, since no module vector sits lower:
+a generator of higher degree maps every window vector out of the window.
+So TruncatedVerma and weyl_dimensions pass that degree to checked_extension,
+which extends a J-space cut at max(D_max - m, the module's spread) =
+max(D_max, the largest module degree) - m (`jspace.degree_cut`), or uncut
+when the algebra has a negative degree or rho breaks the grading.  The
+table, meta and every verdict are those of the uncut extension, and a cut
+extension refuses any computation that would read above its cut
+(WindowError).  bracket_fidelity reads the whole bracket table, so it takes
+an extension made with ext=build_sl2(J).
 """
 
 from __future__ import annotations
@@ -61,8 +73,8 @@ from .linalg import (Matrix, RowSpan, add_into, add_operator, columns, combine,
                      operator_product, random_vector, scalar_operator)
 from .multipoly import Poly
 from .report import Report
-from .jspace import (G0Rep, LevelError, dominance_operator, extend_to_g0, grading_breach,
-                     level)
+from .jspace import (G0Rep, LevelError, degree_cut, dominance_operator, extend_to_g0,
+                     grading_breach, level)
 
 
 class WindowError(Exception):
@@ -83,17 +95,33 @@ class ExtensionError(Exception):
         super().__init__(f"{report.title}: FAIL {self.item.name}  [{self.item.detail}]")
 
 
-def checked_extension(rep_or_g0):
-    """(g0, n): the checked weight-zero extension of a J-space or G0Rep and
-    its level, the entry of every computation here.  Raises ExtensionError,
-    or LevelError unless the level is a nonnegative integer."""
-    g0 = rep_or_g0 if isinstance(rep_or_g0, G0Rep) else extend_to_g0(rep_or_g0)
+def checked_extension(rep_or_g0, bound=None):
+    """(g0, n): the checked weight-zero extension of a J-space or G0Rep, exact
+    in every degree <= bound (in every degree when bound is None), and its
+    level: the entry of every computation here.  A J-space is extended cut
+    at `degree_cut(rep, bound)`, so uncut where a cut would not be exact; a
+    G0Rep cut below bound raises WindowError.  Raises ExtensionError, or
+    LevelError unless the level is a nonnegative integer."""
+    if isinstance(rep_or_g0, G0Rep):
+        g0 = rep_or_g0
+        if g0.bound is not None and (bound is None or bound > g0.bound):
+            raise WindowError(f"the extension is cut at degree {g0.bound}; this computation "
+                              f"reads {'every degree' if bound is None else f'degree {bound}'}")
+    else:
+        g0 = extend_to_g0(rep_or_g0, bound=degree_cut(rep_or_g0, bound))
     if not g0.report.ok:
         raise ExtensionError(g0.report)
     n = level(g0.rep)
     if n < 0:
         raise LevelError(f"level {n} is negative")
     return g0, n
+
+
+def _window_bound(rep_or_g0, D_max):
+    """D_max minus the least module degree: the highest algebra degree that a
+    window of degrees <= D_max reads, since no module vector sits lower."""
+    rep = rep_or_g0.rep if isinstance(rep_or_g0, G0Rep) else rep_or_g0
+    return D_max - min(rep.module.degrees, default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -168,13 +196,16 @@ class _StraightData:
         self.tscale = self.den // (tden * tden)
         # [e(e_x), f(e_b)] = h(e_x e_b) + 2 {e_x, e_b}, applied on the module,
         # is 1/base times an integer operator read from g0's; g0mat[x][b]
-        # holds its sparse columns over den
+        # holds its sparse columns over den.  A window reads none of degree
+        # above the extension's cut, so those are left empty
         cden = lcm(*(c.denominator for col in bs.pair_coords.values() for c in col.values()))
         base = g0.den * tden * cden
         scale = Fraction(self.den, base)
+        degs, bound = J.space.degrees, g0.bound
         self.g0mat = [[columns(add_operator(combine(g0.rho, T[x][b], cden),
                                             combine(g0.braces, bs.brace_pair(x, b),
                                                     2 * tden * cden)), scale)
+                       if bound is None or degs[x] + degs[b] <= bound else {}
                        for b in range(d)] for x in range(d)]
         self.repl = _Memo(self._repl)
         self.uden, (self._unit,) = integer_rows((dict(enumerate(J.unit)),))
@@ -539,7 +570,8 @@ class TruncatedVerma:
             raise WindowError("window depth must be >= 1")
         if D_max < 0:
             raise InputError("max degree must be >= 0")
-        g0, self.n = checked_extension(g0)
+        bound = _window_bound(g0, D_max)
+        g0, self.n = checked_extension(g0, bound)
         self.g0 = g0
         rep = g0.rep
         self.rep = rep
@@ -561,7 +593,6 @@ class TruncatedVerma:
         mdegs = rep.module.degrees
         self.cells = {}
         self.cell_pos = {}
-        bound = D_max - min(mdegs, default=0)
         for ell in range(self.ell_max + 1):
             for combo in _multisets(order, degs, ell, bound):
                 fdeg = sum(degs[i] for i in combo)
@@ -829,7 +860,7 @@ def weyl_dimensions(rep_or_g0, D_max, W=None):
     meta also says whether the top cells survive (top_weight_preserved, the
     exact closure-side reading of dominance); nothing depends on a seed.
     """
-    g0, n = checked_extension(rep_or_g0)
+    g0, n = checked_extension(rep_or_g0, _window_bound(rep_or_g0, D_max))
     if W is None:
         W = n + 2
     elif W < 1:
@@ -923,6 +954,9 @@ def bracket_fidelity(verma):
     the structure constants.
     """
     ext = verma.g0.ext
+    if ext.weight_zero_only:
+        raise ValueError("bracket fidelity reads the whole bracket table: "
+                         "extend with ext=build_sl2(J)")
     rep = Report(f"bracket fidelity for {verma.rep.name}")
 
     def ext_index(gen):

@@ -13,7 +13,7 @@ import pytest
 
 from tkkwb import (JSpaceRep, matrix_jordan, newton_rep, regular_rep,
                    spin_factor, truncated_poly, zero_rep)
-from tkkwb.jordan import jmul
+from tkkwb.jordan import JordanAlgebra, jmul
 from tkkwb.jspace import doubled_regular_rep, matrix_defining_rep, tensor_rep
 from tkkwb.linalg import LabeledSpace, Matrix, RowSpan, _integer_row, unit_vector
 
@@ -89,6 +89,41 @@ class ReferenceRowSpan(RowSpan):
                 if g != 1:
                     v = {j: x // g for j, x in v.items()}
         return v, None
+
+
+def symmetric_words_jordan(r, D):
+    """The symmetric elements of the free associative algebra on r letters
+    under word reversal, modulo words longer than D: a graded Jordan algebra
+    with nonzero brace spaces in several degrees.
+
+    Basis b_w = (w + w*)/2, one per reversal class (w the least of w, w*),
+    in (length, word) order, with degree the length.  The product is
+    (b_u b_v + b_v b_u)/2, read back as the coefficient of each class's
+    word, doubled unless the word is a palindrome.
+    """
+    words = [()]
+    for _ in range(D):
+        words += [w + (x,) for w in words if len(w) == len(words[-1]) for x in range(r)]
+    reps = sorted({min(w, w[::-1]) for w in words}, key=lambda w: (len(w), w))
+    index = {w: k for k, w in enumerate(reps)}
+
+    def sym(w):
+        return {w: Q(1)} if w == w[::-1] else {w: Q(1, 2), w[::-1]: Q(1, 2)}
+
+    table = [[{} for _ in reps] for _ in reps]
+    for i, u in enumerate(reps):
+        for j, v in enumerate(reps):
+            prod = {}
+            for a, x in sym(u).items():
+                for b, y in sym(v).items():
+                    for w in (a + b, b + a):
+                        if len(w) <= D:
+                            prod[w] = prod.get(w, 0) + x * y / 2
+            table[i][j] = {index[w]: c if w == w[::-1] else 2 * c
+                           for w, c in prod.items() if w in index and c}
+    labels = tuple("".join("xyz"[x] for x in w) or "1" for w in reps)
+    space = LabeledSpace(labels, tuple(len(w) for w in reps))
+    return JordanAlgebra(space, unit_vector(len(reps), 0), table, f"J({r}) to degree {D}")
 
 
 def L_op(J, a):

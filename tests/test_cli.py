@@ -1,5 +1,7 @@
 import hashlib
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -662,3 +664,45 @@ def test_weyl_json_deterministic(capsys):
     assert out1 == out2
     data = json.loads(out1.strip())
     assert data["meta"]["stable"] is True
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv); SystemExit, as --help
+    raises it, counts as its code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_built_once_and_reused(capsys):
+    # one parser serves every main call of a process, and each call reads
+    # exactly as with a parser of its own
+    jobs = [("weyl", "dims", "--max-degree", "x"),
+            ("weyl", "dims", "--builtin-rep", "newton", "--n", "2", "--cutoff", "6",
+             "--max-degree", "3", "--oracle", "snlt"),
+            ("tkk", "check", "--builtin", "matrix", "--size", "2"),
+            ("weyl", "dims", "--bogus"),
+            ("weyl", "dims", "--help"),
+            ("symfun", "coeffs", "--n", "1")]
+    cli._parser.cache_clear()
+    shared = [_outcome(capsys, argv) for argv in jobs]
+    assert cli._parser.cache_info().misses == 1
+    fresh = []
+    for argv in jobs:
+        cli._parser.cache_clear()
+        fresh.append(_outcome(capsys, argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [3, 0, 0, 3, ("SystemExit", 0), 0]
+    assert shared[0][2].startswith("input error: argument --max-degree: invalid int value")
+    assert "oracle: symmetric-power enumeration matches" in shared[1][1]
+    assert shared[4][1].startswith("usage: tkkwb weyl dims")
+
+
+def test_parser_not_built_at_import():
+    code = ("import sys; from tkkwb import cli; "
+            "sys.exit(cli._parser.cache_info().currsize)")
+    env_path = str(Path(cli.__file__).resolve().parents[1])
+    assert subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": env_path}).returncode == 0

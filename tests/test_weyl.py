@@ -16,6 +16,7 @@ from tkkwb.jspace import (LevelError, check_jspace, dominance_check,
                           newton_rep, regular_rep, tensor_rep, zero_rep)
 from tkkwb.linalg import LabeledSpace, Matrix, RowSpan, random_vector, zero_vector
 from tkkwb.multipoly import Poly
+from tkkwb.tkk import build_sl2
 from tkkwb.weyl import (ExtensionError, NoncommutingPowersError, TruncatedVerma,
                         WindowError, apply_generator, bracket_fidelity,
                         dominance_sum_at, efr_power, efr_powers, efr_vanishes,
@@ -643,13 +644,15 @@ def test_weyl_table_export():
 
 @pytest.mark.parametrize("n,D", [(1, 2), (2, 3)], ids=["newton-1-2", "newton-2-3"])
 def test_bracket_fidelity_commutative(n, D):
-    v = TruncatedVerma(extend_to_g0(newton_rep(n, D)), D, 2)
+    r = newton_rep(n, D)
+    v = TruncatedVerma(extend_to_g0(r, build_sl2(r.jordan)), D, 2)
     rep = bracket_fidelity(v)
     assert rep.ok, rep.first_failure()
 
 
 def test_bracket_fidelity_with_braces():
-    v = TruncatedVerma(extend_to_g0(matrix_defining_rep(2)), 0, 2)
+    r = matrix_defining_rep(2)
+    v = TruncatedVerma(extend_to_g0(r, build_sl2(r.jordan)), 0, 2)
     rep = bracket_fidelity(v)
     assert rep.ok, rep.first_failure()
 
@@ -677,7 +680,8 @@ def test_weyl_independent_of_basis_order(n):
     base = weyl_dimensions(_local_rep(J, n), 4)
     shuffled = _local_rep(_relabeled(J, [0, 3, 1, 2]), n)
     assert weyl_dimensions(shuffled, 4).dims == base.dims
-    rep = bracket_fidelity(TruncatedVerma(extend_to_g0(shuffled), 4, 2))
+    rep = bracket_fidelity(TruncatedVerma(extend_to_g0(shuffled, build_sl2(shuffled.jordan)),
+                                          4, 2))
     assert rep.ok, rep.first_failure()
 
 
@@ -693,7 +697,8 @@ def test_bracket_fidelity_checks_the_cached_columns(monkeypatch):
         return den, [{t: 2 * c for t, c in col.items()} for col in cols]
 
     monkeypatch.setattr(TruncatedVerma, "action_columns", doubled)
-    v = TruncatedVerma(extend_to_g0(newton_rep(2, 3)), 3, 2)
+    r = newton_rep(2, 3)
+    v = TruncatedVerma(extend_to_g0(r, build_sl2(r.jordan)), 3, 2)
     rep = bracket_fidelity(v)
     assert not rep.ok
     assert rep.first_failure().detail == "generators ('e', 0),('f', 1) on cell (1, 0)"
