@@ -4,6 +4,11 @@ An algebra is given by a labeled graded basis, a unit vector, and the
 structure-constant table e_i * e_j.  Validation checks commutativity, the
 unit axiom, degree additivity and the Jordan identity (fully polarized on
 basis 4-tuples when the dimension permits, by random sampling beyond).
+Both identity sweeps touch only structure constants that can be nonzero:
+the polarized identity is a sum of three associators read from a table of
+the nonzero basis associators made once per call (empty for a commutative
+associative algebra), and the sampled products run over the table's
+nonzero entries.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 from .linalg import (LabeledSpace, add_into, as_int, as_list, as_q, dense_vector, integer_rows,
-                     q_str, random_vector, unit_vector, zero_vector)
+                     integer_vector, q_str, random_vector, unit_vector, zero_vector)
 from .report import Report
 
 # exhaustive polarized identity costs dim^4; beyond this, sample
@@ -107,6 +112,37 @@ def integer_table(J):
     return den, [rows[i * d:(i + 1) * d] for i in range(d)]
 
 
+def associator_table(T):
+    """assoc[k][w] = {b * d + t: c}: the nonzero coefficients c of e_t in
+    the associators (e_k e_b) e_w - e_k (e_b e_w) for every b, under a
+    structure table of dimension d.  Both products are summed only over the
+    stored entries of the table, so an associative table gives empty
+    dicts.  Quadratic in the table: on an integer_table copy over den it is
+    den^2 times the true associators."""
+    d = len(T)
+    stored = [[(j, out) for j, out in enumerate(row) if out] for row in T]
+    # (b, w, e_b e_w) for every stored product
+    pairs = [(b * d, w, out) for b, row in enumerate(stored) for w, out in row]
+    assoc = []
+    for k in range(d):
+        acc = [{} for _ in range(d)]
+        for b, kb in stored[k]:
+            base = b * d
+            for m, c in kb.items():
+                for w, mw in stored[m]:
+                    a = acc[w]
+                    for t, e in mw.items():
+                        a[base + t] = a.get(base + t, 0) + c * e
+        row_k = T[k]
+        for base, w, bw in pairs:
+            a = acc[w]
+            for m, c in bw.items():
+                for t, e in row_k[m].items():
+                    a[base + t] = a.get(base + t, 0) - c * e
+        assoc.append([{key: c for key, c in a.items() if c} for a in acc])
+    return assoc
+
+
 def validate(J, seed=0):
     """Axiom report: commutativity, unit, degree additivity, Jordan identity.
 
@@ -115,16 +151,19 @@ def validate(J, seed=0):
     on all basis 4-tuples (equivalent over the rationals).  It runs on the
     integer_table copy of J.table, made at call time; both sides are cubic
     in the table, so they agree exactly when the scaled sides agree, with
-    the same witness.  Each sorted triple (x, y, z) is one case that decides
-    every b at once: the products (e_i e_j) e_b are made once per call, so
-    ((e_x e_y) e_b) e_z sums them times a table row, and
-    (e_x e_y)(e_b e_z) sums them over the entries of e_b e_z.  Both sides go
-    into one difference keyed by (b, coordinate), and the least b with a
+    the same witness.  lhs - rhs at (x, y, z, b) is
+    assoc(e_x e_y, e_b, e_z) + assoc(e_x e_z, e_b, e_y) + assoc(e_y e_z, e_b, e_x)
+    with assoc(p, q, r) = (pq)r - p(qr), so the nonzero basis associators
+    are tabulated once per call (`associator_table`), and each sorted
+    triple (x, y, z) is one case that decides every b at once: it sums
+    c assoc(e_k, e_b, e_w) over the entries c e_k of the three products
+    into one difference keyed by (b, coordinate).  The least b with a
     nonzero entry is the witness, the first failing b of a sweep over b.
     Beyond _EXHAUSTIVE_DIM_LIMIT the identity (a^2 b)a = a^2(ba) is sampled
     on the same copy, each sampled vector scaled to integers by the lcm of
-    its denominators: both sides have degree 3 in a, 1 in b and 3 in the
-    table.
+    its denominators (`integer_vector`): both sides have degree 3 in a, 1
+    in b and 3 in the table.  The dense samples are multiplied in one pass
+    over the table's nonzero entries (i, j, k, c), listed once per call.
     """
     rep = Report(f"jordan axioms for {J.name}")
     d = J.dim
@@ -152,26 +191,17 @@ def validate(J, seed=0):
 
     _, T = integer_table(J)
     if d <= _EXHAUSTIVE_DIM_LIMIT:
-        # prods[i, j][b] = (e_i e_j) e_b, for the pairs i <= j a sorted triple uses
-        prods = {(i, j): [table_product(T, T[i][j], {b: 1}) for b in range(d)]
-                 for i, j in combinations_with_replacement(range(d), 2)}
+        assoc = associator_table(T)
 
         def polarized(xyz):
             x, y, z = xyz
-            # diff[b * d + t]: the e_t coefficient of lhs - rhs at b; for
-            # u = e_x e_y and w = z (and the two other terms) lhs has
-            # (u e_b) e_w = sum_k (u e_b)_k e_k e_w and rhs has
-            # u (e_b e_w) = sum_j (e_b e_w)_j u e_j
+            # diff[b * d + t]: the e_t coefficient of lhs - rhs at b, the sum
+            # of c assoc(e_k, e_b, e_w) over the entries c e_k of u
             diff = {}
-            for u, w in ((prods[x, y], z), (prods[x, z], y), (prods[y, z], x)):
-                for b in range(d):
-                    base = b * d
-                    for k, c in u[b].items():
-                        for t, e in T[k][w].items():
-                            diff[base + t] = diff.get(base + t, 0) + c * e
-                    for j, c in T[b][w].items():
-                        for t, e in u[j].items():
-                            diff[base + t] = diff.get(base + t, 0) - c * e
+            for u, w in ((T[x][y], z), (T[x][z], y), (T[y][z], x)):
+                for k, c in u.items():
+                    for key, e in assoc[k][w].items():
+                        diff[key] = diff.get(key, 0) + c * e
             failing = [key for key, c in diff.items() if c]
             if failing:
                 return f"polarized identity fails at (x,y,z,b)=({x},{y},{z},{min(failing) // d})"
@@ -180,16 +210,20 @@ def validate(J, seed=0):
                   combinations_with_replacement(range(d), 3), polarized)
     else:
         rng = random.Random(seed)
+        entries = [(i, j, k, c) for i, row in enumerate(T) for j, out in enumerate(row)
+                   for k, c in out.items()]
 
-        def integral(v):
-            return integer_rows((dict(enumerate(v)),))[1][0]
+        def mul(u, v):
+            out = [0] * d
+            for i, j, k, c in entries:
+                out[k] += c * u[i] * v[j]
+            return out
 
         def sample(t):
-            a = integral(random_vector(rng, d))
-            b = integral(random_vector(rng, d))
-            a2 = table_product(T, a, a)
-            if table_product(T, table_product(T, a2, b), a) != \
-                    table_product(T, a2, table_product(T, b, a)):
+            a = integer_vector(random_vector(rng, d))[1]
+            b = integer_vector(random_vector(rng, d))[1]
+            a2 = mul(a, a)
+            if mul(mul(a2, b), a) != mul(a2, mul(b, a)):
                 return f"(a^2 b)a != a^2(ba) at sample {t}"
 
         rep.check(f"jordan identity ({_SAMPLE_COUNT} random samples)",

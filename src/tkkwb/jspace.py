@@ -41,7 +41,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from pathlib import Path
 
-from .jordan import (BUILTIN_FAMILIES, InputError, builtin, derivation_column, jpower,
+from .jordan import (BUILTIN_FAMILIES, InputError, builtin, derivation_column, integer_table,
                      load_algebra, table_product, truncated_poly)
 from .linalg import (LabeledSpace, add_into, add_operator, as_int, as_list, as_q, combine,
                      commutator, integer_operators, integer_vector, operator_product, q_str,
@@ -350,21 +350,27 @@ def dominance_operator(rep, a):
     rho at the powers of a, as a sparse operator.  Vanishes identically
     exactly when the module is the top weight space of a bounded module.
     Every product is homogeneous of degree level+1 in a, so the powers are
-    taken of the integer copy a_int = A a (`integer_vector`): on the
-    integer operators the product over sigma is den^len(sigma) A^(level+1)
-    times the true one, and is scaled back."""
+    taken of the integer copy a_int = A a (`integer_vector`) under the
+    integer_table copy of J's table over tden: the k-th power is
+    tden^(k-1) A^k a^k, and on the integer operators the product over sigma
+    is den^len(sigma) tden^(level+1-len(sigma)) A^(level+1) times the true
+    one.  Each sigma is scaled by an int to the common factor
+    (den tden A)^(level+1), which is divided out once at the end."""
     n = level(rep)
-    J = rep.jordan
     A, a_int = integer_vector(a)
-    rhos = {k: combine(rep.rho, {i: c for i, c in enumerate(jpower(J, a_int, k)) if c})
-            for k in range(1, n + 2)}
+    tden, T = integer_table(rep.jordan)
+    a_sparse = {i: c for i, c in enumerate(a_int) if c}
+    powers = {1: a_sparse}
+    for k in range(2, n + 2):
+        powers[k] = table_product(T, a_sparse, powers[k - 1])
+    rhos = {k: combine(rep.rho, p) for k, p in powers.items()}
     acc = {}
     for sigma, c in dominance_coeffs(n).items():
         prod = rhos[sigma[0]]
         for part in sigma[1:]:
             prod = operator_product(prod, rhos[part])
-        add_operator(acc, prod, Fraction(c, rep.den ** len(sigma) * A ** (n + 1)))
-    return acc
+        add_operator(acc, prod, c * rep.den ** (n + 1 - len(sigma)) * tden ** len(sigma))
+    return add_operator({}, acc, Fraction(1, (rep.den * tden * A) ** (n + 1)))
 
 
 def dominance_check(rep, mode="symbolic", samples=8, seed=0):

@@ -24,11 +24,13 @@ indices once antisymmetry holds.  Both sweeps skip only what is zero by
 construction: a pair with neither order stored is antisymmetric (0 = -0),
 and a triple (p, q, r) with none of [q, r], [r, p], [p, q] stored has
 jacobiator 0.  Jacobi takes one case per pair (p, q) with every r summed at
-once.  Both sweeps, and the antisymmetry test and homomorphism sweep of the
-central epimorphism, run on integer copies of the bracket tables
-(`_integer_brackets`), made at call time and never stored, so a table
-edited after construction is read afresh.  Both tails and the kernel of the
-central epimorphism come from the canonical RREF of a sparse RowSpan.
+once, each of its three terms only over stored brackets: [r, [p, q]] reads
+the r with [r, s] stored for each s in [p, q].  Both sweeps, and the
+antisymmetry test and homomorphism sweep of the central epimorphism, run on
+integer copies of the bracket tables (`_integer_brackets`), made at call
+time and never stored, so a table edited after construction is read
+afresh.  Both tails and the kernel of the central epimorphism come from the
+canonical RREF of a sparse RowSpan.
 
 The central extension can be built in part, for consumers that read no
 more.  With a degree bound B (`build_sl2(J, bound=B)`) it is cut at B: the
@@ -483,9 +485,11 @@ def validate_lie(g, jacobi="full", seed=0, samples=200):
       the first failing ordered pair of a full sweep is a sorted one;
     - full Jacobi takes one case per pair (p, q) and sums the jacobiator
       [p, [q, r]] + [q, [r, p]] + [r, [p, q]] for every r at once, each
-      term only over the stored brackets of an adjacency copy of the table.
-      A triple with none of [q, r], [r, p], [p, q] stored gets no term, as
-      its jacobiator is 0.  The witness is the least failing r.
+      term only over the stored brackets of an adjacency copy of the table:
+      the r with [q, r] stored, the r with [r, p] stored, and, for each s
+      in [p, q], the r with [r, s] stored.  A triple with none of [q, r],
+      [r, p], [p, q] stored gets no term, as its jacobiator is 0.  The
+      witness is the least failing r.  None of this assumes antisymmetry.
     Once antisymmetry holds the jacobiator is alternating: it vanishes on a
     repeated index and changes sign under a swap, so the sorted triples of
     distinct indices decide it (pairs p < q, then r > q), and the first
@@ -536,10 +540,12 @@ def validate_lie(g, jacobi="full", seed=0, samples=200):
         for r in left[p]:                   # [q, [r, p]]
             if lo <= r < hi:
                 add(r, ib[r][p], ib_q)
-        pq = ib_p.get(q)
-        if pq:                              # [r, [p, q]]
-            for r in range(lo, hi):
-                add(r, pq, ib[r])
+        for s, cs in ib_p.get(q, {}).items():   # [r, [p, q]]
+            for r in left[s]:
+                if lo <= r < hi:
+                    base = r * n
+                    for t, c in ib[r][s].items():
+                        acc[base + t] = acc.get(base + t, 0) + cs * c
         failing = [key for key, c in acc.items() if c]
         if failing:
             r = min(failing) // n

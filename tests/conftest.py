@@ -6,16 +6,24 @@ levels 0 through 3, commutative and matrix examples, tensor powers, and
 deliberately non-dominant controls.
 """
 
+import random
 from fractions import Fraction as Q
+from itertools import combinations, combinations_with_replacement, product
 from math import gcd
 
 import pytest
 
 from tkkwb import (JSpaceRep, matrix_jordan, newton_rep, regular_rep,
                    spin_factor, truncated_poly, zero_rep)
-from tkkwb.jordan import JordanAlgebra, jmul
-from tkkwb.jspace import doubled_regular_rep, matrix_defining_rep, tensor_rep
-from tkkwb.linalg import LabeledSpace, Matrix, RowSpan, _integer_row, unit_vector
+from tkkwb.jordan import (_EXHAUSTIVE_DIM_LIMIT, _SAMPLE_COUNT, JordanAlgebra, integer_table,
+                          jmul, jpower, table_product, validate)
+from tkkwb.jspace import doubled_regular_rep, level, matrix_defining_rep, tensor_rep
+from tkkwb.linalg import (LabeledSpace, Matrix, RowSpan, _integer_row, add_operator, combine,
+                          integer_rows, integer_vector, operator_product, random_vector,
+                          unit_vector)
+from tkkwb.report import Report
+from tkkwb.symfun import dominance_coeffs
+from tkkwb.tkk import _asymmetric, _integer_brackets
 
 
 def column(m, j):
@@ -142,6 +150,141 @@ def dense_bracket(g, u, v):
                 for r, cr in g.bracket_basis(p, q).items():
                     out[r] = out[r] + up * vq * cr
     return out
+
+
+def prods_validate(J, seed=0):
+    """The reference of jordan.validate that makes the products (e_i e_j) e_b
+    once per call and sums both sides of the polarized identity from them,
+    a table row at a time, on the integer_table copy; beyond the exhaustive
+    limit it samples (a^2 b)a = a^2(ba) on integer-scaled sparse vectors
+    through table_product.  Its report must equal validate's whole report."""
+    lib = validate(J, seed)
+    rep = Report(lib.title, lib.items[:3])
+    d = J.dim
+    _, T = integer_table(J)
+    if d > _EXHAUSTIVE_DIM_LIMIT:
+        rng = random.Random(seed)
+
+        def integral(v):
+            return integer_rows((dict(enumerate(v)),))[1][0]
+
+        def sample(t):
+            a = integral(random_vector(rng, d))
+            b = integral(random_vector(rng, d))
+            a2 = table_product(T, a, a)
+            if table_product(T, table_product(T, a2, b), a) != \
+                    table_product(T, a2, table_product(T, b, a)):
+                return f"(a^2 b)a != a^2(ba) at sample {t}"
+
+        rep.check(f"jordan identity ({_SAMPLE_COUNT} random samples)",
+                  range(_SAMPLE_COUNT), sample)
+        return rep
+    prods = {(i, j): [table_product(T, T[i][j], {b: 1}) for b in range(d)]
+             for i, j in combinations_with_replacement(range(d), 2)}
+
+    def polarized(xyz):
+        x, y, z = xyz
+        diff = {}
+        for u, w in ((prods[x, y], z), (prods[x, z], y), (prods[y, z], x)):
+            for b in range(d):
+                base = b * d
+                for k, c in u[b].items():
+                    for t, e in T[k][w].items():
+                        diff[base + t] = diff.get(base + t, 0) + c * e
+                for j, c in T[b][w].items():
+                    for t, e in u[j].items():
+                        diff[base + t] = diff.get(base + t, 0) - c * e
+        failing = [key for key, c in diff.items() if c]
+        if failing:
+            return f"polarized identity fails at (x,y,z,b)=({x},{y},{z},{min(failing) // d})"
+
+    rep.check("jordan identity (polarized, all basis 4-tuples)",
+              combinations_with_replacement(range(d), 3), polarized)
+    return rep
+
+
+def every_r_validate_lie(g, jacobi="full", seed=0, samples=200):
+    """The reference of tkk.validate_lie whose Jacobi sweep sums the
+    [r, [p, q]] term by a loop over every r of the swept range, looking up
+    [r, s] for each s in [p, q].  Its report must equal validate_lie's
+    whole report."""
+    rep = Report(f"lie axioms for {g.kind}({g.jordan.name})")
+    n, lab = g.dim, g.labels
+    _, itable = _integer_brackets(g)
+    ib = [{} for _ in range(n)]
+    left = [set() for _ in range(n)]
+    for (p, q), out in itable.items():
+        ib[p][q] = out
+        left[q].add(p)
+
+    def asymmetric(pq):
+        p, q = pq
+        if _asymmetric(itable, p, q):
+            return f"[{lab[p]},{lab[q]}] != -[{lab[q]},{lab[p]}]"
+
+    stored_pairs = sorted({(min(p, q), max(p, q)) for p, q in itable})
+    antisymmetric = rep.check("antisymmetry (all pairs)", stored_pairs, asymmetric)
+
+    def jacobi_fails(p, q, lo, hi):
+        ib_p, ib_q = ib[p], ib[q]
+        acc = {}
+
+        def add(r, bc, ib_a):
+            base = r * n
+            for s, cs in bc.items():
+                for t, c in ib_a.get(s, {}).items():
+                    acc[base + t] = acc.get(base + t, 0) + cs * c
+
+        for r, qr in ib_q.items():
+            if lo <= r < hi:
+                add(r, qr, ib_p)
+        for r in left[p]:
+            if lo <= r < hi:
+                add(r, ib[r][p], ib_q)
+        pq = ib_p.get(q)
+        if pq:
+            for r in range(lo, hi):
+                add(r, pq, ib[r])
+        failing = [key for key, c in acc.items() if c]
+        if failing:
+            return f"triple ({lab[p]},{lab[q]},{lab[min(failing) // n]})"
+
+    if jacobi == "full":
+        pairs = combinations(range(n), 2) if antisymmetric else product(range(n), repeat=2)
+        rep.check("jacobi identity (all basis triples)", pairs,
+                  lambda pq: jacobi_fails(*pq, pq[1] + 1 if antisymmetric else 0, n))
+    else:
+        rng = random.Random(seed)
+        triples = [(rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(samples)]
+        rep.check(f"jacobi identity ({samples} sampled triples)", triples,
+                  lambda pqr: jacobi_fails(pqr[0], pqr[1], pqr[2], pqr[2] + 1))
+
+    def off_grade(item):
+        (p, q), out = item
+        for t, c in out.items():
+            if c and (g.weights[t] != g.weights[p] + g.weights[q] or
+                      g.degrees[t] != g.degrees[p] + g.degrees[q]):
+                return f"[{lab[p]},{lab[q]}] leaves the graded component"
+
+    rep.check("bracket adds weights and degrees", g.table.items(), off_grade)
+    return rep
+
+
+def fraction_powers_dominance_operator(rep, a):
+    """The reference of jspace.dominance_operator that takes the powers of
+    the integer copy of a under J's Fraction table (`jpower`) and scales
+    each partition's product back by a Fraction."""
+    n = level(rep)
+    A, a_int = integer_vector(a)
+    rhos = {k: combine(rep.rho, {i: c for i, c in enumerate(jpower(rep.jordan, a_int, k)) if c})
+            for k in range(1, n + 2)}
+    acc = {}
+    for sigma, c in dominance_coeffs(n).items():
+        prod = rhos[sigma[0]]
+        for part in sigma[1:]:
+            prod = operator_product(prod, rhos[part])
+        add_operator(acc, prod, Q(c, rep.den ** len(sigma) * A ** (n + 1)))
+    return acc
 
 
 def dense_rho(rep):

@@ -13,9 +13,15 @@ reduction applies.
 The J-space checks and the weight-zero extension run on the rep's sparse
 integer operators over one denominator; their references take dense Fraction
 matrices (`conftest.dense_rho`).
-`jordan.validate` multiplies sparse rows of an integer-scaled copy of the
-table, exhaustively (every b of a triple at once) or on sampled vectors; its
-reference multiplies dense vectors through `jmul`, one b at a time.  The
+`jordan.validate` works on an integer-scaled copy of the table, exhaustively
+(every b of a triple at once, as a sum of tabulated associators) or on
+sampled vectors; its reference multiplies dense vectors through `jmul`, one
+b at a time, and `conftest.prods_validate`, which sums both sides from the
+products (e_i e_j) e_b, must give the same whole report.  Likewise
+`validate_lie`, whose [r, [p, q]] term runs over the stored brackets [r, s],
+must give the whole report of `conftest.every_r_validate_lie`, which loops
+over every r, and `dominance_operator`, which takes the powers of a under
+the integer table, the sum of `conftest.fraction_powers_dominance_operator`.  The
 Weyl straightening runs in integers over one denominator; its reference
 straightens in Fractions on dense rho, and the windowed action's
 (den, columns) must match it exactly.
@@ -42,16 +48,17 @@ from math import factorial, lcm
 import pytest
 
 from conftest import (column, dense_bracket, dense_commutator, dense_rho, dense_rho_of,
-                      matrix_of_columns, matrix_rep, noncommuting_rep)
+                      every_r_validate_lie, fraction_powers_dominance_operator,
+                      matrix_of_columns, matrix_rep, noncommuting_rep, prods_validate)
 from test_tkk import _PINNED_TABLES
 from test_weyl import GARLAND_CASES
 from tkkwb.jordan import (_EXHAUSTIVE_DIM_LIMIT, _SAMPLE_COUNT, algebra_from_dict,
-                          algebra_to_dict, builtin, derivation_column, jmul, jpower,
-                          matrix_jordan, spin_factor, validate)
+                          algebra_to_dict, associator_table, builtin, derivation_column,
+                          integer_table, jmul, jpower, matrix_jordan, spin_factor, validate)
 from tkkwb.jspace import (JSpaceRep, LevelError, check_envelope_relations, check_jspace,
                           dominance_check, dominance_operator, doubled_regular_rep,
-                          extend_to_g0, level, matrix_defining_rep, newton_rep, rep_from_dict,
-                          tensor_rep)
+                          extend_to_g0, level, matrix_defining_rep, newton_rep, regular_rep,
+                          rep_from_dict, tensor_rep)
 from tkkwb.linalg import (LabeledSpace, Matrix, RowSpan, add_into, add_operator, combine,
                           commutator, dense_vector, integer_vector, operator_product,
                           random_vector, scalar_operator, unit_vector)
@@ -1125,3 +1132,98 @@ def test_integer_copy_routes_match_fraction_references(name, kind):
     assert got == want
     if kind != "symbolic":
         assert typed(got) == typed(want)
+
+
+# -- the sweeps over nonzero structure constants against the previous sweeps --
+
+def _not_jordan():
+    """A commutative unital table that is not Jordan: x x = y, x y = x, y y = 0."""
+    return algebra_from_dict({
+        "labels": ["1", "x", "y"], "degrees": [0, 0, 0], "unit": ["1", "0", "0"],
+        "mult": [{"i": 0, "j": 0, "coords": ["1", "0", "0"]},
+                 {"i": 0, "j": 1, "coords": ["0", "1", "0"]},
+                 {"i": 0, "j": 2, "coords": ["0", "0", "1"]},
+                 {"i": 1, "j": 1, "coords": ["0", "0", "1"]},
+                 {"i": 1, "j": 2, "coords": ["0", "1", "0"]}],
+    }, name="x x = y, x y = x")
+
+
+_IDENTITY_ALGEBRAS = {
+    "truncated-poly-5": lambda: builtin("truncated-poly", degree=5),
+    "spin-factor-6": lambda: builtin("spin-factor", dim=6),
+    "matrix-3": lambda: builtin("matrix", size=3),
+    "gram-2x2": _DENOMINATOR_ALGEBRAS["gram-2x2"],
+    "not-jordan": _not_jordan,
+    "matrix-4-sampled": lambda: builtin("matrix", size=4),
+    "spin-factor-14-sampled": lambda: builtin("spin-factor", dim=14),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_IDENTITY_ALGEBRAS))
+def test_associator_sweep_matches_prods_reference(name):
+    # the polarized identity as three associators and the sampled products
+    # over the listed table entries give prods_validate's report, witnesses
+    # included, under commutative and noncommutative corruptions
+    make = _IDENTITY_ALGEBRAS[name]
+    assert (make().dim > _EXHAUSTIVE_DIM_LIMIT) is name.endswith("-sampled")
+    assert validate(make()) == prods_validate(make())
+    failing = 0
+    for seed, keep in product(range(10), (True, False)):
+        J = corrupt_jordan(make(), random.Random(seed), keep,
+                           coeffs=(1, -1, 2, Q(1, 2), Q(1, 3)))
+        lib = validate(J, seed)
+        assert lib == prods_validate(J, seed), (seed, keep)
+        assert lib.items[0].ok is keep
+        failing += not lib.items[3].ok
+    assert failing >= 10
+
+
+def test_associator_table_is_empty_on_commutative_associative_tables():
+    assert associator_table(integer_table(builtin("truncated-poly", degree=6))[1]) == \
+        [[{}] * 7] * 7
+    assoc = associator_table(integer_table(_not_jordan())[1])
+    assert any(entry for row in assoc for entry in row)
+
+
+@pytest.mark.parametrize("jacobi", ["full", "spot"])
+@pytest.mark.parametrize("family, params, kind", [
+    ("truncated-poly", {"degree": 2}, "sl2"),
+    ("matrix", {"size": 2}, "tkk"),
+    ("spin-factor", {"dim": 3}, "sl2"),
+])
+def test_jacobi_over_stored_brackets_matches_every_r_reference(family, params, kind, jacobi):
+    # antisymmetric corruptions take the sorted branch, the others the
+    # ordered-pair branch; both must give every_r_validate_lie's report
+    build = build_sl2 if kind == "sl2" else build_tkk
+    J = builtin(family, **params)
+    assert validate_lie(build(J), jacobi) == every_r_validate_lie(build(J), jacobi)
+    failing = 0
+    for seed, keep, coeffs in product(range(8), (True, False), _COEFFS):
+        g = corrupt_table(build(J), random.Random(seed), keep, coeffs)
+        lib = validate_lie(g, jacobi, seed, 150)
+        assert lib == every_r_validate_lie(g, jacobi, seed, 150), (seed, keep, coeffs)
+        assert lib.items[0].ok is keep
+        failing += not lib.items[1].ok
+    assert failing >= 8
+
+
+_DOMINANCE_REPS = {
+    "newton-3-4": lambda: newton_rep(3, 4),
+    "doubled-gram-diagonal": _gram_diagonal_rep,
+    # level 1 on a rational table, and not dominant: the sum is nonzero
+    "regular-gram-diagonal": lambda: regular_rep(_DENOMINATOR_ALGEBRAS["gram-diagonal"]()),
+}
+
+
+@pytest.mark.parametrize("kind", ["rational", "zeros", "symbolic"])
+@pytest.mark.parametrize("name", sorted(_DOMINANCE_REPS))
+def test_dominance_operator_matches_fraction_powers_reference(name, kind):
+    # the powers of a under the integer table, each partition scaled by an
+    # int and the sum rescaled once, equal the powers under J's own table
+    rep = _DOMINANCE_REPS[name]()
+    a = _point(kind, rep.jordan.dim)
+    got, want = dominance_operator(rep, a), fraction_powers_dominance_operator(rep, a)
+    assert got == want
+    if kind != "symbolic":
+        assert typed(got) == typed(want)
+    assert bool(got) is name.startswith("regular")
