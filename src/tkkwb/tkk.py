@@ -23,9 +23,12 @@ identity on all basis triples, decided on the sorted triples of distinct
 indices once antisymmetry holds.  Both sweeps skip only what is zero by
 construction: a pair with neither order stored is antisymmetric (0 = -0),
 and a triple (p, q, r) with none of [q, r], [r, p], [p, q] stored has
-jacobiator 0.  Jacobi takes one case per pair (p, q) with every r summed at
-once, each of its three terms only over stored brackets: [r, [p, q]] reads
-the r with [r, s] stored for each s in [p, q].  Both sweeps, and the
+jacobiator 0.  Jacobi takes one case per leading basis element p, with
+every (q, r) summed at once and each of its three terms only over stored
+brackets, read through adjacency lists built once per sweep
+(`_jacobi_sweep`); the homomorphism identity of the central epimorphism
+likewise takes one case per p with every q summed at once, the classical
+table pulled back through the columns of the map.  Both sweeps, and the
 antisymmetry test and homomorphism sweep of the central epimorphism, run on
 integer copies of the bracket tables (`_integer_brackets`), made at call
 time and never stored, so a table edited after construction is read
@@ -48,14 +51,18 @@ tail.  `tkk build` and `tkk check` build the whole algebra.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations, product
+from operator import itemgetter
 
 from .jordan import InputError, derivation_column, ensure_valid, integer_table
 from .linalg import RowSpan, add_into, integer_rows, q_str, quotient
 from .report import Report
 
 _SL2_BASIS = ("e", "f", "h")
+_KEY = itemgetter(0)
 
 # brackets of the standard basis: [h,e]=2e, [h,f]=-2f, [e,f]=h
 _SL2_SC = {
@@ -474,6 +481,68 @@ def build_tkk(J):
     return g
 
 
+def _cut(entries, lo, hi=None):
+    """The (key, value) entries of a list ascending in key with lo <= key,
+    and key < hi when hi is given."""
+    return entries[bisect_left(entries, lo, key=_KEY):
+                   None if hi is None else bisect_left(entries, hi, key=_KEY)]
+
+
+def _jacobi_sweep(itable, labels, sorted_only):
+    """The case of leading index p of the full Jacobi sweep, for Report.check:
+    the witness of the least (q, r), in product order, whose jacobiator
+    [p, [q, r]] + [q, [r, p]] + [r, [p, q]] is nonzero, or None.  With
+    sorted_only only the (q, r) with p < q < r are summed.
+
+    Every (q, r) of p is summed at once, into acc[(q n + r) n + t], the
+    e_t coefficient at (q, r), and only over stored brackets of the integer
+    copy itable: [p, [a, b]] lands at (a, b) from each s with [p, s] stored
+    and each stored [a, b] that holds e_s; [c, [p, b]] at (b, c) and
+    [c, [a, p]] at (c, a) from each s in [p, b] or [a, p] and each c with
+    [c, s] stored.  The adjacency lists are built once, ascending in their
+    keys, so bisect cuts each to p < q < r.
+    """
+    n = len(labels)
+    # row[p] holds (b, [p, b]) for the stored [p, b], col[s] (c, [c, s]) for
+    # the stored [c, s], and hits[s] (a n + b, the e_s coefficient of [a, b])
+    # for the stored [a, b] that hold e_s, with a < b alone when sorted_only
+    row, col, hits = ([[] for _ in range(n)] for _ in range(3))
+    for a, b in sorted(itable):
+        ab = itable[(a, b)]
+        row[a].append((b, ab))
+        col[b].append((a, ab))
+        if a < b or not sorted_only:
+            for s, x in ab.items():
+                hits[s].append((a * n + b, x))
+
+    def case(p):
+        acc = defaultdict(int)
+        lo = p + 1 if sorted_only else 0        # the least q
+        for s, ps in row[p]:                    # [p, [a, b]] at (a, b)
+            for ab, k in _cut(hits[s], lo * n):
+                base = ab * n
+                for t, x in ps.items():
+                    acc[base + t] += k * x
+        for b, pb in _cut(row[p], lo):          # [c, [p, b]] at (b, c)
+            for s, k in pb.items():
+                for c, cs in _cut(col[s], b + 1 if sorted_only else 0):
+                    base = (b * n + c) * n
+                    for t, x in cs.items():
+                        acc[base + t] += k * x
+        for a, ap in _cut(col[p], lo):          # [c, [a, p]] at (c, a)
+            for s, k in ap.items():
+                for c, cs in _cut(col[s], lo, a if sorted_only else None):
+                    base = (c * n + a) * n
+                    for t, x in cs.items():
+                        acc[base + t] += k * x
+        failing = [key for key, x in acc.items() if x]
+        if failing:
+            q, r = divmod(min(failing) // n, n)
+            return f"triple ({labels[p]},{labels[q]},{labels[r]})"
+
+    return case
+
+
 def validate_lie(g, jacobi="full", seed=0, samples=200):
     """Antisymmetry on all pairs, Jacobi on basis triples, grading compatibility.
 
@@ -483,34 +552,27 @@ def validate_lie(g, jacobi="full", seed=0, samples=200):
       one order stored, since a pair with neither order stored satisfies
       0 = -0.  [p, q] = -[q, p] and [q, p] = -[p, q] are one condition, so
       the first failing ordered pair of a full sweep is a sorted one;
-    - full Jacobi takes one case per pair (p, q) and sums the jacobiator
-      [p, [q, r]] + [q, [r, p]] + [r, [p, q]] for every r at once, each
-      term only over the stored brackets of an adjacency copy of the table:
-      the r with [q, r] stored, the r with [r, p] stored, and, for each s
-      in [p, q], the r with [r, s] stored.  A triple with none of [q, r],
-      [r, p], [p, q] stored gets no term, as its jacobiator is 0.  The
-      witness is the least failing r.  None of this assumes antisymmetry.
+    - full Jacobi takes one case per leading index p and sums the jacobiator
+      [p, [q, r]] + [q, [r, p]] + [r, [p, q]] for every (q, r) at once, each
+      term only over the stored brackets of adjacency lists of the table
+      (`_jacobi_sweep`).  A triple with none of [q, r], [r, p], [p, q]
+      stored gets no term, as its jacobiator is 0.  The witness is the least
+      failing (q, r) of the least failing p.  None of this assumes
+      antisymmetry.
     Once antisymmetry holds the jacobiator is alternating: it vanishes on a
     repeated index and changes sign under a swap, so the sorted triples of
-    distinct indices decide it (pairs p < q, then r > q), and the first
-    failing triple in product order is sorted, giving the same witness.
-    Without antisymmetry every ordered pair, and every r, is swept.  Spot
-    Jacobi sums the same terms at each sampled triple.  Every sweep runs on
-    the _integer_brackets copy of g.table, scaled by the lcm of its
+    distinct indices decide it (q > p, then r > q), and the first failing
+    triple in product order is sorted, giving the same witness.  Without
+    antisymmetry every ordered triple is summed.  Spot Jacobi sums the same
+    three terms at each sampled triple, in the order drawn.  Every sweep
+    runs on the _integer_brackets copy of g.table, scaled by the lcm of its
     denominators and made at call time: antisymmetry and the jacobiator are
     linear and bilinear in the table, so they hold exactly when they hold on
     the scaled copy, with the same witness.  The grading item reads g.table.
     """
     rep = Report(f"lie axioms for {g.kind}({g.jordan.name})")
     n = g.dim
-    # the integer copy of the table as it stands now, also as adjacency:
-    # ib[p][r] is [p, r] and left[p] the r with [r, p] stored
     _, itable = _integer_brackets(g)
-    ib = [{} for _ in range(n)]
-    left = [set() for _ in range(n)]
-    for (p, q), out in itable.items():
-        ib[p][q] = out
-        left[q].add(p)
 
     def asymmetric(pq):
         p, q = pq
@@ -520,48 +582,26 @@ def validate_lie(g, jacobi="full", seed=0, samples=200):
     stored_pairs = sorted({(min(p, q), max(p, q)) for p, q in itable})
     antisymmetric = rep.check("antisymmetry (all pairs)", stored_pairs, asymmetric)
 
-    def jacobi_fails(p, q, lo, hi):
-        """The witness of the least r in lo..hi-1 where the jacobiator of
-        (p, q, r) is nonzero, summed for every such r at once."""
-        ib_p, ib_q = ib[p], ib[q]
-        acc = {}    # acc[r * n + t]: the e_t coefficient of the jacobiator at r
-
-        def add(r, bc, ib_a):
-            base = r * n
-            for s, cs in bc.items():
-                a_s = ib_a.get(s)
-                if a_s:
-                    for t, c in a_s.items():
-                        acc[base + t] = acc.get(base + t, 0) + cs * c
-
-        for r, qr in ib_q.items():          # [p, [q, r]]
-            if lo <= r < hi:
-                add(r, qr, ib_p)
-        for r in left[p]:                   # [q, [r, p]]
-            if lo <= r < hi:
-                add(r, ib[r][p], ib_q)
-        for s, cs in ib_p.get(q, {}).items():   # [r, [p, q]]
-            for r in left[s]:
-                if lo <= r < hi:
-                    base = r * n
-                    for t, c in ib[r][s].items():
-                        acc[base + t] = acc.get(base + t, 0) + cs * c
-        failing = [key for key, c in acc.items() if c]
-        if failing:
-            r = min(failing) // n
-            return f"triple ({g.labels[p]},{g.labels[q]},{g.labels[r]})"
-
     if jacobi == "full":
-        pairs = combinations(range(n), 2) if antisymmetric else product(range(n), repeat=2)
-        rep.check("jacobi identity (all basis triples)", pairs,
-                  lambda pq: jacobi_fails(*pq, pq[1] + 1 if antisymmetric else 0, n))
+        rep.check("jacobi identity (all basis triples)", range(n),
+                  _jacobi_sweep(itable, g.labels, antisymmetric))
     else:
         import random
         rng = random.Random(seed)
         triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
                    for _ in range(samples))
-        rep.check(f"jacobi identity ({samples} sampled triples)", triples,
-                  lambda pqr: jacobi_fails(pqr[0], pqr[1], pqr[2], pqr[2] + 1))
+
+        def jacobi_fails(pqr):
+            p, q, r = pqr
+            acc = {}
+            for a, b, c in ((p, q, r), (q, r, p), (r, p, q)):
+                for s, k in itable.get((b, c), {}).items():
+                    for t, x in itable.get((a, s), {}).items():
+                        acc[t] = acc.get(t, 0) + k * x
+            if any(acc.values()):
+                return f"triple ({g.labels[p]},{g.labels[q]},{g.labels[r]})"
+
+        rep.check(f"jacobi identity ({samples} sampled triples)", triples, jacobi_fails)
 
     def off_grade(item):
         (p, q), out = item
@@ -616,10 +656,15 @@ def center_map(g_ext, g_tkk):
     a sparse {index: Fraction} column, and the kernel is its canonical basis
     as sparse rows, checked central.
 
-    When both bracket tables are exactly antisymmetric, both sides of the
-    homomorphism identity are antisymmetric in (p, q) and vanish at p = q,
-    so pairs p < q decide it and the first failing pair in product order is
-    one of them; otherwise every ordered pair is swept.  Antisymmetry and
+    The homomorphism identity takes one case per leading index p and sums
+    it for every q at once, only over stored brackets: phi [p, q] from the
+    stored [p, q], and [phi p, phi q] from each s in phi p, each stored
+    [s, t] of the classical table and each q whose image holds e_t (the
+    pull-back list pre[t]).  The witness is the least failing q of the least
+    failing p.  When both bracket tables are exactly antisymmetric, both
+    sides of the identity are antisymmetric in (p, q) and vanish at p = q,
+    so the q > p decide it and the first failing pair in product order is
+    one of them; otherwise every ordered pair is summed.  Antisymmetry and
     the sweep read integer copies made at call time: the _integer_brackets
     copies of both tables, d1 and d2 times over, and cden times the sparse
     columns of the map.  The left side phi [p, q] is then d1 cden times the
@@ -645,29 +690,47 @@ def center_map(g_ext, g_tkk):
     d2, tkk_table = _integer_brackets(g_tkk)
     cden, icols = integer_rows(cols)
     lscale = cden * d2
+    n, m = g_ext.dim, g_tkk.dim
+    antisymmetric = _antisymmetric(ext_table, range(n)) and _antisymmetric(tkk_table, range(m))
+    # adjacency: ext_row[p] the (q, [p, q]) stored in g_ext, ascending in q;
+    # tkk_row[s] the (t, [s, t]) stored in g_tkk; pre[t] the (q, cden phi(q)_t)
+    # with phi(q)_t nonzero, ascending in q
+    ext_row = [[] for _ in range(n)]
+    for p, q in sorted(ext_table):
+        ext_row[p].append((q, ext_table[(p, q)]))
+    tkk_row = [[] for _ in range(m)]
+    for (s, t), out in tkk_table.items():
+        tkk_row[s].append((t, out))
+    pre = [[] for _ in range(m)]
+    for q, col in enumerate(icols):
+        for t, x in col.items():
+            pre[t].append((q, x))
 
-    def nonhomomorphic(pq):
-        p, q = pq
-        acc = {}    # lhs (cden d2) - rhs d1
-        for t, c in ext_table.get(pq, {}).items():
-            c *= lscale
-            for r, x in icols[t].items():
-                acc[r] = acc.get(r, 0) + c * x
+    def nonhomomorphic(p):
+        """The witness of the least q, with q > p once both tables are
+        antisymmetric, where phi [p, q] != [phi p, phi q], summed for every q
+        at once into acc[q m + r]: lhs (cden d2) - rhs d1 at e_r."""
+        acc = defaultdict(int)
+        lo = p + 1 if antisymmetric else 0
+        for q, out in _cut(ext_row[p], lo):
+            base = q * m
+            for t, c in out.items():
+                c *= lscale
+                for r, x in icols[t].items():
+                    acc[base + r] += c * x
         for s, cs in icols[p].items():
-            for t, ct in icols[q].items():
-                out = tkk_table.get((s, t))
-                if out:
-                    c = cs * ct * d1
+            cs *= d1
+            for t, out in tkk_row[s]:
+                for q, ct in _cut(pre[t], lo):
+                    c, base = cs * ct, q * m
                     for r, x in out.items():
-                        acc[r] = acc.get(r, 0) - c * x
-        if any(acc.values()):
+                        acc[base + r] -= c * x
+        failing = [key for key, x in acc.items() if x]
+        if failing:
+            q = min(failing) // m
             return f"not a homomorphism at ({g_ext.labels[p]},{g_ext.labels[q]})"
 
-    n = g_ext.dim
-    antisymmetric = _antisymmetric(ext_table, range(n)) and \
-        _antisymmetric(tkk_table, range(g_tkk.dim))
-    pairs = combinations(range(n), 2) if antisymmetric else product(range(n), repeat=2)
-    rep.check("lie algebra homomorphism (all pairs)", pairs, nonhomomorphic)
+    rep.check("lie algebra homomorphism (all pairs)", range(n), nonhomomorphic)
 
     # phi is the identity on e/f/h and maps the tail into the tail, so its
     # kernel is that of the tail block, shifted past e/f/h; the shifted rows

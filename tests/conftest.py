@@ -204,10 +204,10 @@ def prods_validate(J, seed=0):
 
 
 def every_r_validate_lie(g, jacobi="full", seed=0, samples=200):
-    """The reference of tkk.validate_lie whose Jacobi sweep sums the
-    [r, [p, q]] term by a loop over every r of the swept range, looking up
-    [r, s] for each s in [p, q].  Its report must equal validate_lie's
-    whole report."""
+    """The reference of tkk.validate_lie whose full Jacobi sweep takes one
+    case per pair (p, q) and sums the [r, [p, q]] term by a loop over every
+    r of the swept range, looking up [r, s] for each s in [p, q].  Its
+    report must equal validate_lie's whole report."""
     rep = Report(f"lie axioms for {g.kind}({g.jordan.name})")
     n, lab = g.dim, g.labels
     _, itable = _integer_brackets(g)

@@ -1,13 +1,17 @@
-"""The pairing tool's pure summary, on canned last lines of benchmark runs."""
+"""The pairing tool's pure summary, on canned last lines of benchmark runs,
+and the environment each of its runs gets."""
 
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
-from bench_pairs import record, summarize  # noqa: E402
+import bench_pairs  # noqa: E402
+from bench_pairs import record, run_once, summarize  # noqa: E402
 
 
 def line(wall, rss, correct=True):
@@ -51,3 +55,23 @@ def test_summary_of_one_pair_has_no_spread():
 
 def test_summary_of_no_complete_pair_is_empty():
     assert summarize([record(0, "after", line(1.0, 20.0))]) == {}
+
+
+def test_every_run_gets_its_own_empty_bytecode_prefix(monkeypatch, tmp_path):
+    # a run may neither write bytecode nor read a __pycache__ the checkout
+    # already holds: each gets an empty PYTHONPYCACHEPREFIX of its own,
+    # removed once the run is over
+    seen = []
+
+    def fake_run(argv, cwd, env, **kwargs):
+        prefix = env["PYTHONPYCACHEPREFIX"]
+        seen.append((env["PYTHONDONTWRITEBYTECODE"], prefix, os.listdir(prefix), cwd))
+        return subprocess.CompletedProcess(argv, 0, stdout="progress\n" + line(1.0, 20.0) + "\n")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    assert run_once(tmp_path, "checks", 0, 1) == line(1.0, 20.0)
+    assert run_once(tmp_path, "checks", 0, 1) == line(1.0, 20.0)
+    assert [(flag, files, cwd) for flag, _, files, cwd in seen] == [("1", [], tmp_path)] * 2
+    prefixes = [prefix for _, prefix, _, _ in seen]
+    assert prefixes[0] != prefixes[1]
+    assert not any(os.path.exists(prefix) for prefix in prefixes)

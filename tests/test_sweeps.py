@@ -18,13 +18,17 @@ matrices (`conftest.dense_rho`).
 sampled vectors; its reference multiplies dense vectors through `jmul`, one
 b at a time, and `conftest.prods_validate`, which sums both sides from the
 products (e_i e_j) e_b, must give the same whole report.  Likewise
-`validate_lie`, whose [r, [p, q]] term runs over the stored brackets [r, s],
-must give the whole report of `conftest.every_r_validate_lie`, which loops
-over every r, and `dominance_operator`, which takes the powers of a under
-the integer table, the sum of `conftest.fraction_powers_dominance_operator`.  The
-Weyl straightening runs in integers over one denominator; its reference
-straightens in Fractions on dense rho, and the windowed action's
-(den, columns) must match it exactly.
+`validate_lie`, whose full Jacobi sweep takes one case per leading index p
+and sums every (q, r) at once over stored brackets only, must give the whole
+report of `conftest.every_r_validate_lie`, which takes one case per pair
+(p, q) and loops over every r; corruptions inside the second copy of a
+direct sum make every failing triple start past the first copy, so the
+least failing p decides the witness.  `dominance_operator`, which takes
+the powers of a under the integer table, must give the sum of
+`conftest.fraction_powers_dominance_operator`.  The Weyl straightening
+runs in integers over one denominator; its reference straightens in
+Fractions on dense rho, and the windowed action's (den, columns) must match
+it exactly.
 `build_sl2` and `build_tkk` sum their tails in integers and `validate_lie`
 and `center_map` read integer copies of the bracket tables; the reference
 constructions sum the tails in Fractions and fill the table through
@@ -39,6 +43,7 @@ exactly, types included, so that a mis-scaled copy cannot pass by agreeing
 with the other route.
 """
 
+import copy
 import random
 from collections import Counter
 from fractions import Fraction as Q
@@ -72,6 +77,16 @@ from tkkwb.weyl import _StraightData, TruncatedVerma, efr_powers, garland_coeffi
 # -- references: every identity over the full product sweep -------------------
 
 
+def ref_jacobiator(g, p, q, r):
+    """[p, [q, r]] + [q, [r, p]] + [r, [p, q]] as a sparse dict, summed from
+    g.bracket_basis."""
+    acc = {}
+    for a, b, c in ((p, q, r), (q, r, p), (r, p, q)):
+        for s, cs in g.bracket_basis(b, c).items():
+            add_into(acc, g.bracket_basis(a, s), cs)
+    return acc
+
+
 def ref_validate_lie(g, jacobi="full", seed=0, samples=200):
     """validate_lie's lines, with full Jacobi swept over every ordered triple
     and spot Jacobi over the same sampled triples, both on g.table as is."""
@@ -84,13 +99,8 @@ def ref_validate_lie(g, jacobi="full", seed=0, samples=200):
             return f"[{lab[p]},{lab[q]}] != -[{lab[q]},{lab[p]}]"
 
     def jacobiator(pqr):
-        p, q, r = pqr
-        acc = {}
-        for a, b, c in ((p, q, r), (q, r, p), (r, p, q)):
-            for s, cs in g.bracket_basis(b, c).items():
-                add_into(acc, g.bracket_basis(a, s), cs)
-        if acc:
-            return f"triple ({lab[p]},{lab[q]},{lab[r]})"
+        if ref_jacobiator(g, *pqr):
+            return f"triple ({lab[pqr[0]]},{lab[pqr[1]]},{lab[pqr[2]]})"
 
     def off_grade(item):
         (p, q), out = item
@@ -279,12 +289,14 @@ def ref_validate(J, seed=0):
 # -- corruptions ---------------------------------------------------------------
 
 
-def corrupt_table(g, rng, keep_antisymmetry, coeffs=(1, -1, 2, Q(1, 2))):
+def corrupt_table(g, rng, keep_antisymmetry, coeffs=(1, -1, 2, Q(1, 2)), within=None):
     """Add a random term, with a coefficient drawn from coeffs, to one
     off-diagonal bracket [p, q]; with keep_antisymmetry also subtract it
-    from [q, p]."""
-    p, q = rng.sample(range(g.dim), 2)
-    t, c = rng.randrange(g.dim), rng.choice(coeffs)
+    from [q, p].  p, q and the term's index are drawn from the range
+    within, every basis index by default."""
+    within = range(g.dim) if within is None else within
+    p, q = rng.sample(within, 2)
+    t, c = within[rng.randrange(len(within))], rng.choice(coeffs)
     g.table[(p, q)] = add_into(dict(g.bracket_basis(p, q)), {t: c})
     if keep_antisymmetry:
         g.table[(q, p)] = add_into(dict(g.bracket_basis(q, p)), {t: -c})
@@ -1205,6 +1217,91 @@ def test_jacobi_over_stored_brackets_matches_every_r_reference(family, params, k
         assert lib.items[0].ok is keep
         failing += not lib.items[1].ok
     assert failing >= 8
+
+
+def direct_sum(g):
+    """g + g as one algebra: g's brackets on the first dim g basis elements,
+    and again, shifted by dim g and with primed labels, on the second copy;
+    the two copies commute.  A corruption inside the second copy breaks
+    only triples inside it."""
+    n = g.dim
+    s = copy.copy(g)
+    s.dim = 2 * n
+    s.labels = g.labels + tuple(f"{lab}'" for lab in g.labels)
+    s.weights, s.degrees = g.weights * 2, g.degrees * 2
+    s.table = {**g.table, **{(p + n, q + n): {t + n: c for t, c in out.items()}
+                             for (p, q), out in g.table.items()}}
+    return s
+
+
+def failing_leads(g, indices, ordered):
+    """The p of the triples (p, q, r) of indices, ordered or sorted, with a
+    nonzero jacobiator."""
+    triples = product(indices, repeat=3) if ordered else combinations(indices, 3)
+    return {pqr[0] for pqr in triples if ref_jacobiator(g, *pqr)}
+
+
+@pytest.mark.parametrize("keep", [True, False])
+@pytest.mark.parametrize("family, params", [
+    ("matrix", {"size": 2}),
+    ("spin-factor", {"dim": 3}),
+])
+def test_jacobi_witness_past_the_first_leading_index(family, params, keep):
+    # corruptions inside the second copy of sl2(J) + sl2(J): every p of the
+    # first copy passes, the failing triples spread over several p of the
+    # second, and the least of them, then its least (q, r), is the witness,
+    # in the sorted branch (keep) and in the ordered-pair branch
+    g = build_sl2(builtin(family, **params))
+    n = g.dim
+    second = range(n, 2 * n)
+    witness_leads = set()
+    for seed, coeffs in product(range(6), _COEFFS):
+        s = corrupt_table(direct_sum(g), random.Random(seed), keep, coeffs, second)
+        lib = validate_lie(s)
+        assert lib.lines() == ref_validate_lie(s).lines(), (seed, coeffs)
+        assert lib == every_r_validate_lie(s), (seed, coeffs)
+        assert lib.items[0].ok is keep and not lib.items[1].ok
+        leads = failing_leads(s, second, ordered=not keep)
+        assert len(leads) >= 3
+        lead = s.labels.index(lib.items[1].detail[len("triple ("):].split(",")[0])
+        assert lead == min(leads) >= n
+        witness_leads.add(lead)
+    assert len(witness_leads) >= 2
+
+
+@pytest.mark.parametrize("keep", [True, False])
+@pytest.mark.parametrize("family, params", [
+    ("matrix", {"size": 2}),
+    ("spin-factor", {"dim": 4}),
+])
+def test_center_map_finds_a_corrupted_tail_bracket_of_the_classical_table(family, params,
+                                                                          keep):
+    # [phi p, phi q] reads a tail x tail bracket of the classical table only
+    # through the pull-back lists, from the tail elements of both images
+    J = builtin(family, **params)
+    intact = build_tkk(J)
+    tail = range(intact.tail_index(0), intact.dim)
+    assert len(tail) >= 3
+    for seed, coeffs in product(range(6), _COEFFS):
+        ext, classical = build_sl2(J), build_tkk(J)
+        corrupt_table(classical, random.Random(seed), keep, coeffs, tail)
+        lib = center_map(ext, classical)[2]
+        assert lib.lines() == ref_center_map(ext, classical).lines(), (seed, coeffs)
+        assert not lib.items[0].ok
+
+
+def test_jacobi_on_spin_factor_16_matches_every_r_reference():
+    # n = 171: the adjacency lists are long enough that a wrong bisect cut
+    # drops terms, intact and under corruptions of both branches
+    J = builtin("spin-factor", dim=16)
+    intact = build_sl2(J)
+    assert intact.dim == 171
+    assert validate_lie(intact) == every_r_validate_lie(intact)
+    for seed, keep in product(range(3), (True, False)):
+        g = corrupt_table(build_sl2(J), random.Random(seed), keep)
+        lib = validate_lie(g)
+        assert lib == every_r_validate_lie(g), (seed, keep)
+        assert lib.items[0].ok is keep and not lib.items[1].ok
 
 
 _DOMINANCE_REPS = {

@@ -5,10 +5,14 @@
 
 DIR is the root of a checkout; each side runs its own
 ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` with that
-checkout as the working directory, so it imports ``src`` from its own tree,
-without writing bytecode caches.  Pair k runs "before" first when k is even
-and "after" first when k is odd, so a slow spell of the host does not fall
-on one side only.  The last stdout line of every run (its ``correct``,
+checkout as the working directory, so it imports ``src`` from its own tree.
+Every run compiles the package afresh: ``PYTHONDONTWRITEBYTECODE`` stops it
+writing bytecode, and its own empty ``PYTHONPYCACHEPREFIX`` directory, made
+for the run and removed after it, stops it reading the ``__pycache__`` a
+checkout may already hold, so neither side's ``setup_s`` gains from a cache
+the other lacks.  Pair k runs "before" first when k is even and "after"
+first when k is odd, so a slow spell of the host does not fall on one side
+only.  The last stdout line of every run (its ``correct``,
 ``attempted``, ``failed`` and ``metrics``) is kept, and each end-to-end
 metric gets the medians of both sides, their ratio, the before side's
 interquartile range and the number of pairs in which "after" was lower.
@@ -24,6 +28,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 METRICS = ("wall_ref", "cpu_ref", "setup_s", "peak_rss_mb")
@@ -70,12 +75,14 @@ def summarize(records):
 
 
 def run_once(checkout, workload, seed, seconds):
-    """The last stdout line of one benchmark run in a checkout."""
+    """The last stdout line of one benchmark run in a checkout, run with no
+    bytecode cache to read or write."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run(argv, cwd=checkout, env=env, check=True, stdout=subprocess.PIPE,
-                          text=True)
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as prefix:
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=prefix)
+        proc = subprocess.run(argv, cwd=checkout, env=env, check=True, stdout=subprocess.PIPE,
+                              text=True)
     return proc.stdout.strip().splitlines()[-1]
 
 
@@ -106,7 +113,9 @@ def main(argv=None):
         "command": "python3 perfbench/run.py --workload W --seed S --seconds T --trace 0, "
                    "run from a checkout of each side",
         "method": "alternating pairs: even pairs run before first, odd pairs after first; "
-                  "both sides import src from their own tree, without bytecode caches",
+                  "both sides import src from their own tree; every run compiles it "
+                  "afresh, neither reading nor writing bytecode (PYTHONDONTWRITEBYTECODE "
+                  "and an empty PYTHONPYCACHEPREFIX of its own)",
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "nproc": os.cpu_count()},
         "runs": runs,
