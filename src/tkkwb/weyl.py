@@ -408,8 +408,8 @@ def dominance_sum_at(rep, a):
 def efr_vanishes(rep_or_g0, mode="symbolic", samples=8, seed=0):
     """Whether e(1)^(n+1) f(a)^(n+1) kills the module for every a.
 
-    Symbolic mode uses polynomial coordinates for a; random mode samples.
-    Returns (verdict, witness-or-None).
+    Symbolic mode uses polynomial coordinates for a; random mode samples;
+    any other mode is a ValueError.  Returns (verdict, witness-or-None).
     """
     g0, n = checked_extension(rep_or_g0)
     d = g0.rep.jordan.dim
@@ -417,6 +417,8 @@ def efr_vanishes(rep_or_g0, mode="symbolic", samples=8, seed=0):
         a = Poly.variables(d)
         op = efr_power(g0, a, n + 1)
         return (not op, "symbolic" if op else None)
+    if mode != "random":
+        raise ValueError(f"unknown mode {mode!r}")
     rng = random.Random(seed)
     for _ in range(samples):
         a = random_vector(rng, d)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from conftest import noncommuting_rep, one_gen_rep
 from tkkwb import cli, jspace, weyl
 from tkkwb.cli import main
-from tkkwb.jordan import algebra_to_dict, truncated_poly
+from tkkwb.jordan import algebra_to_dict, spin_factor, truncated_poly
 from tkkwb.jspace import rep_to_dict
 from tkkwb.linalg import Matrix, RowSpan, add_operator
 
@@ -330,6 +331,93 @@ def test_jspace_check_bytes_pinned(capsys, tmp_path, argv, digest):
     code, out, err = run(capsys, "jspace", "check",
                          *(str(p) if a == "<rep>" else a for a in argv))
     blob = json.dumps([code, out.replace(str(p), "<rep>"), err.replace(str(p), "<rep>")])
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+# the tkk algebras of CI: three builtins, the spin factor of Gram matrix
+# diag(1/3, 2/7, 5) (denominators in every table) and the degenerate spin
+# factor of Gram matrix zero (the one nonzero center-map kernel), the last
+# two read from JSON
+_TKK_ALGEBRAS = {
+    "spin8": ("--builtin", "spin-factor", "--dim", "8"),
+    "matrix3": ("--builtin", "matrix", "--size", "3"),
+    "poly4": ("--builtin", "truncated-poly", "--degree", "4"),
+    "gram": [[Fraction(1, 3), 0, 0], [0, Fraction(2, 7), 0], [0, 0, 5]],
+    "degenerate": [[0, 0], [0, 0]],
+}
+_TKK_RUNS = {
+    "check": ("check",),
+    "spot0": ("check", "--jacobi", "spot", "--seed", "0"),
+    "spot7": ("check", "--jacobi", "spot", "--seed", "7"),
+    "check-json": ("check", "--format", "json"),
+    "build-json": ("build", "--format", "json"),
+}
+
+
+# sha256 of json.dumps([exit code, stdout, stderr]) of `tkk build` and `tkk
+# check`, with the path of an algebra file written as <algebra>; recorded
+# while _fill_table still wrote pre-scaled product copies and center_map
+# swept the homomorphism identity one leading index at a time
+@pytest.mark.parametrize("algebra, run_as, digest", [
+    ("spin8", "check",
+     "7759819441437b6428aeb20f634a5335af6fc0c34677b23f7c4ef41e861362d9"),
+    ("spin8", "spot0",
+     "da480d1886ad70124b8b546abebcd254d0264d5cd9335e792fb9b71aaf1da284"),
+    ("spin8", "spot7",
+     "da480d1886ad70124b8b546abebcd254d0264d5cd9335e792fb9b71aaf1da284"),
+    ("spin8", "check-json",
+     "cb8ca8fab4486b33e8e70482a0f0ac3f67b8f729dfe9e4089f7fcdc42ec34fb0"),
+    ("spin8", "build-json",
+     "1fe57df727fe6809efdf158242604d4233620c072bb8407e2af357d05295e31c"),
+    ("matrix3", "check",
+     "b089c814eca5e3cfbf27aeedd65bb702adda3afa77218bcf17bc887d7464a2fa"),
+    ("matrix3", "spot0",
+     "0fd955b259068f72cf546511910639049fa24830995ed70479b13e9acf6c2fd8"),
+    ("matrix3", "spot7",
+     "0fd955b259068f72cf546511910639049fa24830995ed70479b13e9acf6c2fd8"),
+    ("matrix3", "check-json",
+     "5521dfdb309141175926f5697e28790e4bc78b9ac2b8152725d302586b2cc179"),
+    ("matrix3", "build-json",
+     "397a6b73d97d42e68767d4737f166ccd9405662a500d9593cfbef1c159b39d8b"),
+    ("poly4", "check",
+     "153ea7d42f46c9acfdae172d2a526225addf7a3991197a54e81bee138691e7e0"),
+    ("poly4", "spot0",
+     "8388a7a1df9c28c9ed9a9a1f9be3b681d2faf11d3e1083ea1bd4bdd177d98d2f"),
+    ("poly4", "spot7",
+     "8388a7a1df9c28c9ed9a9a1f9be3b681d2faf11d3e1083ea1bd4bdd177d98d2f"),
+    ("poly4", "check-json",
+     "84818510ac54c96874da0afe2bb49e0884a2c5589ab86cdf768f1ce95f804ed1"),
+    ("poly4", "build-json",
+     "f10ba6655e3effaa989a9426d47e35fb7df9fb893b2bbb6f930cb2a8e7686a78"),
+    ("gram", "check",
+     "f2bb5d5a7b49918fcd4e59d2bb15a8bda1cc876c995ad09b8ad54fc1fbfc2b4d"),
+    ("gram", "spot0",
+     "a091ba6e4b203ecfcf714e6bd2814960b128c2a69cacf6cd2a2bc7c7eb07e9c8"),
+    ("gram", "spot7",
+     "a091ba6e4b203ecfcf714e6bd2814960b128c2a69cacf6cd2a2bc7c7eb07e9c8"),
+    ("gram", "check-json",
+     "c8e84c43d7822f8170356793c62221cf02974a8fd1d6789d94efe859be6aea64"),
+    ("gram", "build-json",
+     "b5cbed902106fb54125911573f35fb5d336c054f9467b9a83baf31e347973d85"),
+    ("degenerate", "check",
+     "703bb599d3b5ab6ed2168d03a5796d6d8c1eb24d4aada31c70e33233f4236a21"),
+    ("degenerate", "spot0",
+     "85505ef6fceff26ba8a657c6e6809776343eb2cbaeafbea79e7db59c51206398"),
+    ("degenerate", "spot7",
+     "85505ef6fceff26ba8a657c6e6809776343eb2cbaeafbea79e7db59c51206398"),
+    ("degenerate", "check-json",
+     "3c8bc595f6c39f5fad58b638a6f8597bd18030c74591849b5eb9c08686958392"),
+    ("degenerate", "build-json",
+     "a1041fbabcbadf0aecf0742f215f531cb310d222a156ad0e51df751e1da2c2ae"),
+])
+def test_tkk_check_bytes_pinned(capsys, tmp_path, algebra, run_as, digest):
+    source = _TKK_ALGEBRAS[algebra]
+    p = tmp_path / "algebra.json"
+    if isinstance(source, list):
+        p.write_text(json.dumps(algebra_to_dict(spin_factor(source))))
+        source = ("--algebra", str(p))
+    code, out, err = run(capsys, "tkk", *_TKK_RUNS[run_as], *source)
+    blob = json.dumps([code, out.replace(str(p), "<algebra>"), err.replace(str(p), "<algebra>")])
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
 
 

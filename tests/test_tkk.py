@@ -252,6 +252,12 @@ def test_spot_jacobi_mode():
     assert rep.ok
 
 
+def test_validate_lie_rejects_an_unknown_jacobi_mode():
+    # a misspelt mode is an error, not a silent sampled check
+    with pytest.raises(ValueError, match=r"^unknown mode 'fulll'$"):
+        validate_lie(build_sl2(truncated_poly(2)), jacobi="fulll")
+
+
 def test_json_export():
     g = build_sl2(truncated_poly(1))
     data = algebra_to_dict(g)

@@ -350,6 +350,12 @@ def test_efr_vanishes_modes_agree():
     assert not ok and witness is not None
 
 
+def test_efr_vanishes_rejects_an_unknown_mode():
+    # a misspelt mode is an error, not a silent sampled check
+    with pytest.raises(ValueError, match=r"^unknown mode 'symbolc'$"):
+        efr_vanishes(newton_rep(2, 2), mode="symbolc")
+
+
 # ---------------------------------------------------------------------------
 # dimension tables
 
