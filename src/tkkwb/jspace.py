@@ -289,8 +289,9 @@ def extend_to_g0(rep, ext=None, bound=None):
     operator is kept over the denominator 4 den^2: the brace operators as
     these commutators, rho as rep.rho scaled by 4 den.
     Well-definedness asks each defining-span row of the brace space to
-    combine the pair commutators to zero; the homomorphism item compares
-    [phi(p), phi(q)] with 4 den^2 times the bracket combination of the phi(t).
+    combine the pair commutators to zero; the homomorphism item reads the
+    integer form ext.brackets, ext.den times the table, and compares
+    ext.den [phi(p), phi(q)] with 4 den^2 times its combination of the phi(t).
 
     Without ext it builds only the block it checks and hands on: the
     weight-zero block of the central extension (`build_sl2` with weight_zero),
@@ -321,12 +322,17 @@ def extend_to_g0(rep, ext=None, bound=None):
                    [ext.tail_index(k) for k in range(bs.dim)]
     phi = dict(zip(zero_indices, rho + braces))
 
+    brackets, eden = ext.brackets, ext.den
+
     def mismatch(pq):
         p, q = pq
-        bracket = ext.bracket_basis(p, q)
+        bracket = brackets.get(pq, {})
         if not phi.keys() >= bracket.keys():
             raise ValueError("weight-zero indices only")
-        if commutator(phi[p], phi[q]) != combine(phi, bracket, den):
+        lhs = commutator(phi[p], phi[q])
+        if eden != 1:
+            lhs = add_operator({}, lhs, eden)
+        if lhs != combine(phi, bracket, den):
             return f"bracket mismatch at ({ext.labels[p]},{ext.labels[q]})"
 
     # on an antisymmetric block both sides of the homomorphism are

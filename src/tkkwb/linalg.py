@@ -15,7 +15,8 @@ it is empty.  Every integer copy of rational data is made by
 `integer_rows`, which scales sparse rows by the lcm of their denominators:
 rho itself is one (`integer_operators` scales a list of rational operators
 to integers by one common denominator, the form a J-space keeps), and so
-are the integer copies of the Jordan and bracket tables, and the copy
+are the integer copy of the Jordan table, the tail data from which a TKK
+bracket table is written in its one integer form, and the copy
 A a of a point (`integer_vector`) on which the homogeneous routes of `weyl`
 and the dominance sum run.
 `operator_product`, `commutator`, `combine` and `add_operator` sum through

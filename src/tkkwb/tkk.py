@@ -11,27 +11,29 @@ straight at its block offset.  Inner derivations are only ever sparse
 columns read from the Jordan table (`derivation_column`).  The tails are
 summed in integers: the derivations from the `integer_table` copy of
 J.table, the brace coordinates and the inner-derivation basis each scaled
-once to ints over one denominator (`linalg.integer_rows`, like every integer
-copy here), so a tail coordinate or bracket becomes a Fraction once, where
-it is stored; `table` and `pair_coords` hold Fractions.  The central
-epimorphism reads the classical pair coordinates and returns its map and
-kernel as sparse columns and rows; no dense matrix or vector is built here.
-Structure constants are built from the bracket rules, stored sparsely per
-ordered basis pair (a zero bracket is not stored), and re-verified rather
-than trusted: antisymmetry is checked on all ordered pairs, and the Jacobi
-identity on all basis triples, decided on the sorted triples of distinct
-indices once antisymmetry holds.  Both sweeps skip only what is zero by
-construction: a pair with neither order stored is antisymmetric (0 = -0),
-and a triple (p, q, r) with none of [q, r], [r, p], [p, q] stored has
-jacobiator 0.  Jacobi takes one case per leading basis element p, with
-every (q, r) summed at once and each of its three terms only over stored
-brackets, read through adjacency lists built once per sweep
-(`_jacobi_sweep`); the homomorphism identity of the central epimorphism
-takes one case per pair of basis elements.  Both sweeps, and the
-antisymmetry test and homomorphism sweep of the central epimorphism, run on
-integer copies of the bracket tables (`_integer_brackets`), made at call
-time and never stored, so a table edited after construction is read
-afresh.  Both tails and the kernel of the central epimorphism come from the
+once to ints over one denominator (`linalg.integer_rows`), and each block
+is handed to the filler as ints with its scale.  The filler scales every
+block once to the common denominator `den` and stores the bracket table in
+that one integer form, `brackets`: {(p, q): {t: int}}, den times the true
+brackets, with no zero entry and no zero bracket.  `table` is a read-only
+Fraction view of it, made when read; `pair_coords` holds Fractions.  The
+central epimorphism reads the classical pair coordinates and returns its
+map and kernel as sparse columns and rows; no dense matrix or vector is
+built here.  Structure constants are built from the bracket rules and
+re-verified rather than trusted: antisymmetry is checked on all ordered
+pairs, and the Jacobi identity on all basis triples, decided on the sorted
+triples of distinct indices once antisymmetry holds.  Both sweeps skip only
+what is zero by construction: a pair with neither order stored is
+antisymmetric (0 = -0), and a triple (p, q, r) with none of [q, r],
+[r, p], [p, q] stored has jacobiator 0.  Jacobi takes one case per leading
+basis element p, with every (q, r) summed at once and each of its three
+terms only over stored brackets, read through adjacency lists built once
+per sweep (`_jacobi_sweep`); the homomorphism identity of the central
+epimorphism takes one case per pair of basis elements.  Every check reads
+`brackets` itself, so none makes a copy of a table at call time, and the
+antisymmetry verdict of a whole table is decided once per algebra
+(`TKKAlgebra.antisymmetric`): the table is written once, by the filler.
+Both tails and the kernel of the central epimorphism come from the
 canonical RREF of a sparse RowSpan.
 
 The central extension can be built in part, for consumers that read no
@@ -52,8 +54,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import defaultdict
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 from operator import itemgetter
 
 from .jordan import InputError, derivation_column, ensure_valid, integer_table
@@ -161,15 +165,39 @@ class BraceSpace:
         return self.pair_coords.get((i, j), {})
 
 
+class _FractionTable(Mapping):
+    """The read-only view {(p, q): {t: Fraction}} of an algebra's integer
+    bracket table: each bracket divided by den when it is read."""
+
+    __slots__ = ("_g",)
+
+    def __init__(self, g):
+        self._g = g
+
+    def __getitem__(self, pq):
+        den = self._g.den
+        return {t: Fraction(x, den) for t, x in self._g.brackets[pq].items()}
+
+    def __contains__(self, pq):
+        return pq in self._g.brackets
+
+    def __iter__(self):
+        return iter(self._g.brackets)
+
+    def __len__(self):
+        return len(self._g.brackets)
+
+
 class TKKAlgebra:
     """Lie algebra on e(J) + f(J) + h(J) + tail, with an explicit bracket table.
 
     Basis indices: e(i) = i, f(i) = dim+i, h(i) = 2*dim+i, tail(k) = 3*dim+k.
-    `table[(p, q)]` is the sparse coordinate dict of the bracket of basis
-    elements p and q.  `pair_coords[(i, j)]`, for i != j, holds the sparse
-    tail coordinates of the pair of Jordan basis elements i, j: its brace
-    for the central extension, its inner derivation for the classical
-    algebra.
+    `brackets[(p, q)]` is den times the bracket of basis elements p and q,
+    as a sparse {index: int} dict with no zero entry; a zero bracket is not
+    stored.  `table` is the read-only Fraction view of it.
+    `pair_coords[(i, j)]`, for i != j, holds the sparse tail coordinates of
+    the pair of Jordan basis elements i, j: its brace for the central
+    extension, its inner derivation for the classical algebra.
     """
 
     def __init__(self, jordan, kind, tail_dim, tail_labels, tail_degrees, kappa):
@@ -194,13 +222,21 @@ class TKKAlgebra:
         self.labels = tuple(labels)
         self.weights = tuple(weights)
         self.degrees = tuple(degrees)
-        self.table = {}
+        self.den = 1
+        self.brackets = {}
         self.pair_coords = {}
         self.brace = None       # set for the central extension
         # what _fill_table writes: the brackets of degree sum <= bound
         # (every degree when None), only the weight-zero block when set
         self.bound = None
         self.weight_zero_only = False
+        # the antisymmetry verdict on the whole table, once decided
+        self._antisymmetric = None
+
+    @property
+    def table(self):
+        """The bracket table as a read-only {(p, q): {t: Fraction}} view."""
+        return _FractionTable(self)
 
     def e_index(self, i):
         return i
@@ -225,6 +261,7 @@ class TKKAlgebra:
         return ("tail", p - 3 * d)
 
     def bracket_basis(self, p, q):
+        """[p, q] as a sparse {index: Fraction} dict, {} when zero."""
         return self.table.get((p, q), {})
 
     def antisymmetric_on(self, indices):
@@ -234,22 +271,22 @@ class TKKAlgebra:
         stored satisfies 0 = -0, and the condition is the same in both
         orders, so one stored order decides its pair.
         """
-        return _antisymmetric(self.table, set(indices))
+        return _antisymmetric(self.brackets, set(indices))
+
+    @property
+    def antisymmetric(self):
+        """Whether the whole bracket table is antisymmetric: decided on first
+        use, or by validate_lie's antisymmetry item, and kept, since the
+        table is written once."""
+        if self._antisymmetric is None:
+            self._antisymmetric = self.antisymmetric_on(range(self.dim))
+        return self._antisymmetric
 
     def weight_block(self, w):
         return [p for p in range(self.dim) if self.weights[p] == w]
 
     def __repr__(self):
         return f"TKKAlgebra({self.kind} of {self.jordan.name}, dim={self.dim})"
-
-
-def _integer_brackets(g):
-    """(den, ib): ib[(p, q)] is den * [p, q] with int entries for every
-    nonzero stored bracket, den the lcm of the denominators of g.table as it
-    stands when called (`integer_rows`).  Never stored on g, so a table
-    edited after a check is read afresh by the next one."""
-    den, rows = integer_rows(g.table.values())
-    return den, {pq: row for pq, row in zip(g.table, rows) if row}
 
 
 def _asymmetric(table, p, q):
@@ -266,18 +303,25 @@ def _antisymmetric(table, inside):
                    if p in inside and q in inside and (p <= q or (q, p) not in table))
 
 
-def _fill_table(g, pair_coords, tail_cols, tail_brackets):
+def _fill_table(g, pair_coords, jordan, pairs, cols, tails):
     """Record the tail data on g and write its bracket table.
 
     [x(a), y(b)] = [x, y](ab) + kappa(x, y) pair_coords[(a, b)] on e/f/h;
     tail element k acts on e/f/h by the derivation whose sparse column j,
-    {row: entry}, is tail_cols[k][j], and brackets with tail element l to
-    tail_brackets[(k, l)] (absent when zero).  The reversed order against
-    e/f/h is filled by antisymmetry, which validate_lie re-checks rather
-    than trusts.  A zero bracket is not stored: bracket_basis reads an
-    absent pair as zero.  Each entry is written straight at its block offset
-    (e at 0, f at d, h at 2d, the tail at 3d), and the blocks of one bracket
-    never overlap, so nothing is summed.
+    {row: entry}, is column j of cols, and brackets with tail element l to
+    tails[(k, l)] (absent when zero).  The reversed order against e/f/h is
+    filled by antisymmetry, which validate_lie re-checks rather than
+    trusts.  A zero bracket is not stored: bracket_basis reads an absent
+    pair as zero.  Each entry is written straight at its block offset (e at
+    0, f at d, h at 2d, the tail at 3d), and the blocks of one bracket never
+    overlap, so nothing is summed.
+
+    jordan = (tden, T), the integer_table copy of J.table, and pairs, cols
+    and tails are each (scale, ints): the int form of pair_coords, of the
+    tail columns [k][j] and of the tail brackets, scale times the true
+    values, with no zero entry.  g.den is the lcm of the four scales (with
+    kappa's denominators on pairs), and each block is multiplied once by
+    den over its scale as it is written into g.brackets.
 
     With g.weight_zero_only only the weight-zero block is written: the rules
     for x = y = h and the tail's brackets against h and itself.  With a
@@ -285,37 +329,42 @@ def _fill_table(g, pair_coords, tail_cols, tail_brackets):
     bound are written, and the builder hands over tail data only within it.
     """
     g.pair_coords = pair_coords
+    (tden, T), (pden, P), (cden, C), (bden, B) = jordan, pairs, cols, tails
+    kden = lcm(*(k.denominator for k in g.kappa.values()))
+    g.den = den = lcm(tden, pden * kden, cden, bden)
     bound = g.bound
     blocks = ("h",) if g.weight_zero_only else _SL2_BASIS
     d = g.jdim
     degs = g.degrees
-    table = g.table
+    brackets = g.brackets
     offset = {x: o for x, o in zip(_SL2_BASIS, (0, d, 2 * d)) if x in blocks}
     t0 = 3 * d
-    rules = [(offset[x], offset[y], [(offset[z], c) for z, c in _SL2_SC[(x, y)].items()],
-              g.kappa[(x, y)]) for x in blocks for y in blocks]
+    tscale = den // tden
+    rules = [(offset[x], offset[y],
+              [(offset[z], c * tscale) for z, c in _SL2_SC[(x, y)].items()],
+              int(g.kappa[(x, y)] * (den // pden))) for x in blocks for y in blocks]
     jpairs = [(i, j) for i in range(d) for j in range(d)
               if bound is None or degs[i] + degs[j] <= bound]
-    jtable = g.jordan.table
     for ox, oy, terms, kap in rules:
         for i, j in jpairs:
-            out = {oz + k: c * x for oz, c in terms for k, x in jtable[i][j].items() if x}
+            out = {oz + k: c * x for oz, c in terms for k, x in T[i][j].items()}
             if kap and i != j:
-                out.update((t0 + k, kap * x) for k, x in pair_coords[(i, j)].items())
+                out.update((t0 + k, kap * x) for k, x in P[(i, j)].items())
             if out:
-                table[(ox + i, oy + j)] = out
-    for k, cols in enumerate(tail_cols):
+                brackets[(ox + i, oy + j)] = out
+    cscale, bscale = den // cden, den // bden
+    for k, der in enumerate(C):
         tk = t0 + k
         for ox in offset.values():
             for j in range(d):
-                out = {ox + r: c for r, c in cols[j].items()}
+                out = {ox + r: cscale * x for r, x in der[j].items()}
                 if out:
-                    table[(tk, ox + j)] = out
-                    table[(ox + j, tk)] = {p: -c for p, c in out.items()}
+                    brackets[(tk, ox + j)] = out
+                    brackets[(ox + j, tk)] = {p: -x for p, x in out.items()}
         for l in range(g.tail_dim):
-            bracket = tail_brackets.get((k, l))
+            bracket = B.get((k, l))
             if bracket:
-                table[(tk, t0 + l)] = {t0 + r: c for r, c in bracket.items()}
+                brackets[(tk, t0 + l)] = {t0 + r: bscale * x for r, x in bracket.items()}
 
 
 def build_sl2(J, bound=None, weight_zero=False):
@@ -351,8 +400,8 @@ def build_sl2(J, bound=None, weight_zero=False):
             for (a, b), dk in zip(bs.rep_pairs, tail_degrees)]
     bden, rows = integer_rows(bs.pair_coords.values())
     braces = dict(zip(bs.pair_coords, rows))
-    # [{a,b},{c,d}] = {D_{a,b} c, d} + {c, D_{a,b} d}, summed in ints
-    scale = tden * tden * bden
+    # [{a,b},{c,d}] = {D_{a,b} c, d} + {c, D_{a,b} d}, summed in ints over
+    # tden^2 bden
     tail_brackets = {}
     for k, der in enumerate(ders):
         for l, (a_l, b_l) in enumerate(bs.rep_pairs):
@@ -365,11 +414,10 @@ def build_sl2(J, bound=None, weight_zero=False):
             for r, c in der[b_l].items():
                 for t, x in braces.get((a_l, r), {}).items():
                     out[t] = out.get(t, 0) + c * x
-            tail_brackets[(k, l)] = {t: Fraction(x, scale) for t, x in out.items() if x}
+            tail_brackets[(k, l)] = {t: x for t, x in out.items() if x}
 
-    tail_cols = [[{r: Fraction(x, tden * tden) for r, x in col.items()} for col in der]
-                 for der in ders]
-    _fill_table(g, bs.pair_coords, tail_cols, tail_brackets)
+    _fill_table(g, bs.pair_coords, (tden, T), (bden, braces), (tden * tden, ders),
+                (tden * tden * bden, tail_brackets))
     return g
 
 
@@ -380,8 +428,10 @@ def build_tkk(J):
     integer_table copy (tden, T) of J.table, so each is tden^2 times over,
     and the canonical RREF basis rows of their span are scaled once to ints
     over the lcm s of their denominators.  Commutators of basis elements are
-    then s^2 times over, and a coordinate becomes a Fraction once, where it
-    is stored in pair_coords or a tail bracket.
+    then s^2 times over.  The pair coordinates (tden^2 times over), the
+    basis columns (s times) and the tail brackets (s^2 times) go to the
+    filler as ints; a pair coordinate becomes a Fraction once, where it is
+    stored in pair_coords.
     """
     ensure_valid(J)
     d = J.dim
@@ -400,15 +450,12 @@ def build_tkk(J):
     pivots, basis_rows = list(red), list(red.values())
     rank = len(basis_rows)
     s, int_rows = integer_rows(basis_rows)
-    # tail_cols[k][c] is column c of basis element k, as {row: entry}, and
-    # int_cols[k][c] is s times it
-    tail_cols = [[{} for _ in range(d)] for _ in range(rank)]
+    # int_cols[k][c] is s times column c of basis element k, as {row: int}
     int_cols = [[{} for _ in range(d)] for _ in range(rank)]
-    for k, row in enumerate(basis_rows):
+    for k, row in enumerate(int_rows):
         for t, x in row.items():
             r, c = divmod(t, d)
-            tail_cols[k][c][r] = x
-            int_cols[k][c][r] = int_rows[k][t]
+            int_cols[k][c][r] = x
     kappa = half_killing_sl2()
 
     degrees = []
@@ -435,38 +482,46 @@ def build_tkk(J):
                     out[r * d + c] = out.get(r * d + c, 0) + b * a
         return out
 
-    def inn_coords(resid, scale):
+    pivot_index = {t: k for k, t in enumerate(pivots)}
+
+    def inn_coords(resid):
         """Sparse coordinates over the inner-derivation basis of the flat
-        matrix resid / scale, for a flat {t: int} dict resid.
+        matrix resid, a flat {t: int} dict, as ints on resid's scale and
+        ascending in k.
 
         Basis row k is 1 at pivot k and 0 at every other pivot, so the
-        coordinates are the entries of the matrix at the pivots, and the
-        matrix lies in the span exactly when
+        coordinates are the entries of the matrix at the pivots, read by
+        walking resid's entries, and the matrix lies in the span exactly when
         s resid - sum_k resid[pivot_k] int_rows[k] vanishes.
         """
-        coords = {k: resid[t] for k, t in enumerate(pivots) if resid.get(t)}
+        coords = dict(sorted((pivot_index[t], x) for t, x in resid.items()
+                             if x and t in pivot_index))
         acc = {t: s * x for t, x in resid.items()}
         for k, c in coords.items():
             for t, x in int_rows[k].items():
                 acc[t] = acc.get(t, 0) - c * x
         if any(acc.values()):
             raise InputError("matrix outside the inner-derivation span")
-        return {k: Fraction(c, scale) for k, c in coords.items()}
+        return coords
 
     # D_{b,a} = -D_{a,b} and [D_k, D_l] = -[D_l, D_k] exactly, so each
     # unordered pair is computed once
-    pair_coords = {}
+    pden = tden * tden
+    pair_ints, pair_coords = {}, {}
     for (a, b), flat in ders.items():
-        pair_coords[(a, b)] = col = inn_coords(flat, tden * tden)
-        pair_coords[(b, a)] = {k: -c for k, c in col.items()}
+        pair_ints[(a, b)] = col = inn_coords(flat)
+        pair_ints[(b, a)] = {k: -c for k, c in col.items()}
+        pair_coords[(a, b)] = frac = {k: Fraction(c, pden) for k, c in col.items()}
+        pair_coords[(b, a)] = {k: -c for k, c in frac.items()}
     tail_brackets = {}
     for k in range(rank):
         for l in range(k, rank):
-            out = inn_coords(commutator(k, l), s * s)
+            out = inn_coords(commutator(k, l))
             tail_brackets[(k, l)] = out
             tail_brackets[(l, k)] = {t: -c for t, c in out.items()}
 
-    _fill_table(g, pair_coords, tail_cols, tail_brackets)
+    _fill_table(g, pair_coords, (tden, T), (pden, pair_ints), (s, int_cols),
+                (s * s, tail_brackets))
     return g
 
 
@@ -553,16 +608,16 @@ def validate_lie(g, jacobi="full", seed=0, samples=200):
     distinct indices decide it (q > p, then r > q), and the first failing
     triple in product order is sorted, giving the same witness.  Without
     antisymmetry every ordered triple is summed.  Spot Jacobi sums the same
-    three terms at each sampled triple, in the order drawn; any other mode
-    is a ValueError.  Every sweep runs on the _integer_brackets copy of
-    g.table, scaled by the lcm of its denominators and made at call time:
+    three terms at each sampled triple, in the order drawn, and its item
+    names the sample count and the seed; any other mode is a ValueError.
+    Every item reads the integer form g.brackets, den times the table:
     antisymmetry and the jacobiator are linear and bilinear in the table,
-    so they hold exactly when they hold on the scaled copy, with the same
-    witness.  The grading item reads g.table.
+    so they hold exactly when they hold on the scaled form, with the same
+    witness.  The antisymmetry verdict is kept on g (`g.antisymmetric`).
     """
     rep = Report(f"lie axioms for {g.kind}({g.jordan.name})")
     n = g.dim
-    _, itable = _integer_brackets(g)
+    itable = g.brackets
 
     def asymmetric(pq):
         p, q = pq
@@ -570,7 +625,8 @@ def validate_lie(g, jacobi="full", seed=0, samples=200):
             return f"[{g.labels[p]},{g.labels[q]}] != -[{g.labels[q]},{g.labels[p]}]"
 
     stored_pairs = sorted({(min(p, q), max(p, q)) for p, q in itable})
-    antisymmetric = rep.check("antisymmetry (all pairs)", stored_pairs, asymmetric)
+    g._antisymmetric = antisymmetric = rep.check("antisymmetry (all pairs)", stored_pairs,
+                                                 asymmetric)
 
     if jacobi == "full":
         rep.check("jacobi identity (all basis triples)", range(n),
@@ -591,32 +647,35 @@ def validate_lie(g, jacobi="full", seed=0, samples=200):
             if any(acc.values()):
                 return f"triple ({g.labels[p]},{g.labels[q]},{g.labels[r]})"
 
-        rep.check(f"jacobi identity ({samples} sampled triples)", triples, jacobi_fails)
+        rep.check(f"jacobi identity ({samples} sampled triples, seed={seed})", triples,
+                  jacobi_fails)
     else:
         raise ValueError(f"unknown mode {jacobi!r}")
 
     def off_grade(item):
         (p, q), out = item
-        for t, c in out.items():
-            if c and (g.weights[t] != g.weights[p] + g.weights[q] or
-                      g.degrees[t] != g.degrees[p] + g.degrees[q]):
+        for t in out:
+            if g.weights[t] != g.weights[p] + g.weights[q] or \
+                    g.degrees[t] != g.degrees[p] + g.degrees[q]:
                 return f"[{g.labels[p]},{g.labels[q]}] leaves the graded component"
 
-    rep.check("bracket adds weights and degrees", g.table.items(), off_grade)
+    rep.check("bracket adds weights and degrees", itable.items(), off_grade)
     return rep
 
 
 def short_grading(g):
-    """Eigenspace decomposition under ad of half h(1), with block dimensions."""
+    """Eigenspace decomposition under ad of half h(1), with block dimensions.
+    Reads the integer form g.brackets, den times the table."""
     rep = Report(f"short grading of {g.kind}({g.jordan.name})")
     d = g.jdim
     h1 = {g.h_index(i): c for i, c in enumerate(g.jordan.unit) if c}
+    brackets = g.brackets
 
     def off_diagonal(q):
         acc = {}
         for p, c in h1.items():
-            add_into(acc, g.bracket_basis(p, q), c)
-        if acc != ({q: g.weights[q]} if g.weights[q] else {}):
+            add_into(acc, brackets.get((p, q), {}), c)
+        if acc != ({q: g.weights[q] * g.den} if g.weights[q] else {}):
             return f"ad h(1) not diagonal at {g.labels[q]}"
 
     rep.check("ad(h(1)) acts by the weight on every basis vector", range(g.dim), off_diagonal)
@@ -632,10 +691,10 @@ def short_grading(g):
         if abs(i + j) > 1:
             if out:
                 return f"[{g.labels[p]},{g.labels[q]}] nonzero outside the grading"
-        elif any(c and g.weights[t] // 2 != i + j for t, c in out.items()):
+        elif any(g.weights[t] // 2 != i + j for t in out):
             return f"[{g.labels[p]},{g.labels[q]}] misplaces weight"
 
-    rep.check("[G_i, G_j] inside G_{i+j}", g.table.items(), misplaced)
+    rep.check("[G_i, G_j] inside G_{i+j}", brackets.items(), misplaced)
     return rep
 
 
@@ -651,12 +710,14 @@ def center_map(g_ext, g_tkk):
     When both bracket tables are exactly antisymmetric, both sides of the
     homomorphism identity are antisymmetric in (p, q) and vanish at p = q,
     so pairs p < q decide it and the first failing pair in product order is
-    one of them; otherwise every ordered pair is swept.  Antisymmetry and
-    the sweep read integer copies made at call time: the _integer_brackets
-    copies of both tables, d1 and d2 times over, and cden times the sparse
-    columns of the map.  The left side phi [p, q] is then d1 cden times the
-    true one and the right side [phi p, phi q] cden^2 d2 times, so the
-    identity holds exactly when lhs (cden d2) - rhs d1 vanishes.
+    one of them; otherwise every ordered pair is swept.  Each table's
+    antisymmetry verdict is the one kept on it (`TKKAlgebra.antisymmetric`),
+    so a table that validate_lie has checked is not swept again.  The sweep
+    reads the integer forms of both tables, d1 and d2 times over, and cden
+    times the sparse columns of the map.  The left side phi [p, q] is then
+    d1 cden times the true one and the right side [phi p, phi q] cden^2 d2
+    times, so the identity holds exactly when lhs (cden d2) - rhs d1
+    vanishes.  The kernel's centrality reads the integer form too.
     """
     if g_ext.kind != "sl2" or g_tkk.kind != "tkk":
         raise InputError("center_map expects (central extension, classical TKK)")
@@ -669,8 +730,8 @@ def center_map(g_ext, g_tkk):
     cols += [{s0 + k: c for k, c in g_tkk.pair_coords[pair].items()}
              for pair in g_ext.brace.rep_pairs]
 
-    d1, ext_table = _integer_brackets(g_ext)
-    d2, tkk_table = _integer_brackets(g_tkk)
+    d1, ext_table = g_ext.den, g_ext.brackets
+    d2, tkk_table = g_tkk.den, g_tkk.brackets
     cden, icols = integer_rows(cols)
     lscale = cden * d2
 
@@ -692,9 +753,8 @@ def center_map(g_ext, g_tkk):
             return f"not a homomorphism at ({g_ext.labels[p]},{g_ext.labels[q]})"
 
     n = g_ext.dim
-    antisymmetric = _antisymmetric(ext_table, range(n)) and \
-        _antisymmetric(tkk_table, range(g_tkk.dim))
-    pairs = combinations(range(n), 2) if antisymmetric else product(range(n), repeat=2)
+    pairs = combinations(range(n), 2) if g_ext.antisymmetric and g_tkk.antisymmetric \
+        else product(range(n), repeat=2)
     rep.check("lie algebra homomorphism (all pairs)", pairs, nonhomomorphic)
 
     # phi is the identity on e/f/h and maps the tail into the tail, so its
@@ -721,7 +781,7 @@ def center_map(g_ext, g_tkk):
         r, q = rq
         acc = {}
         for p, c in ker[r].items():
-            add_into(acc, g_ext.bracket_basis(p, q), c)
+            add_into(acc, ext_table.get((p, q), {}), c)
         if acc:
             return f"kernel vector {r} not central against {g_ext.labels[q]}"
 
@@ -731,11 +791,8 @@ def center_map(g_ext, g_tkk):
 
 def algebra_to_dict(g):
     """JSON-ready export: labels, weights, degrees, nonzero structure constants."""
-    brackets = []
-    for (p, q), out in sorted(g.table.items()):
-        for t, c in sorted(out.items()):
-            if c:
-                brackets.append([p, q, t, q_str(c)])
+    brackets = [[p, q, t, q_str(Fraction(x, g.den))]
+                for (p, q), out in sorted(g.brackets.items()) for t, x in sorted(out.items())]
     return {
         "kind": g.kind,
         "jordan": g.jordan.name,

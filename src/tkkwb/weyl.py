@@ -31,13 +31,18 @@ one denominator den of _StraightData, the lcm of the extension's
 denominator and of the square of the algebra table's.  action_columns
 reduces each column block by its gcd with den.  Both routes of the element
 a are homogeneous of degree n+1 in it, so both run on its integer copy
-a_int = A a (`linalg.integer_vector`).  efr_powers raises f(a_int)^(n+1)
-and divides depth r once by (den uden)^r A^(n+1), uden the unit's
-denominator, where it writes its results; garland_coefficients sums its
-expansion in ints (in Fractions only where J's table has denominators) and
-divides each depth once.  The results are sparse operators of `linalg`, or
-lowering polynomials {multiset: operator} with no empty operator:
-canonical, so results agree exactly when they are ==.
+a_int = A a (`linalg.integer_vector`).  Each route has an integer core
+that returns {r: (D_r, X_r)}, its value at depth r being X_r / D_r:
+efr_powers_int raises f(a_int)^(n+1), with D_r = (den uden)^r A^(n+1), uden
+the unit's denominator; garland_coefficients_int sums its expansion in ints
+(in Fractions only where J's table has denominators), with
+D_r = (n+1-r)! (den A)^(n+1).  efr_powers and garland_coefficients divide
+their core once per depth; `garland verify` compares the two cores without
+dividing, by cross-multiplication (`same_ratio`).  The results are sparse
+operators of `linalg`, or lowering polynomials {multiset: operator} with no
+empty operator and no zero entry, and so are the cores: canonical, so
+results agree exactly when they are ==, and cores exactly when same_ratio
+holds.
 
 Weyl dimension tables come from a raising-closure of the below-band cells
 of a degree-and-depth window, closed under the raising generators by
@@ -354,16 +359,19 @@ def _check_depths(rrs, n):
     return rrs
 
 
-def efr_powers(g0, a, rrs):
-    """{rr: the straightened action of e(1)^rr f(a)^(n+1)} for each rr in rrs.
+def efr_powers_int(g0, a, rrs):
+    """{rr: (D_rr, X_rr)}: the integer core of efr_powers, whose value at rr
+    is X_rr / D_rr, with D_rr = (den uden)^rr A^(n+1).
 
-    Each value is the sparse operator on the module for rr = n+1 (the
-    result has no lowering factors left) and a formal lowering polynomial
-    with sparse operator coefficients for rr <= n.  Column mi of each comes
+    X_rr is a sparse operator on the module for rr = n+1 (the result has no
+    lowering factors left) and a formal lowering polynomial with sparse
+    operator coefficients for rr <= n, with int entries (Poly entries at a
+    point with polynomial coordinates), none zero.  Column mi of each comes
     from one pass that raises the sparse vector f(a)^(n+1) m_mi up to the
     deepest rr, keeping it at every requested depth.  The pass starts from
     f(a_int)^(n+1), a_int = A a the integer copy of a (`integer_vector`),
-    which is A^(n+1) f(a)^(n+1) since the power is homogeneous.
+    which is A^(n+1) f(a)^(n+1) since the power is homogeneous, and each
+    raising step is over den uden (`_StraightData.raised`).
     """
     g0, n = checked_extension(g0)
     rrs = _check_depths(rrs, n)
@@ -371,9 +379,6 @@ def efr_powers(g0, a, rrs):
     m = g0.rep.mdim
     A, a_int = integer_vector(a)
     power = lowering_power(a_int, n + 1)
-    # vecs[rr] is (den uden)^rr A^(n+1) times the true vector: scaled back
-    # on writing
-    scale = Fraction(1, data.den * data.uden)
     fps = {rr: {} for rr in rrs}
     for mi in range(m):
         vecs = [{(fkey, mi): c for fkey, c in power.items()}]
@@ -383,16 +388,42 @@ def efr_powers(g0, a, rrs):
                 add_into(nxt, data.raised[bm], c)
             vecs.append(nxt)
         for rr, fp in fps.items():
-            s = scale ** rr / A ** (n + 1)
             for (fkey, r), c in vecs[rr].items():
-                # c may be a Poly, so multiply rather than divide
-                fp.setdefault(fkey, {}).setdefault(r, {})[mi] = c * s
+                fp.setdefault(fkey, {}).setdefault(r, {})[mi] = c
     if n + 1 in fps:
         top = fps[n + 1]
         if any(key != () for key in top):
             raise AssertionError("depth-0 result kept lowering factors")
         fps[n + 1] = top.get((), {})
-    return fps
+    step, top = data.den * data.uden, A ** (n + 1)
+    return {rr: (step ** rr * top, fp) for rr, fp in fps.items()}
+
+
+def _divided(x, D):
+    """x / D for an entry x, or entrywise for nested dicts of entries; an
+    entry may be a Poly, so it is multiplied by 1/D rather than divided."""
+    if isinstance(x, dict):
+        return {k: _divided(v, D) for k, v in x.items()}
+    return x * Fraction(1, D)
+
+
+def same_ratio(left, right):
+    """Whether X1 / D1 == X2 / D2 for two (D, X) cores of one depth, without
+    dividing: equal key sets at every level of the nested dicts and
+    x D2 == y D1 at every entry.  Exact since neither core holds a zero
+    entry or an empty operator."""
+    (D1, x), (D2, y) = left, right
+    if isinstance(x, dict):
+        return isinstance(y, dict) and x.keys() == y.keys() and \
+            all(same_ratio((D1, x[k]), (D2, y[k])) for k in x)
+    return not isinstance(y, dict) and x * D2 == y * D1
+
+
+def efr_powers(g0, a, rrs):
+    """{rr: the straightened action of e(1)^rr f(a)^(n+1)} for each rr in rrs:
+    each core of efr_powers_int divided once by its D_rr, a sparse operator
+    for rr = n+1 and a lowering polynomial {multiset: operator} for rr <= n."""
+    return {rr: _divided(x, D) for rr, (D, x) in efr_powers_int(g0, a, rrs).items()}
 
 
 def efr_power(g0, a, rr):
@@ -431,15 +462,17 @@ def efr_vanishes(rep_or_g0, mode="symbolic", samples=8, seed=0):
 # the generating-function route
 
 
-def garland_coefficients(g0, a, rrs):
-    """{rr: coefficient extraction from the classical generating function}
-    for each rr in rrs.
+def garland_coefficients_int(g0, a, rrs):
+    """{rr: (D_rr, X_rr)}: the integer core of garland_coefficients, the
+    coefficient extraction from the classical generating function X_rr / D_rr
+    for each rr in rrs, with D_rr = (n+1-rr)! (den A)^(n+1).
 
     Expands (sum_s f(a^s) u^s)^(n+1-rr) * exp(-sum_t rho(a^t)/t u^t) to
     order u^(n+1), keeping lowering symbols formal on the left and letting
     the weight-zero symbols act on the module, then scales by
-    (-1)^rr rr! (n+1)!/(n+1-rr)!.  The rho images of the powers of a must
-    commute, which is validated first.  The exponential series depends on
+    (-1)^rr rr! (n+1)!/(n+1-rr)!.  X_rr has the shape of efr_powers_int's,
+    with no zero entry and no empty operator.  The rho images of the powers
+    of a must commute, which is validated first.  The exponential series depends on
     a alone and the lowering sum is raised to successive powers once, so
     every depth reads both from one expansion.  The rho images are read
     from the rep's own integer operators rho / den, not from the
@@ -453,8 +486,10 @@ def garland_coefficients(g0, a, rrs):
         E_0 = 1,  E_p = -sum_{t=1..p} (p-1)!/(p-t)! den^(t-1) G_t E_{p-t}.
     The u^p part of the lowering sum's powers is A^p times the true one, so
     each depth sums its u^(n+1) coefficient over the common denominator
-    (n+1)! den^(n+1) A^(n+1), and each entry becomes a Fraction once,
-    together with the prefactor.
+    (n+1)! den^(n+1) A^(n+1), whose (n+1)! cancels against the prefactor's;
+    the prefactor's (-1)^rr rr! goes into the ints and its (n+1-rr)! into
+    D_rr.  The entries are ints, or Fractions where J's table has
+    denominators, or Polys at a point with polynomial coordinates.
     """
     g0, n = checked_extension(g0)
     rep = g0.rep
@@ -501,23 +536,28 @@ def garland_coefficients(g0, a, rrs):
 
     results = {}
     for rr in rrs:
-        # sum over the common denominator (n+1)! den^(n+1) A^(n+1); the
-        # prefactor's (n+1)! cancels against it
+        # sum over the common denominator (n+1)! den^(n+1) A^(n+1), times
+        # (-1)^rr rr! (n+1)!, whose (n+1)! cancels against it
+        sign = (-1) ** rr * factorial(rr)
         out = {}
         for k, terms in enumerate(apows[n + 1 - rr]):
             bmat = expo[order - k]
             if not bmat:
                 continue
-            weight = factorial(order) // factorial(order - k) * den ** k
+            weight = sign * (factorial(order) // factorial(order - k)) * den ** k
             for key, c in terms.items():
                 add_operator(out.setdefault(key, {}), bmat, c * weight)
-        scale = Fraction((-1) ** rr * factorial(rr),
-                         factorial(order - rr) * (den * A) ** order)
-        # x may be a Poly, so multiply rather than divide
-        out = {key: {r: {s: x * scale for s, x in row.items()} for r, row in op.items()}
-               for key, op in out.items() if op}
-        results[rr] = out.get((), {}) if rr == n + 1 else out
+        out = {key: op for key, op in out.items() if op}
+        results[rr] = (factorial(order - rr) * (den * A) ** order,
+                       out.get((), {}) if rr == n + 1 else out)
     return results
+
+
+def garland_coefficients(g0, a, rrs):
+    """{rr: coefficient extraction from the classical generating function}
+    for each rr in rrs: each core of garland_coefficients_int divided once
+    by its D_rr, in the shape of efr_powers' results."""
+    return {rr: _divided(x, D) for rr, (D, x) in garland_coefficients_int(g0, a, rrs).items()}
 
 
 def garland_coefficient(g0, a, rr):

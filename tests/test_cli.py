@@ -357,7 +357,9 @@ _TKK_RUNS = {
 # sha256 of json.dumps([exit code, stdout, stderr]) of `tkk build` and `tkk
 # check`, with the path of an algebra file written as <algebra>; recorded
 # while _fill_table still wrote pre-scaled product copies and center_map
-# swept the homomorphism identity one leading index at a time
+# swept the homomorphism identity one leading index at a time, and before
+# the spot runs' Jacobi item named its seed: that one clause is put back as
+# it was before hashing, so the rest of the bytes stay pinned as recorded
 @pytest.mark.parametrize("algebra, run_as, digest", [
     ("spin8", "check",
      "7759819441437b6428aeb20f634a5335af6fc0c34677b23f7c4ef41e861362d9"),
@@ -417,8 +419,28 @@ def test_tkk_check_bytes_pinned(capsys, tmp_path, algebra, run_as, digest):
         p.write_text(json.dumps(algebra_to_dict(spin_factor(source))))
         source = ("--algebra", str(p))
     code, out, err = run(capsys, "tkk", *_TKK_RUNS[run_as], *source)
+    if run_as.startswith("spot"):
+        clause = f"jacobi identity (200 sampled triples, seed={run_as[len('spot'):]})"
+        assert out.count(clause) == 1
+        out = out.replace(clause, "jacobi identity (200 sampled triples)")
     blob = json.dumps([code, out.replace(str(p), "<algebra>"), err.replace(str(p), "<algebra>")])
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+def test_tkk_check_spot_names_its_seed(capsys, tmp_path):
+    # the sampled Jacobi item says which triples a PASS covered, so the
+    # bytes of --seed 0 and --seed 7 differ on every algebra
+    p = tmp_path / "algebra.json"
+    for algebra, source in _TKK_ALGEBRAS.items():
+        if isinstance(source, list):
+            p.write_text(json.dumps(algebra_to_dict(spin_factor(source))))
+            source = ("--algebra", str(p))
+        digests = []
+        for run_as in ("spot0", "spot7"):
+            code, out, err = run(capsys, "tkk", *_TKK_RUNS[run_as], *source)
+            assert f"jacobi identity (200 sampled triples, seed={run_as[len('spot'):]})" in out
+            digests.append(hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest())
+        assert digests[0] != digests[1], algebra
 
 
 @pytest.mark.parametrize("mode", ["symbolic", "random"])
@@ -615,20 +637,22 @@ def test_garland_verify(capsys):
 @pytest.mark.parametrize("where", ["lowering", "top"])
 def test_garland_verify_fails_on_one_changed_entry(capsys, monkeypatch, route, where):
     # newton (2, 2) has level 2, so the depths are 0, 1, 2 and 3 = n + 1:
-    # raise entry (0, 0) of one operator of one route by 1, in the lowering
-    # polynomial at rr = n or in the operator at rr = n + 1
-    computed = getattr(weyl, route)
+    # raise entry (0, 0) of one operator of the integer core of one route by
+    # 1, in the lowering polynomial at rr = n or in the operator at rr = n + 1
+    core = f"{route}_int"
+    computed = getattr(weyl, core)
 
     def changed(g0, a, rrs):
         out = computed(g0, a, rrs)
         if where == "top":
-            add_operator(out[3], {0: {0: 1}})
+            add_operator(out[3][1], {0: {0: 1}})
         else:
-            assert out[2]
-            add_operator(out[2][min(out[2])], {0: {0: 1}})
+            lowering = out[2][1]
+            assert lowering
+            add_operator(lowering[min(lowering)], {0: {0: 1}})
         return out
 
-    monkeypatch.setattr(weyl, route, changed)
+    monkeypatch.setattr(weyl, core, changed)
     code, out, _ = run(capsys, "garland", "verify", "--builtin-rep", "newton", "--n", "2",
                        "--cutoff", "2", "--samples", "2")
     rr = 3 if where == "top" else 2

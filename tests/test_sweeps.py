@@ -29,10 +29,12 @@ the powers of a under the integer table, must give the sum of
 runs in integers over one denominator; its reference straightens in
 Fractions on dense rho, and the windowed action's (den, columns) must match
 it exactly.
-`build_sl2` and `build_tkk` sum their tails in integers and `validate_lie`
-and `center_map` read integer copies of the bracket tables; the reference
-constructions sum the tails in Fractions and fill the table through
-`add_into`, and `table` and `pair_coords` must match them, types included.
+`build_sl2` and `build_tkk` sum their tails in integers and store each
+bracket table once in integer form, which `validate_lie` and `center_map`
+read; the reference constructions sum the tails in Fractions and fill the
+table through `add_into`, and the Fraction view `table` and `pair_coords`
+must match them, types included.  A corrupted table is written through
+`conftest.set_table`, which rebuilds the integer form.
 `newton_rep` forms no product above the cutoff; its reference forms every
 one and drops the terms above the cutoff afterwards.
 `efr_powers`, `garland_coefficients` and `dominance_operator` run on the
@@ -54,7 +56,8 @@ import pytest
 
 from conftest import (column, dense_bracket, dense_commutator, dense_rho, dense_rho_of,
                       every_r_validate_lie, fraction_powers_dominance_operator,
-                      matrix_of_columns, matrix_rep, noncommuting_rep, prods_validate)
+                      matrix_of_columns, matrix_rep, noncommuting_rep, prods_validate,
+                      set_table)
 from test_tkk import _PINNED_TABLES
 from test_weyl import GARLAND_CASES
 from tkkwb.jordan import (_EXHAUSTIVE_DIM_LIMIT, _SAMPLE_COUNT, algebra_from_dict,
@@ -72,7 +75,8 @@ from tkkwb.report import Report
 from tkkwb.symfun import SymPoly, dominance_coeffs, newton, partitions
 from tkkwb.tkk import (_SL2_BASIS, _SL2_SC, BraceSpace, TKKAlgebra, build_sl2, build_tkk,
                        center_map, half_killing_sl2, validate_lie)
-from tkkwb.weyl import _StraightData, TruncatedVerma, efr_powers, garland_coefficients
+from tkkwb.weyl import (_StraightData, TruncatedVerma, efr_powers, efr_powers_int,
+                        garland_coefficients, garland_coefficients_int, same_ratio)
 
 # -- references: every identity over the full product sweep -------------------
 
@@ -115,7 +119,8 @@ def ref_validate_lie(g, jacobi="full", seed=0, samples=200):
     else:
         rng = random.Random(seed)
         triples = [(rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(samples)]
-        rep.check(f"jacobi identity ({samples} sampled triples)", triples, jacobiator)
+        rep.check(f"jacobi identity ({samples} sampled triples, seed={seed})", triples,
+                  jacobiator)
     rep.check("bracket adds weights and degrees", g.table.items(), off_grade)
     return rep
 
@@ -297,10 +302,11 @@ def corrupt_table(g, rng, keep_antisymmetry, coeffs=(1, -1, 2, Q(1, 2)), within=
     within = range(g.dim) if within is None else within
     p, q = rng.sample(within, 2)
     t, c = within[rng.randrange(len(within))], rng.choice(coeffs)
-    g.table[(p, q)] = add_into(dict(g.bracket_basis(p, q)), {t: c})
+    table = dict(g.table)
+    table[(p, q)] = add_into(dict(g.bracket_basis(p, q)), {t: c})
     if keep_antisymmetry:
-        g.table[(q, p)] = add_into(dict(g.bracket_basis(q, p)), {t: -c})
-    return g
+        table[(q, p)] = add_into(dict(g.bracket_basis(q, p)), {t: -c})
+    return set_table(g, table)
 
 
 def corrupt_jordan(J, rng, keep_commutativity, coeffs=(1, -1, 2, Q(1, 2))):
@@ -336,10 +342,11 @@ def corrupt_unstored_bracket(g, form, target):
     assert (p, q) not in g.table and (q, p) not in g.table
     if form == "reversed":
         p, q = q, p
-    g.table[(p, q)] = {target: Q(1)}
+    table = dict(g.table)
+    table[(p, q)] = {target: Q(1)}
     if form == "symmetric":
-        g.table[(q, p)] = {target: Q(-1)}
-    return g
+        table[(q, p)] = {target: Q(-1)}
+    return set_table(g, table)
 
 
 def corrupt_unstored_product(J, form, k):
@@ -437,7 +444,7 @@ _FORMS = ("symmetric", "one-sided", "reversed")
 @pytest.mark.parametrize("form", _FORMS)
 def test_validate_lie_finds_a_bracket_on_an_unstored_pair(family, params, form):
     # the corrupted pair has no bracket stored in the intact table, so only
-    # the adjacency of the table's copy made at call time can reach it
+    # the adjacency built from the rebuilt integer form can reach it
     J = builtin(family, **params)
     symmetric = form == "symmetric"
     for target in ("h", "tail"):
@@ -610,7 +617,8 @@ def test_extension_falls_back_on_a_non_antisymmetric_block():
     ext = build_sl2(rep.jordan)
     # only the pair that a sweep over p < q skips is wrong
     h0, h1 = ext.h_index(0), ext.h_index(1)
-    ext.table[(h1, h0)] = add_into(dict(ext.bracket_basis(h1, h0)), {ext.tail_index(0): 1})
+    set_table(ext, {**ext.table,
+                    (h1, h0): add_into(ext.bracket_basis(h1, h0), {ext.tail_index(0): 1})})
     lib = extend_to_g0(rep, ext).report
     assert not lib.ok
     assert lib.lines() == ref_extension(rep, ext).lines()
@@ -640,6 +648,7 @@ def ref_fill_table(g, pair_coords, tail_cols, tail_brackets):
     """The table filler in Fraction arithmetic: every e/f/h bracket summed
     through add_into from the sl2 structure constants and kappa."""
     g.pair_coords = pair_coords
+    table = {}
     d = g.jdim
     idxmap = {"e": g.e_index, "f": g.f_index, "h": g.h_index}
     for xt in _SL2_BASIS:
@@ -655,19 +664,19 @@ def ref_fill_table(g, pair_coords, tail_cols, tail_brackets):
                         add_into(out, {g.tail_index(k): c
                                        for k, c in pair_coords[(i, j)].items()}, kap)
                     if out:
-                        g.table[(idxmap[xt](i), idxmap[yt](j))] = out
+                        table[(idxmap[xt](i), idxmap[yt](j))] = out
     for k, cols in enumerate(tail_cols):
         for xt in _SL2_BASIS:
             for j in range(d):
                 out = {idxmap[xt](r): c for r, c in cols[j].items()}
                 if out:
-                    g.table[(g.tail_index(k), idxmap[xt](j))] = out
-                    g.table[(idxmap[xt](j), g.tail_index(k))] = {p: -c for p, c in out.items()}
+                    table[(g.tail_index(k), idxmap[xt](j))] = out
+                    table[(idxmap[xt](j), g.tail_index(k))] = {p: -c for p, c in out.items()}
         for l in range(g.tail_dim):
             if tail_brackets[(k, l)]:
-                g.table[(g.tail_index(k), g.tail_index(l))] = \
+                table[(g.tail_index(k), g.tail_index(l))] = \
                     {g.tail_index(r): c for r, c in tail_brackets[(k, l)].items()}
-    return g
+    return set_table(g, table)
 
 
 def ref_build_sl2(J):
@@ -1146,6 +1155,62 @@ def test_integer_copy_routes_match_fraction_references(name, kind):
         assert typed(got) == typed(want)
 
 
+def entries(x):
+    """The entries of a nested dict of entries, depth first."""
+    return [e for v in x.values() for e in entries(v)] if isinstance(x, dict) else [x]
+
+
+def scaled_down(x, D):
+    """Every entry of a nested dict divided by D (multiplied by 1/D, as an
+    entry may be a Poly)."""
+    return {k: scaled_down(v, D) for k, v in x.items()} if isinstance(x, dict) else x * Q(1, D)
+
+
+@pytest.mark.parametrize("kind", ["rational", "zeros", "symbolic"])
+@pytest.mark.parametrize("name", sorted(_GARLAND_REPS))
+def test_integer_cores_divided_once_give_the_routes(name, kind):
+    # each core is (D_rr, X_rr) with X_rr / D_rr the route's value at rr, X_rr
+    # holding ints (Fractions only in the generating series over a rational
+    # table, Polys at the generic element) and no zero; the two cores agree
+    # by cross-multiplication exactly where the routes agree under ==
+    g0 = extend_to_g0(_GARLAND_REPS[name]())
+    n, d = level(g0.rep), g0.rep.jordan.dim
+    a = _point(kind, d)
+    rrs = range(n + 2)
+    cores = {}
+    for core, route in ((efr_powers_int, efr_powers),
+                        (garland_coefficients_int, garland_coefficients)):
+        cores[core] = got = core(g0, a, rrs)
+        values = route(g0, a, rrs)
+        assert list(got) == list(values) == list(rrs)
+        for rr, (D, x) in got.items():
+            assert type(D) is int and D > 0
+            assert scaled_down(x, D) == values[rr], (core.__name__, rr)
+            assert all(entries(x))
+            allowed = (Poly,) if kind == "symbolic" else \
+                (int, Q) if core is garland_coefficients_int and name.startswith("doubled-gram") \
+                else (int,)
+            assert {type(e) for e in entries(x)} <= set(allowed), (core.__name__, rr)
+    direct, series = cores[efr_powers_int], cores[garland_coefficients_int]
+    for rr in rrs:
+        assert same_ratio(direct[rr], series[rr]) is (efr_powers(g0, a, [rr]) ==
+                                                      garland_coefficients(g0, a, [rr])) is True
+
+
+def test_same_ratio_compares_by_cross_multiplication():
+    assert same_ratio((2, {0: {1: 3}}), (4, {0: {1: 6}}))
+    assert same_ratio((6, {(): {0: {0: -1}}, (1,): {0: {2: 5}}}),
+                      (12, {(): {0: {0: -2}}, (1,): {0: {2: 10}}}))
+    assert not same_ratio((2, {0: {1: 3}}), (4, {0: {1: 7}}))
+    assert not same_ratio((2, {0: {1: 3}}), (2, {0: {1: 3, 2: 1}}))
+    assert not same_ratio((2, {0: {1: 3}}), (2, {1: {1: 3}}))
+    assert not same_ratio((1, {0: {1: 3}}), (1, {0: 3}))
+    assert not same_ratio((1, {0: 3}), (1, {0: {1: 3}}))
+    x = Poly.variables(2)
+    assert same_ratio((3, {0: {0: x[0] * 2}}), (6, {0: {0: x[0] * 4}}))
+    assert not same_ratio((3, {0: {0: x[0] * 2}}), (6, {0: {0: x[1] * 4}}))
+
+
 # -- the sweeps over nonzero structure constants against the previous sweeps --
 
 def _not_jordan():
@@ -1229,9 +1294,8 @@ def direct_sum(g):
     s.dim = 2 * n
     s.labels = g.labels + tuple(f"{lab}'" for lab in g.labels)
     s.weights, s.degrees = g.weights * 2, g.degrees * 2
-    s.table = {**g.table, **{(p + n, q + n): {t + n: c for t, c in out.items()}
-                             for (p, q), out in g.table.items()}}
-    return s
+    return set_table(s, {**g.table, **{(p + n, q + n): {t + n: c for t, c in out.items()}
+                                       for (p, q), out in g.table.items()}})
 
 
 def failing_leads(g, indices, ordered):
@@ -1277,7 +1341,8 @@ def test_jacobi_witness_past_the_first_leading_index(family, params, keep):
 def test_center_map_finds_a_corrupted_tail_bracket_of_the_classical_table(family, params,
                                                                           keep):
     # [phi p, phi q] reads a tail x tail bracket of the classical table only
-    # through the pull-back lists, from the tail elements of both images
+    # from the tail elements of both images, at the pairs (s, t) of the
+    # columns of p and q
     J = builtin(family, **params)
     intact = build_tkk(J)
     tail = range(intact.tail_index(0), intact.dim)

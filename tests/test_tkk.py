@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import tkkwb
 from conftest import (L_op, dense_bracket, dense_commutator, matrix_of_columns,
-                      matrix_of_rows)
+                      matrix_of_rows, set_table)
 from tkkwb import linalg, tkk
 from tkkwb.jordan import (InputError, algebra_from_dict, builtin, jmul, matrix_jordan,
                           spin_factor, truncated_poly, validate)
@@ -155,9 +155,46 @@ def test_validate_lie(make):
 def test_corrupted_bracket_table_fails_jacobi():
     g = build_sl2(truncated_poly(2))
     key = (g.e_index(1), g.f_index(1))
-    g.table[key] = {g.h_index(1): Q(1)}  # should be h(t^2)
+    set_table(g, {**g.table, key: {g.h_index(1): Q(1)}})  # should be h(t^2)
     rep = validate_lie(g)
     assert not rep.ok
+
+
+def test_bracket_table_is_a_read_only_fraction_view():
+    # the integer form is the one stored table; `table` only reads it
+    g = build_sl2(spin_factor([[Q(1, 3), 0], [0, Q(2, 7)]]))
+    assert g.den > 1
+    key = (g.e_index(1), g.f_index(1))
+    with pytest.raises(TypeError):
+        g.table[key] = {g.h_index(1): Q(1)}
+    with pytest.raises(TypeError):
+        del g.table[key]
+    with pytest.raises(AttributeError):
+        g.table = {}
+    assert list(g.table) == list(g.brackets)
+    for pq, out in g.brackets.items():
+        assert out and all(type(x) is int and x for x in out.values())
+        assert g.table[pq] == g.bracket_basis(*pq) == {t: Q(x, g.den) for t, x in out.items()}
+    assert g.bracket_basis(g.e_index(0), g.e_index(1)) == {}
+
+
+def test_tkk_check_decides_each_tables_antisymmetry_once(monkeypatch):
+    # validate_lie decides the extension's antisymmetry and keeps it, so
+    # center_map sweeps only the classical table's, once
+    swept = []
+    antisymmetric = tkk._antisymmetric
+
+    def counted(table, inside):
+        swept.append(len(inside))
+        return antisymmetric(table, inside)
+
+    monkeypatch.setattr(tkk, "_antisymmetric", counted)
+    J = spin_factor([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    ext, classical = build_sl2(J), build_tkk(J)
+    assert validate_lie(ext).ok and swept == []
+    assert center_map(ext, classical)[2].ok
+    assert swept == [classical.dim]
+    assert center_map(ext, classical)[2].ok and swept == [classical.dim]
 
 
 def test_short_grading():
