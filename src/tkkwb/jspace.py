@@ -48,7 +48,7 @@ from .linalg import (LabeledSpace, add_into, add_operator, as_int, as_list, as_q
                      random_vector, scalar_operator)
 from .multipoly import Poly
 from .report import Report
-from .symfun import SymPoly, dominance_coeffs, newton, partitions
+from .symfun import dominance_coeffs, partitions
 from .tkk import build_sl2
 
 
@@ -521,9 +521,17 @@ def check_envelope_relations(rep, mode="symbolic", samples=8, seed=0):
 def newton_rep(n, cutoff):
     """Power-sum multiplication on symmetric polynomials, degree-truncated.
 
-    The module is spanned by monomial symmetric polynomials in n variables
-    of total degree at most `cutoff`; the algebra generator of degree l acts
-    by multiplication by the l-th power sum, truncated.  Level is n.
+    The module is spanned by monomial symmetric polynomials m_lam in n
+    variables of total degree at most `cutoff`; the algebra generator of
+    degree l acts by multiplication by the l-th power sum p_l, truncated.
+    Level is n: p_0 = n.  For l >= 1 the products are read off the
+    power-sum Pieri rule (Macdonald, Symmetric Functions and Hall
+    Polynomials, ch. I): p_l m_lam is the sum over the distinct parts v of
+    lam, and v = 0 when lam has fewer than n parts, of c m_mu, where mu is
+    lam with one part v raised to v + l and c is the multiplicity of v + l
+    in mu, since each x_i^l x^alpha lands on x^mu once for every position of
+    mu holding v + l.  p_l m_lam is homogeneous of degree l + |lam|, so a
+    product above the cutoff is not formed.
     """
     if n < 1:
         raise InputError("need at least one variable")
@@ -538,25 +546,22 @@ def newton_rep(n, cutoff):
     degrees = tuple(sum(lam) for lam in lams)
     module = LabeledSpace(labels, degrees)
 
-    def pad(lam):
-        return tuple(lam) + (0,) * (n - len(lam))
-
-    # SymPoly's product, with each factor expanded once rather than per product;
-    # p_ell m_lam is homogeneous of degree ell + |lam|, so a product above the
-    # cutoff is not formed
-    msyms = [SymPoly(n, {pad(lam): 1}).to_poly() for lam in lams]
-    rho = []
-    for ell in range(cutoff + 1):
-        N = newton(ell, n).to_poly()
+    rho = [{j: {j: n} for j in range(len(lams))}]
+    for ell in range(1, cutoff + 1):
         op = {}
-        for j, msym in enumerate(msyms):
+        for j, lam in enumerate(lams):
             if ell + degrees[j] > cutoff:
                 continue
-            prod = SymPoly.from_poly(N * msym, check=False)
-            for mu, c in prod.terms.items():
-                mu_trim = tuple(p for p in mu if p)
-                if c and sum(mu_trim) <= cutoff:
-                    op.setdefault(index[mu_trim], {})[j] = c
+            parts = set(lam)
+            if len(lam) < n:
+                parts.add(0)
+            for v in parts:
+                mu = list(lam)
+                if v:
+                    mu.remove(v)
+                mu.append(v + ell)
+                mu.sort(reverse=True)
+                op.setdefault(index[tuple(mu)], {})[j] = mu.count(v + ell)
         rho.append(op)
     return JSpaceRep(J, module, rho, name=f"newton-rep(n={n}, cutoff={cutoff})")
 

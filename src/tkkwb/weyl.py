@@ -29,9 +29,9 @@ Straightening runs in integers: every coefficient that raise_basis and the
 windowed action produce is an int, den times the true rational, over the
 one denominator den of _StraightData, the lcm of the extension's
 denominator and of the square of the algebra table's.  action_columns
-reduces each column block by its gcd with den.  Both routes of the element
-a are homogeneous of degree n+1 in it, so both run on its integer copy
-a_int = A a (`linalg.integer_vector`).  Each route has an integer core
+hands the windowed action on over den as it is built.  Both routes of the
+element a are homogeneous of degree n+1 in it, so both run on its integer
+copy a_int = A a (`linalg.integer_vector`).  Each route has an integer core
 that returns {r: (D_r, X_r)}, its value at depth r being X_r / D_r:
 efr_powers_int raises f(a_int)^(n+1), with D_r = (den uden)^r A^(n+1), uden
 the unit's denominator; garland_coefficients_int sums its expansion in ints
@@ -69,8 +69,8 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
-from math import factorial, gcd, lcm
+from itertools import combinations_with_replacement, groupby, product
+from math import factorial, lcm
 
 from .jordan import InputError, derivation_column, integer_table, jpower
 from .linalg import (Matrix, RowSpan, add_into, add_operator, columns, combine,
@@ -134,12 +134,6 @@ def _window_bound(rep_or_g0, D_max):
 # raise_basis is the one straightening rule.  Garland's generating function
 # checks it through efr_powers, bracket_fidelity through the windowed action.
 # Multisets of algebra basis indices are index-sorted tuples.
-
-
-def _fkey_remove(fkey, value):
-    out = list(fkey)
-    out.remove(value)
-    return tuple(out)
 
 
 def _fkey_insert(fkey, value):
@@ -225,21 +219,28 @@ class _StraightData:
         nu = fkey - b, and one pair (c, count, insertions[fkey - b - c]) per
         factor c >= b that a weight-zero element left by passing b meets
         next: count = mult (mult - 1) / 2 for c = b, else mult times the
-        multiplicity of c."""
-        counts = Counter(fkey)
-        values = sorted(counts)
+        multiplicity of c.
+
+        All of it is read from the runs of equal entries of the sorted
+        fkey: a run starting at i gives b and mult, nu drops position i, and
+        nu - c drops the start of c's run in nu, which is i again for c = b
+        and one place before its start in fkey for c > b."""
+        runs = []
+        start = 0
+        for b, run in groupby(fkey):
+            mult = sum(1 for _ in run)
+            runs.append((start, b, mult))
+            start += mult
+        insertions = self.insertions
         terms = []
-        for b in values:
-            mult = counts[b]
-            nu = _fkey_remove(fkey, b)
+        for k, (i, b, mult) in enumerate(runs):
+            nu = fkey[:i] + fkey[i + 1:]
             pairs = []
-            for c in values:
-                if c < b:
-                    continue
-                count = mult * (mult - 1) // 2 if c == b else mult * counts[c]
-                if count:
-                    pairs.append((c, count, self.insertions[_fkey_remove(nu, c)]))
-            terms.append((b, mult, nu, self.insertions[nu], pairs))
+            if mult > 1:
+                pairs.append((b, mult * (mult - 1) // 2, insertions[nu[:i] + nu[i + 1:]]))
+            for j, c, cmult in runs[k + 1:]:
+                pairs.append((c, mult * cmult, insertions[nu[:j - 1] + nu[j:]]))
+            terms.append((b, mult, nu, insertions[nu], pairs))
         return terms
 
     def _repl(self, key):
@@ -693,14 +694,16 @@ class TruncatedVerma:
 
         Column j is den times the image of basis vector j, a sparse {target
         position: int}: the action is columns / den, with the same spans.
-        The straightened images are ints over the denominator of the
-        straightening data, so den is it divided by its gcd with every
-        entry: the least common denominator of the block.
+        den is the denominator of the straightening data, and the columns
+        are the straightened ints as they were built: no reader needs a
+        least denominator, since the closure reads only spans and every
+        other reader divides by the den it is given.
         """
         return self._columns[gen, cell]
 
     def _block(self, key):
-        """action_columns for key = (gen, cell), made afresh."""
+        """action_columns for key = (gen, cell), made afresh: (data.den, the
+        _images of the cell's basis)."""
         gen, cell = key
         status, tgt = self.target_of(gen, cell)
         if status != "ok":
@@ -711,9 +714,7 @@ class TruncatedVerma:
             # complete cells: a missing target means it fell outside the
             # window, which target_of already excluded
             raise AssertionError("image outside computed cell basis") from None
-        den = self.data.den
-        g = gcd(den, *(c for img in images for c in img.values()))
-        return den // g, [{t: c // g for t, c in img.items()} for img in images]
+        return self.data.den, images
 
     def action_matrix(self, gen, cell):
         """The action_columns of the generator as a dense Fraction matrix."""

@@ -27,16 +27,17 @@ least failing p decides the witness.  `dominance_operator`, which takes
 the powers of a under the integer table, must give the sum of
 `conftest.fraction_powers_dominance_operator`.  The Weyl straightening
 runs in integers over one denominator; its reference straightens in
-Fractions on dense rho, and the windowed action's (den, columns) must match
-it exactly.
+Fractions on dense rho, and the windowed action's columns, ints over the
+straightening denominator den, must match it exactly once divided by den.
 `build_sl2` and `build_tkk` sum their tails in integers and store each
 bracket table once in integer form, which `validate_lie` and `center_map`
 read; the reference constructions sum the tails in Fractions and fill the
 table through `add_into`, and the Fraction view `table` and `pair_coords`
 must match them, types included.  A corrupted table is written through
 `conftest.set_table`, which rebuilds the integer form.
-`newton_rep` forms no product above the cutoff; its reference forms every
-one and drops the terms above the cutoff afterwards.
+`newton_rep` reads each product p_ell m_lam off the power-sum Pieri rule and
+forms none above the cutoff; its reference multiplies out every product as
+symmetric polynomials and drops the terms above the cutoff afterwards.
 `efr_powers`, `garland_coefficients` and `dominance_operator` run on the
 integer copy of the element a and scale back once; their references work
 in Fractions at a itself, the generating function through its truncated
@@ -50,7 +51,7 @@ import random
 from collections import Counter
 from fractions import Fraction as Q
 from itertools import combinations, combinations_with_replacement, product
-from math import factorial, lcm
+from math import factorial
 
 import pytest
 
@@ -816,7 +817,8 @@ def ref_newton_rho(n, cutoff):
     return rho
 
 
-@pytest.mark.parametrize("n, cutoff", [(3, 5), (4, 4), (5, 6), (12, 1)])
+@pytest.mark.parametrize("n, cutoff", [(n, cutoff) for n in range(1, 7) for cutoff in range(8)] +
+                         [(12, 1)])
 def test_newton_rep_matches_every_product(n, cutoff):
     rep = newton_rep(n, cutoff)
     ref = JSpaceRep(rep.jordan, rep.module, ref_newton_rho(n, cutoff))
@@ -913,15 +915,12 @@ class RefStraight:
         return out
 
 
-def ref_action_columns(verma, ref, gen, cell):
-    """(den, columns) of the generator from cell, from Fraction images: den
-    the lcm of their denominators, each column den times an image."""
+def ref_action_images(verma, ref, gen, cell):
+    """The Fraction images of the generator on the basis of cell, each a
+    sparse {target position: Fraction} with no zero entry."""
     tgt_pos = verma.cell_pos.get(verma.target_of(gen, cell)[1], {})
-    images = [{tgt_pos[bm]: c for bm, c in ref.apply_basis(*gen, fkey, mi).items()}
-              for fkey, mi in verma.cells[cell]]
-    den = lcm(*(c.denominator for img in images for c in img.values()))
-    return den, [{t: c.numerator * (den // c.denominator) for t, c in img.items()}
-                 for img in images]
+    return [{tgt_pos[bm]: c for bm, c in ref.apply_basis(*gen, fkey, mi).items()}
+            for fkey, mi in verma.cells[cell]]
 
 
 def _half_unit_rep():
@@ -988,8 +987,13 @@ def test_integer_straightening_matches_fraction_reference(name):
     for gen in verma.generators:
         for cell in sorted(verma.cells):
             if verma.target_of(gen, cell)[0] == "ok":
-                assert verma.action_columns(gen, cell) == \
-                    ref_action_columns(verma, ref, gen, cell), (gen, cell)
+                # the straightened ints over the straightening denominator,
+                # with no zero entry, are the Fraction images times den
+                den, cols = verma.action_columns(gen, cell)
+                assert den == verma.data.den, (gen, cell)
+                assert all(c for col in cols for c in col.values()), (gen, cell)
+                assert [{t: Q(c, den) for t, c in col.items()} for col in cols] == \
+                    ref_action_images(verma, ref, gen, cell), (gen, cell)
                 cases += 1
     assert cases or g0.rep.mdim == 0
 

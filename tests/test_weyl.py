@@ -1,5 +1,6 @@
 import random
 import re
+from collections import Counter
 from fractions import Fraction as Q
 from itertools import combinations_with_replacement
 
@@ -750,3 +751,46 @@ def test_straightening_plans_each_multiset_once(monkeypatch):
                 if gen[0] != "f":
                     acted.update(fkey for fkey, _ in verma.cells[cell])
     assert len(planned) == len(set(planned)) and set(planned) == acted
+
+
+def ref_plan(fkey):
+    """(b, mult, nu, [(c, count, fkey - b - c)]) per distinct factor b of
+    fkey, from a Counter and list.remove."""
+    counts = Counter(fkey)
+    values = sorted(counts)
+    terms = []
+    for b in values:
+        mult = counts[b]
+        nu = list(fkey)
+        nu.remove(b)
+        pairs = []
+        for c in values:
+            count = mult * (mult - 1) // 2 if c == b else mult * counts[c]
+            if c >= b and count:
+                rest = list(nu)
+                rest.remove(c)
+                pairs.append((c, count, tuple(rest)))
+        terms.append((b, mult, tuple(nu), pairs))
+    return terms
+
+
+def test_plans_read_from_runs_match_a_counted_reference():
+    # every sorted multiset of size <= 8 over 4 letters: a factor repeats
+    # up to n + 1 = 8 times in the benchmark's windows
+    data = weyl.straightening(extend_to_g0(newton_rep(1, 3)))
+    cases = 0
+    for size in range(9):
+        for fkey in combinations_with_replacement(range(4), size):
+            plan = data.plans[fkey]
+            ref = ref_plan(fkey)
+            assert [(b, mult, nu, [(c, count) for c, count, _ in pairs])
+                    for b, mult, nu, _, pairs in plan] == \
+                [(b, mult, nu, [(c, count) for c, count, _ in pairs])
+                 for b, mult, nu, pairs in ref], fkey
+            # the insertions are the memos of the reference multisets
+            for (_, _, nu, ins, pairs), (_, _, _, ref_pairs) in zip(plan, ref):
+                assert ins is data.insertions[nu]
+                assert all(pins is data.insertions[rest]
+                           for (_, _, pins), (_, _, rest) in zip(pairs, ref_pairs)), fkey
+            cases += 1
+    assert cases == 495
