@@ -11,6 +11,7 @@ import functools
 import json
 import random
 import sys
+from math import factorial
 
 from . import jordan as jordan_mod
 from . import jspace as jspace_mod
@@ -264,7 +265,6 @@ def cmd_symfun(args):
         size = symfun.class_size(sigma)
         total += size
         print(f"({','.join(map(str, sigma))}) size {size} sign {symfun.sign(sigma):+d}")
-    from math import factorial
     ok = total == factorial(n)
     print(f"total {total} {'=' if ok else '!='} {n}! {'PASS' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_FAIL

@@ -8,7 +8,8 @@ Both identity sweeps touch only structure constants that can be nonzero:
 the polarized identity is a sum of three associators read from a table of
 the nonzero basis associators made once per call (empty for a commutative
 associative algebra), and the sampled products run over the table's
-nonzero entries.
+nonzero entries.  Every sweep here and in `tkk`, `jspace` and `weyl`
+reads the one integer form of the table that the constructor makes.
 """
 
 from __future__ import annotations
@@ -34,7 +35,10 @@ class InputError(Exception):
 class JordanAlgebra:
     """Commutative algebra with unit, given by a sparse multiplication table.
 
-    table[i][j] is a dict {k: coefficient} for the product e_i * e_j.
+    table[i][j] is a dict {k: coefficient} for the product e_i * e_j, as
+    given; products[i][j] is den times it as a {k: int} dict with no zero
+    entry (`integer_rows`), and commutative whether products is symmetric.
+    Both are made here, and neither table is edited afterwards.
     """
 
     def __init__(self, space, unit, table, name=""):
@@ -43,6 +47,10 @@ class JordanAlgebra:
         if len(self.unit) != space.dim:
             raise InputError("unit vector has wrong length")
         self.table = table
+        self.den, rows = integer_rows(out for row in table for out in row)
+        d = len(table)
+        self.products = P = [rows[i * d:(i + 1) * d] for i in range(d)]
+        self.commutative = all(P[i][j] == P[j][i] for i in range(d) for j in range(i))
         self.name = name or "jordan algebra"
         self._validated = None
 
@@ -92,8 +100,8 @@ def jpower(J, a, k):
 def derivation_column(table, i, j, k):
     """Sparse coordinates of [L_{e_i}, L_{e_j}] applied to e_k under a
     structure table, via table lookups only: e_i (e_k e_j) - (e_i e_k) e_j.
-    It is quadratic in the table, so on an integer_table copy over den it
-    is den^2 times the true column."""
+    It is quadratic in the table, so on J.products it is J.den^2 times the
+    true column."""
     out = {}
     for m, c in table[k][j].items():
         add_into(out, table[i][m], c)
@@ -102,23 +110,13 @@ def derivation_column(table, i, j, k):
     return out
 
 
-def integer_table(J):
-    """(den, T): T is den * J.table with int entries (`integer_rows`), den
-    the lcm of the denominators of the table as it stands when called.
-    Never stored on J, so a table edited after a check is read afresh by the
-    next one."""
-    den, rows = integer_rows(out for row in J.table for out in row)
-    d = len(J.table)
-    return den, [rows[i * d:(i + 1) * d] for i in range(d)]
-
-
 def associator_table(T):
     """assoc[k][w] = {b * d + t: c}: the nonzero coefficients c of e_t in
     the associators (e_k e_b) e_w - e_k (e_b e_w) for every b, under a
     structure table of dimension d.  Both products are summed only over the
     stored entries of the table, so an associative table gives empty
-    dicts.  Quadratic in the table: on an integer_table copy over den it is
-    den^2 times the true associators."""
+    dicts.  Quadratic in the table: on J.products it is J.den^2 times the
+    true associators."""
     d = len(T)
     stored = [[(j, out) for j, out in enumerate(row) if out] for row in T]
     # (b, w, e_b e_w) for every stored product
@@ -149,9 +147,9 @@ def validate(J, seed=0):
     The Jordan identity is checked through its full polarization
     ((xy)b)z + ((xz)b)y + ((yz)b)x = (xy)(bz) + (xz)(by) + (yz)(bx)
     on all basis 4-tuples (equivalent over the rationals).  It runs on the
-    integer_table copy of J.table, made at call time; both sides are cubic
-    in the table, so they agree exactly when the scaled sides agree, with
-    the same witness.  lhs - rhs at (x, y, z, b) is
+    integer form J.products; both sides are cubic in the table, so they
+    agree exactly when the scaled sides agree, with the same witness.
+    lhs - rhs at (x, y, z, b) is
     assoc(e_x e_y, e_b, e_z) + assoc(e_x e_z, e_b, e_y) + assoc(e_y e_z, e_b, e_x)
     with assoc(p, q, r) = (pq)r - p(qr), so the nonzero basis associators
     are tabulated once per call (`associator_table`), and each sorted
@@ -160,7 +158,7 @@ def validate(J, seed=0):
     into one difference keyed by (b, coordinate).  The least b with a
     nonzero entry is the witness, the first failing b of a sweep over b.
     Beyond _EXHAUSTIVE_DIM_LIMIT the identity (a^2 b)a = a^2(ba) is sampled
-    on the same copy, each sampled vector scaled to integers by the lcm of
+    on the same form, each sampled vector scaled to integers by the lcm of
     its denominators (`integer_vector`): both sides have degree 3 in a, 1
     in b and 3 in the table.  The dense samples are multiplied in one pass
     over the table's nonzero entries (i, j, k, c), listed once per call.
@@ -168,13 +166,16 @@ def validate(J, seed=0):
     rep = Report(f"jordan axioms for {J.name}")
     d = J.dim
     labels = J.space.labels
+    T = J.products
 
     def noncommuting(ij):
         i, j = ij
-        if J.table[i][j] != J.table[j][i]:
+        if T[i][j] != T[j][i]:
             return f"e{i}*e{j} != e{j}*e{i} ({labels[i]},{labels[j]})"
 
-    rep.check("commutativity", product(range(d), repeat=2), noncommuting)
+    # J.commutative decided it at construction; the sweep finds the witness
+    rep.check("commutativity", () if J.commutative else product(range(d), repeat=2),
+              noncommuting)
     rep.check("unit axiom", range(d),
               lambda i: jmul(J, J.unit, unit_vector(d, i)) != unit_vector(d, i)
               and f"1*{labels[i]} != {labels[i]}")
@@ -183,13 +184,12 @@ def validate(J, seed=0):
 
     def off_degree(ij):
         i, j = ij
-        for k, c in J.table[i][j].items():
-            if c and degs[k] != degs[i] + degs[j]:
+        for k in T[i][j]:
+            if degs[k] != degs[i] + degs[j]:
                 return f"deg({labels[i]}*{labels[j]}) hits degree {degs[k]} != {degs[i] + degs[j]}"
 
     rep.check("degree additivity", product(range(d), repeat=2), off_degree)
 
-    _, T = integer_table(J)
     if d <= _EXHAUSTIVE_DIM_LIMIT:
         assoc = associator_table(T)
 

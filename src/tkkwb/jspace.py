@@ -41,8 +41,8 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from pathlib import Path
 
-from .jordan import (BUILTIN_FAMILIES, InputError, builtin, derivation_column, integer_table,
-                     load_algebra, table_product, truncated_poly)
+from .jordan import (BUILTIN_FAMILIES, InputError, algebra_from_dict, builtin, derivation_column,
+                     load_algebra, matrix_jordan, table_product, truncated_poly)
 from .linalg import (LabeledSpace, add_into, add_operator, as_int, as_list, as_q, combine,
                      commutator, integer_operators, integer_vector, operator_product, q_str,
                      random_vector, scalar_operator)
@@ -152,11 +152,12 @@ def check_jspace(rep):
     is checked instead; its verdict is the rep's, shared with
     `check_envelope_relations`.
 
-    J is not validated here.  When its table is commutative, the derivation
-    identity is antisymmetric in (i, j) and holds for i = j, so it is decided
-    on the pairs i < j with every k; for a noncommutative table every
-    ordered pair is swept.  Either way the first failing triple in product
-    order is the one reported.
+    J is not validated here.  When its table is commutative (J.commutative,
+    decided when J was built), the derivation identity is antisymmetric in
+    (i, j) and holds for i = j, so it is decided on the pairs i < j with
+    every k; for a noncommutative table every ordered pair is swept.
+    Either way the first failing triple in product order is the one
+    reported.
     """
     J = rep.jordan
     rep_report = Report(f"j-space axioms for {rep.name}")
@@ -165,7 +166,7 @@ def check_jspace(rep):
     breach = grading_breach(rep)
     rep_report.add("rho respects the grading", breach is None, breach or "")
 
-    pairs = combinations(range(d), 2) if _commutative(J) else product(range(d), repeat=2)
+    pairs = combinations(range(d), 2) if J.commutative else product(range(d), repeat=2)
     t = _double_commutator_failure(rep, pairs,
                                    lambda i, j, k: derivation_column(J.table, i, j, k))
     rep_report.add("derivation identity (all basis triples)", t is None,
@@ -208,17 +209,19 @@ def _square_commutation_failure(rep):
     With a commutative table the polarization is symmetric in (i, j, k), so
     the sorted triples decide it, and the first failing triple in product
     order is sorted; a noncommutative table has every ordered triple swept.
-    The image of each product e_j e_k is formed once.
+    The image of each product e_j e_k is formed once, from the integer form
+    J.products: the identity is linear in the table, so scaling every
+    product by J.den moves no verdict.
     """
     J, ops = rep.jordan, rep.rho
     d = J.dim
-    triples = combinations_with_replacement(range(d), 3) if _commutative(J) \
+    triples = combinations_with_replacement(range(d), 3) if J.commutative \
         else product(range(d), repeat=3)
     images = {}
 
     def image(j, k):
         if (j, k) not in images:
-            images[(j, k)] = combine(ops, J.table[j][k])
+            images[(j, k)] = combine(ops, J.products[j][k])
         return images[(j, k)]
 
     for i, j, k in triples:
@@ -228,11 +231,6 @@ def _square_commutation_failure(rep):
         if acc:
             return (i, j, k)
     return None
-
-
-def _commutative(J):
-    """Whether the multiplication table is exactly symmetric."""
-    return all(J.table[i][j] == J.table[j][i] for i in range(J.dim) for j in range(i))
 
 
 class G0Rep:
@@ -356,15 +354,15 @@ def dominance_operator(rep, a):
     rho at the powers of a, as a sparse operator.  Vanishes identically
     exactly when the module is the top weight space of a bounded module.
     Every product is homogeneous of degree level+1 in a, so the powers are
-    taken of the integer copy a_int = A a (`integer_vector`) under the
-    integer_table copy of J's table over tden: the k-th power is
+    taken of the integer copy a_int = A a (`integer_vector`) under J's
+    integer form J.products over tden = J.den: the k-th power is
     tden^(k-1) A^k a^k, and on the integer operators the product over sigma
     is den^len(sigma) tden^(level+1-len(sigma)) A^(level+1) times the true
     one.  Each sigma is scaled by an int to the common factor
     (den tden A)^(level+1), which is divided out once at the end."""
     n = level(rep)
     A, a_int = integer_vector(a)
-    tden, T = integer_table(rep.jordan)
+    tden, T = rep.jordan.den, rep.jordan.products
     a_sparse = {i: c for i, c in enumerate(a_int) if c}
     powers = {1: a_sparse}
     for k in range(2, n + 2):
@@ -607,7 +605,6 @@ def doubled_regular_rep(J):
 
 def matrix_defining_rep(m):
     """The symmetrized matrix algebra acting on columns; level 1, dominant."""
-    from .jordan import matrix_jordan
     J = matrix_jordan(m)
     labels = tuple(f"c{i + 1}" for i in range(m))
     module = LabeledSpace(labels, (0,) * m)
@@ -660,7 +657,6 @@ def rep_to_dict(rep, algebra_ref=None):
 
 def _algebra_from_ref(ref, base_dir=None):
     if isinstance(ref, dict):
-        from .jordan import algebra_from_dict
         return algebra_from_dict(ref)
     if not isinstance(ref, str):
         raise InputError("algebra reference must be a string or object")

@@ -15,10 +15,11 @@ it is empty.  Every integer copy of rational data is made by
 `integer_rows`, which scales sparse rows by the lcm of their denominators:
 rho itself is one (`integer_operators` scales a list of rational operators
 to integers by one common denominator, the form a J-space keeps), and so
-are the integer copy of the Jordan table, the tail data from which a TKK
-bracket table is written in its one integer form, and the copy
-A a of a point (`integer_vector`) on which the homogeneous routes of `weyl`
-and the dominance sum run.
+are the integer form of a Jordan table and of the brace space's classes,
+each made once where it is built, the tail data from which a TKK bracket
+table is written in its one integer form, and the copy A a of a point
+(`integer_vector`) on which the homogeneous routes of `weyl` and the
+dominance sum run.
 `operator_product`, `commutator`, `combine` and `add_operator` sum through
 `add_into`, `scalar_operator` makes c times the identity, and `columns`
 turns an integer operator into integer columns at a new scale, for the

@@ -12,6 +12,7 @@ empty partition is ().
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -510,7 +511,6 @@ def trace_oracle(sigma, point):
 
 def verify_trace_oracle(n, samples=5, seed=0):
     """Compare the tensor-operator trace with N_sigma at random points."""
-    import random
     rng = random.Random(seed)
     rep = Report(f"tensor trace vs power sums, n={n}")
     sigmas = partitions(n + 1)

@@ -9,15 +9,16 @@ sparse columns of the derivation of every tail element, the brackets among
 tail elements) and hands it to one table filler, which writes each entry
 straight at its block offset.  Inner derivations are only ever sparse
 columns read from the Jordan table (`derivation_column`).  The tails are
-summed in integers: the derivations from the `integer_table` copy of
-J.table, the brace coordinates and the inner-derivation basis each scaled
-once to ints over one denominator (`linalg.integer_rows`), and each block
-is handed to the filler as ints with its scale.  The filler scales every
-block once to the common denominator `den` and stores the bracket table in
-that one integer form, `brackets`: {(p, q): {t: int}}, den times the true
-brackets, with no zero entry and no zero bracket.  `table` is a read-only
-Fraction view of it, made when read; `pair_coords` holds Fractions.  The
-central epimorphism reads the classical pair coordinates and returns its
+summed in integers: the derivations from the integer form J.products of
+the Jordan table, the brace space's classes and the inner-derivation basis
+each scaled once, where they are made, to ints over one denominator
+(`linalg.integer_rows`), and each block is handed to the filler as ints
+with its scale.  The filler scales every block once to the common
+denominator `den` and stores the bracket table in that one integer form,
+`brackets`: {(p, q): {t: int}}, den times the true brackets, with no zero
+entry and no zero bracket.  `table` is a read-only Fraction view of it,
+made when read; `pair_coords` holds ints over `pair_den`.  The central
+epimorphism reads the classical pair coordinates as stored and returns its
 map and kernel as sparse columns and rows; no dense matrix or vector is
 built here.  Structure constants are built from the bracket rules and
 re-verified rather than trusted: antisymmetry is checked on all ordered
@@ -52,6 +53,7 @@ tail.  `tkk build` and `tkk check` build the whole algebra.
 
 from __future__ import annotations
 
+import random
 from bisect import bisect_left
 from collections import defaultdict
 from collections.abc import Mapping
@@ -60,7 +62,7 @@ from itertools import combinations, product
 from math import lcm
 from operator import itemgetter
 
-from .jordan import InputError, derivation_column, ensure_valid, integer_table
+from .jordan import InputError, derivation_column, ensure_valid
 from .linalg import RowSpan, add_into, integer_rows, q_str, quotient
 from .report import Report
 
@@ -94,9 +96,10 @@ class BraceSpace:
     """wedge^2(J) modulo the span of all a ^ a^2, in the degrees <= bound.
 
     The defining span is generated, over a field of characteristic zero, by
-    the trilinear polarization x^(yz) + y^(xz) + z^(xy) on basis triples;
-    `quotient` of its RowSpan gives the representatives (non-pivot pairs)
-    and the sparse classes `pair_coords`, and `s_rows` are its RREF rows.
+    the trilinear polarization x^(yz) + y^(xz) + z^(xy) on basis triples,
+    read from J.products; `quotient` of its RowSpan gives the
+    representatives (non-pivot pairs), the sparse classes, kept as ints
+    over `pair_den` in `pair_coords`, and `s_rows`, its RREF rows.
 
     With a degree bound B only the pairs and defining triples of degree sum
     at most B are enumerated, the triples in (degree, index) order with
@@ -105,7 +108,7 @@ class BraceSpace:
     (i, j, k) is homogeneous of degree deg i + deg j + deg k, the span and
     its canonical RREF split by degree, and the representatives, classes
     and `s_rows` of degree <= B are exactly those of the whole space.  A
-    pair above B has class zero here (`brace_pair`).  Without a bound every
+    pair above B has class zero here (absent from `pair_coords`).  Without a bound every
     triple is enumerated; the row of a triple does not depend on its order,
     since J is commutative, nor the canonical RREF on the order of insertion.
     """
@@ -128,6 +131,7 @@ class BraceSpace:
         # loop stops early
         top = 3 * max(degs, default=0) if bound is None else bound
         span = RowSpan(len(self.pairs))
+        P = J.products
         order = sorted(range(d), key=lambda i: (degs[i], i))
         for p, i in enumerate(order):
             if 3 * degs[i] > top:
@@ -139,8 +143,8 @@ class BraceSpace:
                 for k in order[q:]:
                     if degs[i] + degs[j] + degs[k] > top:
                         break
-                    row = add_into(add_into(wedge(i, J.table[j][k]), wedge(j, J.table[i][k])),
-                                   wedge(k, J.table[i][j]))
+                    row = add_into(add_into(wedge(i, P[j][k]), wedge(j, P[i][k])),
+                                   wedge(k, P[i][j]))
                     if row:
                         span.insert(row)
         self.reps, coords = quotient(span)
@@ -149,20 +153,16 @@ class BraceSpace:
         rep_set = set(self.reps)
         self.s_rows = [{t: Fraction(1), **{self.reps[k]: -c for k, c in col.items()}}
                        for t, col in enumerate(coords) if t not in rep_set]
-        # sparse brace coordinates of every ordered pair of distinct basis elements
+        # sparse brace coordinates of every ordered pair of distinct elements
+        self.pair_den, ints = integer_rows(coords)
         self.pair_coords = {}
-        for col, (i, j) in zip(coords, self.pairs):
+        for col, (i, j) in zip(ints, self.pairs):
             self.pair_coords[(i, j)] = col
             self.pair_coords[(j, i)] = {k: -c for k, c in col.items()}
 
     @property
     def dim(self):
         return len(self.reps)
-
-    def brace_pair(self, i, j):
-        """Sparse quotient coordinates of the class of e_i ^ e_j: zero for
-        i = j and for a pair above the bound."""
-        return self.pair_coords.get((i, j), {})
 
 
 class _FractionTable(Mapping):
@@ -195,9 +195,9 @@ class TKKAlgebra:
     `brackets[(p, q)]` is den times the bracket of basis elements p and q,
     as a sparse {index: int} dict with no zero entry; a zero bracket is not
     stored.  `table` is the read-only Fraction view of it.
-    `pair_coords[(i, j)]`, for i != j, holds the sparse tail coordinates of
-    the pair of Jordan basis elements i, j: its brace for the central
-    extension, its inner derivation for the classical algebra.
+    `pair_coords[(i, j)]`, for i != j, holds pair_den times the sparse tail
+    coordinates of the Jordan basis pair i, j, as ints: its brace for the
+    central extension, its inner derivation for the classical algebra.
     """
 
     def __init__(self, jordan, kind, tail_dim, tail_labels, tail_degrees, kappa):
@@ -224,6 +224,7 @@ class TKKAlgebra:
         self.degrees = tuple(degrees)
         self.den = 1
         self.brackets = {}
+        self.pair_den = 1
         self.pair_coords = {}
         self.brace = None       # set for the central extension
         # what _fill_table writes: the brackets of degree sum <= bound
@@ -303,8 +304,8 @@ def _antisymmetric(table, inside):
                    if p in inside and q in inside and (p <= q or (q, p) not in table))
 
 
-def _fill_table(g, pair_coords, jordan, pairs, cols, tails):
-    """Record the tail data on g and write its bracket table.
+def _fill_table(g, pairs, cols, tails):
+    """Record the pair coordinates on g and write its bracket table.
 
     [x(a), y(b)] = [x, y](ab) + kappa(x, y) pair_coords[(a, b)] on e/f/h;
     tail element k acts on e/f/h by the derivation whose sparse column j,
@@ -316,20 +317,21 @@ def _fill_table(g, pair_coords, jordan, pairs, cols, tails):
     0, f at d, h at 2d, the tail at 3d), and the blocks of one bracket never
     overlap, so nothing is summed.
 
-    jordan = (tden, T), the integer_table copy of J.table, and pairs, cols
-    and tails are each (scale, ints): the int form of pair_coords, of the
-    tail columns [k][j] and of the tail brackets, scale times the true
-    values, with no zero entry.  g.den is the lcm of the four scales (with
-    kappa's denominators on pairs), and each block is multiplied once by
-    den over its scale as it is written into g.brackets.
+    The Jordan products are read from J.products over J.den; pairs, cols and
+    tails are each (scale, ints): pair_coords, the tail columns [k][j] and
+    the tail brackets, scale times the true values, with no zero entry.
+    g.den is the lcm of the four scales (with kappa's denominators on
+    pairs), and each block is multiplied once by den over its scale as it
+    is written into g.brackets.
 
     With g.weight_zero_only only the weight-zero block is written: the rules
     for x = y = h and the tail's brackets against h and itself.  With a
     degree bound g.bound only the Jordan pairs of degree sum at most the
     bound are written, and the builder hands over tail data only within it.
     """
-    g.pair_coords = pair_coords
-    (tden, T), (pden, P), (cden, C), (bden, B) = jordan, pairs, cols, tails
+    g.pair_den, g.pair_coords = pairs
+    tden, T = g.jordan.den, g.jordan.products
+    (pden, P), (cden, C), (bden, B) = pairs, cols, tails
     kden = lcm(*(k.denominator for k in g.kappa.values()))
     g.den = den = lcm(tden, pden * kden, cden, bden)
     bound = g.bound
@@ -392,14 +394,12 @@ def build_sl2(J, bound=None, weight_zero=False):
     def within(*ds):
         return bound is None or sum(ds) <= bound
 
-    # integer copies: tden^2 times the sparse columns of D_{a,b} = [L_a, L_b]
-    # for each representative pair, within the bound, and bden times the
-    # brace coordinates
-    tden, T = integer_table(J)
+    # tden^2 times the sparse columns of D_{a,b} = [L_a, L_b] for each
+    # representative pair, within the bound, and the brace coordinates over bden
+    tden, T = J.den, J.products
     ders = [[derivation_column(T, a, b, c) if within(dk, degs[c]) else {} for c in range(J.dim)]
             for (a, b), dk in zip(bs.rep_pairs, tail_degrees)]
-    bden, rows = integer_rows(bs.pair_coords.values())
-    braces = dict(zip(bs.pair_coords, rows))
+    bden, braces = bs.pair_den, bs.pair_coords
     # [{a,b},{c,d}] = {D_{a,b} c, d} + {c, D_{a,b} d}, summed in ints over
     # tden^2 bden
     tail_brackets = {}
@@ -416,26 +416,24 @@ def build_sl2(J, bound=None, weight_zero=False):
                     out[t] = out.get(t, 0) + c * x
             tail_brackets[(k, l)] = {t: x for t, x in out.items() if x}
 
-    _fill_table(g, bs.pair_coords, (tden, T), (bden, braces), (tden * tden, ders),
-                (tden * tden * bden, tail_brackets))
+    _fill_table(g, (bden, braces), (tden * tden, ders), (tden * tden * bden, tail_brackets))
     return g
 
 
 def build_tkk(J):
     """Classical construction: tail = the span of inner derivations.
 
-    Computed on integer copies: the derivations are read from the
-    integer_table copy (tden, T) of J.table, so each is tden^2 times over,
-    and the canonical RREF basis rows of their span are scaled once to ints
-    over the lcm s of their denominators.  Commutators of basis elements are
-    then s^2 times over.  The pair coordinates (tden^2 times over), the
-    basis columns (s times) and the tail brackets (s^2 times) go to the
-    filler as ints; a pair coordinate becomes a Fraction once, where it is
-    stored in pair_coords.
+    Computed in integers: the derivations are read from the integer form
+    J.products over tden = J.den, so each is tden^2 times over, and the
+    canonical RREF basis rows of their span are scaled once to ints over the
+    lcm s of their denominators.  Commutators of basis elements are then s^2
+    times over.  The pair coordinates (tden^2 times over, and so kept in
+    pair_coords over pair_den = tden^2), the basis columns (s times) and the
+    tail brackets (s^2 times) go to the filler as ints.
     """
     ensure_valid(J)
     d = J.dim
-    tden, T = integer_table(J)
+    tden, T = J.den, J.products
 
     # tden^2 D_{a,b} = tden^2 [L_a, L_b] for a < b as flat {r * d + c: int}
     # dicts; their span's canonical RREF basis is the tail
@@ -507,12 +505,10 @@ def build_tkk(J):
     # D_{b,a} = -D_{a,b} and [D_k, D_l] = -[D_l, D_k] exactly, so each
     # unordered pair is computed once
     pden = tden * tden
-    pair_ints, pair_coords = {}, {}
+    pair_ints = {}
     for (a, b), flat in ders.items():
         pair_ints[(a, b)] = col = inn_coords(flat)
         pair_ints[(b, a)] = {k: -c for k, c in col.items()}
-        pair_coords[(a, b)] = frac = {k: Fraction(c, pden) for k, c in col.items()}
-        pair_coords[(b, a)] = {k: -c for k, c in frac.items()}
     tail_brackets = {}
     for k in range(rank):
         for l in range(k, rank):
@@ -520,8 +516,7 @@ def build_tkk(J):
             tail_brackets[(k, l)] = out
             tail_brackets[(l, k)] = {t: -c for t, c in out.items()}
 
-    _fill_table(g, pair_coords, (tden, T), (pden, pair_ints), (s, int_cols),
-                (s * s, tail_brackets))
+    _fill_table(g, (pden, pair_ints), (s, int_cols), (s * s, tail_brackets))
     return g
 
 
@@ -632,7 +627,6 @@ def validate_lie(g, jacobi="full", seed=0, samples=200):
         rep.check("jacobi identity (all basis triples)", range(n),
                   _jacobi_sweep(itable, g.labels, antisymmetric))
     elif jacobi == "spot":
-        import random
         rng = random.Random(seed)
         triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
                    for _ in range(samples))
@@ -713,11 +707,13 @@ def center_map(g_ext, g_tkk):
     one of them; otherwise every ordered pair is swept.  Each table's
     antisymmetry verdict is the one kept on it (`TKKAlgebra.antisymmetric`),
     so a table that validate_lie has checked is not swept again.  The sweep
-    reads the integer forms of both tables, d1 and d2 times over, and cden
-    times the sparse columns of the map.  The left side phi [p, q] is then
-    d1 cden times the true one and the right side [phi p, phi q] cden^2 d2
-    times, so the identity holds exactly when lhs (cden d2) - rhs d1
-    vanishes.  The kernel's centrality reads the integer form too.
+    reads the integer forms of both tables, d1 and d2 times over, and the
+    sparse columns of the map as stored, ints over cden, the classical
+    pair_den.  The left side phi [p, q] is then d1 cden times the true one
+    and the right side [phi p, phi q] cden^2 d2 times, so the identity
+    holds exactly when lhs (cden d2) - rhs d1 vanishes.  The kernel comes
+    from the span of the same int columns, and its centrality reads the
+    integer form too.
     """
     if g_ext.kind != "sl2" or g_tkk.kind != "tkk":
         raise InputError("center_map expects (central extension, classical TKK)")
@@ -726,13 +722,13 @@ def center_map(g_ext, g_tkk):
     rep = Report(f"central epimorphism for {g_ext.jordan.name}")
     # e/f/h sit at the same indices in both algebras
     t0, s0 = g_ext.tail_index(0), g_tkk.tail_index(0)
-    cols = [{p: Fraction(1)} for p in range(t0)]
-    cols += [{s0 + k: c for k, c in g_tkk.pair_coords[pair].items()}
-             for pair in g_ext.brace.rep_pairs]
+    cden = g_tkk.pair_den
+    icols = [{p: cden} for p in range(t0)]
+    icols += [{s0 + k: x for k, x in g_tkk.pair_coords[pair].items()}
+              for pair in g_ext.brace.rep_pairs]
 
     d1, ext_table = g_ext.den, g_ext.brackets
     d2, tkk_table = g_tkk.den, g_tkk.brackets
-    cden, icols = integer_rows(cols)
     lscale = cden * d2
 
     def nonhomomorphic(pq):
@@ -762,8 +758,8 @@ def center_map(g_ext, g_tkk):
     # are the canonical kernel basis of the whole of phi
     block = [{} for _ in range(g_tkk.tail_dim)]
     for j in range(g_ext.tail_dim):
-        for t, c in cols[t0 + j].items():
-            block[t - s0][j] = c
+        for t, x in icols[t0 + j].items():
+            block[t - s0][j] = x
     span = RowSpan(g_ext.tail_dim)
     for row in block:
         span.insert(row)
@@ -786,7 +782,7 @@ def center_map(g_ext, g_tkk):
             return f"kernel vector {r} not central against {g_ext.labels[q]}"
 
     rep.check("kernel is central", product(range(len(ker)), range(g_ext.dim)), noncentral)
-    return cols, ker, rep
+    return [{p: Fraction(x, cden) for p, x in col.items()} for col in icols], ker, rep
 
 
 def algebra_to_dict(g):

@@ -72,7 +72,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, groupby, product
 from math import factorial, lcm
 
-from .jordan import InputError, derivation_column, integer_table, jpower
+from .jordan import InputError, derivation_column, jpower
 from .linalg import (Matrix, RowSpan, add_into, add_operator, columns, combine,
                      commutator, int_if_integral, integer_rows, integer_vector,
                      operator_product, random_vector, scalar_operator)
@@ -166,8 +166,9 @@ class _StraightData:
     den * uden, uden the lcm of the denominators of the unit.  den is the lcm of
       - g0.den = 4 rden^2, rden the lcm of the denominators of rho, over
         which the h and brace operators of the extension are integers;
-      - tden^2, tden the denominator of the integer copy T of J.table:
-        repl and the brace action on J are quadratic in the table.
+      - tden^2, tden = J.den, the denominator of J's integer form
+        T = J.products: repl and the brace action on J are quadratic in the
+        table.
     The weight-zero columns need no more.  On a checked extension the brace
     {e_x, e_b} acts by (1/4)[rho(e_x), rho(e_b)], so [e(e_x), f(e_b)] acts
     by rho(e_x e_b) + (1/2)[rho(e_x), rho(e_b)], whose denominators divide
@@ -188,22 +189,23 @@ class _StraightData:
         J = g0.rep.jordan
         d = J.dim
         bs = g0.brace
-        tden, T = integer_table(J)
-        self.tden, self.T = tden, T
+        self.tden, self.T = tden, T = J.den, J.products
         self.den = lcm(g0.den, tden * tden)
         # the scale of the terms quadratic in the table
         self.tscale = self.den // (tden * tden)
         # [e(e_x), f(e_b)] = h(e_x e_b) + 2 {e_x, e_b}, applied on the module,
-        # is 1/base times an integer operator read from g0's; g0mat[x][b]
-        # holds its sparse columns over den.  A window reads none of degree
-        # above the extension's cut, so those are left empty
-        cden = lcm(*(c.denominator for col in bs.pair_coords.values() for c in col.values()))
+        # is 1/base times an integer operator read from g0's and the brace
+        # coordinates, ints over cden; g0mat[x][b] holds its sparse columns
+        # over den.  A window reads none of degree above the extension's
+        # cut, so those are left empty
+        cden = bs.pair_den
         base = g0.den * tden * cden
         scale = Fraction(self.den, base)
         degs, bound = J.space.degrees, g0.bound
         self.g0mat = [[columns(add_operator(combine(g0.rho, T[x][b], cden),
-                                            combine(g0.braces, bs.brace_pair(x, b),
-                                                    2 * tden * cden)), scale)
+                                            combine(g0.braces, bs.pair_coords.get((x, b), {}),
+                                                    2 * tden)),
+                               scale)
                        if bound is None or degs[x] + degs[b] <= bound else {}
                        for b in range(d)] for x in range(d)]
         self.repl = _Memo(self._repl)
@@ -301,7 +303,7 @@ class _StraightData:
         on_J[b] is the sparse image of e_b under the operator on J: -2 e_i e_b
         for h(e_i), the inner derivation [L_{e_a}, L_{e_a'}] e_b for a brace
         with representative pair (a, a').  Both are lookups in the integer
-        copy T of J.table (J is validated, so commutative), never in the
+        form T of J's table (J is validated, so commutative), never in the
         extension's bracket table, which bracket_fidelity checks this action
         against.  on_module holds the sparse columns of rho[i] or of the
         brace's operator.  All are ints over den.

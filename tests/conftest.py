@@ -15,7 +15,7 @@ import pytest
 
 from tkkwb import (JSpaceRep, matrix_jordan, newton_rep, regular_rep,
                    spin_factor, truncated_poly, zero_rep)
-from tkkwb.jordan import (_EXHAUSTIVE_DIM_LIMIT, _SAMPLE_COUNT, JordanAlgebra, integer_table,
+from tkkwb.jordan import (_EXHAUSTIVE_DIM_LIMIT, _SAMPLE_COUNT, JordanAlgebra,
                           jmul, jpower, table_product, validate)
 from tkkwb.jspace import doubled_regular_rep, level, matrix_defining_rep, tensor_rep
 from tkkwb.linalg import (LabeledSpace, Matrix, RowSpan, _integer_row, add_operator, combine,
@@ -155,13 +155,14 @@ def dense_bracket(g, u, v):
 def prods_validate(J, seed=0):
     """The reference of jordan.validate that makes the products (e_i e_j) e_b
     once per call and sums both sides of the polarized identity from them,
-    a table row at a time, on the integer_table copy; beyond the exhaustive
-    limit it samples (a^2 b)a = a^2(ba) on integer-scaled sparse vectors
-    through table_product.  Its report must equal validate's whole report."""
+    a table row at a time, on the integer form J.products; beyond the
+    exhaustive limit it samples (a^2 b)a = a^2(ba) on integer-scaled sparse
+    vectors through table_product.  Its report must equal validate's whole
+    report."""
     lib = validate(J, seed)
     rep = Report(lib.title, lib.items[:3])
     d = J.dim
-    _, T = integer_table(J)
+    T = J.products
     if d > _EXHAUSTIVE_DIM_LIMIT:
         rng = random.Random(seed)
 
@@ -213,6 +214,23 @@ def set_table(g, table):
     g.brackets = {pq: row for pq, row in zip(table, rows) if row}
     g._antisymmetric = None
     return g
+
+
+def set_jordan_table(J, table):
+    """Give the Jordan algebra J the product table `table`, [i][j] -> {k: c}
+    with Fraction or int c, through its constructor: its integer form and
+    commutativity are made afresh from it, and no kept verdict remains
+    (`_validated` is None).  The one way a test writes a corrupted Jordan
+    table.  Returns J."""
+    J.__init__(J.space, J.unit, table, J.name)
+    return J
+
+
+def pair_fractions(g):
+    """The pair coordinates of a BraceSpace or TKKAlgebra as Fractions:
+    {(i, j): {k: x / pair_den}} from its ints over pair_den."""
+    return {pair: {k: Q(x, g.pair_den) for k, x in col.items()}
+            for pair, col in g.pair_coords.items()}
 
 
 def every_r_validate_lie(g, jacobi="full", seed=0, samples=200):

@@ -14,7 +14,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from conftest import symmetric_words_jordan
+from conftest import pair_fractions, symmetric_words_jordan
 from tkkwb.cli import main
 from tkkwb.jordan import algebra_from_dict, algebra_to_dict, matrix_jordan, spin_factor, \
     truncated_poly
@@ -58,7 +58,8 @@ def degrees_of(bs):
 
 def classes(bs):
     """{pair: its class over the representative pairs}."""
-    return {(i, j): {bs.rep_pairs[k]: c for k, c in bs.brace_pair(i, j).items()}
+    fractions = pair_fractions(bs)
+    return {(i, j): {bs.rep_pairs[k]: c for k, c in fractions[(i, j)].items()}
             for i, j in bs.pairs}
 
 

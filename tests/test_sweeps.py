@@ -32,9 +32,13 @@ straightening denominator den, must match it exactly once divided by den.
 `build_sl2` and `build_tkk` sum their tails in integers and store each
 bracket table once in integer form, which `validate_lie` and `center_map`
 read; the reference constructions sum the tails in Fractions and fill the
-table through `add_into`, and the Fraction view `table` and `pair_coords`
-must match them, types included.  A corrupted table is written through
-`conftest.set_table`, which rebuilds the integer form.
+table through `add_into`, and the Fraction view `table` and the pair
+coordinates divided by `pair_den` must match them, types included.  A
+corrupted bracket table is written through `conftest.set_table`, and a
+corrupted Jordan table through `conftest.set_jordan_table`; each rebuilds
+the integer form.  Each Jordan table is scaled to integers once, when the
+algebra is built, and its ints over `den` and the stored pair ints over
+`pair_den` must equal the Fraction tables and classes.
 `newton_rep` reads each product p_ell m_lam off the power-sum Pieri rule and
 forms none above the cutoff; its reference multiplies out every product as
 symmetric polynomials and drops the terms above the cutoff afterwards.
@@ -47,6 +51,7 @@ with the other route.
 """
 
 import copy
+import json
 import random
 from collections import Counter
 from fractions import Fraction as Q
@@ -57,27 +62,30 @@ import pytest
 
 from conftest import (column, dense_bracket, dense_commutator, dense_rho, dense_rho_of,
                       every_r_validate_lie, fraction_powers_dominance_operator,
-                      matrix_of_columns, matrix_rep, noncommuting_rep, prods_validate,
-                      set_table)
+                      matrix_of_columns, matrix_rep, noncommuting_rep, pair_fractions,
+                      prods_validate, set_jordan_table, set_table, symmetric_words_jordan)
 from test_tkk import _PINNED_TABLES
 from test_weyl import GARLAND_CASES
-from tkkwb.jordan import (_EXHAUSTIVE_DIM_LIMIT, _SAMPLE_COUNT, algebra_from_dict,
-                          algebra_to_dict, associator_table, builtin, derivation_column,
-                          integer_table, jmul, jpower, matrix_jordan, spin_factor, validate)
+from tkkwb import jordan, jspace, linalg, tkk, weyl
+from tkkwb.jordan import (_EXHAUSTIVE_DIM_LIMIT, _SAMPLE_COUNT, BUILTIN_FAMILIES,
+                          algebra_from_dict, algebra_to_dict, associator_table, builtin,
+                          derivation_column, jmul, jpower, load_algebra, matrix_jordan,
+                          spin_factor, validate)
 from tkkwb.jspace import (JSpaceRep, LevelError, check_envelope_relations, check_jspace,
                           dominance_check, dominance_operator, doubled_regular_rep,
                           extend_to_g0, level, matrix_defining_rep, newton_rep, regular_rep,
                           rep_from_dict, tensor_rep)
 from tkkwb.linalg import (LabeledSpace, Matrix, RowSpan, add_into, add_operator, combine,
                           commutator, dense_vector, integer_vector, operator_product,
-                          random_vector, scalar_operator, unit_vector)
+                          quotient, random_vector, scalar_operator, unit_vector)
 from tkkwb.multipoly import Poly
 from tkkwb.report import Report
 from tkkwb.symfun import SymPoly, dominance_coeffs, newton, partitions
 from tkkwb.tkk import (_SL2_BASIS, _SL2_SC, BraceSpace, TKKAlgebra, build_sl2, build_tkk,
                        center_map, half_killing_sl2, validate_lie)
 from tkkwb.weyl import (_StraightData, TruncatedVerma, efr_powers, efr_powers_int,
-                        garland_coefficients, garland_coefficients_int, same_ratio)
+                        garland_coefficients, garland_coefficients_int, same_ratio,
+                        weyl_dimensions)
 
 # -- references: every identity over the full product sweep -------------------
 
@@ -315,11 +323,11 @@ def corrupt_jordan(J, rng, keep_commutativity, coeffs=(1, -1, 2, Q(1, 2))):
     product e_i e_j with i != j; with keep_commutativity also to e_j e_i."""
     i, j = rng.sample(range(J.dim), 2)
     k, c = rng.randrange(J.dim), rng.choice(coeffs)
-    J.table = [[dict(entry) for entry in row] for row in J.table]
-    add_into(J.table[i][j], {k: c})
+    table = [[dict(entry) for entry in row] for row in J.table]
+    add_into(table[i][j], {k: c})
     if keep_commutativity:
-        add_into(J.table[j][i], {k: c})
-    return J
+        add_into(table[j][i], {k: c})
+    return set_jordan_table(J, table)
 
 
 def corrupt_rep(rep, rng, coeffs=(1, -1, 2, Q(1, 2))):
@@ -356,12 +364,12 @@ def corrupt_unstored_product(J, form, k):
     e_k in the "symmetric" form, only e_1 e_2 = e_k in the "one-sided" form,
     and only e_2 e_1 = e_k in the "reversed" one."""
     assert not J.table[1][2] and not J.table[2][1]
-    J.table = [[dict(entry) for entry in row] for row in J.table]
+    table = [[dict(entry) for entry in row] for row in J.table]
     i, j = (2, 1) if form == "reversed" else (1, 2)
-    J.table[i][j] = {k: Q(1)}
+    table[i][j] = {k: Q(1)}
     if form == "symmetric":
-        J.table[j][i] = {k: Q(1)}
-    return J
+        table[j][i] = {k: Q(1)}
+    return set_jordan_table(J, table)
 
 
 def noncommutative_reps():
@@ -680,10 +688,34 @@ def ref_fill_table(g, pair_coords, tail_cols, tail_brackets):
     return set_table(g, table)
 
 
+def ref_brace_classes(J):
+    """The brace classes in Fractions, {(i, j): class} for i != j: the
+    defining rows x^(yz) + y^(xz) + z^(xy) of every sorted basis triple read
+    from J.table as it is given, and the classes of the pairs i < j from the
+    canonical RREF of their span."""
+    pairs = list(combinations(range(J.dim), 2))
+    index = {pair: t for t, pair in enumerate(pairs)}
+
+    def wedge(i, sparse):
+        return {index[(min(i, m), max(i, m))]: c if i < m else -c
+                for m, c in sparse.items() if m != i}
+
+    span = RowSpan(len(pairs))
+    for i, j, k in combinations_with_replacement(range(J.dim), 3):
+        span.insert(add_into(add_into(wedge(i, J.table[j][k]), wedge(j, J.table[i][k])),
+                             wedge(k, J.table[i][j])))
+    classes = {}
+    for (i, j), col in zip(pairs, quotient(span)[1]):
+        classes[(i, j)] = col
+        classes[(j, i)] = {k: -c for k, c in col.items()}
+    return classes
+
+
 def ref_build_sl2(J):
     """build_sl2 with its tail brackets summed in Fractions from the
-    derivation columns of J.table and the brace coordinates."""
+    derivation columns of J.table and the Fraction brace classes."""
     bs = BraceSpace(J)
+    classes = ref_brace_classes(J)
     labels = [f"{{{J.space.labels[a]},{J.space.labels[b]}}}" for a, b in bs.rep_pairs]
     degrees = [J.space.degrees[a] + J.space.degrees[b] for a, b in bs.rep_pairs]
     g = TKKAlgebra(J, "sl2", bs.dim, labels, degrees, half_killing_sl2())
@@ -694,11 +726,11 @@ def ref_build_sl2(J):
         for l, (a_l, b_l) in enumerate(bs.rep_pairs):
             out = {}
             for r, c in der[a_l].items():
-                add_into(out, bs.brace_pair(r, b_l), c)
+                add_into(out, classes.get((r, b_l), {}), c)
             for r, c in der[b_l].items():
-                add_into(out, bs.brace_pair(a_l, r), c)
+                add_into(out, classes.get((a_l, r), {}), c)
             tail_brackets[(k, l)] = out
-    return ref_fill_table(g, bs.pair_coords, ders, tail_brackets)
+    return ref_fill_table(g, classes, ders, tail_brackets)
 
 
 def ref_build_tkk(J):
@@ -787,7 +819,7 @@ def test_integer_tails_match_fraction_reference(name):
         g, expected = build(J), ref(J)
         assert list(g.table) == list(expected.table)
         assert typed(g.table) == typed(expected.table)
-        assert typed(g.pair_coords) == typed(expected.pair_coords)
+        assert typed(pair_fractions(g)) == typed(expected.pair_coords)
         assert all(type(c) is Q for out in g.table.values() for c in out.values())
 
 
@@ -796,6 +828,62 @@ def test_center_map_with_denominators_matches_full_sweep(name):
     J = _DENOMINATOR_ALGEBRAS[name]()
     lib = center_map(build_sl2(J), build_tkk(J))[2]
     assert lib.ok and lib.lines() == ref_center_map(build_sl2(J), build_tkk(J)).lines()
+
+
+# -- one integer form per table, made where the table is built ---------------
+
+
+def test_the_jordan_table_is_scaled_once(monkeypatch):
+    """A recorder on `integer_rows` sees one J's table scaled once, when J is
+    built, and never again by the checks and constructions that read it."""
+    real, calls = linalg.integer_rows, []
+
+    def recorder(rows):
+        rows = list(rows)
+        calls.append(rows)
+        return real(rows)
+
+    for module in (linalg, jordan, tkk, jspace, weyl):
+        if getattr(module, "integer_rows", None) is real:
+            monkeypatch.setattr(module, "integer_rows", recorder)
+    J = _DENOMINATOR_ALGEBRAS["gram-diagonal"]()
+    validate(J)
+    center_map(build_sl2(J), build_tkk(J))
+    rep = doubled_regular_rep(J)
+    extend_to_g0(rep)
+    assert weyl_dimensions(rep, 0).dims == {(2, 0): 4, (0, 0): 7, (-2, 0): 4}
+    dominance_operator(rep, [Q(1, 2), Q(-3), Q(2, 5), Q(1)])
+    table = [out for row in J.table for out in row]
+    assert sum(rows == table for rows in calls) == 1
+
+
+def _loaded_sheared_m2(tmp_path):
+    path = tmp_path / "sheared.json"
+    path.write_text(json.dumps(algebra_to_dict(_sheared_m2())))
+    return load_algebra(path)
+
+
+_INTEGER_FORM_ALGEBRAS = {
+    **{family: (lambda family=family: builtin(family)) for family in BUILTIN_FAMILIES},
+    "matrix-3": lambda: builtin("matrix", size=3),
+    "spin-factor-4": lambda: builtin("spin-factor", dim=4),
+    "gram-diagonal": _DENOMINATOR_ALGEBRAS["gram-diagonal"],
+    "J(2)-to-5": lambda: symmetric_words_jordan(2, 5),
+}
+
+
+@pytest.mark.parametrize("name", [*_INTEGER_FORM_ALGEBRAS, "loaded-json"])
+def test_stored_integer_forms_equal_the_fraction_tables(name, tmp_path):
+    J = _loaded_sheared_m2(tmp_path) if name == "loaded-json" else _INTEGER_FORM_ALGEBRAS[name]()
+    d = J.dim
+    assert all(type(x) is int and x for row in J.products for out in row for x in out.values())
+    assert [[{k: Q(x, J.den) for k, x in out.items()} for out in row] for row in J.products] == \
+        [[{k: c for k, c in out.items() if c} for out in row] for row in J.table]
+    assert J.commutative is all(J.table[i][j] == J.table[j][i] for i in range(d) for j in range(i))
+    for g, classes in ((build_sl2(J), ref_brace_classes(J)),
+                       (build_tkk(J), ref_build_tkk(J).pair_coords)):
+        assert all(type(x) is int for col in g.pair_coords.values() for x in col.values())
+        assert typed(pair_fractions(g)) == typed(classes)
 
 
 def ref_newton_rho(n, cutoff):
@@ -853,11 +941,12 @@ class RefStraight:
         self.braces = [dense_commutator(sig[a], sig[b]).scale(Q(1, 4))
                        for a, b in self.rep_pairs]
         self.g0mat = []
+        classes = pair_fractions(g0.brace)
         for x in range(J.dim):
             row = []
             for b in range(J.dim):
                 mat = dense_rho_of(rep, dense_vector(J.dim, J.table[x][b]))
-                for k, c in g0.brace.brace_pair(x, b).items():
+                for k, c in classes.get((x, b), {}).items():
                     mat = mat + self.braces[k].scale(2 * c)
                 row.append(dense_columns(mat))
             self.g0mat.append(row)
@@ -1260,9 +1349,8 @@ def test_associator_sweep_matches_prods_reference(name):
 
 
 def test_associator_table_is_empty_on_commutative_associative_tables():
-    assert associator_table(integer_table(builtin("truncated-poly", degree=6))[1]) == \
-        [[{}] * 7] * 7
-    assoc = associator_table(integer_table(_not_jordan())[1])
+    assert associator_table(builtin("truncated-poly", degree=6).products) == [[{}] * 7] * 7
+    assoc = associator_table(_not_jordan().products)
     assert any(entry for row in assoc for entry in row)
 
 

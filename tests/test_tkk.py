@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import tkkwb
 from conftest import (L_op, dense_bracket, dense_commutator, matrix_of_columns,
-                      matrix_of_rows, set_table)
+                      matrix_of_rows, pair_fractions, set_table)
 from tkkwb import linalg, tkk
 from tkkwb.jordan import (InputError, algebra_from_dict, builtin, jmul, matrix_jordan,
                           spin_factor, truncated_poly, validate)
@@ -38,9 +38,9 @@ def wedge(bs, u, v):
     span = RowSpan(len(bs.pairs))
     for row in bs.s_rows:
         span.insert(row)
-    brace = {}
+    brace, classes = {}, pair_fractions(bs)
     for t, c in w.items():
-        add_into(brace, bs.brace_pair(*bs.pairs[t]), c)
+        add_into(brace, classes[bs.pairs[t]], c)
     return w, span.contains(w), brace
 
 
@@ -353,7 +353,7 @@ def dense_center_map(ext, classical):
     for p in range(ext.dim):
         kind, i = ext.basis_kind(p)
         if kind == "tail":
-            coords = classical.pair_coords[ext.brace.rep_pairs[i]]
+            coords = pair_fractions(classical)[ext.brace.rep_pairs[i]]
             cols.append({classical.tail_index(k): c for k, c in coords.items()})
         else:
             cols.append({getattr(classical, f"{kind}_index")(i): Q(1)})
