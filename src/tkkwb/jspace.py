@@ -8,9 +8,17 @@ and the defining relations of the universal envelope of a given level.
 Every identity is decided exhaustively on basis triples; only the
 dominance sum has a random mode.  The derivation identity and the
 envelope's cubic relation are one double-commutator loop,
-`_double_commutator_failure`, with different right-hand sides, and the
-polarized square commutation is `_square_commutation_failure`, decided at
-most once per rep.
+`_double_commutator_failure`, with right-hand sides read from J's integer
+form J.products; on a commutative J they are the same identity, and the
+rep decides it once (`JSpaceRep.derivation_failure`), as it decides the
+polarized square commutation (`_square_commutation_failure`).
+
+The dominance sum has one core, `_dominance_terms`, which keeps the
+polynomial in the element a outside the operators: it expands the sum by
+monomial of a as {multiset of basis indices: int operator}.  The symbolic
+verdict expands it at the generic element, one key per monomial, and
+builds no polynomial; `dominance_operator` runs the same core on the single
+key () with a's integer copy as its vector.
 
 rho has one form, from construction through every check to JSON: a
 `JSpaceRep` keeps it as sparse integer operators {row: {col: int}} over one
@@ -46,7 +54,6 @@ from .jordan import (BUILTIN_FAMILIES, InputError, algebra_from_dict, builtin, d
 from .linalg import (LabeledSpace, add_into, add_operator, as_int, as_list, as_q, combine,
                      commutator, integer_operators, integer_vector, operator_product, q_str,
                      random_vector, scalar_operator)
-from .multipoly import Poly
 from .report import Report
 from .symfun import dominance_coeffs, partitions
 from .tkk import build_sl2
@@ -95,6 +102,7 @@ class JSpaceRep:
         self.den, self.rho = integer_operators(rho)
         self.name = name or f"rep on {m}-dim module over {jordan.name}"
         self._square = None     # (first failing triple or None,) once decided
+        self._derivation = None  # the same, for the derivation identity
 
     @property
     def mdim(self):
@@ -112,6 +120,21 @@ class JSpaceRep:
         if self._square is None:
             self._square = (_square_commutation_failure(self),)
         return self._square[0]
+
+    def derivation_failure(self):
+        """The first basis triple at which the derivation identity
+        [[rho(x), rho(y)], rho(z)] = 4 rho([L_x, L_y] z) fails, or None,
+        decided once.  On a commutative table both sides are antisymmetric in
+        (x, y) and vanish at x = y, so the pairs x < y decide it with every
+        z; a noncommutative table has every ordered pair swept.  Either way
+        the first failing triple in product order is the one found."""
+        if self._derivation is None:
+            J = self.jordan
+            d = J.dim
+            pairs = combinations(range(d), 2) if J.commutative else product(range(d), repeat=2)
+            self._derivation = (_double_commutator_failure(
+                self, pairs, lambda i, j, k: derivation_column(J.products, i, j, k)),)
+        return self._derivation[0]
 
     def __repr__(self):
         return f"JSpaceRep({self.name})"
@@ -149,26 +172,16 @@ def check_jspace(rep):
     is trilinear and is decided by `_double_commutator_failure`.  The
     square-commutation identity is nonlinear, so its trilinear polarization
         [rho(x), rho(yz)] + [rho(y), rho(xz)] + [rho(z), rho(xy)] = 0
-    is checked instead; its verdict is the rep's, shared with
-    `check_envelope_relations`.
-
-    J is not validated here.  When its table is commutative (J.commutative,
-    decided when J was built), the derivation identity is antisymmetric in
-    (i, j) and holds for i = j, so it is decided on the pairs i < j with
-    every k; for a noncommutative table every ordered pair is swept.
-    Either way the first failing triple in product order is the one
-    reported.
+    is checked instead.  Both verdicts are the rep's
+    (`JSpaceRep.derivation_failure`, `JSpaceRep.square_failure`), shared
+    with `check_envelope_relations`.  J is not validated here.
     """
-    J = rep.jordan
     rep_report = Report(f"j-space axioms for {rep.name}")
-    d = J.dim
 
     breach = grading_breach(rep)
     rep_report.add("rho respects the grading", breach is None, breach or "")
 
-    pairs = combinations(range(d), 2) if J.commutative else product(range(d), repeat=2)
-    t = _double_commutator_failure(rep, pairs,
-                                   lambda i, j, k: derivation_column(J.table, i, j, k))
+    t = rep.derivation_failure()
     rep_report.add("derivation identity (all basis triples)", t is None,
                    "" if t is None else
                    "derivation identity fails at basis triple (%d,%d,%d)" % t)
@@ -184,16 +197,20 @@ def _double_commutator_failure(rep, pairs, rhs):
         [[rho(e_a), rho(e_b)], rho(e_c)] = 4 rho(rhs(a, b, c))
     fails, or None when it holds for every (a, b) in pairs and every c.
 
-    rhs returns sparse coordinates.  On the integer operators the left side
-    is den^3 times the true one, so the right side is scaled by 4 den^2.
-    [rho(e_a), rho(e_b)] is formed once per pair, and c runs over the basis
-    for each pair in turn, so triples are visited in the order of pairs,
-    then of c.
+    rhs returns sparse coordinates quadratic in J's integer form J.products,
+    tden^2 times the true ones for tden = J.den.  On the integer operators
+    the left side is den^3 times the true one, so [rho(e_a), rho(e_b)] is
+    scaled by tden^2, once per pair, and the right side by 4 den^2.  c runs
+    over the basis for each pair in turn, so triples are visited in the
+    order of pairs, then of c.
     """
     ops = rep.rho
     four = 4 * rep.den ** 2
+    tden2 = rep.jordan.den ** 2
     for a, b in pairs:
         comm = commutator(ops[a], ops[b])
+        if tden2 != 1:
+            comm = add_operator({}, comm, tden2)
         for c in range(rep.jordan.dim):
             if commutator(comm, ops[c]) != combine(ops, rhs(a, b, c), four):
                 return (a, b, c)
@@ -349,40 +366,79 @@ def extend_to_g0(rep, ext=None, bound=None):
 # dominance
 
 
-def dominance_operator(rep, a):
-    """Sum over partitions of level+1 of sign * class size * products of
-    rho at the powers of a, as a sparse operator.  Vanishes identically
-    exactly when the module is the top weight space of a bounded module.
-    Every product is homogeneous of degree level+1 in a, so the powers are
-    taken of the integer copy a_int = A a (`integer_vector`) under J's
-    integer form J.products over tden = J.den: the k-th power is
-    tden^(k-1) A^k a^k, and on the integer operators the product over sigma
-    is den^len(sigma) tden^(level+1-len(sigma)) A^(level+1) times the true
-    one.  Each sigma is scaled by an int to the common factor
-    (den tden A)^(level+1), which is divided out once at the end."""
-    n = level(rep)
-    A, a_int = integer_vector(a)
-    tden, T = rep.jordan.den, rep.jordan.products
-    a_sparse = {i: c for i, c in enumerate(a_int) if c}
-    powers = {1: a_sparse}
+def _dominance_terms(rep, n, first):
+    """The level-n dominance sum at the element a = sum_mu x^mu first[mu],
+    expanded by monomial: {mu: X_mu} with no empty operator, each X_mu
+    (den tden)^(n+1) times the true coefficient of x^mu, tden = J.den, and
+    an int operator when first's coordinates are ints.
+
+    The keys mu are sorted tuples of basis indices, standing for monomials
+    x^mu of a generic element, and first maps each key to a sparse vector
+    of J.  The sum is homogeneous of degree n+1 in a, so its terms are sums
+    over sigma of c_sigma times products of rho at the powers of a, each
+    product taken term by term with keys merged by sorted concatenation.
+    Under J.products the k-th power carries tden^(k-1), and the product over
+    sigma on the integer operators carries den^len(sigma)
+    tden^(n+1-len(sigma)), so each sigma is scaled by the int
+    den^(n+1-len(sigma)) tden^len(sigma) to the common factor.  Powers,
+    images and products drop empty entries as they go, so the sum vanishes
+    exactly when no key is left.
+    """
+    T = rep.jordan.products
+    powers = {1: first}
     for k in range(2, n + 2):
-        powers[k] = table_product(T, a_sparse, powers[k - 1])
-    rhos = {k: combine(rep.rho, p) for k, p in powers.items()}
+        out = {}
+        for nu, u in first.items():
+            for mu, v in powers[k - 1].items():
+                add_into(out.setdefault(_merged(nu, mu), {}), table_product(T, u, v))
+        powers[k] = {mu: v for mu, v in out.items() if v}
+    rhos = {}
+    for k, p in powers.items():
+        images = {mu: combine(rep.rho, v) for mu, v in p.items()}
+        rhos[k] = {mu: op for mu, op in images.items() if op}
     acc = {}
     for sigma, c in dominance_coeffs(n).items():
         prod = rhos[sigma[0]]
         for part in sigma[1:]:
-            prod = operator_product(prod, rhos[part])
-        add_operator(acc, prod, c * rep.den ** (n + 1 - len(sigma)) * tden ** len(sigma))
-    return add_operator({}, acc, Fraction(1, (rep.den * tden * A) ** (n + 1)))
+            out = {}
+            for mu, x in prod.items():
+                for nu, y in rhos[part].items():
+                    add_operator(out.setdefault(_merged(mu, nu), {}), operator_product(x, y))
+            prod = {mu: op for mu, op in out.items() if op}
+        scale = c * rep.den ** (n + 1 - len(sigma)) * rep.jordan.den ** len(sigma)
+        for mu, op in prod.items():
+            add_operator(acc.setdefault(mu, {}), op, scale)
+    return {mu: op for mu, op in acc.items() if op}
+
+
+def _merged(mu, nu):
+    """The monomial x^mu x^nu as a sorted tuple of basis indices."""
+    return tuple(sorted(mu + nu))
+
+
+def dominance_operator(rep, a):
+    """Sum over partitions of level+1 of sign * class size * products of
+    rho at the powers of a, as a sparse operator.  Vanishes identically
+    exactly when the module is the top weight space of a bounded module.
+    It is `_dominance_terms` on the single key () with the integer copy
+    a_int = A a (`integer_vector`), whose coordinates may be rationals or
+    polynomials: the sum is homogeneous of degree level+1 in a, so the
+    common factor (den tden A)^(level+1) is divided out once at the end."""
+    n = level(rep)
+    A, a_int = integer_vector(a)
+    terms = _dominance_terms(rep, n, {(): {i: c for i, c in enumerate(a_int) if c}})
+    return add_operator({}, terms.get((), {}),
+                        Fraction(1, (rep.den * rep.jordan.den * A) ** (n + 1)))
 
 
 def dominance_check(rep, mode="symbolic", samples=8, seed=0):
     """Decide the partition-coefficient criterion.
 
-    Symbolic mode expands the operator sum with polynomial coordinates for
-    the generic element (guarded, since entries reach degree level+1 in
-    dim J indeterminates); random mode evaluates at sampled rational points,
+    Symbolic mode expands the sum at the generic element a = sum_i x_i e_i
+    by monomial of its coordinates (`_dominance_terms` with the keys (i,)),
+    on int operators, and passes exactly when no monomial is left; it is
+    guarded, since the monomials of degree level+1 in dim J coordinates
+    grow fast.  Random mode evaluates the sum at sampled rational points,
     where a nonzero polynomial of bounded degree vanishes with negligible
     probability.
     """
@@ -391,11 +447,12 @@ def dominance_check(rep, mode="symbolic", samples=8, seed=0):
         raise LevelError(f"level {n} is negative")
     report = Report(f"dominance of {rep.name} (level {n})")
     if mode == "symbolic":
-        if rep.jordan.dim > _SYMBOLIC_DIM_J or n > _SYMBOLIC_LEVEL:
+        d = rep.jordan.dim
+        if d > _SYMBOLIC_DIM_J or n > _SYMBOLIC_LEVEL:
             raise ResourceError(
                 f"symbolic dominance guarded to dim J <= {_SYMBOLIC_DIM_J} and "
                 f"level <= {_SYMBOLIC_LEVEL}; use random mode")
-        ok = not dominance_operator(rep, Poly.variables(rep.jordan.dim))
+        ok = not _dominance_terms(rep, n, {(i,): {i: 1} for i in range(d)})
         detail = "mode=symbolic" if ok else "nonzero symbolic coefficient found"
         report.add("dominance sum vanishes", ok, detail)
     elif mode == "random":
@@ -475,10 +532,13 @@ def check_envelope_relations(rep, mode="symbolic", samples=8, seed=0):
 
     The cubic relation [[rho(a), rho(b)], rho(c)] = 4 rho(a(bc) - b(ac)) is
     the derivation identity of `check_jspace` on a commutative J, with the
-    factor 4 of the normalization kappa(h, h) = 4, and runs through the same
-    `_double_commutator_failure` loop.  Both sides are antisymmetric in
-    (a, b) for any table and vanish at a = b, so it is decided on a < b with
-    every c; the first failing triple in product order is one of these.
+    factor 4 of the normalization kappa(h, h) = 4: there it is the rep's
+    verdict (`JSpaceRep.derivation_failure`), decided once for this report
+    and `check_jspace`'s.  On a noncommutative table it runs through the
+    same `_double_commutator_failure` loop with its own right-hand side.
+    Both sides are antisymmetric in (a, b) for any table and vanish at
+    a = b, so it is decided on a < b with every c; the first failing triple
+    in product order is one of these.
 
     The partition-coefficient sum is decided right after the level, before
     either sweep, so a guarded symbolic sum raises ResourceError at once;
@@ -500,11 +560,13 @@ def check_envelope_relations(rep, mode="symbolic", samples=8, seed=0):
     report.add("square commutation, polarized", t is None,
                "" if t is None else "fails at (%d,%d,%d)" % t)
 
-    def a_bc_minus_b_ac(a, b, c):
-        return add_into(table_product(J.table, {a: 1}, J.table[b][c]),
-                        table_product(J.table, {b: 1}, J.table[a][c]), -1)
+    P = J.products
 
-    t = _double_commutator_failure(rep, combinations(range(J.dim), 2), a_bc_minus_b_ac)
+    def a_bc_minus_b_ac(a, b, c):
+        return add_into(table_product(P, {a: 1}, P[b][c]), table_product(P, {b: 1}, P[a][c]), -1)
+
+    t = rep.derivation_failure() if J.commutative else \
+        _double_commutator_failure(rep, combinations(range(J.dim), 2), a_bc_minus_b_ac)
     report.add("cubic rearrangement relation", t is None,
                "" if t is None else "fails at (%d,%d,%d)" % t)
 

@@ -1,9 +1,11 @@
 """Sparse multivariate polynomials with exact coefficients.
 
 Terms are stored as a dict from exponent tuples to coefficients (ints or
-Fractions, never floats).  These are the workhorse for symbolic-coordinate
-computations, where matrix entries become polynomials in the coordinates
-of a generic algebra element.
+Fractions, never floats).  They carry the coordinates of a generic algebra
+element where matrix entries become polynomials in them: `efr_vanishes`'
+symbolic mode, and the sums that accept polynomial coordinates
+(`dominance_operator`, `efr_powers`, `garland_coefficients`).  The symbolic
+dominance verdict keeps its polynomial outside the operators and uses none.
 """
 
 from __future__ import annotations

@@ -484,11 +484,12 @@ def test_jspace_check_sweeps_square_commutation_once(capsys, monkeypatch, argv):
 @pytest.mark.parametrize("mode", ["symbolic", "random"])
 def test_jspace_check_converts_rho_once(capsys, monkeypatch, mode):
     # rho is scaled to integers once, when the rep is made; check_jspace, the
-    # envelope and every dominance sum read that rep, and its square
-    # commutation is swept once
+    # envelope and every dominance sum read that rep (both modes expand the
+    # sum in the one core `_dominance_terms`), and its square commutation is
+    # swept once
     reps, scaled, summed, swept = [], [], [], []
     newton_rep, integer_operators = jspace.newton_rep, jspace.integer_operators
-    dominance_operator, sweep = jspace.dominance_operator, jspace._square_commutation_failure
+    terms, sweep = jspace._dominance_terms, jspace._square_commutation_failure
 
     def made(*args):
         reps.append(newton_rep(*args))
@@ -498,9 +499,9 @@ def test_jspace_check_converts_rho_once(capsys, monkeypatch, mode):
         scaled.append(ops)
         return integer_operators(ops)
 
-    def counted_sum(rep, a):
+    def counted_sum(rep, n, first):
         summed.append(rep)
-        return dominance_operator(rep, a)
+        return terms(rep, n, first)
 
     def counted_sweep(rep):
         swept.append(rep)
@@ -508,7 +509,7 @@ def test_jspace_check_converts_rho_once(capsys, monkeypatch, mode):
 
     monkeypatch.setattr(jspace, "newton_rep", made)
     monkeypatch.setattr(jspace, "integer_operators", counted_scale)
-    monkeypatch.setattr(jspace, "dominance_operator", counted_sum)
+    monkeypatch.setattr(jspace, "_dominance_terms", counted_sum)
     monkeypatch.setattr(jspace, "_square_commutation_failure", counted_sweep)
     code, _, _ = run(capsys, "jspace", "check", "--builtin-rep", "newton", "--n", "3",
                      "--cutoff", "4", "--mode", mode)
@@ -520,6 +521,24 @@ def test_jspace_check_converts_rho_once(capsys, monkeypatch, mode):
 
 _DOUBLED_SPIN2 = ("--builtin-rep", "doubled-regular", "--builtin", "spin-factor", "--dim", "2")
 _DOUBLED_M2 = ("--builtin-rep", "doubled-regular", "--builtin", "matrix", "--size", "2")
+
+
+@pytest.mark.parametrize("rep_args", [("--builtin-rep", "newton", "--n", "3", "--cutoff", "4"),
+                                      _DOUBLED_M2], ids=["newton-3-4", "doubled-matrix2"])
+def test_jspace_check_sweeps_the_double_commutator_once(capsys, monkeypatch, rep_args):
+    # on a commutative J the envelope's cubic relation is check_jspace's
+    # derivation identity, and the rep decides it once for both reports
+    sweeps = []
+    sweep = jspace._double_commutator_failure
+
+    def counted(*args):
+        sweeps.append(args[0])
+        return sweep(*args)
+
+    monkeypatch.setattr(jspace, "_double_commutator_failure", counted)
+    code, _, _ = run(capsys, "jspace", "check", *rep_args)
+    assert code == 0
+    assert len(sweeps) == 1
 
 
 # sha256 of json.dumps([exit code, stdout, stderr]) of outputs read from the

@@ -25,7 +25,10 @@ report of `conftest.every_r_validate_lie`, which takes one case per pair
 direct sum make every failing triple start past the first copy, so the
 least failing p decides the witness.  `dominance_operator`, which takes
 the powers of a under the integer table, must give the sum of
-`conftest.fraction_powers_dominance_operator`.  The Weyl straightening
+`conftest.fraction_powers_dominance_operator`, and the expansion of the
+sum by monomial of the generic element (`jspace._dominance_terms`), put
+back together as polynomial entries, must give it at polynomial
+coordinates.  The Weyl straightening
 runs in integers over one denominator; its reference straightens in
 Fractions on dense rho, and the windowed action's columns, ints over the
 straightening denominator den, must match it exactly once divided by den.
@@ -70,11 +73,11 @@ from tkkwb import jordan, jspace, linalg, tkk, weyl
 from tkkwb.jordan import (_EXHAUSTIVE_DIM_LIMIT, _SAMPLE_COUNT, BUILTIN_FAMILIES,
                           algebra_from_dict, algebra_to_dict, associator_table, builtin,
                           derivation_column, jmul, jpower, load_algebra, matrix_jordan,
-                          spin_factor, validate)
+                          spin_factor, truncated_poly, validate)
 from tkkwb.jspace import (JSpaceRep, LevelError, check_envelope_relations, check_jspace,
                           dominance_check, dominance_operator, doubled_regular_rep,
                           extend_to_g0, level, matrix_defining_rep, newton_rep, regular_rep,
-                          rep_from_dict, tensor_rep)
+                          rep_from_dict, tensor_rep, zero_rep)
 from tkkwb.linalg import (LabeledSpace, Matrix, RowSpan, add_into, add_operator, combine,
                           commutator, dense_vector, integer_vector, operator_product,
                           quotient, random_vector, scalar_operator, unit_vector)
@@ -1481,3 +1484,67 @@ def test_dominance_operator_matches_fraction_powers_reference(name, kind):
     if kind != "symbolic":
         assert typed(got) == typed(want)
     assert bool(got) is name.startswith("regular")
+
+
+def _perturbed_newton():
+    """newton(3, 4) with 1 added to one entry of rho(p_1): still level 3, but
+    the dominance sum no longer vanishes."""
+    rep = newton_rep(3, 4)
+    rho = copy.deepcopy(rep.rho)
+    rho[1].setdefault(0, {})[0] = 1
+    return JSpaceRep(rep.jordan, rep.module, rho, name="perturbed newton-3-4")
+
+
+_EXPANSION_REPS = {**_DOMINANCE_REPS, "perturbed-newton-3-4": _perturbed_newton,
+                   "zero-truncated-2": lambda: zero_rep(truncated_poly(2))}
+
+
+def as_polynomial_entries(rep, terms):
+    """sum_mu x^mu X_mu / (den tden)^(n+1) over the terms {mu: X_mu} of
+    `_dominance_terms` at the generic element, as a Poly-entry operator."""
+    d = rep.jordan.dim
+    scale = Q(1, (rep.den * rep.jordan.den) ** (level(rep) + 1))
+    out = {}
+    for mu, op in terms.items():
+        add_operator(out, op, Poly(d, {tuple(mu.count(i) for i in range(d)): scale}))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_EXPANSION_REPS))
+def test_dominance_terms_rebuild_the_polynomial_sum(name):
+    # one key per monomial of degree n+1 in the generic element's
+    # coordinates, an int operator under each, none empty
+    rep = _EXPANSION_REPS[name]()
+    n, d = level(rep), rep.jordan.dim
+    terms = jspace._dominance_terms(rep, n, {(i,): {i: 1} for i in range(d)})
+    assert all(len(mu) == n + 1 and list(mu) == sorted(mu) for mu in terms)
+    assert all(op and type(c) is int for op in terms.values() for c in entries(op))
+    x = Poly.variables(d)
+    got = as_polynomial_entries(rep, terms)
+    assert got == dominance_operator(rep, x) == fraction_powers_dominance_operator(rep, x)
+    assert bool(terms) is (name.startswith("regular") or name.startswith("perturbed"))
+    assert dominance_check(rep).ok is not terms
+
+
+def _guarded_builtin_reps():
+    """Every builtin rep within the symbolic guards (dim J <= 10, level <= 4),
+    newton reps up to cutoff 4."""
+    reps = [newton_rep(n, D) for n in range(1, 5) for D in range(5)]
+    families = {"truncated-poly": range(10), "matrix": range(1, 4), "spin-factor": range(10)}
+    for family, params in families.items():
+        param = BUILTIN_FAMILIES[family][0]
+        for k in params:
+            J = builtin(family, **{param: k})
+            reps += [zero_rep(J), regular_rep(J), doubled_regular_rep(J)]
+    reps += [matrix_defining_rep(m) for m in range(1, 4)]
+    defining = matrix_defining_rep(2)
+    reps.append(tensor_rep(defining, defining))
+    return reps
+
+
+def test_symbolic_verdict_matches_polynomial_entries_on_every_guarded_builtin():
+    # the symbolic verdict, which builds no polynomial, is the one the
+    # polynomial-entry sum gives at the generic element
+    for rep in _guarded_builtin_reps():
+        want = not fraction_powers_dominance_operator(rep, Poly.variables(rep.jordan.dim))
+        assert dominance_check(rep).ok is want, rep.name
