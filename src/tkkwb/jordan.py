@@ -9,7 +9,8 @@ the polarized identity is a sum of three associators read from a table of
 the nonzero basis associators made once per call (empty for a commutative
 associative algebra), and the sampled products run over the table's
 nonzero entries.  Every sweep here and in `tkk`, `jspace` and `weyl`
-reads the one integer form of the table that the constructor makes.
+reads the one integer form of the table that the constructor makes; only
+`algebra_to_dict` and Garland's `jmul`/`jpower` read the given `table`.
 """
 
 from __future__ import annotations
@@ -176,8 +177,9 @@ def validate(J, seed=0):
     # J.commutative decided it at construction; the sweep finds the witness
     rep.check("commutativity", () if J.commutative else product(range(d), repeat=2),
               noncommuting)
+    unit = {i: c for i, c in enumerate(J.unit) if c}
     rep.check("unit axiom", range(d),
-              lambda i: jmul(J, J.unit, unit_vector(d, i)) != unit_vector(d, i)
+              lambda i: table_product(T, unit, {i: 1}) != {i: J.den}
               and f"1*{labels[i]} != {labels[i]}")
 
     degs = J.space.degrees

@@ -5,13 +5,13 @@ the weight-zero subalgebra (braces acting by quarter-commutators), the
 partition-coefficient dominance criterion, the Jordan-bimodule comparison,
 and the defining relations of the universal envelope of a given level.
 
-Every identity is decided exhaustively on basis triples; only the
-dominance sum has a random mode.  The derivation identity and the
-envelope's cubic relation are one double-commutator loop,
-`_double_commutator_failure`, with right-hand sides read from J's integer
-form J.products; on a commutative J they are the same identity, and the
-rep decides it once (`JSpaceRep.derivation_failure`), as it decides the
-polarized square commutation (`_square_commutation_failure`).
+Every identity is decided exhaustively on basis triples, on J's integer
+form J.products; only the dominance sum has a random mode.  The
+derivation identity and the envelope's cubic relation are one
+double-commutator loop, `_double_commutator_failure`; on a commutative J
+they are the same identity, and the rep decides it once
+(`JSpaceRep.derivation_failure`), as it decides the polarized square
+commutation (`_square_commutation_failure`).
 
 The dominance sum has one core, `_dominance_terms`, which keeps the
 polynomial in the element a outside the operators: it expands the sum by
@@ -485,11 +485,13 @@ def check_bimodule(rep):
     Checks the square-commutation identity and the defining quadratic
     identity through their polarizations on basis tuples, then the spectral
     constraint that sigma(1) is killed by x(x-1/2)(x-1), all on the integer
-    operators ops = den sigma: the identity at den^3 times its true size.
+    operators ops = den sigma and T = J.products over J.den: the quadratic
+    identity at den^3 J.den^2 times its true size, the spectral one at den^3.
     """
     J = rep.jordan
     report = Report(f"jordan bimodule axioms for {rep.name}")
     ops, den = rep.rho, rep.den
+    T, tsq = J.products, J.den * J.den
 
     t = rep.square_failure()
     report.add("square commutation, polarized", t is None,
@@ -497,12 +499,12 @@ def check_bimodule(rep):
 
     def quadratic(case):
         x, y, b = case
-        lhs = combine(ops, table_product(J.table, J.table[x][y], {b: 1}), den * den)
+        lhs = combine(ops, table_product(T, T[x][y], {b: 1}), den * den)
         for p, q in ((x, y), (y, x)):
-            add_operator(lhs, operator_product(operator_product(ops[p], ops[b]), ops[q]))
+            add_operator(lhs, operator_product(operator_product(ops[p], ops[b]), ops[q]), tsq)
         rhs = {}
         for p, q, r in ((x, b, y), (y, b, x), (x, y, b)):
-            add_operator(rhs, operator_product(combine(ops, J.table[p][q], den), ops[r]))
+            add_operator(rhs, operator_product(combine(ops, T[p][q], den * J.den), ops[r]))
         if lhs != rhs:
             return f"quadratic identity fails at (x,y,b)=({x},{y},{b})"
 
@@ -635,13 +637,12 @@ def zero_rep(J, module_dim=1):
 
 def _multiplication_operators(J, scale):
     """scale L_{e_i} for each basis vector e_i, as sparse operators read
-    from the table: column j of L_{e_i} is e_i e_j."""
+    from J's integer form: column j of L_{e_i} is e_i e_j."""
     ops = [{} for _ in range(J.dim)]
     for i, op in enumerate(ops):
         for j in range(J.dim):
-            for k, c in J.table[i][j].items():
-                if c:
-                    op.setdefault(k, {})[j] = scale * c
+            for k, c in J.products[i][j].items():
+                op.setdefault(k, {})[j] = Fraction(scale * c, J.den)
     return ops
 
 

@@ -1,11 +1,10 @@
 """Sparse multivariate polynomials with exact coefficients.
 
 Terms are stored as a dict from exponent tuples to coefficients (ints or
-Fractions, never floats).  They carry the coordinates of a generic algebra
-element where matrix entries become polynomials in them: `efr_vanishes`'
-symbolic mode, and the sums that accept polynomial coordinates
-(`dominance_operator`, `efr_powers`, `garland_coefficients`).  The symbolic
-dominance verdict keeps its polynomial outside the operators and uses none.
+Fractions, never floats).  They are left for `SymPoly`'s products and for
+points with polynomial coordinates, such as the tests' `Poly.variables(d)`,
+which `dominance_operator`, `efr_powers` and `garland_coefficients` accept.
+No verdict of the package builds one.
 """
 
 from __future__ import annotations

@@ -59,7 +59,7 @@ from collections import defaultdict
 from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter
 
 from .jordan import InputError, derivation_column, ensure_valid
@@ -427,9 +427,10 @@ def build_tkk(J):
     J.products over tden = J.den, so each is tden^2 times over, and the
     canonical RREF basis rows of their span are scaled once to ints over the
     lcm s of their denominators.  Commutators of basis elements are then s^2
-    times over.  The pair coordinates (tden^2 times over, and so kept in
-    pair_coords over pair_den = tden^2), the basis columns (s times) and the
-    tail brackets (s^2 times) go to the filler as ints.
+    times over.  The pair coordinates (tden^2 times over, then divided by
+    their gcd with tden^2, so kept in pair_coords over their least
+    denominator pair_den), the basis columns (s times) and the tail
+    brackets (s^2 times) go to the filler as ints.
     """
     ensure_valid(J)
     d = J.dim
@@ -503,11 +504,14 @@ def build_tkk(J):
         return coords
 
     # D_{b,a} = -D_{a,b} and [D_k, D_l] = -[D_l, D_k] exactly, so each
-    # unordered pair is computed once
-    pden = tden * tden
+    # unordered pair is computed once; the pair ints over tden^2 are divided
+    # by their common gcd with it, leaving them over their least denominator
+    cols = {pair: inn_coords(flat) for pair, flat in ders.items()}
+    common = gcd(tden * tden, *(c for col in cols.values() for c in col.values()))
+    pden = tden * tden // common
     pair_ints = {}
-    for (a, b), flat in ders.items():
-        pair_ints[(a, b)] = col = inn_coords(flat)
+    for (a, b), coords in cols.items():
+        pair_ints[(a, b)] = col = {k: c // common for k, c in coords.items()}
         pair_ints[(b, a)] = {k: -c for k, c in col.items()}
     tail_brackets = {}
     for k in range(rank):

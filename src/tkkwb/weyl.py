@@ -17,6 +17,9 @@ every depth r, and bracket_fidelity checks the windowed action against the
 bracket table of the extension.  efr_power and garland_coefficient are the
 single-depth forms.
 
+efr_vanishes decides e(1)^(n+1) f(a)^(n+1) = 0 for every a exactly, one
+basis multiset mu at a time, with no sample and no polynomial.
+
 What straightening needs of a multiset of lowering factors but not of the
 raising generator (its distinct factors, their multiplicities, the pair
 counts and the sorted insertions) is planned once per multiset, and the
@@ -66,7 +69,6 @@ an extension made with ext=build_sl2(J).
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, groupby, product
@@ -75,8 +77,7 @@ from math import factorial, lcm
 from .jordan import InputError, derivation_column, jpower
 from .linalg import (Matrix, RowSpan, add_into, add_operator, columns, combine,
                      commutator, int_if_integral, integer_rows, integer_vector,
-                     operator_product, random_vector, scalar_operator)
-from .multipoly import Poly
+                     operator_product, scalar_operator)
 from .report import Report
 from .jspace import (G0Rep, LevelError, degree_cut, dominance_operator, extend_to_g0,
                      grading_breach, level)
@@ -439,25 +440,24 @@ def dominance_sum_at(rep, a):
     return add_operator({}, dominance_operator(rep, a), factorial(level(rep) + 1))
 
 
-def efr_vanishes(rep_or_g0, mode="symbolic", samples=8, seed=0):
-    """Whether e(1)^(n+1) f(a)^(n+1) kills the module for every a.
+def efr_vanishes(rep_or_g0):
+    """(True, None) when e(1)^(n+1) f(a)^(n+1) kills the module for every a,
+    else (False, (mu, i)) for the first size-(n+1) multiset mu of basis
+    indices and module index i, in the order of the sweep below, with
+    e(1)^(n+1) f(e_mu) m_i != 0.
 
-    Symbolic mode uses polynomial coordinates for a; random mode samples;
-    any other mode is a ValueError.  Returns (verdict, witness-or-None).
+    Exact: the f(e_i) commute, so f(a)^(n+1) sums a nonzero multinomial
+    times a^mu f(e_mu) over those mu, each a distinct monomial in a.
+    top[(fkey, mi)] is the image of a basis vector under e(1)^len(fkey),
+    ints over a power of den uden read from `_StraightData.raised`.
     """
     g0, n = checked_extension(rep_or_g0)
-    d = g0.rep.jordan.dim
-    if mode == "symbolic":
-        a = Poly.variables(d)
-        op = efr_power(g0, a, n + 1)
-        return (not op, "symbolic" if op else None)
-    if mode != "random":
-        raise ValueError(f"unknown mode {mode!r}")
-    rng = random.Random(seed)
-    for _ in range(samples):
-        a = random_vector(rng, d)
-        if efr_power(g0, a, n + 1):
-            return (False, a)
+    raised = straightening(g0).raised
+    top = _Memo(lambda bm: _image(top, raised[bm]) if bm[0] else {bm[1]: 1})
+    for mu, i in product(combinations_with_replacement(range(g0.rep.jordan.dim), n + 1),
+                         range(g0.rep.mdim)):
+        if top[mu, i]:
+            return (False, (mu, i))
     return (True, None)
 
 

@@ -83,7 +83,7 @@ def test_05_three_way_equivalence():
     for name, rep, expected in instances:
         assert check_jspace(rep).ok, f"{name} is not a J-space"
         dom = dominance_check(rep, mode="symbolic").ok
-        van, _ = efr_vanishes(rep, mode="symbolic")
+        van, _ = efr_vanishes(rep)
         agree = (dom == van == expected)
         g0 = extend_to_g0(rep)
         n = level(rep)

@@ -10,7 +10,8 @@ from conftest import (column, dense, dense_rho, dense_rho_of, jordan_block_3, ma
                       nilpotent_matrix, noncommuting_rep, one_gen_rep,
                       projection_matrix, sparse)
 from tkkwb import jspace
-from tkkwb.jordan import InputError, builtin, jmul, matrix_jordan, truncated_poly
+from tkkwb.jordan import (InputError, algebra_from_dict, builtin, jmul, matrix_jordan, spin_factor,
+                          truncated_poly, validate)
 from tkkwb.jspace import (JSpaceRep, LevelError, ResourceError,
                           check_bimodule, check_envelope_relations,
                           check_jspace, dominance_check, dominance_operator,
@@ -486,3 +487,56 @@ def test_tensor_rep_is_the_kronecker_sum(index):
                             for x, y in zip(dense_rho(a), dense_rho(b))]
     assert t.module.degrees == tuple(da + db for da in a.module.degrees
                                      for db in b.module.degrees)
+
+
+class _UnreadableTable:
+    """Stands in for a JordanAlgebra's Fraction table: any read fails."""
+
+    def __getitem__(self, key):
+        raise AssertionError("the Fraction table was read")
+
+    def __iter__(self):
+        raise AssertionError("the Fraction table was read")
+
+    def __len__(self):
+        raise AssertionError("the Fraction table was read")
+
+
+def _scaled_unit_algebra(unit):
+    """k[t]/(t^2) on the basis b = (2/3) 1, t, read from JSON with the unit
+    coordinates `unit`: ("3/2", "0") is its unit, whose coordinate is not
+    integral, and ("1/2", "0") fails the unit axiom at b."""
+    return algebra_from_dict({"labels": ["b", "t"], "degrees": [0, 1], "unit": unit,
+                              "mult": [{"i": 0, "j": 0, "coords": ["2/3", "0"]},
+                                       {"i": 0, "j": 1, "coords": ["0", "2/3"]}]})
+
+
+_INTEGER_FORM_ALGEBRAS = {
+    "truncated-poly-3": lambda: truncated_poly(3),
+    "matrix-2": lambda: matrix_jordan(2),
+    "gram-spin-factor": lambda: spin_factor([[Q(1, 3), 0, 0], [0, Q(2, 7), 0], [0, 0, 5]]),
+    "json-unit-3/2": lambda: _scaled_unit_algebra(["3/2", "0"]),
+    "json-unit-1/2": lambda: _scaled_unit_algebra(["1/2", "0"]),
+}
+
+
+@pytest.mark.parametrize("name", list(_INTEGER_FORM_ALGEBRAS))
+def test_axioms_and_regular_reps_read_only_the_integer_form(name):
+    # after construction the checks and the regular reps read J.products:
+    # with the Fraction table unreadable they give the same reports and bytes
+    def run(J):
+        out = [str(validate(J))]
+        for make in (regular_rep, doubled_regular_rep):
+            rep = make(J)
+            out += [json.dumps(rep_to_dict(rep)), str(check_bimodule(rep))]
+        return out
+
+    blind = _INTEGER_FORM_ALGEBRAS[name]()
+    blind.table = _UnreadableTable()
+    got = run(blind)
+    assert got == run(_INTEGER_FORM_ALGEBRAS[name]())
+    lines = got[0].splitlines()
+    if name == "json-unit-1/2":
+        assert lines[2] == "  FAIL unit axiom  [1*b != b]"
+    else:
+        assert lines[0].endswith(": PASS") and lines[2] == "  ok   unit axiom"

@@ -87,7 +87,7 @@ from tkkwb.symfun import SymPoly, dominance_coeffs, newton, partitions
 from tkkwb.tkk import (_SL2_BASIS, _SL2_SC, BraceSpace, TKKAlgebra, build_sl2, build_tkk,
                        center_map, half_killing_sl2, validate_lie)
 from tkkwb.weyl import (_StraightData, TruncatedVerma, efr_powers, efr_powers_int,
-                        garland_coefficients, garland_coefficients_int, same_ratio,
+                        efr_vanishes, garland_coefficients, garland_coefficients_int, same_ratio,
                         weyl_dimensions)
 
 # -- references: every identity over the full product sweep -------------------
@@ -1540,6 +1540,17 @@ def _guarded_builtin_reps():
     defining = matrix_defining_rep(2)
     reps.append(tensor_rep(defining, defining))
     return reps
+
+
+def test_efr_vanishes_matches_the_symbolic_verdict_on_every_guarded_builtin():
+    # every guarded builtin whose weight-zero extension passes its checks
+    checked = 0
+    for rep in _guarded_builtin_reps():
+        g0 = extend_to_g0(rep)
+        if g0.report.ok:
+            checked += 1
+            assert efr_vanishes(g0)[0] is dominance_check(rep).ok, rep.name
+    assert checked == 83
 
 
 def test_symbolic_verdict_matches_polynomial_entries_on_every_guarded_builtin():

@@ -4,6 +4,7 @@ import json
 import pkgutil
 import random
 from fractions import Fraction as Q
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import tkkwb
 from conftest import (L_op, dense_bracket, dense_commutator, matrix_of_columns,
-                      matrix_of_rows, pair_fractions, set_table)
+                      matrix_of_rows, pair_fractions, set_table, symmetric_words_jordan)
 from tkkwb import linalg, tkk
 from tkkwb.jordan import (InputError, algebra_from_dict, builtin, jmul, matrix_jordan,
                           spin_factor, truncated_poly, validate)
@@ -482,3 +483,17 @@ def test_spin_factor_tails_are_lie_and_central(gram):
     rep = center_map(ext, classical)[2]
     assert rep.ok, rep.first_failure()
     assert classical.tail_dim == dense_inner_derivation_rank(J)
+
+
+@pytest.mark.parametrize("make_algebra,pair_den", [
+    (lambda: spin_factor([[Q(1, 3), 0, 0], [0, Q(2, 7), 0], [0, 0, 5]]), 7),
+    (lambda: symmetric_words_jordan(2, 5), 4),
+    (lambda: matrix_jordan(3), 4),
+    (lambda: builtin("spin-factor", dim=8), 1),
+], ids=["gram-spin-factor", "words-2-5", "matrix-3", "spin-factor-8"])
+def test_classical_pair_coordinates_are_over_their_least_denominator(make_algebra, pair_den):
+    # the pair ints are divided by their gcd with tden^2 once, in build_tkk
+    g = build_tkk(make_algebra())
+    fractions = pair_fractions(g)
+    assert g.pair_den == pair_den == lcm(1, *(x.denominator for col in fractions.values()
+                                              for x in col.values()))

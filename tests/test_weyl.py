@@ -338,23 +338,57 @@ def test_level_four_instance():
     from tkkwb.jspace import check_jspace, dominance_check
     assert check_jspace(r).ok
     assert dominance_check(r).ok
-    assert efr_vanishes(r, mode="symbolic")[0]
+    assert efr_vanishes(r)[0]
 
 
 def test_efr_vanishes_modes_agree():
     good = newton_rep(2, 2)
-    assert efr_vanishes(good, mode="symbolic")[0]
-    assert efr_vanishes(good, mode="random", samples=4, seed=0)[0]
+    assert efr_vanishes(good) == (True, None)
     bad = one_gen_rep(1, projection_matrix(), "ctl")
-    assert not efr_vanishes(bad, mode="symbolic")[0]
-    ok, witness = efr_vanishes(bad, mode="random", samples=8, seed=0)
-    assert not ok and witness is not None
+    ok, witness = efr_vanishes(bad)
+    assert not ok and witness == ((1, 1), 0) == poly_route_witness(bad)
+
+
+def poly_route_witness(rep):
+    """The least (mu, i) at which column i of e(1)^(n+1) f(x)^(n+1), at the
+    generic element x = Poly.variables(d), has a nonzero coefficient of
+    x^mu, mu read as a sorted multiset of basis indices; None when the
+    operator is zero."""
+    op = efr_power(extend_to_g0(rep), Poly.variables(rep.jordan.dim), level(rep) + 1)
+    return min(((tuple(k for k, e in enumerate(exp) for _ in range(e)), i)
+                for row in op.values() for i, entry in row.items() for exp in entry.terms),
+               default=None)
+
+
+def test_efr_vanishes_is_the_symbolic_verdict_with_the_first_witness(instances):
+    # the exact verdict equals symbolic dominance, and its witness is the
+    # first monomial and column of the Poly route, in the sweep's order
+    for name, rep, expected in instances:
+        witness = poly_route_witness(rep)
+        assert efr_vanishes(rep) == (witness is None, witness), name
+        assert dominance_check(rep, mode="symbolic").ok is expected is (witness is None), name
+    assert sum(not expected for _, _, expected in instances) == 4
+
+
+@pytest.mark.parametrize("n,t,t2", [(1, (1, 1), (1, 0)), (2, (0, 1), (1, 0)),
+                                    (2, (0, 0), (0, 1))])
+def test_efr_vanishes_witness_is_the_first_in_sweep_order(n, t, t2):
+    # commuting diagonal images over the ungraded k[t]/(t^3): several
+    # multisets and module indices fail, and the witness is the least
+    J = truncated_poly(2, graded=False)
+    rho = [Matrix.identity(2).scale(Q(n))] + \
+        [Matrix(2, 2, [[Q(x[0]), Q(0)], [Q(0), Q(x[1])]]) for x in (t, t2)]
+    rep = matrix_rep(J, LabeledSpace(("v0", "v1"), (0, 0)), rho, name="diagonal")
+    assert check_jspace(rep).ok and not dominance_check(rep).ok
+    witness = poly_route_witness(rep)
+    assert witness is not None and efr_vanishes(rep) == (False, witness)
 
 
 def test_efr_vanishes_rejects_an_unknown_mode():
-    # a misspelt mode is an error, not a silent sampled check
-    with pytest.raises(ValueError, match=r"^unknown mode 'symbolc'$"):
-        efr_vanishes(newton_rep(2, 2), mode="symbolc")
+    # there is no mode, so no silent sampled check: any mode is an error
+    for mode in ("symbolc", "symbolic", "random"):
+        with pytest.raises(TypeError, match="mode"):
+            efr_vanishes(newton_rep(2, 2), mode=mode)
 
 
 # ---------------------------------------------------------------------------
