@@ -14,9 +14,8 @@ from .jspace import (G0Rep, JSpaceRep, LevelError, ResourceError,
                      newton_rep, regular_rep, tensor_rep, zero_rep)
 from .weyl import (ExtensionError, NoncommutingPowersError, TruncatedVerma,
                    WeylTable, WindowError, apply_generator, bracket_fidelity,
-                   dominance_sum_at, efr_power, efr_powers, efr_vanishes,
-                   garland_coefficient, garland_coefficients, snlt_oracle,
-                   weyl_dimensions)
+                   efr_power, efr_powers, efr_vanishes, garland_coefficient,
+                   garland_coefficients, snlt_oracle, weyl_dimensions)
 from .symfun import (SymPoly, class_size, dominance_coeffs, mn_character,
                      newton, newton_product, partitions, schur,
                      schur_jacobi_trudi, sign, trace_oracle,

@@ -438,9 +438,14 @@ def dominance_check(rep, mode="symbolic", samples=8, seed=0):
     by monomial of its coordinates (`_dominance_terms` with the keys (i,)),
     on int operators, and passes exactly when no monomial is left; it is
     guarded, since the monomials of degree level+1 in dim J coordinates
-    grow fast.  Random mode evaluates the sum at sampled rational points,
-    where a nonzero polynomial of bounded degree vanishes with negligible
-    probability.
+    grow fast.  A failing symbolic item names its witness, the least
+    monomial x^mu left (a sorted multiset of basis indices) and the least
+    module column i where its operator has an entry: the (mu, i) that
+    `weyl.efr_vanishes` returns on a rep whose weight-zero extension holds,
+    since e(1)^(n+1) f(a)^(n+1) on the module is (n+1)! times this sum.
+    Random mode evaluates the sum at sampled rational points, where a
+    nonzero polynomial of bounded degree vanishes with negligible
+    probability, and names the first point where it does not.
     """
     n = level(rep)
     if n < 0:
@@ -452,9 +457,13 @@ def dominance_check(rep, mode="symbolic", samples=8, seed=0):
             raise ResourceError(
                 f"symbolic dominance guarded to dim J <= {_SYMBOLIC_DIM_J} and "
                 f"level <= {_SYMBOLIC_LEVEL}; use random mode")
-        ok = not _dominance_terms(rep, n, {(i,): {i: 1} for i in range(d)})
-        detail = "mode=symbolic" if ok else "nonzero symbolic coefficient found"
-        report.add("dominance sum vanishes", ok, detail)
+        terms = _dominance_terms(rep, n, {(i,): {i: 1} for i in range(d)})
+        detail = "mode=symbolic"
+        if terms:
+            mu = min(terms)
+            column = min(c for row in terms[mu].values() for c in row)
+            detail = f"witness {_format_monomial(rep.jordan, mu)}, column {column}"
+        report.add("dominance sum vanishes", not terms, detail)
     elif mode == "random":
         rng = random.Random(seed)
 
@@ -468,6 +477,13 @@ def dominance_check(rep, mode="symbolic", samples=8, seed=0):
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return report
+
+
+def _format_monomial(J, mu):
+    """x^mu, for a sorted tuple of basis indices, in J's labels: E11^2*E12."""
+    labels = J.space.labels
+    return "*".join(labels[i] + (f"^{mu.count(i)}" if mu.count(i) > 1 else "")
+                    for i in sorted(set(mu)))
 
 
 def _format_element(J, a):

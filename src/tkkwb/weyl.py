@@ -79,8 +79,7 @@ from .linalg import (Matrix, RowSpan, add_into, add_operator, columns, combine,
                      commutator, int_if_integral, integer_rows, integer_vector,
                      operator_product, scalar_operator)
 from .report import Report
-from .jspace import (G0Rep, LevelError, degree_cut, dominance_operator, extend_to_g0,
-                     grading_breach, level)
+from .jspace import G0Rep, LevelError, degree_cut, extend_to_g0, grading_breach, level
 
 
 class WindowError(Exception):
@@ -433,11 +432,6 @@ def efr_powers(g0, a, rrs):
 def efr_power(g0, a, rr):
     """efr_powers at the single depth rr."""
     return efr_powers(g0, a, [rr])[rr]
-
-
-def dominance_sum_at(rep, a):
-    """(n+1)! times the signed-class-size operator sum at the element a."""
-    return add_operator({}, dominance_operator(rep, a), factorial(level(rep) + 1))
 
 
 def efr_vanishes(rep_or_g0):
@@ -808,9 +802,6 @@ class WeylTable:
 
     def keys_sorted(self):
         return sorted(self.dims, key=lambda wd: (-wd[0], wd[1]))
-
-    def nonzero_total(self):
-        return sum(self.dims.values())
 
     def to_csv_lines(self):
         lines = ["weight,degree,dim"]

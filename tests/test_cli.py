@@ -281,8 +281,10 @@ def test_jspace_nondominant_rep_witness(capsys, tmp_path):
     p.write_text(json.dumps(_NONDOMINANT_REP))
     code, out, _ = run(capsys, "jspace", "check", "--rep", str(p))
     assert code == 1
-    assert "not dominant" in out
-    assert "witness: " in out and "*t" in out
+    # the least monomial of the symbolic sum left, and its least module
+    # column: the (mu, i) = ((1, 1), 0) of efr_vanishes
+    assert out.splitlines()[:3] == ["level: 1", "dominance: not dominant (symbolic)",
+                                    "witness: t^2, column 0"]
 
 
 @pytest.mark.parametrize("seed, witness", [(0, "-11/3*t"), (3, "-1*1 + 5/2*t")])
@@ -305,7 +307,9 @@ _NEWTON_2_3 = ("--builtin-rep", "newton", "--n", "2", "--cutoff", "3")
 
 # sha256 of json.dumps([exit code, stdout, stderr]) of `jspace check`, with
 # the path of the rep file written as <rep>; recorded while the CLI still
-# ran dominance_check itself as well as inside the envelope
+# ran dominance_check itself as well as inside the envelope, but for the two
+# symbolic not-dominant rows, re-recorded when their witness became the
+# least monomial and module column of the exact sum
 @pytest.mark.parametrize("argv, digest", [
     (("--builtin-rep", "newton", "--n", "3", "--cutoff", "4"),
      "d339d2d06fb16bc356e55e55e47d40c268261cd9aa61986e75a6f873de204e37"),
@@ -318,9 +322,9 @@ _NEWTON_2_3 = ("--builtin-rep", "newton", "--n", "2", "--cutoff", "3")
     (("--builtin-rep", "doubled-regular", "--builtin", "matrix", "--size", "2"),
      "e176de158232c8137b0af78c7a5958625a3026fe777ee6cdf036bba3c5849b75"),
     (("--builtin-rep", "regular", "--builtin", "matrix", "--size", "2"),
-     "854dc9d0045fe880d6bdc127ad50b65fac965f3c57ef1594ad2ba625ce9da4e4"),
+     "f0a8f8ea57f87f8abe30c56d7932ce8d0a490b8abbcd698b2fcc3092956dc873"),
     (("--rep", "<rep>"),
-     "cd318fc56bf9fd74e4f3cb3f0e9fe914f2faecf0a5372b011ef76d5d2c1914a2"),
+     "a57e569003ed0e0db2d8770793f60a6cbfb93fde4931f79d24ca917c6c09c304"),
     (("--builtin-rep", "doubled-regular", "--builtin", "spin-factor", "--dim", "10"),
      "e34e4175df1a023d51a13e88e905944d5084fd78cf726230054ad38f771745d7"),
 ], ids=["newton-3-4", "newton-2-3-random", "newton-2-3-json", "doubled-spin4",
@@ -347,8 +351,6 @@ _TKK_ALGEBRAS = {
 }
 _TKK_RUNS = {
     "check": ("check",),
-    "spot0": ("check", "--jacobi", "spot", "--seed", "0"),
-    "spot7": ("check", "--jacobi", "spot", "--seed", "7"),
     "check-json": ("check", "--format", "json"),
     "build-json": ("build", "--format", "json"),
 }
@@ -357,56 +359,34 @@ _TKK_RUNS = {
 # sha256 of json.dumps([exit code, stdout, stderr]) of `tkk build` and `tkk
 # check`, with the path of an algebra file written as <algebra>; recorded
 # while _fill_table still wrote pre-scaled product copies and center_map
-# swept the homomorphism identity one leading index at a time, and before
-# the spot runs' Jacobi item named its seed: that one clause is put back as
-# it was before hashing, so the rest of the bytes stay pinned as recorded
+# swept the homomorphism identity one leading index at a time
 @pytest.mark.parametrize("algebra, run_as, digest", [
     ("spin8", "check",
      "7759819441437b6428aeb20f634a5335af6fc0c34677b23f7c4ef41e861362d9"),
-    ("spin8", "spot0",
-     "da480d1886ad70124b8b546abebcd254d0264d5cd9335e792fb9b71aaf1da284"),
-    ("spin8", "spot7",
-     "da480d1886ad70124b8b546abebcd254d0264d5cd9335e792fb9b71aaf1da284"),
     ("spin8", "check-json",
      "cb8ca8fab4486b33e8e70482a0f0ac3f67b8f729dfe9e4089f7fcdc42ec34fb0"),
     ("spin8", "build-json",
      "1fe57df727fe6809efdf158242604d4233620c072bb8407e2af357d05295e31c"),
     ("matrix3", "check",
      "b089c814eca5e3cfbf27aeedd65bb702adda3afa77218bcf17bc887d7464a2fa"),
-    ("matrix3", "spot0",
-     "0fd955b259068f72cf546511910639049fa24830995ed70479b13e9acf6c2fd8"),
-    ("matrix3", "spot7",
-     "0fd955b259068f72cf546511910639049fa24830995ed70479b13e9acf6c2fd8"),
     ("matrix3", "check-json",
      "5521dfdb309141175926f5697e28790e4bc78b9ac2b8152725d302586b2cc179"),
     ("matrix3", "build-json",
      "397a6b73d97d42e68767d4737f166ccd9405662a500d9593cfbef1c159b39d8b"),
     ("poly4", "check",
      "153ea7d42f46c9acfdae172d2a526225addf7a3991197a54e81bee138691e7e0"),
-    ("poly4", "spot0",
-     "8388a7a1df9c28c9ed9a9a1f9be3b681d2faf11d3e1083ea1bd4bdd177d98d2f"),
-    ("poly4", "spot7",
-     "8388a7a1df9c28c9ed9a9a1f9be3b681d2faf11d3e1083ea1bd4bdd177d98d2f"),
     ("poly4", "check-json",
      "84818510ac54c96874da0afe2bb49e0884a2c5589ab86cdf768f1ce95f804ed1"),
     ("poly4", "build-json",
      "f10ba6655e3effaa989a9426d47e35fb7df9fb893b2bbb6f930cb2a8e7686a78"),
     ("gram", "check",
      "f2bb5d5a7b49918fcd4e59d2bb15a8bda1cc876c995ad09b8ad54fc1fbfc2b4d"),
-    ("gram", "spot0",
-     "a091ba6e4b203ecfcf714e6bd2814960b128c2a69cacf6cd2a2bc7c7eb07e9c8"),
-    ("gram", "spot7",
-     "a091ba6e4b203ecfcf714e6bd2814960b128c2a69cacf6cd2a2bc7c7eb07e9c8"),
     ("gram", "check-json",
      "c8e84c43d7822f8170356793c62221cf02974a8fd1d6789d94efe859be6aea64"),
     ("gram", "build-json",
      "b5cbed902106fb54125911573f35fb5d336c054f9467b9a83baf31e347973d85"),
     ("degenerate", "check",
      "703bb599d3b5ab6ed2168d03a5796d6d8c1eb24d4aada31c70e33233f4236a21"),
-    ("degenerate", "spot0",
-     "85505ef6fceff26ba8a657c6e6809776343eb2cbaeafbea79e7db59c51206398"),
-    ("degenerate", "spot7",
-     "85505ef6fceff26ba8a657c6e6809776343eb2cbaeafbea79e7db59c51206398"),
     ("degenerate", "check-json",
      "3c8bc595f6c39f5fad58b638a6f8597bd18030c74591849b5eb9c08686958392"),
     ("degenerate", "build-json",
@@ -419,33 +399,29 @@ def test_tkk_check_bytes_pinned(capsys, tmp_path, algebra, run_as, digest):
         p.write_text(json.dumps(algebra_to_dict(spin_factor(source))))
         source = ("--algebra", str(p))
     code, out, err = run(capsys, "tkk", *_TKK_RUNS[run_as], *source)
-    if run_as.startswith("spot"):
-        clause = f"jacobi identity (200 sampled triples, seed={run_as[len('spot'):]})"
-        assert out.count(clause) == 1
-        out = out.replace(clause, "jacobi identity (200 sampled triples)")
     blob = json.dumps([code, out.replace(str(p), "<algebra>"), err.replace(str(p), "<algebra>")])
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
 
 
-def test_tkk_check_spot_names_its_seed(capsys, tmp_path):
-    # the sampled Jacobi item says which triples a PASS covered, so the
-    # bytes of --seed 0 and --seed 7 differ on every algebra
+def test_tkk_check_has_one_jacobi_verdict(capsys, tmp_path):
+    # Jacobi is decided on every triple: there is no sampled mode, and
+    # --seed, kept for callers that pass it, changes no byte
+    code, _, err = run(capsys, "tkk", "check", "--jacobi", "spot")
+    assert code == 3
+    assert err.startswith("input error: unrecognized arguments: --jacobi spot")
     p = tmp_path / "algebra.json"
     for algebra, source in _TKK_ALGEBRAS.items():
         if isinstance(source, list):
             p.write_text(json.dumps(algebra_to_dict(spin_factor(source))))
             source = ("--algebra", str(p))
-        digests = []
-        for run_as in ("spot0", "spot7"):
-            code, out, err = run(capsys, "tkk", *_TKK_RUNS[run_as], *source)
-            assert f"jacobi identity (200 sampled triples, seed={run_as[len('spot'):]})" in out
-            digests.append(hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest())
-        assert digests[0] != digests[1], algebra
+        plain = run(capsys, "tkk", "check", *source)
+        assert run(capsys, "tkk", "check", "--seed", "7", *source) == plain, algebra
 
 
 @pytest.mark.parametrize("mode", ["symbolic", "random"])
-def test_jspace_check_decides_dominance_once(capsys, monkeypatch, mode):
-    # the dominance line is read from the envelope, which decides it
+def test_jspace_check_decides_dominance_once(capsys, monkeypatch, tmp_path, mode):
+    # the dominance line and a not-dominant witness are read from the
+    # envelope, which decides it; the symbolic verdict draws no point
     modes = []
     dominance_check = jspace.dominance_check
 
@@ -453,11 +429,22 @@ def test_jspace_check_decides_dominance_once(capsys, monkeypatch, mode):
         modes.append(kwargs.get("mode"))
         return dominance_check(*args, **kwargs)
 
+    def refused(*args, **kwargs):
+        raise AssertionError("the symbolic verdict drew a random point")
+
     monkeypatch.setattr(jspace, "dominance_check", counted)
-    code, _, _ = run(capsys, "jspace", "check", "--builtin-rep", "newton", "--n", "3",
-                     "--cutoff", "4", "--mode", mode)
-    assert code == 0
-    assert modes == [mode]
+    if mode == "symbolic":
+        monkeypatch.setattr(jspace, "random_vector", refused)
+    p = tmp_path / "rep.json"
+    p.write_text(json.dumps(_NONDOMINANT_REP))
+    for argv, want in ((("--builtin-rep", "newton", "--n", "3", "--cutoff", "4"), 0),
+                       (("--builtin-rep", "regular", "--builtin", "matrix", "--size", "2"), 1),
+                       (("--rep", str(p)), 1)):
+        modes.clear()
+        code, out, _ = run(capsys, "jspace", "check", *argv, "--mode", mode)
+        assert code == want, argv
+        assert modes == [mode], argv
+        assert ("witness: " in out) is bool(want), argv
 
 
 @pytest.mark.parametrize("argv", [

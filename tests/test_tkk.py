@@ -285,15 +285,22 @@ def test_jacobi_random_vectors():
 
 
 def test_spot_jacobi_mode():
+    # the sampled Jacobi mode is gone: its call, with its sample count and
+    # seed, is an error, not a check of fewer triples
     g = build_sl2(truncated_poly(2))
-    rep = validate_lie(g, jacobi="spot", samples=50, seed=3)
-    assert rep.ok
+    with pytest.raises(TypeError, match="jacobi"):
+        validate_lie(g, jacobi="spot", samples=50, seed=3)
+    for name in ("seed", "samples"):
+        with pytest.raises(TypeError, match=name):
+            validate_lie(g, **{name: 3})
 
 
 def test_validate_lie_rejects_an_unknown_jacobi_mode():
-    # a misspelt mode is an error, not a silent sampled check
-    with pytest.raises(ValueError, match=r"^unknown mode 'fulll'$"):
-        validate_lie(build_sl2(truncated_poly(2)), jacobi="fulll")
+    # Jacobi has one verdict, on every triple, so there is no mode: any mode
+    # is an error, "full" included
+    for mode in ("fulll", "full"):
+        with pytest.raises(TypeError, match="jacobi"):
+            validate_lie(build_sl2(truncated_poly(2)), jacobi=mode)
 
 
 def test_json_export():

@@ -3,24 +3,25 @@ import re
 from collections import Counter
 from fractions import Fraction as Q
 from itertools import combinations_with_replacement
+from math import factorial
 
 import pytest
 
 from conftest import (canonical, column, dense_rho, dense_rho_of, jordan_block_3,
                       matrix_rep, nilpotent_matrix, noncommuting_rep, one_gen_rep,
-                      projection_matrix, sparse)
+                      projection_matrix, sparse, symbolic_dominance_detail)
 from tkkwb import weyl
 from tkkwb.jordan import (InputError, JordanAlgebra, matrix_jordan, spin_factor,
                           truncated_poly)
-from tkkwb.jspace import (LevelError, check_jspace, dominance_check,
+from tkkwb.jspace import (LevelError, check_jspace, dominance_check, dominance_operator,
                           doubled_regular_rep, extend_to_g0, level, matrix_defining_rep,
                           newton_rep, regular_rep, tensor_rep, zero_rep)
-from tkkwb.linalg import LabeledSpace, Matrix, RowSpan, random_vector, zero_vector
+from tkkwb.linalg import LabeledSpace, Matrix, RowSpan, add_operator, random_vector, zero_vector
 from tkkwb.multipoly import Poly
 from tkkwb.tkk import build_sl2
 from tkkwb.weyl import (ExtensionError, NoncommutingPowersError, TruncatedVerma,
                         WindowError, apply_generator, bracket_fidelity,
-                        dominance_sum_at, efr_power, efr_powers, efr_vanishes,
+                        efr_power, efr_powers, efr_vanishes,
                         garland_coefficient, garland_coefficients,
                         lowering_power, snlt_oracle, weyl_dimensions, _multisets,
                         _StraightData)
@@ -279,8 +280,9 @@ def test_efr_equals_scaled_dominance_sum(instances):
             continue
         g0 = extend_to_g0(rep)
         a = random_vector(rng, rep.jordan.dim, num_bound=4, den_bound=2)
-        got = efr_power(g0, a, level(rep) + 1)
-        want = dominance_sum_at(rep, a)
+        n = level(rep)
+        got = efr_power(g0, a, n + 1)
+        want = add_operator({}, dominance_operator(rep, a), factorial(n + 1))
         assert got == want, name
         assert canonical(want), name
 
@@ -362,11 +364,14 @@ def poly_route_witness(rep):
 
 def test_efr_vanishes_is_the_symbolic_verdict_with_the_first_witness(instances):
     # the exact verdict equals symbolic dominance, and its witness is the
-    # first monomial and column of the Poly route, in the sweep's order
+    # first monomial and column of the Poly route, in the sweep's order, and
+    # the one the symbolic verdict names
     for name, rep, expected in instances:
         witness = poly_route_witness(rep)
         assert efr_vanishes(rep) == (witness is None, witness), name
-        assert dominance_check(rep, mode="symbolic").ok is expected is (witness is None), name
+        dominance = dominance_check(rep, mode="symbolic")
+        assert dominance.ok is expected is (witness is None), name
+        assert dominance.items[0].detail == symbolic_dominance_detail(rep, witness), name
     assert sum(not expected for _, _, expected in instances) == 4
 
 
@@ -382,6 +387,7 @@ def test_efr_vanishes_witness_is_the_first_in_sweep_order(n, t, t2):
     assert check_jspace(rep).ok and not dominance_check(rep).ok
     witness = poly_route_witness(rep)
     assert witness is not None and efr_vanishes(rep) == (False, witness)
+    assert dominance_check(rep).items[0].detail == symbolic_dominance_detail(rep, witness)
 
 
 def test_efr_vanishes_rejects_an_unknown_mode():
