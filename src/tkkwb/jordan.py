@@ -2,31 +2,26 @@
 
 An algebra is given by a labeled graded basis, a unit vector, and the
 structure-constant table e_i * e_j.  Validation checks commutativity, the
-unit axiom, degree additivity and the Jordan identity (fully polarized on
-basis 4-tuples when the dimension permits, by random sampling beyond).
-Both identity sweeps touch only structure constants that can be nonzero:
-the polarized identity is a sum of three associators read from a table of
-the nonzero basis associators made once per call (empty for a commutative
-associative algebra), and the sampled products run over the table's
-nonzero entries.  Every sweep here and in `tkk`, `jspace` and `weyl`
-reads the one integer form of the table that the constructor makes; only
-`algebra_to_dict` and Garland's `jmul`/`jpower` read the given `table`.
+unit axiom, degree additivity and the Jordan identity, fully polarized on
+all basis 4-tuples on every algebra.  The identity sweep touches only
+structure constants that can be nonzero: the polarized identity is a sum
+of three associators read from a table of the nonzero basis associators
+made once per call (empty for a commutative associative algebra), and
+only the triples whose products meet a nonzero associator get a case.
+Every sweep here and in `tkk`, `jspace` and `weyl` reads the one integer
+form of the table that the constructor makes; only `algebra_to_dict` and
+Garland's `jmul`/`jpower` read the given `table`.
 """
 
 from __future__ import annotations
 
 import json
-import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 from .linalg import (LabeledSpace, add_into, as_int, as_list, as_q, dense_vector, integer_rows,
-                     integer_vector, q_str, random_vector, unit_vector, zero_vector)
+                     q_str, unit_vector, zero_vector)
 from .report import Report
-
-# exhaustive polarized identity costs dim^4; beyond this, sample
-_EXHAUSTIVE_DIM_LIMIT = 12
-_SAMPLE_COUNT = 20
 
 
 class InputError(Exception):
@@ -142,10 +137,11 @@ def associator_table(T):
     return assoc
 
 
-def validate(J, seed=0):
+def validate(J):
     """Axiom report: commutativity, unit, degree additivity, Jordan identity.
 
-    The Jordan identity is checked through its full polarization
+    The Jordan identity is decided on every algebra through its full
+    polarization
     ((xy)b)z + ((xz)b)y + ((yz)b)x = (xy)(bz) + (xz)(by) + (yz)(bx)
     on all basis 4-tuples (equivalent over the rationals).  It runs on the
     integer form J.products; both sides are cubic in the table, so they
@@ -156,13 +152,13 @@ def validate(J, seed=0):
     are tabulated once per call (`associator_table`), and each sorted
     triple (x, y, z) is one case that decides every b at once: it sums
     c assoc(e_k, e_b, e_w) over the entries c e_k of the three products
-    into one difference keyed by (b, coordinate).  The least b with a
-    nonzero entry is the witness, the first failing b of a sweep over b.
-    Beyond _EXHAUSTIVE_DIM_LIMIT the identity (a^2 b)a = a^2(ba) is sampled
-    on the same form, each sampled vector scaled to integers by the lcm of
-    its denominators (`integer_vector`): both sides have degree 3 in a, 1
-    in b and 3 in the table.  The dense samples are multiplied in one pass
-    over the table's nonzero entries (i, j, k, c), listed once per call.
+    into one difference keyed by (b, coordinate).  So a triple can fail
+    only where one of its products e_p e_q (p <= q) has an entry e_k with
+    assoc(e_k, e_b, e_w) nonzero for some b, w its third index; the sweep
+    visits just those triples, sorted((p, q, w)) for each such p <= q, k
+    and w, in the ascending order of all sorted triples, so its first
+    failure is the full sweep's.  The least b with a nonzero entry is the
+    witness, the first failing b of a sweep over b.
     """
     rep = Report(f"jordan axioms for {J.name}")
     d = J.dim
@@ -192,44 +188,27 @@ def validate(J, seed=0):
 
     rep.check("degree additivity", product(range(d), repeat=2), off_degree)
 
-    if d <= _EXHAUSTIVE_DIM_LIMIT:
-        assoc = associator_table(T)
+    assoc = associator_table(T)
+    # reach[k]: the w with assoc(e_k, e_b, e_w) nonzero for some b
+    reach = [[w for w, a in enumerate(row) if a] for row in assoc]
+    triples = sorted({tuple(sorted((p, q, w)))
+                      for p, q in combinations_with_replacement(range(d), 2)
+                      for k in T[p][q] for w in reach[k]})
 
-        def polarized(xyz):
-            x, y, z = xyz
-            # diff[b * d + t]: the e_t coefficient of lhs - rhs at b, the sum
-            # of c assoc(e_k, e_b, e_w) over the entries c e_k of u
-            diff = {}
-            for u, w in ((T[x][y], z), (T[x][z], y), (T[y][z], x)):
-                for k, c in u.items():
-                    for key, e in assoc[k][w].items():
-                        diff[key] = diff.get(key, 0) + c * e
-            failing = [key for key, c in diff.items() if c]
-            if failing:
-                return f"polarized identity fails at (x,y,z,b)=({x},{y},{z},{min(failing) // d})"
+    def polarized(xyz):
+        x, y, z = xyz
+        # diff[b * d + t]: the e_t coefficient of lhs - rhs at b, the sum
+        # of c assoc(e_k, e_b, e_w) over the entries c e_k of u
+        diff = {}
+        for u, w in ((T[x][y], z), (T[x][z], y), (T[y][z], x)):
+            for k, c in u.items():
+                for key, e in assoc[k][w].items():
+                    diff[key] = diff.get(key, 0) + c * e
+        failing = [key for key, c in diff.items() if c]
+        if failing:
+            return f"polarized identity fails at (x,y,z,b)=({x},{y},{z},{min(failing) // d})"
 
-        rep.check("jordan identity (polarized, all basis 4-tuples)",
-                  combinations_with_replacement(range(d), 3), polarized)
-    else:
-        rng = random.Random(seed)
-        entries = [(i, j, k, c) for i, row in enumerate(T) for j, out in enumerate(row)
-                   for k, c in out.items()]
-
-        def mul(u, v):
-            out = [0] * d
-            for i, j, k, c in entries:
-                out[k] += c * u[i] * v[j]
-            return out
-
-        def sample(t):
-            a = integer_vector(random_vector(rng, d))[1]
-            b = integer_vector(random_vector(rng, d))[1]
-            a2 = mul(a, a)
-            if mul(mul(a2, b), a) != mul(a2, mul(b, a)):
-                return f"(a^2 b)a != a^2(ba) at sample {t}"
-
-        rep.check(f"jordan identity ({_SAMPLE_COUNT} random samples)",
-                  range(_SAMPLE_COUNT), sample)
+    rep.check("jordan identity (polarized, all basis 4-tuples)", triples, polarized)
 
     if J._validated is None:
         J._validated = rep.ok
@@ -307,10 +286,14 @@ def table_product(table, u, v):
 
 
 def matrix_jordan(m):
-    """The full matrix algebra M_m(k) symmetrized: a o b = (ab+ba)/2."""
+    """The full matrix algebra M_m(k) symmetrized: a o b = (ab+ba)/2.
+
+    The basis is labeled E11, E12, ...; from m = 10 on a comma separates
+    the indices (E1,11 and E11,1 would both read E111 without it)."""
     if m < 1:
         raise InputError("matrix size must be >= 1")
-    labels = [f"E{p + 1}{q + 1}" for p in range(m) for q in range(m)]
+    sep = "," if m > 9 else ""
+    labels = [f"E{p + 1}{sep}{q + 1}" for p in range(m) for q in range(m)]
     d = m * m
 
     def idx(p, q):

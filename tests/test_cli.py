@@ -34,6 +34,25 @@ def test_jordan_check_spin(capsys):
     assert code == 0
 
 
+def test_jordan_check_is_exhaustive_and_takes_no_seed(capsys):
+    # M4(k)+ has dim 16, and its identity is decided on all basis 4-tuples
+    # like every other algebra's; --seed, kept for callers that pass it,
+    # changes no byte
+    code, out, err = run(capsys, "jordan", "check", "--builtin", "matrix", "--size", "4")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "  ok   jordan identity (polarized, all basis 4-tuples)"
+    assert run(capsys, "jordan", "check", "--builtin", "matrix", "--size", "4",
+               "--seed", "7") == (code, out, err)
+
+
+def test_jordan_check_matrix_of_size_11(capsys):
+    # the basis labels of M11(k)+ are distinct (E1,11 and E11,1), so the
+    # check reaches its verdict instead of raising on a repeated label
+    code, out, err = run(capsys, "jordan", "check", "--builtin", "matrix", "--size", "11")
+    assert (code, err) == (0, "")
+    assert out.startswith("jordan axioms for M11(k)+: PASS\n")
+
+
 def test_jordan_check_corrupted(capsys, tmp_path):
     data = algebra_to_dict(truncated_poly(2))
     for ent in data["mult"]:

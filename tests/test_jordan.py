@@ -56,6 +56,25 @@ def test_spin_factor_rejects_asymmetric_gram():
         spin_factor([[Q(0), Q(1)], [Q(2), Q(0)]])
 
 
+def test_validate_takes_only_the_algebra():
+    # the identity is decided on all basis 4-tuples of every algebra, so
+    # there is no seed to pass
+    with pytest.raises(TypeError):
+        validate(truncated_poly(2), seed=0)
+
+
+def test_matrix_labels_are_distinct_at_every_size():
+    # up to size 9 the labels are E11, E12, ...; from 10 on a comma
+    # separates the indices, since E1,11 and E11,1 would both read E111
+    assert matrix_jordan(2).space.labels == ("E11", "E12", "E21", "E22")
+    assert matrix_jordan(9).space.labels[-1] == "E99"
+    assert matrix_jordan(10).space.labels[:2] == ("E1,1", "E1,2")
+    for m in (10, 11, 12):
+        labels = matrix_jordan(m).space.labels
+        assert len(set(labels)) == m * m
+    assert (labels[10], labels[12 * 10]) == ("E1,11", "E11,1")
+
+
 def test_corrupted_table_invalid():
     J = truncated_poly(2)
     table = [[dict(J.table[i][j]) for j in range(3)] for i in range(3)]

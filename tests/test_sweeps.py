@@ -13,11 +13,12 @@ reduction applies.
 The J-space checks and the weight-zero extension run on the rep's sparse
 integer operators over one denominator; their references take dense Fraction
 matrices (`conftest.dense_rho`).
-`jordan.validate` works on an integer-scaled copy of the table, exhaustively
-(every b of a triple at once, as a sum of tabulated associators) or on
-sampled vectors; its reference multiplies dense vectors through `jmul`, one
-b at a time, and `conftest.prods_validate`, which sums both sides from the
-products (e_i e_j) e_b, must give the same whole report.  Likewise
+`jordan.validate` works on an integer-scaled copy of the table, every b of
+a triple at once, as a sum of tabulated associators, and only on the
+triples whose products meet a nonzero associator; its reference multiplies
+dense vectors through `jmul`, one b at a time, on every sorted triple, and
+`conftest.prods_validate`, which sums both sides from the products
+(e_i e_j) e_b, must give the same whole report.  Likewise
 `validate_lie`, whose full Jacobi sweep takes one case per leading index p
 and sums every (q, r) at once over stored brackets only, must give the whole
 report of `conftest.every_r_validate_lie`, which takes one case per pair
@@ -71,10 +72,9 @@ from conftest import (column, dense_bracket, dense_commutator, dense_rho, dense_
 from test_tkk import _PINNED_TABLES
 from test_weyl import GARLAND_CASES
 from tkkwb import jordan, jspace, linalg, tkk, weyl
-from tkkwb.jordan import (_EXHAUSTIVE_DIM_LIMIT, _SAMPLE_COUNT, BUILTIN_FAMILIES,
-                          algebra_from_dict, algebra_to_dict, associator_table, builtin,
-                          derivation_column, jmul, jpower, load_algebra, matrix_jordan,
-                          spin_factor, truncated_poly, validate)
+from tkkwb.jordan import (BUILTIN_FAMILIES, algebra_from_dict, algebra_to_dict,
+                          associator_table, builtin, derivation_column, jmul, jpower,
+                          load_algebra, matrix_jordan, spin_factor, truncated_poly, validate)
 from tkkwb.jspace import (JSpaceRep, LevelError, check_envelope_relations, check_jspace,
                           dominance_check, dominance_operator, doubled_regular_rep,
                           extend_to_g0, level, matrix_defining_rep, newton_rep, regular_rep,
@@ -258,25 +258,13 @@ def ref_center_map(ext, classical):
     return report
 
 
-def ref_validate(J, seed=0):
+def ref_validate(J):
     """The lines of jordan.validate's report, with the Jordan identity
-    computed on dense vectors through jmul: polarized on all basis 4-tuples,
-    or beyond _EXHAUSTIVE_DIM_LIMIT sampled on the same draws."""
-    lib = validate(J, seed)
+    computed on dense vectors through jmul: polarized on all basis
+    4-tuples."""
+    lib = validate(J)
     d = J.dim
     report = Report(lib.title, lib.items[:3])
-    if d > _EXHAUSTIVE_DIM_LIMIT:
-        rng = random.Random(seed)
-
-        def sample(t):
-            a, b = random_vector(rng, d), random_vector(rng, d)
-            a2 = jmul(J, a, a)
-            if jmul(J, jmul(J, a2, b), a) != jmul(J, a2, jmul(J, b, a)):
-                return f"(a^2 b)a != a^2(ba) at sample {t}"
-
-        report.check(f"jordan identity ({_SAMPLE_COUNT} random samples)",
-                     range(_SAMPLE_COUNT), sample)
-        return report
     basis = [unit_vector(d, i) for i in range(d)]
     prods = [[dense_vector(d, J.table[i][j]) for j in range(d)] for i in range(d)]
 
@@ -545,10 +533,10 @@ def test_jordan_identity_reads_a_new_denominator():
     ("matrix", {"size": 4}),
     ("spin-factor", {"dim": 13}),
 ])
-def test_sampled_jordan_identity_matches_dense_reference(family, params):
-    # above the exhaustive limit the identity is sampled on integer-scaled
-    # vectors and table; the dense reference draws the same Fraction samples
-    assert builtin(family, **params).dim > _EXHAUSTIVE_DIM_LIMIT
+def test_jordan_identity_above_dim_12_matches_dense_reference(family, params):
+    # above dimension 12 the identity is as exhaustive as below it: the
+    # verdict and witness equal the dense reference's on every sorted triple
+    assert builtin(family, **params).dim > 12
     assert validate(builtin(family, **params)).lines() == \
         ref_validate(builtin(family, **params)).lines()
     failing = 0
@@ -556,8 +544,8 @@ def test_sampled_jordan_identity_matches_dense_reference(family, params):
         for keep in (True, False):
             J = corrupt_jordan(builtin(family, **params), random.Random(seed), keep,
                                coeffs=(1, -1, 2, Q(1, 2), Q(1, 3)))
-            lib = validate(J, seed)
-            assert lib.lines() == ref_validate(J, seed).lines(), (seed, keep)
+            lib = validate(J)
+            assert lib.lines() == ref_validate(J).lines(), (seed, keep)
             assert lib.items[0].ok is keep
             failing += not lib.items[3].ok
     assert failing >= 14
@@ -1317,25 +1305,27 @@ _IDENTITY_ALGEBRAS = {
     "matrix-3": lambda: builtin("matrix", size=3),
     "gram-2x2": _DENOMINATOR_ALGEBRAS["gram-2x2"],
     "not-jordan": _not_jordan,
-    "matrix-4-sampled": lambda: builtin("matrix", size=4),
-    "spin-factor-14-sampled": lambda: builtin("spin-factor", dim=14),
+    "matrix-4": lambda: builtin("matrix", size=4),
+    "spin-factor-14": lambda: builtin("spin-factor", dim=14),
+    "J(2)-to-4": lambda: symmetric_words_jordan(2, 4),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_IDENTITY_ALGEBRAS))
 def test_associator_sweep_matches_prods_reference(name):
-    # the polarized identity as three associators and the sampled products
-    # over the listed table entries give prods_validate's report, witnesses
-    # included, under commutative and noncommutative corruptions
+    # the polarized identity as three associators, on the triples whose
+    # products meet one in any of their three slots, gives the report of
+    # prods_validate, which sweeps every sorted triple, witnesses included,
+    # under commutative and noncommutative corruptions; the last three
+    # algebras have dim > 12, and J(2)-to-4 is graded
     make = _IDENTITY_ALGEBRAS[name]
-    assert (make().dim > _EXHAUSTIVE_DIM_LIMIT) is name.endswith("-sampled")
     assert validate(make()) == prods_validate(make())
     failing = 0
     for seed, keep in product(range(10), (True, False)):
         J = corrupt_jordan(make(), random.Random(seed), keep,
                            coeffs=(1, -1, 2, Q(1, 2), Q(1, 3)))
-        lib = validate(J, seed)
-        assert lib == prods_validate(J, seed), (seed, keep)
+        lib = validate(J)
+        assert lib == prods_validate(J), (seed, keep)
         assert lib.items[0].ok is keep
         failing += not lib.items[3].ok
     assert failing >= 10
