@@ -7,8 +7,8 @@ from .jordan import (JordanAlgebra, InputError, builtin, jmul, jpower,
                      special_from_associative, truncated_poly, validate)
 from .tkk import (BraceSpace, TKKAlgebra, build_sl2, build_tkk, center_map,
                   half_killing_sl2, short_grading, validate_lie)
-from .jspace import (G0Rep, JSpaceRep, LevelError, ResourceError,
-                     check_bimodule, check_envelope_relations, check_jspace,
+from .jspace import (G0Rep, JSpaceRep, LevelError, check_bimodule,
+                     check_envelope_relations, check_jspace,
                      dominance_check, dominance_operator, doubled_regular_rep,
                      extend_to_g0, level, load_rep, matrix_defining_rep,
                      newton_rep, regular_rep, tensor_rep, zero_rep)

@@ -1,7 +1,8 @@
 """Command-line frontend.
 
 Exit codes: 0 everything verified, 1 a property failed (witness printed),
-2 resource or window insufficiency, 3 malformed input.
+2 window insufficiency (a `weyl dims` window depth below 1), 3 malformed
+input.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from . import symfun
 from . import tkk as tkk_mod
 from . import weyl as weyl_mod
 from .jordan import InputError
-from .jspace import LevelError, ResourceError
+from .jspace import LevelError
 from .linalg import random_vector
 from .weyl import ExtensionError, WindowError
 
@@ -167,19 +168,16 @@ def cmd_jspace_check(args):
         report.add("level", False, str(exc))
         _emit_report(report, args.format, extra={"level": level_line})
         return EXIT_FAIL
-    env = jspace_mod.check_envelope_relations(rep, mode=args.mode,
-                                              samples=args.samples, seed=args.seed)
+    env = jspace_mod.check_envelope_relations(rep)
     # the envelope decides dominance too; its item is the envelope's last
     dom = env.items[-1]
     verdict = "dominant" if dom.ok else "not dominant"
-    detail = f"({args.mode}" + \
-        (f", samples={args.samples}, seed={args.seed})" if args.mode == "random" else ")")
     report.add(f"dominance: {dom.name}", dom.ok, dom.detail)
     report.merge(env, prefix="envelope: ")
-    extra = {"level": n, "dominance": f"{verdict} {detail}"}
+    extra = {"level": n, "dominance": f"{verdict} (symbolic)"}
     if not dom.ok:
-        # the symbolic witness is a monomial and a column, the random one a point
-        extra["witness"] = dom.detail.removeprefix("witness ").removeprefix("a = ")
+        # a monomial of the generic element and a module column
+        extra["witness"] = dom.detail.removeprefix("witness ")
     _emit_report(report, args.format, extra=extra)
     return EXIT_OK if report.ok else EXIT_FAIL
 
@@ -297,9 +295,8 @@ def build_parser():
     _add_algebra_args(pc)
     _add_rep_args(pc)
     _add_format(pc)
-    pc.add_argument("--seed", type=int, default=0)
-    pc.add_argument("--mode", choices=["symbolic", "random"], default="symbolic")
-    pc.add_argument("--samples", type=_int_at_least(1), default=8)
+    pc.add_argument("--seed", type=int, default=0,
+                    help="has no effect: every verdict is exact")
     pc.set_defaults(func=cmd_jspace_check)
 
     p = sub.add_parser("weyl", help="graded dimension tables")
@@ -354,7 +351,7 @@ def main(argv=None):
     except (InputError, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ResourceError, WindowError) as exc:
+    except WindowError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except LevelError as exc:

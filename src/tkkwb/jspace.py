@@ -6,7 +6,7 @@ partition-coefficient dominance criterion, the Jordan-bimodule comparison,
 and the defining relations of the universal envelope of a given level.
 
 Every identity is decided exhaustively on basis triples, on J's integer
-form J.products; only the dominance sum has a random mode.  The
+form J.products, and the dominance sum exactly, at the generic element.  The
 derivation identity and the envelope's cubic relation are one
 double-commutator loop, `_double_commutator_failure`; on a commutative J
 they are the same identity, and the rep decides it once
@@ -44,7 +44,6 @@ extension refuses any other.
 from __future__ import annotations
 
 import json
-import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from pathlib import Path
@@ -53,7 +52,7 @@ from .jordan import (BUILTIN_FAMILIES, InputError, algebra_from_dict, builtin, d
                      load_algebra, matrix_jordan, table_product, truncated_poly)
 from .linalg import (LabeledSpace, add_into, add_operator, as_int, as_list, as_q, combine,
                      commutator, integer_operators, integer_vector, operator_product, q_str,
-                     random_vector, scalar_operator)
+                     scalar_operator)
 from .report import Report
 from .symfun import dominance_coeffs, partitions
 from .tkk import build_sl2
@@ -61,15 +60,6 @@ from .tkk import build_sl2
 
 class LevelError(Exception):
     """rho(1) is not an integer scalar, or is negative where a level must be >= 0."""
-
-
-class ResourceError(Exception):
-    """A symbolic computation exceeds the configured size guards."""
-
-
-# symbolic dominance explodes combinatorially; beyond these use random mode
-_SYMBOLIC_DIM_J = 10
-_SYMBOLIC_LEVEL = 4
 
 
 class JSpaceRep:
@@ -431,51 +421,30 @@ def dominance_operator(rep, a):
                         Fraction(1, (rep.den * rep.jordan.den * A) ** (n + 1)))
 
 
-def dominance_check(rep, mode="symbolic", samples=8, seed=0):
-    """Decide the partition-coefficient criterion.
+def dominance_check(rep):
+    """Decide the partition-coefficient criterion exactly.
 
-    Symbolic mode expands the sum at the generic element a = sum_i x_i e_i
-    by monomial of its coordinates (`_dominance_terms` with the keys (i,)),
-    on int operators, and passes exactly when no monomial is left; it is
-    guarded, since the monomials of degree level+1 in dim J coordinates
-    grow fast.  A failing symbolic item names its witness, the least
-    monomial x^mu left (a sorted multiset of basis indices) and the least
-    module column i where its operator has an entry: the (mu, i) that
-    `weyl.efr_vanishes` returns on a rep whose weight-zero extension holds,
-    since e(1)^(n+1) f(a)^(n+1) on the module is (n+1)! times this sum.
-    Random mode evaluates the sum at sampled rational points, where a
-    nonzero polynomial of bounded degree vanishes with negligible
-    probability, and names the first point where it does not.
+    The sum is expanded at the generic element a = sum_i x_i e_i by monomial
+    of its coordinates (`_dominance_terms` with the keys (i,)), on int
+    operators, and passes exactly when no monomial is left.  A failing item
+    names its witness, the least monomial x^mu left (a sorted multiset of
+    basis indices) and the least module column i where its operator has an
+    entry: the (mu, i) that `weyl.efr_vanishes` returns on a rep whose
+    weight-zero extension holds, since e(1)^(n+1) f(a)^(n+1) on the module
+    is (n+1)! times this sum.  Its cost grows with the number of monomials
+    of degree level+1 in dim J coordinates, and no size bound refuses it.
     """
     n = level(rep)
     if n < 0:
         raise LevelError(f"level {n} is negative")
     report = Report(f"dominance of {rep.name} (level {n})")
-    if mode == "symbolic":
-        d = rep.jordan.dim
-        if d > _SYMBOLIC_DIM_J or n > _SYMBOLIC_LEVEL:
-            raise ResourceError(
-                f"symbolic dominance guarded to dim J <= {_SYMBOLIC_DIM_J} and "
-                f"level <= {_SYMBOLIC_LEVEL}; use random mode")
-        terms = _dominance_terms(rep, n, {(i,): {i: 1} for i in range(d)})
-        detail = "mode=symbolic"
-        if terms:
-            mu = min(terms)
-            column = min(c for row in terms[mu].values() for c in row)
-            detail = f"witness {_format_monomial(rep.jordan, mu)}, column {column}"
-        report.add("dominance sum vanishes", not terms, detail)
-    elif mode == "random":
-        rng = random.Random(seed)
-
-        def witness(_):
-            a = random_vector(rng, rep.jordan.dim)
-            if dominance_operator(rep, a):
-                return "witness a = " + _format_element(rep.jordan, a)
-
-        report.check("dominance sum vanishes", range(samples), witness,
-                     f"mode=random samples={samples} seed={seed}")
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    terms = _dominance_terms(rep, n, {(i,): {i: 1} for i in range(rep.jordan.dim)})
+    detail = "mode=symbolic"
+    if terms:
+        mu = min(terms)
+        column = min(c for row in terms[mu].values() for c in row)
+        detail = f"witness {_format_monomial(rep.jordan, mu)}, column {column}"
+    report.add("dominance sum vanishes", not terms, detail)
     return report
 
 
@@ -484,11 +453,6 @@ def _format_monomial(J, mu):
     labels = J.space.labels
     return "*".join(labels[i] + (f"^{mu.count(i)}" if mu.count(i) > 1 else "")
                     for i in sorted(set(mu)))
-
-
-def _format_element(J, a):
-    parts = [f"{q_str(c)}*{J.space.labels[i]}" for i, c in enumerate(a) if c]
-    return " + ".join(parts) if parts else "0"
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +506,7 @@ def check_bimodule(rep):
 # universal envelope relations
 
 
-def check_envelope_relations(rep, mode="symbolic", samples=8, seed=0):
+def check_envelope_relations(rep):
     """The defining relations of the level-n universal envelope, as operator
     identities on the module: the scalar unit relation, polarized square
     commutation, the cubic rearrangement relation, and the
@@ -558,10 +522,9 @@ def check_envelope_relations(rep, mode="symbolic", samples=8, seed=0):
     a = b, so it is decided on a < b with every c; the first failing triple
     in product order is one of these.
 
-    The partition-coefficient sum is decided right after the level, before
-    either sweep, so a guarded symbolic sum raises ResourceError at once;
-    its item still comes last.  The polarized square commutation is the
-    rep's verdict, decided once for this report and `check_jspace`'s.
+    The partition-coefficient sum is `dominance_check`'s exact verdict, and
+    its item comes last.  The polarized square commutation is the rep's
+    verdict, decided once for this report and `check_jspace`'s.
     """
     J = rep.jordan
     report = Report(f"envelope relations for {rep.name}")
@@ -572,7 +535,6 @@ def check_envelope_relations(rep, mode="symbolic", samples=8, seed=0):
     except LevelError as exc:
         report.add("rho(1) is an integer scalar", False, str(exc))
         return report
-    dominance = dominance_check(rep, mode=mode, samples=samples, seed=seed)
 
     t = rep.square_failure()
     report.add("square commutation, polarized", t is None,
@@ -588,7 +550,7 @@ def check_envelope_relations(rep, mode="symbolic", samples=8, seed=0):
     report.add("cubic rearrangement relation", t is None,
                "" if t is None else "fails at (%d,%d,%d)" % t)
 
-    report.merge(dominance)
+    report.merge(dominance_check(rep))
     return report
 
 

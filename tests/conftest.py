@@ -285,6 +285,15 @@ def symbolic_dominance_detail(rep, witness):
     return f"witness {name}, column {i}"
 
 
+def least_poly_witness(op):
+    """The least (mu, i) at which column i of an operator with Poly entries
+    has a nonzero coefficient of x^mu, mu read as a sorted multiset of basis
+    indices; None when the operator is zero."""
+    return min(((tuple(k for k, e in enumerate(exp) for _ in range(e)), i)
+                for row in op.values() for i, entry in row.items() for exp in entry.terms),
+               default=None)
+
+
 def fraction_powers_dominance_operator(rep, a):
     """The reference of jspace.dominance_operator that takes the powers of
     the integer copy of a under J's Fraction table (`jpower`) and scales

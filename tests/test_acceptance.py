@@ -84,7 +84,7 @@ def test_05_three_way_equivalence():
     ok = True
     for name, rep, expected in instances:
         assert check_jspace(rep).ok, f"{name} is not a J-space"
-        dom = dominance_check(rep, mode="symbolic").ok
+        dom = dominance_check(rep).ok
         van, _ = efr_vanishes(rep)
         agree = (dom == van == expected)
         g0 = extend_to_g0(rep)

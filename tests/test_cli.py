@@ -247,14 +247,6 @@ def test_jspace_check_zero_rep(capsys):
     assert "dominant" in out
 
 
-def test_jspace_random_mode_reports_seed(capsys):
-    code, out, _ = run(capsys, "jspace", "check", "--builtin-rep", "newton",
-                       "--n", "1", "--cutoff", "2", "--mode", "random",
-                       "--samples", "4", "--seed", "7")
-    assert code == 0
-    assert "samples=4" in out and "seed=7" in out
-
-
 def test_weyl_dims_oracle(capsys):
     code, out, _ = run(capsys, "weyl", "dims", "--builtin-rep", "newton",
                        "--n", "1", "--cutoff", "4", "--max-degree", "4",
@@ -306,34 +298,19 @@ def test_jspace_nondominant_rep_witness(capsys, tmp_path):
                                     "witness: t^2, column 0"]
 
 
-@pytest.mark.parametrize("seed, witness", [(0, "-11/3*t"), (3, "-1*1 + 5/2*t")])
-def test_jspace_random_witness_prints_the_drawn_element(capsys, tmp_path, seed, witness):
-    # the dominance sum runs on an integer copy of the drawn element; the
-    # witness is the drawn rational element itself
-    p = tmp_path / "rep.json"
-    p.write_text(json.dumps(_NONDOMINANT_REP))
-    code, out, _ = run(capsys, "jspace", "check", "--rep", str(p), "--mode", "random",
-                       "--seed", str(seed))
-    assert code == 1
-    lines = out.splitlines()
-    assert lines[:3] == ["level: 1", f"dominance: not dominant (random, samples=8, seed={seed})",
-                         f"witness: {witness}"]
-    assert f"  FAIL dominance: dominance sum vanishes  [witness a = {witness}]" in lines
-
-
 _NEWTON_2_3 = ("--builtin-rep", "newton", "--n", "2", "--cutoff", "3")
 
 
 # sha256 of json.dumps([exit code, stdout, stderr]) of `jspace check`, with
 # the path of the rep file written as <rep>; recorded while the CLI still
 # ran dominance_check itself as well as inside the envelope, but for the two
-# symbolic not-dominant rows, re-recorded when their witness became the
-# least monomial and module column of the exact sum
-@pytest.mark.parametrize("argv, digest", [
+# not-dominant rows, re-recorded when their witness became the least
+# monomial and module column of the exact sum, and for doubled-spin10, which
+# met a size bound (exit 2) until the exact sum took every rep: the doubled
+# regular rep is level-2 dominant on every Jordan algebra
+_JSPACE_PINS = [
     (("--builtin-rep", "newton", "--n", "3", "--cutoff", "4"),
      "d339d2d06fb16bc356e55e55e47d40c268261cd9aa61986e75a6f873de204e37"),
-    (_NEWTON_2_3 + ("--mode", "random", "--samples", "3", "--seed", "1"),
-     "6b5ecd03b457c76ec368337452bb14e4eed5c6078a96aa9516479ca34ec06b42"),
     (_NEWTON_2_3 + ("--format", "json"),
      "8fdc25576c2357fd2adb71d1d26ec7d94c311492f5da34b9e4c674c347c3a7fe"),
     (("--builtin-rep", "doubled-regular", "--builtin", "spin-factor", "--dim", "4"),
@@ -345,9 +322,13 @@ _NEWTON_2_3 = ("--builtin-rep", "newton", "--n", "2", "--cutoff", "3")
     (("--rep", "<rep>"),
      "a57e569003ed0e0db2d8770793f60a6cbfb93fde4931f79d24ca917c6c09c304"),
     (("--builtin-rep", "doubled-regular", "--builtin", "spin-factor", "--dim", "10"),
-     "e34e4175df1a023d51a13e88e905944d5084fd78cf726230054ad38f771745d7"),
-], ids=["newton-3-4", "newton-2-3-random", "newton-2-3-json", "doubled-spin4",
-        "doubled-matrix2", "regular-matrix2-exit1", "nondominant-exit1", "doubled-spin10-exit2"])
+     "39b25ec8afe51c2e3395d2651165a5468e1631e0f23228653c2794618dbb297e"),
+]
+_JSPACE_PIN_IDS = ["newton-3-4", "newton-2-3-json", "doubled-spin4", "doubled-matrix2",
+                   "regular-matrix2-exit1", "nondominant-exit1", "doubled-spin10"]
+
+
+@pytest.mark.parametrize("argv, digest", _JSPACE_PINS, ids=_JSPACE_PIN_IDS)
 def test_jspace_check_bytes_pinned(capsys, tmp_path, argv, digest):
     p = tmp_path / "rep.json"
     p.write_text(json.dumps(_NONDOMINANT_REP))
@@ -355,6 +336,32 @@ def test_jspace_check_bytes_pinned(capsys, tmp_path, argv, digest):
                          *(str(p) if a == "<rep>" else a for a in argv))
     blob = json.dumps([code, out.replace(str(p), "<rep>"), err.replace(str(p), "<rep>")])
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+def test_jspace_check_doubled_spin10_is_dominant(capsys):
+    code, out, _ = run(capsys, "jspace", "check", *_JSPACE_PINS[-1][0])
+    assert code == 0
+    assert out.splitlines()[:2] == ["level: 2", "dominance: dominant (symbolic)"]
+
+
+@pytest.mark.parametrize("flags", [("--mode", "random"), ("--samples", "3")],
+                         ids=["mode", "samples"])
+def test_jspace_check_has_one_dominance_verdict(capsys, flags):
+    # dominance is decided exactly at the generic element: there is no
+    # sampled mode to select
+    code, out, err = run(capsys, *_NEWTON_1, *flags)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"input error: unrecognized arguments: {' '.join(flags)}")
+
+
+def test_jspace_check_seed_changes_no_byte(capsys, tmp_path):
+    # --seed is kept for callers that pass it
+    p = tmp_path / "rep.json"
+    p.write_text(json.dumps(_NONDOMINANT_REP))
+    for argv, _ in _JSPACE_PINS:
+        argv = [str(p) if a == "<rep>" else a for a in argv]
+        plain = run(capsys, "jspace", "check", *argv)
+        assert run(capsys, "jspace", "check", *argv, "--seed", "7") == plain, argv
 
 
 # the tkk algebras of CI: three builtins, the spin factor of Gram matrix
@@ -437,32 +444,27 @@ def test_tkk_check_has_one_jacobi_verdict(capsys, tmp_path):
         assert run(capsys, "tkk", "check", "--seed", "7", *source) == plain, algebra
 
 
-@pytest.mark.parametrize("mode", ["symbolic", "random"])
-def test_jspace_check_decides_dominance_once(capsys, monkeypatch, tmp_path, mode):
+@pytest.mark.parametrize("seed", [(), ("--seed", "7")], ids=["symbolic", "seed-7"])
+def test_jspace_check_decides_dominance_once(capsys, monkeypatch, tmp_path, seed):
     # the dominance line and a not-dominant witness are read from the
-    # envelope, which decides it; the symbolic verdict draws no point
-    modes = []
+    # envelope, which decides it once, whatever the seed
+    reps = []
     dominance_check = jspace.dominance_check
 
-    def counted(*args, **kwargs):
-        modes.append(kwargs.get("mode"))
-        return dominance_check(*args, **kwargs)
-
-    def refused(*args, **kwargs):
-        raise AssertionError("the symbolic verdict drew a random point")
+    def counted(rep):
+        reps.append(rep)
+        return dominance_check(rep)
 
     monkeypatch.setattr(jspace, "dominance_check", counted)
-    if mode == "symbolic":
-        monkeypatch.setattr(jspace, "random_vector", refused)
     p = tmp_path / "rep.json"
     p.write_text(json.dumps(_NONDOMINANT_REP))
     for argv, want in ((("--builtin-rep", "newton", "--n", "3", "--cutoff", "4"), 0),
                        (("--builtin-rep", "regular", "--builtin", "matrix", "--size", "2"), 1),
                        (("--rep", str(p)), 1)):
-        modes.clear()
-        code, out, _ = run(capsys, "jspace", "check", *argv, "--mode", mode)
+        reps.clear()
+        code, out, _ = run(capsys, "jspace", "check", *argv, *seed)
         assert code == want, argv
-        assert modes == [mode], argv
+        assert len(reps) == 1, argv
         assert ("witness: " in out) is bool(want), argv
 
 
@@ -487,12 +489,11 @@ def test_jspace_check_sweeps_square_commutation_once(capsys, monkeypatch, argv):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("mode", ["symbolic", "random"])
-def test_jspace_check_converts_rho_once(capsys, monkeypatch, mode):
+@pytest.mark.parametrize("seed", [(), ("--seed", "7")], ids=["symbolic", "seed-7"])
+def test_jspace_check_converts_rho_once(capsys, monkeypatch, seed):
     # rho is scaled to integers once, when the rep is made; check_jspace, the
-    # envelope and every dominance sum read that rep (both modes expand the
-    # sum in the one core `_dominance_terms`), and its square commutation is
-    # swept once
+    # envelope and the dominance sum read that rep, and its square
+    # commutation is swept once
     reps, scaled, summed, swept = [], [], [], []
     newton_rep, integer_operators = jspace.newton_rep, jspace.integer_operators
     terms, sweep = jspace._dominance_terms, jspace._square_commutation_failure
@@ -518,10 +519,10 @@ def test_jspace_check_converts_rho_once(capsys, monkeypatch, mode):
     monkeypatch.setattr(jspace, "_dominance_terms", counted_sum)
     monkeypatch.setattr(jspace, "_square_commutation_failure", counted_sweep)
     code, _, _ = run(capsys, "jspace", "check", "--builtin-rep", "newton", "--n", "3",
-                     "--cutoff", "4", "--mode", mode)
+                     "--cutoff", "4", *seed)
     assert code == 0
     assert len(reps) == 1 and len(scaled) == 1
-    assert summed and all(rep is reps[0] for rep in summed)
+    assert summed == reps
     assert swept == reps
 
 
@@ -570,15 +571,11 @@ def test_extension_outputs_bytes_pinned(capsys, argv, digest):
 
 
 def test_symbolic_guard_exit2(capsys):
-    # symbolic dominance refuses oversized algebras; random mode is the out
-    code, _, err = run(capsys, "jspace", "check", "--builtin-rep", "zero",
-                       "--builtin", "matrix", "--size", "4")
-    assert code == 2
-    assert "resource" in err
-    code, _, _ = run(capsys, "jspace", "check", "--builtin-rep", "zero",
-                     "--builtin", "matrix", "--size", "4", "--mode", "random",
-                     "--samples", "2")
-    assert code == 0
+    # dim J = 16: no size bound refuses the exact dominance sum
+    code, out, err = run(capsys, "jspace", "check", "--builtin-rep", "zero",
+                         "--builtin", "matrix", "--size", "4")
+    assert (code, err) == (0, "")
+    assert "dominance: dominant (symbolic)" in out.splitlines()
 
 
 def test_weyl_window_too_small_exit2(capsys):
@@ -688,13 +685,12 @@ def test_garland_verify_fails_on_one_changed_entry(capsys, monkeypatch, route, w
 
 
 def test_newton_rep_in_many_variables_meets_the_symbolic_guard(capsys):
-    # level 12 on a 2-dim module: building the rep is quick, and symbolic
-    # dominance refuses the level
+    # level 12 on a 2-dim module: building the rep is quick, and no size
+    # bound refuses the exact dominance sum
     code, out, err = run(capsys, "jspace", "check", "--builtin-rep", "newton", "--n", "12",
                          "--cutoff", "1")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("resource error: symbolic dominance guarded")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:2] == ["level: 12", "dominance: dominant (symbolic)"]
 
 
 def test_garland_verify_straightens_each_argument_once_per_run(capsys, monkeypatch):
@@ -784,8 +780,7 @@ def test_symfun_classes(capsys):
 
 def test_determinism_same_bytes(capsys):
     args = ("jspace", "check", "--builtin-rep", "newton", "--n", "1",
-            "--cutoff", "3", "--mode", "random", "--samples", "3",
-            "--seed", "11", "--format", "json")
+            "--cutoff", "3", "--format", "json")
     code1, out1, _ = run(capsys, *args)
     code2, out2, _ = run(capsys, *args)
     assert code1 == code2 == 0

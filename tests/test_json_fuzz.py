@@ -88,8 +88,7 @@ def _check(tmp_path_factory, argv, doc, mutation):
 
 def test_valid_documents_pass(tmp_path_factory):
     assert _exit_code(tmp_path_factory, ("jordan", "check", "--algebra"), _ALGEBRA) == 0
-    assert _exit_code(tmp_path_factory, ("jspace", "check", "--mode", "random", "--rep"),
-                      _REP) == 0
+    assert _exit_code(tmp_path_factory, ("jspace", "check", "--rep"), _REP) == 0
 
 
 @settings(deadline=None, max_examples=150)
@@ -101,5 +100,4 @@ def test_fuzzed_algebra_json_exits_by_contract(tmp_path_factory, mutation):
 @settings(deadline=None, max_examples=150)
 @given(_mutations(_REP))
 def test_fuzzed_rep_json_exits_by_contract(tmp_path_factory, mutation):
-    # random-mode dominance, so that the symbolic size guard never answers
-    _check(tmp_path_factory, ("jspace", "check", "--mode", "random", "--rep"), _REP, mutation)
+    _check(tmp_path_factory, ("jspace", "check", "--rep"), _REP, mutation)

@@ -12,8 +12,7 @@ from conftest import (column, dense, dense_rho, dense_rho_of, jordan_block_3, ma
 from tkkwb import jspace
 from tkkwb.jordan import (InputError, algebra_from_dict, builtin, jmul, matrix_jordan, spin_factor,
                           truncated_poly, validate)
-from tkkwb.jspace import (JSpaceRep, LevelError, ResourceError,
-                          check_bimodule, check_envelope_relations,
+from tkkwb.jspace import (JSpaceRep, LevelError, check_bimodule, check_envelope_relations,
                           check_jspace, dominance_check, dominance_operator,
                           doubled_regular_rep, extend_to_g0, level, load_rep,
                           matrix_defining_rep, newton_rep, regular_rep,
@@ -174,13 +173,6 @@ def test_dominance_newton():
         assert dominance_check(newton_rep(n, D)).ok
 
 
-def test_dominance_random_mode_finds_witness():
-    bad = one_gen_rep(2, projection_matrix(), "lvl2 control")
-    rep = dominance_check(bad, mode="random", samples=8, seed=0)
-    assert not rep.ok
-    assert "witness" in rep.first_failure().detail
-
-
 def test_dominance_operator_level1_shape():
     # at level 1 the sum is rho(a)^2 - rho(a^2)
     r = regular_rep(truncated_poly(2))
@@ -209,10 +201,15 @@ def test_level1_dominant_is_associative_specialization():
 
 
 def test_symbolic_guard():
-    r = zero_rep(matrix_jordan(4))  # dim J = 16 > guard
-    with pytest.raises(ResourceError):
-        dominance_check(r, mode="symbolic")
-    assert dominance_check(r, mode="random", samples=2, seed=0).ok
+    # no size bound refuses dim J = 16, and the verdict takes the rep alone
+    r = zero_rep(matrix_jordan(4))
+    report = dominance_check(r)
+    assert report.ok and report.items[0].detail == "mode=symbolic"
+    for name in ("mode", "samples", "seed"):
+        with pytest.raises(TypeError):
+            dominance_check(r, **{name: 0})
+        with pytest.raises(TypeError):
+            check_envelope_relations(r, **{name: 0})
 
 
 def test_doubled_regular_is_level2_dominant_everywhere():
@@ -318,20 +315,21 @@ def test_envelope_relations_agree_with_dominance(instances):
 
 
 def test_envelope_guards_symbolic_dominance_before_any_sweep(monkeypatch):
-    # dim J = 11 is past the symbolic guard: the envelope raises before it
-    # forms a single commutator of its square-commutation or cubic sweeps
-    commutators = []
-    commutator = jspace.commutator
+    # dim J = 11: no size bound refuses the exact sum, which the envelope
+    # decides once, as its last item
+    sums = []
+    terms = jspace._dominance_terms
 
-    def counted(a, b):
-        commutators.append(1)
-        return commutator(a, b)
+    def counted(*args):
+        sums.append(1)
+        return terms(*args)
 
     rep = doubled_regular_rep(builtin("spin-factor", dim=10))
-    monkeypatch.setattr(jspace, "commutator", counted)
-    with pytest.raises(ResourceError):
-        check_envelope_relations(rep, mode="symbolic")
-    assert commutators == []
+    monkeypatch.setattr(jspace, "_dominance_terms", counted)
+    report = check_envelope_relations(rep)
+    assert report.ok and sums == [1]
+    assert [(it.name, it.detail) for it in report.items[2:]] == [
+        ("cubic rearrangement relation", ""), ("dominance sum vanishes", "mode=symbolic")]
 
 
 def test_cubic_relation_fails_off_a_jspace():

@@ -66,7 +66,7 @@ import pytest
 
 from conftest import (column, dense_bracket, dense_commutator, dense_rho, dense_rho_of,
                       every_r_validate_lie, fraction_powers_dominance_operator,
-                      matrix_of_columns, matrix_rep, noncommuting_rep, pair_fractions,
+                      least_poly_witness, matrix_of_columns, matrix_rep, noncommuting_rep, pair_fractions,
                       prods_validate, set_jordan_table, set_table, symbolic_dominance_detail,
                       symmetric_words_jordan)
 from test_tkk import _PINNED_TABLES
@@ -1506,8 +1506,8 @@ def test_dominance_terms_rebuild_the_polynomial_sum(name):
 
 
 def _guarded_builtin_reps():
-    """Every builtin rep within the symbolic guards (dim J <= 10, level <= 4),
-    newton reps up to cutoff 4."""
+    """Every builtin rep within the size bounds the exact dominance sum once
+    had (dim J <= 10, level <= 4), newton reps up to cutoff 4."""
     reps = [newton_rep(n, D) for n in range(1, 5) for D in range(5)]
     families = {"truncated-poly": range(10), "matrix": range(1, 4), "spin-factor": range(10)}
     for family, params in families.items():
@@ -1541,3 +1541,34 @@ def test_symbolic_verdict_matches_polynomial_entries_on_every_guarded_builtin():
     for rep in _guarded_builtin_reps():
         want = not fraction_powers_dominance_operator(rep, Poly.variables(rep.jordan.dim))
         assert dominance_check(rep).ok is want, rep.name
+
+
+def _builtin_reps_beyond_the_old_bounds():
+    """Builtin reps past those bounds: dim J from 11 to 16, or level 5 to 8."""
+    reps = []
+    families = {"spin-factor": range(10, 13), "truncated-poly": range(10, 13), "matrix": (4,)}
+    for family, params in families.items():
+        param = BUILTIN_FAMILIES[family][0]
+        for k in params:
+            J = builtin(family, **{param: k})
+            reps += [zero_rep(J), regular_rep(J), doubled_regular_rep(J)]
+    reps += [newton_rep(n, D) for n, D in ((5, 3), (6, 2), (8, 2))]
+    reps.append(matrix_defining_rep(4))
+    return reps
+
+
+def test_symbolic_verdict_beyond_the_old_bounds_matches_both_routes():
+    # the verdict and witness equal the Poly-entry sum's everywhere, and
+    # efr_vanishes's wherever the weight-zero extension passes its checks
+    checked = 0
+    for rep in _builtin_reps_beyond_the_old_bounds():
+        dominance = dominance_check(rep)
+        witness = least_poly_witness(
+            fraction_powers_dominance_operator(rep, Poly.variables(rep.jordan.dim)))
+        assert dominance.ok is (witness is None), rep.name
+        assert dominance.items[0].detail == symbolic_dominance_detail(rep, witness), rep.name
+        g0 = extend_to_g0(rep)
+        if g0.report.ok:
+            checked += 1
+            assert efr_vanishes(g0) == (dominance.ok, witness), rep.name
+    assert checked == 21

@@ -8,8 +8,8 @@ from math import factorial
 import pytest
 
 from conftest import (canonical, column, dense_rho, dense_rho_of, jordan_block_3,
-                      matrix_rep, nilpotent_matrix, noncommuting_rep, one_gen_rep,
-                      projection_matrix, sparse, symbolic_dominance_detail)
+                      least_poly_witness, matrix_rep, nilpotent_matrix, noncommuting_rep,
+                      one_gen_rep, projection_matrix, sparse, symbolic_dominance_detail)
 from tkkwb import weyl
 from tkkwb.jordan import (InputError, JordanAlgebra, matrix_jordan, spin_factor,
                           truncated_poly)
@@ -352,14 +352,10 @@ def test_efr_vanishes_modes_agree():
 
 
 def poly_route_witness(rep):
-    """The least (mu, i) at which column i of e(1)^(n+1) f(x)^(n+1), at the
-    generic element x = Poly.variables(d), has a nonzero coefficient of
-    x^mu, mu read as a sorted multiset of basis indices; None when the
-    operator is zero."""
-    op = efr_power(extend_to_g0(rep), Poly.variables(rep.jordan.dim), level(rep) + 1)
-    return min(((tuple(k for k, e in enumerate(exp) for _ in range(e)), i)
-                for row in op.values() for i, entry in row.items() for exp in entry.terms),
-               default=None)
+    """The least (mu, i) of e(1)^(n+1) f(x)^(n+1) at the generic element
+    x = Poly.variables(d) (`least_poly_witness`); None when it is zero."""
+    return least_poly_witness(efr_power(extend_to_g0(rep), Poly.variables(rep.jordan.dim),
+                                        level(rep) + 1))
 
 
 def test_efr_vanishes_is_the_symbolic_verdict_with_the_first_witness(instances):
@@ -369,7 +365,7 @@ def test_efr_vanishes_is_the_symbolic_verdict_with_the_first_witness(instances):
     for name, rep, expected in instances:
         witness = poly_route_witness(rep)
         assert efr_vanishes(rep) == (witness is None, witness), name
-        dominance = dominance_check(rep, mode="symbolic")
+        dominance = dominance_check(rep)
         assert dominance.ok is expected is (witness is None), name
         assert dominance.items[0].detail == symbolic_dominance_detail(rep, witness), name
     assert sum(not expected for _, _, expected in instances) == 4
