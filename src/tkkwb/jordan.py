@@ -250,16 +250,25 @@ def special_from_associative(labels, unit, assoc_table, name=None):
     verified to be associative and unital before symmetrizing.  The triple
     (i, j, k) compares e_i (e_j e_k) with (e_i e_j) e_k, so where both e_i e_j
     and e_j e_k are empty both sides are 0: the sweep visits, in product
-    order, only the triples where one of them is stored.
+    order, only the triples where one of them is stored, and sums each side
+    over the stored entries of its inner product.
     """
     d = len(labels)
-    stored = [[k for k in range(d) if assoc_table[j][k]] for j in range(d)]
+    A = assoc_table
+    stored = [[k for k in range(d) if A[j][k]] for j in range(d)]
     for i in range(d):
         for j in range(d):
-            for k in range(d) if assoc_table[i][j] else stored[j]:
-                lhs = table_product(assoc_table, {i: 1}, assoc_table[j][k])
-                rhs = table_product(assoc_table, assoc_table[i][j], {k: 1})
-                if lhs != rhs:
+            for k in range(d) if A[i][j] else stored[j]:
+                # e_i (e_j e_k) - (e_i e_j) e_k, each side summed over the
+                # stored entries of its inner product
+                diff = {}
+                for m, c in A[j][k].items():
+                    for t, x in A[i][m].items():
+                        diff[t] = diff.get(t, 0) + c * x
+                for m, c in A[i][j].items():
+                    for t, x in A[m][k].items():
+                        diff[t] = diff.get(t, 0) - c * x
+                if any(diff.values()):
                     raise InputError(f"input table not associative at ({i},{j},{k})")
     unit_sparse = {i: c for i, c in enumerate(unit) if c}
     for i in range(d):

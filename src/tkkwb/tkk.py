@@ -24,13 +24,25 @@ built here.  Structure constants are built from the bracket rules and
 re-verified rather than trusted, exhaustively, with no sampled verdict:
 antisymmetry is checked on all ordered pairs, and the Jacobi identity on all
 basis triples, decided on the sorted triples of distinct indices once
-antisymmetry holds.  Both sweeps skip only what is zero by construction:
-a pair with neither order stored is antisymmetric (0 = -0), and a triple
-(p, q, r) with none of [q, r], [r, p], [p, q] stored has jacobiator 0.
-Jacobi takes one case per leading basis element p, with every (q, r) summed at once and each of its three
-terms only over stored brackets, read through adjacency lists built once
-per sweep (`_jacobi_sweep`); the homomorphism identity of the central
-epimorphism takes one case per pair of basis elements.  Every check reads
+antisymmetry holds.
+
+Every exhaustive sweep over a structure-constant table visits only the
+entries that can be nonzero, in the order of the full sweep, so it decides
+the same cases with the same first witness; the Jordan windows this serves
+are graded, and most products of two basis words vanish.  The brace space
+builds the defining rows of the triples that hold a stored product; a
+derivation column D_{a,b} c is computed only where e_a e_c or e_c e_b is
+stored; the filler writes a rule only at the Jordan pairs where its sl2
+term or its kappa term can be nonzero, and a tail element only against its
+nonzero derivation columns.  A pair with neither order stored is antisymmetric
+(0 = -0), and a triple (p, q, r) with none of [q, r], [r, p], [p, q] stored
+has jacobiator 0: Jacobi takes one case per leading basis element p, with
+every (q, r) summed at once and each of its three terms only over stored
+entries, read through a flat index of the table built once per sweep
+(`_jacobi_sweep`).  The homomorphism identity of the central epimorphism
+takes one case per pair where either side can be nonzero, and the
+centrality of its kernel one per kernel vector and basis element with a
+stored bracket between them.  Every check reads
 `brackets` itself, so none makes a copy of a table at call time, and the
 antisymmetry verdict of a whole table is decided once per algebra
 (`TKKAlgebra.antisymmetric`): the table is written once, by the filler.
@@ -53,20 +65,18 @@ tail.  `tkk build` and `tkk check` build the whole algebra.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
-from operator import itemgetter
 
 from .jordan import InputError, derivation_column, ensure_valid
 from .linalg import RowSpan, add_into, integer_rows, q_str, quotient
 from .report import Report
 
 _SL2_BASIS = ("e", "f", "h")
-_KEY = itemgetter(0)
 
 # brackets of the standard basis: [h,e]=2e, [h,f]=-2f, [e,f]=h
 _SL2_SC = {
@@ -100,16 +110,21 @@ class BraceSpace:
     representatives (non-pivot pairs), the sparse classes, kept as ints
     over `pair_den` in `pair_coords`, and `s_rows`, its RREF rows.
 
+    The row of a triple with none of its three products stored is zero, so
+    only the triples that hold a stored product e_a e_b (a <= b, as J is
+    commutative) are built: each such pair with every third element c,
+    sorted and counted once, and inserted in (degree, index) order.  The row
+    of a triple does not depend on the order of its elements, since J is
+    commutative, nor the canonical RREF on the order of insertion.
+
     With a degree bound B only the pairs and defining triples of degree sum
-    at most B are enumerated, the triples in (degree, index) order with
-    each loop stopped once the sum passes B.  The cut is exact: J is graded
+    at most B are enumerated: the third elements of a pair are then a prefix
+    of the (degree, index) order.  The cut is exact: J is graded
     (`ensure_valid` checks degree additivity), so the row of the triple
     (i, j, k) is homogeneous of degree deg i + deg j + deg k, the span and
     its canonical RREF split by degree, and the representatives, classes
     and `s_rows` of degree <= B are exactly those of the whole space.  A
-    pair above B has class zero here (absent from `pair_coords`).  Without a bound every
-    triple is enumerated; the row of a triple does not depend on its order,
-    since J is commutative, nor the canonical RREF on the order of insertion.
+    pair above B has class zero here (absent from `pair_coords`).
     """
 
     def __init__(self, J, bound=None):
@@ -126,26 +141,31 @@ class BraceSpace:
             return {self.pair_index[(min(i, m), max(i, m))]: c if i < m else -c
                     for m, c in sparse.items() if m != i}
 
-        # no triple's degree sum passes 3 max deg, so without a bound no
-        # loop stops early
-        top = 3 * max(degs, default=0) if bound is None else bound
-        span = RowSpan(len(self.pairs))
+        # the triples as sorted ranks in (degree, index) order: each stored
+        # product e_a e_b (a <= b) with every third element c that keeps the
+        # degree sum within the bound, a prefix of the ranks
         P = J.products
         order = sorted(range(d), key=lambda i: (degs[i], i))
-        for p, i in enumerate(order):
-            if 3 * degs[i] > top:
-                break
-            for q in range(p, d):
-                j = order[q]
-                if degs[i] + 2 * degs[j] > top:
-                    break
-                for k in order[q:]:
-                    if degs[i] + degs[j] + degs[k] > top:
-                        break
-                    row = add_into(add_into(wedge(i, P[j][k]), wedge(j, P[i][k])),
-                                   wedge(k, P[i][j]))
-                    if row:
-                        span.insert(row)
+        rank = [0] * d
+        for r, i in enumerate(order):
+            rank[i] = r
+        ranked_degs = [degs[i] for i in order]
+        triples = set()
+        for a, row in enumerate(P):
+            for b in range(a, d):
+                if row[b]:
+                    stop = d if bound is None else \
+                        bisect_right(ranked_degs, bound - degs[a] - degs[b])
+                    ra, rb = sorted((rank[a], rank[b]))
+                    triples.update((rc, ra, rb) for rc in range(min(ra, stop)))
+                    triples.update((ra, rc, rb) for rc in range(ra, min(rb, stop)))
+                    triples.update((ra, rb, rc) for rc in range(rb, stop))
+        span = RowSpan(len(self.pairs))
+        for p, q, r in sorted(triples):
+            i, j, k = order[p], order[q], order[r]
+            row = add_into(add_into(wedge(i, P[j][k]), wedge(j, P[i][k])), wedge(k, P[i][j]))
+            if row:
+                span.insert(row)
         self.reps, coords = quotient(span)
         self.rep_pairs = [self.pairs[t] for t in self.reps]
         # the RREF row of pivot t is e_t minus the class of e_t
@@ -316,6 +336,13 @@ def _fill_table(g, pairs, cols, tails):
     0, f at d, h at 2d, the tail at 3d), and the blocks of one bracket never
     overlap, so nothing is summed.
 
+    Only what can be nonzero is visited, in the order of a sweep over every
+    pair, so `brackets` keeps that sweep's insertion order: a rule with no
+    sl2 term and kappa = 0 (e x e, f x f) is skipped; the others visit the
+    Jordan pairs with a stored product, and, where kappa != 0, those with
+    stored pair coordinates too; a tail element visits its nonzero
+    derivation columns.
+
     The Jordan products are read from J.products over J.den; pairs, cols and
     tails are each (scale, ints): pair_coords, the tail columns [k][j] and
     the tail brackets, scale times the true values, with no zero entry.
@@ -344,24 +371,34 @@ def _fill_table(g, pairs, cols, tails):
     rules = [(offset[x], offset[y],
               [(offset[z], c * tscale) for z, c in _SL2_SC[(x, y)].items()],
               int(g.kappa[(x, y)] * (den // pden))) for x in blocks for y in blocks]
-    jpairs = [(i, j) for i in range(d) for j in range(d)
-              if bound is None or degs[i] + degs[j] <= bound]
+
+    def within(i, j):
+        return bound is None or degs[i] + degs[j] <= bound
+
+    # the Jordan pairs within the bound, in product order, with a stored
+    # product, with stored pair coordinates, and with either: a rule writes
+    # only where its sl2 term or its kappa term can be nonzero
+    stored = [(i, j) for i, row in enumerate(T) for j, out in enumerate(row)
+              if out and within(i, j)]
+    coupled = sorted((i, j) for (i, j), col in P.items() if col and within(i, j))
+    visits = {(False, False): (), (True, False): stored, (False, True): coupled,
+              (True, True): sorted({*stored, *coupled})}
     for ox, oy, terms, kap in rules:
-        for i, j in jpairs:
+        for i, j in visits[bool(terms), bool(kap)]:
             out = {oz + k: c * x for oz, c in terms for k, x in T[i][j].items()}
-            if kap and i != j:
-                out.update((t0 + k, kap * x) for k, x in P[(i, j)].items())
+            if kap:
+                out.update((t0 + k, kap * x) for k, x in P.get((i, j), {}).items())
             if out:
                 brackets[(ox + i, oy + j)] = out
     cscale, bscale = den // cden, den // bden
     for k, der in enumerate(C):
         tk = t0 + k
+        nonzero = [(j, col) for j, col in enumerate(der) if col]
         for ox in offset.values():
-            for j in range(d):
-                out = {ox + r: cscale * x for r, x in der[j].items()}
-                if out:
-                    brackets[(tk, ox + j)] = out
-                    brackets[(ox + j, tk)] = {p: -x for p, x in out.items()}
+            for j, col in nonzero:
+                out = {ox + r: cscale * x for r, x in col.items()}
+                brackets[(tk, ox + j)] = out
+                brackets[(ox + j, tk)] = {p: -x for p, x in out.items()}
         for l in range(g.tail_dim):
             bracket = B.get((k, l))
             if bracket:
@@ -394,9 +431,12 @@ def build_sl2(J, bound=None, weight_zero=False):
         return bound is None or sum(ds) <= bound
 
     # tden^2 times the sparse columns of D_{a,b} = [L_a, L_b] for each
-    # representative pair, within the bound, and the brace coordinates over bden
+    # representative pair, within the bound, and the brace coordinates over
+    # bden; D_{a,b} c = a (c b) - (a c) b is zero unless e_a e_c or e_c e_b
+    # is stored
     tden, T = J.den, J.products
-    ders = [[derivation_column(T, a, b, c) if within(dk, degs[c]) else {} for c in range(J.dim)]
+    ders = [[derivation_column(T, a, b, c) if (T[a][c] or T[c][b]) and within(dk, degs[c])
+             else {} for c in range(J.dim)]
             for (a, b), dk in zip(bs.rep_pairs, tail_degrees)]
     bden, braces = bs.pair_den, bs.pair_coords
     # [{a,b},{c,d}] = {D_{a,b} c, d} + {c, D_{a,b} d}, summed in ints over
@@ -436,11 +476,13 @@ def build_tkk(J):
     tden, T = J.den, J.products
 
     # tden^2 D_{a,b} = tden^2 [L_a, L_b] for a < b as flat {r * d + c: int}
-    # dicts; their span's canonical RREF basis is the tail
+    # dicts; their span's canonical RREF basis is the tail.  Column c,
+    # a (c b) - (a c) b, is zero unless e_c e_b or e_a e_c is stored
+    stored = [{c for c, out in enumerate(row) if out} for row in T]
     ders = {}
     span = RowSpan(d * d)
     for a, b in combinations(range(d), 2):
-        ders[(a, b)] = flat = {r * d + c: x for c in range(d)
+        ders[(a, b)] = flat = {r * d + c: x for c in sorted(stored[a] | stored[b])
                                for r, x in derivation_column(T, a, b, c).items()}
         if flat:
             span.insert(flat)
@@ -523,11 +565,10 @@ def build_tkk(J):
     return g
 
 
-def _cut(entries, lo, hi=None):
-    """The (key, value) entries of a list ascending in key with lo <= key,
-    and key < hi when hi is given."""
-    return entries[bisect_left(entries, lo, key=_KEY):
-                   None if hi is None else bisect_left(entries, hi, key=_KEY)]
+def _cut(entries, keys, lo, hi=None):
+    """The entries of a list whose keys, the ascending int list keys, have
+    lo <= key, and key < hi when hi is given."""
+    return entries[bisect_left(keys, lo):None if hi is None else bisect_left(keys, hi)]
 
 
 def _jacobi_sweep(itable, labels, sorted_only):
@@ -537,46 +578,44 @@ def _jacobi_sweep(itable, labels, sorted_only):
     sorted_only only the (q, r) with p < q < r are summed.
 
     Every (q, r) of p is summed at once, into acc[(q n + r) n + t], the
-    e_t coefficient at (q, r), and only over stored brackets of the integer
-    copy itable: [p, [a, b]] lands at (a, b) from each s with [p, s] stored
-    and each stored [a, b] that holds e_s; [c, [p, b]] at (b, c) and
-    [c, [a, p]] at (c, a) from each s in [p, b] or [a, p] and each c with
-    [c, s] stored.  The adjacency lists are built once, ascending in their
-    keys, so bisect cuts each to p < q < r.
+    e_t coefficient at (q, r), and only over the stored entries of the
+    integer copy itable: [p, [a, b]] lands at (a, b) from each entry e_t of
+    a stored [p, s] and each stored [a, b] that holds e_s; [c, [p, b]] at
+    (b, c) and [c, [a, p]] at (c, a) from each entry e_s of [p, b] or
+    [a, p] and each entry e_t of a stored [c, s].  The index is flat, one
+    tuple per stored entry, built once per sweep, and each list ascends in
+    its first item, whose plain int list bisect cuts to p < q < r.
     """
     n = len(labels)
-    # row[p] holds (b, [p, b]) for the stored [p, b], col[s] (c, [c, s]) for
-    # the stored [c, s], and hits[s] (a n + b, the e_s coefficient of [a, b])
-    # for the stored [a, b] that hold e_s, with a < b alone when sorted_only
+    # row[p] holds (b, t, x) for each entry x e_t of a stored [p, b], col[s]
+    # (c, t, x) for each entry x e_t of a stored [c, s], and hits[s]
+    # (a n + b, x) for each stored [a, b] with entry x e_s, with a < b alone
+    # when sorted_only
     row, col, hits = ([[] for _ in range(n)] for _ in range(3))
     for a, b in sorted(itable):
-        ab = itable[(a, b)]
-        row[a].append((b, ab))
-        col[b].append((a, ab))
-        if a < b or not sorted_only:
-            for s, x in ab.items():
-                hits[s].append((a * n + b, x))
+        ab = a * n + b
+        hit = a < b or not sorted_only
+        for t, x in itable[(a, b)].items():
+            row[a].append((b, t, x))
+            col[b].append((a, t, x))
+            if hit:
+                hits[t].append((ab, x))
+    row_keys, col_keys, hit_keys = ([[e[0] for e in entries] for entries in index]
+                                    for index in (row, col, hits))
 
     def case(p):
         acc = defaultdict(int)
         lo = p + 1 if sorted_only else 0        # the least q
-        for s, ps in row[p]:                    # [p, [a, b]] at (a, b)
-            for ab, k in _cut(hits[s], lo * n):
-                base = ab * n
-                for t, x in ps.items():
-                    acc[base + t] += k * x
-        for b, pb in _cut(row[p], lo):          # [c, [p, b]] at (b, c)
-            for s, k in pb.items():
-                for c, cs in _cut(col[s], b + 1 if sorted_only else 0):
-                    base = (b * n + c) * n
-                    for t, x in cs.items():
-                        acc[base + t] += k * x
-        for a, ap in _cut(col[p], lo):          # [c, [a, p]] at (c, a)
-            for s, k in ap.items():
-                for c, cs in _cut(col[s], lo, a if sorted_only else None):
-                    base = (c * n + a) * n
-                    for t, x in cs.items():
-                        acc[base + t] += k * x
+        for s, t, x in row[p]:                  # [p, [a, b]] at (a, b)
+            for ab, k in _cut(hits[s], hit_keys[s], lo * n):
+                acc[ab * n + t] += k * x
+        for b, s, k in _cut(row[p], row_keys[p], lo):       # [c, [p, b]] at (b, c)
+            base = b * n
+            for c, t, x in _cut(col[s], col_keys[s], b + 1 if sorted_only else 0):
+                acc[(base + c) * n + t] += k * x
+        for a, s, k in _cut(col[p], col_keys[p], lo):       # [c, [a, p]] at (c, a)
+            for c, t, x in _cut(col[s], col_keys[s], lo, a if sorted_only else None):
+                acc[(c * n + a) * n + t] += k * x
         failing = [key for key, x in acc.items() if x]
         if failing:
             q, r = divmod(min(failing) // n, n)
@@ -596,7 +635,7 @@ def validate_lie(g):
       the first failing ordered pair of a full sweep is a sorted one;
     - full Jacobi takes one case per leading index p and sums the jacobiator
       [p, [q, r]] + [q, [r, p]] + [r, [p, q]] for every (q, r) at once, each
-      term only over the stored brackets of adjacency lists of the table
+      term only over the stored entries of a flat index of the table
       (`_jacobi_sweep`).  A triple with none of [q, r], [r, p], [p, q]
       stored gets no term, as its jacobiator is 0.  The witness is the least
       failing (q, r) of the least failing p.  None of this assumes
@@ -682,10 +721,17 @@ def center_map(g_ext, g_tkk):
     a sparse {index: Fraction} column, and the kernel is its canonical basis
     as sparse rows, checked central.
 
-    When both bracket tables are exactly antisymmetric, both sides of the
-    homomorphism identity are antisymmetric in (p, q) and vanish at p = q,
-    so pairs p < q decide it and the first failing pair in product order is
-    one of them; otherwise every ordered pair is swept.  Each table's
+    The left side phi [p, q] can be nonzero only at a stored pair of the
+    extension, and the right side [phi p, phi q] only where the column of p
+    holds s and that of q holds t for a stored classical pair (s, t); the
+    sweep visits just these pairs, in product order, so its first failure
+    is that of a sweep over every pair.  When both bracket tables are
+    exactly antisymmetric, both sides of the identity are antisymmetric in
+    (p, q) and vanish at p = q, so pairs p < q decide it and the first
+    failing pair in product order is one of them.  Likewise a kernel
+    vector brackets to zero with every q that has no stored bracket with
+    its support, so centrality visits, in product order, only the other
+    (kernel vector, q) pairs.  Each table's
     antisymmetry verdict is the one kept on it (`TKKAlgebra.antisymmetric`),
     so a table that validate_lie has checked is not swept again.  The sweep
     reads the integer forms of both tables, d1 and d2 times over, and the
@@ -729,10 +775,19 @@ def center_map(g_ext, g_tkk):
         if any(acc.values()):
             return f"not a homomorphism at ({g_ext.labels[p]},{g_ext.labels[q]})"
 
-    n = g_ext.dim
-    pairs = combinations(range(n), 2) if g_ext.antisymmetric and g_tkk.antisymmetric \
-        else product(range(n), repeat=2)
-    rep.check("lie algebra homomorphism (all pairs)", pairs, nonhomomorphic)
+    # the pairs where either side can be nonzero: the stored pairs of the
+    # extension, and the (p, q) with s in the column of p and t in that of q
+    # for a stored classical pair (s, t)
+    preimage = defaultdict(list)
+    for p, col in enumerate(icols):
+        for s in col:
+            preimage[s].append(p)
+    pairs = set(ext_table)
+    for s, t in tkk_table:
+        pairs.update(product(preimage.get(s, ()), preimage.get(t, ())))
+    if g_ext.antisymmetric and g_tkk.antisymmetric:
+        pairs = [(p, q) for p, q in pairs if p < q]
+    rep.check("lie algebra homomorphism (all pairs)", sorted(pairs), nonhomomorphic)
 
     # phi is the identity on e/f/h and maps the tail into the tail, so its
     # kernel is that of the tail block, shifted past e/f/h; the shifted rows
@@ -762,7 +817,15 @@ def center_map(g_ext, g_tkk):
         if acc:
             return f"kernel vector {r} not central against {g_ext.labels[q]}"
 
-    rep.check("kernel is central", product(range(len(ker)), range(g_ext.dim)), noncentral)
+    # a kernel vector brackets to zero with every q that has no stored [p, q]
+    # for p in its support, so only the other q of each vector are cases,
+    # in product order
+    partners = defaultdict(set)
+    for p, q in ext_table:
+        partners[p].add(q)
+    cases = ((r, q) for r, vec in enumerate(ker)
+             for q in sorted(set().union(*(partners.get(p, ()) for p in vec))))
+    rep.check("kernel is central", cases, noncentral)
     return [{p: Fraction(x, cden) for p, x in col.items()} for col in icols], ker, rep
 
 

@@ -37,7 +37,11 @@ straightening denominator den, must match it exactly once divided by den.
 bracket table once in integer form, which `validate_lie` and `center_map`
 read; the reference constructions sum the tails in Fractions and fill the
 table through `add_into`, and the Fraction view `table` and the pair
-coordinates divided by `pair_den` must match them, types included.  A
+coordinates divided by `pair_den` must match them, types included, with the
+brackets in the reference's insertion order.  `BraceSpace`, the table filler
+and `center_map` visit only the triples and pairs that can be nonzero; on
+the paper's free Jordan windows they must match the references that visit
+every triple or pair.  A
 corrupted bracket table is written through `conftest.set_table`, and a
 corrupted Jordan table through `conftest.set_jordan_table`; each rebuilds
 the integer form.  Each Jordan table is scaled to integers once, when the
@@ -240,8 +244,9 @@ def ref_extension(rep, ext):
 
 def ref_center_map(ext, classical):
     """The lines of center_map's report, with the homomorphism item swept
-    over every ordered pair of basis elements."""
-    sparse_phi, _, lib = center_map(ext, classical)
+    over every ordered pair of basis elements and the centrality of its
+    kernel over every (kernel vector, basis element) pair."""
+    sparse_phi, ker, lib = center_map(ext, classical)
     phi = matrix_of_columns(sparse_phi, classical.dim)
     cols = [column(phi, p) for p in range(ext.dim)]
 
@@ -251,10 +256,19 @@ def ref_center_map(ext, classical):
         if lhs != dense_bracket(classical, cols[p], cols[q]):
             return f"not a homomorphism at ({ext.labels[p]},{ext.labels[q]})"
 
+    def noncentral(rq):
+        r, q = rq
+        acc = {}
+        for p, c in ker[r].items():
+            add_into(acc, ext.bracket_basis(p, q), c)
+        if acc:
+            return f"kernel vector {r} not central against {ext.labels[q]}"
+
     report = Report(lib.title)
     report.check("lie algebra homomorphism (all pairs)",
                  product(range(ext.dim), repeat=2), nonhomomorphic)
-    report.items += lib.items[1:]
+    report.items += lib.items[1:3]
+    report.check("kernel is central", product(range(len(ker)), range(ext.dim)), noncentral)
     return report
 
 
@@ -669,11 +683,10 @@ def ref_fill_table(g, pair_coords, tail_cols, tail_brackets):
     return set_table(g, table)
 
 
-def ref_brace_classes(J):
-    """The brace classes in Fractions, {(i, j): class} for i != j: the
-    defining rows x^(yz) + y^(xz) + z^(xy) of every sorted basis triple read
-    from J.table as it is given, and the classes of the pairs i < j from the
-    canonical RREF of their span."""
+def ref_brace_span(J):
+    """The pairs i < j and the span, over them, of the defining rows
+    x^(yz) + y^(xz) + z^(xy) of every sorted basis triple, read from J.table
+    as it is given."""
     pairs = list(combinations(range(J.dim), 2))
     index = {pair: t for t, pair in enumerate(pairs)}
 
@@ -685,6 +698,18 @@ def ref_brace_classes(J):
     for i, j, k in combinations_with_replacement(range(J.dim), 3):
         span.insert(add_into(add_into(wedge(i, J.table[j][k]), wedge(j, J.table[i][k])),
                              wedge(k, J.table[i][j])))
+    return pairs, span
+
+
+def ref_brace_classes(J):
+    """The brace classes in Fractions, {(i, j): class} for i != j, of
+    `ref_brace_span`: the classes of the pairs i < j from the canonical RREF
+    of the span of every sorted triple's defining row."""
+    return classes_of_span(*ref_brace_span(J))
+
+
+def classes_of_span(pairs, span):
+    """{(i, j): class} for i != j, from the canonical RREF of span over pairs."""
     classes = {}
     for (i, j), col in zip(pairs, quotient(span)[1]):
         classes[(i, j)] = col
@@ -793,12 +818,16 @@ _CONSTRUCTED = {**{name: make for name, (make, _) in _PINNED_TABLES.items()},
                 **_DENOMINATOR_ALGEBRAS}
 
 
-@pytest.mark.parametrize("name", list(_CONSTRUCTED))
+@pytest.mark.parametrize("name", [*_CONSTRUCTED, "J(2)-to-4"])
 def test_integer_tails_match_fraction_reference(name):
-    J = _CONSTRUCTED[name]()
+    J = symmetric_words_jordan(2, 4) if name == "J(2)-to-4" else _CONSTRUCTED[name]()
     for build, ref in ((build_sl2, ref_build_sl2), (build_tkk, ref_build_tkk)):
         g, expected = build(J), ref(J)
-        assert list(g.table) == list(expected.table)
+        # the filler writes only where a bracket can be nonzero, in the order
+        # of the reference's sweep over every pair: the first witnesses of
+        # "bracket adds weights and degrees" and "[G_i, G_j] inside G_{i+j}"
+        # read this order
+        assert list(g.brackets) == list(expected.brackets)
         assert typed(g.table) == typed(expected.table)
         assert typed(pair_fractions(g)) == typed(expected.pair_coords)
         assert all(type(c) is Q for out in g.table.values() for c in out.values())
@@ -865,6 +894,95 @@ def test_stored_integer_forms_equal_the_fraction_tables(name, tmp_path):
                        (build_tkk(J), ref_build_tkk(J).pair_coords)):
         assert all(type(x) is int for col in g.pair_coords.values() for x in col.values())
         assert typed(pair_fractions(g)) == typed(classes)
+
+
+# the paper's windows: free Jordan algebras cut above a degree, where most
+# products of two basis words vanish
+_WINDOWS = {
+    "J(2)-to-6": lambda: symmetric_words_jordan(2, 6),
+    "J(3)-to-4": lambda: symmetric_words_jordan(3, 4),
+}
+
+
+@pytest.mark.parametrize("name", list(_WINDOWS))
+def test_brace_space_over_stored_products_matches_every_triple(name):
+    # BraceSpace builds the defining rows of the triples with a stored
+    # product only; the reference inserts the row of every sorted triple.
+    # Uncut the two must agree; cut at B = 4 the brace space must be the
+    # reference's in every kept degree, as in test_cut
+    J = _WINDOWS[name]()
+    degs = J.space.degrees
+    pairs, span = ref_brace_span(J)
+    red = span.reduced()
+    ref_reps = [pair for t, pair in enumerate(pairs) if t not in red]
+    ref_classes = {pair: {ref_reps[k]: c for k, c in col.items()}
+                   for pair, col in classes_of_span(pairs, span).items()}
+    ref_rows = [{pairs[t]: c for t, c in row.items()} for row in red.values()]
+    for B in (None, 4):
+        def kept(pair, B=B):
+            return B is None or degs[pair[0]] + degs[pair[1]] <= B
+
+        bs = BraceSpace(J, B)
+        assert bs.pairs == [pair for pair in pairs if kept(pair)]
+        assert all(type(x) is int for col in bs.pair_coords.values() for x in col.values())
+        assert {pair: {bs.rep_pairs[k]: c for k, c in col.items()}
+                for pair, col in pair_fractions(bs).items()} == \
+            {pair: col for pair, col in ref_classes.items() if kept(pair)}
+        assert [{bs.pairs[t]: c for t, c in row.items()} for row in bs.s_rows] == \
+            [row for row in ref_rows if kept(next(iter(row)))]
+    assert bs.dim < BraceSpace(J).dim
+
+
+# J(2)-to-3 and J(3)-to-2, with center-map kernels of dimension 8 and 11.
+# Their classical tails Inn J have dimension 1 and 0, so the corruptions fall
+# on the weight-zero block h(J) + tail of either table; a corrupted tail
+# bracket of the extension can also make a kernel vector noncentral
+_SMALL_WINDOWS = {
+    "J(2)-to-3": (lambda: symmetric_words_jordan(2, 3), 8),
+    "J(3)-to-2": (lambda: symmetric_words_jordan(3, 2), 11),
+}
+
+
+@pytest.mark.parametrize("name", list(_SMALL_WINDOWS))
+def test_center_map_on_a_window_matches_full_sweep(name):
+    # the homomorphism sweep visits only the stored pairs of the extension
+    # and the pairs whose columns meet a stored classical pair
+    make, kernel_dim = _SMALL_WINDOWS[name]
+    J = make()
+    ext, classical = build_sl2(J), build_tkk(J)
+    _, ker, lib = center_map(ext, classical)
+    assert len(ker) == kernel_dim
+    assert lib.ok and lib.lines() == ref_center_map(ext, classical).lines()
+    noncentral = 0
+    for keep, target in product((True, False), (0, 1)):
+        ext, classical = build_sl2(J), build_tkk(J)
+        g = (ext, classical)[target]
+        corrupt_table(g, random.Random(0), keep, within=g.weight_block(0))
+        lib = center_map(ext, classical)[2]
+        assert lib.lines() == ref_center_map(ext, classical).lines(), (keep, target)
+        assert not lib.items[0].ok
+        noncentral += not lib.items[3].ok
+    assert noncentral >= 1
+    # one element of kernel vector 0's support given new brackets with two
+    # basis elements: the witness is the lesser of them, as in a full sweep
+    ext, classical = build_sl2(J), build_tkk(J)
+    p, targets = min(ker[0]), (ext.e_index(1), ext.h_index(0))
+    table = dict(ext.table)
+    for q in targets:
+        table[(p, q)] = add_into(dict(ext.bracket_basis(p, q)), {ext.h_index(0): Q(1)})
+    lib = center_map(set_table(ext, table), classical)[2]
+    assert lib.lines() == ref_center_map(ext, classical).lines()
+    assert lib.items[3].detail == f"kernel vector 0 not central against {ext.labels[targets[0]]}"
+
+
+def test_validate_lie_on_a_window_matches_full_sweep():
+    J = symmetric_words_jordan(2, 3)
+    assert validate_lie(build_sl2(J)).lines() == ref_validate_lie(build_sl2(J)).lines()
+    for seed, keep in product(range(2), (True, False)):
+        g = corrupt_table(build_sl2(J), random.Random(seed), keep)
+        lib = validate_lie(g)
+        assert lib.lines() == ref_validate_lie(g).lines(), (seed, keep)
+        assert lib.items[0].ok is keep and not lib.ok
 
 
 def ref_newton_rho(n, cutoff):
