@@ -1,8 +1,7 @@
 """Command-line frontend.
 
 Exit codes: 0 everything verified, 1 a property failed (witness printed),
-2 window insufficiency (a `weyl dims` window depth below 1), 3 malformed
-input.
+3 malformed input.
 """
 
 from __future__ import annotations
@@ -22,11 +21,10 @@ from . import weyl as weyl_mod
 from .jordan import InputError
 from .jspace import LevelError
 from .linalg import random_vector
-from .weyl import ExtensionError, WindowError
+from .weyl import ExtensionError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
-EXIT_RESOURCE = 2
 EXIT_INPUT = 3
 
 
@@ -183,7 +181,7 @@ def cmd_jspace_check(args):
 
 
 def cmd_weyl_dims(args):
-    table = weyl_mod.weyl_dimensions(_resolve_rep(args), args.max_degree, W=args.window)
+    table = weyl_mod.weyl_dimensions(_resolve_rep(args), args.max_degree)
     lines_out = []
     if args.format == "csv":
         lines_out = table.to_csv_lines()
@@ -308,9 +306,6 @@ def build_parser():
     pd.add_argument("--seed", type=int, default=0,
                     help="has no effect: the tables depend on no seed")
     pd.add_argument("--max-degree", type=int, required=True)
-    pd.add_argument("--window", type=int, default=None,
-                    help="checked (>= 1) and echoed as the JSON window key; "
-                         "has no effect on the table")
     pd.add_argument("--oracle", choices=["snlt"], default=None,
                     help="diff the table against the enumeration oracle")
     pd.set_defaults(func=cmd_weyl_dims)
@@ -351,9 +346,6 @@ def main(argv=None):
     except (InputError, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except WindowError as exc:
-        print(f"resource error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
     except LevelError as exc:
         print(f"level error: {exc}", file=sys.stderr)
         return EXIT_FAIL

@@ -461,11 +461,18 @@ def dense_vector(n, sparse):
     return v
 
 
-def random_fraction(rng, num_bound=12, den_bound=6):
-    """Small random nonzero-denominator rational, for sampling checks."""
-    return Fraction(rng.randint(-num_bound, num_bound), rng.randint(1, den_bound))
+# the set a sampled rational is drawn from: numerator uniform in
+# -DRAW_NUM..DRAW_NUM, then denominator uniform in 1..DRAW_DEN
+DRAW_NUM = 12
+DRAW_DEN = 6
 
 
-def random_vector(rng, n, num_bound=12, den_bound=6):
-    return [random_fraction(rng, num_bound, den_bound) for _ in range(n)]
+def random_fraction(rng):
+    """A rational drawn from the DRAW_NUM/DRAW_DEN set, for sampling checks."""
+    return Fraction(rng.randint(-DRAW_NUM, DRAW_NUM), rng.randint(1, DRAW_DEN))
+
+
+def random_vector(rng, n):
+    """n coordinates, each drawn by random_fraction."""
+    return [random_fraction(rng) for _ in range(n)]
 

@@ -48,11 +48,12 @@ results agree exactly when they are ==, and cores exactly when same_ratio
 holds.
 
 Weyl dimension tables come from a raising-closure of the below-band cells
-of a degree-and-depth window, closed under the raising generators by
-construction (so meta's stable always holds), with a submodule
-certificate for the lowering and weight-zero generators checked after the
-fact, and are cross-checked against a pure enumeration oracle for the
-symmetric power of the natural current module.
+of a window of degrees <= D_max and depths 0..n+1, the only depths the
+closure reads, closed under the raising generators by construction (so
+meta's stable always holds), with a submodule certificate for the lowering
+and weight-zero generators checked after the fact, and are cross-checked
+against a pure enumeration oracle for the symmetric power of the natural
+current module.
 
 A window of degrees <= D_max reads the extension only in degrees
 <= D_max - m, m the least module degree, since no module vector sits lower:
@@ -83,7 +84,8 @@ from .jspace import G0Rep, LevelError, degree_cut, extend_to_g0, grading_breach,
 
 
 class WindowError(Exception):
-    """The requested computation does not fit the degree/depth window."""
+    """The requested computation reads above the degree at which its
+    extension is cut, or a generator leaves the window of TruncatedVerma."""
 
 
 class NoncommutingPowersError(Exception):
@@ -596,17 +598,17 @@ def _multisets(order, degs, size, bound):
 
 
 class TruncatedVerma:
-    """Degree/depth window of the induced module, with generator actions.
+    """The window of the induced module of degrees <= D_max and depths
+    0..n+1, with generator actions.
 
     Cells are indexed by (depth l, total degree d); the weight is n - 2l.
     Cell bases are pairs (index-sorted multiset of algebra indices, module
     index), ordered as _multisets enumerates them over the basis sorted by
-    (degree, index), then by module index.
+    (degree, index), then by module index.  Depth n+1 is the deepest that
+    weyl_dimensions reads, so an f from it leaves the window.
     """
 
-    def __init__(self, g0, D_max, W):
-        if W < 1:
-            raise WindowError("window depth must be >= 1")
+    def __init__(self, g0, D_max):
         if D_max < 0:
             raise InputError("max degree must be >= 0")
         bound = _window_bound(g0, D_max)
@@ -622,8 +624,7 @@ class TruncatedVerma:
         if breach:
             raise InputError(breach)
         self.D_max = D_max
-        self.W = W
-        self.ell_max = self.n + W
+        self.ell_max = self.n + 1
         self.data = straightening(g0)
 
         degs = J.space.degrees
@@ -790,10 +791,9 @@ class WeylTable:
     """Graded dimensions dim (w, d) of the universal bounded quotient, with
     window metadata and certificate flags."""
 
-    def __init__(self, n, D_max, W, dims, meta=None):
+    def __init__(self, n, D_max, dims, meta=None):
         self.n = n
         self.D_max = D_max
-        self.W = W
         self.dims = dict(dims)
         self.meta = dict(meta or {})
 
@@ -810,10 +810,12 @@ class WeylTable:
         return lines
 
     def to_json_dict(self):
+        """The table as JSON: "window" is n + 2, the number of depths
+        0..n+1 that the closure builds."""
         return {
             "level": self.n,
             "max_degree": self.D_max,
-            "window": self.W,
+            "window": self.n + 2,
             "dims": [[w, d, self.dims[(w, d)]] for (w, d) in self.keys_sorted()],
             "meta": self.meta,
         }
@@ -870,20 +872,20 @@ def _leaves(verma, X, gen, cell):
     return False
 
 
-def weyl_dimensions(rep_or_g0, D_max, W=None):
-    """Graded dimensions of the universal bounded quotient, windowed.
+def weyl_dimensions(rep_or_g0, D_max):
+    """Graded dimensions of the universal bounded quotient, in degrees <= D_max.
 
     The killed part is the raising-closure of the full below-band cells
     (lowering and weight-zero generators keep those cells below the band,
     so the closure under raising generators alone spans the submodule).
     Raising lowers the depth by one, so only the depth-(n+1) cells feed rows
-    into the cells of depth <= n: the closure runs on depths 0..n+1, the
-    cells deeper than n count as full and are never stored, and the table
-    does not depend on the window depth W >= 1, which is only checked and
-    recorded.  Each sweep applies the raising generators to the rows the
-    previous sweep added, in a fixed cell order, and skips a generator whose
-    target cell is full: every insert there would be rejected.  Each sweep
-    reaches one depth higher, so at most n + 2 sweeps run.
+    into the cells of depth <= n: the closure runs on the window of depths
+    0..n+1 (TruncatedVerma), and the cells deeper than n count as full and
+    are never stored.  Each sweep applies the raising generators to the
+    rows the previous sweep added, in a fixed cell order, and skips a
+    generator whose target cell is full: every insert there would be
+    rejected.  Each sweep reaches one depth higher, so at most n + 2 sweeps
+    run.
 
     Once a sweep adds nothing, the killed part X, together with the full
     cells deeper than n, is closed under the raising generators by
@@ -897,11 +899,7 @@ def weyl_dimensions(rep_or_g0, D_max, W=None):
     exact closure-side reading of dominance); nothing depends on a seed.
     """
     g0, n = checked_extension(rep_or_g0, _window_bound(rep_or_g0, D_max))
-    if W is None:
-        W = n + 2
-    elif W < 1:
-        raise WindowError("window depth must be >= 1")
-    verma = TruncatedVerma(g0, D_max, 1)
+    verma = TruncatedVerma(g0, D_max)
 
     raise_gens = [g for g in verma.generators if g[0] == "e"]
 
@@ -955,7 +953,7 @@ def weyl_dimensions(rep_or_g0, D_max, W=None):
         "certificate_ok": certificate_ok,
         "top_weight_preserved": top_preserved,
     }
-    return WeylTable(n, D_max, W, dims, meta)
+    return WeylTable(n, D_max, dims, meta)
 
 
 def snlt_oracle(n, D_max):
@@ -979,7 +977,7 @@ def snlt_oracle(n, D_max):
         if d <= D_max:
             dims[(w, d)] += 1
     meta = {"oracle": "symmetric-power enumeration"}
-    return WeylTable(n, D_max, None, dims, meta)
+    return WeylTable(n, D_max, dims, meta)
 
 
 def bracket_fidelity(verma):

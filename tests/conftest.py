@@ -24,6 +24,13 @@ from tkkwb.symfun import dominance_coeffs
 from tkkwb.tkk import _asymmetric
 
 
+def small_vector(rng, n, num_bound, den_bound):
+    """n rationals with numerators in -num_bound..num_bound over denominators
+    in 1..den_bound, drawn as linalg.random_vector draws its wider set: the
+    smaller coordinates keep the exact sums of the tests short."""
+    return [Q(rng.randint(-num_bound, num_bound), rng.randint(1, den_bound)) for _ in range(n)]
+
+
 def column(m, j):
     """Column j of a dense matrix, as a list."""
     return [row[j] for row in m.data]

@@ -12,13 +12,13 @@ from math import factorial
 import pytest
 
 from conftest import (dense_rho, dense_rho_of, equivalence_instances, matrix_rep,
-                      one_gen_rep, projection_matrix, sparse)
+                      one_gen_rep, projection_matrix, small_vector, sparse)
 from tkkwb.jordan import matrix_jordan, spin_factor, truncated_poly
 from tkkwb.jspace import (check_bimodule, check_jspace,
                           dominance_check, dominance_operator, extend_to_g0, level,
                           matrix_defining_rep, newton_rep, regular_rep,
                           zero_rep)
-from tkkwb.linalg import Matrix, add_operator, random_fraction, random_vector
+from tkkwb.linalg import Matrix, add_operator, random_fraction
 from tkkwb.symfun import (newton_product, partitions, trace_oracle,
                           verify_frobenius, verify_newton_dependence)
 from tkkwb.tkk import build_sl2, validate_lie
@@ -91,7 +91,7 @@ def test_05_three_way_equivalence():
         n = level(rep)
         exact = True
         for _ in range(2):
-            a = random_vector(rng, rep.jordan.dim, num_bound=5, den_bound=3)
+            a = small_vector(rng, rep.jordan.dim, 5, 3)
             want = add_operator({}, dominance_operator(rep, a), factorial(n + 1))
             exact = exact and efr_power(g0, a, n + 1) == want
         ok = ok and agree and exact
@@ -114,7 +114,7 @@ def test_06_garland_formula():
         g0 = extend_to_g0(rep)
         n = level(rep)
         for _ in range(3):
-            a = random_vector(rng, rep.jordan.dim, num_bound=5, den_bound=3)
+            a = small_vector(rng, rep.jordan.dim, 5, 3)
             for rr in sorted({0, 1, n, n + 1}):
                 ok = ok and efr_power(g0, a, rr) == garland_coefficient(g0, a, rr)
     report(6, "generating-function coefficients equal straightening", ok)

@@ -578,22 +578,17 @@ def test_symbolic_guard_exit2(capsys):
     assert "dominance: dominant (symbolic)" in out.splitlines()
 
 
-def test_weyl_window_too_small_exit2(capsys):
-    code, _, err = run(capsys, "weyl", "dims", "--builtin-rep", "newton",
-                       "--n", "1", "--cutoff", "2", "--max-degree", "2",
-                       "--window", "0")
-    assert code == 2
-    assert "window" in err
-
-
-def test_weyl_window_deeper_than_the_recursion_limit(capsys):
-    # the window depth is only checked and echoed: the closure never builds a
-    # cell deeper than n + 1, so a depth past the recursion limit changes nothing
-    argv = ("weyl", "dims", "--builtin-rep", "newton", "--n", "1", "--cutoff", "1",
-            "--max-degree", "1")
-    code, out, err = run(capsys, *argv, "--window", "1100")
-    assert code == 0, err
-    assert (code, out, err) == run(capsys, *argv)
+def test_weyl_dims_has_one_window(capsys):
+    # the closure reads the depths 0..n+1 and nothing else: there is no
+    # window depth to choose, and the JSON window key counts those depths
+    argv = ("weyl", "dims", "--builtin-rep", "newton", "--n", "1", "--cutoff", "2",
+            "--max-degree", "2")
+    code, out, err = run(capsys, *argv, "--window", "2")
+    assert (code, out) == (3, "")
+    assert err.startswith("input error: unrecognized arguments: --window 2")
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["window"] == 3
 
 
 def test_weyl_unclosed_killed_part_exit1(capsys, monkeypatch):

@@ -247,7 +247,7 @@ def test_cut_extension_refuses_a_window_above_its_cut():
     with pytest.raises(WindowError, match="cut at degree 3"):
         weyl_dimensions(g0, 4)
     with pytest.raises(WindowError, match="cut at degree 3"):
-        TruncatedVerma(g0, 4, 1)
+        TruncatedVerma(g0, 4)
     with pytest.raises(WindowError, match="every degree"):
         efr_powers(g0, [Q(1)] * 6, [0])
 
@@ -265,7 +265,7 @@ def test_inexact_cuts_are_refused():
 def test_bracket_fidelity_needs_the_whole_table():
     rep = newton_rep(2, 3)
     with pytest.raises(ValueError, match="whole bracket table"):
-        bracket_fidelity(TruncatedVerma(extend_to_g0(rep), 3, 2))
+        bracket_fidelity(TruncatedVerma(extend_to_g0(rep), 3))
     # a cut whole table serves a window inside its cut
     cut = extend_to_g0(rep, build_sl2(rep.jordan, 3))
-    assert bracket_fidelity(TruncatedVerma(cut, 3, 2)).ok
+    assert bracket_fidelity(TruncatedVerma(cut, 3)).ok

@@ -71,8 +71,8 @@ import pytest
 from conftest import (column, dense_bracket, dense_commutator, dense_rho, dense_rho_of,
                       every_r_validate_lie, fraction_powers_dominance_operator,
                       least_poly_witness, matrix_of_columns, matrix_rep, noncommuting_rep, pair_fractions,
-                      prods_validate, set_jordan_table, set_table, symbolic_dominance_detail,
-                      symmetric_words_jordan)
+                      prods_validate, set_jordan_table, set_table, small_vector,
+                      symbolic_dominance_detail, symmetric_words_jordan)
 from test_tkk import _PINNED_TABLES
 from test_weyl import GARLAND_CASES
 from tkkwb import jordan, jspace, linalg, tkk, weyl
@@ -85,7 +85,7 @@ from tkkwb.jspace import (JSpaceRep, LevelError, check_envelope_relations, check
                           rep_from_dict, tensor_rep, zero_rep)
 from tkkwb.linalg import (LabeledSpace, Matrix, RowSpan, add_into, add_operator, combine,
                           commutator, dense_vector, integer_vector, operator_product,
-                          quotient, random_vector, scalar_operator, unit_vector)
+                          quotient, scalar_operator, unit_vector)
 from tkkwb.multipoly import Poly
 from tkkwb.report import Report
 from tkkwb.symfun import SymPoly, dominance_coeffs, newton, partitions
@@ -1147,29 +1147,29 @@ def _tensor_square_of_defining():
     return tensor_rep(dr, dr)
 
 
-# (rep, max degree, window depth)
+# (rep, max degree)
 _STRAIGHTENING_REPS = {
-    "newton-3-4": (lambda: newton_rep(3, 4), 3, 1),
-    "doubled-M2": (lambda: doubled_regular_rep(matrix_jordan(2)), 0, 1),
-    "defining-M2-squared": (_tensor_square_of_defining, 0, 1),
+    "newton-3-4": (lambda: newton_rep(3, 4), 3),
+    "doubled-M2": (lambda: doubled_regular_rep(matrix_jordan(2)), 0),
+    "defining-M2-squared": (_tensor_square_of_defining, 0),
     "doubled-spin-1-2": (lambda: doubled_regular_rep(spin_factor([[Q(1), Q(0)], [Q(0), Q(2)]])),
-                         0, 2),
-    "half-unit": (_half_unit_rep, 0, 2),
-    "scaled-basis-local": (_scaled_basis_local_rep, 3, 1),
+                         0),
+    "half-unit": (_half_unit_rep, 0),
+    "scaled-basis-local": (_scaled_basis_local_rep, 3),
     "zero-dim-module": (lambda: rep_from_dict({"algebra": "truncated-poly:2",
                                                "module": {"labels": [], "degrees": []},
-                                               "rho": [[], [], []]}), 2, 2),
+                                               "rho": [[], [], []]}), 2),
     # the benchmark's shapes, where a factor repeats up to n + 1 times
-    "newton-3-5": (lambda: newton_rep(3, 5), 5, 1),
-    "local-7-6": (lambda: _local_rep(7, 6), 6, 1),
+    "newton-3-5": (lambda: newton_rep(3, 5), 5),
+    "local-7-6": (lambda: _local_rep(7, 6), 6),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_STRAIGHTENING_REPS))
 def test_integer_straightening_matches_fraction_reference(name):
-    make_rep, D, W = _STRAIGHTENING_REPS[name]
+    make_rep, D = _STRAIGHTENING_REPS[name]
     g0 = extend_to_g0(make_rep())
-    verma = TruncatedVerma(g0, D, W)
+    verma = TruncatedVerma(g0, D)
     ref = RefStraight(g0)
     cases = 0
     for gen in verma.generators:
@@ -1191,7 +1191,7 @@ def test_straightening_matches_generating_function_at_every_depth(name):
     g0 = extend_to_g0(_STRAIGHTENING_REPS[name][0]())
     n, d = level(g0.rep), g0.rep.jordan.dim
     rng = random.Random(41)
-    for a in (list(g0.rep.jordan.unit), random_vector(rng, d, num_bound=5, den_bound=3)):
+    for a in (list(g0.rep.jordan.unit), small_vector(rng, d, 5, 3)):
         direct = efr_powers(g0, a, range(n + 2))
         series = garland_coefficients(g0, a, range(n + 2))
         for rr in range(n + 2):

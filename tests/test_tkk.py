@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 import tkkwb
 from conftest import (L_op, dense_bracket, dense_commutator, matrix_of_columns,
-                      matrix_of_rows, pair_fractions, set_table, symmetric_words_jordan)
+                      matrix_of_rows, pair_fractions, set_table, small_vector,
+                      symmetric_words_jordan)
 from tkkwb import linalg, tkk
 from tkkwb.jordan import (InputError, algebra_from_dict, builtin, jmul, matrix_jordan,
                           spin_factor, truncated_poly, validate)
@@ -274,9 +275,9 @@ def test_jacobi_random_vectors():
     rng = random.Random(12)
     g = build_sl2(matrix_jordan(2))
     for _ in range(10):
-        x = random_vector(rng, g.dim, num_bound=4, den_bound=2)
-        y = random_vector(rng, g.dim, num_bound=4, den_bound=2)
-        z = random_vector(rng, g.dim, num_bound=4, den_bound=2)
+        x = small_vector(rng, g.dim, 4, 2)
+        y = small_vector(rng, g.dim, 4, 2)
+        z = small_vector(rng, g.dim, 4, 2)
         acc = [0] * g.dim
         for (a, b, c) in ((x, y, z), (y, z, x), (z, x, y)):
             term = dense_bracket(g, a, dense_bracket(g, b, c))

@@ -9,7 +9,8 @@ import pytest
 
 from conftest import (canonical, column, dense_rho, dense_rho_of, jordan_block_3,
                       least_poly_witness, matrix_rep, nilpotent_matrix, noncommuting_rep,
-                      one_gen_rep, projection_matrix, sparse, symbolic_dominance_detail)
+                      one_gen_rep, projection_matrix, small_vector, sparse,
+                      symbolic_dominance_detail)
 from tkkwb import weyl
 from tkkwb.jordan import (InputError, JordanAlgebra, matrix_jordan, spin_factor,
                           truncated_poly)
@@ -40,15 +41,18 @@ def basis(n, i):
 def test_cells_level0():
     r = zero_rep(truncated_poly(0))
     g0 = extend_to_g0(r)
-    v = TruncatedVerma(g0, 0, 3)
-    # depth-l cells at degree 0 are spanned by the l-th lowering power of 1
-    for ell in range(4):
+    v = TruncatedVerma(g0, 0)
+    # depth-l cells at degree 0 are spanned by the l-th lowering power of 1,
+    # for the depths 0..n+1 = 0..1 of the window
+    assert v.ell_max == 1
+    for ell in range(2):
         assert v.cell_dim((ell, 0)) == 1
+    assert v.cell_dim((2, 0)) == 0
 
 
 def test_cells_newton1():
     r = newton_rep(1, 3)
-    v = TruncatedVerma(extend_to_g0(r), 3, 2)
+    v = TruncatedVerma(extend_to_g0(r), 3)
     # at depth 1 and degree d: pairs (t^i, x^j) with i + j = d
     for d in range(4):
         assert v.cell_dim((1, d)) == d + 1
@@ -59,15 +63,9 @@ def test_cells_newton1():
 
 def test_top_cells_match_module():
     r = newton_rep(2, 3)
-    v = TruncatedVerma(extend_to_g0(r), 3, 2)
+    v = TruncatedVerma(extend_to_g0(r), 3)
     for d in range(4):
         assert v.cell_dim((0, d)) == r.module.degrees.count(d)
-
-
-def test_window_rejects_depth_zero():
-    r = newton_rep(1, 2)
-    with pytest.raises(WindowError):
-        TruncatedVerma(extend_to_g0(r), 2, 0)
 
 
 @pytest.mark.parametrize("degs", [(0, 1, 2, 3), (0, 0, 1, 1, 2), (2, 0, 3, 1), (1, 1)])
@@ -81,7 +79,7 @@ def test_multisets_match_filtered_combinations(degs):
 
 
 def test_multisets_deeper_than_the_recursion_limit():
-    # with a degree-0 unit the cells reach the window depth
+    # with a degree-0 unit the cells reach depth n + 1 at every degree bound
     deep = list(_multisets([0, 1], (0, 1), 1500, 1))
     assert deep == [(0,) * 1500, (0,) * 1499 + (1,)]
 
@@ -92,7 +90,7 @@ def test_multisets_deeper_than_the_recursion_limit():
 
 def test_lowering_insertion_commutes():
     r = newton_rep(1, 2)
-    v = TruncatedVerma(extend_to_g0(r), 2, 3)
+    v = TruncatedVerma(extend_to_g0(r), 2)
     vec = {(0, 0): basis(v.cell_dim((0, 0)), 0)}
     fa = apply_generator(v, vec, ("f", 1))
     fafb = apply_generator(v, fa, ("f", 0))
@@ -105,7 +103,7 @@ def test_raise_of_single_lowering_is_rho():
     # e(1) f(a) m = rho(a) m
     r = newton_rep(2, 2)
     g0 = extend_to_g0(r)
-    v = TruncatedVerma(g0, 4, 2)
+    v = TruncatedVerma(g0, 4)
     rng = random.Random(1)
     d = r.jordan.dim
     for i in range(d):
@@ -131,7 +129,7 @@ def test_weight_zero_action_on_lowering():
     # h(a) f(b) m = f(b) rho(a) m - 2 f(ab) m
     r = newton_rep(1, 3)
     g0 = extend_to_g0(r)
-    v = TruncatedVerma(g0, 3, 2)
+    v = TruncatedVerma(g0, 3)
     src = (0, 0)
     vec = {src: basis(v.cell_dim(src), 0)}  # the constant of the module
     fb = apply_generator(v, vec, ("f", 1))      # f(t) m
@@ -147,7 +145,7 @@ def test_weight_zero_action_on_lowering():
 
 def test_apply_generator_out_of_window():
     r = newton_rep(1, 1)
-    v = TruncatedVerma(extend_to_g0(r), 1, 1)
+    v = TruncatedVerma(extend_to_g0(r), 1)
     top = {(2, 0): basis(v.cell_dim((2, 0)), 0)}
     with pytest.raises(WindowError):
         apply_generator(v, top, ("f", 0))
@@ -230,7 +228,7 @@ def test_garland_matches_straightening(make_rep, n):
     g0 = extend_to_g0(r)
     rng = random.Random(17)
     for _ in range(2):
-        a = random_vector(rng, r.jordan.dim, num_bound=5, den_bound=3)
+        a = small_vector(rng, r.jordan.dim, 5, 3)
         for rr in sorted({0, 1, n, n + 1}):
             assert efr_power(g0, a, rr) == garland_coefficient(g0, a, rr)
 
@@ -243,7 +241,7 @@ def test_all_depth_routes_match_single_depth(make_rep, n, symbolic):
     assert level(g0.rep) == n
     d = g0.rep.jordan.dim
     a = Poly.variables(d) if symbolic else \
-        random_vector(random.Random(29), d, num_bound=5, den_bound=3)
+        small_vector(random.Random(29), d, 5, 3)
     rrs = [n + 1, 0, n, 1, 0] + list(range(n + 2))
     for plural, single in ((efr_powers, efr_power), (garland_coefficients, garland_coefficient)):
         got = plural(g0, a, rrs)
@@ -279,7 +277,7 @@ def test_efr_equals_scaled_dominance_sum(instances):
         if level(rep) > 3 or rep.mdim > 12:
             continue
         g0 = extend_to_g0(rep)
-        a = random_vector(rng, rep.jordan.dim, num_bound=4, den_bound=2)
+        a = small_vector(rng, rep.jordan.dim, 4, 2)
         n = level(rep)
         got = efr_power(g0, a, n + 1)
         want = add_operator({}, dominance_operator(rep, a), factorial(n + 1))
@@ -296,7 +294,7 @@ def test_windowed_chain_matches_windowfree_contraction():
     r = newton_rep(2, 2)
     g0 = extend_to_g0(r)
     n = _level(r)
-    v = TruncatedVerma(g0, 6, 3)  # wide enough that nothing truncates
+    v = TruncatedVerma(g0, 6)  # f^(n+1) reaches depth n+1, the deepest cells
     for mi in range(r.mdim):
         mdeg = r.module.degrees[mi]
         src = (0, mdeg)
@@ -489,7 +487,7 @@ def test_top_weight_preserved_agrees_with_dominance(make_rep, D):
 
 ENTRY_POINTS = {
     "weyl_dimensions": lambda r, a: weyl_dimensions(r, 1),
-    "TruncatedVerma": lambda r, a: TruncatedVerma(r, 1, 1),
+    "TruncatedVerma": lambda r, a: TruncatedVerma(r, 1),
     "efr_power": lambda r, a: efr_power(r, a, 0),
     "efr_vanishes": lambda r, a: efr_vanishes(r),
     "garland_coefficient": lambda r, a: garland_coefficient(r, a, 0),
@@ -641,26 +639,9 @@ def test_weyl_defining_rep_of_3x3_matrices():
     assert table.meta["stable"] and table.meta["certificate_ok"]
 
 
-def test_weyl_insensitive_to_window_depth():
-    r = newton_rep(2, 3)
-    base = weyl_dimensions(r, 3)  # default depth
-    assert base.to_json_dict()["window"] == level(r) + 2
-    for W in (1, 2, 6, 40):
-        other = weyl_dimensions(r, 3, W=W)
-        assert other.dims == base.dims
-        assert other.meta == base.meta
-        assert other.meta["stable"] and other.meta["certificate_ok"]
-        assert other.to_json_dict()["window"] == W
-
-
-def test_weyl_rejects_window_depth_zero():
-    with pytest.raises(WindowError, match="^window depth must be >= 1$"):
-        weyl_dimensions(newton_rep(1, 2), 2, W=0)
-
-
 def test_weyl_closure_builds_no_cell_below_depth_n_plus_1(monkeypatch):
     # raising lowers the depth by one, so only the depth-(n+1) cells feed the
-    # cells of depth <= n, whatever the window depth
+    # cells of depth <= n; the JSON window key counts the depths 0..n+1 built
     deepest = []
     original = TruncatedVerma.__init__
 
@@ -670,9 +651,10 @@ def test_weyl_closure_builds_no_cell_below_depth_n_plus_1(monkeypatch):
 
     monkeypatch.setattr(TruncatedVerma, "__init__", recording)
     r = newton_rep(2, 3)
-    table = weyl_dimensions(r, 3, W=6)
+    table = weyl_dimensions(r, 3)
     assert table.meta["stable"] and table.meta["certificate_ok"]
     assert deepest == [level(r) + 1]
+    assert table.to_json_dict()["window"] == level(r) + 2 == deepest[0] + 1
 
 
 def test_weyl_table_export():
@@ -688,14 +670,14 @@ def test_weyl_table_export():
 @pytest.mark.parametrize("n,D", [(1, 2), (2, 3)], ids=["newton-1-2", "newton-2-3"])
 def test_bracket_fidelity_commutative(n, D):
     r = newton_rep(n, D)
-    v = TruncatedVerma(extend_to_g0(r, build_sl2(r.jordan)), D, 2)
+    v = TruncatedVerma(extend_to_g0(r, build_sl2(r.jordan)), D)
     rep = bracket_fidelity(v)
     assert rep.ok, rep.first_failure()
 
 
 def test_bracket_fidelity_with_braces():
     r = matrix_defining_rep(2)
-    v = TruncatedVerma(extend_to_g0(r, build_sl2(r.jordan)), 0, 2)
+    v = TruncatedVerma(extend_to_g0(r, build_sl2(r.jordan)), 0)
     rep = bracket_fidelity(v)
     assert rep.ok, rep.first_failure()
 
@@ -723,8 +705,7 @@ def test_weyl_independent_of_basis_order(n):
     base = weyl_dimensions(_local_rep(J, n), 4)
     shuffled = _local_rep(_relabeled(J, [0, 3, 1, 2]), n)
     assert weyl_dimensions(shuffled, 4).dims == base.dims
-    rep = bracket_fidelity(TruncatedVerma(extend_to_g0(shuffled, build_sl2(shuffled.jordan)),
-                                          4, 2))
+    rep = bracket_fidelity(TruncatedVerma(extend_to_g0(shuffled, build_sl2(shuffled.jordan)), 4))
     assert rep.ok, rep.first_failure()
 
 
@@ -741,7 +722,7 @@ def test_bracket_fidelity_checks_the_cached_columns(monkeypatch):
 
     monkeypatch.setattr(TruncatedVerma, "action_columns", doubled)
     r = newton_rep(2, 3)
-    v = TruncatedVerma(extend_to_g0(r, build_sl2(r.jordan)), 3, 2)
+    v = TruncatedVerma(extend_to_g0(r, build_sl2(r.jordan)), 3)
     rep = bracket_fidelity(v)
     assert not rep.ok
     assert rep.first_failure().detail == "generators ('e', 0),('f', 1) on cell (1, 0)"
@@ -777,7 +758,7 @@ def test_straightening_plans_each_multiset_once(monkeypatch):
         return plan(self, fkey)
 
     monkeypatch.setattr(_StraightData, "_plan", recorded)
-    verma = TruncatedVerma(extend_to_g0(newton_rep(3, 3)), 3, 1)
+    verma = TruncatedVerma(extend_to_g0(newton_rep(3, 3)), 3)
     assert verma.rep.mdim > 1
     acted = set()
     for gen in verma.generators:
